@@ -121,13 +121,11 @@ def _u_list(cfg: model.ScenarioConfig, arg: str | None) -> np.ndarray:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def _cmd_validate(args, manifest):
-    _load(args)
+def _cmd_validate(args, cfg, manifest):
     print("config ok")
 
 
-def _cmd_moments(args, manifest):
-    cfg = _load(args)
+def _cmd_moments(args, cfg, manifest):
     mv = moments.revenue_moments(cfg, interval_index=args.interval)
     rows = [(args.interval, s, mv.raw[s - 1]) for s in range(1, mv.order + 1)]
     _write_csv(args.out, "moments.csv", ["interval", "order", "value"], rows, manifest)
@@ -135,8 +133,7 @@ def _cmd_moments(args, manifest):
     print(f"E[V] = {mv.raw[0]:.6g} (order-{mv.order} moments written)")
 
 
-def _cmd_income_pdf(args, manifest):
-    cfg = _load(args)
+def _cmd_income_pdf(args, cfg, manifest):
     mv = moments.revenue_moments(cfg, interval_index=args.interval)
     # the support the moments (and their clamp atoms) were computed on
     v_lo, v_hi = cfg.income_support(cfg.durations.for_interval(
@@ -161,8 +158,12 @@ def _cmd_income_pdf(args, manifest):
           f"{dens.sanitized_mass:.4g}")
 
 
-def _cmd_compound(args, manifest):
-    cfg = _load(args)
+def _compound_diagnostics(info) -> dict:
+    """Per distinct interval: FFT window, aliasing bound, clipped mass, mean residual."""
+    return {str(i): v["compound"] for i, v in info["intervals"].items()}
+
+
+def _cmd_compound(args, cfg, manifest):
     pmfs, info = ruin.interval_net_pmfs(cfg)
     rows = []
     for i, pmf in enumerate(pmfs, start=1):
@@ -173,11 +174,11 @@ def _cmd_compound(args, manifest):
     _write_csv(args.out, "compound.csv", ["interval", "index", "value", "mass"],
                rows, manifest)
     manifest.tolerances_achieved["lattice_step"] = info["lattice_step"]
+    manifest.tolerances_achieved["compound"] = _compound_diagnostics(info)
     print(f"compound PMFs written (lattice step {info['lattice_step']:.6g})")
 
 
-def _cmd_ruin(args, manifest):
-    cfg = _load(args)
+def _cmd_ruin(args, cfg, manifest):
     us = _u_list(cfg, args.u)
     result, info = ruin.run_pipeline(cfg, us)
     header = ["l", "u", "psi_numerical"]
@@ -198,14 +199,14 @@ def _cmd_ruin(args, manifest):
     manifest.tolerances_achieved.update({
         "interp_error_bound": result.diagnostics["interp_error_bound"],
         "sanitized_mass": max(v["sanitized_mass"] for v in info["intervals"].values()),
+        "compound": _compound_diagnostics(info),
     })
     final = ", ".join(f"psi_{horizon}({u:g})={result.psi[horizon - 1, j]:.4f}"
                       for j, u in enumerate(us))
     print(final)
 
 
-def _cmd_expected_surplus(args, manifest):
-    _load(args)  # config validated for parity even though the bound is closed-form
+def _cmd_expected_surplus(args, cfg, manifest):
     start, stop, step = (float(x) for x in args.ev_grid.split(":"))
     evs = np.arange(start, stop + 1e-12, step)
     horizons = [int(x) for x in args.horizons.split(",")]
@@ -218,8 +219,7 @@ def _cmd_expected_surplus(args, manifest):
     print(f"{len(rows)} bound rows written")
 
 
-def _cmd_simulate(args, manifest):
-    cfg = _load(args)
+def _cmd_simulate(args, cfg, manifest):
     plan = montecarlo.plan_from_config(cfg)
     if args.what == "moments":
         mv, se = montecarlo.estimate_moments(cfg, plan, interval_index=args.interval)
@@ -250,8 +250,7 @@ def _cmd_simulate(args, manifest):
         print(f"{est.n_paths} surplus paths simulated")
 
 
-def _cmd_sweep(args, manifest):
-    cfg = _load(args)
+def _cmd_sweep(args, cfg, manifest):
     dotted, rng = args.param.split("=", 1)
     start, stop, step = (float(x) for x in rng.split(":"))
     values = np.arange(start, stop + 1e-12, step)
@@ -288,8 +287,7 @@ def _table_config(base: model.ScenarioConfig, **over) -> model.ScenarioConfig:
     return model.validate(model.ScenarioConfig.from_dict(data))
 
 
-def _cmd_reproduce_tables(args, manifest):
-    cfg = _load(args)
+def _cmd_reproduce_tables(args, cfg, manifest):
     which = set(args.which.split(",")) if args.which != "all" else {
         "tableII", "tableIII", "fig2", "fig3", "fig4"}
     n_mc = min(100_000, cfg.numerics.mc_samples) if args.fast else cfg.numerics.mc_samples
@@ -444,10 +442,11 @@ def main(argv=None) -> int:
     manifest = RunManifest(config_hash="", seed=0, command=args.command,
                            started_utc=_now())
     try:
-        cfg = model.load_config(args.config)
+        # the effective config: the file (or defaults) with every --set applied
+        cfg = _load(args)
         manifest.config_hash = cfg.config_hash()
         manifest.seed = cfg.numerics.seed
-        _HANDLERS[args.command](args, manifest)
+        _HANDLERS[args.command](args, cfg, manifest)
     except ConfigError as exc:
         for path, msg in exc.errors:
             print(f"config error at {path}: {msg}", file=sys.stderr)

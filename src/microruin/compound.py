@@ -9,12 +9,13 @@ of one user.  Because Z takes negative values, the classical nonnegative
 
 is used instead.  Two independent routes are implemented:
 
-* ``compound_geometric_pmf`` -- the primary route: geometric-weighted
-  convolution powers sum_u (1-w)^u w h^(*u), truncated when the residual
-  geometric tail drops below ``tail_eps``.  For large supports the same
-  truncated sum is evaluated through the probability generating function
-  w / (1 - (1-w) H) on an FFT grid padded to the full truncated reach, which
-  bounds the wrap-around error by the same tail mass.
+* ``compound_geometric_pmf`` -- the production route: the probability
+  generating function w / (1 - (1-w) H) evaluated on a real FFT window sized
+  to the mass.  The window edges come from Chernoff bounds
+  Pr(+-S >= x) <= e^(-theta x) M_S(+-theta), with the exact lattice MGF
+  M_S(theta) = w / (1 - (1-w) M_Z(theta)), so wrap-around moves at most
+  2 * ``tail_eps`` of mass.  The literal sum of geometric-weighted
+  convolution powers is the independent oracle and lives in the tests.
 
 * ``hurlimann_ls_solve`` -- the recurrence route: the identity above, taken
   at every lattice point except the origin, is a homogeneous linear system
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .errors import AccuracyError, DomainError, ResourceLimitError
 from .income_pdf import ExpandedDensity
@@ -42,6 +44,7 @@ __all__ = [
     "LatticePMF",
     "discretize_income",
     "net_profit_step_pmf",
+    "CompoundPMF",
     "compound_geometric_pmf",
     "hurlimann_ls_solve",
     "build_recurrence_matrix",
@@ -181,72 +184,130 @@ def _geometric_truncation(w_n: float, tail_eps: float) -> int:
     return max(0, math.ceil(math.log(tail_eps) / math.log1p(-w_n)) - 1)
 
 
+def _golden_min(f, a: float, b: float, iters: int = 80) -> tuple[float, float]:
+    """(x, f(x)) near the minimum of a unimodal f on (a, b).
+
+    f may be +inf on a right end segment (past a pole); ties move the bracket
+    left, so the search never settles there while a finite value exists.
+    """
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float, log_eps: float):
+    """Upper window edge for S = sum_{j<=N} Z_j with Pr(S > edge) <= eps.
+
+    Z has atoms at the lattice indices ``idx`` with log masses ``log_p``.
+    Returns (edge, bound) where bound(e) is the Chernoff bound on
+    Pr(S > e) = Pr(S >= e + 1) <= exp(-theta (e + 1)) M_S(theta), with
+    M_S(theta) = w / (1 - (1-w) M_Z(theta)) finite while (1-w) M_Z < 1 and
+    theta minimizing the edge.  Without a positive atom S <= 0.
+    """
+    k_max = int(idx.max())
+    if k_max <= 0:
+        return 0, lambda edge: 0.0
+    log_w, log_q = math.log(w_n), math.log1p(-w_n)
+
+    def log_ms(theta):
+        a = theta * idx + log_p
+        top = a.max()
+        z = log_q + top + math.log(np.exp(a - top).sum())
+        return log_w - math.log(-math.expm1(z)) if z < 0.0 else math.inf
+
+    # M_Z(theta) >= p(k_max) e^(theta k_max), so the MGF diverges before this
+    pole_above = (-log_q - float(log_p[idx.argmax()])) / k_max
+    theta, x = _golden_min(lambda t: (log_ms(t) - log_eps) / t, 0.0, pole_above)
+    log_m = log_ms(theta)
+    return max(0, math.ceil(x) - 1), lambda edge: math.exp(log_m - theta * (edge + 1))
+
+
+@dataclass(frozen=True)
+class CompoundPMF(LatticePMF):
+    """A compound PMF with the accuracy its FFT window used.
+
+    ``diagnostics``: window_points, aliasing_bound (Chernoff bound on the
+    mass outside the window), clipped_mass (negative roundoff clipped to
+    zero), mean_residual and mean_tolerance of the mean identity.
+    """
+
+    diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
+
+
 def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
-                           points_budget: int = 4_000_000,
-                           method: str = "auto") -> LatticePMF:
+                           points_budget: int = 4_000_000) -> CompoundPMF:
     """PMF of S = sum_{j=1}^N Z_j with N geometric (Pr(N=0) = w_n).
 
-    Truncated geometric-weighted convolution powers; ``method="fft"``
-    evaluates the equivalent PGF closed form on a fully padded grid,
-    ``"direct"`` accumulates convolution powers literally, ``"auto"`` picks by
-    problem size.  Mass at the origin is at least w_n.  The mean identity
+    The PGF closed form is inverted with a real FFT on the window
+    [lo, hi] that holds all but at most ``tail_eps`` of the mass on each side
+    (Chernoff bounds on the exact lattice MGF), so wrap-around moves at most
+    2 ``tail_eps``.  Mass at the origin is at least w_n.  The mean identity
     E[S] = (1-w)/w * E[Z] is checked on every call.
     """
     if not (0.0 < w_n <= 1.0):
         raise DomainError(f"geometric parameter must lie in (0, 1], got {w_n}")
     if w_n == 1.0:
-        return LatticePMF(step=step.step, min_index=0, mass=np.array([1.0]))
-    n_terms = _geometric_truncation(w_n, tail_eps)
-    n_z = len(step.mass)
-    lo = min(0, n_terms * step.min_index)
-    hi = max(0, n_terms * step.max_index)
-    out_len = hi - lo + 1
-    if out_len > points_budget:
-        achieved = (1.0 - w_n) ** (points_budget // max(n_z - 1, 1) + 1)
+        return CompoundPMF(step=step.step, min_index=0, mass=np.array([1.0]),
+                           diagnostics={"window_points": 1, "aliasing_bound": 0.0,
+                                        "clipped_mass": 0.0, "mean_residual": 0.0,
+                                        "mean_tolerance": 0.0})
+    positive = step.mass > 0.0
+    idx = step.indices()[positive]
+    log_p = np.log(step.mass[positive])
+    log_eps = math.log(tail_eps)
+    hi, bound_hi = _chernoff_edge(idx, log_p, w_n, log_eps)
+    neg_lo, bound_lo = _chernoff_edge(-idx, log_p, w_n, log_eps)
+    lo = -neg_lo
+    n = sp_fft.next_fast_len(hi - lo + 1, real=True)
+    if n > points_budget:
+        shrink = points_budget / n
+        achieved = (bound_hi(math.floor(hi * shrink))
+                    + bound_lo(math.floor(neg_lo * shrink)))
         raise ResourceLimitError(
-            f"compound support needs {out_len} points (budget {points_budget}); "
+            f"compound support needs {n} points (budget {points_budget}); "
             f"achievable tail mass {achieved:.3g} > requested {tail_eps:.3g}")
-    if method == "auto":
-        method = "direct" if out_len * n_z <= 4_000_000 else "fft"
+    hi = lo + n - 1  # the fast-length padding widens the upper side
 
-    if method == "direct":
-        mass = np.zeros(out_len)
-        mass[-lo] = w_n
-        power = np.array([1.0])
-        weight = w_n
-        offset = 0  # min index of the current convolution power
-        for _ in range(n_terms):
-            power = np.convolve(power, step.mass)
-            offset += step.min_index
-            weight *= 1.0 - w_n
-            mass[offset - lo: offset - lo + len(power)] += weight * power
-    elif method == "fft":
-        # evaluate the PGF on the unit circle with signed-index phase factors;
-        # the support span equals the truncated-sum reach, so wrap-around is
-        # bounded by the truncated geometric tail mass
-        k = np.arange(out_len)
-        phase_h = np.exp(-2j * np.pi * k * step.min_index / out_len)
-        h_hat = np.fft.fft(step.mass, n=out_len) * phase_h
-        s_hat = w_n / (1.0 - (1.0 - w_n) * h_hat)
-        mass = np.real(np.fft.ifft(s_hat * np.exp(2j * np.pi * k * lo / out_len)))
-        mass = np.maximum(mass, 0.0)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    # the window is one period: Z's atoms wrap onto it, and the inverse
+    # transform of the PGF is the compound PMF folded modulo n
+    z_folded = np.bincount(step.indices() % n, weights=step.mass, minlength=n)
+    s_hat = w_n / (1.0 - (1.0 - w_n) * sp_fft.rfft(z_folded))
+    mass = np.roll(sp_fft.irfft(s_hat, n), -lo)
+    clipped = abs(float(mass[mass < 0.0].sum()))
+    mass = np.maximum(mass, 0.0)
 
     total = mass.sum()
     if abs(total - 1.0) > max(10 * tail_eps, 1e-9):
         raise AccuracyError("compound PMF mass defect beyond the truncation budget",
                             {"total": total, "tail_eps": tail_eps})
     mass /= total
-    out = LatticePMF(step=step.step, min_index=lo, mass=mass)
+    out = CompoundPMF(step=step.step, min_index=lo, mass=mass)
     # mean identity E[S] = E[N] (E[income] - E[fee])
     mean_expected = (1.0 - w_n) / w_n * step.mean()
     mean_got = out.mean()
+    n_terms = _geometric_truncation(w_n, tail_eps)
     span = (abs(step.values()).max() + 1.0) * max(n_terms, 1)
     tol = max(1e-8 * abs(mean_expected), 4.0 * tail_eps * span, 1e-12)
     if abs(mean_got - mean_expected) > tol:
         raise AccuracyError("compound mean identity violated",
                             {"expected": mean_expected, "got": mean_got, "tol": tol})
+    out.diagnostics.update({
+        "window_points": n,
+        "aliasing_bound": bound_hi(hi) + bound_lo(neg_lo),
+        "clipped_mass": clipped,
+        "mean_residual": abs(mean_got - mean_expected),
+        "mean_tolerance": tol,
+    })
     return out
 
 

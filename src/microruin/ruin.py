@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from . import _kernels, income_pdf
 from .compound import LatticePMF, compound_geometric_pmf, discretize_income, net_profit_step_pmf
@@ -138,32 +138,43 @@ def _step_atoms(phi_prev, grid, pmf):
     return _check_monotone_fix(out)
 
 
-def _step_correlation(phi_prev, grid, pmf, stride):
-    """Same sum regrouped: exact lattice correlation, then one stretch interp.
+class _Correlation:
+    """One PMF's step on a fixed grid: exact lattice correlation, then one
+    stretch interpolation; the atoms' spectrum is computed once.
 
     The survival indicator zeroes phi at negative capitals; the correlation
-    psi(x) = sum_y m(y) phi^0(x + y) is then exact on the lattice (atoms sit
+    c(x) = sum_y m(y) phi^0(x + y) is then exact on the lattice (atoms sit
     on it at the given stride), and only the compounding stretch
-    phi_new(u) = psi(u (1+r)) needs interpolation.
+    phi_new(u) = c(u (1+r)) needs interpolation.  Reads below the grid are
+    certain ruin (0).  Reads above it are certain survival (1): each output
+    cell adds the mass of the atoms that land past the grid top.
     """
-    phi0 = np.where(grid.points >= -1e-9 * grid.step, phi_prev, 0.0)
-    atoms = np.zeros((len(pmf.mass) - 1) * stride + 1)
-    atoms[::stride] = pmf.mass
-    # pad so every stretched evaluation x = u (1+r) falls inside the
-    # correlation output: left with certain-ruin zeros, right with ones
-    grow_cells = math.ceil(max(abs(grid.points[0]), abs(grid.points[-1]))
-                           * (grid.growth - 1.0) / grid.step) + 2
-    pad = grow_cells
-    phi0_pad = np.concatenate((np.zeros(pad), phi0, np.ones(pad)))
-    # conv(P, reversed A)[t] = sum_s A[s] P[t - (S-1) + s], so the output cell
-    # x = t + k_lo - pad - a_last with a_last the largest atom cell offset
-    corr = fftconvolve(phi0_pad, atoms[::-1])
-    corr = np.clip(corr, 0.0, 1.0)
-    start = grid.k_lo - pad - pmf.max_index * stride
-    x_cells = np.arange(start, start + len(corr), dtype=float)
-    stretched = grid.points * grid.growth / grid.step
-    out = np.interp(stretched, x_cells, corr, left=0.0, right=1.0)
-    return _check_monotone_fix(out)
+
+    def __init__(self, grid, pmf, stride):
+        atoms = np.zeros((len(pmf.mass) - 1) * stride + 1)
+        atoms[::stride] = pmf.mass
+        reversed_atoms = atoms[::-1]
+        self.grid = grid
+        self.n_grid = len(grid.points)
+        self.n_out = self.n_grid + len(atoms) - 1
+        self.n_fft = sp_fft.next_fast_len(self.n_out, real=True)
+        self.atoms_hat = sp_fft.rfft(reversed_atoms, self.n_fft)
+        # conv(P, reversed A)[t] = sum_s A[s] P[t - (S-1) + s]: output
+        # n_grid + i reads past the grid top for the i + 1 largest atom cells
+        self.above = np.cumsum(reversed_atoms)[:-1]
+        # output t is the cell x = t + k_lo - a_last, a_last the largest atom cell
+        self.x_cells = np.arange(self.n_out) + float(grid.k_lo - pmf.max_index * stride)
+        self.stretched = grid.points * grid.growth / grid.step
+
+    def __call__(self, phi_prev):
+        grid = self.grid
+        phi0 = np.where(grid.points >= -1e-9 * grid.step, phi_prev, 0.0)
+        corr = sp_fft.irfft(sp_fft.rfft(phi0, self.n_fft) * self.atoms_hat,
+                            self.n_fft)[:self.n_out]
+        corr[self.n_grid:] += self.above
+        np.clip(corr, 0.0, 1.0, out=corr)
+        out = np.interp(self.stretched, self.x_cells, corr, left=0.0, right=1.0)
+        return _check_monotone_fix(out)
 
 
 def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
@@ -229,11 +240,14 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
                     for p in pmfs)
 
     interp_bound = 0.0
+    correlations = {}  # id(pmf) -> its step operator on this grid
 
     def one_step(phi_prev, pmf):
         nonlocal interp_bound
         if method == "correlation":
-            out = _step_correlation(phi_prev, grid, pmf, stride)
+            if id(pmf) not in correlations:
+                correlations[id(pmf)] = _Correlation(grid, pmf, stride)
+            out = correlations[id(pmf)](phi_prev)
         else:
             out = _step_atoms(phi_prev, grid, pmf)
         if not aligned and len(out) > 2:
@@ -285,7 +299,9 @@ def interval_net_pmfs(config: ScenarioConfig):
     """Per-interval compound net-profit PMFs (the G_l inputs of the recursion).
 
     Returns (pmfs, info) where info carries the per-stage diagnostics
-    (moments, sanitized mass, lattice step).
+    (moments, sanitized mass, lattice step, and per distinct interval the
+    compound stage's FFT window, aliasing bound, clipped negative mass and
+    mean-identity residual).
     """
     fin, num = config.financial, config.numerics
     horizon = fin.horizon_intervals
@@ -312,17 +328,19 @@ def interval_net_pmfs(config: ScenarioConfig):
                                       reject_mass=num.sanitize_reject)
         income = discretize_income(density, delta, num.lattice_points_budget)
         zstep = net_profit_step_pmf(income, fin)
-        g = compound_geometric_pmf(zstep, fin.w_n_geometric, tail_eps=num.tail_eps,
-                                   points_budget=num.lattice_points_budget)
+        compound = compound_geometric_pmf(zstep, fin.w_n_geometric,
+                                          tail_eps=num.tail_eps,
+                                          points_budget=num.lattice_points_budget)
         # drop negligible compound tails before the recursion: each dropped
         # side carries at most ruin_tail_eps mass, so survival probabilities
         # move by at most horizon * ruin_tail_eps
-        g = g.trimmed(num.ruin_tail_eps)
+        g = compound.trimmed(num.ruin_tail_eps)
         built[key] = g
         info["intervals"][i] = {
             "mean_revenue": float(mv.raw[0]),
             "sanitized_mass": density.sanitized_mass,
             "compound_mean": g.mean(),
+            "compound": compound.diagnostics,
         }
     return [built[key] for key in order], info
 

@@ -24,7 +24,7 @@ from microruin import income_pdf, moments, montecarlo, ruin, specfun
 from microruin.compound import LatticePMF, compound_geometric_pmf, hurlimann_ls_solve
 from microruin.model import NetworkParams
 from tests.conftest import make_config
-from tests.test_compound import dense_tv, enum_compound
+from tests.test_compound import dense_tv, direct_compound, enum_compound
 from tests.test_ruin import enum_psi
 
 FULL_MC = 1_000_000
@@ -177,11 +177,13 @@ def test_criterion_5_compound_oracle_equivalence():
         ref = enum_compound(z, w, 6)                       # exhaustive, N <= 6
         conv = compound_geometric_pmf(z, w, tail_eps=1e-13)
         ls = hurlimann_ls_solve(z, w, tail_eps=1e-13)
+        direct = direct_compound(z, w, tail_eps=1e-13)     # convolution powers
         tv_conv = 0.5 * sum(abs(conv.mass_at(k) - ref.get(k, 0.0))
                             for k in range(conv.min_index, conv.max_index + 1))
         tv_ls = dense_tv(ls, conv)
-        worst_tv = max(worst_tv, tv_conv, tv_ls)
-        ok &= tv_conv <= 1e-6 and tv_ls <= 1e-6
+        tv_direct = dense_tv(direct, conv)
+        worst_tv = max(worst_tv, tv_conv, tv_ls, tv_direct)
+        ok &= tv_conv <= 1e-6 and tv_ls <= 1e-6 and tv_direct <= 1e-6
         mean_err = abs(conv.mean() - (1 - w) / w * z.mean())
         rel = mean_err / max(abs((1 - w) / w * z.mean()), 1e-30)
         worst_mean = max(worst_mean, rel)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,16 @@ def fast_config_path(tmp_path):
     with open(path, "w") as fh:
         json.dump(data, fh)
     return str(path)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # the recursion correlates with scipy.fft; scipy.signal (and the
+    # scipy.stats it pulls in) is most of the import time when loaded
+    code = "import sys, microruin.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestValidateCommand:
@@ -52,6 +64,18 @@ class TestMomentsCommand:
         assert "moments.csv" in manifest["outputs"]
         assert manifest["config_hash"]
         assert manifest["seed"] == 20260808
+
+    def test_manifest_records_overridden_config(self, tmp_path, fast_config_path):
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out,
+                        "--set", "numerics.seed=7", "moments"]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        data = model.load_config(fast_config_path).to_dict()
+        data["numerics"]["seed"] = 7
+        effective = model.validate(model.ScenarioConfig.from_dict(data))
+        assert manifest["seed"] == 7
+        assert manifest["config_hash"] == effective.config_hash()
+        assert manifest["config_hash"] != model.load_config(fast_config_path).config_hash()
 
     def test_byte_identical_reruns(self, tmp_path, fast_config_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -95,6 +119,18 @@ class TestPipelineCommands:
         rows = open(os.path.join(out, "compound.csv")).read().splitlines()[1:]
         total = sum(float(r.split(",")[3]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_ruin_manifest_records_compound_accuracy(self, tmp_path, fast_config_path):
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out, "ruin",
+                        "--no-mc"]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            compound = json.load(fh)["tolerances_achieved"]["compound"]
+        diag = compound["1"]
+        assert diag["window_points"] > 0
+        assert 0.0 <= diag["aliasing_bound"] <= 2e-12  # 2 * tail_eps
+        assert diag["clipped_mass"] >= 0.0
+        assert diag["mean_residual"] <= diag["mean_tolerance"]
 
     def test_ruin_with_mc_columns(self, tmp_path, fast_config_path):
         out = str(tmp_path / "o")
@@ -170,11 +206,16 @@ class TestReproduceTables:
 
 
 class TestAccuracyExitCode:
-    def test_rejected_expansion_exits_three(self, tmp_path, fast_config_path):
-        # Table-II-style clamps give a density the order-4 expansion cannot
-        # sanitize within budget: the pipeline must exit 3, not crash
+    @pytest.mark.parametrize("override", [
+        "numerics.ruin_interp_tol=1e-9",        # AccuracyError: recursion
+        "numerics.lattice_points_budget=1000",  # ResourceLimitError: lattice
+    ], ids=["recursion-accuracy", "lattice-budget"])
+    def test_refused_budget_exits_three(self, tmp_path, fast_config_path, capsys,
+                                        override):
+        # a stage that cannot meet its accuracy or resource budget refuses:
+        # the pipeline must exit 3 and name the error, not crash
         out = str(tmp_path / "o")
         code = run_cli(["--config", fast_config_path, "--out", out, "--set",
-                        "financial.c_min=0.1", "--set", "financial.c_max=100.0",
-                        "ruin", "--no-mc"])
+                        override, "ruin", "--no-mc"])
         assert code == 3
+        assert "accuracy/resource error" in capsys.readouterr().err

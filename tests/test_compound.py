@@ -1,6 +1,7 @@
 """Lattice discretization and the compound-geometric routes vs enumeration."""
 
 import logging
+import math
 from itertools import product
 
 import numpy as np
@@ -32,6 +33,25 @@ def enum_compound(pmf: LatticePMF, w: float, n_max: int) -> dict:
             p = weight * float(np.prod(masses[list(combo)]))
             out[key] = out.get(key, 0.0) + p
     return out
+
+
+def direct_compound(pmf: LatticePMF, w: float, tail_eps: float) -> LatticePMF:
+    """Oracle: the literal sum_{u<=U} (1-w)^u w h^(*u), U the geometric
+    truncation at tail_eps, accumulated convolution power by power."""
+    n_terms = max(0, math.ceil(math.log(tail_eps) / math.log1p(-w)) - 1)
+    lo = min(0, n_terms * pmf.min_index)
+    hi = max(0, n_terms * pmf.max_index)
+    mass = np.zeros(hi - lo + 1)
+    mass[-lo] = w
+    power = np.array([1.0])
+    weight = w
+    offset = 0  # min index of the current convolution power
+    for _ in range(n_terms):
+        power = np.convolve(power, pmf.mass)
+        offset += pmf.min_index
+        weight *= 1.0 - w
+        mass[offset - lo: offset - lo + len(power)] += weight * power
+    return LatticePMF(step=pmf.step, min_index=lo, mass=mass / mass.sum())
 
 
 def dense_tv(a: LatticePMF, b: LatticePMF) -> float:
@@ -165,8 +185,8 @@ class TestCompoundGeometric:
 
     def test_direct_and_fft_agree(self):
         for w in (0.2, 0.6):
-            a = compound_geometric_pmf(self.Z3, w, tail_eps=1e-12, method="direct")
-            b = compound_geometric_pmf(self.Z3, w, tail_eps=1e-12, method="fft")
+            a = direct_compound(self.Z3, w, tail_eps=1e-12)
+            b = compound_geometric_pmf(self.Z3, w, tail_eps=1e-12)
             assert dense_tv(a, b) <= 1e-12
 
     def test_mean_identity_positive_support(self):
@@ -175,9 +195,42 @@ class TestCompoundGeometric:
         assert pmf.mean() == pytest.approx((0.7 / 0.3) * z.mean(), rel=1e-8)
 
     def test_budget_error_reports_achievable_tail(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="achievable tail mass") as err:
             compound_geometric_pmf(self.Z3, 0.01, tail_eps=1e-300,
                                    points_budget=100)
+        achieved = float(str(err.value).split("achievable tail mass ")[1].split()[0])
+        assert 1e-300 < achieved < 1.0
+
+    @pytest.mark.parametrize("z", [
+        LatticePMF(step=1.0, min_index=0, mass=np.array([0.2, 0.5, 0.3])),
+        LatticePMF(step=1.0, min_index=2, mass=np.array([0.6, 0.0, 0.4])),
+        LatticePMF(step=1.0, min_index=-3, mass=np.array([0.5, 0.2, 0.3])),
+        LatticePMF(step=1.0, min_index=-4, mass=np.array([0.7, 0.0, 0.0, 0.0, 0.3])),
+    ], ids=["nonneg", "positive", "nonpos", "nonpos-gap"])
+    @pytest.mark.parametrize("w", [0.05, 0.3, 0.97, 0.999])
+    def test_window_matches_oracle(self, z, w):
+        # one-sided Z puts no mass on the other side of the origin, and the
+        # window from the Chernoff bounds holds the mass for small and large w
+        ref = direct_compound(z, w, tail_eps=1e-12)
+        got = compound_geometric_pmf(z, w, tail_eps=1e-12)
+        assert dense_tv(ref, got) <= 1e-10
+        if z.min_index >= 0:
+            assert got.cdf_below(0.0) <= 1e-12
+        if z.max_index <= 0:
+            assert got.cdf_at(0.0) >= 1.0 - 1e-12
+        diag = got.diagnostics
+        assert diag["window_points"] == len(got.mass)
+        assert diag["aliasing_bound"] <= 2e-12
+        assert diag["mean_residual"] <= diag["mean_tolerance"]
+
+    def test_window_sized_to_mass_not_reach(self):
+        # the truncated reach is n_terms * span; the mass sits near the mean
+        z = LatticePMF(step=1.0, min_index=-200,
+                       mass=np.full(401, 1.0 / 401))
+        got = compound_geometric_pmf(z, 0.2, tail_eps=1e-12)
+        n_terms = math.ceil(math.log(1e-12) / math.log1p(-0.2)) - 1
+        assert len(got.mass) < 0.25 * n_terms * 400
+        assert got.diagnostics["aliasing_bound"] <= 2e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -37,6 +37,11 @@ Z3 = LatticePMF(step=1.0, min_index=-1, mass=np.array([0.3, 0.5, 0.2]))
 Z5 = LatticePMF(step=1.0, min_index=-2,
                 mass=np.array([0.15, 0.2, 0.3, 0.2, 0.15]))
 
+# right-skewed: profit atoms reach far past the capitals worth resolving
+SKEWED = LatticePMF(step=1.0, min_index=-5, mass=np.bincount(
+    np.array([-5, -3, -1, 0, 10, 100, 294]) + 5,
+    weights=[0.3, 0.2, 0.15, 0.05, 0.1, 0.1, 0.1], minlength=300))
+
 
 class TestExpectedSurplusBound:
     def test_zero_crossing_at_break_even(self):
@@ -172,6 +177,22 @@ class TestSurvivalRecursion:
         assert errs[1] < errs[0]
         assert errs[2] <= errs[0] / 4.0  # observed order >= 1 over two halvings
 
+    def test_correlation_reads_certain_survival_above_grid(self):
+        # right-skewed profits far beyond the capital grid: atoms landing past
+        # the grid top are certain survival, not zero-padding
+        us = np.array([0.0, 2.0, 5.0, 9.0])
+        corr = ruin.survival_recursion(us, 0.0, [SKEWED] * 2, method="correlation")
+        atoms = ruin.survival_recursion(us, 0.0, [SKEWED] * 2, method="atoms")
+        np.testing.assert_allclose(corr.psi, atoms.psi, atol=1e-12)
+        for j, u in enumerate(us):
+            np.testing.assert_allclose(corr.psi[:, j],
+                                       enum_psi(u, 0.0, [SKEWED] * 2, 2), atol=1e-12)
+        fine = ruin.survival_recursion(us, 0.05, [SKEWED] * 2, grid_step=0.05,
+                                       method="correlation", interp_tol=np.inf)
+        for j, u in enumerate(us):
+            np.testing.assert_allclose(fine.psi[:, j],
+                                       enum_psi(u, 0.05, [SKEWED] * 2, 2), atol=5e-3)
+
     def test_interp_tolerance_gate(self):
         with pytest.raises(AccuracyError):
             ruin.survival_recursion(np.array([0.5]), 0.05, [Z3] * 3,
@@ -184,7 +205,48 @@ class TestSurvivalRecursion:
             ruin.survival_recursion(np.array([0.0]), 0.05, [])
 
 
+def _reference_with(overrides):
+    from microruin import model
+    data = model.default_config().to_dict()
+    for section, values in overrides.items():
+        data[section].update(values)
+    return model.validate(model.ScenarioConfig.from_dict(data))
+
+
 class TestPipeline:
+    @pytest.mark.parametrize("overrides", [
+        {"financial": {"w_n_geometric": 0.05}},
+        {"numerics": {"lattice_step": 1100 / 4096}},
+        {"financial": {"operator_fees": {"1": 300.0}}},
+        {"financial": {"c_min": 0.1, "c_max": 100.0}},
+    ], ids=["w_n-0.05", "lattice-1100/4096", "fee-300", "clamps-0.1-100"])
+    def test_scenarios_near_reference_solve(self, overrides):
+        # refused while the FFT window spanned the full truncated reach
+        us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
+        cfg = _reference_with(overrides)
+        res, info = ruin.run_pipeline(cfg, us)
+        psi = res.psi
+        assert psi.shape == (cfg.financial.horizon_intervals, len(us))
+        assert np.isfinite(psi).all() and psi.min() >= 0.0 and psi.max() <= 1.0
+        assert (np.diff(psi, axis=1) <= 0.0).all()    # nonincreasing in u
+        assert (np.diff(psi, axis=0) >= 0.0).all()    # nondecreasing in l
+        for interval in info["intervals"].values():
+            diag = interval["compound"]
+            assert diag["aliasing_bound"] <= 2 * cfg.numerics.tail_eps
+            assert diag["mean_residual"] <= diag["mean_tolerance"]
+
+    def test_zero_padding_the_pmf_leaves_psi_unchanged(self, table3_config):
+        # trailing zero atoms widen the capital grid but carry no mass
+        pmfs, _ = ruin.interval_net_pmfs(table3_config)
+        g = pmfs[0]
+        padded = LatticePMF(step=g.step, min_index=g.min_index,
+                            mass=np.concatenate((g.mass, np.zeros(1000))))
+        us = np.array([100.0, 200.0, 300.0])
+        r = table3_config.financial.interest_rate_per_interval
+        a = ruin.survival_recursion(us, r, [g] * 5)
+        b = ruin.survival_recursion(us, r, [padded] * 5)
+        np.testing.assert_allclose(a.psi, b.psi, atol=1e-9)
+
     def test_reference_scenario_runs_and_is_sane(self, table3_config):
         us = np.array([100.0, 300.0])
         res, info = ruin.run_pipeline(table3_config, us)
