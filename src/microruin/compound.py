@@ -189,6 +189,8 @@ def _golden_min(f, a: float, b: float, iters: int = 80) -> tuple[float, float]:
 
     f may be +inf on a right end segment (past a pole); ties move the bracket
     left, so the search never settles there while a finite value exists.
+    scipy's bounded Brent search stalls on that segment, and bracketing the
+    pole first with a root finder still lands on wider edges near it.
     """
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
