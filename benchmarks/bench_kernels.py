@@ -1,51 +1,113 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-numpy fallbacks.
+"""Time the numpy hot kernels and the Monte Carlo interferer stage.
 
 Run:  python benchmarks/bench_kernels.py [--quick]
 
-Times the two hot paths (interference power reductions and the ruin-recursion
-grid step) on production-shaped inputs and reports the speedup, plus an
-end-to-end Monte Carlo revenue batch under each backend.
+Inputs are production-shaped: the slots of one batch of the reference
+scenario (about 200 interferer points per slot; --quick uses a fifth of the
+batch).  Reported, best of 3:
+
+* ``interference_powsum`` alone: one whole-batch call against calls of
+  ``montecarlo.CHUNK_POINTS`` points carrying the running sum, in ns per
+  interferer point and the bytes of the arrays each call touches;
+* the interferer stage (position draws, mark draws, kernel) streamed in
+  chunks against the same stage with the whole batch as one chunk, in ns
+  per point and the peak bytes it allocates (tracemalloc);
+* ``ruin_step`` on a large capital grid;
+* ``sample_revenues`` end to end for two full batches, on one thread and on
+  the thread pool.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import time
+import tracemalloc
 
 import numpy as np
 
-from microruin._kernels import _pykernels
-
-try:
-    from microruin._kernels import _ckernels
-except ImportError:
-    _ckernels = None
+from microruin import _kernels, model, montecarlo
 
 
-def _time(fn, *args, repeats=3):
+def _best(fn, repeats=3):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = fn(*args)
+        out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
 
 
-def bench_powsum(n_segments, mean_points, rng):
-    counts = rng.poisson(mean_points, size=n_segments)
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+def _batch_slots(n_users, rng):
+    """Per-slot point counts and annulus (r^2, width) of one reference batch."""
+    cfg = model.validate(model.default_config())
+    beta = cfg.network.beta_cells_per_area
+    radius2 = (montecarlo.SimulationPlan().ppp_radius_factor / math.sqrt(beta)) ** 2
+    r2 = -np.log1p(-rng.random(n_users)) / (math.pi * beta)
+    span = np.maximum(radius2 - r2, 0.0)
+    m_slot = rng.poisson(beta * math.pi * span)
+    return m_slot, r2, span, -cfg.network.alpha_pathloss / 2.0
+
+
+def bench_powsum(m_slot, exponent, rng):
+    offsets = np.concatenate(([0], np.cumsum(m_slot))).astype(np.int64)
     total = int(offsets[-1])
-    x_sq = rng.uniform(1.0, 1e4, size=total)
+    x_all = rng.uniform(1.0, 640.0, size=total)
     marks = rng.exponential(1.0, size=total)
-    args = (x_sq, -2.0, marks, offsets)
-    t_py, out_py = _time(_pykernels.interference_powsum, *args)
-    row = ["interference_powsum", f"{total:.2e} pts", f"{t_py * 1e3:8.1f} ms"]
-    if _ckernels is not None:
-        t_cy, out_cy = _time(_ckernels.interference_powsum, *args)
-        err = np.max(np.abs(out_py - out_cy) / np.maximum(np.abs(out_py), 1e-300))
-        row += [f"{t_cy * 1e3:8.1f} ms", f"{t_py / t_cy:5.2f}x", f"rel diff {err:.1e}"]
-    print("  ".join(row))
+    chunk = montecarlo.CHUNK_POINTS
+    first = int(np.searchsorted(offsets, 0, side="right"))  # offsets past 0 points
+
+    def whole():
+        return _kernels.interference_powsum(x_all.copy(), exponent, marks, offsets[first:])
+
+    def chunked():
+        x = x_all.copy()
+        carry, done = 0.0, first
+        for a in range(0, total, chunk):
+            b = min(a + chunk, total)
+            end = int(np.searchsorted(offsets, b, side="right"))
+            sums = _kernels.interference_powsum(
+                x[a:b], exponent, marks[a:b], np.append(offsets[done:end] - a, b - a), carry)
+            carry, done = sums[-1], end
+        return carry
+
+    t_whole, _ = _best(whole)
+    t_copy, _ = _best(x_all.copy)
+    t_chunk, _ = _best(chunked)
+    per_pt = 1e9 / total
+    seg = len(m_slot) * chunk / total  # slots per chunk
+    print(f"interference_powsum  {total:.2e} pts in {len(m_slot)} slots")
+    print(f"  whole batch  {(t_whole - t_copy) * per_pt:6.2f} ns/pt  "
+          f"{(16 * total + 16 * len(m_slot)) / 2**20:8.1f} MiB per call")
+    print(f"  chunked      {(t_chunk - t_copy) * per_pt:6.2f} ns/pt  "
+          f"{(16 * chunk + 16 * seg) / 2**20:8.1f} MiB per call ({chunk} pts)")
+
+
+def bench_stage(m_slot, r2, span, exponent):
+    total = int(m_slot.sum())
+
+    def stage():
+        rng = montecarlo._stream(1, "bench", 0)
+        return montecarlo._uniform_field_sums(rng, m_slot, r2, span, exponent)
+
+    rows = []
+    saved = montecarlo.CHUNK_POINTS
+    for label, chunk in (("whole batch", total), ("chunked", saved)):
+        montecarlo.CHUNK_POINTS = chunk
+        try:
+            t, out = _best(stage)
+            tracemalloc.start()
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        finally:
+            montecarlo.CHUNK_POINTS = saved
+        rows.append((label, t, peak, out))
+    assert rows[0][3].tobytes() == rows[1][3].tobytes(), "chunking moved the sums"
+    print(f"interferer stage (draws + kernel), {total:.2e} pts")
+    for label, t, peak, _ in rows:
+        print(f"  {label:11s}  {t * 1e9 / total:6.2f} ns/pt  {peak / 2**20:8.1f} MiB peak")
 
 
 def bench_ruin_step(n_grid, n_atoms, rng):
@@ -53,53 +115,39 @@ def bench_ruin_step(n_grid, n_atoms, rng):
     phi = np.clip(np.linspace(-0.2, 1.2, n_grid), 0.0, 1.0)
     atom_pos = np.sort(rng.uniform(-2e3, 2e3, size=n_atoms))
     atom_mass = rng.dirichlet(np.ones(n_atoms))
-    args = (phi, grid[0], grid[1] - grid[0], 1.05, atom_pos, atom_mass, grid)
-    t_py, out_py = _time(_pykernels.ruin_step, *args)
-    row = ["ruin_step", f"{n_grid}x{n_atoms}", f"{t_py * 1e3:8.1f} ms"]
-    if _ckernels is not None:
-        t_cy, out_cy = _time(_ckernels.ruin_step, *args)
-        err = np.max(np.abs(out_py - out_cy))
-        row += [f"{t_cy * 1e3:8.1f} ms", f"{t_py / t_cy:5.2f}x", f"abs diff {err:.1e}"]
-    print("  ".join(row))
+    t, _ = _best(lambda: _kernels.ruin_step(phi, grid[0], grid[1] - grid[0], 1.05,
+                                            atom_pos, atom_mass, grid))
+    print(f"ruin_step  {n_grid}x{n_atoms}  {t * 1e3:8.1f} ms")
 
 
-def bench_end_to_end(n_users):
-    import os
-    import subprocess
-    import sys
-    code = (
-        "import time, numpy as np\n"
-        "from microruin import model, montecarlo\n"
-        "from microruin._kernels import BACKEND\n"
-        "cfg = model.validate(model.default_config())\n"
-        "plan = montecarlo.plan_from_config(cfg)\n"
-        f"n = {n_users}\n"
-        "t0 = time.perf_counter()\n"
-        "v = montecarlo.sample_revenues(cfg, plan, n)\n"
-        "print(f'{BACKEND}: {time.perf_counter()-t0:.2f} s for', n, 'revenue samples,"
-        " mean', round(float(v.mean()), 3))\n"
-    )
-    for backend in ("cy", "py"):
-        env = dict(os.environ, MICRORUIN_KERNELS=backend)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        out = proc.stdout.strip() or proc.stderr.strip().splitlines()[-1]
-        print(f"  sample_revenues [{backend}] {out}")
+def bench_sampler():
+    cfg = model.validate(model.default_config())
+    plan = montecarlo.plan_from_config(cfg)
+    n_samples = 2 * plan.batch_size
+    montecarlo.sample_revenues(cfg, plan, 4096)  # warm-up
+    cpus = montecarlo._cpu_count()
+    print(f"sample_revenues  {n_samples} samples (batches of {plan.batch_size})")
+    saved = montecarlo._cpu_count
+    try:
+        for workers in sorted({1, cpus}):
+            montecarlo._cpu_count = lambda: workers
+            t, _ = _best(lambda: montecarlo.sample_revenues(cfg, plan, n_samples))
+            print(f"  {workers} thread(s)  {n_samples / t / 1e3:8.1f}k samples/s")
+    finally:
+        montecarlo._cpu_count = saved
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
-    rng = np.random.default_rng(0)
-    if _ckernels is None:
-        print("compiled backend unavailable; timing the numpy fallback only")
     scale = 0.2 if args.quick else 1.0
-    print("kernel microbenchmarks (best of 3):")
-    bench_powsum(int(200_000 * scale), 200, rng)
-    bench_ruin_step(int(60_000 * scale), int(20_000 * scale), rng)
-    print("end-to-end (subprocess per backend):")
-    bench_end_to_end(int(200_000 * scale))
+    rng = np.random.default_rng(0)
+    m_slot, r2, span, exponent = _batch_slots(int(65_536 * scale), rng)
+    bench_powsum(m_slot, exponent, rng)
+    bench_stage(m_slot, r2, span, exponent)
+    bench_ruin_step(int(20_000 * scale), int(2_000 * scale), rng)
+    bench_sampler()
 
 
 if __name__ == "__main__":

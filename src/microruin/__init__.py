@@ -5,7 +5,6 @@ lattice compound distributions -> finite-horizon ruin recursion) with an
 integrated Monte Carlo simulator cross-validating every stage.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -32,7 +31,6 @@ from .ruin import RuinResult, initial_capital_bound, run_pipeline, survival_recu
 from .montecarlo import SimulationPlan, estimate_moments, sample_revenues, simulate_surplus_paths
 
 __all__ = [
-    "kernel_backend",
     "MicroruinError", "ConfigError", "DomainError", "AccuracyError",
     "SupportError", "ResourceLimitError",
     "ScenarioConfig", "NetworkParams", "FinancialParams", "ProductParams",

@@ -1,27 +1,30 @@
-"""Pure-numpy implementations of the hot kernels (fallback backend)."""
+"""The two hot kernels, in numpy.
+
+* ``interference_powsum`` -- running interference power sums over one chunk
+  of interferer points;
+* ``ruin_step``           -- one survival-recursion step on a capital grid.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "python"
 
+def interference_powsum(x_sq, exponent, marks, offsets, carry=0.0):
+    """Running sums of marks * x_sq**exponent, read after offsets[j] terms.
 
-def interference_powsum(x_sq, exponent, marks, offsets, out=None):
-    """Segment sums of marks * x_sq**exponent.
-
-    x_sq: flat array of squared interferer distances; exponent: -alpha/2;
-    offsets: int64 array of length n_segments + 1 delimiting each segment.
-    Empty segments yield 0.
+    x_sq: squared interferer distances of one chunk (overwritten: it holds
+    the running sums on return); exponent: -alpha/2; offsets: int64 term
+    counts in 1..len(x_sq).  The sum starts from ``carry`` and runs in order,
+    so a point stream cut into chunks, each fed the last running sum of the
+    chunk before, gives bit for bit the sums of one sequential pass over the
+    whole stream; segment sums are differences of these.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    n_seg = len(offsets) - 1
-    if out is None:
-        out = np.empty(n_seg)
-    contrib = marks * np.power(x_sq, exponent)
-    csum = np.concatenate(([0.0], np.cumsum(contrib)))
-    np.subtract(csum[offsets[1:]], csum[offsets[:-1]], out=out)
-    return out
+    contrib = np.power(x_sq, exponent, out=x_sq)
+    contrib *= marks
+    contrib[0] += carry
+    np.cumsum(contrib, out=contrib)
+    return contrib[offsets - 1]
 
 
 def ruin_step(phi_prev, grid_lo, grid_step, growth, atom_pos, atom_mass, u_grid, out=None):

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from . import income_pdf, model, montecarlo, moments, ruin
-from ._kernels import BACKEND
 from .errors import AccuracyError, ConfigError, DomainError, MicroruinError, ResourceLimitError
 
 try:
@@ -50,7 +49,6 @@ class RunManifest:
     seed: int
     command: str
     package_version: str = _VERSION
-    kernel_backend: str = BACKEND
     started_utc: str = ""
     finished_utc: str = ""
     tolerances_achieved: dict = field(default_factory=dict)

@@ -447,8 +447,11 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
 
     if not fin.premium_rate_per_slot > 0:
         errors.append(("financial.premium_rate_per_slot", "premium rate must be positive"))
-    if not (0 < fin.c_min <= fin.c_max < math.inf):
-        errors.append(("financial.c_min", "need 0 < c_min <= c_max < inf"))
+    if not (0 < fin.c_min < fin.c_max < math.inf):
+        # equal clamps make the income a point mass, which the density
+        # expansion cannot map onto its unit interval
+        errors.append(("financial.c_min", "need 0 < c_min < c_max < inf, got "
+                       f"c_min={fin.c_min:g}, c_max={fin.c_max:g}"))
     if fin.interest_rate_per_interval < 0:
         errors.append(("financial.interest_rate_per_interval", "interest rate must be >= 0"))
     if fin.slots_per_interval < 1:

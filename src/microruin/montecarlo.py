@@ -13,7 +13,10 @@ second-order fluctuation error (verified by the radius-doubling test).
 Randomness is organized as counter-based (Philox) streams keyed by
 (seed, stage, interval, batch), so fixed seeds give bit-identical results,
 batches may run in any order, and sweeps over the initial capital reuse
-common random numbers (the surplus paths do not depend on u at all).
+common random numbers (the surplus paths do not depend on u at all).  The
+batches run on one thread per CPU in the process's affinity mask; the
+results do not depend on the thread count.  Within a batch the interferer
+points are streamed through fixed-size chunks.
 
 By default the interferer configuration is redrawn every slot, matching the
 per-slot independence the analytic transform assumes; ``frozen_interferers``
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +40,6 @@ from .moments import MomentVector
 __all__ = [
     "SimulationPlan",
     "plan_from_config",
-    "sample_user_revenue",
     "sample_revenues",
     "sample_slot_scaling",
     "estimate_moments",
@@ -45,6 +48,10 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
+
+# Interferer points are streamed through buffers of this many points (about
+# 1 MB of positions and marks), never held for a whole batch at once.
+CHUNK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,77 @@ def _far_field_mean(net, radius: float) -> float:
             * radius ** (2.0 - alpha) / (alpha - 2.0))
 
 
+def _skip_raw(rng, k: int) -> np.random.Generator:
+    """A copy of rng's Philox stream, k raw 64-bit draws ahead of it.
+
+    Philox hands out a block of four draws per counter step: the copy first
+    uses up the buffered rest of the current block, then advances the counter
+    by whole blocks and draws the remainder.
+    """
+    bitgen = np.random.Philox()
+    bitgen.state = rng.bit_generator.state
+    head = min(k, 4 - bitgen.state["buffer_pos"])
+    bitgen.random_raw(head)
+    k -= head
+    if k >= 4:
+        bitgen.advance(k // 4)
+    bitgen.random_raw(k % 4)
+    return np.random.Generator(bitgen)
+
+
+def _interference_sums(m_slot, exponent, fill_x, marks_rng) -> np.ndarray:
+    """Per-slot sums of marks * x_sq**exponent over the slots' interferers.
+
+    The points of all slots form one stream, walked in chunks of
+    CHUNK_POINTS (a slot may span chunks).  ``fill_x(x, a, s0, s1, counts)``
+    writes the squared distances of points a..a+len(x), which belong to slots
+    s0..s1-1 with ``counts`` points each; ``marks_rng`` draws the fading marks
+    of the stream in order.  The running sum carries across chunks, so the
+    result equals one whole-stream pass bit for bit.
+    """
+    offsets = np.zeros(len(m_slot) + 1, dtype=np.int64)
+    np.cumsum(m_slot, out=offsets[1:])
+    total = int(offsets[-1])
+    running = np.zeros(len(offsets))   # the running sum at each slot edge
+    x_buf = np.empty(min(CHUNK_POINTS, total))
+    mark_buf = np.empty_like(x_buf)
+    carry = 0.0
+    done = int(np.searchsorted(offsets, 0, side="right"))
+    for a in range(0, total, CHUNK_POINTS):
+        b = min(a + CHUNK_POINTS, total)
+        s0 = int(np.searchsorted(offsets, a, side="right")) - 1
+        s1 = int(np.searchsorted(offsets, b, side="left"))
+        counts = np.minimum(offsets[s0 + 1: s1 + 1], b) - np.maximum(offsets[s0: s1], a)
+        x = x_buf[: b - a]
+        fill_x(x, a, s0, s1, counts)
+        marks = marks_rng.standard_exponential(out=mark_buf[: b - a])
+        end = int(np.searchsorted(offsets, b, side="right"))
+        sums = _kernels.interference_powsum(x, exponent, marks,
+                                            np.append(offsets[done:end] - a, b - a), carry)
+        running[done:end] = sums[:-1]
+        carry = sums[-1]
+        done = end
+    return running[1:] - running[:-1]
+
+
+def _uniform_field_sums(rng, m_slot, r2, span, exponent) -> np.ndarray:
+    """Interference sums of fresh interferer fields: each point at squared
+    distance r2 + span * U of its slot, U uniform.
+
+    The draw order is that of one whole-stream draw of every position, then
+    every mark: positions come from rng, marks from a copy of it skipped past
+    the positions (one raw draw per uniform double).
+    """
+    marks_rng = _skip_raw(rng, int(m_slot.sum()))
+
+    def fill_x(x, a, s0, s1, counts):
+        rng.random(out=x)
+        x *= np.repeat(span[s0:s1], counts)
+        x += np.repeat(r2[s0:s1], counts)
+
+    return _interference_sums(m_slot, exponent, fill_x, marks_rng)
+
+
 def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, rng, n: int,
                    duration_model) -> np.ndarray:
     """One batch of i.i.d. connection revenues.  Draw order is fixed:
@@ -143,27 +221,29 @@ def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, rng, n: int,
     gap_slot = gaps[user_of_slot]
     h = rng.exponential(1.0, size=total_slots)
 
-    lam_user = beta * math.pi * np.maximum(radius * radius - r_u * r_u, 0.0)
+    span_user = np.maximum(radius * radius - r_u * r_u, 0.0)
+    lam_user = beta * math.pi * span_user
     if plan.frozen_interferers:
+        # positions drawn once per connection and replayed in each of its
+        # slots; the marks follow the positions in rng
         m_user = rng.poisson(lam_user)
         u_pos = rng.random(int(m_user.sum()))
-        x_sq_user = np.repeat(r_u * r_u, m_user) + np.repeat(
-            np.maximum(radius * radius - r_u * r_u, 0.0), m_user) * u_pos
-        # replicate each user's fixed positions across its slots
-        m_slot = np.repeat(m_user, taus)
-        starts_user = np.concatenate(([0], np.cumsum(m_user)))
-        pieces = [x_sq_user[starts_user[u]: starts_user[u + 1]] for u in user_of_slot]
-        x_sq = np.concatenate(pieces) if pieces else np.empty(0)
+        x_sq_user = np.repeat(r_u * r_u, m_user) + np.repeat(span_user, m_user) * u_pos
+        m_slot = m_user[user_of_slot]
+        # index into x_sq_user = slot base + index of the point in the stream
+        base = (np.cumsum(m_user) - m_user)[user_of_slot] - (np.cumsum(m_slot) - m_slot)
+
+        def fill_x(x, a, s0, s1, counts):
+            idx = np.repeat(base[s0:s1], counts)
+            idx += np.arange(a, a + len(x))
+            np.take(x_sq_user, idx, out=x)
+
+        i_in = _interference_sums(m_slot, -alpha / 2.0, fill_x, rng)
     else:
         m_slot = rng.poisson(lam_user[user_of_slot])
-        total_pts = int(m_slot.sum())
-        u_pos = rng.random(total_pts)
         r2_slot = r_slot * r_slot
-        x_sq = np.repeat(r2_slot, m_slot) + np.repeat(
-            np.maximum(radius * radius - r2_slot, 0.0), m_slot) * u_pos
-    marks = rng.exponential(1.0, size=len(x_sq))
-    offsets = np.concatenate(([0], np.cumsum(m_slot))).astype(np.int64)
-    i_in = _kernels.interference_powsum(x_sq, -alpha / 2.0, marks, offsets)
+        i_in = _uniform_field_sums(rng, m_slot, r2_slot,
+                                   np.maximum(radius * radius - r2_slot, 0.0), -alpha / 2.0)
     interference = net.p_i_interferer_power * i_in + mu_far
 
     with np.errstate(divide="ignore"):
@@ -175,29 +255,55 @@ def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, rng, n: int,
     return (csum[slot_offsets[1:]] - csum[slot_offsets[:-1]]) * unit
 
 
+def _batch_sizes(n: int, batch_size: int) -> list[int]:
+    return [min(batch_size, n - pos) for pos in range(0, n, batch_size)]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool_map(fn, jobs) -> list:
+    """[fn(job) for job in jobs], run on one thread per CPU of the process.
+
+    Each job draws from its own keyed stream, so the results do not depend
+    on the number of threads or the order the jobs run in; numpy releases
+    the GIL in the Philox fills and the array operations.
+    """
+    workers = min(_cpu_count(), len(jobs))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
+def _revenue_batches(config: ScenarioConfig, plan: SimulationPlan, jobs) -> list:
+    """Revenue batches for jobs of (stream path, size, duration model), in job order."""
+    def run(job):
+        path, size, duration_model = job
+        return _revenue_batch(config, plan, _stream(plan.seed, *path), size, duration_model)
+    return _pool_map(run, jobs)
+
+
+def _interval_durations(config: ScenarioConfig, interval_index: int):
+    return config.durations.for_interval(
+        interval_index, truncate_to_interval=config.numerics.truncate_durations_to_interval)
+
+
 def sample_revenues(config: ScenarioConfig, plan: SimulationPlan, n: int,
                     stream_tag: str = "revenue", interval_index: int = 1) -> np.ndarray:
     """n i.i.d. connection revenues V (vectorized, batched, deterministic)."""
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
-    duration_model = config.durations.for_interval(
-        interval_index, truncate_to_interval=config.numerics.truncate_durations_to_interval)
-    out = np.empty(n)
-    pos = 0
-    batch_idx = 0
-    while pos < n:
-        size = min(plan.batch_size, n - pos)
-        rng = _stream(plan.seed, stream_tag, interval_index, batch_idx)
-        out[pos: pos + size] = _revenue_batch(config, plan, rng, size, duration_model)
-        pos += size
-        batch_idx += 1
-    return out
-
-
-def sample_user_revenue(config: ScenarioConfig, plan: SimulationPlan,
-                        interval_index: int = 1) -> float:
-    """One revenue draw (a single connection)."""
-    return float(sample_revenues(config, plan, 1, interval_index=interval_index)[0])
+    duration_model = _interval_durations(config, interval_index)
+    jobs = [((stream_tag, interval_index, b), size, duration_model)
+            for b, size in enumerate(_batch_sizes(n, plan.batch_size))]
+    return np.concatenate(_revenue_batches(config, plan, jobs))
 
 
 def sample_slot_scaling(config: ScenarioConfig, plan: SimulationPlan, r_u: float,
@@ -211,27 +317,21 @@ def sample_slot_scaling(config: ScenarioConfig, plan: SimulationPlan, r_u: float
     radius = plan.ppp_radius_factor / math.sqrt(beta)
     mu_far = _far_field_mean(net, radius)
     lam = beta * math.pi * max(radius * radius - r_u * r_u, 0.0)
-    out = np.empty(n)
-    pos = 0
-    batch_idx = 0
-    while pos < n:
-        size = min(plan.batch_size, n - pos)
+
+    def run(job):
+        batch_idx, size = job
         rng = _stream(plan.seed, stream_tag, batch_idx)
         h = rng.exponential(1.0, size=size)
         m = rng.poisson(lam, size=size)
-        u_pos = rng.random(int(m.sum()))
-        x_sq = r_u * r_u + (radius * radius - r_u * r_u) * u_pos
-        marks = rng.exponential(1.0, size=len(x_sq))
-        offsets = np.concatenate(([0], np.cumsum(m))).astype(np.int64)
-        i_in = _kernels.interference_powsum(x_sq, -alpha / 2.0, marks, offsets)
+        i_in = _uniform_field_sums(rng, m, np.full(size, r_u * r_u),
+                                   np.full(size, radius * radius - r_u * r_u), -alpha / 2.0)
         interference = net.p_i_interferer_power * i_in + mu_far
         with np.errstate(divide="ignore"):
             gamma = h * r_u ** (-alpha) * net.p0_serving_power / (
                 net.sigma2_noise_power + interference)
-            out[pos: pos + size] = np.clip(gap / gamma, fin.c_min, fin.c_max)
-        pos += size
-        batch_idx += 1
-    return out
+            return np.clip(gap / gamma, fin.c_min, fin.c_max)
+
+    return np.concatenate(_pool_map(run, list(enumerate(_batch_sizes(n, plan.batch_size)))))
 
 
 def estimate_moments(config: ScenarioConfig, plan: SimulationPlan,
@@ -243,18 +343,12 @@ def estimate_moments(config: ScenarioConfig, plan: SimulationPlan,
     d = config.numerics.moment_order
     n = plan.n_users
     power_sums = np.zeros(2 * d)
-    duration_model = config.durations.for_interval(
-        interval_index, truncate_to_interval=config.numerics.truncate_durations_to_interval)
-    pos = 0
-    batch_idx = 0
-    while pos < n:
-        size = min(plan.batch_size, n - pos)
-        rng = _stream(plan.seed, "moments", interval_index, batch_idx)
-        v = _revenue_batch(config, plan, rng, size, duration_model)
+    duration_model = _interval_durations(config, interval_index)
+    jobs = [(("moments", interval_index, b), size, duration_model)
+            for b, size in enumerate(_batch_sizes(n, plan.batch_size))]
+    for v in _revenue_batches(config, plan, jobs):  # summed in batch order
         for s in range(1, 2 * d + 1):
             power_sums[s - 1] += float(np.sum(v ** s))
-        pos += size
-        batch_idx += 1
     means = power_sums / n
     raw = means[:d]
     if n > 1:
@@ -304,24 +398,23 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: SimulationPlan,
     n_paths = plan.n_paths
     u_values = np.asarray(u_values, dtype=float)
 
-    discounted = np.zeros((horizon, n_paths))
+    # every (interval, batch) revenue job goes to the pool at once, so the
+    # small last batch of one interval runs beside the next interval's
+    users, jobs = [], []
     for interval in range(1, horizon + 1):
-        rng_count = _stream(plan.seed, "path-count", interval)
-        n_users = rng_count.geometric(w, size=n_paths) - 1
+        n_users = _stream(plan.seed, "path-count", interval).geometric(w, size=n_paths) - 1
+        duration_model = _interval_durations(config, interval)
+        sizes = _batch_sizes(int(n_users.sum()), plan.batch_size)
+        users.append((n_users, len(sizes)))
+        jobs += [(("path-rev", interval, b), size, duration_model)
+                 for b, size in enumerate(sizes)]
+    batches = iter(_revenue_batches(config, plan, jobs))
+
+    discounted = np.zeros((horizon, n_paths))
+    for interval, (n_users, n_batches) in enumerate(users, start=1):
         total = int(n_users.sum())
-        duration_model = config.durations.for_interval(
-            interval, truncate_to_interval=config.numerics.truncate_durations_to_interval)
         if total > 0:
-            revenues = np.empty(total)
-            pos = 0
-            batch_idx = 0
-            while pos < total:
-                size = min(plan.batch_size, total - pos)
-                rng = _stream(plan.seed, "path-rev", interval, batch_idx)
-                revenues[pos: pos + size] = _revenue_batch(config, plan, rng, size,
-                                                           duration_model)
-                pos += size
-                batch_idx += 1
+            revenues = np.concatenate([next(batches) for _ in range(n_batches)])
             if len(fin.operator_fees) > 1:
                 rng_fee = _stream(plan.seed, "path-fee", interval)
                 ops = sorted(fin.operator_mix)

@@ -33,6 +33,18 @@ def make_config(alpha=4.0, beta=0.1, c_min=0.1, c_max=100.0, rate_gap=100.0,
     return validate(cfg)
 
 
+def point_mass_config(scale=2.0, tau=1):
+    """Equal clamps: every slot earns exactly ``scale`` units, a zero-variance
+    fixture for the moment and sampling stages.  ``validate`` refuses equal
+    clamps (the income density needs a support of positive width), so the
+    clamps are set on an already validated config."""
+    cfg = make_config()
+    return replace(cfg,
+                   financial=replace(cfg.financial, c_min=scale, c_max=scale),
+                   durations=replace(cfg.durations, kind="deterministic", tau=tau,
+                                     mean=None, tau_max=None))
+
+
 @pytest.fixture
 def table2_config():
     return make_config(alpha=3.0, c_min=0.1, c_max=100.0)

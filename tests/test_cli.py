@@ -52,6 +52,17 @@ class TestValidateCommand:
     def test_bad_mix_exit_two(self):
         assert run_cli(["--set", 'financial.operator_mix={"1": 0.5}', "validate"]) == 2
 
+    def test_equal_clamps_exit_two_before_the_pipeline(self, tmp_path, capsys):
+        # equal clamps leave the income a point mass, which the density
+        # stage cannot expand; validation must refuse them up front
+        out = str(tmp_path / "o")
+        code = run_cli(["--set", "financial.c_min=1", "--set", "financial.c_max=1",
+                        "--out", out, "ruin", "--no-mc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "financial.c_min" in err and "c_min < c_max" in err
+        assert not os.path.exists(os.path.join(out, "ruin.csv"))
+
 
 class TestMomentsCommand:
     def test_writes_csv_and_manifest(self, tmp_path, fast_config_path):

@@ -1,16 +1,9 @@
-"""Backend parity for the hot kernels."""
+"""The numpy hot kernels against brute force."""
 
 import numpy as np
 import pytest
 
-from microruin._kernels import _pykernels
-
-try:
-    from microruin._kernels import _ckernels
-    BACKENDS = [("python", _pykernels), ("compiled", _ckernels)]
-except ImportError:
-    _ckernels = None
-    BACKENDS = [("python", _pykernels)]
+from microruin import _kernels
 
 
 def _powsum_case(rng, n_seg=500, mean_pts=40):
@@ -22,24 +15,33 @@ def _powsum_case(rng, n_seg=500, mean_pts=40):
     return x_sq, marks, offsets
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_powsum_matches_bruteforce(name, impl):
+def test_powsum_matches_bruteforce():
     rng = np.random.default_rng(1)
     x_sq, marks, offsets = _powsum_case(rng)
-    got = impl.interference_powsum(x_sq, -1.7, marks, offsets)
-    for j in [0, 1, 13, 200, len(offsets) - 2]:
+    ends = offsets[1:]
+    running = _kernels.interference_powsum(x_sq.copy(), -1.7, marks, ends, carry=0.25)
+    got = np.diff(np.concatenate(([0.25], running)))
+    for j in [0, 1, 13, 200, len(ends) - 1]:
         seg = slice(offsets[j], offsets[j + 1])
         ref = float(np.sum(marks[seg] * x_sq[seg] ** -1.7))
         assert got[j] == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend unavailable")
-def test_powsum_backends_agree():
+def test_powsum_chunks_carry_the_running_sum_exactly():
+    # cut anywhere, fed the previous chunk's last running sum, the chunks
+    # give the whole-stream running sums bit for bit
     rng = np.random.default_rng(2)
-    x_sq, marks, offsets = _powsum_case(rng, n_seg=2000, mean_pts=120)
-    a = _pykernels.interference_powsum(x_sq, -2.0, marks, offsets)
-    b = _ckernels.interference_powsum(x_sq, -2.0, marks, offsets)
-    np.testing.assert_allclose(a, b, rtol=1e-9)
+    x_sq, marks, _ = _powsum_case(rng, n_seg=50)
+    n = len(x_sq)
+    whole = _kernels.interference_powsum(x_sq.copy(), -2.0, marks,
+                                         np.arange(1, n + 1, dtype=np.int64))
+    pieces, carry = [], 0.0
+    for a, b in [(0, 1), (1, 9), (9, 500), (500, n)]:
+        part = _kernels.interference_powsum(x_sq[a:b].copy(), -2.0, marks[a:b],
+                                            np.arange(1, b - a + 1, dtype=np.int64), carry)
+        pieces.append(part)
+        carry = part[-1]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 def _ruin_case(rng):
@@ -51,35 +53,15 @@ def _ruin_case(rng):
     return phi, grid, atom_pos, atom_mass
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_ruin_step_matches_bruteforce(name, impl):
+def test_ruin_step_matches_bruteforce():
     rng = np.random.default_rng(3)
     phi, grid, atom_pos, atom_mass = _ruin_case(rng)
     step = grid[1] - grid[0]
     growth = 1.07
-    got = impl.ruin_step(phi, grid[0], step, growth, atom_pos, atom_mass, grid)
+    got = _kernels.ruin_step(phi, grid[0], step, growth, atom_pos, atom_mass, grid)
     for j in (0, 100, 250, 500):
         x = grid[j] * growth + atom_pos
         alive = x >= -1e-9 * step
         interp = np.interp(x, grid, phi, left=0.0, right=1.0)
         ref = float(np.sum(atom_mass * np.where(alive, interp, 0.0)))
         assert got[j] == pytest.approx(ref, rel=1e-10, abs=1e-12)
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend unavailable")
-def test_ruin_step_backends_agree():
-    rng = np.random.default_rng(4)
-    phi, grid, atom_pos, atom_mass = _ruin_case(rng)
-    args = (phi, grid[0], grid[1] - grid[0], 1.05, atom_pos, atom_mass, grid)
-    np.testing.assert_allclose(_pykernels.ruin_step(*args), _ckernels.ruin_step(*args),
-                               rtol=1e-12, atol=1e-14)
-
-
-def test_backend_selector_env(monkeypatch):
-    import importlib
-    import microruin._kernels as kern
-    monkeypatch.setenv("MICRORUIN_KERNELS", "py")
-    reloaded = importlib.reload(kern)
-    assert reloaded.BACKEND == "python"
-    monkeypatch.delenv("MICRORUIN_KERNELS")
-    importlib.reload(kern)

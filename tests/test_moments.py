@@ -10,7 +10,7 @@ import pytest
 from microruin import moments, montecarlo
 from microruin.errors import DomainError
 from microruin.model import NetworkParams
-from tests.conftest import make_config
+from tests.conftest import make_config, point_mass_config
 
 
 NET = NetworkParams(beta_cells_per_area=0.1, alpha_pathloss=4.0)
@@ -77,7 +77,7 @@ class TestDerivativesAtZero:
         assert derivs[0] == 1.0
 
     def test_degenerate_clamp_moments(self):
-        cfg = make_config(c_min=2.0, c_max=2.0)
+        cfg = point_mass_config(2.0)
         m = moments.single_slot_moments(4, 100.0, 1.0, cfg.financial, cfg.network)
         np.testing.assert_allclose(m, [2.0, 4.0, 8.0, 16.0], rtol=1e-12)
 
@@ -135,9 +135,7 @@ class TestDurationSum:
 
 class TestRevenueMoments:
     def test_deterministic_scaling_and_duration(self):
-        cfg = make_config(c_min=2.0, c_max=2.0)
-        cfg = replace(cfg, durations=replace(cfg.durations, kind="deterministic",
-                                             tau=4, mean=None, tau_max=None))
+        cfg = point_mass_config(2.0, tau=4)
         mv = moments.revenue_moments(cfg)
         np.testing.assert_allclose(mv.raw, (4 * 2.0) ** np.arange(1.0, 5.0), rtol=1e-12)
         assert (mv.atom_lo, mv.atom_hi) == (0.0, 0.0)

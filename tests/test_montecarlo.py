@@ -1,13 +1,15 @@
 """Simulation oracle: determinism, truncation adequacy, ruin frequencies."""
 
+import hashlib
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from microruin import montecarlo
+from microruin import model, montecarlo
 from microruin.errors import DomainError
-from tests.conftest import make_config
+from tests.conftest import point_mass_config
 
 
 class TestDeterminism:
@@ -30,9 +32,7 @@ class TestDeterminism:
 
 class TestRevenueSampling:
     def test_deterministic_fixture_zero_variance(self, fast_plan):
-        cfg = make_config(c_min=2.0, c_max=2.0)
-        cfg = replace(cfg, durations=replace(cfg.durations, kind="deterministic",
-                                             tau=3, mean=None, tau_max=None))
+        cfg = point_mass_config(2.0, tau=3)
         v = montecarlo.sample_revenues(cfg, fast_plan, 500)
         np.testing.assert_allclose(v, 6.0)
         mv, se = montecarlo.estimate_moments(cfg, replace(fast_plan, n_users=500))
@@ -40,9 +40,9 @@ class TestRevenueSampling:
         np.testing.assert_allclose(mv.raw, 6.0 ** np.arange(1, 5), rtol=1e-12)
 
     def test_single_draw(self, table2_config, fast_plan):
-        v = montecarlo.sample_user_revenue(table2_config, fast_plan)
+        v = montecarlo.sample_revenues(table2_config, fast_plan, 1)
         lo, hi = table2_config.income_support()
-        assert lo <= v <= hi
+        assert v.shape == (1,) and lo <= v[0] <= hi
 
     def test_support_envelope(self, table2_config, fast_plan):
         v = montecarlo.sample_revenues(table2_config, fast_plan, 20_000)
@@ -123,3 +123,127 @@ class TestMomentEstimation:
             table2_config, replace(fast_plan, n_users=150_000))
         for s in (1, 2):
             assert abs(est.raw[s - 1] - mv.raw[s - 1]) <= 3.0 * se[s - 1]
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _multi_slot_config():
+    data = model.default_config().to_dict()
+    data["durations"].update({"kind": "truncated-geometric", "mean": 2.0, "tau_max": 5})
+    return model.validate(model.ScenarioConfig.from_dict(data))
+
+
+class TestStreamPinned:
+    """The MC stream is fixed: these sha256 values of the output bytes were
+    taken before the interferer points were streamed in chunks and the
+    batches run on threads.  Any change of draw order, summation order or
+    batch layout moves them."""
+
+    PLAN = montecarlo.SimulationPlan(seed=11, batch_size=4096, n_users=3000, n_paths=1500)
+    N = 2 * 4096 + 1000  # three batches, the last one partial
+    REVENUES = {
+        "reference": "186dcd6808b09e88754292ed9b3e2efd670e4c9275da182e58322e1996e651a2",
+        "multi-slot": "d56c4f6ce4cc6f88ef8e30f5e89420444d23ed619331f99de07595a58e0dc646",
+        "frozen": "92ce85530fe21c7ceaa36a232f8f4cdbc5c7dd8a05afc243c6f4054e9db471b9",
+        "antithetic": "ea8106f43ba37f113a3f1e8c20db32282d5561929674b76e665767886f95d53f",
+    }
+
+    def _revenue_cases(self):
+        ref = model.validate(model.default_config())
+        multi = _multi_slot_config()
+        return {"reference": (ref, self.PLAN),
+                "multi-slot": (multi, self.PLAN),
+                "frozen": (multi, replace(self.PLAN, frozen_interferers=True)),
+                "antithetic": (multi, replace(self.PLAN, antithetic=True))}
+
+    @pytest.mark.parametrize("case", sorted(REVENUES))
+    def test_sample_revenues(self, case):
+        cfg, plan = self._revenue_cases()[case]
+        assert _sha(montecarlo.sample_revenues(cfg, plan, self.N)) == self.REVENUES[case]
+
+    def test_surplus_paths(self):
+        est = montecarlo.simulate_surplus_paths(model.validate(model.default_config()),
+                                                self.PLAN, [50.0, 150.0, 300.0])
+        assert _sha(est.psi) == (
+            "6d03d1790f110d3927e04fe579eecbcfe80f58e00fecd98909ac7cb6a9214e0b")
+
+    def test_estimate_moments(self):
+        mv, se = montecarlo.estimate_moments(model.validate(model.default_config()),
+                                             replace(self.PLAN, n_users=self.N))
+        assert _sha(np.concatenate([mv.raw, se])) == (
+            "c21579846368f460067de056c2952125955bdf94eed7aed7674d29810f01fa3b")
+
+    def test_slot_scaling(self, table2_config):
+        v = montecarlo.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
+                                           rate_gap=100.0)
+        assert _sha(v) == "5edf7655964594bfeb0616f9ca17f12c60eba8ea00d684420610ddcbceed2938"
+
+
+class TestChunkedStream:
+    def test_interference_sums_across_chunk_edges(self, monkeypatch):
+        # with 3-point chunks the empty slots sit on chunk edges (3 and 12)
+        # and the 7-point slot spans three chunks
+        monkeypatch.setattr(montecarlo, "CHUNK_POINTS", 3)
+        m_slot = np.array([0, 3, 0, 0, 7, 0, 2, 0])
+        x_sq = np.random.default_rng(0).uniform(1.0, 50.0, size=12)
+        marks_rng = np.random.default_rng(1)
+        marks = np.random.default_rng(1).standard_exponential(12)
+
+        def fill_x(x, a, s0, s1, counts):
+            assert counts.sum() == len(x)
+            x[:] = x_sq[a: a + len(x)]
+
+        got = montecarlo._interference_sums(m_slot, -2.0, fill_x, marks_rng)
+        running = np.concatenate(([0.0], np.cumsum(marks * x_sq ** -2.0)))
+        offsets = np.concatenate(([0], np.cumsum(m_slot)))
+        assert got.tobytes() == (running[offsets[1:]] - running[offsets[:-1]]).tobytes()
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_chunk_size_leaves_bytes_unchanged(self, monkeypatch, frozen):
+        # a small truncation radius leaves many slots without interferers
+        cfg = _multi_slot_config()
+        plan = montecarlo.SimulationPlan(seed=5, batch_size=64, ppp_radius_factor=0.6,
+                                         frozen_interferers=frozen)
+        whole = montecarlo.sample_revenues(cfg, plan, 150)
+        for chunk in (1, 2, 3, 7, 1000):
+            monkeypatch.setattr(montecarlo, "CHUNK_POINTS", chunk)
+            assert montecarlo.sample_revenues(cfg, plan, 150).tobytes() == whole.tobytes()
+
+    def test_worker_count_leaves_bytes_unchanged(self, monkeypatch, table3_config):
+        # more workers than cores and a short switch interval interleave the
+        # batches as much as the interpreter allows
+        plan = montecarlo.SimulationPlan(seed=3, batch_size=2048, n_paths=600)
+        out = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+                v = montecarlo.sample_revenues(table3_config, plan, 4 * 2048 + 5)
+                est = montecarlo.simulate_surplus_paths(table3_config, plan, [100.0, 200.0])
+                out[workers] = (v.tobytes(), est.psi.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert out[1] == out[2] == out[5]
+
+    @pytest.mark.parametrize("aligned", range(9))
+    def test_skip_matches_sequential_draws(self, aligned):
+        # positions are uniform doubles, one raw draw each, so the marks of a
+        # skipped copy continue one sequential draw of positions then marks
+        def stream():
+            rng = montecarlo._stream(9, "skip")
+            rng.bit_generator.random_raw(aligned)  # every Philox buffer position
+            return rng
+
+        for k in (0, 1, 2, 3, 4, 5, 7, 8, 13, 1001, 3 * 4096 + 1):
+            rng = stream()
+            ahead = montecarlo._skip_raw(rng, k)
+            sequential = stream()
+            sequential.random(k)
+            assert np.array_equal(ahead.bit_generator.random_raw(9),
+                                  sequential.bit_generator.random_raw(9))
+            # the skip leaves the original stream where it was
+            assert np.array_equal(rng.bit_generator.random_raw(9),
+                                  stream().bit_generator.random_raw(9))
