@@ -14,6 +14,8 @@ batch).  Reported, best of 3:
   chunks against the same stage with the whole batch as one chunk, in ns
   per point and the peak bytes it allocates (tracemalloc);
 * ``ruin_step`` on a large capital grid;
+* ``survival_recursion`` on the reference scenario's interval PMFs: capital
+  grid points, FFT length and ms per call;
 * ``sample_revenues`` end to end for two full batches, on one thread and on
   the thread pool.
 """
@@ -27,7 +29,7 @@ import tracemalloc
 
 import numpy as np
 
-from microruin import _kernels, model, montecarlo
+from microruin import _kernels, model, montecarlo, ruin
 
 
 def _best(fn, repeats=3):
@@ -120,6 +122,21 @@ def bench_ruin_step(n_grid, n_atoms, rng):
     print(f"ruin_step  {n_grid}x{n_atoms}  {t * 1e3:8.1f} ms")
 
 
+def bench_recursion():
+    cfg = model.validate(model.default_config())
+    pmfs, _ = ruin.interval_net_pmfs(cfg)
+    us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
+
+    def solve():
+        return ruin.survival_recursion(us, cfg.financial.interest_rate_per_interval, pmfs,
+                                       tail_eps=cfg.numerics.tail_eps)
+
+    t, res = _best(solve)
+    diag = res.diagnostics
+    print(f"survival_recursion  reference  {diag['grid_points']} grid pts  "
+          f"FFT {diag['fft_points']}  {t * 1e3:8.1f} ms")
+
+
 def bench_sampler():
     cfg = model.validate(model.default_config())
     plan = montecarlo.plan_from_config(cfg)
@@ -147,6 +164,7 @@ def main():
     bench_powsum(m_slot, exponent, rng)
     bench_stage(m_slot, r2, span, exponent)
     bench_ruin_step(int(20_000 * scale), int(2_000 * scale), rng)
+    bench_recursion()
     bench_sampler()
 
 

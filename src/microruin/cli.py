@@ -198,6 +198,8 @@ def _cmd_ruin(args, cfg, manifest):
         "interp_error_bound": result.diagnostics["interp_error_bound"],
         "sanitized_mass": max(v["sanitized_mass"] for v in info["intervals"].values()),
         "compound": _compound_diagnostics(info),
+        "ruin_grid": {k: result.diagnostics[k] for k in (
+            "grid_points", "grid_lo", "grid_hi", "grid_tail_bound", "fft_points")},
     })
     final = ", ".join(f"psi_{horizon}({u:g})={result.psi[horizon - 1, j]:.4f}"
                       for j, u in enumerate(us))

@@ -57,8 +57,6 @@ __all__ = [
     "expansion_coeffs",
     "expand_density",
     "sanitize",
-    "eval_income_pdf",
-    "eval_income_cdf",
 ]
 
 logger = logging.getLogger(__name__)
@@ -332,13 +330,3 @@ def sanitize(raw: ExpandedDensity, warn_mass: float = 0.02,
         seg_edges=edges, seg_keep=keep, seg_cdf=kept_cum, norm=positive_mass,
         atoms=raw.atoms,
     )
-
-
-def eval_income_pdf(density: ExpandedDensity, v):
-    """Density of the continuous part of V at v (vectorized)."""
-    return density.pdf(v)
-
-
-def eval_income_cdf(density: ExpandedDensity, v):
-    """Distribution function of V at v (vectorized)."""
-    return density.cdf(v)

@@ -218,7 +218,7 @@ class Numerics:
     moment_order: int = 4
     lattice_step: float | None = None          # default (v_hi + max fee) / 2048
     lattice_points_budget: int = 1_000_000
-    u_grid_step: float | None = None           # default lattice_step / (1+r)^L
+    u_grid_step: float | None = None           # default lattice_step / ceil((1+r)^L)
     # max-norm interpolation diagnostic; conservative at genuine jumps of the
     # survival function, so the default only catches gross misconfiguration
     ruin_interp_tol: float = 0.5

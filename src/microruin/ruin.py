@@ -18,9 +18,14 @@ exhaustive path enumeration.)
 
 Net profits live on a lattice, so each step is a finite sum over atoms;
 survival values between capital-grid points are filled by monotone linear
-interpolation (exact when r = 0 and the grid is lattice-aligned).  Grid
-bounds are chosen so that everything below is certain ruin and everything
-above certain survival, making the edge clamps exact.
+interpolation (exact when r = 0 and the grid is lattice-aligned).  The
+capital grid covers only where phi can change: it starts just below
+min(u, 0), since the survival indicator zeroes every negative capital, and
+it stops at the smaller of the worst-case discounted loss (past it survival
+is certain) and a Chernoff bound on the discounted losses (past it ruin has
+probability at most ``tail_eps`` over every horizon).  Reads below the grid
+are ruin and reads above it survival, so the top moves psi by at most
+horizon * ``tail_eps``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,13 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from . import _kernels, income_pdf
-from .compound import LatticePMF, compound_geometric_pmf, discretize_income, net_profit_step_pmf
+from .compound import (
+    LatticePMF,
+    _golden_min,
+    compound_geometric_pmf,
+    discretize_income,
+    net_profit_step_pmf,
+)
 from .errors import AccuracyError, DomainError
 from .model import ScenarioConfig
 from .moments import revenue_moments
@@ -105,29 +116,77 @@ def _check_monotone_fix(phi: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(phi)
 
 
-class _RecursionGrid:
-    """Shared capital grid with exact edge clamps.
+LOSS_CELLS = 4096  # loss bins of the Chernoff top, each loss rounded up
 
-    Below ``lo`` ruin is certain after the next interval regardless of its
-    outcome (the first-interval constraint already fails for the largest
-    atom); above ``hi`` even the worst discounted loss path survives.  Values
-    outside are therefore clamped to exactly 0 / 1.
+
+def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float, float]:
+    """(reach, top) of the discounted losses X = sum_{i<=L} g^-i Y_i^-.
+
+    reach is the worst case of X over positive-mass atoms; past it survival
+    is certain.  top <= reach is the smallest capital u with
+    e^(-theta u) prod_i max_j M_{Y_j^-}(theta g^-i) <= tail_eps, theta
+    minimizing u: past it the ruin probability over any horizon <= L and any
+    order of the interval PMFs is at most tail_eps.  The losses are binned
+    onto at most LOSS_CELLS cells, each rounded up, which keeps the bound
+    valid.  tail_eps = 0 returns top = reach.
+    """
+    distinct = list({id(p): p for p in pmfs}.values())
+    k_max = max(max(0, -int(p.indices()[p.mass > 0].min())) for p in distinct)
+    discount = growth ** -np.arange(1.0, horizon + 1)
+    reach = k_max * distinct[0].step * float(discount.sum())
+    if k_max == 0 or tail_eps <= 0.0:
+        return reach, reach
+    q = -(-k_max // LOSS_CELLS)
+    width = q * distinct[0].step
+    tables = []
+    for p in distinct:
+        alive = p.mass > 0
+        cells = -(-np.maximum(-p.indices()[alive], 0) // q)
+        binned = np.bincount(cells, weights=p.mass[alive])
+        held = np.flatnonzero(binned)
+        tables.append((held * width, np.log(binned[held])))
+    log_eps = math.log(tail_eps)
+
+    def top_at(theta):
+        t = theta * discount[:, None]
+        log_m = np.full(horizon, -np.inf)
+        for loss, log_p in tables:
+            a = t * loss + log_p
+            peak = a.max(axis=1)
+            lse = peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
+            np.maximum(log_m, lse, out=log_m)
+        return (float(log_m.sum()) - log_eps) / theta
+
+    # log M(t) <= t * max loss, so at this theta the top is within one cell
+    # of the worst case: larger thetas cannot lower it by more.  Any theta
+    # gives a valid top; 32 steps shrink the bracket by 2e-7, past which the
+    # sweep scenarios' tops move by less than 1e-3
+    _, top = _golden_min(top_at, 0.0, -log_eps / width, iters=32)
+    return reach, min(reach, top)
+
+
+class _RecursionGrid:
+    """Shared capital grid over the capitals where phi can change.
+
+    It starts two steps below min(u, 0): the survival indicator zeroes phi
+    at every negative capital, so reads below the grid are ruin.  It ends
+    two steps above max(u, top), top from ``_loss_top``; reads above it are
+    survival, which moves phi by at most ``tail_bound`` = horizon *
+    tail_eps when the Chernoff top binds and not at all when the worst-case
+    reach does.
     """
 
-    def __init__(self, u_values, r, pmfs, grid_step, horizon):
+    def __init__(self, u_values, r, pmfs, grid_step, horizon, tail_eps):
         growth = 1.0 + r
-        y_max = max(p.values().max() for p in pmfs)
-        y_min = min(p.values().min() for p in pmfs)
-        discount_sum = sum(growth ** (-j) for j in range(1, horizon + 1))
-        ruin_certain = -max(y_max, 0.0) / growth
-        survive_certain = -min(y_min, 0.0) * discount_sum
-        g_lo = min(u_values.min(), ruin_certain) - 2 * grid_step
-        g_hi = max(u_values.max(), survive_certain) + 2 * grid_step
+        reach, top = _loss_top(pmfs, growth, horizon, tail_eps)
+        g_lo = min(u_values.min(), 0.0) - 2 * grid_step
+        g_hi = max(u_values.max(), top) + 2 * grid_step
         self.k_lo = math.floor(g_lo / grid_step)
-        k_hi = math.ceil(g_hi / grid_step)
+        self.k_hi = math.ceil(g_hi / grid_step)
         self.step = grid_step
-        self.points = np.arange(self.k_lo, k_hi + 1) * grid_step
+        self.points = np.arange(self.k_lo, self.k_hi + 1) * grid_step
         self.growth = growth
+        self.tail_bound = horizon * tail_eps if top < reach else 0.0
 
 
 def _step_atoms(phi_prev, grid, pmf):
@@ -146,13 +205,21 @@ class _Correlation:
     c(x) = sum_y m(y) phi^0(x + y) is then exact on the lattice (atoms sit
     on it at the given stride), and only the compounding stretch
     phi_new(u) = c(u (1+r)) needs interpolation.  Reads below the grid are
-    certain ruin (0).  Reads above it are certain survival (1): each output
-    cell adds the mass of the atoms that land past the grid top.
+    ruin (0) and reads above it survival (1, see ``_RecursionGrid``): each
+    output cell adds the mass of the atoms that land past the grid top.  The
+    stretch reads cells x >= floor(k_lo (1+r)); an atom past
+    k_hi - floor(k_lo (1+r)) lands above the grid from all of them, so those
+    atoms are not transformed: their mass is one constant added to every cell.
     """
 
     def __init__(self, grid, pmf, stride):
-        atoms = np.zeros((len(pmf.mass) - 1) * stride + 1)
-        atoms[::stride] = pmf.mass
+        # keep the atoms up to the first lattice atom past the fold edge
+        # (one cell of slack absorbs rounding in the stretched positions)
+        fold_edge = grid.k_hi - math.floor(grid.k_lo * grid.growth) + 1
+        n_kept = min(len(pmf.mass), max(1, -(-fold_edge // stride) - pmf.min_index + 1))
+        self.far = float(pmf.mass[n_kept:].sum())
+        atoms = np.zeros((n_kept - 1) * stride + 1)
+        atoms[::stride] = pmf.mass[:n_kept]
         reversed_atoms = atoms[::-1]
         self.grid = grid
         self.n_grid = len(grid.points)
@@ -162,8 +229,9 @@ class _Correlation:
         # conv(P, reversed A)[t] = sum_s A[s] P[t - (S-1) + s]: output
         # n_grid + i reads past the grid top for the i + 1 largest atom cells
         self.above = np.cumsum(reversed_atoms)[:-1]
-        # output t is the cell x = t + k_lo - a_last, a_last the largest atom cell
-        self.x_cells = np.arange(self.n_out) + float(grid.k_lo - pmf.max_index * stride)
+        # output t is the cell x = t + k_lo - a_last, a_last the largest kept atom cell
+        a_last = (pmf.min_index + n_kept - 1) * stride
+        self.x_cells = np.arange(self.n_out) + float(grid.k_lo - a_last)
         self.stretched = grid.points * grid.growth / grid.step
 
     def __call__(self, phi_prev):
@@ -172,13 +240,15 @@ class _Correlation:
         corr = sp_fft.irfft(sp_fft.rfft(phi0, self.n_fft) * self.atoms_hat,
                             self.n_fft)[:self.n_out]
         corr[self.n_grid:] += self.above
+        corr += self.far
         np.clip(corr, 0.0, 1.0, out=corr)
         out = np.interp(self.stretched, self.x_cells, corr, left=0.0, right=1.0)
         return _check_monotone_fix(out)
 
 
 def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
-                       interp_tol: float = 0.5, method: str = "auto") -> RuinResult:
+                       interp_tol: float = 0.5, method: str = "auto",
+                       tail_eps: float = 1e-12) -> RuinResult:
     """Survival/ruin probabilities for horizons 1..L on the given capitals.
 
     pmfs holds one net-profit LatticePMF per interval, in interval order.
@@ -201,6 +271,13 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     tolerance only guards against catastrophic grid misconfiguration --
     pointwise accuracy at the requested capitals is the business of the grid
     -refinement (Richardson) check.
+
+    The capital grid ends where the ruin probability over the remaining
+    horizon falls below ``tail_eps`` (a Chernoff bound on the discounted
+    losses) or at the worst-case discounted loss, whichever is lower; reads
+    above it count as survival, so psi moves by at most horizon * tail_eps
+    (``grid_tail_bound``; 0 when the worst case binds, and with tail_eps = 0).
+    The diagnostics also give the grid's points, edges and FFT length.
     """
     if r < 0:
         raise DomainError(f"interest rate must be >= 0, got {r}")
@@ -227,7 +304,7 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         raise DomainError(
             "correlation method requires the u-grid step to divide the lattice step")
 
-    grid = _RecursionGrid(u_values, r, pmfs, grid_step, horizon)
+    grid = _RecursionGrid(u_values, r, pmfs, grid_step, horizon, tail_eps)
 
     aligned = (r == 0.0
                and math.isclose(grid_step, step, rel_tol=1e-12)
@@ -286,6 +363,10 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
             "lattice_aligned": aligned,
             "pmf_mass_defects": mass_defects,
             "grid_points": len(grid.points),
+            "grid_lo": float(grid.points[0]),
+            "grid_hi": float(grid.points[-1]),
+            "grid_tail_bound": grid.tail_bound,
+            "fft_points": max((c.n_fft for c in correlations.values()), default=0),
             "method": method,
         },
     )
@@ -357,6 +438,7 @@ def run_pipeline(config: ScenarioConfig, u_values=None):
     pmfs, info = interval_net_pmfs(config)
     grid_step = num.u_grid_step
     result = survival_recursion(u_values, fin.interest_rate_per_interval, pmfs,
-                                grid_step=grid_step, interp_tol=num.ruin_interp_tol)
+                                grid_step=grid_step, interp_tol=num.ruin_interp_tol,
+                                tail_eps=num.tail_eps)
     info["ruin_diagnostics"] = result.diagnostics
     return result, info

@@ -143,6 +143,16 @@ class TestPipelineCommands:
         assert diag["clipped_mass"] >= 0.0
         assert diag["mean_residual"] <= diag["mean_tolerance"]
 
+    def test_ruin_manifest_records_the_capital_grid(self, tmp_path, fast_config_path):
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out, "ruin", "--no-mc",
+                        "--u", "100,300"]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            grid = json.load(fh)["tolerances_achieved"]["ruin_grid"]
+        assert grid["grid_points"] > 0 and grid["fft_points"] >= grid["grid_points"]
+        assert grid["grid_lo"] < 0.0 < 300.0 < grid["grid_hi"]
+        assert 0.0 <= grid["grid_tail_bound"] <= 5e-12   # horizon * tail_eps
+
     def test_ruin_with_mc_columns(self, tmp_path, fast_config_path):
         out = str(tmp_path / "o")
         assert run_cli(["--config", fast_config_path, "--out", out, "ruin",

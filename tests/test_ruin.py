@@ -1,9 +1,11 @@
 """Survival recursion against path enumeration; capital-bound properties."""
 
-from itertools import product
+import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from microruin import ruin
 from microruin.compound import LatticePMF
@@ -31,6 +33,62 @@ def enum_psi(u, r, pmfs, horizon):
                 psi[l - 1:] += p
                 break
     return psi
+
+
+def full_reach_psi(us, r, pmfs):
+    """Oracle: the correlation recursion on the full-reach capital grid.
+
+    The grid runs from where one interval ruins for certain, -max(y)/(1+r),
+    to where even the worst discounted loss path survives, so both edge
+    clamps are exact, and every atom goes through the FFT.  The grid step is
+    the default lattice_step / ceil((1+r)^L).  Returns (psi, grid points).
+    """
+    horizon, growth = len(pmfs), 1.0 + r
+    stride = max(1, math.ceil(growth ** horizon))
+    h = pmfs[0].step / stride
+    y_max = max(p.values().max() for p in pmfs)
+    y_min = min(p.values().min() for p in pmfs)
+    reach = -min(y_min, 0.0) * sum(growth ** -j for j in range(1, horizon + 1))
+    k_lo = math.floor((min(us.min(), -max(y_max, 0.0) / growth) - 2 * h) / h)
+    k_hi = math.ceil((max(us.max(), reach) + 2 * h) / h)
+    cells = np.arange(k_lo, k_hi + 1)
+    points = cells * h
+
+    def step(phi, pmf):
+        atoms = np.zeros((len(pmf.mass) - 1) * stride + 1)
+        atoms[::stride] = pmf.mass[::-1]
+        n_out = len(points) + len(atoms) - 1
+        n = sp_fft.next_fast_len(n_out, real=True)
+        phi0 = np.where(points >= -1e-9 * h, phi, 0.0)
+        corr = sp_fft.irfft(sp_fft.rfft(phi0, n) * sp_fft.rfft(atoms, n), n)[:n_out]
+        corr[len(points):] += np.cumsum(atoms)[:-1]   # reads above: survival
+        x = np.arange(n_out) + k_lo - pmf.max_index * stride
+        out = np.interp(cells * growth, x, np.clip(corr, 0.0, 1.0), left=0.0, right=1.0)
+        return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
+
+    psi = np.empty((horizon, len(us)))
+    phi = np.ones(len(points))
+    for l in range(1, horizon + 1):
+        if all(p is pmfs[0] for p in pmfs):
+            phi = step(phi, pmfs[0])
+        else:
+            phi = np.ones(len(points))
+            for k in range(l, 0, -1):
+                phi = step(phi, pmfs[k - 1])
+        psi[l - 1] = 1.0 - np.interp(us, points, phi, left=0.0, right=1.0)
+    return psi, len(points)
+
+
+def discounted_loss_tail(pmfs, r, x):
+    """Exact Pr(sum_i (1+r)^-i Y_i^- > x) over the sequence ``pmfs``."""
+    tail = 0.0
+    for combo in product(*(range(len(p.mass)) for p in pmfs)):
+        p, loss = 1.0, 0.0
+        for i, (pmf, j) in enumerate(zip(pmfs, combo), start=1):
+            p *= pmf.mass[j]
+            loss += max(-pmf.values()[j], 0.0) * (1.0 + r) ** -i
+        tail += p if loss > x else 0.0
+    return tail
 
 
 Z3 = LatticePMF(step=1.0, min_index=-1, mass=np.array([0.3, 0.5, 0.2]))
@@ -205,6 +263,107 @@ class TestSurvivalRecursion:
             ruin.survival_recursion(np.array([0.0]), 0.05, [])
 
 
+class TestCapitalGrid:
+    """The grid spans [min(u, 0), the Chernoff top]; the oracle spans the full reach."""
+
+    # a rare deep loss, a common small one, a likely gain
+    LOSS = LatticePMF(step=1.0, min_index=-6,
+                      mass=np.array([0.002, 0, 0, 0.3, 0, 0, 0, 0, 0.698]))
+    GAIN = LatticePMF(step=1.0, min_index=-1, mass=np.array([0.2, 0.0, 0.8]))
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"financial": {"operator_fees": {"1": 300.0}}},
+        {"financial": {"c_min": 0.1, "c_max": 100.0}},
+    ], ids=["reference", "fee-300", "clamps-0.1-100"])
+    def test_matches_full_reach_oracle(self, overrides):
+        cfg = _reference_with(overrides)
+        pmfs, _ = ruin.interval_net_pmfs(cfg)
+        us = np.array([-50.0, 0.0, 100.0, 150.0, 200.0, 250.0, 300.0])
+        r, eps = cfg.financial.interest_rate_per_interval, cfg.numerics.tail_eps
+        res = ruin.survival_recursion(us, r, pmfs, tail_eps=eps)
+        ref, oracle_points = full_reach_psi(us, r, pmfs)
+        diag = res.diagnostics
+        assert diag["grid_tail_bound"] == len(pmfs) * eps   # the Chernoff top binds
+        assert np.abs(res.psi - ref).max() <= diag["grid_tail_bound"] + 1e-13
+        assert diag["grid_points"] < oracle_points
+        assert res.u_grid == (diag["grid_lo"], res.grid_step, diag["grid_points"])
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_chernoff_top_bounds_the_exact_tail(self, r, eps):
+        # any horizon <= L, any order of the interval PMFs
+        z5 = LatticePMF(step=1.0, min_index=-4, mass=np.array([0.01, 0.04, 0.15, 0.3, 0.5]))
+        for pmfs in ([z5] * 3, [self.LOSS, self.GAIN, z5]):
+            reach, top = ruin._loss_top(pmfs, 1.0 + r, len(pmfs), eps)
+            assert top < reach
+            for l in range(1, len(pmfs) + 1):
+                for order in permutations(range(len(pmfs)), l):
+                    seq = [pmfs[i] for i in order]
+                    assert discounted_loss_tail(seq, r, top) <= eps
+
+    def test_binned_chernoff_top_bounds_the_exact_tail(self):
+        # more loss atoms than LOSS_CELLS: each loss is rounded up to its bin
+        k = np.arange(6001)
+        mass = np.append(0.995 ** k[::-1], 1.0)   # losses 6000..0, then a gain
+        pmf = LatticePMF(step=0.5, min_index=-6000, mass=mass / mass.sum())
+        assert 6000 > ruin.LOSS_CELLS
+        losses = pmf.mass[k[::-1]]                # mass of loss 0..6000 steps
+        losses[0] += pmf.mass[-1]
+        total = np.convolve(losses, losses)       # r = 0: X = Y_1^- + Y_2^-
+        reach, top = ruin._loss_top([pmf] * 2, 1.0, 2, 1e-6)
+        assert top < reach
+        exact_tail = total[np.arange(len(total)) * pmf.step > top].sum()
+        assert exact_tail <= 1e-6
+        assert exact_tail > 1e-9   # and the bound is not loose by orders
+
+    def test_binned_top_rounds_losses_up(self):
+        # one loss of 28,679 steps, 7 past the last bin edge below it (bins of
+        # 8 steps): rounded down, three losses would fit under the top
+        loss = 4096 * 7 + 7
+        pmf = LatticePMF(step=1.0, min_index=-loss, mass=np.bincount(
+            [0, loss + 1], weights=[0.5, 0.5], minlength=loss + 2))
+        reach, top = ruin._loss_top([pmf] * 3, 1.0, 3, 1e-3)
+        n_losses = np.arange(4)
+        p_n = np.array([1, 3, 3, 1]) / 8.0
+        assert p_n[n_losses * loss > top].sum() <= 1e-3
+        assert top == reach
+
+    @pytest.mark.parametrize("method", ["atoms", "correlation"])
+    def test_differing_pmfs_with_a_binding_top_match_enumeration(self, method):
+        us = np.array([0.0, 1.0, 2.0, 4.0, 6.0])
+        eps = 1e-3
+        psis = []
+        for seq in ([self.LOSS, self.GAIN, self.LOSS], [self.GAIN, self.LOSS, self.LOSS]):
+            res = ruin.survival_recursion(us, 0.0, seq, method=method, tail_eps=eps)
+            assert res.diagnostics["grid_tail_bound"] == 3 * eps
+            assert res.diagnostics["grid_hi"] < 18.0             # the worst-case reach
+            exact = ruin.survival_recursion(us, 0.0, seq, method=method, tail_eps=0.0)
+            assert exact.diagnostics["grid_tail_bound"] == 0.0
+            assert exact.diagnostics["grid_hi"] >= 18.0
+            for j, u in enumerate(us):
+                ref = enum_psi(u, 0.0, seq, 3)
+                np.testing.assert_allclose(exact.psi[:, j], ref, atol=1e-12)
+                assert np.abs(res.psi[:, j] - ref).max() <= 3 * eps + 1e-12
+            psis.append(res.psi)
+        assert not np.allclose(psis[0], psis[1])
+
+    @pytest.mark.parametrize("method", ["atoms", "correlation"])
+    def test_pmf_without_loss_atoms(self, method):
+        # no losses: the grid stops two steps above the largest capital, and
+        # the far gain lands above it from every capital (one folded constant)
+        gains = LatticePMF(step=1.0, min_index=0, mass=np.bincount(
+            [0, 40], weights=[0.5, 0.5], minlength=41))
+        us = np.array([-3.0, -1.0, 0.0, 2.0])
+        res = ruin.survival_recursion(us, 0.0, [gains] * 3, method=method)
+        assert res.diagnostics["grid_tail_bound"] == 0.0
+        assert (res.diagnostics["grid_lo"], res.diagnostics["grid_hi"]) == (-5.0, 4.0)
+        for j, u in enumerate(us):
+            np.testing.assert_allclose(res.psi[:, j], enum_psi(u, 0.0, [gains] * 3, 3),
+                                       atol=1e-12)
+        assert res.psi[2, 1] == pytest.approx(0.5)
+
+
 def _reference_with(overrides):
     from microruin import model
     data = model.default_config().to_dict()
@@ -236,7 +395,8 @@ class TestPipeline:
             assert diag["mean_residual"] <= diag["mean_tolerance"]
 
     def test_zero_padding_the_pmf_leaves_psi_unchanged(self, table3_config):
-        # trailing zero atoms widen the capital grid but carry no mass
+        # trailing zero atoms carry no mass: the grid is sized from the
+        # positive-mass atoms, so it does not change either
         pmfs, _ = ruin.interval_net_pmfs(table3_config)
         g = pmfs[0]
         padded = LatticePMF(step=g.step, min_index=g.min_index,
@@ -246,6 +406,7 @@ class TestPipeline:
         a = ruin.survival_recursion(us, r, [g] * 5)
         b = ruin.survival_recursion(us, r, [padded] * 5)
         np.testing.assert_allclose(a.psi, b.psi, atol=1e-9)
+        assert a.u_grid == b.u_grid
 
     def test_reference_scenario_runs_and_is_sane(self, table3_config):
         us = np.array([100.0, 300.0])
