@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
+from . import specfun
 from .errors import AccuracyError, DomainError, ResourceLimitError
 from .income_pdf import ExpandedDensity
 from .model import FinancialParams
@@ -189,7 +189,7 @@ def _golden_min(f, a: float, b: float, iters: int = 80) -> tuple[float, float]:
 
     f may be +inf on a right end segment (past a pole); ties move the bracket
     left, so the search never settles there while a finite value exists.
-    scipy's bounded Brent search stalls on that segment, and bracketing the
+    A bounded Brent search stalls on that segment, and bracketing the
     pole first with a root finder still lands on wider edges near it.
     """
     g = (math.sqrt(5.0) - 1.0) / 2.0
@@ -270,7 +270,7 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12
     hi, bound_hi = _chernoff_edge(idx, log_p, w_n, log_eps)
     neg_lo, bound_lo = _chernoff_edge(-idx, log_p, w_n, log_eps)
     lo = -neg_lo
-    n = sp_fft.next_fast_len(hi - lo + 1, real=True)
+    n = specfun.next_fast_len(hi - lo + 1)
     if n > points_budget:
         shrink = points_budget / n
         achieved = (bound_hi(math.floor(hi * shrink))
@@ -283,8 +283,8 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12
     # the window is one period: Z's atoms wrap onto it, and the inverse
     # transform of the PGF is the compound PMF folded modulo n
     z_folded = np.bincount(step.indices() % n, weights=step.mass, minlength=n)
-    s_hat = w_n / (1.0 - (1.0 - w_n) * sp_fft.rfft(z_folded))
-    mass = np.roll(sp_fft.irfft(s_hat, n), -lo)
+    s_hat = w_n / (1.0 - (1.0 - w_n) * np.fft.rfft(z_folded))
+    mass = np.roll(np.fft.irfft(s_hat, n), -lo)
     clipped = abs(float(mass[mass < 0.0].sum()))
     mass = np.maximum(mass, 0.0)
 

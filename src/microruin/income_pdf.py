@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import special as sp_special
 
 from . import specfun
 from .errors import AccuracyError, DomainError, SupportError
@@ -127,16 +126,18 @@ def _weighted_monomial_integrals(s_max: int, a: float, b: float, x: np.ndarray) 
     """M_s(x) = Int_{-1}^x y^s K(y) dy for s = 0..s_max, vectorized over x.
 
     Expands y^s = ((1+y) - 1)^s so each term reduces to a regularized
-    incomplete beta in t = (1+y)/2; exact up to betainc accuracy.
+    incomplete beta in t = (1+y)/2 (``specfun.betainc``).
     """
     t = np.clip((np.asarray(x, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
     log_b_ab = math.log(specfun.beta(a, b))
+    # the j-th term is the same for every s >= j
+    ratios = [math.exp(math.log(specfun.beta(a + j, b)) - log_b_ab) for j in range(s_max + 1)]
+    incs = [specfun.betainc(a + j, b, t) for j in range(s_max + 1)]
     out = np.zeros((s_max + 1,) + t.shape)
     for s in range(s_max + 1):
         for j in range(s + 1):
-            coef = (math.comb(s, j) * (-1.0) ** (s - j) * 2.0 ** j
-                    * math.exp(math.log(specfun.beta(a + j, b)) - log_b_ab))
-            out[s] += coef * sp_special.betainc(a + j, b, t)
+            coef = math.comb(s, j) * (-1.0) ** (s - j) * 2.0 ** j * ratios[j]
+            out[s] += coef * incs[j]
     return out
 
 

@@ -9,9 +9,12 @@ rate gap, the slot income has Laplace transform
            + t T rho * Int_{1/c_max}^{1/c_min} u^-2 exp(-t T rho / u) Phi(u) du,
 
 with Phi(u) = exp(-A sigma^2 u) * E_I[exp(-A I u)], so its derivatives at 0
-give the single-slot raw moments.  The interference factor follows from the
-probability generating functional of the interferer point process and has the
-closed form
+give the single-slot raw moments
+
+    m_s = (T rho)^s (c_min^s + s * Int u^-(s+1) (1 - Phi(u)) du).
+
+The interference factor follows from the probability generating functional
+of the interferer point process and has the closed form
 
     E_I[exp(-A I u)] = exp(-pi beta r^2 * c_profile(theta)),
     theta = A u r^-alpha,
@@ -19,18 +22,26 @@ closed form
 where ``c_profile`` combines an elementary term with a Gauss hypergeometric
 factor 2F1(1, 2; 2 - 2/alpha; theta/(1+theta)).  Because ``A`` scales as
 r^alpha, theta does not depend on r: the hypergeometric profile is computed
-once per product and reused across the distance quadrature, and the distance
-integral makes the final moments exactly independent of the cell density.
+once per u node and product and reused at every distance.
 
-Moment orders beyond the first use the exact i.i.d.-sum composition
-E[(X1+...+Xtau)^s] = binomial convolution of the single-slot moment sequence,
-so the only numerical error sources are the two quadratures (adaptive, with
-explicit relative tolerances).
+The distance enters through s = pi beta r^2, which is Exp(1) under the
+nearest-cell law, so in t = sqrt(s) the distance weight is 2 t e^(-t^2) dt
+and the cell density drops out (it stays only in the noise term
+A sigma^2 ~ s^(alpha/2) / (pi beta)^(alpha/2)).  The moments are one tensor
+rule: composite 16-point Gauss-Legendre panels in t crossed with panels in
+log u, 1 - Phi for every (t, u) node pair in one array, the tau-mixture
+composed row-wise (the exact i.i.d.-sum composition: a binomial convolution
+of the single-slot moment sequence), then contracted with the t weights.
+The t panels halve in width towards t = 0 until they are as narrow as the
+sharpest feature in t, the e^(-t^2 c) decay at the largest profile value.
+Both panel counts double until two successive estimates agree to the
+relative tolerance; past a fixed panel budget the rule raises AccuracyError.
 
 The clamps put point masses at both ends of the income support.  They follow
-from the same transform (Pr(c <= x | r) = Phi_r(1/x) under Rayleigh fading)
-and travel with the moments, so the density expansion can carry them exactly
-instead of spreading them over the continuous part.
+from the same transform (Pr(c <= x | r) = Phi_r(1/x) under Rayleigh fading),
+are the same t contraction at u = 1/c_min and u = 1/c_max, and travel with
+the moments, so the density expansion can carry them exactly instead of
+spreading them over the continuous part.
 
 Notation note: the ratio W = A I / H here is a per-slot conditional variable,
 distinct from the unit-support income variable used by the basis expansion in
@@ -43,18 +54,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import specfun
 from .errors import AccuracyError, DomainError
-from .model import NetworkParams, FinancialParams, ScenarioConfig, nearest_distance_pdf
+from .model import NetworkParams, FinancialParams, ScenarioConfig
 
 __all__ = [
     "ConditionalContext",
     "MomentVector",
     "laplace_exponent_profile",
-    "interference_laplace",
-    "interference_laplace_quadrature",
     "e_derivatives_at_zero",
     "single_slot_moments",
     "duration_sum_moments",
@@ -62,6 +70,9 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# log-u panels of the first level; every level doubles the u and distance panels
+_START_U_PANELS = 2
+_MAX_LEVEL = 4  # panel budget: every panel of level 0 split into 16
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,7 @@ class MomentVector:
 
 
 # ----------------------------------------------------------------------
-# Interference Laplace transform
+# Interference Laplace exponent
 # ----------------------------------------------------------------------
 
 def laplace_exponent_profile(theta: float, alpha: float,
@@ -141,8 +152,7 @@ def laplace_exponent_profile(theta: float, alpha: float,
     """Distance-free part of the interference Laplace exponent.
 
     Returns c(theta) >= 0 with E_I[exp(-A I u)] = exp(-pi beta r^2 c(theta))
-    and theta = A u r^-alpha.  May raise AccuracyError when the 2F1 series
-    fails; callers then fall back to quadrature.
+    and theta = A u r^-alpha.  Raises AccuracyError when the 2F1 series fails.
     """
     if theta == 0.0:
         return 0.0
@@ -151,161 +161,106 @@ def laplace_exponent_profile(theta: float, alpha: float,
     return theta * (f21 / ((1.0 - 2.0 / alpha) * (1.0 + theta) ** 2) - 1.0 / (1.0 + theta))
 
 
-def _laplace_exponent_gy(u_var: float, a_coef: float, r_u: float, net: NetworkParams,
-                         rel_tol: float = 1e-10) -> float:
-    """Laplace exponent by direct 2-D quadrature (outer fading mark g, inner y).
-
-    Computes 2 pi beta / alpha * Int_0^inf e^-g Int_0^{r^-alpha}
-    (1 - e^{-A g y u}) y^{-2/alpha - 1} dy dg.  Serves as the independent
-    oracle for the closed form and as the production fallback when the
-    hypergeometric path reports an accuracy failure.
-    """
-    alpha = net.alpha_pathloss
-    y_hi = r_u ** (-alpha)
-    scale = a_coef * u_var
-    # y = v^p with p = alpha/(alpha-2): the transformed integrand
-    # p (1-e^{-c v^p}) v^(-2p/alpha - 1) tends to the constant p*c at v -> 0,
-    # removing the integrable endpoint singularity.
-    p = alpha / (alpha - 2.0)
-    v_hi = y_hi ** (1.0 / p)
-    sing_pow = -2.0 * p / alpha - 1.0
-
-    def inner(g):
-        c = scale * g
-
-        def f(v):
-            t = c * v ** p
-            if t < 1e-12:
-                return c  # linearized limit: c * v^(p(1-2/alpha)-1) = c
-            return -math.expm1(-t) * v ** sing_pow
-
-        val, err = integrate.quad(f, 0.0, v_hi, epsabs=0.0, epsrel=rel_tol, limit=200)
-        return p * val * math.exp(-g)
-
-    val, err = integrate.quad(inner, 0.0, np.inf, epsabs=1e-300, epsrel=rel_tol, limit=200)
-    if val != 0.0 and err / abs(val) > 1e-6:
-        raise AccuracyError(
-            "2-D quadrature of the interference exponent did not converge",
-            {"value": val, "abs_err": err},
-        )
-    return 2.0 * math.pi * net.beta_cells_per_area / alpha * val
-
-
-def interference_laplace(u_var: float, a_coef: float, r_u: float, net: NetworkParams,
-                         options: specfun.FnEvalOptions | None = None,
-                         force_quadrature: bool = False) -> float:
-    """E_I[exp(-A I u)] for the interferer field seen from serving distance r_u."""
-    if u_var < 0:
-        raise DomainError(f"transform variable must be >= 0, got {u_var}")
-    if a_coef < 0:
-        raise DomainError(f"conditioning coefficient must be >= 0, got {a_coef}")
-    if not r_u > 0:
-        raise DomainError(f"serving distance must be positive, got {r_u}")
-    if u_var == 0.0 or a_coef == 0.0:
-        return 1.0
-    options = options or specfun.DEFAULT_OPTIONS
-    alpha = net.alpha_pathloss
-    theta = a_coef * u_var * r_u ** (-alpha)
-    if not force_quadrature:
-        try:
-            profile = laplace_exponent_profile(theta, alpha, options)
-            exponent = math.pi * net.beta_cells_per_area * r_u * r_u * profile
-        except AccuracyError:
-            exponent = _laplace_exponent_gy(u_var, a_coef, r_u, net)
-    else:
-        exponent = _laplace_exponent_gy(u_var, a_coef, r_u, net)
-    return math.exp(-exponent)
-
-
-interference_laplace_quadrature = _laplace_exponent_gy
-
-
 # ----------------------------------------------------------------------
-# Single-slot moments from transform derivatives
+# The tensor rule
 # ----------------------------------------------------------------------
 
-class _SlotMomentIntegrand:
-    """Vector quadrature of the slot-moment integrals with a shared profile cache.
+def _gauss_legendre(edges: np.ndarray):
+    """Nodes and weights of the composite 16-point Gauss-Legendre rule on the panels."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return ((mid[:, None] + half[:, None] * _GL_NODES).ravel(),
+            (half[:, None] * _GL_WEIGHTS).ravel())
 
-    For each order s the integral Int_{1/c_max}^{1/c_min} u^-(s+1)
-    (1 - Phi(u)) du is evaluated on a doubling composite Gauss-Legendre grid
-    in x = log u.  The hypergeometric profile c(theta(u)) depends on u only
-    through theta = (A r^-alpha) u, which is distance-free, so its node values
-    are cached and shared across distances and moment orders.
+
+class _LogUGrid:
+    """Log-u nodes on [1/c_max, 1/c_min] for one product, per panel count.
+
+    Each node set carries the 2F1 profile c(theta_per_u * u) at its nodes and
+    the weights of the slot-moment integrals Int u^-(s+1) f(u) du = Int
+    e^(-s x) f(e^x) dx, s = 1..order.
     """
 
-    def __init__(self, alpha, theta_per_u, c_min, c_max, rel_tol, max_panels=4096,
-                 options=specfun.DEFAULT_OPTIONS):
-        self.alpha = alpha
+    def __init__(self, theta_per_u: float, alpha: float, fin: FinancialParams, order: int,
+                 options: specfun.FnEvalOptions):
         self.theta_per_u = theta_per_u
-        self.x_lo = math.log(1.0 / c_max)
-        self.x_hi = math.log(1.0 / c_min)
-        self.rel_tol = rel_tol
-        self.max_panels = max_panels
+        self.alpha = alpha
+        self.x_range = (-math.log(fin.c_max), -math.log(fin.c_min))
+        self.order = order
         self.options = options
-        self._profile_cache: dict[float, float] = {}
-        self._node_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.start_panels = 4
+        self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _nodes(self, panels: int):
-        cached = self._node_cache.get(panels)
-        if cached is not None:
-            return cached
-        edges = np.linspace(self.x_lo, self.x_hi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        profile = np.empty_like(x)
-        for i, xi in enumerate(x):
-            u = math.exp(xi)
-            theta = self.theta_per_u * u
-            cached_val = self._profile_cache.get(theta)
-            if cached_val is None:
-                cached_val = laplace_exponent_profile(theta, self.alpha, self.options)
-                self._profile_cache[theta] = cached_val
-            profile[i] = cached_val
-        self._node_cache[panels] = (x, w, profile)
-        return x, w, profile
+    def profile(self, u: float) -> float:
+        return laplace_exponent_profile(self.theta_per_u * u, self.alpha, self.options)
 
-    def integrals(self, pi_beta_r2: float, a_sigma2: float, s_max: int) -> np.ndarray:
-        """Vector of Int u^-(s+1) (1 - Phi(u)) du for s = 1..s_max."""
-        orders = np.arange(1, s_max + 1)
-        prev = None
-        panels = self.start_panels
-        while panels <= self.max_panels:
-            x, w, profile = self._nodes(panels)
+    def nodes(self, panels: int):
+        """(u, profile, moment weights) of the rule with ``panels`` panels."""
+        hit = self._cache.get(panels)
+        if hit is None:
+            x, w = _gauss_legendre(np.linspace(*self.x_range, panels + 1))
             u = np.exp(x)
-            one_minus_phi = -np.expm1(-(pi_beta_r2 * profile + a_sigma2 * u))
-            vals = (w * one_minus_phi) @ np.exp(-np.outer(x, orders))
-            if prev is not None:
-                err = np.abs(vals - prev)
-                scale = np.maximum(np.abs(vals), 1e-300)
-                if (err <= self.rel_tol * scale).all():
-                    self.start_panels = max(4, panels // 2)
-                    return vals
-            prev = vals
-            panels *= 2
-        raise AccuracyError(
-            "slot-moment integral did not meet tolerance",
-            {"panels": panels // 2, "last": prev.tolist() if prev is not None else None},
-        )
+            profile = np.array([self.profile(ui) for ui in u])
+            weights = w[:, None] * np.exp(-np.outer(x, np.arange(1.0, self.order + 1.0)))
+            hit = self._cache[panels] = (u, profile, weights)
+        return hit
+
+
+def _slot_moments(pi_beta_r2: np.ndarray, a_sigma2: np.ndarray, grid: _LogUGrid,
+                  panels: int, fin: FinancialParams, unit: float) -> np.ndarray:
+    """Single-slot raw moments, one row per distance node.
+
+    Row i conditions on pi beta r^2 = pi_beta_r2[i] and A sigma^2 = a_sigma2[i];
+    1 - Phi is evaluated for every (row, u node) pair in one array.
+    """
+    u, profile, weights = grid.nodes(panels)
+    one_minus_phi = -np.expm1(-(np.multiply.outer(pi_beta_r2, profile)
+                                + np.multiply.outer(a_sigma2, u)))
+    s = np.arange(1.0, grid.order + 1.0)
+    return unit ** s * (fin.c_min ** s + s * (one_minus_phi @ weights))
+
+
+def _subdivide(edges: np.ndarray, parts: int) -> np.ndarray:
+    """Edges with every panel split into ``parts`` equal panels."""
+    frac = np.arange(parts) / parts
+    inner = (edges[:-1, None] + frac * (edges[1:] - edges[:-1])[:, None]).ravel()
+    return np.append(inner, edges[-1])
+
+
+def _until_converged(estimate, rel_tol: float, budget: str) -> np.ndarray:
+    """estimate(level) for level = 0, 1, ... until two successive levels agree.
+
+    Agreement is |new - old| <= rel_tol * |new| in every component; past
+    level ``_MAX_LEVEL`` the panel budget named by ``budget`` is exhausted.
+    """
+    prev = estimate(0)
+    for level in range(1, _MAX_LEVEL + 1):
+        vals = estimate(level)
+        if (np.abs(vals - prev) <= rel_tol * np.abs(vals)).all():
+            return vals
+        prev = vals
+    raise AccuracyError(f"moment tensor rule did not meet tolerance {rel_tol:g} within "
+                        f"its panel budget ({budget})", {"last": prev.tolist()})
 
 
 def single_slot_moments(s_max: int, a_coef: float, r_u: float, fin: FinancialParams,
                         net: NetworkParams, rel_tol: float = 1e-8,
                         options: specfun.FnEvalOptions = specfun.DEFAULT_OPTIONS) -> np.ndarray:
-    """Raw moments E[(c T rho)^s], s = 1..s_max, of the income of one slot."""
+    """Raw moments E[(c T rho)^s], s = 1..s_max, of the income of one slot.
+
+    The one-row case of the tensor rule: the distance r_u is fixed.
+    """
     unit = net.slot_duration_s * fin.premium_rate_per_slot
     if fin.c_min == fin.c_max:
         return (fin.c_min * unit) ** np.arange(1.0, s_max + 1.0)
-    theta_per_u = a_coef * r_u ** (-net.alpha_pathloss)
-    integrand = _SlotMomentIntegrand(net.alpha_pathloss, theta_per_u, fin.c_min, fin.c_max,
-                                     rel_tol, options=options)
-    pi_beta_r2 = math.pi * net.beta_cells_per_area * r_u * r_u
-    ints = integrand.integrals(pi_beta_r2, a_coef * net.sigma2_noise_power, s_max)
-    s = np.arange(1.0, s_max + 1.0)
-    return unit ** s * (fin.c_min ** s + s * ints)
+    grid = _LogUGrid(a_coef * r_u ** (-net.alpha_pathloss), net.alpha_pathloss, fin, s_max,
+                     options)
+    pi_beta_r2 = np.array([math.pi * net.beta_cells_per_area * r_u * r_u])
+    a_sigma2 = np.array([a_coef * net.sigma2_noise_power])
+    u_panels = _START_U_PANELS
+    return _until_converged(
+        lambda level: _slot_moments(pi_beta_r2, a_sigma2, grid, u_panels << level, fin,
+                                    unit)[0],
+        rel_tol, f"{u_panels << _MAX_LEVEL} u panels")
 
 
 def e_derivatives_at_zero(s_max: int, a_coef: float, fin: FinancialParams,
@@ -338,155 +293,107 @@ def _binom_table(d: int) -> np.ndarray:
     return table
 
 
-def duration_sum_moments(single_slot: np.ndarray, tau: int) -> np.ndarray:
-    """Raw moments (s = 1..d) of the sum of tau i.i.d. slot incomes.
-
-    Exact binomial convolution of the moment sequence: with M_t the moments of
-    a t-fold sum, M_t[s] = sum_j C(s, j) M_{t-1}[j] m[s - j].  Order 1 returns
-    tau * m_1; order 2 returns tau m_2 + tau (tau-1) m_1^2.
-    """
-    if tau < 1:
-        raise DomainError(f"duration must be >= 1, got {tau}")
-    single_slot = np.asarray(single_slot, dtype=float)
-    d = len(single_slot)
-    full = np.concatenate(([1.0], single_slot))
-    binom = _binom_table(d)
-    acc = full.copy()
-    for _ in range(int(tau) - 1):
-        nxt = np.empty_like(acc)
-        for s in range(d + 1):
-            nxt[s] = np.dot(binom[s, : s + 1] * acc[: s + 1], full[s::-1])
-        acc = nxt
-    return acc[1:]
-
-
 def _duration_mixture_moments(single_slot: np.ndarray, taus, probs) -> np.ndarray:
-    """Moments of the tau-mixture: incremental convolution across the support."""
+    """Moments of the tau-mixture, row-wise over the leading axes.
+
+    Incremental binomial convolution across the duration support: with M_t
+    the moments of a t-fold sum, M_t[s] = sum_j C(s, j) M_{t-1}[j] m[s - j].
+    """
     single_slot = np.asarray(single_slot, dtype=float)
-    d = len(single_slot)
-    full = np.concatenate(([1.0], single_slot))
+    d = single_slot.shape[-1]
+    full = np.concatenate((np.ones(single_slot.shape[:-1] + (1,)), single_slot), axis=-1)
     binom = _binom_table(d)
-    out = np.zeros(d)
-    acc = full.copy()
+    out = np.zeros_like(single_slot)
+    acc = full
     t = 1
     for tau, p in sorted(zip(taus, probs)):
         while t < tau:
-            nxt = np.empty_like(acc)
-            for s in range(d + 1):
-                nxt[s] = np.dot(binom[s, : s + 1] * acc[: s + 1], full[s::-1])
-            acc = nxt
+            acc = np.stack([(binom[s, : s + 1] * acc[..., : s + 1] * full[..., s::-1]).sum(-1)
+                            for s in range(d + 1)], axis=-1)
             t += 1
-        out += p * acc[1:]
+        out += p * acc[..., 1:]
     return out
 
 
-def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float,
-                 options: specfun.FnEvalOptions) -> tuple[float, float]:
-    """Point masses (Pr(V = v_lo), Pr(V = v_hi)) at the ends of the income support.
+def duration_sum_moments(single_slot: np.ndarray, tau: int) -> np.ndarray:
+    """Raw moments (s = 1..d) of the sum of tau i.i.d. slot incomes.
 
-    Under Rayleigh fading Pr(c <= x | r) = Phi_r(1/x), so a slot clamps high
-    with probability 1 - Phi_r(1/c_max) and low with Phi_r(1/c_min); the
-    profile at both arguments is distance-free.  V reaches v_hi (v_lo) only
-    when all tau_max (tau_min) slots of a connection clamp high (low), so the
-    per-slot probabilities are raised to that power before the distance and
-    product averages.  Beyond the distance cutoff every slot clamps high.
+    Order 1 returns tau * m_1; order 2 returns tau m_2 + tau (tau-1) m_1^2.
     """
-    net, fin, num = config.network, config.financial, config.numerics
-    alpha, beta_c = net.alpha_pathloss, net.beta_cells_per_area
-    kappa_pow = net.p_i_interferer_power / net.p0_serving_power
-    tau_lo, tau_hi = int(taus.min()), int(taus.max())
-    products = [(gap * kappa_pow, mix,
-                 laplace_exponent_profile(gap * kappa_pow / fin.c_min, alpha, options),
-                 laplace_exponent_profile(gap * kappa_pow / fin.c_max, alpha, options))
-                for gap, mix in zip(config.products.rate_gaps, config.products.product_mix)]
-
-    def atom(z: float, high: bool) -> float:
-        pi_beta_z2 = math.pi * beta_c * z * z
-        total = 0.0
-        for a_per_r, mix, prof_lo, prof_hi in products:
-            a_sigma2 = a_per_r * z ** alpha * net.sigma2_noise_power
-            if high:
-                p = (-math.expm1(-(pi_beta_z2 * prof_hi + a_sigma2 / fin.c_max))) ** tau_hi
-            else:
-                p = math.exp(-(pi_beta_z2 * prof_lo + a_sigma2 / fin.c_min)) ** tau_lo
-            total += mix * p
-        return total * nearest_distance_pdf(z, beta_c)
-
-    out = []
-    for high, tau, tail in ((False, tau_lo, 0.0), (True, tau_hi, num.distance_tail_mass)):
-        val, err = integrate.quad(atom, 0.0, z_cut, args=(high,), epsabs=0.0,
-                                  epsrel=num.quad_rel_tol, limit=300)
-        if val > 0 and err / val > 10 * num.quad_rel_tol:
-            raise AccuracyError("distance quadrature of a clamp atom did not meet tolerance",
-                                {"high": high, "value": val, "abs_err": err})
-        out.append(float(tau_probs[taus == tau].sum()) * (val + tail))
-    return out[0], out[1]
+    if tau < 1:
+        raise DomainError(f"duration must be >= 1, got {tau}")
+    return _duration_mixture_moments(single_slot, [int(tau)], [1.0])
 
 
 def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVector:
     """Raw revenue moments E[V^s], s = 1..d, for connections ending in one interval.
 
-    Nested expectation: adaptive Gauss-Kronrod over the serving distance
-    (weighted by the nearest-cell density), explicit sums over the product mix
-    and the duration PMF.  The integrand's large-distance limit (always-clamped
-    scaling) is added analytically beyond the distance cutoff.  The vector also
-    carries the clamp atoms at both ends of the support (see ``_clamp_atoms``)
-    and the 2/alpha power law of the income CDF near its lower end.
+    One tensor rule over t = sqrt(pi beta r^2) (weight 2 t e^(-t^2) on
+    [0, sqrt(-log distance_tail_mass)]) and log u, with explicit sums over the
+    product mix and the duration PMF.  The integrand's large-distance limit
+    (always-clamped scaling) is added analytically beyond the distance cutoff.
+    The vector also carries the clamp atoms at both ends of the support, the
+    same t contraction at u = 1/c_min and u = 1/c_max: V reaches v_hi (v_lo)
+    only when all tau_max (tau_min) slots of a connection clamp high (low),
+    which one slot does with probability 1 - Phi_r(1/c_max) (Phi_r(1/c_min)),
+    and beyond the distance cutoff every slot clamps high.  Finally it
+    carries the 2/alpha power law of the income CDF near its lower end.
     """
     net, fin, num = config.network, config.financial, config.numerics
     d = num.moment_order
     unit = config.slot_income_per_unit_scaling
-    beta_c = net.beta_cells_per_area
-    kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     duration = config.durations.for_interval(
         interval_index, truncate_to_interval=num.truncate_durations_to_interval)
     taus, tau_probs = duration.pmf()
-    options = specfun.FnEvalOptions(rel_tol=num.specfun_rel_tol)
+    s_vec = np.arange(1.0, d + 1.0)
 
     if fin.c_min == fin.c_max:
-        slot = (fin.c_min * unit) ** np.arange(1.0, d + 1.0)
+        slot = (fin.c_min * unit) ** s_vec
         raw = _duration_mixture_moments(slot, taus, tau_probs)
         return MomentVector(interval_index=interval_index, raw=raw, order=d)
 
-    z_cut = math.sqrt(-math.log(num.distance_tail_mass) / (math.pi * beta_c))
-    integrands = {}
-    for q, gap in enumerate(config.products.rate_gaps):
-        integrands[q] = _SlotMomentIntegrand(net.alpha_pathloss, gap * kappa_pow,
-                                             fin.c_min, fin.c_max, num.quad_rel_tol,
-                                             options=options)
-    s_vec = np.arange(1.0, d + 1.0)
-    cache: dict[float, np.ndarray] = {}
+    options = specfun.FnEvalOptions(rel_tol=num.specfun_rel_tol)
+    kappa_pow = net.p_i_interferer_power / net.p0_serving_power
+    alpha = net.alpha_pathloss
+    tau_lo, tau_hi = int(taus.min()), int(taus.max())
+    products = []
+    for gap, mix in zip(config.products.rate_gaps, config.products.product_mix):
+        grid = _LogUGrid(gap * kappa_pow, alpha, fin, d, options)
+        # A sigma^2 = gap kappa sigma^2 r^alpha, with r^2 = t^2 / (pi beta)
+        noise = gap * kappa_pow * net.sigma2_noise_power
+        products.append((mix, grid, noise, grid.profile(1.0 / fin.c_min),
+                         grid.profile(1.0 / fin.c_max)))
+    # t panels halve in width from t_cut down to the narrowest feature, the
+    # e^(-t^2 (1 + c)) decay at the largest profile c, which is at u = 1/c_min
+    largest_profile = max(profile_lo for _, _, _, profile_lo, _ in products)
+    t_cut = math.sqrt(-math.log(num.distance_tail_mass))
+    t_min = 1.0 / math.sqrt(1.0 + largest_profile)
+    halvings = max(0, math.ceil(math.log2(t_cut / t_min)))
+    t_edges = np.concatenate(([0.0], t_cut * 0.5 ** np.arange(halvings, -1, -1)))
+    t_panels, u_panels = len(t_edges) - 1, _START_U_PANELS
 
-    def mixture_moments(z: float) -> np.ndarray:
-        hit = cache.get(z)
-        if hit is not None:
-            return hit
-        pi_beta_z2 = math.pi * beta_c * z * z
-        total = np.zeros(d)
-        for q, gap in enumerate(config.products.rate_gaps):
-            a_coef = gap * kappa_pow * z ** net.alpha_pathloss
-            ints = integrands[q].integrals(pi_beta_z2, a_coef * net.sigma2_noise_power, d)
-            slot = unit ** s_vec * (fin.c_min ** s_vec + s_vec * ints)
-            total += config.products.product_mix[q] * _duration_mixture_moments(
-                slot, taus, tau_probs)
-        cache[z] = total
+    def estimate(level: int) -> np.ndarray:
+        t, w = _gauss_legendre(_subdivide(t_edges, 1 << level))
+        pi_beta_r2 = t * t
+        weight = 2.0 * t * np.exp(-pi_beta_r2) * w
+        total = np.zeros(d + 2)
+        for mix, grid, noise, profile_lo, profile_hi in products:
+            a_sigma2 = noise * (pi_beta_r2 / (math.pi * net.beta_cells_per_area)) ** (alpha / 2)
+            slot = _slot_moments(pi_beta_r2, a_sigma2, grid, u_panels << level, fin, unit)
+            total[:d] += mix * (weight @ _duration_mixture_moments(slot, taus, tau_probs))
+            low = np.exp(-(pi_beta_r2 * profile_lo + a_sigma2 / fin.c_min)) ** tau_lo
+            high = (-np.expm1(-(pi_beta_r2 * profile_hi + a_sigma2 / fin.c_max))) ** tau_hi
+            total[d] += mix * (weight @ low)
+            total[d + 1] += mix * (weight @ high)
         return total
 
-    raw = np.empty(d)
-    for s in range(1, d + 1):
-        def f(z, s=s):
-            return mixture_moments(z)[s - 1] * nearest_distance_pdf(z, beta_c)
-
-        val, err = integrate.quad(f, 0.0, z_cut, epsabs=0.0, epsrel=num.quad_rel_tol,
-                                  limit=300)
-        if val > 0 and err / val > 10 * num.quad_rel_tol:
-            raise AccuracyError(
-                "distance quadrature did not meet tolerance",
-                {"order": s, "value": val, "abs_err": err},
-            )
-        clamp_limit = float(np.dot(tau_probs, (taus * fin.c_max * unit) ** s))
-        raw[s - 1] = val + clamp_limit * num.distance_tail_mass
-    atom_lo, atom_hi = _clamp_atoms(config, taus, tau_probs, z_cut, options)
+    est = _until_converged(estimate, num.quad_rel_tol,
+                           f"{t_panels << _MAX_LEVEL} distance x {u_panels << _MAX_LEVEL} "
+                           "u panels")
+    tail = num.distance_tail_mass
+    raw = est[:d] + tail * (tau_probs @ (taus[:, None] * (fin.c_max * unit)) ** s_vec)
+    atom_lo = float(tau_probs[taus == tau_lo].sum()) * est[d]
+    atom_hi = float(tau_probs[taus == tau_hi].sum()) * (est[d + 1] + tail)
     vec = MomentVector(interval_index=interval_index, raw=raw, order=d,
                        atom_lo=atom_lo, atom_hi=atom_hi,
                        lower_exponent=2.0 / net.alpha_pathloss)

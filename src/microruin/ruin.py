@@ -34,9 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
-from . import _kernels, income_pdf
+from . import _kernels, income_pdf, specfun
 from .compound import (
     LatticePMF,
     _golden_min,
@@ -224,8 +223,8 @@ class _Correlation:
         self.grid = grid
         self.n_grid = len(grid.points)
         self.n_out = self.n_grid + len(atoms) - 1
-        self.n_fft = sp_fft.next_fast_len(self.n_out, real=True)
-        self.atoms_hat = sp_fft.rfft(reversed_atoms, self.n_fft)
+        self.n_fft = specfun.next_fast_len(self.n_out)
+        self.atoms_hat = np.fft.rfft(reversed_atoms, self.n_fft)
         # conv(P, reversed A)[t] = sum_s A[s] P[t - (S-1) + s]: output
         # n_grid + i reads past the grid top for the i + 1 largest atom cells
         self.above = np.cumsum(reversed_atoms)[:-1]
@@ -237,7 +236,7 @@ class _Correlation:
     def __call__(self, phi_prev):
         grid = self.grid
         phi0 = np.where(grid.points >= -1e-9 * grid.step, phi_prev, 0.0)
-        corr = sp_fft.irfft(sp_fft.rfft(phi0, self.n_fft) * self.atoms_hat,
+        corr = np.fft.irfft(np.fft.rfft(phi0, self.n_fft) * self.atoms_hat,
                             self.n_fft)[:self.n_out]
         corr[self.n_grid:] += self.above
         corr += self.far

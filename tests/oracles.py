@@ -1,0 +1,304 @@
+"""Independent reference implementations that the production code is checked against.
+
+Nothing under ``src/`` imports this module.  It holds the nested-quadrature
+revenue moments and clamp atoms (adaptive Gauss-Kronrod over the serving
+distance via ``scipy.integrate.quad``, a per-distance doubling rule in the
+transform variable u) and the interference Laplace transform with its direct
+2-D quadrature.  Production evaluates the same quantities on one vectorised
+(distance x u) tensor rule in :mod:`microruin.moments`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import integrate
+
+from microruin import specfun
+from microruin.errors import AccuracyError, DomainError
+from microruin.model import NetworkParams, ScenarioConfig, nearest_distance_pdf
+from microruin.moments import MomentVector, laplace_exponent_profile
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+# ----------------------------------------------------------------------
+# Interference Laplace transform
+# ----------------------------------------------------------------------
+
+def _laplace_exponent_gy(u_var: float, a_coef: float, r_u: float, net: NetworkParams,
+                         rel_tol: float = 1e-10) -> float:
+    """Laplace exponent by direct 2-D quadrature (outer fading mark g, inner y).
+
+    Computes 2 pi beta / alpha * Int_0^inf e^-g Int_0^{r^-alpha}
+    (1 - e^{-A g y u}) y^{-2/alpha - 1} dy dg, the independent oracle for the
+    closed form, and the fallback of ``interference_laplace`` when the
+    hypergeometric path reports an accuracy failure.
+    """
+    alpha = net.alpha_pathloss
+    y_hi = r_u ** (-alpha)
+    scale = a_coef * u_var
+    # y = v^p with p = alpha/(alpha-2): the transformed integrand
+    # p (1-e^{-c v^p}) v^(-2p/alpha - 1) tends to the constant p*c at v -> 0,
+    # removing the integrable endpoint singularity.
+    p = alpha / (alpha - 2.0)
+    v_hi = y_hi ** (1.0 / p)
+    sing_pow = -2.0 * p / alpha - 1.0
+
+    def inner(g):
+        c = scale * g
+
+        def f(v):
+            t = c * v ** p
+            if t < 1e-12:
+                return c  # linearized limit: c * v^(p(1-2/alpha)-1) = c
+            return -math.expm1(-t) * v ** sing_pow
+
+        val, err = integrate.quad(f, 0.0, v_hi, epsabs=0.0, epsrel=rel_tol, limit=200)
+        return p * val * math.exp(-g)
+
+    val, err = integrate.quad(inner, 0.0, np.inf, epsabs=1e-300, epsrel=rel_tol, limit=200)
+    if val != 0.0 and err / abs(val) > 1e-6:
+        raise AccuracyError(
+            "2-D quadrature of the interference exponent did not converge",
+            {"value": val, "abs_err": err},
+        )
+    return 2.0 * math.pi * net.beta_cells_per_area / alpha * val
+
+
+def interference_laplace(u_var: float, a_coef: float, r_u: float, net: NetworkParams,
+                         options: specfun.FnEvalOptions | None = None,
+                         force_quadrature: bool = False) -> float:
+    """E_I[exp(-A I u)] for the interferer field seen from serving distance r_u."""
+    if u_var < 0:
+        raise DomainError(f"transform variable must be >= 0, got {u_var}")
+    if a_coef < 0:
+        raise DomainError(f"conditioning coefficient must be >= 0, got {a_coef}")
+    if not r_u > 0:
+        raise DomainError(f"serving distance must be positive, got {r_u}")
+    if u_var == 0.0 or a_coef == 0.0:
+        return 1.0
+    options = options or specfun.DEFAULT_OPTIONS
+    alpha = net.alpha_pathloss
+    theta = a_coef * u_var * r_u ** (-alpha)
+    if not force_quadrature:
+        try:
+            profile = laplace_exponent_profile(theta, alpha, options)
+            exponent = math.pi * net.beta_cells_per_area * r_u * r_u * profile
+        except AccuracyError:
+            exponent = _laplace_exponent_gy(u_var, a_coef, r_u, net)
+    else:
+        exponent = _laplace_exponent_gy(u_var, a_coef, r_u, net)
+    return math.exp(-exponent)
+
+
+interference_laplace_quadrature = _laplace_exponent_gy
+
+
+# ----------------------------------------------------------------------
+# Nested-quadrature revenue moments and clamp atoms
+# ----------------------------------------------------------------------
+
+def _duration_mixture_moments(single_slot: np.ndarray, taus, probs) -> np.ndarray:
+    """Moments of the tau-mixture: incremental convolution across the support."""
+    single_slot = np.asarray(single_slot, dtype=float)
+    d = len(single_slot)
+    full = np.concatenate(([1.0], single_slot))
+    binom = np.array([[math.comb(n, k) for k in range(d + 1)] for n in range(d + 1)],
+                     dtype=float)
+    out = np.zeros(d)
+    acc = full.copy()
+    t = 1
+    for tau, p in sorted(zip(taus, probs)):
+        while t < tau:
+            nxt = np.empty_like(acc)
+            for s in range(d + 1):
+                nxt[s] = np.dot(binom[s, : s + 1] * acc[: s + 1], full[s::-1])
+            acc = nxt
+            t += 1
+        out += p * acc[1:]
+    return out
+
+
+class _SlotMomentIntegrand:
+    """Vector quadrature of the slot-moment integrals with a shared profile cache.
+
+    For each order s the integral Int_{1/c_max}^{1/c_min} u^-(s+1)
+    (1 - Phi(u)) du is evaluated on a doubling composite Gauss-Legendre grid
+    in x = log u.  The hypergeometric profile c(theta(u)) depends on u only
+    through theta = (A r^-alpha) u, which is distance-free, so its node values
+    are cached and shared across distances and moment orders.
+    """
+
+    def __init__(self, alpha, theta_per_u, c_min, c_max, rel_tol, max_panels=4096,
+                 options=specfun.DEFAULT_OPTIONS):
+        self.alpha = alpha
+        self.theta_per_u = theta_per_u
+        self.x_lo = math.log(1.0 / c_max)
+        self.x_hi = math.log(1.0 / c_min)
+        self.rel_tol = rel_tol
+        self.max_panels = max_panels
+        self.options = options
+        self._profile_cache: dict[float, float] = {}
+        self._node_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.start_panels = 4
+
+    def _nodes(self, panels: int):
+        cached = self._node_cache.get(panels)
+        if cached is not None:
+            return cached
+        edges = np.linspace(self.x_lo, self.x_hi, panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        profile = np.empty_like(x)
+        for i, xi in enumerate(x):
+            u = math.exp(xi)
+            theta = self.theta_per_u * u
+            cached_val = self._profile_cache.get(theta)
+            if cached_val is None:
+                cached_val = laplace_exponent_profile(theta, self.alpha, self.options)
+                self._profile_cache[theta] = cached_val
+            profile[i] = cached_val
+        self._node_cache[panels] = (x, w, profile)
+        return x, w, profile
+
+    def integrals(self, pi_beta_r2: float, a_sigma2: float, s_max: int) -> np.ndarray:
+        """Vector of Int u^-(s+1) (1 - Phi(u)) du for s = 1..s_max."""
+        orders = np.arange(1, s_max + 1)
+        prev = None
+        panels = self.start_panels
+        while panels <= self.max_panels:
+            x, w, profile = self._nodes(panels)
+            u = np.exp(x)
+            one_minus_phi = -np.expm1(-(pi_beta_r2 * profile + a_sigma2 * u))
+            vals = (w * one_minus_phi) @ np.exp(-np.outer(x, orders))
+            if prev is not None:
+                err = np.abs(vals - prev)
+                scale = np.maximum(np.abs(vals), 1e-300)
+                if (err <= self.rel_tol * scale).all():
+                    self.start_panels = max(4, panels // 2)
+                    return vals
+            prev = vals
+            panels *= 2
+        raise AccuracyError(
+            "slot-moment integral did not meet tolerance",
+            {"panels": panels // 2, "last": prev.tolist() if prev is not None else None},
+        )
+
+
+def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float,
+                 options: specfun.FnEvalOptions) -> tuple[float, float]:
+    """Point masses (Pr(V = v_lo), Pr(V = v_hi)) at the ends of the income support.
+
+    Under Rayleigh fading Pr(c <= x | r) = Phi_r(1/x), so a slot clamps high
+    with probability 1 - Phi_r(1/c_max) and low with Phi_r(1/c_min); the
+    profile at both arguments is distance-free.  V reaches v_hi (v_lo) only
+    when all tau_max (tau_min) slots of a connection clamp high (low), so the
+    per-slot probabilities are raised to that power before the distance and
+    product averages.  Beyond the distance cutoff every slot clamps high.
+    """
+    net, fin, num = config.network, config.financial, config.numerics
+    alpha, beta_c = net.alpha_pathloss, net.beta_cells_per_area
+    kappa_pow = net.p_i_interferer_power / net.p0_serving_power
+    tau_lo, tau_hi = int(taus.min()), int(taus.max())
+    products = [(gap * kappa_pow, mix,
+                 laplace_exponent_profile(gap * kappa_pow / fin.c_min, alpha, options),
+                 laplace_exponent_profile(gap * kappa_pow / fin.c_max, alpha, options))
+                for gap, mix in zip(config.products.rate_gaps, config.products.product_mix)]
+
+    def atom(z: float, high: bool) -> float:
+        pi_beta_z2 = math.pi * beta_c * z * z
+        total = 0.0
+        for a_per_r, mix, prof_lo, prof_hi in products:
+            a_sigma2 = a_per_r * z ** alpha * net.sigma2_noise_power
+            if high:
+                p = (-math.expm1(-(pi_beta_z2 * prof_hi + a_sigma2 / fin.c_max))) ** tau_hi
+            else:
+                p = math.exp(-(pi_beta_z2 * prof_lo + a_sigma2 / fin.c_min)) ** tau_lo
+            total += mix * p
+        return total * nearest_distance_pdf(z, beta_c)
+
+    out = []
+    for high, tau, tail in ((False, tau_lo, 0.0), (True, tau_hi, num.distance_tail_mass)):
+        val, err = integrate.quad(atom, 0.0, z_cut, args=(high,), epsabs=0.0,
+                                  epsrel=num.quad_rel_tol, limit=300)
+        if val > 0 and err / val > 10 * num.quad_rel_tol:
+            raise AccuracyError("distance quadrature of a clamp atom did not meet tolerance",
+                                {"high": high, "value": val, "abs_err": err})
+        out.append(float(tau_probs[taus == tau].sum()) * (val + tail))
+    return out[0], out[1]
+
+
+def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVector:
+    """Raw revenue moments E[V^s], s = 1..d, by nested adaptive quadrature.
+
+    Adaptive Gauss-Kronrod over the serving distance (weighted by the
+    nearest-cell density), one quadrature per moment order, each node a
+    doubling rule in u; explicit sums over the product mix and the duration
+    PMF.  The large-distance limit (always-clamped scaling) is added
+    analytically beyond the distance cutoff.  The clamp atoms come from
+    ``_clamp_atoms``.
+    """
+    net, fin, num = config.network, config.financial, config.numerics
+    d = num.moment_order
+    unit = config.slot_income_per_unit_scaling
+    beta_c = net.beta_cells_per_area
+    kappa_pow = net.p_i_interferer_power / net.p0_serving_power
+    duration = config.durations.for_interval(
+        interval_index, truncate_to_interval=num.truncate_durations_to_interval)
+    taus, tau_probs = duration.pmf()
+    options = specfun.FnEvalOptions(rel_tol=num.specfun_rel_tol)
+
+    if fin.c_min == fin.c_max:
+        slot = (fin.c_min * unit) ** np.arange(1.0, d + 1.0)
+        raw = _duration_mixture_moments(slot, taus, tau_probs)
+        return MomentVector(interval_index=interval_index, raw=raw, order=d)
+
+    z_cut = math.sqrt(-math.log(num.distance_tail_mass) / (math.pi * beta_c))
+    integrands = {}
+    for q, gap in enumerate(config.products.rate_gaps):
+        integrands[q] = _SlotMomentIntegrand(net.alpha_pathloss, gap * kappa_pow,
+                                             fin.c_min, fin.c_max, num.quad_rel_tol,
+                                             options=options)
+    s_vec = np.arange(1.0, d + 1.0)
+    cache: dict[float, np.ndarray] = {}
+
+    def mixture_moments(z: float) -> np.ndarray:
+        hit = cache.get(z)
+        if hit is not None:
+            return hit
+        pi_beta_z2 = math.pi * beta_c * z * z
+        total = np.zeros(d)
+        for q, gap in enumerate(config.products.rate_gaps):
+            a_coef = gap * kappa_pow * z ** net.alpha_pathloss
+            ints = integrands[q].integrals(pi_beta_z2, a_coef * net.sigma2_noise_power, d)
+            slot = unit ** s_vec * (fin.c_min ** s_vec + s_vec * ints)
+            total += config.products.product_mix[q] * _duration_mixture_moments(
+                slot, taus, tau_probs)
+        cache[z] = total
+        return total
+
+    raw = np.empty(d)
+    for s in range(1, d + 1):
+        def f(z, s=s):
+            return mixture_moments(z)[s - 1] * nearest_distance_pdf(z, beta_c)
+
+        val, err = integrate.quad(f, 0.0, z_cut, epsabs=0.0, epsrel=num.quad_rel_tol,
+                                  limit=300)
+        if val > 0 and err / val > 10 * num.quad_rel_tol:
+            raise AccuracyError(
+                "distance quadrature did not meet tolerance",
+                {"order": s, "value": val, "abs_err": err},
+            )
+        clamp_limit = float(np.dot(tau_probs, (taus * fin.c_max * unit) ** s))
+        raw[s - 1] = val + clamp_limit * num.distance_tail_mass
+    atom_lo, atom_hi = _clamp_atoms(config, taus, tau_probs, z_cut, options)
+    vec = MomentVector(interval_index=interval_index, raw=raw, order=d,
+                       atom_lo=atom_lo, atom_hi=atom_hi,
+                       lower_exponent=2.0 / net.alpha_pathloss)
+    v_lo, v_hi = config.income_support(duration)
+    vec.check_envelope(v_lo, v_hi)
+    return vec

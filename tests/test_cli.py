@@ -28,14 +28,26 @@ def fast_config_path(tmp_path):
     return str(path)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # the recursion correlates with scipy.fft; scipy.signal (and the
-    # scipy.stats it pulls in) is most of the import time when loaded
-    code = "import sys, microruin.cli; print('scipy.signal' in sys.modules)"
+def _loaded_scipy_modules(code):
+    """scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # the production path needs only numpy, so no scipy module at all (and
+    # not scipy.signal) loads; scipy is the tests' oracle
+    assert _loaded_scipy_modules("import microruin.cli") == "[]"
+
+
+def test_ruin_no_mc_loads_no_scipy(fast_config_path, tmp_path):
+    code = ("from microruin import cli\n"
+            f"assert cli.main(['--config', {fast_config_path!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}, 'ruin', '--no-mc']) == 0")
+    assert _loaded_scipy_modules(code) == "[]"
 
 
 class TestValidateCommand:

@@ -274,3 +274,31 @@ class TestRecurrenceRoute:
         assert a.shape == (8, 9)  # every lattice row except the origin
         with pytest.raises(DomainError):
             build_recurrence_matrix(self.Z3, 0.5, 4, "bogus")
+
+
+def scipy_fft(monkeypatch):
+    """Route the program's real FFTs and FFT lengths through scipy.fft."""
+    from scipy import fft as sp_fft
+    from microruin import specfun
+    monkeypatch.setattr(np.fft, "rfft", sp_fft.rfft)
+    monkeypatch.setattr(np.fft, "irfft", sp_fft.irfft)
+    monkeypatch.setattr(specfun, "next_fast_len",
+                        lambda n: sp_fft.next_fast_len(n, real=True))
+
+
+def test_reference_compound_pmf_bit_identical_to_scipy_fft(table3_config, monkeypatch):
+    cfg = table3_config
+    fin, num = cfg.financial, cfg.numerics
+    density = income_pdf.sanitize(income_pdf.expand_density(
+        moments.revenue_moments(cfg), *cfg.income_support(), order=num.moment_order))
+    delta = (cfg.income_support()[1] + max(fin.operator_fees.values())) / 2048.0
+    step = net_profit_step_pmf(discretize_income(density, delta), fin)
+
+    def solve():
+        return compound_geometric_pmf(step, fin.w_n_geometric, tail_eps=num.tail_eps)
+
+    got = solve()
+    scipy_fft(monkeypatch)
+    want = solve()
+    assert got.min_index == want.min_index
+    assert np.array_equal(got.mass, want.mass)

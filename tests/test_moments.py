@@ -6,10 +6,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from microruin import moments, montecarlo
-from microruin.errors import DomainError
-from microruin.model import NetworkParams
+from microruin.errors import AccuracyError, DomainError
+from microruin.model import DurationModel, NetworkParams, ProductParams, validate
+from tests import oracles
 from tests.conftest import make_config, point_mass_config
 
 
@@ -30,16 +32,16 @@ class TestConditionalContext:
 
 class TestInterferenceLaplace:
     def test_transform_at_zero(self):
-        assert moments.interference_laplace(0.0, 100.0, 1.0, NET) == 1.0
+        assert oracles.interference_laplace(0.0, 100.0, 1.0, NET) == 1.0
 
     def test_zero_coefficient(self):
-        assert moments.interference_laplace(0.5, 0.0, 1.0, NET) == 1.0
+        assert oracles.interference_laplace(0.5, 0.0, 1.0, NET) == 1.0
 
     def test_frozen_quadrature_point(self):
         # independent 2-D (fading-mark x radial) quadrature oracle at 1e-10
-        got = moments.interference_laplace(0.1, 100.0, 1.0, NET)
+        got = oracles.interference_laplace(0.1, 100.0, 1.0, NET)
         assert got == pytest.approx(0.2847204321911005, rel=1e-8)
-        live = math.exp(-moments.interference_laplace_quadrature(0.1, 100.0, 1.0, NET))
+        live = math.exp(-oracles.interference_laplace_quadrature(0.1, 100.0, 1.0, NET))
         assert got == pytest.approx(live, rel=1e-6)
 
     def test_closed_form_vs_quadrature_random_sample(self):
@@ -51,23 +53,23 @@ class TestInterferenceLaplace:
             a = 10.0 ** rng.uniform(0, 3)
             u = 10.0 ** rng.uniform(-3, 0.5)
             r = rng.uniform(0.3, 3.0)
-            closed = moments.interference_laplace(u, a, r, net)
-            direct = math.exp(-moments.interference_laplace_quadrature(u, a, r, net))
+            closed = oracles.interference_laplace(u, a, r, net)
+            direct = math.exp(-oracles.interference_laplace_quadrature(u, a, r, net))
             assert closed == pytest.approx(direct, rel=1e-6, abs=1e-250)
 
     def test_monotone_in_transform_variable_and_coefficient(self):
         us = np.linspace(0.01, 2.0, 15)
-        vals = [moments.interference_laplace(float(u), 50.0, 1.0, NET) for u in us]
+        vals = [oracles.interference_laplace(float(u), 50.0, 1.0, NET) for u in us]
         assert all(1.0 >= a > b > 0.0 for a, b in zip(vals, vals[1:]))
-        avals = [moments.interference_laplace(0.1, a, 1.0, NET)
+        avals = [oracles.interference_laplace(0.1, a, 1.0, NET)
                  for a in (1.0, 10.0, 100.0, 1000.0)]
         assert all(a > b for a, b in zip(avals, avals[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            moments.interference_laplace(-0.1, 1.0, 1.0, NET)
+            oracles.interference_laplace(-0.1, 1.0, 1.0, NET)
         with pytest.raises(DomainError):
-            moments.interference_laplace(0.1, 1.0, 0.0, NET)
+            oracles.interference_laplace(0.1, 1.0, 0.0, NET)
 
 
 class TestDerivativesAtZero:
@@ -178,8 +180,13 @@ class TestRevenueMoments:
         for s in range(1, 3):
             assert abs(mv.raw[s - 1] - est.raw[s - 1]) <= 3.0 * se[s - 1]
 
+    def test_unreachable_tolerance_names_the_panel_budget(self, table3_config):
+        cfg = replace(table3_config,
+                      numerics=replace(table3_config.numerics, quad_rel_tol=1e-17))
+        with pytest.raises(AccuracyError, match=r"panel budget \(\d+ distance x \d+ u panels\)"):
+            moments.revenue_moments(cfg)
+
     def test_product_mixture(self):
-        from microruin.model import ProductParams
         cfg = make_config()
         mixed = replace(cfg, products=ProductParams(rate_gaps=(10.0, 100.0),
                                                     product_mix=(0.4, 0.6)))
@@ -191,9 +198,14 @@ class TestRevenueMoments:
 
 
 def _scenario(name):
-    from microruin.model import DurationModel, ProductParams, validate
-    cfg = make_config(alpha=4.0, c_min=0.001, c_max=1000.0)
-    if name == "noise":
+    cfg = make_config(alpha={"pathloss-3": 3.0, "pathloss-5": 5.0}.get(name, 4.0),
+                      c_min=0.001, c_max=1000.0)
+    if name == "clamps-0.1-100":
+        cfg = replace(cfg, financial=replace(cfg.financial, c_min=0.1, c_max=100.0))
+    elif name == "truncated-geometric":
+        cfg = replace(cfg, durations=DurationModel(kind="truncated-geometric", mean=2.0,
+                                                   tau_max=5))
+    elif name == "noise":
         cfg = replace(cfg, network=replace(cfg.network, sigma2_noise_power=0.01))
     elif name == "multi-slot":
         # an explicit PMF listed out of order, shortest duration above one slot
@@ -211,17 +223,28 @@ class TestClampAtoms:
                                                        (3.0, 0.1, 100.0, 100.0),
                                                        (5.0, 0.01, 10.0, 10.0)])
     def test_closed_form_interference_limited_single_slot(self, alpha, c_min, c_max, gap):
-        # sigma^2 = 0, one slot: averaging exp(-pi beta r^2 c) over the
-        # serving distance gives F(v) = 1 / (1 + c_profile(A kappa T rho / v))
+        # sigma^2 = 0, one slot: with s = pi beta r^2 ~ Exp(1),
+        # E_s[1 - e^(-s c)] = c / (1 + c) (the coverage law), so
+        # F(v) = 1 / (1 + c_profile(A kappa T rho / v)) and
+        # E[V^k] = (T rho)^k (c_min^k + k Int u^-(k+1) c / (1 + c) du)
         cfg = make_config(alpha=alpha, c_min=c_min, c_max=c_max, rate_gap=gap)
         mv = moments.revenue_moments(cfg)
 
-        def cdf(c):
-            return 1.0 / (1.0 + moments.laplace_exponent_profile(gap / c, alpha))
+        def coverage(u):
+            c = moments.laplace_exponent_profile(gap * u, alpha)
+            return c / (1.0 + c)
 
-        assert mv.atom_lo == pytest.approx(cdf(c_min), rel=1e-7)
-        assert mv.atom_hi == pytest.approx(1.0 - cdf(c_max), rel=1e-7)
+        assert mv.atom_lo == pytest.approx(1.0 - coverage(1.0 / c_min), rel=1e-9)
+        assert mv.atom_hi == pytest.approx(coverage(1.0 / c_max), rel=1e-9)
         assert mv.lower_exponent == pytest.approx(2.0 / alpha)
+        unit = cfg.slot_income_per_unit_scaling
+        for k in range(1, cfg.numerics.moment_order + 1):
+            # in x = log u: Int e^(-k x) coverage(e^x) dx
+            tail, _ = integrate.quad(lambda x: math.exp(-k * x) * coverage(math.exp(x)),
+                                     -math.log(c_max), -math.log(c_min),
+                                     epsabs=0.0, epsrel=1e-12, limit=400)
+            want = unit ** k * (c_min ** k + k * tail)
+            assert mv.raw[k - 1] == pytest.approx(want, rel=1e-9), k
 
     @pytest.mark.parametrize("name", ["reference", "noise", "multi-slot", "two-products"])
     def test_clamp_frequencies_of_monte_carlo_revenues(self, name, fast_plan):
@@ -240,3 +263,15 @@ class TestClampAtoms:
     def test_invalid_atoms_rejected(self):
         with pytest.raises(DomainError):
             moments.MomentVector(1, np.array([1.0, 2.0]), 2, atom_lo=0.7, atom_hi=0.4)
+
+
+@pytest.mark.parametrize("name", ["reference", "pathloss-3", "pathloss-5", "noise",
+                                  "truncated-geometric", "two-products", "clamps-0.1-100"])
+def test_revenue_moments_match_nested_quadrature(name):
+    # the tensor rule against the nested adaptive quadrature it replaced
+    cfg = _scenario(name)
+    got, want = moments.revenue_moments(cfg), oracles.revenue_moments(cfg)
+    tol = 10 * cfg.numerics.quad_rel_tol
+    np.testing.assert_allclose(got.raw, want.raw, rtol=tol, atol=0.0)
+    assert got.atom_lo == pytest.approx(want.atom_lo, rel=tol)
+    assert got.atom_hi == pytest.approx(want.atom_hi, rel=tol)

@@ -418,3 +418,22 @@ class TestPipeline:
         assert info["intervals"][1]["mean_revenue"] == pytest.approx(219.58, abs=0.05)
         defects = res.diagnostics["pmf_mass_defects"]
         assert max(defects) <= 1e-9
+
+
+def test_correlation_step_bit_identical_to_scipy_fft(table3_config, monkeypatch):
+    from tests.test_compound import scipy_fft
+    pmfs, _ = ruin.interval_net_pmfs(table3_config)
+    r = table3_config.financial.interest_rate_per_interval
+    stride = math.ceil((1.0 + r) ** len(pmfs))
+    us = np.array([100.0, 300.0])
+
+    def step():
+        grid = ruin._RecursionGrid(us, r, pmfs, pmfs[0].step / stride, len(pmfs), 1e-12)
+        corr = ruin._Correlation(grid, pmfs[0], stride)
+        return corr.n_fft, corr(np.ones_like(grid.points))
+
+    n_fft, got = step()
+    scipy_fft(monkeypatch)
+    n_fft_scipy, want = step()
+    assert n_fft == n_fft_scipy
+    assert np.array_equal(got, want)
