@@ -5,6 +5,8 @@ lattice compound distributions -> finite-horizon ruin recursion) with an
 integrated Monte Carlo simulator cross-validating every stage.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (
     AccuracyError,
     ConfigError,

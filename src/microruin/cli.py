@@ -25,14 +25,8 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from . import income_pdf, model, montecarlo, moments, ruin
+from . import __version__, income_pdf, model, montecarlo, moments, ruin
 from .errors import AccuracyError, ConfigError, DomainError, MicroruinError, ResourceLimitError
-
-try:
-    from importlib.metadata import version as _pkg_version
-    _VERSION = _pkg_version("microruin")
-except Exception:  # pragma: no cover - metadata unavailable in odd installs
-    _VERSION = "unknown"
 
 
 def _fmt(x) -> str:
@@ -48,7 +42,7 @@ class RunManifest:
     config_hash: str
     seed: int
     command: str
-    package_version: str = _VERSION
+    package_version: str = __version__
     started_utc: str = ""
     finished_utc: str = ""
     tolerances_achieved: dict = field(default_factory=dict)

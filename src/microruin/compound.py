@@ -7,24 +7,14 @@ of one user.  Because Z takes negative values, the classical nonnegative
 
     f = w * delta_0 + (1-w) * (h ** f)        (** = lattice convolution)
 
-is used instead.  Two independent routes are implemented:
-
-* ``compound_geometric_pmf`` -- the production route: the probability
-  generating function w / (1 - (1-w) H) evaluated on a real FFT window sized
-  to the mass.  The window edges come from Chernoff bounds
-  Pr(+-S >= x) <= e^(-theta x) M_S(+-theta), with the exact lattice MGF
-  M_S(theta) = w / (1 - (1-w) M_Z(theta)), so wrap-around moves at most
-  2 * ``tail_eps`` of mass.  The literal sum of geometric-weighted
-  convolution powers is the independent oracle and lives in the tests.
-
-* ``hurlimann_ls_solve`` -- the recurrence route: the identity above, taken
-  at every lattice point except the origin, is a homogeneous linear system
-  A f = 0 whose normalized solution is found as the smallest right singular
-  vector (min ||A f|| s.t. f'f = 1), then clipped/renormalized to a PMF.
-  ``variant="as-printed"`` instead builds an alternative statement of the
-  recurrence that circulates with an extra (n+1) factor and a
-  w/(1 - w h(0)) prefactor; it does not reproduce the compound distribution
-  and exists so the discrepancy is reported rather than silently corrected.
+is used instead.  ``compound_geometric_pmf`` evaluates its probability
+generating function w / (1 - (1-w) H) on a real FFT window sized to the
+mass.  The window edges come from Chernoff bounds
+Pr(+-S >= x) <= e^(-theta x) M_S(+-theta), with the exact lattice MGF
+M_S(theta) = w / (1 - (1-w) M_Z(theta)), so wrap-around moves at most
+2 * ``tail_eps`` of mass.  The literal sum of geometric-weighted convolution
+powers and the least-squares solve of the identity are the independent
+oracles and live in the tests.
 """
 
 from __future__ import annotations
@@ -46,8 +36,6 @@ __all__ = [
     "net_profit_step_pmf",
     "CompoundPMF",
     "compound_geometric_pmf",
-    "hurlimann_ls_solve",
-    "build_recurrence_matrix",
 ]
 
 logger = logging.getLogger(__name__)
@@ -311,80 +299,3 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12
         "mean_tolerance": tol,
     })
     return out
-
-
-def build_recurrence_matrix(step: LatticePMF, w_n: float, n_terms: int,
-                            variant: str = "corrected") -> tuple[np.ndarray, int]:
-    """Linear system A f = 0 for the compound PMF on the truncated support.
-
-    Returns (A, min_index) where columns of A correspond to lattice indices
-    min_index..min_index + n_cols - 1.  ``corrected`` encodes
-    f(m) (1 - (1-w) h(0)) = (1-w) sum_{j != 0} h(j) f(m-j) for every m != 0;
-    ``as-printed`` encodes the alternative coefficient pattern
-    f(m) = w/(1 - w h(0)) * m * sum_{j != 0} h(j) f(m-j).
-    """
-    if variant not in ("corrected", "as-printed"):
-        raise DomainError(f"unknown recurrence variant {variant!r}")
-    n_z = len(step.mass)
-    min_idx = min(step.min_index, 0) * n_terms
-    max_idx = max(step.max_index, 0) * n_terms
-    n_cols = max_idx - min_idx + 1
-    h0 = step.mass_at(0)
-    rows = []
-    for m in range(min_idx, max_idx + 1):
-        if m == 0:
-            continue
-        row = np.zeros(n_cols)
-        if variant == "corrected":
-            row[m - min_idx] = 1.0 - (1.0 - w_n) * h0
-            coef = 1.0 - w_n
-        else:
-            row[m - min_idx] = 1.0 - w_n * h0  # denominator cleared
-            coef = w_n * m
-        for j in step.indices():
-            if j == 0:
-                continue
-            col = m - j - min_idx
-            if 0 <= col < n_cols:
-                row[col] -= coef * step.mass_at(j)
-        rows.append(row)
-    return np.asarray(rows), min_idx
-
-
-def hurlimann_ls_solve(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
-                       variant: str = "corrected",
-                       residual_tol: float = 1e-6) -> LatticePMF:
-    """Compound PMF via the constrained least-squares recurrence solve.
-
-    min ||A f||_2 subject to f'f = 1 (smallest right singular vector); the
-    unit-norm constraint fixes scale only, so the solution is clipped to
-    nonnegative values and L1-normalized into a PMF.
-    """
-    if not (0.0 < w_n <= 1.0):
-        raise DomainError(f"geometric parameter must lie in (0, 1], got {w_n}")
-    if w_n == 1.0:
-        return LatticePMF(step=step.step, min_index=0, mass=np.array([1.0]))
-    n_terms = _geometric_truncation(w_n, tail_eps)
-    a_matrix, min_idx = build_recurrence_matrix(step, w_n, n_terms, variant)
-    _, svals, vt = np.linalg.svd(a_matrix, full_matrices=True)
-    f = vt[-1]
-    if f.sum() < 0:
-        f = -f
-    residual = float(np.linalg.norm(a_matrix @ f))
-    clipped = np.maximum(f, 0.0)
-    total = clipped.sum()
-    if total <= 0:
-        raise AccuracyError("least-squares recurrence produced no positive mass",
-                            {"residual": residual, "variant": variant})
-    result = LatticePMF(step=step.step, min_index=min_idx, mass=clipped / total)
-    if variant == "corrected" and residual > residual_tol * max(1.0, float(svals[0])):
-        raise AccuracyError(
-            "least-squares recurrence residual above tolerance",
-            {"residual": residual, "largest_singular_value": float(svals[0])},
-        )
-    if variant == "as-printed":
-        logger.warning(
-            "as-printed recurrence variant solved with residual %.3g; this "
-            "variant is reported for comparison and is expected to disagree "
-            "with the convolution route", residual)
-    return result

@@ -161,7 +161,6 @@ class ExpandedDensity:
     poly: np.ndarray
     sanitized: bool
     sanitized_mass: float
-    raw_poly: np.ndarray
     # sign segments of the (possibly clipped) polynomial on [-1, 1]
     seg_edges: np.ndarray
     seg_keep: np.ndarray
@@ -283,7 +282,7 @@ def expand_density(moments: MomentVector, v_lo: float, v_hi: float,
     edges = np.array([-1.0, 1.0])
     return ExpandedDensity(
         support=(v_lo, v_hi), order=order, coeffs=coeffs, jacobi_params=(a, b),
-        poly=poly, sanitized=False, sanitized_mass=0.0, raw_poly=poly.copy(),
+        poly=poly, sanitized=False, sanitized_mass=0.0,
         seg_edges=edges, seg_keep=np.array([True]), seg_cdf=np.array([0.0]), norm=1.0,
         atoms=atoms,
     )
@@ -327,7 +326,7 @@ def sanitize(raw: ExpandedDensity, warn_mass: float = 0.02,
     return ExpandedDensity(
         support=raw.support, order=raw.order, coeffs=raw.coeffs,
         jacobi_params=raw.jacobi_params, poly=poly, sanitized=True,
-        sanitized_mass=negative_mass, raw_poly=raw.raw_poly,
+        sanitized_mass=negative_mass,
         seg_edges=edges, seg_keep=keep, seg_cdf=kept_cum, norm=positive_mass,
         atoms=raw.atoms,
     )

@@ -1,4 +1,4 @@
-"""Scenario configuration and the elementary network-layer formulas.
+"""Scenario configuration: parameter blocks, JSON round trip and validation.
 
 The scenario config is a single JSON document shared by the analytic and
 Monte Carlo paths so both always see identical parameters.  Field names carry
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from hashlib import sha256
 
 import numpy as np
@@ -32,11 +32,6 @@ __all__ = [
     "validate",
     "default_config",
     "load_config",
-    "nearest_distance_pdf",
-    "nearest_distance_cdf",
-    "scaling_factor",
-    "sinr",
-    "achievable_rate",
 ]
 
 CONFIG_ENV_VAR = "MICRORUIN_CONFIG"
@@ -82,15 +77,6 @@ class FinancialParams:
     initial_capital: float = 100.0
     w_n_geometric: float = 0.2
     horizon_intervals: int = 5
-
-    @property
-    def slot_income_unit(self) -> float:
-        """Income per slot at unit scaling factor; multiplied by T elsewhere."""
-        return self.premium_rate_per_slot
-
-    @property
-    def mean_users_per_interval(self) -> float:
-        return (1.0 - self.w_n_geometric) / self.w_n_geometric
 
     @property
     def mean_fee(self) -> float:
@@ -218,7 +204,6 @@ class Numerics:
     moment_order: int = 4
     lattice_step: float | None = None          # default (v_hi + max fee) / 2048
     lattice_points_budget: int = 1_000_000
-    u_grid_step: float | None = None           # default lattice_step / ceil((1+r)^L)
     # max-norm interpolation diagnostic; conservative at genuine jumps of the
     # survival function, so the default only catches gross misconfiguration
     ruin_interp_tol: float = 0.5
@@ -230,8 +215,6 @@ class Numerics:
     mc_paths: int = 20_000
     mc_batch: int = 65_536
     ppp_radius_factor: float = 8.0
-    frozen_interferers: bool = False
-    antithetic: bool = False
     truncate_durations_to_interval: bool = False
     seed: int = 20260808
 
@@ -292,7 +275,6 @@ class ScenarioConfig:
                 "moment_order": num.moment_order,
                 "lattice_step": num.lattice_step,
                 "lattice_points_budget": num.lattice_points_budget,
-                "u_grid_step": num.u_grid_step,
                 "ruin_interp_tol": num.ruin_interp_tol,
                 "ruin_tail_eps": num.ruin_tail_eps,
                 "tail_eps": num.tail_eps,
@@ -302,8 +284,6 @@ class ScenarioConfig:
                 "mc_paths": num.mc_paths,
                 "mc_batch": num.mc_batch,
                 "ppp_radius_factor": num.ppp_radius_factor,
-                "frozen_interferers": num.frozen_interferers,
-                "antithetic": num.antithetic,
                 "truncate_durations_to_interval": num.truncate_durations_to_interval,
                 "seed": num.seed,
             },
@@ -322,30 +302,68 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """Build a config from its JSON document; fields left out keep their defaults.
+
+        Raises ConfigError naming the field path of every unknown section or
+        field and every operator key that is not an integer.
+        """
         cfg = cls()
-        net = data.get("network", {})
-        fin = dict(data.get("financial", {}))
-        prod = data.get("products", {})
+        errors = [(name, "unknown section") for name in sorted(set(data) - set(_SECTIONS))]
+        net, fin, prod, num = (_known_fields(errors, name, data.get(name, {}), name)
+                               for name in ("network", "financial", "products", "numerics"))
+        for name in ("operator_fees", "operator_mix"):
+            if name in fin:
+                fin[name] = _operator_map(errors, f"financial.{name}", fin[name])
         dur = data.get("durations")
-        num = data.get("numerics", {})
-        if "operator_fees" in fin:
-            fin["operator_fees"] = {int(k): float(v) for k, v in fin["operator_fees"].items()}
-        if "operator_mix" in fin:
-            fin["operator_mix"] = {int(k): float(v) for k, v in fin["operator_mix"].items()}
+        durations = (_duration_from_dict(errors, "durations", dur) if dur is not None
+                     else cfg.durations)
+        if errors:
+            raise ConfigError(errors)
         network = replace(cfg.network, **net)
         financial = replace(cfg.financial, **fin)
+        product_mix = prod.get("product_mix", cfg.products.product_mix)
         if "rates_bps" in prod:
-            products = ProductParams.from_rates(prod["rates_bps"], prod["product_mix"],
+            products = ProductParams.from_rates(prod["rates_bps"], product_mix,
                                                 network.bandwidth_hz)
-        elif prod:
-            products = ProductParams(rate_gaps=tuple(prod["rate_gaps"]),
-                                     product_mix=tuple(prod["product_mix"]))
         else:
-            products = cfg.products
-        durations = _duration_from_dict(dur) if dur is not None else cfg.durations
+            products = ProductParams(
+                rate_gaps=tuple(prod.get("rate_gaps", cfg.products.rate_gaps)),
+                product_mix=tuple(product_mix))
         numerics = replace(cfg.numerics, **num)
         return cls(network=network, financial=financial, products=products,
                    durations=durations, numerics=numerics)
+
+
+# the fields each config section accepts
+_SECTIONS = {
+    "network": {f.name for f in fields(NetworkParams)},
+    "financial": {f.name for f in fields(FinancialParams)},
+    "products": {"rate_gaps", "product_mix", "rates_bps"},
+    "durations": {f.name for f in fields(DurationModel)},
+    "numerics": {f.name for f in fields(Numerics)},
+}
+
+
+def _known_fields(errors, path: str, block, section: str) -> dict:
+    """The fields of ``block`` that ``section`` accepts; every other key (and
+    a block that is not a JSON object) is an error at its path."""
+    if not isinstance(block, dict):
+        errors.append((path, "must be a JSON object"))
+        return {}
+    errors += [(f"{path}.{key}", "unknown field")
+               for key in sorted(set(block) - _SECTIONS[section])]
+    return {key: value for key, value in block.items() if key in _SECTIONS[section]}
+
+
+def _operator_map(errors, path: str, mapping: dict) -> dict:
+    """Integer operator keys; numeric values as floats (``validate`` reports others)."""
+    out = {}
+    for key, value in mapping.items():
+        if str(key).lstrip("-").isdigit():
+            out[int(key)] = float(value) if isinstance(value, (int, float)) else value
+        else:
+            errors.append((f"{path}.{key}", "operator key must be an integer"))
+    return out
 
 
 def _duration_to_dict(dur: DurationModel) -> dict:
@@ -365,11 +383,17 @@ def _duration_to_dict(dur: DurationModel) -> dict:
     return out
 
 
-def _duration_from_dict(data: dict) -> DurationModel:
-    override = {
-        int(i): _duration_from_dict(m)
-        for i, m in data.get("per_interval_override", {}).items()
-    }
+def _duration_from_dict(errors, path: str, data) -> DurationModel:
+    data = _known_fields(errors, path, data, "durations")
+    override = {}
+    for i, model in data.get("per_interval_override", {}).items():
+        where = f"{path}.per_interval_override.{i}"
+        try:
+            index = int(i)
+        except (TypeError, ValueError):
+            errors.append((where, "interval key must be an integer"))
+            continue
+        override[index] = _duration_from_dict(errors, where, model)
     kind = data.get("kind", "truncated-geometric")
     return DurationModel(
         kind=kind,
@@ -396,10 +420,9 @@ def _check_pmf(errors, path, probs):
 
 def _check_numeric_fields(errors, config):
     """Reject non-numeric values before invariant checks (clear field paths)."""
-    import dataclasses
     for section in ("network", "financial", "products", "numerics"):
         block = getattr(config, section)
-        for f in dataclasses.fields(block):
+        for f in fields(block):
             value = getattr(block, f.name)
             if isinstance(value, (dict, tuple, list)):
                 if f.name in ("operator_fees", "operator_mix"):
@@ -492,8 +515,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append(("numerics.moment_order", "moment order d must be >= 2"))
     if num.lattice_step is not None and not num.lattice_step > 0:
         errors.append(("numerics.lattice_step", "lattice step must be positive"))
-    if num.u_grid_step is not None and not num.u_grid_step > 0:
-        errors.append(("numerics.u_grid_step", "u-grid step must be positive"))
     if not (0 < num.tail_eps < 1):
         errors.append(("numerics.tail_eps", "tail_eps must lie in (0, 1)"))
     if num.mc_samples < 1 or num.mc_paths < 1:
@@ -520,72 +541,3 @@ def load_config(path=None) -> ScenarioConfig:
         return default_config()
     with open(path) as fh:
         return ScenarioConfig.from_dict(json.load(fh))
-
-
-# ----------------------------------------------------------------------
-# Elementary formulas
-# ----------------------------------------------------------------------
-
-def nearest_distance_pdf(z, beta: float):
-    """Density of the serving-cell distance: f(z) = 2 pi beta z exp(-beta pi z^2).
-
-    (The nearest-neighbor distance of a homogeneous planar PPP; its CDF is
-    1 - exp(-beta pi z^2).)
-    """
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    z = np.asarray(z, dtype=float)
-    if (z < 0).any():
-        raise DomainError("distance must be nonnegative")
-    out = 2.0 * math.pi * beta * z * np.exp(-beta * math.pi * z * z)
-    return float(out) if out.ndim == 0 else out
-
-
-def nearest_distance_cdf(z, beta: float):
-    """Pr(Z <= z) = 1 - exp(-beta pi z^2)."""
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    z = np.asarray(z, dtype=float)
-    if (z < 0).any():
-        raise DomainError("distance must be nonnegative")
-    out = -np.expm1(-beta * math.pi * z * z)
-    return float(out) if out.ndim == 0 else out
-
-
-def scaling_factor(gamma, rate_gap: float, c_min: float, c_max: float):
-    """QoS scaling factor c = clamp(rate_gap / gamma, c_min, c_max).
-
-    gamma = 0 returns c_max (the limit); negative gamma is a domain error.
-    """
-    if not (0 < c_min <= c_max):
-        raise DomainError(f"need 0 < c_min <= c_max, got {c_min}, {c_max}")
-    gamma_arr = np.asarray(gamma, dtype=float)
-    if (gamma_arr < 0).any():
-        raise DomainError("SINR must be nonnegative")
-    with np.errstate(divide="ignore"):
-        raw = np.where(gamma_arr > 0, rate_gap / np.where(gamma_arr > 0, gamma_arr, 1.0), np.inf)
-    out = np.clip(raw, c_min, c_max)
-    return float(out) if out.ndim == 0 else out
-
-
-def sinr(h2, r_u, p0: float, alpha: float, sigma2: float, interference):
-    """Instantaneous SINR h^2 r^-alpha P0 / (sigma^2 + I)."""
-    h2 = np.asarray(h2, dtype=float)
-    r_u = np.asarray(r_u, dtype=float)
-    interference = np.asarray(interference, dtype=float)
-    if (h2 < 0).any() or (r_u <= 0).any() or sigma2 < 0 or (interference < 0).any():
-        raise DomainError("sinr inputs must be nonnegative (distance positive)")
-    denom = sigma2 + interference
-    if (denom <= 0).any():
-        raise DomainError("sigma^2 + interference must be positive")
-    out = h2 * r_u ** (-alpha) * p0 / denom
-    return float(out) if out.ndim == 0 else out
-
-
-def achievable_rate(gamma, bandwidth: float):
-    """Per-slot achievable rate B log2(1 + gamma)."""
-    gamma_arr = np.asarray(gamma, dtype=float)
-    if (gamma_arr < 0).any():
-        raise DomainError("SINR must be nonnegative")
-    out = bandwidth * np.log2(1.0 + gamma_arr)
-    return float(out) if out.ndim == 0 else out

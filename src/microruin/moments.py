@@ -3,15 +3,12 @@
 The revenue of one connection is sum_l c_l * T * rho over tau slots, where
 c_l clamps the ratio ``A I_l / H_l`` (interference times rate gap over fading)
 to [c_min, c_max].  Conditional on the serving distance r and the product's
-rate gap, the slot income has Laplace transform
+rate gap, the single-slot raw moments are
 
-    E(t) = exp(-t T rho c_max)
-           + t T rho * Int_{1/c_max}^{1/c_min} u^-2 exp(-t T rho / u) Phi(u) du,
+    m_s = (T rho)^s (c_min^s + s * Int_{1/c_max}^{1/c_min} u^-(s+1) (1 - Phi(u)) du)
 
-with Phi(u) = exp(-A sigma^2 u) * E_I[exp(-A I u)], so its derivatives at 0
-give the single-slot raw moments
-
-    m_s = (T rho)^s (c_min^s + s * Int u^-(s+1) (1 - Phi(u)) du).
+with Phi(u) = exp(-A sigma^2 u) * E_I[exp(-A I u)]: the derivatives at 0 of
+the slot income's Laplace transform, in a cancellation-free form.
 
 The interference factor follows from the probability generating functional
 of the interferer point process and has the closed form
@@ -57,15 +54,11 @@ import numpy as np
 
 from . import specfun
 from .errors import AccuracyError, DomainError
-from .model import NetworkParams, FinancialParams, ScenarioConfig
+from .model import FinancialParams, ScenarioConfig
 
 __all__ = [
-    "ConditionalContext",
     "MomentVector",
     "laplace_exponent_profile",
-    "e_derivatives_at_zero",
-    "single_slot_moments",
-    "duration_sum_moments",
     "revenue_moments",
 ]
 
@@ -73,23 +66,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # log-u panels of the first level; every level doubles the u and distance panels
 _START_U_PANELS = 2
 _MAX_LEVEL = 4  # panel budget: every panel of level 0 split into 16
-
-
-@dataclass(frozen=True)
-class ConditionalContext:
-    """Distance/product conditioning for the slot-income transform.
-
-    a_coef is A = P_I * rate_gap / (P0 * r^-alpha); tau the connection length.
-    """
-
-    a_coef: float
-    tau: int
-
-    def __post_init__(self):
-        if not self.a_coef > 0:
-            raise DomainError(f"conditioning coefficient must be positive, got {self.a_coef}")
-        if self.tau < 1:
-            raise DomainError(f"duration must be >= 1 slot, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -128,9 +104,6 @@ class MomentVector:
                 "moment vector violates E[V^2] >= E[V]^2",
                 {"EV": raw[0], "EV2": raw[1]},
             )
-
-    def moment(self, s: int) -> float:
-        return float(self.raw[s - 1])
 
     def check_envelope(self, v_lo: float, v_hi: float, rtol: float = 1e-6):
         s = np.arange(1, self.order + 1)
@@ -242,45 +215,6 @@ def _until_converged(estimate, rel_tol: float, budget: str) -> np.ndarray:
                         f"its panel budget ({budget})", {"last": prev.tolist()})
 
 
-def single_slot_moments(s_max: int, a_coef: float, r_u: float, fin: FinancialParams,
-                        net: NetworkParams, rel_tol: float = 1e-8,
-                        options: specfun.FnEvalOptions = specfun.DEFAULT_OPTIONS) -> np.ndarray:
-    """Raw moments E[(c T rho)^s], s = 1..s_max, of the income of one slot.
-
-    The one-row case of the tensor rule: the distance r_u is fixed.
-    """
-    unit = net.slot_duration_s * fin.premium_rate_per_slot
-    if fin.c_min == fin.c_max:
-        return (fin.c_min * unit) ** np.arange(1.0, s_max + 1.0)
-    grid = _LogUGrid(a_coef * r_u ** (-net.alpha_pathloss), net.alpha_pathloss, fin, s_max,
-                     options)
-    pi_beta_r2 = np.array([math.pi * net.beta_cells_per_area * r_u * r_u])
-    a_sigma2 = np.array([a_coef * net.sigma2_noise_power])
-    u_panels = _START_U_PANELS
-    return _until_converged(
-        lambda level: _slot_moments(pi_beta_r2, a_sigma2, grid, u_panels << level, fin,
-                                    unit)[0],
-        rel_tol, f"{u_panels << _MAX_LEVEL} u panels")
-
-
-def e_derivatives_at_zero(s_max: int, a_coef: float, fin: FinancialParams,
-                          net: NetworkParams, r_u: float, rel_tol: float = 1e-8) -> np.ndarray:
-    """Derivatives E^(s)(0), s = 0..s_max, of the conditional slot-income transform.
-
-    E^(0)(0) = 1 and E^(s)(0) = (-1)^s m_s with m_s the single-slot raw
-    moments.  The distance r_u pins the interference geometry; together with
-    a_coef it fixes the conditioning (A, r).  Evaluated in the cancellation-free
-    form m_s = (T rho)^s (c_min^s + s * Int u^-(s+1) (1 - Phi(u)) du).
-    """
-    if s_max < 1:
-        raise DomainError(f"need s_max >= 1, got {s_max}")
-    m = single_slot_moments(s_max, a_coef, r_u, fin, net, rel_tol)
-    out = np.empty(s_max + 1)
-    out[0] = 1.0
-    out[1:] = (-1.0) ** np.arange(1, s_max + 1) * m
-    return out
-
-
 # ----------------------------------------------------------------------
 # Duration composition and the distance expectation
 # ----------------------------------------------------------------------
@@ -313,16 +247,6 @@ def _duration_mixture_moments(single_slot: np.ndarray, taus, probs) -> np.ndarra
             t += 1
         out += p * acc[..., 1:]
     return out
-
-
-def duration_sum_moments(single_slot: np.ndarray, tau: int) -> np.ndarray:
-    """Raw moments (s = 1..d) of the sum of tau i.i.d. slot incomes.
-
-    Order 1 returns tau * m_1; order 2 returns tau m_2 + tau (tau-1) m_1^2.
-    """
-    if tau < 1:
-        raise DomainError(f"duration must be >= 1, got {tau}")
-    return _duration_mixture_moments(single_slot, [int(tau)], [1.0])
 
 
 def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVector:

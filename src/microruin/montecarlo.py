@@ -1,8 +1,8 @@
 """Independent simulation oracle for the analytic pipeline.
 
-Every quantity the analytic path produces (slot scaling factors, connection
-revenue, per-interval net profit, surplus paths, ruin frequencies) is sampled
-here directly from the network model: serving distance from the nearest-cell
+Every quantity the analytic path produces (connection revenue, its moments,
+per-interval net profit, surplus paths, ruin frequencies) is sampled here
+directly from the network model: serving distance from the nearest-cell
 density, per-slot unit-mean exponential fading, and an interferer point
 process of the configured density simulated on the annulus between the
 serving distance and a truncation radius ``factor / sqrt(beta)``.  The mean
@@ -16,11 +16,9 @@ batches may run in any order, and sweeps over the initial capital reuse
 common random numbers (the surplus paths do not depend on u at all).  The
 batches run on one thread per CPU in the process's affinity mask; the
 results do not depend on the thread count.  Within a batch the interferer
-points are streamed through fixed-size chunks.
-
-By default the interferer configuration is redrawn every slot, matching the
-per-slot independence the analytic transform assumes; ``frozen_interferers``
-keeps positions fixed over a connection and redraws only the fading marks.
+points are streamed through fixed-size chunks.  The interferer
+configuration is redrawn every slot, matching the per-slot independence the
+analytic transform assumes.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "SimulationPlan",
     "plan_from_config",
     "sample_revenues",
-    "sample_slot_scaling",
     "estimate_moments",
     "simulate_surplus_paths",
     "MCRuinEstimate",
@@ -62,8 +59,6 @@ class SimulationPlan:
     n_users: int = 1_000_000
     n_paths: int = 20_000
     ppp_radius_factor: float = 8.0
-    antithetic: bool = False
-    frozen_interferers: bool = False
     batch_size: int = 65_536
 
 
@@ -74,8 +69,6 @@ def plan_from_config(config: ScenarioConfig) -> SimulationPlan:
         n_users=num.mc_samples,
         n_paths=num.mc_paths,
         ppp_radius_factor=num.ppp_radius_factor,
-        antithetic=num.antithetic,
-        frozen_interferers=num.frozen_interferers,
         batch_size=num.mc_batch,
     )
 
@@ -100,20 +93,11 @@ def _stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _inverse_pmf_sample(rng, values, probs, size, antithetic=False):
-    u = _uniforms(rng, size, antithetic)
+def _inverse_pmf_sample(rng, values, probs, size):
     edges = np.cumsum(probs)
     edges[-1] = 1.0
-    idx = np.searchsorted(edges, u, side="right")
+    idx = np.searchsorted(edges, rng.random(size), side="right")
     return np.asarray(values)[idx]
-
-
-def _uniforms(rng, size, antithetic=False):
-    if not antithetic:
-        return rng.random(size)
-    half = (size + 1) // 2
-    u = rng.random(half)
-    return np.concatenate((u, 1.0 - u))[:size]
 
 
 def _far_field_mean(net, radius: float) -> float:
@@ -205,10 +189,9 @@ def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, rng, n: int,
     radius = plan.ppp_radius_factor / math.sqrt(beta)
     mu_far = _far_field_mean(net, radius)
 
-    u_dist = _uniforms(rng, n, plan.antithetic)
-    r_u = np.sqrt(-np.log1p(-u_dist) / (math.pi * beta))
+    r_u = np.sqrt(-np.log1p(-rng.random(n)) / (math.pi * beta))
     values, probs = duration_model.pmf()
-    taus = _inverse_pmf_sample(rng, values, probs, n, plan.antithetic)
+    taus = _inverse_pmf_sample(rng, values, probs, n)
     if config.products.q_count > 1:
         gaps = _inverse_pmf_sample(rng, config.products.rate_gaps,
                                    config.products.product_mix, n)
@@ -221,29 +204,11 @@ def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, rng, n: int,
     gap_slot = gaps[user_of_slot]
     h = rng.exponential(1.0, size=total_slots)
 
-    span_user = np.maximum(radius * radius - r_u * r_u, 0.0)
-    lam_user = beta * math.pi * span_user
-    if plan.frozen_interferers:
-        # positions drawn once per connection and replayed in each of its
-        # slots; the marks follow the positions in rng
-        m_user = rng.poisson(lam_user)
-        u_pos = rng.random(int(m_user.sum()))
-        x_sq_user = np.repeat(r_u * r_u, m_user) + np.repeat(span_user, m_user) * u_pos
-        m_slot = m_user[user_of_slot]
-        # index into x_sq_user = slot base + index of the point in the stream
-        base = (np.cumsum(m_user) - m_user)[user_of_slot] - (np.cumsum(m_slot) - m_slot)
-
-        def fill_x(x, a, s0, s1, counts):
-            idx = np.repeat(base[s0:s1], counts)
-            idx += np.arange(a, a + len(x))
-            np.take(x_sq_user, idx, out=x)
-
-        i_in = _interference_sums(m_slot, -alpha / 2.0, fill_x, rng)
-    else:
-        m_slot = rng.poisson(lam_user[user_of_slot])
-        r2_slot = r_slot * r_slot
-        i_in = _uniform_field_sums(rng, m_slot, r2_slot,
-                                   np.maximum(radius * radius - r2_slot, 0.0), -alpha / 2.0)
+    lam_user = beta * math.pi * np.maximum(radius * radius - r_u * r_u, 0.0)
+    m_slot = rng.poisson(lam_user[user_of_slot])
+    r2_slot = r_slot * r_slot
+    i_in = _uniform_field_sums(rng, m_slot, r2_slot,
+                               np.maximum(radius * radius - r2_slot, 0.0), -alpha / 2.0)
     interference = net.p_i_interferer_power * i_in + mu_far
 
     with np.errstate(divide="ignore"):
@@ -304,34 +269,6 @@ def sample_revenues(config: ScenarioConfig, plan: SimulationPlan, n: int,
     jobs = [((stream_tag, interval_index, b), size, duration_model)
             for b, size in enumerate(_batch_sizes(n, plan.batch_size))]
     return np.concatenate(_revenue_batches(config, plan, jobs))
-
-
-def sample_slot_scaling(config: ScenarioConfig, plan: SimulationPlan, r_u: float,
-                        n: int, rate_gap: float | None = None,
-                        stream_tag: str = "slot") -> np.ndarray:
-    """Per-slot scaling factors at a fixed serving distance (moment oracle)."""
-    net, fin = config.network, config.financial
-    alpha = net.alpha_pathloss
-    beta = net.beta_cells_per_area
-    gap = config.products.rate_gaps[0] if rate_gap is None else rate_gap
-    radius = plan.ppp_radius_factor / math.sqrt(beta)
-    mu_far = _far_field_mean(net, radius)
-    lam = beta * math.pi * max(radius * radius - r_u * r_u, 0.0)
-
-    def run(job):
-        batch_idx, size = job
-        rng = _stream(plan.seed, stream_tag, batch_idx)
-        h = rng.exponential(1.0, size=size)
-        m = rng.poisson(lam, size=size)
-        i_in = _uniform_field_sums(rng, m, np.full(size, r_u * r_u),
-                                   np.full(size, radius * radius - r_u * r_u), -alpha / 2.0)
-        interference = net.p_i_interferer_power * i_in + mu_far
-        with np.errstate(divide="ignore"):
-            gamma = h * r_u ** (-alpha) * net.p0_serving_power / (
-                net.sigma2_noise_power + interference)
-            return np.clip(gap / gamma, fin.c_min, fin.c_max)
-
-    return np.concatenate(_pool_map(run, list(enumerate(_batch_sizes(n, plan.batch_size)))))
 
 
 def estimate_moments(config: ScenarioConfig, plan: SimulationPlan,

@@ -37,7 +37,6 @@ import numpy as np
 
 from . import _kernels, income_pdf, specfun
 from .compound import (
-    LatticePMF,
     _golden_min,
     compound_geometric_pmf,
     discretize_income,
@@ -49,24 +48,11 @@ from .moments import revenue_moments
 
 __all__ = [
     "RuinResult",
-    "expected_surplus",
     "initial_capital_bound",
-    "survival_base",
     "survival_recursion",
     "interval_net_pmfs",
     "run_pipeline",
 ]
-
-
-def expected_surplus(u: float, r: float, l: int, e_n: float, e_v: float, e_c: float) -> float:
-    """Expected surplus after l intervals: u(1+r)^l + drift-compounded profits."""
-    if l < 0:
-        raise DomainError(f"horizon must be >= 0, got {l}")
-    drift = e_n * (e_v - e_c)
-    if r == 0.0:
-        return u + l * drift
-    growth = (1.0 + r) ** l
-    return u * growth + drift * (growth - 1.0) / r
 
 
 def initial_capital_bound(r: float, n: int, e_n: float, e_v: float, e_c: float) -> float:
@@ -84,15 +70,6 @@ def initial_capital_bound(r: float, n: int, e_n: float, e_v: float, e_c: float) 
     return gap * (growth - 1.0) / (r * growth)
 
 
-def survival_base(u: float, r: float, g1: LatticePMF) -> float:
-    """phi_1(u) = Pr(S_net(1) >= -u(1+r)).
-
-    The atom exactly at -u(1+r) survives (ruin is a strictly negative
-    surplus), so the strict lattice CDF is subtracted.
-    """
-    return 1.0 - g1.cdf_below(-u * (1.0 + r))
-
-
 @dataclass(frozen=True)
 class RuinResult:
     """Ruin/survival probabilities per horizon on the requested capitals."""
@@ -103,10 +80,6 @@ class RuinResult:
     u_grid: tuple              # (lo, step, n_points)
     grid_step: float
     diagnostics: dict
-
-    def psi_at(self, horizon: int, u: float) -> float:
-        j = int(np.argmin(np.abs(self.u_values - u)))
-        return float(self.psi[horizon - 1, j])
 
 
 def _check_monotone_fix(phi: np.ndarray) -> np.ndarray:
@@ -435,9 +408,7 @@ def run_pipeline(config: ScenarioConfig, u_values=None):
     if u_values is None:
         u_values = np.array([fin.initial_capital], dtype=float)
     pmfs, info = interval_net_pmfs(config)
-    grid_step = num.u_grid_step
     result = survival_recursion(u_values, fin.interest_rate_per_interval, pmfs,
-                                grid_step=grid_step, interp_tol=num.ruin_interp_tol,
-                                tail_eps=num.tail_eps)
+                                interp_tol=num.ruin_interp_tol, tail_eps=num.tail_eps)
     info["ruin_diagnostics"] = result.diagnostics
     return result, info

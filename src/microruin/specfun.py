@@ -1,12 +1,11 @@
 """Scalar special functions backing the revenue-moment integrals.
 
-Implements the lower incomplete gamma function, the regularized incomplete
-beta function, the Gauss hypergeometric function on [0, 1), monomial
-coefficients of Jacobi polynomials, the (log-)gamma / beta pair, and the
-5-smooth FFT length search.  Everything here is pure, deterministic, and
-tolerance-driven so the downstream quadratures are reproducible; each routine
-is cross-checked in the test suite against an independent quadrature or
-series oracle.
+Implements the regularized incomplete beta function, the Gauss
+hypergeometric function on [0, 1), monomial coefficients of Jacobi
+polynomials, the (log-)gamma / beta pair, and the 5-smooth FFT length
+search.  Everything here is pure, deterministic, and tolerance-driven so the
+downstream quadratures are reproducible; each routine is cross-checked in
+the test suite against an independent quadrature or series oracle.
 
 The hypergeometric evaluation strategy is argument-dependent:
 
@@ -32,7 +31,6 @@ from .errors import AccuracyError, DomainError
 __all__ = [
     "FnEvalOptions",
     "DEFAULT_OPTIONS",
-    "lower_incomplete_gamma",
     "betainc",
     "gauss_2f1",
     "jacobi_poly_coeffs",
@@ -78,63 +76,6 @@ def log_gamma(x: float) -> float:
 def beta(x: float, y: float) -> float:
     """Euler beta B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
     return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
-
-
-def lower_incomplete_gamma(s: float, x: float, options: FnEvalOptions = DEFAULT_OPTIONS) -> float:
-    """Unregularized lower incomplete gamma gamma(s, x) = int_0^x t^(s-1) e^-t dt.
-
-    Uses the ascending series for x < s + 1 and the Lentz continued fraction
-    for the upper tail otherwise.
-    """
-    _require_finite("s", s)
-    _require_finite("x", x)
-    if s <= 0.0:
-        raise DomainError(f"lower_incomplete_gamma requires s > 0, got s={s}")
-    if x < 0.0:
-        raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-
-    log_prefactor = s * math.log(x) - x
-    if x < s + 1.0:
-        # gamma(s,x) = x^s e^-x sum_n x^n / (s (s+1) ... (s+n))
-        term = 1.0 / s
-        total = term
-        for n in range(1, options.max_terms):
-            term *= x / (s + n)
-            total += term
-            if abs(term) <= options.rel_tol * abs(total):
-                return math.exp(log_prefactor) * total
-        raise AccuracyError(
-            "incomplete-gamma series did not converge",
-            {"s": s, "x": x, "partial_sum": math.exp(log_prefactor) * total},
-        )
-
-    # Upper incomplete Gamma(s,x) via modified Lentz; gamma = Gamma(s) - Gamma(s,x).
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, options.max_terms):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= options.rel_tol:
-            upper = math.exp(log_prefactor) * h
-            return math.gamma(s) - upper
-    raise AccuracyError(
-        "incomplete-gamma continued fraction did not converge",
-        {"s": s, "x": x, "partial_sum": math.gamma(s) - math.exp(log_prefactor) * h},
-    )
 
 
 def betainc(a: float, b: float, t, options: FnEvalOptions = DEFAULT_OPTIONS):

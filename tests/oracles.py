@@ -1,26 +1,112 @@
 """Independent reference implementations that the production code is checked against.
 
-Nothing under ``src/`` imports this module.  It holds the nested-quadrature
-revenue moments and clamp atoms (adaptive Gauss-Kronrod over the serving
-distance via ``scipy.integrate.quad``, a per-distance doubling rule in the
-transform variable u) and the interference Laplace transform with its direct
-2-D quadrature.  Production evaluates the same quantities on one vectorised
-(distance x u) tensor rule in :mod:`microruin.moments`.
+Nothing under ``src/`` imports this module.  It holds the nearest-cell
+distance density, the lower incomplete gamma function, the interference
+Laplace transform with its direct 2-D quadrature, and the fixed-distance
+slot pair: the single-slot moments at one serving distance (the one-row
+case of the production tensor rule) and the scaling factors sampled there,
+both built from private helpers of :mod:`microruin.moments` and
+:mod:`microruin.montecarlo`.  It also holds the nested-quadrature revenue
+moments and clamp atoms (``scipy.integrate.quad`` over the serving distance,
+a doubling rule in the transform variable u) and the compound-geometric
+identity solved as a homogeneous least-squares recurrence, with an
+as-printed statement that does not reproduce the compound distribution.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 from scipy import integrate
 
-from microruin import specfun
+from microruin import moments, montecarlo, specfun
+from microruin.compound import LatticePMF, _geometric_truncation
 from microruin.errors import AccuracyError, DomainError
-from microruin.model import NetworkParams, ScenarioConfig, nearest_distance_pdf
+from microruin.model import FinancialParams, NetworkParams, ScenarioConfig
 from microruin.moments import MomentVector, laplace_exponent_profile
 
+logger = logging.getLogger(__name__)
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+# ----------------------------------------------------------------------
+# Distance law and the incomplete gamma function
+# ----------------------------------------------------------------------
+
+def nearest_distance_pdf(z, beta: float):
+    """Density of the serving-cell distance: f(z) = 2 pi beta z exp(-beta pi z^2).
+
+    (The nearest-neighbor distance of a homogeneous planar PPP; its CDF is
+    1 - exp(-beta pi z^2).)
+    """
+    if not beta > 0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    z = np.asarray(z, dtype=float)
+    if (z < 0).any():
+        raise DomainError("distance must be nonnegative")
+    out = 2.0 * math.pi * beta * z * np.exp(-beta * math.pi * z * z)
+    return float(out) if out.ndim == 0 else out
+
+
+def lower_incomplete_gamma(s: float, x: float,
+                           options: specfun.FnEvalOptions = specfun.DEFAULT_OPTIONS) -> float:
+    """Unregularized lower incomplete gamma gamma(s, x) = int_0^x t^(s-1) e^-t dt.
+
+    Uses the ascending series for x < s + 1 and the Lentz continued fraction
+    for the upper tail otherwise.
+    """
+    specfun._require_finite("s", s)
+    specfun._require_finite("x", x)
+    if s <= 0.0:
+        raise DomainError(f"lower_incomplete_gamma requires s > 0, got s={s}")
+    if x < 0.0:
+        raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
+    if x == 0.0:
+        return 0.0
+
+    log_prefactor = s * math.log(x) - x
+    if x < s + 1.0:
+        # gamma(s,x) = x^s e^-x sum_n x^n / (s (s+1) ... (s+n))
+        term = 1.0 / s
+        total = term
+        for n in range(1, options.max_terms):
+            term *= x / (s + n)
+            total += term
+            if abs(term) <= options.rel_tol * abs(total):
+                return math.exp(log_prefactor) * total
+        raise AccuracyError(
+            "incomplete-gamma series did not converge",
+            {"s": s, "x": x, "partial_sum": math.exp(log_prefactor) * total},
+        )
+
+    # Upper incomplete Gamma(s,x) via modified Lentz; gamma = Gamma(s) - Gamma(s,x).
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = 1.0 / tiny
+    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    h = d
+    for i in range(1, options.max_terms):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= options.rel_tol:
+            upper = math.exp(log_prefactor) * h
+            return math.gamma(s) - upper
+    raise AccuracyError(
+        "incomplete-gamma continued fraction did not converge",
+        {"s": s, "x": x, "partial_sum": math.gamma(s) - math.exp(log_prefactor) * h},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +180,59 @@ def interference_laplace(u_var: float, a_coef: float, r_u: float, net: NetworkPa
 
 
 interference_laplace_quadrature = _laplace_exponent_gy
+
+
+# ----------------------------------------------------------------------
+# The fixed-distance slot pair
+# ----------------------------------------------------------------------
+
+def single_slot_moments(s_max: int, a_coef: float, r_u: float, fin: FinancialParams,
+                        net: NetworkParams) -> np.ndarray:
+    """Raw moments E[(c T rho)^s], s = 1..s_max, of the income of one slot.
+
+    The one-row case of the production tensor rule: the distance r_u is fixed.
+    """
+    unit = net.slot_duration_s * fin.premium_rate_per_slot
+    if fin.c_min == fin.c_max:
+        return (fin.c_min * unit) ** np.arange(1.0, s_max + 1.0)
+    grid = moments._LogUGrid(a_coef * r_u ** (-net.alpha_pathloss), net.alpha_pathloss, fin,
+                             s_max, specfun.DEFAULT_OPTIONS)
+    pi_beta_r2 = np.array([math.pi * net.beta_cells_per_area * r_u * r_u])
+    a_sigma2 = np.array([a_coef * net.sigma2_noise_power])
+    u_panels = moments._START_U_PANELS
+    return moments._until_converged(
+        lambda level: moments._slot_moments(pi_beta_r2, a_sigma2, grid, u_panels << level,
+                                            fin, unit)[0],
+        1e-8, f"{u_panels << moments._MAX_LEVEL} u panels")
+
+
+def sample_slot_scaling(config: ScenarioConfig, plan: montecarlo.SimulationPlan, r_u: float,
+                        n: int, rate_gap: float) -> np.ndarray:
+    """Per-slot scaling factors at a fixed serving distance, on the simulator's
+    keyed streams, interferer fields and batch pool."""
+    net, fin = config.network, config.financial
+    alpha = net.alpha_pathloss
+    beta = net.beta_cells_per_area
+    radius = plan.ppp_radius_factor / math.sqrt(beta)
+    mu_far = montecarlo._far_field_mean(net, radius)
+    lam = beta * math.pi * max(radius * radius - r_u * r_u, 0.0)
+
+    def run(job):
+        batch_idx, size = job
+        rng = montecarlo._stream(plan.seed, "slot", batch_idx)
+        h = rng.exponential(1.0, size=size)
+        m = rng.poisson(lam, size=size)
+        i_in = montecarlo._uniform_field_sums(rng, m, np.full(size, r_u * r_u),
+                                              np.full(size, radius * radius - r_u * r_u),
+                                              -alpha / 2.0)
+        interference = net.p_i_interferer_power * i_in + mu_far
+        with np.errstate(divide="ignore"):
+            gamma = h * r_u ** (-alpha) * net.p0_serving_power / (
+                net.sigma2_noise_power + interference)
+            return np.clip(rate_gap / gamma, fin.c_min, fin.c_max)
+
+    jobs = list(enumerate(montecarlo._batch_sizes(n, plan.batch_size)))
+    return np.concatenate(montecarlo._pool_map(run, jobs))
 
 
 # ----------------------------------------------------------------------
@@ -302,3 +441,87 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     v_lo, v_hi = config.income_support(duration)
     vec.check_envelope(v_lo, v_hi)
     return vec
+
+
+# ----------------------------------------------------------------------
+# The compound-geometric identity as a least-squares recurrence
+# ----------------------------------------------------------------------
+
+def build_recurrence_matrix(step: LatticePMF, w_n: float, n_terms: int,
+                            variant: str = "corrected") -> tuple[np.ndarray, int]:
+    """Linear system A f = 0 for the compound PMF on the truncated support.
+
+    Returns (A, min_index) where columns of A correspond to lattice indices
+    min_index..min_index + n_cols - 1.  ``corrected`` encodes
+    f(m) (1 - (1-w) h(0)) = (1-w) sum_{j != 0} h(j) f(m-j) for every m != 0;
+    ``as-printed`` encodes the alternative coefficient pattern
+    f(m) = w/(1 - w h(0)) * m * sum_{j != 0} h(j) f(m-j).
+    """
+    if variant not in ("corrected", "as-printed"):
+        raise DomainError(f"unknown recurrence variant {variant!r}")
+    min_idx = min(step.min_index, 0) * n_terms
+    max_idx = max(step.max_index, 0) * n_terms
+    n_cols = max_idx - min_idx + 1
+    h0 = step.mass_at(0)
+    rows = []
+    for m in range(min_idx, max_idx + 1):
+        if m == 0:
+            continue
+        row = np.zeros(n_cols)
+        if variant == "corrected":
+            row[m - min_idx] = 1.0 - (1.0 - w_n) * h0
+            coef = 1.0 - w_n
+        else:
+            row[m - min_idx] = 1.0 - w_n * h0  # denominator cleared
+            coef = w_n * m
+        for j in step.indices():
+            if j == 0:
+                continue
+            col = m - j - min_idx
+            if 0 <= col < n_cols:
+                row[col] -= coef * step.mass_at(j)
+        rows.append(row)
+    return np.asarray(rows), min_idx
+
+
+def hurlimann_ls_solve(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
+                       variant: str = "corrected") -> LatticePMF:
+    """Compound PMF via the constrained least-squares recurrence solve.
+
+    The compound-geometric identity, taken at every lattice point except the
+    origin, is a homogeneous system A f = 0: min ||A f||_2 subject to
+    f'f = 1 is the smallest right singular vector.  The unit-norm constraint
+    fixes scale only, so the solution is clipped to nonnegative values and
+    L1-normalized into a PMF.  ``variant="as-printed"`` solves the alternative
+    statement of the recurrence (an extra (n+1) factor and a w/(1 - w h(0))
+    prefactor); it does not reproduce the compound distribution, so the
+    discrepancy is logged as a warning rather than silently corrected.
+    """
+    if not (0.0 < w_n <= 1.0):
+        raise DomainError(f"geometric parameter must lie in (0, 1], got {w_n}")
+    if w_n == 1.0:
+        return LatticePMF(step=step.step, min_index=0, mass=np.array([1.0]))
+    n_terms = _geometric_truncation(w_n, tail_eps)
+    a_matrix, min_idx = build_recurrence_matrix(step, w_n, n_terms, variant)
+    _, svals, vt = np.linalg.svd(a_matrix, full_matrices=True)
+    f = vt[-1]
+    if f.sum() < 0:
+        f = -f
+    residual = float(np.linalg.norm(a_matrix @ f))
+    clipped = np.maximum(f, 0.0)
+    total = clipped.sum()
+    if total <= 0:
+        raise AccuracyError("least-squares recurrence produced no positive mass",
+                            {"residual": residual, "variant": variant})
+    result = LatticePMF(step=step.step, min_index=min_idx, mass=clipped / total)
+    if variant == "corrected" and residual > 1e-6 * max(1.0, float(svals[0])):
+        raise AccuracyError(
+            "least-squares recurrence residual above tolerance",
+            {"residual": residual, "largest_singular_value": float(svals[0])},
+        )
+    if variant == "as-printed":
+        logger.warning(
+            "as-printed recurrence variant solved with residual %.3g; this "
+            "variant is reported for comparison and is expected to disagree "
+            "with the convolution route", residual)
+    return result

@@ -8,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+import microruin
 from microruin import cli, model
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args):
@@ -74,6 +77,40 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "financial.c_min" in err and "c_min < c_max" in err
         assert not os.path.exists(os.path.join(out, "ruin.csv"))
+
+    @pytest.mark.parametrize("override,path", [
+        ("numerics.bogus=1", "numerics.bogus"),
+        ("network.bogus=1", "network.bogus"),
+        ("durations.bogus=1", "durations.bogus"),
+        ("bogus.x=1", "bogus"),
+        ("financial.operator_fees.x=3", "financial.operator_fees.x"),
+        ("financial.operator_mix.x=1", "financial.operator_mix.x"),
+    ])
+    def test_unknown_field_or_operator_key_exits_two(self, capsys, override, path):
+        assert run_cli(["--set", override, "validate"]) == 2
+        assert f"config error at {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("antithetic", False), ("u_grid_step", None),
+                                             ("frozen_interferers", False)])
+    def test_config_with_removed_numerics_field_exits_two(self, tmp_path, capsys, field,
+                                                          value):
+        # configs written before these knobs were removed still carry them
+        data = model.default_config().to_dict()
+        data["numerics"][field] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["--config", str(path), "validate"]) == 2
+        assert f"config error at numerics.{field}: unknown field" in capsys.readouterr().err
+
+
+def test_manifest_records_the_package_version(tmp_path):
+    # run from the checkout, as the tests and benchmarks do, not an install
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-m", "microruin.cli", "--out", str(out), "ruin",
+                    "--no-mc"], env=env, check=True, capture_output=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["package_version"] == microruin.__version__
 
 
 class TestMomentsCommand:

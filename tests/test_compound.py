@@ -10,15 +10,14 @@ import pytest
 from microruin import income_pdf, moments
 from microruin.compound import (
     LatticePMF,
-    build_recurrence_matrix,
     compound_geometric_pmf,
     discretize_income,
-    hurlimann_ls_solve,
     net_profit_step_pmf,
 )
 from microruin.errors import AccuracyError, DomainError, ResourceLimitError
 from microruin.model import FinancialParams
 from tests.conftest import make_config
+from tests.oracles import build_recurrence_matrix, hurlimann_ls_solve
 from tests.test_income_pdf import uniform_moments
 
 
@@ -262,7 +261,7 @@ class TestRecurrenceRoute:
         # distribution; it is solved, reported, and compared -- never
         # silently corrected
         conv = compound_geometric_pmf(self.Z3, 0.5, tail_eps=1e-10)
-        with caplog.at_level(logging.WARNING, logger="microruin.compound"):
+        with caplog.at_level(logging.WARNING, logger="tests.oracles"):
             printed = hurlimann_ls_solve(self.Z3, 0.5, tail_eps=1e-10,
                                          variant="as-printed")
         assert any("as-printed" in rec.message for rec in caplog.records)

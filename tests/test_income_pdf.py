@@ -112,7 +112,7 @@ class TestEvaluatorsAndSanitize:
         # hand-built expansion with genuine negative lobes near |x| ~ 0.83
         base = income_pdf.expand_density(uniform_moments(0.0, 1.0), 0.0, 1.0)
         poly = np.array([2.58, 0.0, -8.34, 0.0, 6.0])
-        rigged = replace(base, poly=poly, raw_poly=poly)
+        rigged = replace(base, poly=poly)
         xs = np.linspace(-1, 1, 2001)
         raw_vals = np.polynomial.polynomial.polyval(xs, poly) * 0.5
         neg_mass = -np.trapezoid(np.minimum(raw_vals, 0.0), xs)
@@ -129,7 +129,7 @@ class TestEvaluatorsAndSanitize:
     def test_rejection_above_budget(self):
         base = income_pdf.expand_density(uniform_moments(0.0, 1.0), 0.0, 1.0)
         poly = np.array([4.16, 0.0, -16.68, 0.0, 12.0])
-        rigged = replace(base, poly=poly, raw_poly=poly)
+        rigged = replace(base, poly=poly)
         with pytest.raises(AccuracyError):
             income_pdf.sanitize(rigged, reject_mass=0.05)
 

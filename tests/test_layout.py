@@ -1,0 +1,47 @@
+"""Layout guards: production holds only what the package reaches.
+
+A name in a ``src/microruin`` module's ``__all__`` must be read somewhere in
+``src/`` outside its own definition, or be exported by the package; code
+only the tests call belongs in the tests.  No production module imports
+from the tests.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import microruin
+
+TREES = {path.stem: ast.parse(path.read_text())
+         for path in sorted(pathlib.Path(microruin.__file__).parent.glob("*.py"))}
+
+
+def _reads_outside_own_definition(tree) -> set[str]:
+    """Names read by Name or Attribute nodes outside the top-level statement
+    that defines them (docstrings are not nodes of either kind)."""
+    found = set()
+    for stmt in tree.body:
+        own = {getattr(stmt, "name", None)} | {
+            t.id for t in getattr(stmt, "targets", []) if isinstance(t, ast.Name)}
+        found |= {node.id if isinstance(node, ast.Name) else node.attr
+                  for node in ast.walk(stmt)
+                  if isinstance(node, ast.Attribute)
+                  or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))} - own
+    return found
+
+
+def test_every_exported_name_is_reached_from_src():
+    read = set().union(*(_reads_outside_own_definition(t) for t in TREES.values()))
+    unreached = [f"{stem}.{name}" for stem in TREES if stem != "__init__"
+                 for name in getattr(importlib.import_module(f"microruin.{stem}"),
+                                     "__all__", [])
+                 if name not in read and name not in microruin.__all__]
+    assert unreached == [], f"move to tests/oracles.py or delete: {unreached}"
+
+
+def test_src_never_imports_the_tests():
+    imported = [alias.name if isinstance(node, ast.Import) else node.module or ""
+                for tree in TREES.values() for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert [name for name in imported if name.split(".")[0] == "tests"] == []

