@@ -4,8 +4,8 @@
 Run:  python benchmarks/bench_kernels.py [--quick]
 
 Inputs are production-shaped: the slots of one batch of the reference
-scenario (about 200 interferer points per slot; --quick uses a fifth of the
-batch).  Reported, best of 3:
+scenario at the default truncation radius (about 28 interferer points per
+slot; --quick uses a fifth of the batch).  Reported, best of 3:
 
 * ``interference_powsum`` alone: one whole-batch call against calls of
   ``montecarlo.CHUNK_POINTS`` points carrying the running sum, in ns per
@@ -52,10 +52,10 @@ def _batch_slots(n_users, rng):
     return m_slot, r2, span, -cfg.network.alpha_pathloss / 2.0
 
 
-def bench_powsum(m_slot, exponent, rng):
+def bench_powsum(m_slot, r2, span, exponent, rng):
     offsets = np.concatenate(([0], np.cumsum(m_slot))).astype(np.int64)
     total = int(offsets[-1])
-    x_all = rng.uniform(1.0, 640.0, size=total)
+    x_all = rng.uniform(1.0, float(np.max(r2 + span)), size=total)
     marks = rng.exponential(1.0, size=total)
     chunk = montecarlo.CHUNK_POINTS
     first = int(np.searchsorted(offsets, 0, side="right"))  # offsets past 0 points
@@ -161,7 +161,7 @@ def main():
     scale = 0.2 if args.quick else 1.0
     rng = np.random.default_rng(0)
     m_slot, r2, span, exponent = _batch_slots(int(65_536 * scale), rng)
-    bench_powsum(m_slot, exponent, rng)
+    bench_powsum(m_slot, r2, span, exponent, rng)
     bench_stage(m_slot, r2, span, exponent)
     bench_ruin_step(int(20_000 * scale), int(2_000 * scale), rng)
     bench_recursion()

@@ -49,6 +49,8 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     # point masses of the income law at the support ends (income-pdf only)
     income_atoms: dict = field(default_factory=dict)
+    # the Monte Carlo campaign's interferer truncation (ruin and simulate)
+    mc: dict = field(default_factory=dict)
 
     def write(self, out_dir: str):
         self.finished_utc = _now()
@@ -89,8 +91,11 @@ def _apply_overrides(data: dict, overrides) -> dict:
             value = raw
         node = data
         parts = dotted.split(".")
-        for part in parts[:-1]:
+        for depth, part in enumerate(parts[:-1], start=1):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError([(".".join(parts[:depth]),
+                                    "is a value, not a section: cannot set a field inside it")])
         node[parts[-1]] = value
     return data
 
@@ -178,6 +183,7 @@ def _cmd_ruin(args, cfg, manifest):
     if not args.no_mc:
         plan = montecarlo.plan_from_config(cfg)
         mc = montecarlo.simulate_surplus_paths(cfg, plan, us)
+        manifest.mc["far_field"] = montecarlo.far_field_summary(cfg, plan)
         header += ["psi_mc", "ci_lo", "ci_hi"]
     rows = []
     horizon = cfg.financial.horizon_intervals
@@ -215,6 +221,7 @@ def _cmd_expected_surplus(args, cfg, manifest):
 
 def _cmd_simulate(args, cfg, manifest):
     plan = montecarlo.plan_from_config(cfg)
+    manifest.mc["far_field"] = montecarlo.far_field_summary(cfg, plan)
     if args.what == "moments":
         mv, se = montecarlo.estimate_moments(cfg, plan, interval_index=args.interval)
         rows = [(args.interval, s, mv.raw[s - 1], se[s - 1])

@@ -214,7 +214,7 @@ class Numerics:
     mc_samples: int = 1_000_000
     mc_paths: int = 20_000
     mc_batch: int = 65_536
-    ppp_radius_factor: float = 8.0
+    ppp_radius_factor: float = 3.0
     truncate_durations_to_interval: bool = False
     seed: int = 20260808
 
@@ -314,6 +314,9 @@ class ScenarioConfig:
         for name in ("operator_fees", "operator_mix"):
             if name in fin:
                 fin[name] = _operator_map(errors, f"financial.{name}", fin[name])
+        for name in ("rate_gaps", "product_mix", "rates_bps"):
+            if name in prod:
+                prod[name] = _as_tuple(errors, f"products.{name}", prod[name])
         dur = data.get("durations")
         durations = (_duration_from_dict(errors, "durations", dur) if dur is not None
                      else cfg.durations)
@@ -327,8 +330,8 @@ class ScenarioConfig:
                                                 network.bandwidth_hz)
         else:
             products = ProductParams(
-                rate_gaps=tuple(prod.get("rate_gaps", cfg.products.rate_gaps)),
-                product_mix=tuple(product_mix))
+                rate_gaps=prod.get("rate_gaps", cfg.products.rate_gaps),
+                product_mix=product_mix)
         numerics = replace(cfg.numerics, **num)
         return cls(network=network, financial=financial, products=products,
                    durations=durations, numerics=numerics)
@@ -355,10 +358,26 @@ def _known_fields(errors, path: str, block, section: str) -> dict:
     return {key: value for key, value in block.items() if key in _SECTIONS[section]}
 
 
+def _as_tuple(errors, path: str, value) -> tuple:
+    """A JSON list as a tuple; any other value is an error at ``path``."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    errors.append((path, "must be a JSON list"))
+    return ()
+
+
+def _as_dict(errors, path: str, value) -> dict:
+    """A JSON object as it is; any other value is an error at ``path``."""
+    if isinstance(value, dict):
+        return value
+    errors.append((path, "must be a JSON object"))
+    return {}
+
+
 def _operator_map(errors, path: str, mapping: dict) -> dict:
     """Integer operator keys; numeric values as floats (``validate`` reports others)."""
     out = {}
-    for key, value in mapping.items():
+    for key, value in _as_dict(errors, path, mapping).items():
         if str(key).lstrip("-").isdigit():
             out[int(key)] = float(value) if isinstance(value, (int, float)) else value
         else:
@@ -386,7 +405,9 @@ def _duration_to_dict(dur: DurationModel) -> dict:
 def _duration_from_dict(errors, path: str, data) -> DurationModel:
     data = _known_fields(errors, path, data, "durations")
     override = {}
-    for i, model in data.get("per_interval_override", {}).items():
+    overrides = _as_dict(errors, f"{path}.per_interval_override",
+                         data.get("per_interval_override", {}))
+    for i, model in overrides.items():
         where = f"{path}.per_interval_override.{i}"
         try:
             index = int(i)
@@ -395,13 +416,15 @@ def _duration_from_dict(errors, path: str, data) -> DurationModel:
             continue
         override[index] = _duration_from_dict(errors, where, model)
     kind = data.get("kind", "truncated-geometric")
+    support, probs = (_as_tuple(errors, f"{path}.{name}", data[name]) if name in data else None
+                      for name in ("support", "probs"))
     return DurationModel(
         kind=kind,
         tau=data.get("tau"),
         mean=data.get("mean"),
         tau_max=data.get("tau_max"),
-        support=tuple(data["support"]) if "support" in data else None,
-        probs=tuple(data["probs"]) if "probs" in data else None,
+        support=support,
+        probs=probs,
         per_interval_override=override,
     )
 

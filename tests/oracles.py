@@ -214,18 +214,17 @@ def sample_slot_scaling(config: ScenarioConfig, plan: montecarlo.SimulationPlan,
     alpha = net.alpha_pathloss
     beta = net.beta_cells_per_area
     radius = plan.ppp_radius_factor / math.sqrt(beta)
-    mu_far = montecarlo._far_field_mean(net, radius)
-    lam = beta * math.pi * max(radius * radius - r_u * r_u, 0.0)
+    span = max(radius * radius - r_u * r_u, 0.0)
 
     def run(job):
         batch_idx, size = job
         rng = montecarlo._stream(plan.seed, "slot", batch_idx)
         h = rng.exponential(1.0, size=size)
-        m = rng.poisson(lam, size=size)
+        m = rng.poisson(beta * math.pi * span, size=size)
+        interference = montecarlo._far_field(net, radius, np.full(size, r_u), rng)
         i_in = montecarlo._uniform_field_sums(rng, m, np.full(size, r_u * r_u),
-                                              np.full(size, radius * radius - r_u * r_u),
-                                              -alpha / 2.0)
-        interference = net.p_i_interferer_power * i_in + mu_far
+                                              np.full(size, span), -alpha / 2.0)
+        interference += net.p_i_interferer_power * i_in
         with np.errstate(divide="ignore"):
             gamma = h * r_u ** (-alpha) * net.p0_serving_power / (
                 net.sigma2_noise_power + interference)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, CSV determinism, overrides, sweep grammar."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +89,19 @@ class TestValidateCommand:
     ])
     def test_unknown_field_or_operator_key_exits_two(self, capsys, override, path):
         assert run_cli(["--set", override, "validate"]) == 2
+        assert f"config error at {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,path", [
+        (["numerics.seed.x=1"], "numerics.seed"),
+        (["products.rate_gaps=5"], "products.rate_gaps"),
+        (["durations.kind=explicit-pmf", "durations.support=5"], "durations.support"),
+        (["durations.per_interval_override=5"], "durations.per_interval_override"),
+        (["financial.operator_fees=5"], "financial.operator_fees"),
+    ])
+    def test_value_of_the_wrong_shape_exits_two(self, capsys, overrides, path):
+        # a field set inside a number, or a number where a list belongs
+        args = [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli(args + ["validate"]) == 2
         assert f"config error at {path}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [("antithetic", False), ("u_grid_step", None),
@@ -215,6 +229,28 @@ class TestPipelineCommands:
             psi[(int(parts[0]), float(parts[1]))] = float(parts[2])
         assert psi[(5, 100.0)] > psi[(5, 300.0)]
         assert psi[(5, 100.0)] >= psi[(1, 100.0)]
+
+    @pytest.mark.parametrize("command", [["ruin", "--u", "100"],
+                                         ["simulate", "--what", "moments"]])
+    def test_mc_manifest_records_the_far_field(self, tmp_path, fast_config_path, command):
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out] + command) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            far = json.load(fh)["mc"]["far_field"]
+        # reference: beta = 0.1, alpha = 4, P_I = 1, truncation factor 3
+        radius = 3.0 / math.sqrt(0.1)
+        assert far["radius_factor"] == 3.0
+        assert far["radius"] == pytest.approx(radius, rel=1e-12)
+        assert far["points_per_slot"] == pytest.approx(9.0 * math.pi - 1.0, rel=1e-9)
+        assert far["mean"] == pytest.approx(2 * math.pi * 0.1 * radius ** -2 / 2, rel=1e-12)
+        assert far["variance"] == pytest.approx(2 * math.pi * 0.1 * radius ** -6 / 3,
+                                                rel=1e-12)
+
+    def test_ruin_without_mc_records_no_far_field(self, tmp_path, fast_config_path):
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out, "ruin", "--no-mc"]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert json.load(fh)["mc"] == {}
 
     def test_expected_surplus_rows(self, tmp_path):
         out = str(tmp_path / "o")

@@ -1,6 +1,7 @@
 """Simulation oracle: determinism, truncation adequacy, ruin frequencies."""
 
 import hashlib
+import math
 import sys
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from microruin import model, montecarlo
 from microruin.errors import DomainError
 from tests import oracles
-from tests.conftest import point_mass_config
+from tests.conftest import make_config, point_mass_config
 
 
 class TestDeterminism:
@@ -96,6 +97,85 @@ class TestSurplusPaths:
         assert est.psi_at(5, 200.0) == est.psi[4, 1]
 
 
+def _campbell(alpha, beta, p_i, radius):
+    """Mean and variance of the interference from beyond ``radius``: a PPP of
+    density beta, power p_i, path loss r^-alpha, exponential marks (E[h^2] = 2)."""
+    mean = 2 * math.pi * beta * p_i * radius ** (2 - alpha) / (alpha - 2)
+    var = 2 * math.pi * beta * 2 * p_i ** 2 * radius ** (2 - 2 * alpha) / (2 * alpha - 2)
+    return mean, var
+
+
+def _assert_moments_within_4se(x, mean, var):
+    """Sample mean and variance of x within 4 standard errors of (mean, var)."""
+    n = len(x)
+    centred = x - x.mean()
+    m2, m4 = np.mean(centred ** 2), np.mean(centred ** 4)
+    assert abs(x.mean() - mean) <= 4 * math.sqrt(m2 / n), (x.mean(), mean)
+    assert abs(m2 - var) <= 4 * math.sqrt((m4 - m2 * m2) / n), (m2, var)
+
+
+class TestFarField:
+    NET = model.NetworkParams(beta_cells_per_area=0.1, alpha_pathloss=4.0,
+                              p_i_interferer_power=2.0)
+    RADIUS = 3.0 / math.sqrt(0.1)
+
+    def test_gamma_draws_match_campbell_moments(self):
+        n = 1_000_000
+        r_slot = np.random.default_rng(0).uniform(0.0, self.RADIUS, n)
+        far = montecarlo._far_field(self.NET, self.RADIUS, r_slot,
+                                    montecarlo._stream(1, "far"))
+        _assert_moments_within_4se(far, *_campbell(4.0, 0.1, 2.0, self.RADIUS))
+
+    def test_slots_served_beyond_the_radius_use_their_own_distance(self):
+        # such slots draw no interferers, so their far field starts at r_u
+        n = 200_000
+        r_slot = np.repeat([0.5 * self.RADIUS, 1.5 * self.RADIUS, 2.0 * self.RADIUS], n)
+        far = montecarlo._far_field(self.NET, self.RADIUS, r_slot,
+                                    montecarlo._stream(2, "far"))
+        for k, edge in enumerate((self.RADIUS, 1.5 * self.RADIUS, 2.0 * self.RADIUS)):
+            want = _campbell(4.0, 0.1, 2.0, edge)
+            np.testing.assert_allclose(montecarlo._far_field_moments(self.NET, edge), want,
+                                       rtol=1e-12)
+            _assert_moments_within_4se(far[k * n:(k + 1) * n], *want)
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0])
+    def test_direct_field_matches_campbell_moments(self, alpha):
+        # a PPP drawn directly on [R, 16 R], plus the mean beyond 16 R (the
+        # variance left out there is 16^(2 - 2 alpha) of the total)
+        beta, p_i, n, per_batch = 0.1, 2.0, 4_000, 200
+        radius = self.RADIUS
+        rng = np.random.default_rng(int(10 * alpha))
+        sums = []
+        for _ in range(n // per_batch):
+            counts = rng.poisson(math.pi * beta * 255 * radius ** 2, size=per_batch)
+            x_sq = radius ** 2 * (1 + 255 * rng.random(counts.sum()))
+            power = p_i * rng.exponential(size=counts.sum()) * x_sq ** (-alpha / 2)
+            sums.append(np.bincount(np.repeat(np.arange(per_batch), counts), power,
+                                    minlength=per_batch))
+        outer_mean, _ = _campbell(alpha, beta, p_i, 16 * radius)
+        _assert_moments_within_4se(np.concatenate(sums) + outer_mean,
+                                   *_campbell(alpha, beta, p_i, radius))
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    def test_default_radius_revenues_match_analytic_moments_and_atoms(self, alpha):
+        from microruin import moments
+        cfg = make_config(alpha=alpha, c_min=0.001, c_max=1000.0)
+        n = 200_000
+        v = montecarlo.sample_revenues(cfg, montecarlo.SimulationPlan(seed=13), n)
+        mv = moments.revenue_moments(cfg)
+        for s in (1, 2):
+            se = np.std(v ** s) / math.sqrt(n)
+            assert abs(np.mean(v ** s) - mv.raw[s - 1]) <= 4 * se, s
+        v_lo, v_hi = cfg.income_support()
+        for atom, edge in ((mv.atom_lo, v_lo), (mv.atom_hi, v_hi)):
+            freq = float(np.mean(np.abs(v - edge) <= 1e-6))
+            assert abs(freq - atom) <= 4 * math.sqrt(atom * (1 - atom) / n), (edge, freq)
+
+    def test_plan_defaults_are_the_config_defaults(self):
+        assert montecarlo.SimulationPlan() == montecarlo.plan_from_config(
+            model.default_config())
+
+
 class TestMomentEstimation:
     def test_matches_analytic_within_three_se(self, table2_config, fast_plan):
         from microruin import moments
@@ -118,15 +198,17 @@ def _multi_slot_config():
 
 class TestStreamPinned:
     """The MC stream is fixed: these sha256 values of the output bytes were
-    taken before the interferer points were streamed in chunks and the
-    batches run on threads.  Any change of draw order, summation order or
-    batch layout moves them."""
+    taken when the truncation radius fell to factor 3 and the far field became
+    one moment-matched Gamma draw per slot.  The chunked interferer stream,
+    the thread pool and the Philox skip leave them unchanged
+    (``TestChunkedStream``).  Any change of draw order, summation order,
+    truncation radius or batch layout moves them."""
 
     PLAN = montecarlo.SimulationPlan(seed=11, batch_size=4096, n_users=3000, n_paths=1500)
     N = 2 * 4096 + 1000  # three batches, the last one partial
     REVENUES = {
-        "reference": "186dcd6808b09e88754292ed9b3e2efd670e4c9275da182e58322e1996e651a2",
-        "multi-slot": "d56c4f6ce4cc6f88ef8e30f5e89420444d23ed619331f99de07595a58e0dc646",
+        "reference": "55f3117158adaa83a4d1eaccfdccba314d32f9e65a33173f9243937e8b06de93",
+        "multi-slot": "bd24ec682330bfcd97d03a4f49ce5b76e8345035446c98394693407fc5a4a237",
     }
 
     @pytest.mark.parametrize("case", sorted(REVENUES))
@@ -139,18 +221,18 @@ class TestStreamPinned:
         est = montecarlo.simulate_surplus_paths(model.validate(model.default_config()),
                                                 self.PLAN, [50.0, 150.0, 300.0])
         assert _sha(est.psi) == (
-            "6d03d1790f110d3927e04fe579eecbcfe80f58e00fecd98909ac7cb6a9214e0b")
+            "e1108ffbf7155285c1d340753402297584264af357b21b8bd94d076360a6693f")
 
     def test_estimate_moments(self):
         mv, se = montecarlo.estimate_moments(model.validate(model.default_config()),
                                              replace(self.PLAN, n_users=self.N))
         assert _sha(np.concatenate([mv.raw, se])) == (
-            "c21579846368f460067de056c2952125955bdf94eed7aed7674d29810f01fa3b")
+            "569ddef3657dd91457efe669107f40c4ed77e1228c5d4768a9c3221f61e50e15")
 
     def test_slot_scaling(self, table2_config):
         v = oracles.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
                                         rate_gap=100.0)
-        assert _sha(v) == "5edf7655964594bfeb0616f9ca17f12c60eba8ea00d684420610ddcbceed2938"
+        assert _sha(v) == "e88aa4d4617dac064b66341841df286fe123af7b156dfe6ff5a2360c5c456e99"
 
 
 class TestChunkedStream:
