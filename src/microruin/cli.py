@@ -133,8 +133,7 @@ def _cmd_moments(args, cfg, manifest):
 def _cmd_income_pdf(args, cfg, manifest):
     mv = moments.revenue_moments(cfg, interval_index=args.interval)
     # the support the moments (and their clamp atoms) were computed on
-    v_lo, v_hi = cfg.income_support(cfg.durations.for_interval(
-        args.interval, truncate_to_interval=cfg.numerics.truncate_durations_to_interval))
+    v_lo, v_hi = cfg.income_support(args.interval)
     raw = income_pdf.expand_density(mv, v_lo, v_hi, order=args.order or cfg.numerics.moment_order)
     dens = income_pdf.sanitize(raw, cfg.numerics.sanitize_warn, cfg.numerics.sanitize_reject)
     grid = np.linspace(v_lo, v_hi, args.points)
@@ -232,7 +231,7 @@ def _cmd_simulate(args, cfg, manifest):
     elif args.what == "revenue-cdf":
         v = montecarlo.sample_revenues(cfg, plan, plan.n_users,
                                        interval_index=args.interval)
-        v_lo, v_hi = cfg.income_support(cfg.durations.for_interval(args.interval))
+        v_lo, v_hi = cfg.income_support(args.interval)
         grid = np.linspace(v_lo, v_hi, args.points)
         ecdf = np.searchsorted(np.sort(v), grid, side="right") / len(v)
         _write_csv(args.out, "mc_revenue_cdf.csv", ["v", "ecdf"],

@@ -9,39 +9,39 @@ remainder is expanded.  Its moments are the full moments minus the atoms'
 contributions, renormalised to unit mass.
 
 The remainder is mapped affinely onto [-1, 1] and its density expanded in
-polynomials orthogonal with respect to the Beta-type weight
+polynomials orthogonal with respect to the weight
 
-    K(x) = (1+x)^(a-1) (1-x)^(b-1) / (B(a,b) 2^(a+b-1)),
+    K(x) = a (1+x)^(a-1) / 2^a,    a = ``MomentVector.lower_exponent``,
 
-i.e. f_W(x) ~= K(x) * sum_n a_n P_n(x).  In this weight convention the
-parameter pair (a, b) maps to standard Jacobi polynomials with parameters
-(b-1, a-1).  The default weight follows the model: between the atoms the
-income CDF grows like v^(2/alpha) from the bottom of the support (the
-coverage law of the interference field), so a = 2/alpha, and the density is
-finite at the top, so b = 1.  A polynomial times the uniform weight (a = b =
-1, Legendre) cannot follow the v^(2/alpha) law and oscillates; it stays
-available by passing a and b explicitly.  The coefficients
+i.e. f_W(x) ~= K(x) * sum_n a_n P_n(x) with the Jacobi polynomials
+P_n^(0, a-1).  The weight follows the model: between the atoms the income
+CDF grows like v^(2/alpha) from the bottom of the support (the coverage law
+of the interference field, Andrews, Baccelli and Ganti 2011), so a =
+2/alpha, and the density is finite at the top.  The coefficients
 
-    a_n = b_n * sum_s zeta_{n,s} E[W^s],
-    b_n = B(a,b) (2n+a+b-1) Gamma(n+a+b-1) n! / (Gamma(n+a) Gamma(n+b)),
+    a_n = b_n * sum_s zeta_{n,s} E[W^s],    b_n = (2n + a) / a,
 
 depend only on the raw moments of the unit-support variable W (b_n is exactly
 1 / ||P_n||^2 under K, so the expansion is the orthogonal projection and
 reproduces the input moments up to order d exactly).
 
+In t = (1+x)/2 the weight is a t^(a-1) on [0, 1], so with q(t) the
+expansion polynomial in powers of t the continuous CDF is the closed form
+
+    F(t) = t^a R(t),    R_k = q_k a / (a + k).
+
 Truncated expansions can oscillate and go negative in the tails.
 ``sanitize`` clips negative excursions, renormalizes, and records the removed
-L1 mass so callers can decide whether a higher order is needed.  The raw
-expansion is kept for diagnostics.  CDF values are computed analytically via
-incomplete-beta antiderivatives of each monomial-times-weight term, plus the
-jumps of the atoms.
+L1 mass so callers can decide whether a higher order is needed.  A raw
+expansion is the one-segment case of the same representation (whole support
+kept, norm 1); its CDF alone is reported unclipped, for diagnostics.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -53,7 +53,6 @@ from .moments import MomentVector
 __all__ = [
     "ExpandedDensity",
     "affine_to_unit",
-    "expansion_coeffs",
     "expand_density",
     "sanitize",
 ]
@@ -88,57 +87,14 @@ def affine_to_unit(moments: MomentVector, v_lo: float, v_hi: float) -> np.ndarra
     return np.clip(out, -1.0, 1.0)
 
 
-def _weight_norm_inverse(n: int, a: float, b: float) -> float:
-    """b_n = 1 / ||P_n||^2 under the weight K for the Beta-weight pair (a, b).
-
-    Gamma(n+a+b-1) (2n+a+b-1) is written as Gamma(n+a+b) (2n+a+b-1) / (n+a+b-1),
-    whose factors stay positive for n >= 1 and any a, b > 0; b_0 is exactly 1.
-    """
-    if n == 0:
-        return 1.0
-    log_bn = (math.log(specfun.beta(a, b)) + math.log((2 * n + a + b - 1) / (n + a + b - 1))
-              + specfun.log_gamma(n + a + b) + specfun.log_gamma(n + 1)
-              - specfun.log_gamma(n + a) - specfun.log_gamma(n + b))
-    return math.exp(log_bn)
+def _antiderivative(q: np.ndarray, a: float) -> np.ndarray:
+    """R with Int_0^t a s^(a-1) q(s) ds = t^a R(t), for q in powers of t."""
+    return q * a / (a + np.arange(len(q)))
 
 
-def expansion_coeffs(unit_moments: np.ndarray, order: int, a: float = 1.0,
-                     b: float = 1.0) -> np.ndarray:
-    """Expansion coefficients a_0..a_order from the unit-support moments.
-
-    ``unit_moments`` holds E[W^s] for s = 0..d with d >= order.  a_0 = 1
-    always, which normalizes the total mass exactly.
-    """
-    unit_moments = np.asarray(unit_moments, dtype=float)
-    if order > len(unit_moments) - 1:
-        raise DomainError(
-            f"order {order} needs moments up to s={order}, got {len(unit_moments) - 1}")
-    if a <= 0 or b <= 0:
-        raise DomainError(f"weight parameters must be positive, got a={a}, b={b}")
-    coeffs = np.empty(order + 1)
-    for n in range(order + 1):
-        zeta = specfun.jacobi_poly_coeffs(n, b - 1.0, a - 1.0)
-        coeffs[n] = _weight_norm_inverse(n, a, b) * float(np.dot(zeta, unit_moments[: n + 1]))
-    return coeffs
-
-
-def _weighted_monomial_integrals(s_max: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """M_s(x) = Int_{-1}^x y^s K(y) dy for s = 0..s_max, vectorized over x.
-
-    Expands y^s = ((1+y) - 1)^s so each term reduces to a regularized
-    incomplete beta in t = (1+y)/2 (``specfun.betainc``).
-    """
-    t = np.clip((np.asarray(x, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
-    log_b_ab = math.log(specfun.beta(a, b))
-    # the j-th term is the same for every s >= j
-    ratios = [math.exp(math.log(specfun.beta(a + j, b)) - log_b_ab) for j in range(s_max + 1)]
-    incs = [specfun.betainc(a + j, b, t) for j in range(s_max + 1)]
-    out = np.zeros((s_max + 1,) + t.shape)
-    for s in range(s_max + 1):
-        for j in range(s + 1):
-            coef = math.comb(s, j) * (-1.0) ** (s - j) * 2.0 ** j * ratios[j]
-            out[s] += coef * incs[j]
-    return out
+def _closed_form(t, r: np.ndarray, a: float):
+    """t^a R(t), the integral that ``_antiderivative`` gives R of."""
+    return t ** a * npoly.polyval(t, r)
 
 
 @dataclass(frozen=True)
@@ -148,25 +104,37 @@ class ExpandedDensity:
     ``atoms`` = (Pr(V = v_lo), Pr(V = v_hi)); the continuous part carries the
     remaining mass 1 - sum(atoms).  ``coeffs`` are the expansion coefficients
     of the continuous part normalised to unit mass, ``poly`` the collapsed
-    monomial coefficients of sum a_n P_n.  Sanitized instances clip negative
-    lobes of the raw expansion to zero and renormalize; ``sanitized_mass`` is
-    the L1 mass removed, in units of the whole distribution (0.0 for raw
-    instances, which may have signed "densities").
+    monomial coefficients of sum a_n P_n in x.  The density lives on sign
+    segments of t = (1+x)/2: ``seg_edges`` bound them, ``seg_keep`` marks
+    those kept, ``seg_cdf`` is the kept mass below each and ``norm`` the kept
+    total.  Sanitized instances drop the negative lobes of the raw expansion
+    and renormalize; ``sanitized_mass`` is the L1 mass removed, in units of
+    the whole distribution.  A raw instance is one kept segment with norm 1
+    and may have a signed "density".
     """
 
     support: tuple
     order: int
     coeffs: np.ndarray
-    jacobi_params: tuple
     poly: np.ndarray
-    sanitized: bool
-    sanitized_mass: float
-    # sign segments of the (possibly clipped) polynomial on [-1, 1]
-    seg_edges: np.ndarray
-    seg_keep: np.ndarray
-    seg_cdf: np.ndarray
-    norm: float
+    lower_exponent: float
+    sanitized: bool = False
+    sanitized_mass: float = 0.0
+    seg_edges: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
+    seg_keep: np.ndarray = field(default_factory=lambda: np.array([True]))
+    seg_cdf: np.ndarray = field(default_factory=lambda: np.array([0.0]))
+    norm: float = 1.0
     atoms: tuple = (0.0, 0.0)
+    # poly in powers of t, and the R of its closed-form CDF t^a R(t)
+    tpoly: np.ndarray = field(init=False, repr=False)
+    cdf_poly: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tpoly = np.zeros(1)
+        for coef in self.poly[::-1]:  # Horner in x = 2t - 1
+            tpoly = npoly.polyadd(npoly.polymul(tpoly, [-1.0, 2.0]), [coef])
+        object.__setattr__(self, "tpoly", tpoly)
+        object.__setattr__(self, "cdf_poly", _antiderivative(tpoly, self.lower_exponent))
 
     @property
     def v_lo(self) -> float:
@@ -181,90 +149,66 @@ class ExpandedDensity:
         return 1.0 - self.atoms[0] - self.atoms[1]
 
     def _to_unit(self, v):
-        return 2.0 * (np.asarray(v, dtype=float) - self.v_lo) / (self.v_hi - self.v_lo) - 1.0
+        t = (np.asarray(v, dtype=float) - self.v_lo) / (self.v_hi - self.v_lo)
+        return np.clip(t, 0.0, 1.0)
 
-    def _weight(self, x):
-        a, b = self.jacobi_params
-        base = math.exp(-math.log(specfun.beta(a, b)) - (a + b - 1.0) * math.log(2.0))
-        if a == 1.0 and b == 1.0:
-            return np.full_like(np.asarray(x, dtype=float), base)
-        with np.errstate(divide="ignore"):  # a or b < 1: infinite at that edge
-            return (1.0 + x) ** (a - 1.0) * (1.0 - x) ** (b - 1.0) * base
+    def _segment(self, t):
+        return np.clip(np.searchsorted(self.seg_edges, t, side="right") - 1,
+                       0, len(self.seg_keep) - 1)
 
     def pdf(self, v):
         """Density of the continuous part of V (mass 1 - sum(atoms)); 0 outside
         the support.  Raw instances may be negative."""
         v = np.asarray(v, dtype=float)
-        x = np.clip(self._to_unit(v), -1.0, 1.0)
-        vals = npoly.polyval(x, self.poly) * self._weight(x)
-        if self.sanitized:
-            seg = np.searchsorted(self.seg_edges, x, side="right") - 1
-            seg = np.clip(seg, 0, len(self.seg_keep) - 1)
-            vals = np.where(self.seg_keep[seg], vals, 0.0) / self.norm
+        t = self._to_unit(v)
+        a = self.lower_exponent
+        with np.errstate(divide="ignore"):  # a < 1: infinite at the lower edge
+            vals = a * t ** (a - 1.0) * npoly.polyval(t, self.tpoly)
+        vals = np.where(self.seg_keep[self._segment(t)], vals, 0.0) / self.norm
         inside = (v >= self.v_lo) & (v <= self.v_hi)
-        scale = self.continuous_mass * 2.0 / (self.v_hi - self.v_lo)
-        out = np.where(inside, vals * scale, 0.0)
+        out = np.where(inside, vals * self.continuous_mass / (self.v_hi - self.v_lo), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, v):
-        """Distribution function of V: the atoms' jumps plus the exact
-        antiderivative of the expansion."""
+        """Distribution function of V: the atoms' jumps plus the closed-form
+        CDF of the expansion."""
         v = np.asarray(v, dtype=float)
-        x = np.clip(self._to_unit(v), -1.0, 1.0)
-        a, b = self.jacobi_params
-        mono = _weighted_monomial_integrals(len(self.poly) - 1, a, b, x)
-        if not self.sanitized:
-            # raw expansions may oscillate outside [0, 1]; report them as-is
-            vals = np.tensordot(self.poly, mono, axes=(0, 0))
-        else:
-            seg = np.clip(np.searchsorted(self.seg_edges, x, side="right") - 1,
-                          0, len(self.seg_keep) - 1)
-            left = np.tensordot(self.poly,
-                                _weighted_monomial_integrals(len(self.poly) - 1, a, b,
-                                                             self.seg_edges[seg]),
-                                axes=(0, 0))
-            inc = np.where(self.seg_keep[seg],
-                           np.tensordot(self.poly, mono, axes=(0, 0)) - left, 0.0)
-            vals = np.clip((self.seg_cdf[seg] + inc) / self.norm, 0.0, 1.0)
+        t = self._to_unit(v)
+        seg = self._segment(t)
+        a, edge = self.lower_exponent, self.seg_edges[seg]
+        inc = _closed_form(t, self.cdf_poly, a) - _closed_form(edge, self.cdf_poly, a)
+        vals = (self.seg_cdf[seg] + np.where(self.seg_keep[seg], inc, 0.0)) / self.norm
+        if self.sanitized:  # raw expansions may oscillate outside [0, 1]; report them as-is
+            vals = np.clip(vals, 0.0, 1.0)
         atom_lo, atom_hi = self.atoms
         vals = atom_lo + self.continuous_mass * vals + np.where(v >= self.v_hi, atom_hi, 0.0)
         vals = np.where(v < self.v_lo, 0.0, np.where(v > self.v_hi, 1.0, vals))
         return float(vals) if vals.ndim == 0 else vals
 
     def mean(self) -> float:
-        """Mean of V (atoms plus the sanitized, if applicable, density) via
-        exact integrals."""
-        a, b = self.jacobi_params
-        s_max = len(self.poly)
-        if not self.sanitized:
-            mono = _weighted_monomial_integrals(s_max, a, b, np.array([1.0]))[:, 0]
-            unit_mean = float(np.dot(self.poly, mono[1: s_max + 1]))
-        else:
-            unit_mean = 0.0
-            mono_hi = _weighted_monomial_integrals(s_max, a, b, self.seg_edges[1:])
-            mono_lo = _weighted_monomial_integrals(s_max, a, b, self.seg_edges[:-1])
-            xmono = (mono_hi - mono_lo)[1: s_max + 1]
-            for k, keep in enumerate(self.seg_keep):
-                if keep:
-                    unit_mean += float(np.dot(self.poly, xmono[:, k]))
-            unit_mean /= self.norm
-        cont_mean = self.v_lo + (unit_mean + 1.0) * (self.v_hi - self.v_lo) / 2.0
+        """Mean of V: the atoms plus the exact mean of the (kept) density."""
+        # t q(t) has the coefficients of q shifted up one power
+        a = self.lower_exponent
+        r = _antiderivative(np.concatenate(([0.0], self.tpoly)), a)
+        seg_means = np.diff(_closed_form(self.seg_edges, r, a))
+        unit_mean = float(seg_means[self.seg_keep].sum()) / self.norm
+        cont_mean = self.v_lo + unit_mean * (self.v_hi - self.v_lo)
         atom_lo, atom_hi = self.atoms
         return atom_lo * self.v_lo + atom_hi * self.v_hi + self.continuous_mass * cont_mean
 
 
 def expand_density(moments: MomentVector, v_lo: float, v_hi: float,
-                   order: int | None = None, a: float | None = None,
-                   b: float | None = None) -> ExpandedDensity:
+                   order: int | None = None) -> ExpandedDensity:
     """Raw (unsanitized) expansion of the income law from its moments.
 
     The endpoint atoms of ``moments`` are carried exactly and only the
-    continuous remainder is expanded.  The weight defaults to
-    a = ``moments.lower_exponent`` (2/alpha for revenue moments) and b = 1.
+    continuous remainder is expanded, under the weight exponent
+    a = ``moments.lower_exponent`` (2/alpha for revenue moments).
     """
     order = moments.order if order is None else order
-    a = moments.lower_exponent if a is None else a
-    b = 1.0 if b is None else b
+    if order > moments.order:
+        raise DomainError(f"order {order} needs moments up to s={order}, got {moments.order}")
+    a = moments.lower_exponent
     atoms = (moments.atom_lo, moments.atom_hi)
     cont = 1.0 - atoms[0] - atoms[1]
     if not cont > 0.0:
@@ -274,18 +218,14 @@ def expand_density(moments: MomentVector, v_lo: float, v_hi: float,
         interval_index=moments.interval_index, order=moments.order,
         raw=(moments.raw - atoms[0] * v_lo ** s - atoms[1] * v_hi ** s) / cont)
     unit_moments = affine_to_unit(remainder, v_lo, v_hi)
-    coeffs = expansion_coeffs(unit_moments, order, a, b)
+    coeffs = np.empty(order + 1)
     poly = np.zeros(order + 1)
     for n in range(order + 1):
-        zeta = specfun.jacobi_poly_coeffs(n, b - 1.0, a - 1.0)
+        zeta = specfun.jacobi_poly_coeffs(n, 0.0, a - 1.0)
+        coeffs[n] = (2 * n + a) / a * float(np.dot(zeta, unit_moments[: n + 1]))
         poly[: n + 1] += coeffs[n] * zeta
-    edges = np.array([-1.0, 1.0])
-    return ExpandedDensity(
-        support=(v_lo, v_hi), order=order, coeffs=coeffs, jacobi_params=(a, b),
-        poly=poly, sanitized=False, sanitized_mass=0.0,
-        seg_edges=edges, seg_keep=np.array([True]), seg_cdf=np.array([0.0]), norm=1.0,
-        atoms=atoms,
-    )
+    return ExpandedDensity(support=(v_lo, v_hi), order=order, coeffs=coeffs, poly=poly,
+                           lower_exponent=a, atoms=atoms)
 
 
 def sanitize(raw: ExpandedDensity, warn_mass: float = 0.02,
@@ -299,7 +239,6 @@ def sanitize(raw: ExpandedDensity, warn_mass: float = 0.02,
     """
     if raw.sanitized:
         return raw
-    a, b = raw.jacobi_params
     poly = raw.poly
     roots = npoly.polyroots(poly)
     interior = np.sort(np.real(roots[(np.abs(np.imag(roots)) < 1e-10)
@@ -308,9 +247,8 @@ def sanitize(raw: ExpandedDensity, warn_mass: float = 0.02,
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = npoly.polyval(mids, poly) >= 0.0
 
-    mono_hi = _weighted_monomial_integrals(len(poly) - 1, a, b, edges[1:])
-    mono_lo = _weighted_monomial_integrals(len(poly) - 1, a, b, edges[:-1])
-    seg_masses = np.tensordot(poly, mono_hi - mono_lo, axes=(0, 0))
+    t = (edges + 1.0) / 2.0
+    seg_masses = np.diff(_closed_form(t, raw.cdf_poly, raw.lower_exponent))
     # 0.0 - x rather than -x: an empty clip reports +0.0, not -0.0
     negative_mass = raw.continuous_mass * (0.0 - float(seg_masses[~keep].sum()))
     positive_mass = float(seg_masses[keep].sum())
@@ -323,10 +261,5 @@ def sanitize(raw: ExpandedDensity, warn_mass: float = 0.02,
         logger.warning("income density sanitization removed %.4f L1 mass (order %d)",
                        negative_mass, raw.order)
     kept_cum = np.concatenate(([0.0], np.cumsum(np.where(keep, seg_masses, 0.0))))[:-1]
-    return ExpandedDensity(
-        support=raw.support, order=raw.order, coeffs=raw.coeffs,
-        jacobi_params=raw.jacobi_params, poly=poly, sanitized=True,
-        sanitized_mass=negative_mass,
-        seg_edges=edges, seg_keep=keep, seg_cdf=kept_cum, norm=positive_mass,
-        atoms=raw.atoms,
-    )
+    return replace(raw, sanitized=True, sanitized_mass=negative_mass, seg_edges=t,
+                   seg_keep=keep, seg_cdf=kept_cum, norm=positive_mass)

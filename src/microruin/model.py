@@ -232,62 +232,25 @@ class ScenarioConfig:
         """T * rho: income per slot per unit scaling factor."""
         return self.network.slot_duration_s * self.financial.premium_rate_per_slot
 
-    def income_support(self, duration_model: DurationModel | None = None):
-        """(v_lo, v_hi) for one connection under the given duration model."""
-        model = duration_model or self.durations
-        tau_min, tau_max = model.bounds()
+    def interval_durations(self, interval_index: int = 1) -> DurationModel:
+        """The duration model of one compounding interval: its override, if
+        any, truncated to {1..i} under ``numerics.truncate_durations_to_interval``."""
+        return self.durations.for_interval(
+            interval_index, truncate_to_interval=self.numerics.truncate_durations_to_interval)
+
+    def income_support(self, interval_index: int = 1):
+        """(v_lo, v_hi) for one connection in the given interval."""
+        tau_min, tau_max = self.interval_durations(interval_index).bounds()
         unit = self.slot_income_per_unit_scaling
         return tau_min * self.financial.c_min * unit, tau_max * self.financial.c_max * unit
 
     def to_dict(self) -> dict:
-        net, fin, prod, dur, num = self.network, self.financial, self.products, self.durations, self.numerics
-        return {
-            "network": {
-                "beta_cells_per_area": net.beta_cells_per_area,
-                "alpha_pathloss": net.alpha_pathloss,
-                "p0_serving_power": net.p0_serving_power,
-                "p_i_interferer_power": net.p_i_interferer_power,
-                "sigma2_noise_power": net.sigma2_noise_power,
-                "bandwidth_hz": net.bandwidth_hz,
-                "slot_duration_s": net.slot_duration_s,
-            },
-            "financial": {
-                "premium_rate_per_slot": fin.premium_rate_per_slot,
-                "c_min": fin.c_min,
-                "c_max": fin.c_max,
-                "operator_fees": {str(k): v for k, v in fin.operator_fees.items()},
-                "operator_mix": {str(k): v for k, v in fin.operator_mix.items()},
-                "interest_rate_per_interval": fin.interest_rate_per_interval,
-                "slots_per_interval": fin.slots_per_interval,
-                "initial_capital": fin.initial_capital,
-                "w_n_geometric": fin.w_n_geometric,
-                "horizon_intervals": fin.horizon_intervals,
-            },
-            "products": {
-                "rate_gaps": list(prod.rate_gaps),
-                "product_mix": list(prod.product_mix),
-            },
-            "durations": _duration_to_dict(dur),
-            "numerics": {
-                "specfun_rel_tol": num.specfun_rel_tol,
-                "quad_rel_tol": num.quad_rel_tol,
-                "distance_tail_mass": num.distance_tail_mass,
-                "moment_order": num.moment_order,
-                "lattice_step": num.lattice_step,
-                "lattice_points_budget": num.lattice_points_budget,
-                "ruin_interp_tol": num.ruin_interp_tol,
-                "ruin_tail_eps": num.ruin_tail_eps,
-                "tail_eps": num.tail_eps,
-                "sanitize_warn": num.sanitize_warn,
-                "sanitize_reject": num.sanitize_reject,
-                "mc_samples": num.mc_samples,
-                "mc_paths": num.mc_paths,
-                "mc_batch": num.mc_batch,
-                "ppp_radius_factor": num.ppp_radius_factor,
-                "truncate_durations_to_interval": num.truncate_durations_to_interval,
-                "seed": num.seed,
-            },
-        }
+        """The JSON document of this config: every field of every section."""
+        out = {section: {f.name: _jsonable(getattr(getattr(self, section), f.name))
+                         for f in fields(getattr(self, section))}
+               for section in ("network", "financial", "products", "numerics")}
+        out["durations"] = _duration_to_dict(self.durations)
+        return out
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -385,6 +348,13 @@ def _operator_map(errors, path: str, mapping: dict) -> dict:
     return out
 
 
+def _jsonable(value):
+    """Tuples as JSON lists, and maps with the string keys JSON objects have."""
+    if isinstance(value, dict):
+        return {str(k): v for k, v in value.items()}
+    return list(value) if isinstance(value, tuple) else value
+
+
 def _duration_to_dict(dur: DurationModel) -> dict:
     out = {"kind": dur.kind}
     if dur.kind == "deterministic":
@@ -439,6 +409,29 @@ def _check_pmf(errors, path, probs):
         errors.append((path, "probabilities must be nonnegative"))
     if abs(probs.sum() - 1.0) > 1e-9:
         errors.append((path, f"mix must sum to 1 (got {probs.sum():.6g})"))
+
+
+# the slot-count fields each duration kind reads
+_SLOT_COUNTS = {"deterministic": "tau", "truncated-geometric": "tau_max",
+                "explicit-pmf": "support"}
+
+
+def _check_durations(errors, path, dur):
+    """Integer slot counts (a field path names a bad one), then the PMF itself."""
+    name = _SLOT_COUNTS.get(dur.kind)
+    counts = np.ravel(np.array(getattr(dur, name), dtype=object)) if name else ()
+    if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+               and float(v).is_integer() for v in counts):
+        errors.append((f"{path}.{name}", "slot counts must be integers"))
+        return
+    try:
+        values, probs = dur.pmf()
+    except (TypeError, ValueError) as exc:  # DomainError, or a value that is not a number
+        errors.append((path, str(exc)))
+        return
+    if (values < 1).any():
+        errors.append((path, "duration support must be positive integers"))
+    _check_pmf(errors, path, probs)
 
 
 def _check_numeric_fields(errors, config):
@@ -521,18 +514,9 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     else:
         _check_pmf(errors, "products.product_mix", prod.product_mix)
 
-    try:
-        values, probs = dur.pmf()
-        if (values < 1).any():
-            errors.append(("durations", "duration support must be positive integers"))
-        _check_pmf(errors, "durations", probs)
-    except DomainError as exc:
-        errors.append(("durations", str(exc)))
+    _check_durations(errors, "durations", dur)
     for i, override in dur.per_interval_override.items():
-        try:
-            override.pmf()
-        except DomainError as exc:
-            errors.append((f"durations.per_interval_override.{i}", str(exc)))
+        _check_durations(errors, f"durations.per_interval_override.{i}", override)
 
     if num.moment_order < 2:
         errors.append(("numerics.moment_order", "moment order d must be >= 2"))
@@ -542,6 +526,8 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append(("numerics.tail_eps", "tail_eps must lie in (0, 1)"))
     if num.mc_samples < 1 or num.mc_paths < 1:
         errors.append(("numerics.mc_samples", "sample counts must be positive"))
+    if num.mc_batch < 1:
+        errors.append(("numerics.mc_batch", "batch size must be positive"))
     if not num.ppp_radius_factor > 0:
         errors.append(("numerics.ppp_radius_factor", "radius factor must be positive"))
 

@@ -266,9 +266,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     net, fin, num = config.network, config.financial, config.numerics
     d = num.moment_order
     unit = config.slot_income_per_unit_scaling
-    duration = config.durations.for_interval(
-        interval_index, truncate_to_interval=num.truncate_durations_to_interval)
-    taus, tau_probs = duration.pmf()
+    taus, tau_probs = config.interval_durations(interval_index).pmf()
     s_vec = np.arange(1.0, d + 1.0)
 
     if fin.c_min == fin.c_max:
@@ -321,6 +319,6 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     vec = MomentVector(interval_index=interval_index, raw=raw, order=d,
                        atom_lo=atom_lo, atom_hi=atom_hi,
                        lower_exponent=2.0 / net.alpha_pathloss)
-    v_lo, v_hi = config.income_support(duration)
+    v_lo, v_hi = config.income_support(interval_index)
     vec.check_envelope(v_lo, v_hi)
     return vec

@@ -306,17 +306,12 @@ def _revenue_batches(config: ScenarioConfig, plan: SimulationPlan, jobs) -> list
     return _pool_map(run, jobs)
 
 
-def _interval_durations(config: ScenarioConfig, interval_index: int):
-    return config.durations.for_interval(
-        interval_index, truncate_to_interval=config.numerics.truncate_durations_to_interval)
-
-
 def sample_revenues(config: ScenarioConfig, plan: SimulationPlan, n: int,
                     stream_tag: str = "revenue", interval_index: int = 1) -> np.ndarray:
     """n i.i.d. connection revenues V (vectorized, batched, deterministic)."""
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
-    duration_model = _interval_durations(config, interval_index)
+    duration_model = config.interval_durations(interval_index)
     jobs = [((stream_tag, interval_index, b), size, duration_model)
             for b, size in enumerate(_batch_sizes(n, plan.batch_size))]
     return np.concatenate(_revenue_batches(config, plan, jobs))
@@ -331,7 +326,7 @@ def estimate_moments(config: ScenarioConfig, plan: SimulationPlan,
     d = config.numerics.moment_order
     n = plan.n_users
     power_sums = np.zeros(2 * d)
-    duration_model = _interval_durations(config, interval_index)
+    duration_model = config.interval_durations(interval_index)
     jobs = [(("moments", interval_index, b), size, duration_model)
             for b, size in enumerate(_batch_sizes(n, plan.batch_size))]
     for v in _revenue_batches(config, plan, jobs):  # summed in batch order
@@ -391,7 +386,7 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: SimulationPlan,
     users, jobs = [], []
     for interval in range(1, horizon + 1):
         n_users = _stream(plan.seed, "path-count", interval).geometric(w, size=n_paths) - 1
-        duration_model = _interval_durations(config, interval)
+        duration_model = config.interval_durations(interval)
         sizes = _batch_sizes(int(n_users.sum()), plan.batch_size)
         users.append((n_users, len(sizes)))
         jobs += [(("path-rev", interval, b), size, duration_model)

@@ -361,21 +361,20 @@ def interval_net_pmfs(config: ScenarioConfig):
     distinct = {}
     order = []
     for i in range(1, horizon + 1):
-        model = config.durations.for_interval(
-            i, truncate_to_interval=num.truncate_durations_to_interval)
-        key = (tuple(model.pmf()[0]), tuple(model.pmf()[1]))
+        values, probs = config.interval_durations(i).pmf()
+        key = (tuple(values), tuple(probs))
         order.append(key)
-        distinct.setdefault(key, (i, model))
+        distinct.setdefault(key, i)
 
-    v_hi_all = max(config.income_support(model)[1] for _, model in distinct.values())
+    v_hi_all = max(config.income_support(i)[1] for i in distinct.values())
     max_fee = max(fin.operator_fees.values())
     delta = num.lattice_step or (v_hi_all + max_fee) / 2048.0
 
     built = {}
     info = {"lattice_step": delta, "intervals": {}}
-    for key, (i, model) in distinct.items():
+    for key, i in distinct.items():
         mv = revenue_moments(config, interval_index=i)
-        v_lo, v_hi = config.income_support(model)
+        v_lo, v_hi = config.income_support(i)
         raw = income_pdf.expand_density(mv, v_lo, v_hi, order=num.moment_order)
         density = income_pdf.sanitize(raw, warn_mass=num.sanitize_warn,
                                       reject_mass=num.sanitize_reject)

@@ -1,9 +1,8 @@
 """Scalar special functions backing the revenue-moment integrals.
 
-Implements the regularized incomplete beta function, the Gauss
-hypergeometric function on [0, 1), monomial coefficients of Jacobi
-polynomials, the (log-)gamma / beta pair, and the 5-smooth FFT length
-search.  Everything here is pure, deterministic, and tolerance-driven so the
+Implements the Gauss hypergeometric function on [0, 1), monomial
+coefficients of Jacobi polynomials, and the 5-smooth FFT length search.
+Everything here is pure, deterministic, and tolerance-driven so the
 downstream quadratures are reproducible; each routine is cross-checked in
 the test suite against an independent quadrature or series oracle.
 
@@ -15,8 +14,9 @@ The hypergeometric evaluation strategy is argument-dependent:
   ``c - a - b`` non-integer, which holds for every parameter triple reachable
   from a pathloss exponent ``alpha > 2``).
 
-Series exhaustion raises :class:`~microruin.errors.AccuracyError` carrying the
-partial sum so callers can fall back to direct quadrature.
+Series exhaustion, an integer ``c - a - b`` near ``z = 1`` and a gamma pole
+in the connection coefficients raise :class:`~microruin.errors.AccuracyError`
+naming the broken condition; the series error carries the partial sum.
 """
 
 from __future__ import annotations
@@ -31,18 +31,15 @@ from .errors import AccuracyError, DomainError
 __all__ = [
     "FnEvalOptions",
     "DEFAULT_OPTIONS",
-    "betainc",
     "gauss_2f1",
     "jacobi_poly_coeffs",
-    "log_gamma",
-    "beta",
     "next_fast_len",
 ]
 
 
 @dataclass(frozen=True)
 class FnEvalOptions:
-    """Accuracy knobs for the series/continued-fraction evaluations.
+    """Accuracy knobs for the series evaluations.
 
     rel_tol must lie in (0, 1e-3]; max_terms must be at least 16.
     """
@@ -63,80 +60,6 @@ DEFAULT_OPTIONS = FnEvalOptions()
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def beta(x: float, y: float) -> float:
-    """Euler beta B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
-
-
-def betainc(a: float, b: float, t, options: FnEvalOptions = DEFAULT_OPTIONS):
-    """Regularized incomplete beta I_t(a, b), elementwise over t in [0, 1].
-
-    For integer b the finite sum I_t(a, b) = t^a sum_{j<b} (a)_j / j! (1-t)^j
-    is exact (b = 1 gives t^a).  Otherwise the Lentz continued fraction runs
-    on whichever of I_t(a, b) = 1 - I_{1-t}(b, a) converges fast.
-    """
-    for name, value in (("a", a), ("b", b)):
-        _require_finite(name, value)
-        if value <= 0.0:
-            raise DomainError(f"betainc requires {name} > 0, got {name}={value}")
-    t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & (t <= 1.0)).all():
-        raise DomainError("betainc requires 0 <= t <= 1")
-    if b == round(b):
-        term = total = 1.0
-        for j in range(1, int(b)):
-            term = term * (a + j - 1.0) / j * (1.0 - t)
-            total = total + term
-        return t ** a * total
-    swap = t > (a + 1.0) / (a + b + 2.0)
-    x = np.where(swap, 1.0 - t, t)
-    p = np.where(swap, b, a)
-    q = np.where(swap, a, b)
-    with np.errstate(divide="ignore"):
-        # x^p (1-x)^q / B(p, q), and B is symmetric
-        log_front = p * np.log(x) + q * np.log1p(-x) - math.log(beta(a, b))
-    part = np.exp(log_front) * _beta_fraction(p, q, x, options) / p
-    return np.where(swap, 1.0 - part, part)
-
-
-def _beta_fraction(a, b, x, options: FnEvalOptions):
-    """Continued fraction of the incomplete beta (modified Lentz), elementwise.
-
-    Iterates until every factor is within a thousandth of ``options.rel_tol``
-    of 1, so the fraction is good to about that relative accuracy.
-    """
-    tiny = 1e-300
-
-    def clamp(v):
-        return np.where(np.abs(v) < tiny, tiny, v)
-
-    c = np.ones_like(x)
-    d = 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
-    h = d
-    for m in range(1, options.max_terms):
-        aa = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
-        d = 1.0 / clamp(1.0 + aa * d)
-        c = clamp(1.0 + aa / c)
-        h = h * d * c
-        aa = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
-        d = 1.0 / clamp(1.0 + aa * d)
-        c = clamp(1.0 + aa / c)
-        delta = d * c
-        h = h * delta
-        if (np.abs(delta - 1.0) <= 1e-3 * options.rel_tol).all():
-            return h
-    raise AccuracyError("incomplete-beta continued fraction did not converge",
-                        {"a": np.ravel(a).tolist()[:4], "b": np.ravel(b).tolist()[:4]})
 
 
 def _hyp_series(a: float, b: float, c: float, z: float, options: FnEvalOptions) -> float:
@@ -179,7 +102,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float, options: FnEvalOptions = D
     # valid when c - a - b is not an integer.
     if abs(s - round(s)) < 1e-10:
         raise AccuracyError(
-            "2F1 connection formula unavailable (c-a-b integer); use quadrature fallback",
+            "2F1 connection formula needs c-a-b non-integer near z = 1",
             {"a": a, "b": b, "c": c, "z": z},
         )
     w = 1.0 - z
@@ -188,7 +111,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float, options: FnEvalOptions = D
         coeff2 = math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
     except ValueError as exc:  # gamma pole
         raise AccuracyError(
-            "2F1 connection formula hit a gamma pole; use quadrature fallback",
+            "2F1 connection formula hit a gamma pole in its coefficients",
             {"a": a, "b": b, "c": c, "z": z, "detail": str(exc)},
         ) from exc
     term1 = coeff1 * _hyp_series(a, b, a + b - c + 1.0, w, options)

@@ -385,9 +385,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     unit = config.slot_income_per_unit_scaling
     beta_c = net.beta_cells_per_area
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
-    duration = config.durations.for_interval(
-        interval_index, truncate_to_interval=num.truncate_durations_to_interval)
-    taus, tau_probs = duration.pmf()
+    taus, tau_probs = config.interval_durations(interval_index).pmf()
     options = specfun.FnEvalOptions(rel_tol=num.specfun_rel_tol)
 
     if fin.c_min == fin.c_max:
@@ -437,7 +435,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     vec = MomentVector(interval_index=interval_index, raw=raw, order=d,
                        atom_lo=atom_lo, atom_hi=atom_hi,
                        lower_exponent=2.0 / net.alpha_pathloss)
-    v_lo, v_hi = config.income_support(duration)
+    v_lo, v_hi = config.income_support(interval_index)
     vec.check_envelope(v_lo, v_hi)
     return vec
 

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV determinism, overrides, sweep grammar."""
 
+import hashlib
 import json
 import math
 import os
@@ -97,6 +98,9 @@ class TestValidateCommand:
         (["durations.kind=explicit-pmf", "durations.support=5"], "durations.support"),
         (["durations.per_interval_override=5"], "durations.per_interval_override"),
         (["financial.operator_fees=5"], "financial.operator_fees"),
+        (["numerics.mc_batch=0"], "numerics.mc_batch"),
+        (["durations.kind=explicit-pmf", 'durations.support=["a"]', "durations.probs=[1]"],
+         "durations.support"),
     ])
     def test_value_of_the_wrong_shape_exits_two(self, capsys, overrides, path):
         # a field set inside a number, or a number where a list belongs
@@ -259,6 +263,37 @@ class TestPipelineCommands:
         rows = open(os.path.join(out, "expected_surplus.csv")).read().splitlines()
         assert rows[0] == "n,e_v,u_bound"
         assert len(rows) == 1 + 2 * 3
+
+    def test_simulate_revenue_cdf_spans_the_interval_support(self, tmp_path,
+                                                              fast_config_path):
+        # truncated to interval 1, two-slot-mean connections last one slot:
+        # the empirical CDF lives on income-pdf's support, not the untruncated one
+        args = ["--config", fast_config_path, "--set", "durations.mean=2.0",
+                "--set", "numerics.truncate_durations_to_interval=true"]
+        out = str(tmp_path / "o")
+        assert run_cli(args + ["--out", out, "income-pdf", "--points", "11"]) == 0
+        assert run_cli(args + ["--out", out, "simulate", "--what", "revenue-cdf",
+                               "--points", "11"]) == 0
+        with open(os.path.join(out, "income_pdf.csv")) as fh:
+            v_hi = float(fh.read().splitlines()[-1].split(",")[0])
+        with open(os.path.join(out, "mc_revenue_cdf.csv")) as fh:
+            rows = [[float(x) for x in r.split(",")] for r in fh.read().splitlines()[1:]]
+        assert rows[-1][0] == v_hi == 1000.0
+        assert rows[1][1] < 1.0
+
+    @pytest.mark.parametrize("overrides,sha", [
+        ([], "67bf4a87fd05e7df1242ab7cdc09182945aa0f49ee9632fe3bd2e8e40272b195"),
+        (["--set", "durations.mean=2.0"],
+         "d0904417a26e63b41368fbba2dab475ebf52f88f1cf5465de08c67df7853a19a"),
+    ])
+    def test_analytic_ruin_csv_bytes_pinned(self, tmp_path, overrides, sha):
+        # the reference and multi-slot analytic outputs stay byte-identical
+        # unless a change says why they move
+        out = str(tmp_path / "o")
+        assert run_cli(overrides + ["--out", out, "ruin", "--no-mc",
+                                    "--u", "100,150,200,250,300"]) == 0
+        with open(os.path.join(out, "ruin.csv"), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == sha
 
     def test_simulate_mirror_outputs(self, tmp_path, fast_config_path):
         out = str(tmp_path / "o")

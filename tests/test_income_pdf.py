@@ -1,4 +1,5 @@
-"""Moment-based density reconstruction: projection exactness, sanitization."""
+"""Moment-based density reconstruction: projection exactness, the closed-form
+CDF, sanitization."""
 
 import math
 from dataclasses import replace
@@ -52,33 +53,34 @@ class TestAffineToUnit:
 
 class TestExpansionCoeffs:
     def test_order_zero_is_weight_alone(self):
-        unit = income_pdf.affine_to_unit(uniform_moments(0.0, 1.0), 0.0, 1.0)
-        coeffs = income_pdf.expansion_coeffs(unit, 0, 2.0, 3.0)
-        np.testing.assert_allclose(coeffs, [1.0])
-        dens = income_pdf.expand_density(uniform_moments(0.0, 1.0), 0.0, 1.0,
-                                         order=0, a=2.0, b=3.0)
+        mv = replace(uniform_moments(0.0, 1.0), lower_exponent=2.0)
+        dens = income_pdf.expand_density(mv, 0.0, 1.0, order=0)
+        np.testing.assert_allclose(dens.coeffs, [1.0])
         total, _ = integrate.quad(dens.pdf, 0.0, 1.0)
         assert total == pytest.approx(1.0, rel=1e-9)
 
     def test_order_zero_is_weight_alone_below_unit_exponent_sum(self):
-        # a + b < 1: the weight is singular at both edges, b_0 is still 1
-        unit = income_pdf.affine_to_unit(uniform_moments(0.0, 1.0), 0.0, 1.0)
-        coeffs = income_pdf.expansion_coeffs(unit, 0, 0.5, 0.5)
-        np.testing.assert_allclose(coeffs, [1.0])
-        dens = income_pdf.expand_density(uniform_moments(0.0, 1.0), 0.0, 1.0,
-                                         order=0, a=0.5, b=0.5)
+        # a < 1: the weight is singular at the lower edge, b_0 is still 1
+        mv = replace(uniform_moments(0.0, 1.0), lower_exponent=0.5)
+        dens = income_pdf.expand_density(mv, 0.0, 1.0, order=0)
+        np.testing.assert_allclose(dens.coeffs, [1.0])
         total, _ = integrate.quad(dens.pdf, 0.0, 1.0)
         assert total == pytest.approx(1.0, rel=1e-9)
         # higher orders stay finite and reproduce the input moments
-        dens = income_pdf.expand_density(uniform_moments(0.001, 1000.0), 0.001, 1000.0,
-                                         a=0.5, b=0.5)
+        wide = replace(uniform_moments(0.001, 1000.0), lower_exponent=0.5)
+        dens = income_pdf.expand_density(wide, 0.001, 1000.0)
         assert np.isfinite(dens.coeffs).all()
-        assert dens.mean() == pytest.approx(uniform_moments(0.001, 1000.0).raw[0], rel=1e-9)
+        assert dens.mean() == pytest.approx(wide.raw[0], rel=1e-9)
 
     def test_symmetric_moments_zero_odd_coefficients(self):
-        unit = np.array([1.0, 0.0, 0.4, 0.0, 0.25])
-        coeffs = income_pdf.expansion_coeffs(unit, 4, 1.0, 1.0)
+        # on [-1, 1] the moments are already those of the unit variable
+        mv = MomentVector(1, np.array([0.0, 0.4, 0.0, 0.25]), 4)
+        coeffs = income_pdf.expand_density(mv, -1.0, 1.0).coeffs
         assert abs(coeffs[1]) < 1e-12 and abs(coeffs[3]) < 1e-12
+
+    def test_order_beyond_the_moments_rejected(self):
+        with pytest.raises(DomainError):
+            income_pdf.expand_density(uniform_moments(0.0, 1.0), 0.0, 1.0, order=5)
 
     def test_uniform_density_reproduced_exactly(self):
         dens = income_pdf.expand_density(uniform_moments(2.0, 6.0), 2.0, 6.0)
@@ -138,7 +140,8 @@ class TestEvaluatorsAndSanitize:
         # the reference income, so its expansion genuinely oscillates
         mv = moments.revenue_moments(table3_config)
         v_lo, v_hi = table3_config.income_support()
-        dens = income_pdf.sanitize(income_pdf.expand_density(mv, v_lo, v_hi, a=1.0, b=1.0))
+        dens = income_pdf.sanitize(income_pdf.expand_density(
+            replace(mv, lower_exponent=1.0), v_lo, v_hi))
         assert dens.sanitized_mass > 0.01
         total, _ = integrate.quad(dens.pdf, v_lo, v_hi, limit=200)
         assert total + mv.atom_lo + mv.atom_hi == pytest.approx(1.0, rel=1e-6)
@@ -168,3 +171,63 @@ class TestEvaluatorsAndSanitize:
             dens = income_pdf.expand_density(mv, v_lo, v_hi)
             errs[d] = float(np.max(np.abs(dens.cdf(grid) - exact)))
         assert errs[8] <= errs[4] + 1e-9
+
+
+def quad_cdf(dens, v, clip=False):
+    """Continuous-part CDF by adaptive quadrature of K(x) p(x) in x, with the
+    weight's (1+x)^(a-1) factor handled by quad's algebraic weight; ``clip``
+    drops the negative lobes and renormalizes, as ``sanitize`` does."""
+    a = dens.lower_exponent
+    roots = np.roots(dens.poly[::-1])
+    kinks = np.sort(roots.real[(abs(roots.imag) < 1e-12) & (abs(roots.real) < 1.0)])
+
+    def body(y):
+        p = np.polynomial.polynomial.polyval(y, dens.poly)
+        return a / 2.0 ** a * (max(p, 0.0) if clip else p)
+
+    def integral(x):
+        # quad's algebraic weight to the first kink, then kink to kink
+        edges = [-1.0] + [k for k in kinks if k < x] + [x]
+        total = integrate.quad(body, -1.0, edges[1], weight="alg", wvar=(a - 1.0, 0.0),
+                               epsabs=1e-14, epsrel=1e-13)[0]
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            total += integrate.quad(lambda y: body(y) * (1.0 + y) ** (a - 1.0), lo, hi,
+                                    epsabs=1e-14, epsrel=1e-13)[0]
+        return total
+
+    x = 2.0 * (v - dens.v_lo) / (dens.v_hi - dens.v_lo) - 1.0
+    total = integral(1.0) if clip else 1.0
+    return np.array([integral(xi) / total if xi > -1.0 else 0.0 for xi in x])
+
+
+class TestClosedFormCdf:
+    """The closed form t^a R(t) against quadrature of the density in x."""
+
+    # a Beta(2, 3) law on [0, 1]: E[V^s] = prod_k (2 + k) / (5 + k)
+    BETA_MOMENTS = np.cumprod([(2.0 + k) / (5.0 + k) for k in range(8)])
+
+    @pytest.mark.parametrize("a", [0.5, 2.0 / 3.0, 1.0, 2.0])
+    def test_raw_expansion_every_order(self, a):
+        mv = MomentVector(1, self.BETA_MOMENTS, 8, lower_exponent=a)
+        grid = np.linspace(0.0, 1.0, 23)
+        for order in range(9):
+            dens = income_pdf.expand_density(mv, 0.0, 1.0, order=order)
+            np.testing.assert_allclose(dens.cdf(grid), quad_cdf(dens, grid),
+                                       rtol=0.0, atol=1e-12, err_msg=f"order {order}")
+
+    @pytest.mark.parametrize("a", [0.5, 2.0 / 3.0, 1.0, 2.0])
+    def test_sanitized_multi_segment(self, a):
+        # the x-polynomial of test_forced_negative_lobe_clipped_and_renormalized:
+        # negative lobes near |x| ~ 0.83 make five sign segments
+        base = income_pdf.expand_density(
+            replace(uniform_moments(0.0, 1.0), lower_exponent=a), 0.0, 1.0)
+        rigged = replace(base, poly=np.array([2.58, 0.0, -8.34, 0.0, 6.0]))
+        dens = income_pdf.sanitize(rigged, warn_mass=1.0, reject_mass=1.0)
+        assert len(dens.seg_keep) == 5 and not dens.seg_keep.all()
+        grid = np.linspace(0.0, 1.0, 41)
+        np.testing.assert_allclose(dens.cdf(grid), quad_cdf(dens, grid, clip=True),
+                                   rtol=0.0, atol=1e-12)
+        # the raw CDF is reported unclipped: it dips below 0 over the first lobe
+        assert rigged.cdf(grid).min() < 0.0
+        np.testing.assert_allclose(rigged.cdf(grid), quad_cdf(rigged, grid),
+                                   rtol=0.0, atol=1e-12)

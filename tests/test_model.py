@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -58,6 +58,15 @@ class TestValidate:
         assert loaded.config_hash() == cfg.config_hash()
         assert loaded == cfg
 
+    def test_default_config_hash_pinned(self):
+        # the JSON document, and so the hash, keeps every field of every section
+        cfg = model.default_config()
+        assert cfg.config_hash() == (
+            "883921349ce7db54e5d67609ae149da1eda9bc8be9efbf542f5b3ac25ff1f6bd")
+        data = cfg.to_dict()
+        for section in ("network", "financial", "numerics"):
+            assert set(data[section]) == {f.name for f in fields(getattr(cfg, section))}
+
     def test_env_var_config_path(self, tmp_path, monkeypatch):
         cfg = model.default_config()
         target = tmp_path / "env.json"
@@ -108,6 +117,21 @@ class TestDurationModel:
                                 per_interval_override={3: override})
         assert m.for_interval(1).tau == 1
         assert m.for_interval(3).tau == 2
+
+    def test_config_interval_durations_and_support(self):
+        # the override first, then the truncation flag of the numerics
+        dur = model.DurationModel(kind="explicit-pmf", support=(1, 3), probs=(0.5, 0.5),
+                                  per_interval_override={
+                                      2: model.DurationModel(kind="deterministic", tau=2)})
+        cfg = replace(model.default_config(), durations=dur)
+        assert cfg.interval_durations(2).pmf()[0].tolist() == [2]
+        assert cfg.income_support() == cfg.income_support(1) == (0.001, 3000.0)
+        cut = replace(cfg, numerics=replace(cfg.numerics,
+                                            truncate_durations_to_interval=True))
+        assert cut.interval_durations(1).pmf()[0].tolist() == [1]
+        assert cut.income_support() == (0.001, 1000.0)
+        assert cut.income_support(2) == (0.002, 2000.0)
+        assert cut.income_support(3) == (0.001, 3000.0)
 
     def test_invalid_mean_rejected(self):
         with pytest.raises(DomainError):

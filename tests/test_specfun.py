@@ -162,62 +162,11 @@ class TestJacobiCoeffs:
             specfun.jacobi_poly_coeffs(2, -1.0, 1.0)
 
 
-class TestBetaLogGamma:
-    def test_beta_unit(self):
-        assert specfun.beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_beta_factorial_identity(self):
-        assert specfun.beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-12)
-
-    def test_log_gamma_half(self):
-        assert specfun.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
-                                                       rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            specfun.log_gamma(0.0)
-        with pytest.raises(DomainError):
-            specfun.beta(1.0, -2.0)
-
-
 def test_options_invariants():
     with pytest.raises(DomainError):
         specfun.FnEvalOptions(rel_tol=1e-2)
     with pytest.raises(DomainError):
         specfun.FnEvalOptions(max_terms=8)
-
-
-class TestIncompleteBeta:
-    T = np.array([0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0])
-
-    @pytest.mark.parametrize("a", [0.4, 0.5, 2.0, 5.5])
-    @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
-    def test_matches_scipy(self, a, b):
-        # scipy itself is 3.5e-11 off the exact arcsine law at t = 1 - 1e-12
-        # for a = b = 1/2 (see test_arcsine_law); elsewhere the two agree to
-        # a few ulp
-        np.testing.assert_allclose(specfun.betainc(a, b, self.T), sp.betainc(a, b, self.T),
-                                   rtol=1e-10, atol=0.0)
-
-    def test_arcsine_law(self):
-        # I_t(1/2, 1/2) = (2/pi) asin(sqrt(t)); near t = 1 the complement
-        # (2/pi) asin(sqrt(1 - t)) carries the digits
-        t = self.T
-        want = np.where(t < 0.5, 2.0 / math.pi * np.arcsin(np.sqrt(t)),
-                        1.0 - 2.0 / math.pi * np.arcsin(np.sqrt(1.0 - t)))
-        np.testing.assert_allclose(specfun.betainc(0.5, 0.5, t), want, rtol=1e-14, atol=0.0)
-
-    def test_unit_b_is_a_power(self):
-        t = np.linspace(0.0, 1.0, 11)
-        assert np.array_equal(specfun.betainc(2.5, 1.0, t), t ** 2.5)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            specfun.betainc(0.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            specfun.betainc(1.0, -1.0, 0.5)
-        with pytest.raises(DomainError):
-            specfun.betainc(1.0, 1.0, np.array([0.5, 1.5]))
 
 
 class TestNextFastLen:
