@@ -7,12 +7,15 @@ Inputs are production-shaped: the slots of one batch of the reference
 scenario at the default truncation radius (about 28 interferer points per
 slot; --quick uses a fifth of the batch).  Reported, best of 3:
 
-* ``interference_powsum`` alone: one whole-batch call against calls of
-  ``montecarlo.CHUNK_POINTS`` points carrying the running sum, in ns per
-  interferer point and the bytes of the arrays each call touches;
+* ``interference_powsum`` alone: one whole-batch call against calls on
+  chunks of whole slots of up to ``montecarlo.CHUNK_POINTS`` points, in ns
+  per interferer point and the bytes of the arrays each call touches;
 * the interferer stage (position draws, mark draws, kernel) streamed in
   chunks against the same stage with the whole batch as one chunk, in ns
   per point and the peak bytes it allocates (tracemalloc);
+* one whole revenue batch (``montecarlo._revenue_batch``, 65,536 users) of
+  the reference and the multi-slot scenario, in ms per batch and ns per
+  interferer point;
 * ``ruin_step`` on a large capital grid;
 * ``survival_recursion`` on the reference scenario's interval PMFs: capital
   grid points, FFT length and ms per call;
@@ -58,21 +61,21 @@ def bench_powsum(m_slot, r2, span, exponent, rng):
     x_all = rng.uniform(1.0, float(np.max(r2 + span)), size=total)
     marks = rng.exponential(1.0, size=total)
     chunk = montecarlo.CHUNK_POINTS
-    first = int(np.searchsorted(offsets, 0, side="right"))  # offsets past 0 points
+    # chunk edges at whole slots, as in montecarlo._uniform_field_sums
+    edges = [0]
+    while edges[-1] < len(m_slot):
+        s0 = edges[-1]
+        edges.append(max(int(np.searchsorted(offsets, offsets[s0] + chunk, side="right")) - 1,
+                         s0 + 1))
 
     def whole():
-        return _kernels.interference_powsum(x_all.copy(), exponent, marks, offsets[first:])
+        return _kernels.interference_powsum(x_all.copy(), exponent, marks, offsets[:-1])
 
     def chunked():
         x = x_all.copy()
-        carry, done = 0.0, first
-        for a in range(0, total, chunk):
-            b = min(a + chunk, total)
-            end = int(np.searchsorted(offsets, b, side="right"))
-            sums = _kernels.interference_powsum(
-                x[a:b], exponent, marks[a:b], np.append(offsets[done:end] - a, b - a), carry)
-            carry, done = sums[-1], end
-        return carry
+        for s0, s1 in zip(edges[:-1], edges[1:]):
+            a, b = offsets[s0], offsets[s1]
+            _kernels.interference_powsum(x[a:b], exponent, marks[a:b], offsets[s0:s1] - a)
 
     t_whole, _ = _best(whole)
     t_copy, _ = _best(x_all.copy)
@@ -90,8 +93,9 @@ def bench_stage(m_slot, r2, span, exponent):
     total = int(m_slot.sum())
 
     def stage():
-        rng = montecarlo._stream(1, "bench", 0)
-        return montecarlo._uniform_field_sums(rng, m_slot, r2, span, exponent)
+        return montecarlo._uniform_field_sums(montecarlo._stream(1, "bench", 0),
+                                              montecarlo._stream(1, "bench", 0, "marks"),
+                                              m_slot, r2, span, exponent)
 
     rows = []
     saved = montecarlo.CHUNK_POINTS
@@ -110,6 +114,38 @@ def bench_stage(m_slot, r2, span, exponent):
     print(f"interferer stage (draws + kernel), {total:.2e} pts")
     for label, t, peak, _ in rows:
         print(f"  {label:11s}  {t * 1e9 / total:6.2f} ns/pt  {peak / 2**20:8.1f} MiB peak")
+
+
+def _scenarios():
+    ref = model.validate(model.default_config())
+    data = ref.to_dict()
+    data["durations"].update({"kind": "truncated-geometric", "mean": 2.0, "tau_max": 5})
+    return {"reference": ref,
+            "multi-slot": model.validate(model.ScenarioConfig.from_dict(data))}
+
+
+def bench_batch(n_users):
+    """One revenue batch per scenario, on this thread."""
+    saved = _kernels.interference_powsum
+    print(f"revenue batch  {n_users} users, one thread")
+    for name, cfg in _scenarios().items():
+        plan = montecarlo.plan_from_config(cfg)
+        durations = cfg.interval_durations(1)
+        points = []
+
+        def counting(x_sq, exponent, marks, offsets):
+            points.append(len(x_sq))
+            return saved(x_sq, exponent, marks, offsets)
+
+        _kernels.interference_powsum = counting
+        try:
+            montecarlo._revenue_batch(cfg, plan, ("bench", 0), n_users, durations)
+        finally:
+            _kernels.interference_powsum = saved
+        t, _ = _best(lambda: montecarlo._revenue_batch(cfg, plan, ("bench", 0), n_users,
+                                                       durations))
+        print(f"  {name:10s}  {t * 1e3:7.1f} ms/batch  {t * 1e9 / sum(points):6.2f} ns/pt  "
+              f"({sum(points):.2e} pts)")
 
 
 def bench_ruin_step(n_grid, n_atoms, rng):
@@ -163,6 +199,7 @@ def main():
     m_slot, r2, span, exponent = _batch_slots(int(65_536 * scale), rng)
     bench_powsum(m_slot, r2, span, exponent, rng)
     bench_stage(m_slot, r2, span, exponent)
+    bench_batch(int(65_536 * scale))
     bench_ruin_step(int(20_000 * scale), int(2_000 * scale), rng)
     bench_recursion()
     bench_sampler()

@@ -1,6 +1,6 @@
 """The two hot kernels, in numpy.
 
-* ``interference_powsum`` -- running interference power sums over one chunk
+* ``interference_powsum`` -- per-slot interference power sums over one chunk
   of interferer points;
 * ``ruin_step``           -- one survival-recursion step on a capital grid.
 """
@@ -10,21 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def interference_powsum(x_sq, exponent, marks, offsets, carry=0.0):
-    """Running sums of marks * x_sq**exponent, read after offsets[j] terms.
+def interference_powsum(x_sq, exponent, marks, offsets):
+    """Per-segment sums of marks * x_sq**exponent.
 
-    x_sq: squared interferer distances of one chunk (overwritten: it holds
-    the running sums on return); exponent: -alpha/2; offsets: int64 term
-    counts in 1..len(x_sq).  The sum starts from ``carry`` and runs in order,
-    so a point stream cut into chunks, each fed the last running sum of the
-    chunk before, gives bit for bit the sums of one sequential pass over the
-    whole stream; segment sums are differences of these.
+    x_sq: squared interferer distances of one chunk (overwritten with the
+    terms); exponent: -alpha/2; offsets: int64 segment starts, nondecreasing
+    in 0..len(x_sq), each segment running to the next start (the last to the
+    end).  Each sum is ``np.add.reduceat`` over its own segment, so it does
+    not depend on which other segments share the chunk; empty segments read 0.
     """
-    contrib = np.power(x_sq, exponent, out=x_sq)
-    contrib *= marks
-    contrib[0] += carry
-    np.cumsum(contrib, out=contrib)
-    return contrib[offsets - 1]
+    terms = np.power(x_sq, exponent, out=x_sq)
+    terms *= marks
+    sums = np.zeros(len(offsets))
+    full = np.flatnonzero(np.diff(offsets, append=len(terms)))
+    if len(full):
+        sums[full] = np.add.reduceat(terms, offsets[full])
+    return sums
 
 
 def ruin_step(phi_prev, grid_lo, grid_step, growth, atom_pos, atom_mass, u_grid, out=None):

@@ -1,7 +1,7 @@
 """Scenario configuration: parameter blocks, JSON round trip and validation.
 
 The scenario config is a single JSON document shared by the analytic and
-Monte Carlo paths so both always see identical parameters.  Field names carry
+Monte Carlo paths so both always see identical parameters.  Field names state
 explicit units; currency fields are abstract units (the slot income for a
 unit scaling factor, ``T * rho``, is 1 in the reference setup).
 

@@ -37,7 +37,7 @@ relative tolerance; past a fixed panel budget the rule raises AccuracyError.
 The clamps put point masses at both ends of the income support.  They follow
 from the same transform (Pr(c <= x | r) = Phi_r(1/x) under Rayleigh fading),
 are the same t contraction at u = 1/c_min and u = 1/c_max, and travel with
-the moments, so the density expansion can carry them exactly instead of
+the moments, so the density expansion can keep them exactly instead of
 spreading them over the continuous part.
 
 Notation note: the ratio W = A I / H here is a per-slot conditional variable,

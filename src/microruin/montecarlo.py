@@ -15,15 +15,16 @@ any radius, and truncation errs only in the third and higher cumulants
 (verified by the radius-doubling test); the default factor 3 draws about 28
 interferer points per slot.
 
-Randomness is organized as counter-based (Philox) streams keyed by
-(seed, stage, interval, batch), so fixed seeds give bit-identical results,
-batches may run in any order, and sweeps over the initial capital reuse
-common random numbers (the surplus paths do not depend on u at all).  The
-batches run on one thread per CPU in the process's affinity mask; the
+Randomness comes from SFC64 streams seeded through ``SeedSequence`` with
+keys (seed, stage, interval, batch), so fixed seeds give bit-identical
+results, batches may run in any order, and sweeps over the initial capital
+reuse common random numbers (the surplus paths do not depend on u at all).
+The batches run on one thread per CPU in the process's affinity mask; the
 results do not depend on the thread count.  Within a batch the interferer
-points are streamed through fixed-size chunks.  The interferer
-configuration is redrawn every slot, matching the per-slot independence the
-analytic transform assumes.
+points are streamed through chunks of whole slots; the fading marks come
+from the batch's own "marks" stream, so they do not depend on how the
+positions are chunked.  The interferer configuration is redrawn every slot,
+matching the per-slot independence the analytic transform assumes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ __all__ = [
 _MASK = (1 << 64) - 1
 
 # Interferer points are streamed through buffers of this many points (about
-# 1 MB of positions and marks), never held for a whole batch at once.
+# 1 MB of positions and marks), never held for a whole batch at once.  A
+# chunk holds whole slots; a slot with more points is a chunk by itself.
 CHUNK_POINTS = 1 << 16
 
 
@@ -83,24 +85,21 @@ def plan_from_config(config: ScenarioConfig) -> SimulationPlan:
     )
 
 
-def _mix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
-
-
 def _stream(seed: int, *path) -> np.random.Generator:
-    """Philox generator keyed by (seed, *path); strings are hashed stably."""
-    k0 = _mix64(seed & _MASK)
-    k1 = _mix64(k0 ^ 0xD1B54A32D192ED03)
+    """SFC64 generator keyed by (seed, *path); strings are hashed stably.
+
+    Each key part is one 64-bit word, mixed into the generator state by
+    ``SeedSequence``.  Every caller's path starts with a stage tag:
+    ``SeedSequence`` pads a key shorter than four 32-bit words with zeros, so
+    the seed alone would key the same stream as (seed, 0).
+    """
+    key = [seed & _MASK]
     for part in path:
         if isinstance(part, str):
             part = int.from_bytes(hashlib.blake2b(part.encode(), digest_size=8).digest(), "big")
-        k0 = _mix64(k0 ^ (part & _MASK))
-        k1 = _mix64(k1 ^ _mix64(part & _MASK))
-    key = np.array([k0, k1], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+        key.append(part & _MASK)
+    words = np.array(key, dtype="<u8").view("<u4")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 def _inverse_pmf_sample(rng, values, probs, size):
@@ -150,89 +149,47 @@ def far_field_summary(config: ScenarioConfig, plan: SimulationPlan) -> dict:
             "mean": mean, "variance": var}
 
 
-def _skip_raw(rng, k: int) -> np.random.Generator:
-    """A copy of rng's Philox stream, k raw 64-bit draws ahead of it.
+def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarray:
+    """Per-slot sums of marks * x_sq**exponent over fresh interferer fields:
+    slot j has m_slot[j] points, each at squared distance r2 + span * U with
+    U uniform from rng, and exponential marks from marks_rng.
 
-    Philox hands out a block of four draws per counter step: the copy first
-    uses up the buffered rest of the current block, then advances the counter
-    by whole blocks and draws the remainder.
-    """
-    bitgen = np.random.Philox()
-    bitgen.state = rng.bit_generator.state
-    head = min(k, 4 - bitgen.state["buffer_pos"])
-    bitgen.random_raw(head)
-    k -= head
-    if k >= 4:
-        bitgen.advance(k // 4)
-    bitgen.random_raw(k % 4)
-    return np.random.Generator(bitgen)
-
-
-def _interference_sums(m_slot, exponent, fill_x, marks_rng) -> np.ndarray:
-    """Per-slot sums of marks * x_sq**exponent over the slots' interferers.
-
-    The points of all slots form one stream, walked in chunks of
-    CHUNK_POINTS (a slot may span chunks).  ``fill_x(x, a, s0, s1, counts)``
-    writes the squared distances of points a..a+len(x), which belong to slots
-    s0..s1-1 with ``counts`` points each; ``marks_rng`` draws the fading marks
-    of the stream in order.  The running sum carries across chunks, so the
-    result equals one whole-stream pass bit for bit.
+    The slots are walked in chunks of whole slots, up to CHUNK_POINTS points
+    each.  Both streams are drawn in point order, and each slot's sum is one
+    ``np.add.reduceat`` segment, so the result does not depend on the chunk
+    size.
     """
     offsets = np.zeros(len(m_slot) + 1, dtype=np.int64)
     np.cumsum(m_slot, out=offsets[1:])
-    total = int(offsets[-1])
-    running = np.zeros(len(offsets))   # the running sum at each slot edge
-    x_buf = np.empty(min(CHUNK_POINTS, total))
-    mark_buf = np.empty_like(x_buf)
-    carry = 0.0
-    done = int(np.searchsorted(offsets, 0, side="right"))
-    for a in range(0, total, CHUNK_POINTS):
-        b = min(a + CHUNK_POINTS, total)
-        s0 = int(np.searchsorted(offsets, a, side="right")) - 1
-        s1 = int(np.searchsorted(offsets, b, side="left"))
-        counts = np.minimum(offsets[s0 + 1: s1 + 1], b) - np.maximum(offsets[s0: s1], a)
-        x = x_buf[: b - a]
-        fill_x(x, a, s0, s1, counts)
+    size = min(int(offsets[-1]), max(CHUNK_POINTS, int(m_slot.max(initial=0))))
+    x_buf, mark_buf = np.empty(size), np.empty(size)
+    sums = np.empty(len(m_slot))
+    s0 = 0
+    while s0 < len(m_slot):
+        s1 = max(int(np.searchsorted(offsets, offsets[s0] + CHUNK_POINTS, side="right")) - 1,
+                 s0 + 1)
+        a, b = offsets[s0], offsets[s1]
+        x = rng.random(out=x_buf[: b - a])
+        x *= np.repeat(span[s0:s1], m_slot[s0:s1])
+        x += np.repeat(r2[s0:s1], m_slot[s0:s1])
         marks = marks_rng.standard_exponential(out=mark_buf[: b - a])
-        end = int(np.searchsorted(offsets, b, side="right"))
-        sums = _kernels.interference_powsum(x, exponent, marks,
-                                            np.append(offsets[done:end] - a, b - a), carry)
-        running[done:end] = sums[:-1]
-        carry = sums[-1]
-        done = end
-    return running[1:] - running[:-1]
+        sums[s0:s1] = _kernels.interference_powsum(x, exponent, marks, offsets[s0:s1] - a)
+        s0 = s1
+    return sums
 
 
-def _uniform_field_sums(rng, m_slot, r2, span, exponent) -> np.ndarray:
-    """Interference sums of fresh interferer fields: each point at squared
-    distance r2 + span * U of its slot, U uniform.
-
-    The draw order is that of one whole-stream draw of every position, then
-    every mark: positions come from rng, marks from a copy of it skipped past
-    the positions (one raw draw per uniform double).
-    """
-    marks_rng = _skip_raw(rng, int(m_slot.sum()))
-
-    def fill_x(x, a, s0, s1, counts):
-        rng.random(out=x)
-        x *= np.repeat(span[s0:s1], counts)
-        x += np.repeat(r2[s0:s1], counts)
-
-    return _interference_sums(m_slot, exponent, fill_x, marks_rng)
-
-
-def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, rng, n: int,
+def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, path, n: int,
                    duration_model) -> np.ndarray:
-    """One batch of i.i.d. connection revenues.  Draw order is fixed:
-    distances, durations, products, then per-slot fading, interferer counts,
-    far fields, interferer positions and marks.  The far field comes before
-    the positions because ``_skip_raw`` hands the draws after the positions
-    to the marks."""
+    """One batch of i.i.d. connection revenues from the streams keyed by
+    (seed, *path).  Draw order is fixed: distances, durations, products, then
+    per-slot fading, interferer counts, far fields and interferer positions;
+    the interferer marks come from the (seed, *path, "marks") stream."""
     net, fin = config.network, config.financial
     alpha = net.alpha_pathloss
     beta = net.beta_cells_per_area
     unit = config.slot_income_per_unit_scaling
     radius = plan.ppp_radius_factor / math.sqrt(beta)
+    rng = _stream(plan.seed, *path)
 
     r_u = np.sqrt(-np.log1p(-rng.random(n)) / (math.pi * beta))
     values, probs = duration_model.pmf()
@@ -255,7 +212,7 @@ def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, rng, n: int,
     del r_u, gaps, user_of_slot, lam_user
     interference = _far_field(net, radius, r_slot, rng)
     r2_slot = r_slot * r_slot
-    i_in = _uniform_field_sums(rng, m_slot, r2_slot,
+    i_in = _uniform_field_sums(rng, _stream(plan.seed, *path, "marks"), m_slot, r2_slot,
                                np.maximum(radius * radius - r2_slot, 0.0), -alpha / 2.0)
     del m_slot, r2_slot
     i_in *= net.p_i_interferer_power
@@ -266,9 +223,9 @@ def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, rng, n: int,
         gamma = h * r_slot ** (-alpha) * net.p0_serving_power / (
             net.sigma2_noise_power + interference)
         c = np.clip(gap_slot / gamma, fin.c_min, fin.c_max)
-    csum = np.concatenate(([0.0], np.cumsum(c)))
-    slot_offsets = np.concatenate(([0], np.cumsum(taus)))
-    return (csum[slot_offsets[1:]] - csum[slot_offsets[:-1]]) * unit
+    # every user has at least one slot, so no revenue segment is empty
+    first_slot = np.concatenate(([0], np.cumsum(taus[:-1])))
+    return np.add.reduceat(c, first_slot) * unit
 
 
 def _batch_sizes(n: int, batch_size: int) -> list[int]:
@@ -288,7 +245,7 @@ def _pool_map(fn, jobs) -> list:
 
     Each job draws from its own keyed stream, so the results do not depend
     on the number of threads or the order the jobs run in; numpy releases
-    the GIL in the Philox fills and the array operations.
+    the GIL in the generator fills and the array operations.
     """
     workers = min(_cpu_count(), len(jobs))
     if workers <= 1:
@@ -302,7 +259,7 @@ def _revenue_batches(config: ScenarioConfig, plan: SimulationPlan, jobs) -> list
     """Revenue batches for jobs of (stream path, size, duration model), in job order."""
     def run(job):
         path, size, duration_model = job
-        return _revenue_batch(config, plan, _stream(plan.seed, *path), size, duration_model)
+        return _revenue_batch(config, plan, path, size, duration_model)
     return _pool_map(run, jobs)
 
 
@@ -407,13 +364,11 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: SimulationPlan,
                                                   side="right").clip(0, len(ops) - 1)]
             else:
                 fees = np.full(total, next(iter(fin.operator_fees.values())))
-            net_user = revenues - fees
-            csum = np.concatenate(([0.0], np.cumsum(net_user)))
-            offsets = np.concatenate(([0], np.cumsum(n_users)))
-            s_net = csum[offsets[1:]] - csum[offsets[:-1]]
-        else:
-            s_net = np.zeros(n_paths)
-        discounted[interval - 1] = s_net / (1.0 + r) ** interval
+            # paths without users keep a net profit of 0
+            served = np.flatnonzero(n_users)
+            first_user = np.concatenate(([0], np.cumsum(n_users)[:-1]))
+            s_net = np.add.reduceat(revenues - fees, first_user[served])
+            discounted[interval - 1, served] = s_net / (1.0 + r) ** interval
 
     cumulative = np.cumsum(discounted, axis=0)
     running_min = np.minimum.accumulate(cumulative, axis=0)

@@ -222,8 +222,9 @@ def sample_slot_scaling(config: ScenarioConfig, plan: montecarlo.SimulationPlan,
         h = rng.exponential(1.0, size=size)
         m = rng.poisson(beta * math.pi * span, size=size)
         interference = montecarlo._far_field(net, radius, np.full(size, r_u), rng)
-        i_in = montecarlo._uniform_field_sums(rng, m, np.full(size, r_u * r_u),
-                                              np.full(size, span), -alpha / 2.0)
+        i_in = montecarlo._uniform_field_sums(
+            rng, montecarlo._stream(plan.seed, "slot", batch_idx, "marks"), m,
+            np.full(size, r_u * r_u), np.full(size, span), -alpha / 2.0)
         interference += net.p_i_interferer_power * i_in
         with np.errstate(divide="ignore"):
             gamma = h * r_u ** (-alpha) * net.p0_serving_power / (
@@ -337,6 +338,10 @@ def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float,
     when all tau_max (tau_min) slots of a connection clamp high (low), so the
     per-slot probabilities are raised to that power before the distance and
     product averages.  Beyond the distance cutoff every slot clamps high.
+
+    The low atom's integrand is a spike of width w = 1/sqrt(pi beta (1 + tau_min c))
+    near z = 0, c the profile at 1/c_min; with a wide clamp range it is far
+    narrower than the cutoff, so its quadrature is split at w, 4w and 16w.
     """
     net, fin, num = config.network, config.financial, config.numerics
     alpha, beta_c = net.alpha_pathloss, net.beta_cells_per_area
@@ -359,10 +364,14 @@ def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float,
             total += mix * p
         return total * nearest_distance_pdf(z, beta_c)
 
+    widths = [1.0 / math.sqrt(math.pi * beta_c * (1.0 + tau_lo * prof_lo))
+              for _, _, prof_lo, _ in products]
+    spike = sorted({k * w for w in widths for k in (1, 4, 16) if k * w < z_cut})
     out = []
-    for high, tau, tail in ((False, tau_lo, 0.0), (True, tau_hi, num.distance_tail_mass)):
+    for high, tau, tail, points in ((False, tau_lo, 0.0, spike or None),
+                                    (True, tau_hi, num.distance_tail_mass, None)):
         val, err = integrate.quad(atom, 0.0, z_cut, args=(high,), epsabs=0.0,
-                                  epsrel=num.quad_rel_tol, limit=300)
+                                  epsrel=num.quad_rel_tol, limit=300, points=points)
         if val > 0 and err / val > 10 * num.quad_rel_tol:
             raise AccuracyError("distance quadrature of a clamp atom did not meet tolerance",
                                 {"high": high, "value": val, "abs_err": err})

@@ -9,38 +9,38 @@ from microruin import _kernels
 def _powsum_case(rng, n_seg=500, mean_pts=40):
     counts = rng.poisson(mean_pts, size=n_seg)
     counts[rng.integers(0, n_seg, 5)] = 0  # force empty segments
-    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    x_sq = rng.uniform(0.5, 2e3, size=int(offsets[-1]))
-    marks = rng.exponential(1.0, size=int(offsets[-1]))
-    return x_sq, marks, offsets
+    counts[[0, -2, -1]] = 0                # at both ends too
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
+    x_sq = rng.uniform(0.5, 2e3, size=int(counts.sum()))
+    marks = rng.exponential(1.0, size=int(counts.sum()))
+    return x_sq, marks, starts, counts
 
 
 def test_powsum_matches_bruteforce():
     rng = np.random.default_rng(1)
-    x_sq, marks, offsets = _powsum_case(rng)
-    ends = offsets[1:]
-    running = _kernels.interference_powsum(x_sq.copy(), -1.7, marks, ends, carry=0.25)
-    got = np.diff(np.concatenate(([0.25], running)))
-    for j in [0, 1, 13, 200, len(ends) - 1]:
-        seg = slice(offsets[j], offsets[j + 1])
+    x_sq, marks, starts, counts = _powsum_case(rng)
+    got = _kernels.interference_powsum(x_sq.copy(), -1.7, marks, starts)
+    assert got.shape == counts.shape
+    assert np.all(got[counts == 0] == 0.0)
+    for j in [0, 1, 13, 200, len(starts) - 2, len(starts) - 1,
+              *np.flatnonzero(counts == 0)]:
+        seg = slice(starts[j], starts[j] + counts[j])
         ref = float(np.sum(marks[seg] * x_sq[seg] ** -1.7))
         assert got[j] == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
-def test_powsum_chunks_carry_the_running_sum_exactly():
-    # cut anywhere, fed the previous chunk's last running sum, the chunks
-    # give the whole-stream running sums bit for bit
+def test_powsum_chunks_cut_at_segment_edges_match_whole():
+    # each segment is summed on its own, so chunks cut at any segment edge
+    # give the whole-stream sums bit for bit
     rng = np.random.default_rng(2)
-    x_sq, marks, _ = _powsum_case(rng, n_seg=50)
-    n = len(x_sq)
-    whole = _kernels.interference_powsum(x_sq.copy(), -2.0, marks,
-                                         np.arange(1, n + 1, dtype=np.int64))
-    pieces, carry = [], 0.0
-    for a, b in [(0, 1), (1, 9), (9, 500), (500, n)]:
-        part = _kernels.interference_powsum(x_sq[a:b].copy(), -2.0, marks[a:b],
-                                            np.arange(1, b - a + 1, dtype=np.int64), carry)
-        pieces.append(part)
-        carry = part[-1]
+    x_sq, marks, starts, _ = _powsum_case(rng, n_seg=50)
+    whole = _kernels.interference_powsum(x_sq.copy(), -2.0, marks, starts)
+    edges = np.append(starts, len(x_sq))
+    pieces = []
+    for s0, s1 in [(0, 1), (1, 9), (9, 30), (30, 30), (30, 50)]:
+        a, b = edges[s0], edges[s1]
+        pieces.append(_kernels.interference_powsum(x_sq[a:b].copy(), -2.0, marks[a:b],
+                                                   starts[s0:s1] - a))
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 

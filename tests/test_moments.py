@@ -188,6 +188,9 @@ def _scenario(name):
     elif name == "two-products":
         cfg = replace(cfg, products=ProductParams(rate_gaps=(10.0, 100.0),
                                                   product_mix=(0.4, 0.6)))
+    elif name == "pathloss-2.1-clamps-1e-5-1e5":
+        # the low atom is ~1e-8, a spike of width ~1e-3 near zero distance
+        cfg = make_config(alpha=2.1, c_min=1e-5, c_max=1e5)
     return validate(cfg)
 
 
@@ -226,10 +229,24 @@ class TestClampAtoms:
         v_lo, v_hi = cfg.income_support()
         n = 100_000
         v = montecarlo.sample_revenues(cfg, replace(fast_plan, n_users=n), n)
-        # the sampler's cumsum differencing leaves ~1e-9 roundoff on each revenue
+        # a multi-slot revenue sums its clamped slots, which may miss the
+        # clamped total by a few ulps
         tol = 1e-6
         for atom, edge in ((mv.atom_lo, v_lo), (mv.atom_hi, v_hi)):
             freq = float(np.mean(np.abs(v - edge) <= tol))
+            se = math.sqrt(max(atom * (1.0 - atom), 1.0 / n) / n)
+            assert abs(freq - atom) <= 4.0 * se, (edge, freq, atom)
+
+    def test_single_slot_revenues_equal_the_clamps_exactly(self, fast_plan):
+        # a one-slot revenue is its clamped slot times the unit income, with
+        # no roundoff, so the atoms are counted by equality
+        cfg = _scenario("reference")
+        mv = moments.revenue_moments(cfg)
+        v_lo, v_hi = cfg.income_support()
+        n = 100_000
+        v = montecarlo.sample_revenues(cfg, replace(fast_plan, n_users=n), n)
+        for atom, edge in ((mv.atom_lo, v_lo), (mv.atom_hi, v_hi)):
+            freq = float(np.mean(v == edge))
             se = math.sqrt(max(atom * (1.0 - atom), 1.0 / n) / n)
             assert abs(freq - atom) <= 4.0 * se, (edge, freq, atom)
 
@@ -239,7 +256,8 @@ class TestClampAtoms:
 
 
 @pytest.mark.parametrize("name", ["reference", "pathloss-3", "pathloss-5", "noise",
-                                  "truncated-geometric", "two-products", "clamps-0.1-100"])
+                                  "truncated-geometric", "two-products", "clamps-0.1-100",
+                                  "pathloss-2.1-clamps-1e-5-1e5"])
 def test_revenue_moments_match_nested_quadrature(name):
     # the tensor rule against the nested adaptive quadrature it replaced
     cfg = _scenario(name)

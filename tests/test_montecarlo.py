@@ -49,7 +49,7 @@ class TestRevenueSampling:
     def test_support_envelope(self, table2_config, fast_plan):
         v = montecarlo.sample_revenues(table2_config, fast_plan, 20_000)
         lo, hi = table2_config.income_support()
-        # cumulative-sum accumulation may undershoot the clamp by a few ulps
+        # summing a connection's clamped slots may miss the clamp by a few ulps
         assert v.min() >= lo * (1.0 - 1e-8) and v.max() <= hi * (1.0 + 1e-8)
 
     def test_radius_doubling_within_one_se(self, table2_config, fast_plan):
@@ -95,6 +95,22 @@ class TestSurplusPaths:
         est = montecarlo.simulate_surplus_paths(table3_config, fast_plan,
                                                 [100.0, 200.0])
         assert est.psi_at(5, 200.0) == est.psi[4, 1]
+
+    def test_path_losses_sum_their_users_exactly(self, fast_plan):
+        # every user nets exactly 2 - fee, so without interest a path's loss
+        # is its user count times that, and a path without users loses 0
+        cfg = point_mass_config(2.0)
+        fin = replace(cfg.financial, interest_rate_per_interval=0.0)
+        cfg = replace(cfg, financial=fin)
+        loss = next(iter(fin.operator_fees.values())) - 2.0
+        plan = replace(fast_plan, n_paths=500)
+        us = [0.0, 3 * loss - 0.5]
+        est = montecarlo.simulate_surplus_paths(cfg, plan, us)
+        users = np.cumsum([montecarlo._stream(plan.seed, "path-count", l)
+                           .geometric(fin.w_n_geometric, size=plan.n_paths) - 1
+                           for l in range(1, fin.horizon_intervals + 1)], axis=0)
+        want = np.stack([np.mean(users * loss > u, axis=1) for u in us], axis=1)
+        assert np.array_equal(est.psi, want)
 
 
 def _campbell(alpha, beta, p_i, radius):
@@ -198,17 +214,17 @@ def _multi_slot_config():
 
 class TestStreamPinned:
     """The MC stream is fixed: these sha256 values of the output bytes were
-    taken when the truncation radius fell to factor 3 and the far field became
-    one moment-matched Gamma draw per slot.  The chunked interferer stream,
-    the thread pool and the Philox skip leave them unchanged
-    (``TestChunkedStream``).  Any change of draw order, summation order,
-    truncation radius or batch layout moves them."""
+    taken when the keyed streams became SFC64, the interferer marks got their
+    own stream and the per-slot, per-user and per-path totals became
+    ``np.add.reduceat`` segment sums.  The chunk size and the thread count leave
+    them unchanged (``TestChunkedStream``).  Any change of generator, draw
+    order, summation order, truncation radius or batch layout moves them."""
 
     PLAN = montecarlo.SimulationPlan(seed=11, batch_size=4096, n_users=3000, n_paths=1500)
     N = 2 * 4096 + 1000  # three batches, the last one partial
     REVENUES = {
-        "reference": "55f3117158adaa83a4d1eaccfdccba314d32f9e65a33173f9243937e8b06de93",
-        "multi-slot": "bd24ec682330bfcd97d03a4f49ce5b76e8345035446c98394693407fc5a4a237",
+        "reference": "38310fbdb4af8b73aa9057e9f98ea1952a6715a020a8422269c2f180cf1a5030",
+        "multi-slot": "bd83e633fbdf5f4c6cf5352dbe95e62db08b2e49dd6810a45e6a9b9a64eaa8ff",
     }
 
     @pytest.mark.parametrize("case", sorted(REVENUES))
@@ -221,38 +237,43 @@ class TestStreamPinned:
         est = montecarlo.simulate_surplus_paths(model.validate(model.default_config()),
                                                 self.PLAN, [50.0, 150.0, 300.0])
         assert _sha(est.psi) == (
-            "e1108ffbf7155285c1d340753402297584264af357b21b8bd94d076360a6693f")
+            "7a113ab28a7be6f3989698cccc0ebd167b4075d8ae25af7185a75fed5f97da74")
 
     def test_estimate_moments(self):
         mv, se = montecarlo.estimate_moments(model.validate(model.default_config()),
                                              replace(self.PLAN, n_users=self.N))
         assert _sha(np.concatenate([mv.raw, se])) == (
-            "569ddef3657dd91457efe669107f40c4ed77e1228c5d4768a9c3221f61e50e15")
+            "e4bfc31709ff4c25c30e6c372fe667196462dd0eaf33e56677a3043906d203bc")
 
     def test_slot_scaling(self, table2_config):
         v = oracles.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
                                         rate_gap=100.0)
-        assert _sha(v) == "e88aa4d4617dac064b66341841df286fe123af7b156dfe6ff5a2360c5c456e99"
+        assert _sha(v) == "6da1d44e93efc7a6b9b5317112d3640f303b2b580410b16e3cabbe49260cf683"
 
 
 class TestChunkedStream:
     def test_interference_sums_across_chunk_edges(self, monkeypatch):
-        # with 3-point chunks the empty slots sit on chunk edges (3 and 12)
-        # and the 7-point slot spans three chunks
+        # with 3-point chunks the 7-point slot is a chunk by itself, the empty
+        # slots sit on chunk edges, and the last chunk holds no points
         monkeypatch.setattr(montecarlo, "CHUNK_POINTS", 3)
-        m_slot = np.array([0, 3, 0, 0, 7, 0, 2, 0])
-        x_sq = np.random.default_rng(0).uniform(1.0, 50.0, size=12)
-        marks_rng = np.random.default_rng(1)
-        marks = np.random.default_rng(1).standard_exponential(12)
-
-        def fill_x(x, a, s0, s1, counts):
-            assert counts.sum() == len(x)
-            x[:] = x_sq[a: a + len(x)]
-
-        got = montecarlo._interference_sums(m_slot, -2.0, fill_x, marks_rng)
-        running = np.concatenate(([0.0], np.cumsum(marks * x_sq ** -2.0)))
-        offsets = np.concatenate(([0], np.cumsum(m_slot)))
-        assert got.tobytes() == (running[offsets[1:]] - running[offsets[:-1]]).tobytes()
+        m_slot = np.array([0, 3, 0, 0, 7, 0, 1, 1, 0, 4, 0])
+        r2 = np.random.default_rng(0).uniform(1.0, 5.0, size=len(m_slot))
+        span = np.random.default_rng(1).uniform(0.0, 50.0, size=len(m_slot))
+        got = montecarlo._uniform_field_sums(montecarlo._stream(9, "edges"),
+                                             montecarlo._stream(9, "edges", "marks"),
+                                             m_slot, r2, span, -2.0)
+        total = int(m_slot.sum())
+        x_sq = montecarlo._stream(9, "edges").random(total)
+        x_sq *= np.repeat(span, m_slot)
+        x_sq += np.repeat(r2, m_slot)
+        marks = montecarlo._stream(9, "edges", "marks").standard_exponential(total)
+        terms = marks * x_sq ** -2.0
+        starts = np.concatenate(([0], np.cumsum(m_slot)[:-1]))
+        want = np.zeros(len(m_slot))
+        full = m_slot > 0
+        want[full] = np.add.reduceat(terms, starts[full])
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[~full] == 0.0)
 
     def test_chunk_size_leaves_bytes_unchanged(self, monkeypatch):
         # a small truncation radius leaves many slots without interferers
@@ -279,23 +300,3 @@ class TestChunkedStream:
         finally:
             sys.setswitchinterval(interval)
         assert out[1] == out[2] == out[5]
-
-    @pytest.mark.parametrize("aligned", range(9))
-    def test_skip_matches_sequential_draws(self, aligned):
-        # positions are uniform doubles, one raw draw each, so the marks of a
-        # skipped copy continue one sequential draw of positions then marks
-        def stream():
-            rng = montecarlo._stream(9, "skip")
-            rng.bit_generator.random_raw(aligned)  # every Philox buffer position
-            return rng
-
-        for k in (0, 1, 2, 3, 4, 5, 7, 8, 13, 1001, 3 * 4096 + 1):
-            rng = stream()
-            ahead = montecarlo._skip_raw(rng, k)
-            sequential = stream()
-            sequential.random(k)
-            assert np.array_equal(ahead.bit_generator.random_raw(9),
-                                  sequential.bit_generator.random_raw(9))
-            # the skip leaves the original stream where it was
-            assert np.array_equal(rng.bit_generator.random_raw(9),
-                                  stream().bit_generator.random_raw(9))
