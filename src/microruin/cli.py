@@ -14,13 +14,13 @@ Exit codes: 0 success, 2 configuration errors (reported with field paths),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -54,8 +54,7 @@ class RunManifest:
 
     def write(self, out_dir: str):
         self.finished_utc = _now()
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
+        with _atomic_open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             json.dump(self.__dict__, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -64,20 +63,30 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_csv(out_dir: str, name: str, header, rows, manifest: RunManifest) -> str:
+@contextlib.contextmanager
+def _atomic_open(path: str, mode: str):
+    """A temp file beside ``path`` that replaces it only once fully written;
+    on any error the temp file goes and ``path`` is left as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_csv(out_dir: str, name: str, header, rows, manifest: RunManifest):
     """Atomic CSV write; registers the file hash in the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     text = ",".join(header) + "\n"
     for row in rows:
         text += ",".join(_fmt(x) for x in row) + "\n"
     data = text.encode()
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    with os.fdopen(fd, "wb") as fh:
+    with _atomic_open(os.path.join(out_dir, name), "wb") as fh:
         fh.write(data)
-    path = os.path.join(out_dir, name)
-    os.replace(tmp, path)
     manifest.outputs[name] = hashlib.sha256(data).hexdigest()
-    return path
 
 
 def _apply_overrides(data: dict, overrides) -> dict:
@@ -100,12 +109,10 @@ def _apply_overrides(data: dict, overrides) -> dict:
     return data
 
 
-def _load(args) -> model.ScenarioConfig:
-    cfg = model.load_config(args.config)
-    if getattr(args, "set", None):
-        data = _apply_overrides(cfg.to_dict(), args.set)
-        cfg = model.ScenarioConfig.from_dict(data)
-    return model.validate(cfg)
+def _overridden(cfg: model.ScenarioConfig, overrides) -> model.ScenarioConfig:
+    """``cfg`` with every dotted ``path=value`` override applied, validated."""
+    data = _apply_overrides(cfg.to_dict(), overrides)
+    return model.validate(model.ScenarioConfig.from_dict(data))
 
 
 def _u_list(cfg: model.ScenarioConfig, arg: str | None) -> np.ndarray:
@@ -134,8 +141,7 @@ def _cmd_income_pdf(args, cfg, manifest):
     mv = moments.revenue_moments(cfg, interval_index=args.interval)
     # the support the moments (and their clamp atoms) were computed on
     v_lo, v_hi = cfg.income_support(args.interval)
-    raw = income_pdf.expand_density(mv, v_lo, v_hi, order=args.order or cfg.numerics.moment_order)
-    dens = income_pdf.sanitize(raw, cfg.numerics.sanitize_warn, cfg.numerics.sanitize_reject)
+    dens = income_pdf.sanitize(income_pdf.expand_density(mv, v_lo, v_hi))
     grid = np.linspace(v_lo, v_hi, args.points)
     pdf, cdf = dens.pdf(grid), dens.cdf(grid)
     if len(grid) > 1:
@@ -205,15 +211,21 @@ def _cmd_ruin(args, cfg, manifest):
     print(final)
 
 
-def _cmd_expected_surplus(args, cfg, manifest):
-    start, stop, step = (float(x) for x in args.ev_grid.split(":"))
+# the paper's Figure 2 inputs, which are also expected-surplus's defaults
+_FIG2 = {"ev_grid": "0:0.2:0.005", "horizons": "1,2,3,4,5", "r": 0.05, "e_n": 100.0,
+         "e_c": 0.1}
+
+
+def _bound_rows(ev_grid: str, horizons: str, r: float, e_n: float, e_c: float):
+    """(n, E[V], u*) rows of the initial-capital bound over an E[V] grid."""
+    start, stop, step = (float(x) for x in ev_grid.split(":"))
     evs = np.arange(start, stop + 1e-12, step)
-    horizons = [int(x) for x in args.horizons.split(",")]
-    rows = []
-    for n in horizons:
-        for ev in evs:
-            rows.append((n, ev, ruin.initial_capital_bound(args.r, n, args.e_n, ev,
-                                                           args.e_c)))
+    return [(n, ev, ruin.initial_capital_bound(r, n, e_n, ev, e_c))
+            for n in (int(x) for x in horizons.split(",")) for ev in evs]
+
+
+def _cmd_expected_surplus(args, cfg, manifest):
+    rows = _bound_rows(args.ev_grid, args.horizons, args.r, args.e_n, args.e_c)
     _write_csv(args.out, "expected_surplus.csv", ["n", "e_v", "u_bound"], rows, manifest)
     print(f"{len(rows)} bound rows written")
 
@@ -254,37 +266,21 @@ def _cmd_sweep(args, cfg, manifest):
     dotted, rng = args.param.split("=", 1)
     start, stop, step = (float(x) for x in rng.split(":"))
     values = np.arange(start, stop + 1e-12, step)
-
-    def run_point(value):
-        data = _apply_overrides(cfg.to_dict(), [f"{dotted}={float(value)}"])
-        point_cfg = model.validate(model.ScenarioConfig.from_dict(data))
+    rows = []
+    for value in values:
+        point_cfg = _overridden(cfg, [f"{dotted}={float(value)}"])
         mv = moments.revenue_moments(point_cfg, interval_index=1)
         sub = os.path.join(args.out, f"sweep_{dotted.replace('.', '_')}_{value:g}")
         sub_manifest = RunManifest(config_hash=point_cfg.config_hash(),
                                    seed=point_cfg.numerics.seed,
                                    command="sweep-point", started_utc=_now())
-        rows = [(1, s, mv.raw[s - 1]) for s in range(1, mv.order + 1)]
-        _write_csv(sub, "moments.csv", ["interval", "order", "value"], rows, sub_manifest)
+        _write_csv(sub, "moments.csv", ["interval", "order", "value"],
+                   [(1, s, mv.raw[s - 1]) for s in range(1, mv.order + 1)], sub_manifest)
         sub_manifest.write(sub)
-        return value, mv.raw
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(run_point, values))
+        rows.append([value, *mv.raw])
     header = ["value"] + [f"moment_{s}" for s in range(1, cfg.numerics.moment_order + 1)]
-    rows = [[v, *raw] for v, raw in results]
     _write_csv(args.out, "sweep.csv", header, rows, manifest)
     print(f"{len(values)} sweep points done ({dotted})")
-
-
-def _table_config(base: model.ScenarioConfig, **over) -> model.ScenarioConfig:
-    data = base.to_dict()
-    for dotted, value in over.items():
-        node = data
-        parts = dotted.split("__")
-        for p in parts[:-1]:
-            node = node[p]
-        node[parts[-1]] = value
-    return model.validate(model.ScenarioConfig.from_dict(data))
 
 
 def _cmd_reproduce_tables(args, cfg, manifest):
@@ -293,15 +289,15 @@ def _cmd_reproduce_tables(args, cfg, manifest):
     n_mc = min(100_000, cfg.numerics.mc_samples) if args.fast else cfg.numerics.mc_samples
     n_paths = min(5_000, cfg.numerics.mc_paths) if args.fast else cfg.numerics.mc_paths
     plan = montecarlo.plan_from_config(cfg)
+    narrow_clamps = ["financial.c_min=0.1", "financial.c_max=100.0"]
 
     if "tableII" in which:
         rows = []
         for beta in (0.01, 0.1, 1.0):
             row = [beta]
             for alpha in (3.0, 4.0):
-                c2 = _table_config(cfg, network__beta_cells_per_area=beta,
-                                   network__alpha_pathloss=alpha,
-                                   financial__c_min=0.1, financial__c_max=100.0)
+                c2 = _overridden(cfg, [f"network.beta_cells_per_area={beta}",
+                                       f"network.alpha_pathloss={alpha}", *narrow_clamps])
                 ev = moments.revenue_moments(c2).raw[0]
                 p2 = dc_replace(plan, n_users=n_mc)
                 mc = float(np.mean(montecarlo.sample_revenues(c2, p2, n_mc)))
@@ -312,27 +308,23 @@ def _cmd_reproduce_tables(args, cfg, manifest):
                     "ev_mc_alpha4"], rows, manifest)
 
     if "fig2" in which:
-        rows = []
-        for n in (1, 2, 3, 4, 5):
-            for ev in np.arange(0.0, 0.2001, 0.005):
-                rows.append((n, ev, ruin.initial_capital_bound(0.05, n, 100.0, ev, 0.1)))
-        _write_csv(args.out, "fig2.csv", ["n", "e_v", "u_bound"], rows, manifest)
+        _write_csv(args.out, "fig2.csv", ["n", "e_v", "u_bound"], _bound_rows(**_FIG2),
+                   manifest)
 
     if "fig3" in which:
         rows = []
         for a_d in (10.0, 100.0):
             for alpha in np.arange(2.5, 5.001, 0.25):
-                c3 = _table_config(cfg, network__alpha_pathloss=float(alpha),
-                                   financial__c_min=0.1, financial__c_max=100.0,
-                                   products__rate_gaps=[a_d])
+                c3 = _overridden(cfg, [f"network.alpha_pathloss={float(alpha)}",
+                                       *narrow_clamps, f"products.rate_gaps=[{a_d}]"])
                 rows.append((a_d, alpha, moments.revenue_moments(c3).raw[0]))
         _write_csv(args.out, "fig3.csv", ["a_d", "alpha", "ev_num"], rows, manifest)
 
     if "fig4" in which or "tableIII" in which:
-        c4 = _table_config(cfg, network__alpha_pathloss=4.0,
-                           network__beta_cells_per_area=0.1,
-                           financial__c_min=0.001, financial__c_max=1000.0,
-                           financial__interest_rate_per_interval=0.05)
+        c4 = _overridden(cfg, ["network.alpha_pathloss=4.0",
+                               "network.beta_cells_per_area=0.1",
+                               "financial.c_min=0.001", "financial.c_max=1000.0",
+                               "financial.interest_rate_per_interval=0.05"])
         if "fig4" in which:
             mv = moments.revenue_moments(c4)
             v_lo, v_hi = c4.income_support()
@@ -385,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("income-pdf", help="moment-based income density as CSV")
     p.add_argument("--interval", type=int, default=1)
-    p.add_argument("--order", type=int, default=None)
     p.add_argument("--points", type=int, default=1001)
 
     p = sub.add_parser("compound", help="per-interval net-profit PMFs as CSV")
@@ -396,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo columns")
 
     p = sub.add_parser("expected-surplus", help="initial-capital bound curves")
-    p.add_argument("--ev-grid", default="0:0.2:0.005")
-    p.add_argument("--horizons", default="1,2,3,4,5")
-    p.add_argument("--r", type=float, default=0.05)
-    p.add_argument("--e-n", type=float, default=100.0)
-    p.add_argument("--e-c", type=float, default=0.1)
+    p.add_argument("--ev-grid", default=_FIG2["ev_grid"])
+    p.add_argument("--horizons", default=_FIG2["horizons"])
+    p.add_argument("--r", type=float, default=_FIG2["r"])
+    p.add_argument("--e-n", type=float, default=_FIG2["e_n"])
+    p.add_argument("--e-c", type=float, default=_FIG2["e_c"])
 
     p = sub.add_parser("simulate", help="Monte Carlo outputs mirroring the "
                        "analytic subcommands")
@@ -410,11 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=1001)
     p.add_argument("--u", help="comma-separated initial capitals (paths mode)")
 
-    p = sub.add_parser("sweep", help="parameter sweep of a pipeline stage")
+    p = sub.add_parser("sweep", help="revenue moments over a parameter grid")
     p.add_argument("--param", required=True, metavar="PATH=START:STOP:STEP")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("stage", nargs="?", default="moments", choices=["moments"],
-                   help="stage to evaluate per point (moments)")
 
     p = sub.add_parser("reproduce-tables", help="emit reference-table data files")
     p.add_argument("--which", default="all",
@@ -443,7 +431,7 @@ def main(argv=None) -> int:
                            started_utc=_now())
     try:
         # the effective config: the file (or defaults) with every --set applied
-        cfg = _load(args)
+        cfg = _overridden(model.load_config(args.config), args.set)
         manifest.config_hash = cfg.config_hash()
         manifest.seed = cfg.numerics.seed
         _HANDLERS[args.command](args, cfg, manifest)

@@ -53,10 +53,6 @@ class NetworkParams:
     bandwidth_hz: float = 1.0
     slot_duration_s: float = 1.0
 
-    @property
-    def interference_limited(self) -> bool:
-        return self.sigma2_noise_power == 0.0
-
 
 @dataclass(frozen=True)
 class FinancialParams:
@@ -73,14 +69,9 @@ class FinancialParams:
     operator_fees: dict = field(default_factory=lambda: {1: 100.0})
     operator_mix: dict = field(default_factory=lambda: {1: 1.0})
     interest_rate_per_interval: float = 0.05
-    slots_per_interval: int = 1
     initial_capital: float = 100.0
     w_n_geometric: float = 0.2
     horizon_intervals: int = 5
-
-    @property
-    def mean_fee(self) -> float:
-        return sum(self.operator_mix[k] * self.operator_fees[k] for k in self.operator_mix)
 
 
 @dataclass(frozen=True)
@@ -157,10 +148,6 @@ class DurationModel:
         return DurationModel(kind="explicit-pmf", support=tuple(int(v) for v in values[keep]),
                              probs=tuple(float(p) for p in probs), mean=None, tau_max=None)
 
-    def mean_duration(self) -> float:
-        values, probs = self.pmf()
-        return float(np.dot(values, probs))
-
     def bounds(self):
         values, _ = self.pmf()
         return int(values.min()), int(values.max())
@@ -198,19 +185,10 @@ def _solve_truncated_geometric(mean: float, tau_max: int) -> float:
 class Numerics:
     """Tolerances, discretization steps and sampling budgets."""
 
-    specfun_rel_tol: float = 1e-10
     quad_rel_tol: float = 1e-8
-    distance_tail_mass: float = 1e-12
     moment_order: int = 4
     lattice_step: float | None = None          # default (v_hi + max fee) / 2048
-    lattice_points_budget: int = 1_000_000
-    # max-norm interpolation diagnostic; conservative at genuine jumps of the
-    # survival function, so the default only catches gross misconfiguration
-    ruin_interp_tol: float = 0.5
-    ruin_tail_eps: float = 1e-9
     tail_eps: float = 1e-12
-    sanitize_warn: float = 0.02
-    sanitize_reject: float = 0.1
     mc_samples: int = 1_000_000
     mc_paths: int = 20_000
     mc_batch: int = 65_536
@@ -493,8 +471,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
                        f"c_min={fin.c_min:g}, c_max={fin.c_max:g}"))
     if fin.interest_rate_per_interval < 0:
         errors.append(("financial.interest_rate_per_interval", "interest rate must be >= 0"))
-    if fin.slots_per_interval < 1:
-        errors.append(("financial.slots_per_interval", "kappa must be a positive integer"))
     if not (0 < fin.w_n_geometric < 1):
         errors.append(("financial.w_n_geometric", "w_n must lie in (0, 1)"))
     if fin.horizon_intervals < 1:

@@ -66,6 +66,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # log-u panels of the first level; every level doubles the u and distance panels
 _START_U_PANELS = 2
 _MAX_LEVEL = 4  # panel budget: every panel of level 0 split into 16
+# distance mass beyond the t cutoff, where every slot clamps high
+DISTANCE_TAIL_MASS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,7 @@ class MomentVector:
 # Interference Laplace exponent
 # ----------------------------------------------------------------------
 
-def laplace_exponent_profile(theta: float, alpha: float,
-                             options: specfun.FnEvalOptions = specfun.DEFAULT_OPTIONS) -> float:
+def laplace_exponent_profile(theta: float, alpha: float) -> float:
     """Distance-free part of the interference Laplace exponent.
 
     Returns c(theta) >= 0 with E_I[exp(-A I u)] = exp(-pi beta r^2 c(theta))
@@ -130,7 +131,7 @@ def laplace_exponent_profile(theta: float, alpha: float,
     if theta == 0.0:
         return 0.0
     z = theta / (1.0 + theta)
-    f21 = specfun.gauss_2f1(1.0, 2.0, 2.0 - 2.0 / alpha, z, options)
+    f21 = specfun.gauss_2f1(1.0, 2.0, 2.0 - 2.0 / alpha, z)
     return theta * (f21 / ((1.0 - 2.0 / alpha) * (1.0 + theta) ** 2) - 1.0 / (1.0 + theta))
 
 
@@ -154,17 +155,15 @@ class _LogUGrid:
     e^(-s x) f(e^x) dx, s = 1..order.
     """
 
-    def __init__(self, theta_per_u: float, alpha: float, fin: FinancialParams, order: int,
-                 options: specfun.FnEvalOptions):
+    def __init__(self, theta_per_u: float, alpha: float, fin: FinancialParams, order: int):
         self.theta_per_u = theta_per_u
         self.alpha = alpha
         self.x_range = (-math.log(fin.c_max), -math.log(fin.c_min))
         self.order = order
-        self.options = options
         self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def profile(self, u: float) -> float:
-        return laplace_exponent_profile(self.theta_per_u * u, self.alpha, self.options)
+        return laplace_exponent_profile(self.theta_per_u * u, self.alpha)
 
     def nodes(self, panels: int):
         """(u, profile, moment weights) of the rule with ``panels`` panels."""
@@ -253,7 +252,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     """Raw revenue moments E[V^s], s = 1..d, for connections ending in one interval.
 
     One tensor rule over t = sqrt(pi beta r^2) (weight 2 t e^(-t^2) on
-    [0, sqrt(-log distance_tail_mass)]) and log u, with explicit sums over the
+    [0, sqrt(-log DISTANCE_TAIL_MASS)]) and log u, with explicit sums over the
     product mix and the duration PMF.  The integrand's large-distance limit
     (always-clamped scaling) is added analytically beyond the distance cutoff.
     The vector also carries the clamp atoms at both ends of the support, the
@@ -274,13 +273,12 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
         raw = _duration_mixture_moments(slot, taus, tau_probs)
         return MomentVector(interval_index=interval_index, raw=raw, order=d)
 
-    options = specfun.FnEvalOptions(rel_tol=num.specfun_rel_tol)
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     alpha = net.alpha_pathloss
     tau_lo, tau_hi = int(taus.min()), int(taus.max())
     products = []
     for gap, mix in zip(config.products.rate_gaps, config.products.product_mix):
-        grid = _LogUGrid(gap * kappa_pow, alpha, fin, d, options)
+        grid = _LogUGrid(gap * kappa_pow, alpha, fin, d)
         # A sigma^2 = gap kappa sigma^2 r^alpha, with r^2 = t^2 / (pi beta)
         noise = gap * kappa_pow * net.sigma2_noise_power
         products.append((mix, grid, noise, grid.profile(1.0 / fin.c_min),
@@ -288,7 +286,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     # t panels halve in width from t_cut down to the narrowest feature, the
     # e^(-t^2 (1 + c)) decay at the largest profile c, which is at u = 1/c_min
     largest_profile = max(profile_lo for _, _, _, profile_lo, _ in products)
-    t_cut = math.sqrt(-math.log(num.distance_tail_mass))
+    t_cut = math.sqrt(-math.log(DISTANCE_TAIL_MASS))
     t_min = 1.0 / math.sqrt(1.0 + largest_profile)
     halvings = max(0, math.ceil(math.log2(t_cut / t_min)))
     t_edges = np.concatenate(([0.0], t_cut * 0.5 ** np.arange(halvings, -1, -1)))
@@ -312,7 +310,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     est = _until_converged(estimate, num.quad_rel_tol,
                            f"{t_panels << _MAX_LEVEL} distance x {u_panels << _MAX_LEVEL} "
                            "u panels")
-    tail = num.distance_tail_mass
+    tail = DISTANCE_TAIL_MASS
     raw = est[:d] + tail * (tau_probs @ (taus[:, None] * (fin.c_max * unit)) ** s_vec)
     atom_lo = float(tau_probs[taus == tau_lo].sum()) * est[d]
     atom_hi = float(tau_probs[taus == tau_hi].sum()) * (est[d + 1] + tail)

@@ -310,10 +310,6 @@ class MCRuinEstimate:
     ci_hi: np.ndarray
     n_paths: int
 
-    def psi_at(self, horizon: int, u: float) -> float:
-        j = int(np.argmin(np.abs(self.u_values - u)))
-        return float(self.psi[horizon - 1, j])
-
 
 def _wilson(p_hat: np.ndarray, n: int, z: float = 1.959963984540054):
     denom = 1.0 + z * z / n

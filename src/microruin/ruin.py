@@ -89,6 +89,8 @@ def _check_monotone_fix(phi: np.ndarray) -> np.ndarray:
 
 
 LOSS_CELLS = 4096  # loss bins of the Chernoff top, each loss rounded up
+TRIM_MASS = 1e-9  # compound tail mass dropped per side before the recursion
+POINTS_BUDGET = 1_000_000  # lattice points of one income law and one compound window
 
 
 def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float, float]:
@@ -375,18 +377,16 @@ def interval_net_pmfs(config: ScenarioConfig):
     for key, i in distinct.items():
         mv = revenue_moments(config, interval_index=i)
         v_lo, v_hi = config.income_support(i)
-        raw = income_pdf.expand_density(mv, v_lo, v_hi, order=num.moment_order)
-        density = income_pdf.sanitize(raw, warn_mass=num.sanitize_warn,
-                                      reject_mass=num.sanitize_reject)
-        income = discretize_income(density, delta, num.lattice_points_budget)
+        density = income_pdf.sanitize(income_pdf.expand_density(mv, v_lo, v_hi))
+        income = discretize_income(density, delta, POINTS_BUDGET)
         zstep = net_profit_step_pmf(income, fin)
         compound = compound_geometric_pmf(zstep, fin.w_n_geometric,
                                           tail_eps=num.tail_eps,
-                                          points_budget=num.lattice_points_budget)
+                                          points_budget=POINTS_BUDGET)
         # drop negligible compound tails before the recursion: each dropped
-        # side carries at most ruin_tail_eps mass, so survival probabilities
-        # move by at most horizon * ruin_tail_eps
-        g = compound.trimmed(num.ruin_tail_eps)
+        # side carries at most TRIM_MASS, so survival probabilities move by
+        # at most horizon * TRIM_MASS
+        g = compound.trimmed(TRIM_MASS)
         built[key] = g
         info["intervals"][i] = {
             "mean_revenue": float(mv.raw[0]),
@@ -403,11 +403,11 @@ def run_pipeline(config: ScenarioConfig, u_values=None):
 
     Returns (RuinResult, info dict).
     """
-    fin, num = config.financial, config.numerics
+    fin = config.financial
     if u_values is None:
         u_values = np.array([fin.initial_capital], dtype=float)
     pmfs, info = interval_net_pmfs(config)
     result = survival_recursion(u_values, fin.interest_rate_per_interval, pmfs,
-                                interp_tol=num.ruin_interp_tol, tail_eps=num.tail_eps)
+                                tail_eps=config.numerics.tail_eps)
     info["ruin_diagnostics"] = result.diagnostics
     return result, info

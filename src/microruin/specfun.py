@@ -2,9 +2,11 @@
 
 Implements the Gauss hypergeometric function on [0, 1), monomial
 coefficients of Jacobi polynomials, and the 5-smooth FFT length search.
-Everything here is pure, deterministic, and tolerance-driven so the
-downstream quadratures are reproducible; each routine is cross-checked in
-the test suite against an independent quadrature or series oracle.
+Everything here is pure and deterministic so the downstream quadratures
+are reproducible; each routine is cross-checked in the test suite against
+an independent quadrature or series oracle.  The series have one fixed
+accuracy: each stops when its last term is within ``REL_TOL`` (1e-10) of
+the running sum, and gives up after ``MAX_TERMS`` (20000) terms.
 
 The hypergeometric evaluation strategy is argument-dependent:
 
@@ -22,39 +24,20 @@ naming the broken condition; the series error carries the partial sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "FnEvalOptions",
-    "DEFAULT_OPTIONS",
     "gauss_2f1",
     "jacobi_poly_coeffs",
     "next_fast_len",
 ]
 
 
-@dataclass(frozen=True)
-class FnEvalOptions:
-    """Accuracy knobs for the series evaluations.
-
-    rel_tol must lie in (0, 1e-3]; max_terms must be at least 16.
-    """
-
-    rel_tol: float = 1e-10
-    max_terms: int = 20000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise DomainError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.max_terms < 16:
-            raise DomainError(f"max_terms must be >= 16, got {self.max_terms}")
-
-
-DEFAULT_OPTIONS = FnEvalOptions()
+REL_TOL = 1e-10
+MAX_TERMS = 20000
 
 
 def _require_finite(name, value):
@@ -62,14 +45,14 @@ def _require_finite(name, value):
         raise DomainError(f"{name} must be finite, got {value}")
 
 
-def _hyp_series(a: float, b: float, c: float, z: float, options: FnEvalOptions) -> float:
+def _hyp_series(a: float, b: float, c: float, z: float) -> float:
     """Defining 2F1 power series; caller guarantees |z| < 1 and valid c."""
     term = 1.0
     total = 1.0
-    for n in range(options.max_terms):
+    for n in range(MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) <= options.rel_tol * abs(total) and n >= 2:
+        if abs(term) <= REL_TOL * abs(total) and n >= 2:
             return total
     raise AccuracyError(
         "hypergeometric series did not converge",
@@ -81,7 +64,7 @@ def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float, options: FnEvalOptions = DEFAULT_OPTIONS) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real parameters and z in [0, 1)."""
     for name, value in (("a", a), ("b", b), ("c", c), ("z", z)):
         _require_finite(name, value)
@@ -92,11 +75,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float, options: FnEvalOptions = D
     if z == 0.0:
         return 1.0
     if z <= 0.5:
-        return _hyp_series(a, b, c, z, options)
+        return _hyp_series(a, b, c, z)
 
     s = c - a - b
     if z <= 0.9:
-        return (1.0 - z) ** s * _hyp_series(c - a, c - b, c, z, options)
+        return (1.0 - z) ** s * _hyp_series(c - a, c - b, c, z)
 
     # Near z = 1: connection formula in powers of w = 1 - z (DLMF 15.8.4 form),
     # valid when c - a - b is not an integer.
@@ -114,8 +97,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float, options: FnEvalOptions = D
             "2F1 connection formula hit a gamma pole in its coefficients",
             {"a": a, "b": b, "c": c, "z": z, "detail": str(exc)},
         ) from exc
-    term1 = coeff1 * _hyp_series(a, b, a + b - c + 1.0, w, options)
-    term2 = coeff2 * w ** s * _hyp_series(c - a, c - b, s + 1.0, w, options)
+    term1 = coeff1 * _hyp_series(a, b, a + b - c + 1.0, w)
+    term2 = coeff2 * w ** s * _hyp_series(c - a, c - b, s + 1.0, w)
     return term1 + term2
 
 

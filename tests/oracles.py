@@ -25,11 +25,14 @@ from microruin import moments, montecarlo, specfun
 from microruin.compound import LatticePMF, _geometric_truncation
 from microruin.errors import AccuracyError, DomainError
 from microruin.model import FinancialParams, NetworkParams, ScenarioConfig
-from microruin.moments import MomentVector, laplace_exponent_profile
+from microruin.moments import DISTANCE_TAIL_MASS, MomentVector, laplace_exponent_profile
 
 logger = logging.getLogger(__name__)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# stopping rule and term budget of the incomplete gamma series and fraction
+SERIES_REL_TOL = 1e-10
+SERIES_MAX_TERMS = 20000
 
 
 # ----------------------------------------------------------------------
@@ -51,8 +54,7 @@ def nearest_distance_pdf(z, beta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def lower_incomplete_gamma(s: float, x: float,
-                           options: specfun.FnEvalOptions = specfun.DEFAULT_OPTIONS) -> float:
+def lower_incomplete_gamma(s: float, x: float) -> float:
     """Unregularized lower incomplete gamma gamma(s, x) = int_0^x t^(s-1) e^-t dt.
 
     Uses the ascending series for x < s + 1 and the Lentz continued fraction
@@ -72,10 +74,10 @@ def lower_incomplete_gamma(s: float, x: float,
         # gamma(s,x) = x^s e^-x sum_n x^n / (s (s+1) ... (s+n))
         term = 1.0 / s
         total = term
-        for n in range(1, options.max_terms):
+        for n in range(1, SERIES_MAX_TERMS):
             term *= x / (s + n)
             total += term
-            if abs(term) <= options.rel_tol * abs(total):
+            if abs(term) <= SERIES_REL_TOL * abs(total):
                 return math.exp(log_prefactor) * total
         raise AccuracyError(
             "incomplete-gamma series did not converge",
@@ -88,7 +90,7 @@ def lower_incomplete_gamma(s: float, x: float,
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, options.max_terms):
+    for i in range(1, SERIES_MAX_TERMS):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -100,7 +102,7 @@ def lower_incomplete_gamma(s: float, x: float,
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) <= options.rel_tol:
+        if abs(delta - 1.0) <= SERIES_REL_TOL:
             upper = math.exp(log_prefactor) * h
             return math.gamma(s) - upper
     raise AccuracyError(
@@ -154,7 +156,6 @@ def _laplace_exponent_gy(u_var: float, a_coef: float, r_u: float, net: NetworkPa
 
 
 def interference_laplace(u_var: float, a_coef: float, r_u: float, net: NetworkParams,
-                         options: specfun.FnEvalOptions | None = None,
                          force_quadrature: bool = False) -> float:
     """E_I[exp(-A I u)] for the interferer field seen from serving distance r_u."""
     if u_var < 0:
@@ -165,12 +166,11 @@ def interference_laplace(u_var: float, a_coef: float, r_u: float, net: NetworkPa
         raise DomainError(f"serving distance must be positive, got {r_u}")
     if u_var == 0.0 or a_coef == 0.0:
         return 1.0
-    options = options or specfun.DEFAULT_OPTIONS
     alpha = net.alpha_pathloss
     theta = a_coef * u_var * r_u ** (-alpha)
     if not force_quadrature:
         try:
-            profile = laplace_exponent_profile(theta, alpha, options)
+            profile = laplace_exponent_profile(theta, alpha)
             exponent = math.pi * net.beta_cells_per_area * r_u * r_u * profile
         except AccuracyError:
             exponent = _laplace_exponent_gy(u_var, a_coef, r_u, net)
@@ -196,7 +196,7 @@ def single_slot_moments(s_max: int, a_coef: float, r_u: float, fin: FinancialPar
     if fin.c_min == fin.c_max:
         return (fin.c_min * unit) ** np.arange(1.0, s_max + 1.0)
     grid = moments._LogUGrid(a_coef * r_u ** (-net.alpha_pathloss), net.alpha_pathloss, fin,
-                             s_max, specfun.DEFAULT_OPTIONS)
+                             s_max)
     pi_beta_r2 = np.array([math.pi * net.beta_cells_per_area * r_u * r_u])
     a_sigma2 = np.array([a_coef * net.sigma2_noise_power])
     u_panels = moments._START_U_PANELS
@@ -270,15 +270,13 @@ class _SlotMomentIntegrand:
     are cached and shared across distances and moment orders.
     """
 
-    def __init__(self, alpha, theta_per_u, c_min, c_max, rel_tol, max_panels=4096,
-                 options=specfun.DEFAULT_OPTIONS):
+    def __init__(self, alpha, theta_per_u, c_min, c_max, rel_tol, max_panels=4096):
         self.alpha = alpha
         self.theta_per_u = theta_per_u
         self.x_lo = math.log(1.0 / c_max)
         self.x_hi = math.log(1.0 / c_min)
         self.rel_tol = rel_tol
         self.max_panels = max_panels
-        self.options = options
         self._profile_cache: dict[float, float] = {}
         self._node_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.start_panels = 4
@@ -298,7 +296,7 @@ class _SlotMomentIntegrand:
             theta = self.theta_per_u * u
             cached_val = self._profile_cache.get(theta)
             if cached_val is None:
-                cached_val = laplace_exponent_profile(theta, self.alpha, self.options)
+                cached_val = laplace_exponent_profile(theta, self.alpha)
                 self._profile_cache[theta] = cached_val
             profile[i] = cached_val
         self._node_cache[panels] = (x, w, profile)
@@ -328,8 +326,7 @@ class _SlotMomentIntegrand:
         )
 
 
-def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float,
-                 options: specfun.FnEvalOptions) -> tuple[float, float]:
+def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float) -> tuple[float, float]:
     """Point masses (Pr(V = v_lo), Pr(V = v_hi)) at the ends of the income support.
 
     Under Rayleigh fading Pr(c <= x | r) = Phi_r(1/x), so a slot clamps high
@@ -348,8 +345,8 @@ def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float,
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     tau_lo, tau_hi = int(taus.min()), int(taus.max())
     products = [(gap * kappa_pow, mix,
-                 laplace_exponent_profile(gap * kappa_pow / fin.c_min, alpha, options),
-                 laplace_exponent_profile(gap * kappa_pow / fin.c_max, alpha, options))
+                 laplace_exponent_profile(gap * kappa_pow / fin.c_min, alpha),
+                 laplace_exponent_profile(gap * kappa_pow / fin.c_max, alpha))
                 for gap, mix in zip(config.products.rate_gaps, config.products.product_mix)]
 
     def atom(z: float, high: bool) -> float:
@@ -369,7 +366,7 @@ def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float,
     spike = sorted({k * w for w in widths for k in (1, 4, 16) if k * w < z_cut})
     out = []
     for high, tau, tail, points in ((False, tau_lo, 0.0, spike or None),
-                                    (True, tau_hi, num.distance_tail_mass, None)):
+                                    (True, tau_hi, DISTANCE_TAIL_MASS, None)):
         val, err = integrate.quad(atom, 0.0, z_cut, args=(high,), epsabs=0.0,
                                   epsrel=num.quad_rel_tol, limit=300, points=points)
         if val > 0 and err / val > 10 * num.quad_rel_tol:
@@ -395,19 +392,17 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     beta_c = net.beta_cells_per_area
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     taus, tau_probs = config.interval_durations(interval_index).pmf()
-    options = specfun.FnEvalOptions(rel_tol=num.specfun_rel_tol)
 
     if fin.c_min == fin.c_max:
         slot = (fin.c_min * unit) ** np.arange(1.0, d + 1.0)
         raw = _duration_mixture_moments(slot, taus, tau_probs)
         return MomentVector(interval_index=interval_index, raw=raw, order=d)
 
-    z_cut = math.sqrt(-math.log(num.distance_tail_mass) / (math.pi * beta_c))
+    z_cut = math.sqrt(-math.log(DISTANCE_TAIL_MASS) / (math.pi * beta_c))
     integrands = {}
     for q, gap in enumerate(config.products.rate_gaps):
         integrands[q] = _SlotMomentIntegrand(net.alpha_pathloss, gap * kappa_pow,
-                                             fin.c_min, fin.c_max, num.quad_rel_tol,
-                                             options=options)
+                                             fin.c_min, fin.c_max, num.quad_rel_tol)
     s_vec = np.arange(1.0, d + 1.0)
     cache: dict[float, np.ndarray] = {}
 
@@ -439,8 +434,8 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
                 {"order": s, "value": val, "abs_err": err},
             )
         clamp_limit = float(np.dot(tau_probs, (taus * fin.c_max * unit) ** s))
-        raw[s - 1] = val + clamp_limit * num.distance_tail_mass
-    atom_lo, atom_hi = _clamp_atoms(config, taus, tau_probs, z_cut, options)
+        raw[s - 1] = val + clamp_limit * DISTANCE_TAIL_MASS
+    atom_lo, atom_hi = _clamp_atoms(config, taus, tau_probs, z_cut)
     vec = MomentVector(interval_index=interval_index, raw=raw, order=d,
                        atom_lo=atom_lo, atom_hi=atom_hi,
                        lower_exponent=2.0 / net.alpha_pathloss)

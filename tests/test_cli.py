@@ -108,17 +108,28 @@ class TestValidateCommand:
         assert run_cli(args + ["validate"]) == 2
         assert f"config error at {path}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [("antithetic", False), ("u_grid_step", None),
-                                             ("frozen_interferers", False)])
+    @pytest.mark.parametrize("field,value", [
+        pytest.param(field, value, id=f"{field.split('.')[-1]}-{value}")
+        for field, value in [
+            ("numerics.antithetic", False), ("numerics.u_grid_step", None),
+            ("numerics.frozen_interferers", False), ("numerics.specfun_rel_tol", 1e-10),
+            ("numerics.distance_tail_mass", 1e-12), ("numerics.ruin_tail_eps", 1e-9),
+            ("numerics.ruin_interp_tol", 0.5), ("numerics.sanitize_warn", 0.02),
+            ("numerics.sanitize_reject", 0.1), ("numerics.lattice_points_budget", 1_000_000),
+            ("financial.slots_per_interval", 1)]])
     def test_config_with_removed_numerics_field_exits_two(self, tmp_path, capsys, field,
                                                           value):
-        # configs written before these knobs were removed still carry them
+        # configs written before these knobs were removed still carry them,
+        # in a file or as an override
+        section, name = field.split(".")
         data = model.default_config().to_dict()
-        data["numerics"][field] = value
+        data[section][name] = value
         path = tmp_path / "old.json"
         path.write_text(json.dumps(data))
         assert run_cli(["--config", str(path), "validate"]) == 2
-        assert f"config error at numerics.{field}: unknown field" in capsys.readouterr().err
+        assert f"config error at {field}: unknown field" in capsys.readouterr().err
+        assert run_cli(["--set", f"{field}={json.dumps(value)}", "validate"]) == 2
+        assert f"config error at {field}: unknown field" in capsys.readouterr().err
 
 
 def test_manifest_records_the_package_version(tmp_path):
@@ -129,6 +140,20 @@ def test_manifest_records_the_package_version(tmp_path):
                     "--no-mc"], env=env, check=True, capture_output=True)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["package_version"] == microruin.__version__
+
+
+def test_failed_manifest_write_leaves_the_old_manifest(tmp_path):
+    # a manifest that cannot be serialized fails mid-dump: the complete
+    # manifest already on disk stays, and no temp file is left beside it
+    out = str(tmp_path / "o")
+    assert run_cli(["--out", out, "expected-surplus"]) == 0
+    before = (tmp_path / "o" / "manifest.json").read_bytes()
+    manifest = cli.RunManifest(config_hash="x", seed=0, command="expected-surplus",
+                               tolerances_achieved={"a": 1.0, "z": object()})
+    with pytest.raises(TypeError):
+        manifest.write(out)
+    assert (tmp_path / "o" / "manifest.json").read_bytes() == before
+    assert sorted(os.listdir(out)) == ["expected_surplus.csv", "manifest.json"]
 
 
 class TestMomentsCommand:
@@ -311,8 +336,7 @@ class TestSweepCommand:
     def test_sweep_grid_and_monotone_column(self, tmp_path, fast_config_path):
         out = str(tmp_path / "o")
         assert run_cli(["--config", fast_config_path, "--out", out, "sweep",
-                        "--param", "network.alpha_pathloss=2.5:5:0.25",
-                        "--jobs", "2"]) == 0
+                        "--param", "network.alpha_pathloss=2.5:5:0.25"]) == 0
         rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
         assert rows[0].startswith("value,moment_1")
         values = [float(r.split(",")[0]) for r in rows[1:]]
@@ -348,9 +372,9 @@ class TestReproduceTables:
 
 class TestAccuracyExitCode:
     @pytest.mark.parametrize("override", [
-        "numerics.ruin_interp_tol=1e-9",        # AccuracyError: recursion
-        "numerics.lattice_points_budget=1000",  # ResourceLimitError: lattice
-    ], ids=["recursion-accuracy", "lattice-budget"])
+        "numerics.quad_rel_tol=1e-17",  # AccuracyError: moment tensor rule
+        "numerics.lattice_step=1e-4",   # ResourceLimitError: 9,999,991 lattice points
+    ], ids=["moment-accuracy", "lattice-budget"])
     def test_refused_budget_exits_three(self, tmp_path, fast_config_path, capsys,
                                         override):
         # a stage that cannot meet its accuracy or resource budget refuses:

@@ -3,14 +3,18 @@
 A name in a ``src/microruin`` module's ``__all__`` must be read somewhere in
 ``src/`` outside its own definition, or be exported by the package; code
 only the tests call belongs in the tests.  No production module imports
-from the tests.
+from the tests.  Every config field is read by the code it configures, not
+only checked by ``model.validate``: a field nothing reads would be silently
+ignored.
 """
 
 import ast
 import importlib
 import pathlib
+from dataclasses import fields
 
 import microruin
+from microruin import model
 
 TREES = {path.stem: ast.parse(path.read_text())
          for path in sorted(pathlib.Path(microruin.__file__).parent.glob("*.py"))}
@@ -45,3 +49,16 @@ def test_src_never_imports_the_tests():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names]
     assert [name for name in imported if name.split(".")[0] == "tests"] == []
+
+
+def test_every_config_field_is_read_outside_validation():
+    read = {node.attr
+            for stem, tree in TREES.items() for stmt in tree.body
+            if not (stem == "model" and getattr(stmt, "name", "").startswith(
+                ("validate", "_check_")))
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    cfg = model.default_config()
+    unread = [f"{section.name}.{f.name}" for section in fields(cfg)
+              for f in fields(getattr(cfg, section.name)) if f.name not in read]
+    assert unread == [], f"read these fields where they apply, or delete them: {unread}"

@@ -18,10 +18,10 @@ class TestValidate:
         # K=1, sigma2=0, P0=P_I=1, w_N=0.2, Q=1, T*rho=1, fee 100, monthly interval
         cfg = model.validate(model.default_config())
         assert cfg.network.sigma2_noise_power == 0.0
-        assert cfg.network.interference_limited
         assert cfg.financial.w_n_geometric == 0.2
         assert cfg.slot_income_per_unit_scaling == 1.0
-        assert cfg.financial.mean_fee == 100.0
+        fin = cfg.financial  # mean fee 100
+        assert sum(fin.operator_mix[k] * fin.operator_fees[k] for k in fin.operator_mix) == 100.0
 
     def test_alpha_boundary_rejected(self):
         cfg = replace(model.default_config(),
@@ -62,7 +62,7 @@ class TestValidate:
         # the JSON document, and so the hash, keeps every field of every section
         cfg = model.default_config()
         assert cfg.config_hash() == (
-            "883921349ce7db54e5d67609ae149da1eda9bc8be9efbf542f5b3ac25ff1f6bd")
+            "b4898bcee333ca0cc4c1985ff802ceb4acb18b348de24addd585c6f19d51a42a")
         data = cfg.to_dict()
         for section in ("network", "financial", "numerics"):
             assert set(data[section]) == {f.name for f in fields(getattr(cfg, section))}
@@ -90,7 +90,8 @@ class TestDurationModel:
 
     def test_truncated_geometric_mean_solved(self):
         m = model.DurationModel(kind="truncated-geometric", mean=2.2, tau_max=6)
-        assert m.mean_duration() == pytest.approx(2.2, abs=1e-9)
+        values, probs = m.pmf()
+        assert float(np.dot(values, probs)) == pytest.approx(2.2, abs=1e-9)
 
     def test_degenerate_mean_one_is_single_slot(self):
         m = model.DurationModel(kind="truncated-geometric", mean=1.0, tau_max=5)

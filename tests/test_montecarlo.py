@@ -91,11 +91,6 @@ class TestSurplusPaths:
         sub = montecarlo.simulate_surplus_paths(table3_config, fast_plan, [200.0])
         np.testing.assert_array_equal(full.psi[:, 1], sub.psi[:, 0])
 
-    def test_psi_at_accessor(self, table3_config, fast_plan):
-        est = montecarlo.simulate_surplus_paths(table3_config, fast_plan,
-                                                [100.0, 200.0])
-        assert est.psi_at(5, 200.0) == est.psi[4, 1]
-
     def test_path_losses_sum_their_users_exactly(self, fast_plan):
         # every user nets exactly 2 - fee, so without interest a path's loss
         # is its user count times that, and a path without users loses 0
