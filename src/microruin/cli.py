@@ -267,8 +267,12 @@ def _cmd_sweep(args, cfg, manifest):
     start, stop, step = (float(x) for x in rng.split(":"))
     values = np.arange(start, stop + 1e-12, step)
     rows = []
+    integer = dotted in model.INTEGER_FIELDS
     for value in values:
-        point_cfg = _overridden(cfg, [f"{dotted}={float(value)}"])
+        # an integer field takes whole grid values as ints (validation
+        # refuses 4.0 there, as it refuses 4.5)
+        text = int(value) if integer and float(value).is_integer() else float(value)
+        point_cfg = _overridden(cfg, [f"{dotted}={text}"])
         mv = moments.revenue_moments(point_cfg, interval_index=1)
         sub = os.path.join(args.out, f"sweep_{dotted.replace('.', '_')}_{value:g}")
         sub_manifest = RunManifest(config_hash=point_cfg.config_hash(),
@@ -278,7 +282,10 @@ def _cmd_sweep(args, cfg, manifest):
                    [(1, s, mv.raw[s - 1]) for s in range(1, mv.order + 1)], sub_manifest)
         sub_manifest.write(sub)
         rows.append([value, *mv.raw])
-    header = ["value"] + [f"moment_{s}" for s in range(1, cfg.numerics.moment_order + 1)]
+    # a sweep of the moment order leaves the lower orders' rows short: nan
+    width = max((len(row) for row in rows), default=cfg.numerics.moment_order + 1)
+    rows = [row + [np.nan] * (width - len(row)) for row in rows]
+    header = ["value"] + [f"moment_{s}" for s in range(1, width)]
     _write_csv(args.out, "sweep.csv", header, rows, manifest)
     print(f"{len(values)} sweep points done ({dotted})")
 

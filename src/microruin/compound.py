@@ -12,9 +12,14 @@ generating function w / (1 - (1-w) H) on a real FFT window sized to the
 mass.  The window edges come from Chernoff bounds
 Pr(+-S >= x) <= e^(-theta x) M_S(+-theta), with the exact lattice MGF
 M_S(theta) = w / (1 - (1-w) M_Z(theta)), so wrap-around moves at most
-2 * ``tail_eps`` of mass.  The literal sum of geometric-weighted convolution
-powers and the least-squares solve of the identity are the independent
-oracles and live in the tests.
+2 * ``tail_eps`` of mass.  Each edge is the bound's exponent minimized over
+theta: ``_chernoff_min`` runs safeguarded Newton steps on the stationarity
+condition theta K' - K + log eps = 0 (K = log M_S, convex), with K' and K''
+from the same exp pass as K; the recursion's capital-grid top uses the same
+search.  The literal sum of geometric-weighted convolution powers and the
+least-squares solve of the identity are the independent oracles of the PMF,
+and a golden-section minimization of the same bounds is the oracle of the
+edges; all live in the tests.
 """
 
 from __future__ import annotations
@@ -172,27 +177,51 @@ def _geometric_truncation(w_n: float, tail_eps: float) -> int:
     return max(0, math.ceil(math.log(tail_eps) / math.log1p(-w_n)) - 1)
 
 
-def _golden_min(f, a: float, b: float, iters: int = 80) -> tuple[float, float]:
-    """(x, f(x)) near the minimum of a unimodal f on (a, b).
+CHERNOFF_STEPS = 64  # iteration cap of the Chernoff searches
 
-    f may be +inf on a right end segment (past a pole); ties move the bracket
-    left, so the search never settles there while a finite value exists.
-    A bounded Brent search stalls on that segment, and bracketing the
-    pole first with a root finder still lands on wider edges near it.
+
+def _chernoff_min(cgf, log_eps: float, theta_hi: float) -> tuple[float, float]:
+    """(theta, K(theta)) with the bound (K(theta) - log_eps) / theta minimal over
+    theta in (0, theta_hi].
+
+    cgf(theta) returns (K, K', K'') of a cumulant generating function K, with
+    K = +inf past a pole.  The bound is stationary at the root of
+    h(theta) = theta K' - K + log_eps, and h' = theta K'' >= 0 because K is
+    convex: h rises from log_eps < 0 at theta = 0, so the root is unique.
+    Newton steps on h start at sqrt(-2 log_eps / K''(0)), the root of h's
+    quadratic part, and fall back to bisection when a step leaves the
+    bracket.  When h is still negative at theta_hi the bound decreases up to
+    it, and theta_hi is returned.  Any theta gives a valid bound; the search
+    only makes it tight.  Raises AccuracyError past ``CHERNOFF_STEPS``
+    evaluations.
     """
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
+    lo, hi = 0.0, theta_hi
+    open_end = theta_hi  # the upper end, until it is evaluated
+    k2_zero = cgf(0.0)[2]
+    theta = math.sqrt(-2.0 * log_eps / k2_zero) if k2_zero > 0.0 else math.inf
+    if not theta < theta_hi:
+        theta = 0.5 * theta_hi
+    for _ in range(CHERNOFF_STEPS):
+        k, k1, k2 = cgf(theta)
+        h = theta * k1 - k + log_eps if math.isfinite(k) else math.inf
+        if h == 0.0 or (h < 0.0 and theta == theta_hi):
+            return theta, k
+        if theta == open_end:
+            open_end = None
+        if h < 0.0:
+            lo = theta
         else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+            hi = theta
+        nxt = theta - h / (theta * k2) if math.isfinite(h) and k2 > 0.0 else math.nan
+        if abs(nxt - theta) <= 1e-13 * theta:
+            return theta, k
+        if not lo < nxt < hi:  # past the bracket (or no step): bisect, but
+            # first look at an unexamined upper end the step points past
+            nxt = open_end if open_end is not None and nxt >= hi else 0.5 * (lo + hi)
+        theta = nxt
+    raise AccuracyError(
+        f"Chernoff search did not converge within its {CHERNOFF_STEPS}-step cap",
+        {"bracket": (lo, hi), "theta": theta})
 
 
 def _chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float, log_eps: float):
@@ -201,24 +230,40 @@ def _chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float, log_eps: floa
     Z has atoms at the lattice indices ``idx`` with log masses ``log_p``.
     Returns (edge, bound) where bound(e) is the Chernoff bound on
     Pr(S > e) = Pr(S >= e + 1) <= exp(-theta (e + 1)) M_S(theta), with
-    M_S(theta) = w / (1 - (1-w) M_Z(theta)) finite while (1-w) M_Z < 1 and
-    theta minimizing the edge.  Without a positive atom S <= 0.
+    M_S(theta) = w / (1 - (1-w) M_Z(theta)) finite while (1-w) M_Z < 1.
+    theta minimizes the edge (K_S(theta) - log eps) / theta, K_S = log M_S;
+    ``_chernoff_min`` finds it from K_S and its first two derivatives, taken
+    from the tilted moments of Z in the same exp pass.  Without a positive
+    atom S <= 0.
     """
     k_max = int(idx.max())
     if k_max <= 0:
         return 0, lambda edge: 0.0
     log_w, log_q = math.log(w_n), math.log1p(-w_n)
+    idx_f = idx.astype(float)
+    idx_sq = idx_f * idx_f
 
-    def log_ms(theta):
+    def cgf(theta):
+        # with q M_Z = e^z and the tilted mean m1 and second moment m2 of Z:
+        # K = log w - log(1 - e^z), K' = e^z m1 / (1 - e^z) and
+        # K'' = e^z m2 / (1 - e^z) + (K')^2
         a = theta * idx + log_p
         top = a.max()
-        z = log_q + top + math.log(np.exp(a - top).sum())
-        return log_w - math.log(-math.expm1(z)) if z < 0.0 else math.inf
+        e = np.exp(a - top)
+        s0 = e.sum()
+        z = log_q + top + math.log(s0)
+        if not z < 0.0:
+            return math.inf, math.inf, math.inf
+        q_mz = math.exp(z)
+        tail = -math.expm1(z)
+        k1 = q_mz * float(e @ idx_f) / s0 / tail
+        k2 = q_mz * float(e @ idx_sq) / s0 / tail + k1 * k1
+        return log_w - math.log(tail), k1, k2
 
     # M_Z(theta) >= p(k_max) e^(theta k_max), so the MGF diverges before this
     pole_above = (-log_q - float(log_p[idx.argmax()])) / k_max
-    theta, x = _golden_min(lambda t: (log_ms(t) - log_eps) / t, 0.0, pole_above)
-    log_m = log_ms(theta)
+    theta, log_m = _chernoff_min(cgf, log_eps, pole_above)
+    x = (log_m - log_eps) / theta
     return max(0, math.ceil(x) - 1), lambda edge: math.exp(log_m - theta * (edge + 1))
 
 

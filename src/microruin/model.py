@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from hashlib import sha256
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "validate",
     "default_config",
     "load_config",
+    "INTEGER_FIELDS",
 ]
 
 CONFIG_ENV_VAR = "MICRORUIN_CONFIG"
@@ -121,7 +123,7 @@ class DurationModel:
             return np.asarray(self.support, dtype=int), np.asarray(self.probs, dtype=float)
         if self.kind == "truncated-geometric":
             values = np.arange(1, int(self.tau_max) + 1)
-            p = _solve_truncated_geometric(self.mean, int(self.tau_max))
+            p = self._geometric_p
             if p == 0.0:
                 probs = np.full(len(values), 1.0 / len(values))
             elif p == 1.0:
@@ -133,6 +135,11 @@ class DurationModel:
             keep = probs > 0.0
             return values[keep], probs[keep]
         raise DomainError(f"unknown duration model kind {self.kind!r}")
+
+    @cached_property
+    def _geometric_p(self) -> float:
+        """The truncated-geometric success probability, solved once per model."""
+        return _solve_truncated_geometric(self.mean, int(self.tau_max))
 
     def for_interval(self, interval_index: int, truncate_to_interval: bool = False) -> "DurationModel":
         model = self.per_interval_override.get(interval_index, self)
@@ -171,14 +178,19 @@ def _solve_truncated_geometric(mean: float, tau_max: int) -> float:
         w = (1.0 - p) ** (t - 1.0)
         return float(np.dot(t, w) / w.sum())
 
+    # the mean falls as p rises; bisect until the midpoint stops moving
+    # (about 55 halvings), after which further halvings repeat it
     lo, hi = 1e-12, 1.0 - 1e-12
+    mid = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
         if mean_at(mid) > mean:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid, last = 0.5 * (lo + hi), mid
+        if mid == last:
+            break
+    return mid
 
 
 @dataclass(frozen=True)
@@ -277,6 +289,13 @@ class ScenarioConfig:
         return cls(network=network, financial=financial, products=products,
                    durations=durations, numerics=numerics)
 
+
+# the dotted paths of the fields that hold integers
+INTEGER_FIELDS = frozenset(
+    f"{section}.{f.name}"
+    for section, block in (("network", NetworkParams), ("financial", FinancialParams),
+                           ("numerics", Numerics))
+    for f in fields(block) if f.type == "int")
 
 # the fields each config section accepts
 _SECTIONS = {
@@ -435,6 +454,9 @@ def _check_numeric_fields(errors, config):
             if not isinstance(value, (int, float, np.integer, np.floating)):
                 errors.append((f"{section}.{f.name}",
                                f"value must be numeric, got {type(value).__name__}"))
+            elif (f"{section}.{f.name}" in INTEGER_FIELDS
+                  and not isinstance(value, (int, np.integer))):
+                errors.append((f"{section}.{f.name}", f"value must be an integer, got {value}"))
     return errors
 
 

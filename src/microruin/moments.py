@@ -122,17 +122,19 @@ class MomentVector:
 # Interference Laplace exponent
 # ----------------------------------------------------------------------
 
-def laplace_exponent_profile(theta: float, alpha: float) -> float:
+def laplace_exponent_profile(theta, alpha: float):
     """Distance-free part of the interference Laplace exponent.
 
     Returns c(theta) >= 0 with E_I[exp(-A I u)] = exp(-pi beta r^2 c(theta))
-    and theta = A u r^-alpha.  Raises AccuracyError when the 2F1 series fails.
+    and theta = A u r^-alpha, elementwise over an array theta (a float for a
+    scalar).  Raises AccuracyError when the 2F1 series fails.
     """
-    if theta == 0.0:
-        return 0.0
-    z = theta / (1.0 + theta)
-    f21 = specfun.gauss_2f1(1.0, 2.0, 2.0 - 2.0 / alpha, z)
-    return theta * (f21 / ((1.0 - 2.0 / alpha) * (1.0 + theta) ** 2) - 1.0 / (1.0 + theta))
+    theta = np.asarray(theta, dtype=float)
+    one_plus = 1.0 + theta
+    f21 = specfun.gauss_2f1(1.0, 2.0, 2.0 - 2.0 / alpha, theta / one_plus)
+    profile = theta * (f21 / ((1.0 - 2.0 / alpha) * specfun.scalar_pow(one_plus, 2.0))
+                       - 1.0 / one_plus)
+    return float(profile) if profile.ndim == 0 else profile
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +164,7 @@ class _LogUGrid:
         self.order = order
         self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def profile(self, u: float) -> float:
+    def profile(self, u):
         return laplace_exponent_profile(self.theta_per_u * u, self.alpha)
 
     def nodes(self, panels: int):
@@ -171,7 +173,7 @@ class _LogUGrid:
         if hit is None:
             x, w = _gauss_legendre(np.linspace(*self.x_range, panels + 1))
             u = np.exp(x)
-            profile = np.array([self.profile(ui) for ui in u])
+            profile = self.profile(u)
             weights = w[:, None] * np.exp(-np.outer(x, np.arange(1.0, self.order + 1.0)))
             hit = self._cache[panels] = (u, profile, weights)
         return hit

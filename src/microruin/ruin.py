@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels, income_pdf, specfun
 from .compound import (
-    _golden_min,
+    _chernoff_min,
     compound_geometric_pmf,
     discretize_income,
     net_profit_step_pmf,
@@ -118,24 +118,38 @@ def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float
         cells = -(-np.maximum(-p.indices()[alive], 0) // q)
         binned = np.bincount(cells, weights=p.mass[alive])
         held = np.flatnonzero(binned)
-        tables.append((held * width, np.log(binned[held])))
+        loss = held * width
+        tables.append((loss, loss * loss, np.log(binned[held])))
     log_eps = math.log(tail_eps)
 
-    def top_at(theta):
+    def cgf(theta):
+        # K(theta) = sum_i max_j log M_j(theta g^-i), convex as a sum of maxima
+        # of cumulant generating functions; K' and K'' follow the maximizing
+        # table of each horizon row through its tilted loss moments
         t = theta * discount[:, None]
-        log_m = np.full(horizon, -np.inf)
-        for loss, log_p in tables:
+        best = None
+        for loss, loss_sq, log_p in tables:
             a = t * loss + log_p
             peak = a.max(axis=1)
-            lse = peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
-            np.maximum(log_m, lse, out=log_m)
-        return (float(log_m.sum()) - log_eps) / theta
+            e = np.exp(a - peak[:, None])
+            s0 = e.sum(axis=1)
+            lse = peak + np.log(s0)
+            m1, m2 = (e @ loss) / s0, (e @ loss_sq) / s0
+            if best is None:
+                best = [lse, m1, m2]
+            else:
+                wins = lse > best[0]
+                for held, new in zip(best, (lse, m1, m2)):
+                    held[wins] = new[wins]
+        lse, m1, m2 = best
+        return (float(lse.sum()), float(discount @ m1),
+                float((discount * discount) @ (m2 - m1 * m1)))
 
     # log M(t) <= t * max loss, so at this theta the top is within one cell
     # of the worst case: larger thetas cannot lower it by more.  Any theta
-    # gives a valid top; 32 steps shrink the bracket by 2e-7, past which the
-    # sweep scenarios' tops move by less than 1e-3
-    _, top = _golden_min(top_at, 0.0, -log_eps / width, iters=32)
+    # gives a valid top; the search stops within 1e-13 of the best theta
+    theta, log_m = _chernoff_min(cgf, log_eps, -log_eps / width)
+    top = (log_m - log_eps) / theta
     return reach, min(reach, top)
 
 
@@ -184,6 +198,12 @@ class _Correlation:
     stretch reads cells x >= floor(k_lo (1+r)); an atom past
     k_hi - floor(k_lo (1+r)) lands above the grid from all of them, so those
     atoms are not transformed: their mass is one constant added to every cell.
+
+    Of the n_out outputs of the linear correlation the stretch reads only
+    t in [t_lo, t_hi].  A circular correlation of length n_fft >=
+    max(t_hi + 1, n_out - t_lo) folds every other output onto indices
+    outside that window, so the window stays exact while the transform
+    skips the outputs nothing reads.
     """
 
     def __init__(self, grid, pmf, stride):
@@ -195,29 +215,54 @@ class _Correlation:
         atoms = np.zeros((n_kept - 1) * stride + 1)
         atoms[::stride] = pmf.mass[:n_kept]
         reversed_atoms = atoms[::-1]
-        self.grid = grid
-        self.n_grid = len(grid.points)
-        self.n_out = self.n_grid + len(atoms) - 1
-        self.n_fft = specfun.next_fast_len(self.n_out)
+        n_grid = len(grid.points)
+        n_out = n_grid + len(atoms) - 1
+        # capitals below -1e-9 step (a prefix of the grid) are ruin
+        self.n_negative = int(np.searchsorted(grid.points, -1e-9 * grid.step))
+        # output t is the cell x = t + x0, x0 = k_lo - a_last with a_last the
+        # largest kept atom cell; the stretch reads the cells around
+        # u (1+r) / step, ruin below output 0 and survival past output n_out - 1
+        a_last = (pmf.min_index + n_kept - 1) * stride
+        x0 = float(grid.k_lo - a_last)
+        stretched = grid.points * grid.growth / grid.step
+        self.n_below = int(np.searchsorted(stretched, x0))
+        n_inside = int(np.searchsorted(stretched, x0 + (n_out - 1), side="right"))
+        cell = np.floor(stretched[self.n_below:n_inside]) - x0
+        t_lo = int(cell[0]) if len(cell) else 0
+        t_hi = min(int(cell[-1]) + 1, n_out - 1) if len(cell) else 0
+        cell = np.minimum(cell, t_hi - 1).astype(np.intp)
+        self.weights = stretched[self.n_below:n_inside] - (cell + x0)
+        self.lower = cell - t_lo  # window index of the cell at or below
+        self.upper = self.lower + 1
+        self.n_inside = n_inside
+        self.n_fft = specfun.next_fast_len(max(t_hi + 1, n_out - t_lo, n_grid, len(atoms)))
         self.atoms_hat = np.fft.rfft(reversed_atoms, self.n_fft)
+        self.window = slice(t_lo, t_hi + 1)
         # conv(P, reversed A)[t] = sum_s A[s] P[t - (S-1) + s]: output
         # n_grid + i reads past the grid top for the i + 1 largest atom cells
-        self.above = np.cumsum(reversed_atoms)[:-1]
-        # output t is the cell x = t + k_lo - a_last, a_last the largest kept atom cell
-        a_last = (pmf.min_index + n_kept - 1) * stride
-        self.x_cells = np.arange(self.n_out) + float(grid.k_lo - a_last)
-        self.stretched = grid.points * grid.growth / grid.step
+        above = np.cumsum(reversed_atoms)[:-1]
+        self.above_from = max(n_grid - t_lo, 0)
+        self.above = above[max(t_lo - n_grid, 0):max(t_hi + 1 - n_grid, 0)]
+        self.n_grid = n_grid
 
     def __call__(self, phi_prev):
-        grid = self.grid
-        phi0 = np.where(grid.points >= -1e-9 * grid.step, phi_prev, 0.0)
+        phi0 = phi_prev.copy()
+        phi0[:self.n_negative] = 0.0
         corr = np.fft.irfft(np.fft.rfft(phi0, self.n_fft) * self.atoms_hat,
-                            self.n_fft)[:self.n_out]
-        corr[self.n_grid:] += self.above
+                            self.n_fft)[self.window]
+        corr[self.above_from:] += self.above
         corr += self.far
         np.clip(corr, 0.0, 1.0, out=corr)
-        out = np.interp(self.stretched, self.x_cells, corr, left=0.0, right=1.0)
-        return _check_monotone_fix(out)
+        out = np.empty(self.n_grid)
+        out[:self.n_below] = 0.0
+        out[self.n_inside:] = 1.0
+        # the interpolant between two cells in [0, 1] stays in [0, 1]
+        lower = corr.take(self.lower)
+        inside = out[self.n_below:self.n_inside]
+        np.subtract(corr.take(self.upper), lower, out=inside)
+        inside *= self.weights
+        inside += lower
+        return np.maximum.accumulate(out, out=out)
 
 
 def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
@@ -251,7 +296,9 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     losses) or at the worst-case discounted loss, whichever is lower; reads
     above it count as survival, so psi moves by at most horizon * tail_eps
     (``grid_tail_bound``; 0 when the worst case binds, and with tail_eps = 0).
-    The diagnostics also give the grid's points, edges and FFT length.
+    The diagnostics also give the grid's points and edges, and
+    ``fft_points``: the longest circular length of a correlation step,
+    sized to the outputs its stretch reads (0 on the atoms route).
     """
     if r < 0:
         raise DomainError(f"interest rate must be >= 0, got {r}")

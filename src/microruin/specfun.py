@@ -1,6 +1,8 @@
-"""Scalar special functions backing the revenue-moment integrals.
+"""Special functions backing the revenue-moment integrals.
 
-Implements the Gauss hypergeometric function on [0, 1), monomial
+Implements the Gauss hypergeometric function on [0, 1) (elementwise over an
+array argument, each element taking the float steps of a one-argument
+evaluation, with non-integer powers through the C library's pow), monomial
 coefficients of Jacobi polynomials, and the 5-smooth FFT length search.
 Everything here is pure and deterministic so the downstream quadratures
 are reproducible; each routine is cross-checked in the test suite against
@@ -38,6 +40,7 @@ __all__ = [
 
 REL_TOL = 1e-10
 MAX_TERMS = 20000
+_BLOCK = 64  # series terms per vectorised block
 
 
 def _require_finite(name, value):
@@ -45,18 +48,42 @@ def _require_finite(name, value):
         raise DomainError(f"{name} must be finite, got {value}")
 
 
-def _hyp_series(a: float, b: float, c: float, z: float) -> float:
-    """Defining 2F1 power series; caller guarantees |z| < 1 and valid c."""
-    term = 1.0
-    total = 1.0
-    for n in range(MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= REL_TOL * abs(total) and n >= 2:
-            return total
+def scalar_pow(x: np.ndarray, s: float) -> np.ndarray:
+    """x ** s element by element through the C library's pow, as Python's
+    float ``**`` computes it (``numpy.power`` may differ in the last bit)."""
+    return np.fromiter((math.pow(v, s) for v in x.ravel().tolist()), float,
+                       count=x.size).reshape(x.shape)
+
+
+def _hyp_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """Defining 2F1 power series at every z; caller guarantees |z| < 1 and valid c.
+
+    Terms come in blocks of ``_BLOCK``: a cumulative product gives the terms
+    and a cumulative sum the partial sums, both strictly in order, so each
+    element takes the same float steps as a one-argument loop and stops at
+    its own first term within REL_TOL of its sum.
+    """
+    out = np.empty(z.size)
+    live = np.arange(z.size)
+    z_live = z.ravel()
+    term = np.ones(z.size)
+    total = np.ones(z.size)
+    for n0 in range(0, MAX_TERMS, _BLOCK):
+        n = np.arange(n0, min(n0 + _BLOCK, MAX_TERMS))
+        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        terms = np.cumprod(np.column_stack((term, ratio * z_live[:, None])), axis=1)[:, 1:]
+        totals = np.cumsum(np.column_stack((total, terms)), axis=1)[:, 1:]
+        done = (np.abs(terms) <= REL_TOL * np.abs(totals)) & (n >= 2)
+        hit = done.any(axis=1)
+        out[live[hit]] = totals[hit, done[hit].argmax(axis=1)]
+        live, z_live, term, total = (live[~hit], z_live[~hit],
+                                     terms[~hit, -1], totals[~hit, -1])
+        if not live.size:
+            return out.reshape(z.shape)
     raise AccuracyError(
         "hypergeometric series did not converge",
-        {"a": a, "b": b, "c": c, "z": z, "partial_sum": total, "last_term": term},
+        {"a": a, "b": b, "c": c, "z": float(z_live[0]), "partial_sum": float(total[0]),
+         "last_term": float(term[0])},
     )
 
 
@@ -64,42 +91,53 @@ def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) for real parameters and z in [0, 1)."""
-    for name, value in (("a", a), ("b", b), ("c", c), ("z", z)):
+def gauss_2f1(a: float, b: float, c: float, z):
+    """Gauss hypergeometric 2F1(a, b; c; z) for real parameters and z in [0, 1).
+
+    z may be an array: the result has its shape, and a scalar z gives a float.
+    """
+    for name, value in (("a", a), ("b", b), ("c", c)):
         _require_finite(name, value)
+    z = np.asarray(z, dtype=float)
     if _is_nonpositive_integer(c):
         raise DomainError(f"2F1 undefined for c a nonpositive integer, got c={c}")
-    if z < 0.0 or z >= 1.0:
-        raise DomainError(f"gauss_2f1 requires 0 <= z < 1, got z={z}")
-    if z == 0.0:
-        return 1.0
-    if z <= 0.5:
-        return _hyp_series(a, b, c, z)
+    bad = ~((z >= 0.0) & (z < 1.0))  # also NaN
+    if bad.any():
+        raise DomainError(f"gauss_2f1 requires 0 <= z < 1, got z={z[bad].flat[0]}")
+    out = np.ones(z.shape)
+    series = (z > 0.0) & (z <= 0.5)
+    euler = (z > 0.5) & (z <= 0.9)
+    near_one = z > 0.9
+    if series.any():
+        out[series] = _hyp_series(a, b, c, z[series])
 
     s = c - a - b
-    if z <= 0.9:
-        return (1.0 - z) ** s * _hyp_series(c - a, c - b, c, z)
+    if euler.any():
+        ze = z[euler]
+        out[euler] = scalar_pow(1.0 - ze, s) * _hyp_series(c - a, c - b, c, ze)
 
-    # Near z = 1: connection formula in powers of w = 1 - z (DLMF 15.8.4 form),
-    # valid when c - a - b is not an integer.
-    if abs(s - round(s)) < 1e-10:
-        raise AccuracyError(
-            "2F1 connection formula needs c-a-b non-integer near z = 1",
-            {"a": a, "b": b, "c": c, "z": z},
-        )
-    w = 1.0 - z
-    try:
-        coeff1 = math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
-        coeff2 = math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
-    except ValueError as exc:  # gamma pole
-        raise AccuracyError(
-            "2F1 connection formula hit a gamma pole in its coefficients",
-            {"a": a, "b": b, "c": c, "z": z, "detail": str(exc)},
-        ) from exc
-    term1 = coeff1 * _hyp_series(a, b, a + b - c + 1.0, w)
-    term2 = coeff2 * w ** s * _hyp_series(c - a, c - b, s + 1.0, w)
-    return term1 + term2
+    if near_one.any():
+        # Near z = 1: connection formula in powers of w = 1 - z (DLMF 15.8.4
+        # form), valid when c - a - b is not an integer.
+        if abs(s - round(s)) < 1e-10:
+            raise AccuracyError(
+                "2F1 connection formula needs c-a-b non-integer near z = 1",
+                {"a": a, "b": b, "c": c, "z": float(z[near_one].flat[0])},
+            )
+        w = 1.0 - z[near_one]
+        try:
+            coeff1 = math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
+            coeff2 = math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
+        except ValueError as exc:  # gamma pole
+            raise AccuracyError(
+                "2F1 connection formula hit a gamma pole in its coefficients",
+                {"a": a, "b": b, "c": c, "z": float(z[near_one].flat[0]),
+                 "detail": str(exc)},
+            ) from exc
+        term1 = coeff1 * _hyp_series(a, b, a + b - c + 1.0, w)
+        term2 = coeff2 * scalar_pow(w, s) * _hyp_series(c - a, c - b, s + 1.0, w)
+        out[near_one] = term1 + term2
+    return float(out) if out.ndim == 0 else out
 
 
 def jacobi_poly_coeffs(n: int, a: float, b: float) -> np.ndarray:

@@ -33,6 +33,33 @@ def make_config(alpha=4.0, beta=0.1, c_min=0.1, c_max=100.0, rate_gap=100.0,
     return validate(cfg)
 
 
+# the scenarios of the analytic sweep benchmark: the default config with
+# section-level overrides
+SWEEP_SCENARIOS = {
+    "reference": {},
+    "pathloss-3": {"network": {"alpha_pathloss": 3.0}},
+    "interest-0": {"financial": {"interest_rate_per_interval": 0.0}},
+    "noise-0.01": {"network": {"sigma2_noise_power": 0.01}},
+    "horizon-10": {"financial": {"horizon_intervals": 10}},
+    "two-operators": {"financial": {"operator_fees": {"1": 100.0, "2": 60.0},
+                                    "operator_mix": {"1": 0.5, "2": 0.5}}},
+    "multi-slot": {"durations": {"kind": "truncated-geometric", "mean": 2.0, "tau_max": 5}},
+    "w_n-0.05": {"financial": {"w_n_geometric": 0.05}},
+    "lattice-1100/4096": {"numerics": {"lattice_step": 1100 / 4096}},
+    "fee-300": {"financial": {"operator_fees": {"1": 300.0}}},
+    "clamps-0.1-100": {"financial": {"c_min": 0.1, "c_max": 100.0}},
+}
+
+
+def sweep_config(name: str) -> ScenarioConfig:
+    """The default config with the overrides of one analytic sweep scenario."""
+    from microruin.model import default_config
+    data = default_config().to_dict()
+    for section, values in SWEEP_SCENARIOS[name].items():
+        data[section].update(values)
+    return validate(ScenarioConfig.from_dict(data))
+
+
 def point_mass_config(scale=2.0, tau=1):
     """Equal clamps: every slot earns exactly ``scale`` units, a zero-variance
     fixture for the moment and sampling stages.  ``validate`` refuses equal

@@ -526,3 +526,120 @@ def hurlimann_ls_solve(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
             "variant is reported for comparison and is expected to disagree "
             "with the convolution route", residual)
     return result
+
+
+# ----------------------------------------------------------------------
+# Chernoff searches by golden section
+# ----------------------------------------------------------------------
+
+def golden_min(f, a: float, b: float, iters: int = 80) -> tuple[float, float]:
+    """(x, f(x)) near the minimum of a unimodal f on (a, b).
+
+    f may be +inf on a right end segment (past a pole); ties move the bracket
+    left, so the search never settles there while a finite value exists.
+    """
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def golden_chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float,
+                         log_eps: float) -> int:
+    """Upper edge of a compound geometric sum, as ``compound._chernoff_edge``,
+    from 80 golden-section steps on the bound (log M_S(theta) - log eps) / theta."""
+    k_max = int(idx.max())
+    if k_max <= 0:
+        return 0
+    log_w, log_q = math.log(w_n), math.log1p(-w_n)
+
+    def log_ms(theta):
+        a = theta * idx + log_p
+        top = a.max()
+        z = log_q + top + math.log(np.exp(a - top).sum())
+        return log_w - math.log(-math.expm1(z)) if z < 0.0 else math.inf
+
+    pole_above = (-log_q - float(log_p[idx.argmax()])) / k_max
+    _, x = golden_min(lambda t: (log_ms(t) - log_eps) / t, 0.0, pole_above)
+    return max(0, math.ceil(x) - 1)
+
+
+def golden_loss_top(pmfs, growth: float, horizon: int, tail_eps: float,
+                     loss_cells: int) -> float:
+    """Chernoff top of the discounted losses, as ``ruin._loss_top``, from 32
+    golden-section steps over theta in (0, -log eps / cell width)."""
+    distinct = list({id(p): p for p in pmfs}.values())
+    k_max = max(max(0, -int(p.indices()[p.mass > 0].min())) for p in distinct)
+    discount = growth ** -np.arange(1.0, horizon + 1)
+    reach = k_max * distinct[0].step * float(discount.sum())
+    q = -(-k_max // loss_cells)
+    width = q * distinct[0].step
+    tables = []
+    for p in distinct:
+        alive = p.mass > 0
+        cells = -(-np.maximum(-p.indices()[alive], 0) // q)
+        binned = np.bincount(cells, weights=p.mass[alive])
+        held = np.flatnonzero(binned)
+        tables.append((held * width, np.log(binned[held])))
+    log_eps = math.log(tail_eps)
+
+    def top_at(theta):
+        t = theta * discount[:, None]
+        log_m = np.full(horizon, -np.inf)
+        for loss, log_p in tables:
+            a = t * loss + log_p
+            peak = a.max(axis=1)
+            np.maximum(log_m, peak + np.log(np.exp(a - peak[:, None]).sum(axis=1)),
+                       out=log_m)
+        return (float(log_m.sum()) - log_eps) / theta
+
+    _, top = golden_min(top_at, 0.0, -log_eps / width, iters=32)
+    return min(reach, top)
+
+
+# ----------------------------------------------------------------------
+# The 2F1 profile one argument at a time
+# ----------------------------------------------------------------------
+
+def _scalar_hyp_series(a: float, b: float, c: float, z: float) -> float:
+    term = total = 1.0
+    for n in range(specfun.MAX_TERMS):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        if abs(term) <= specfun.REL_TOL * abs(total) and n >= 2:
+            return total
+    raise AccuracyError("oracle hypergeometric series did not converge", {"z": z})
+
+
+def scalar_gauss_2f1(a: float, b: float, c: float, z: float) -> float:
+    """2F1 on [0, 1) by the three routes of ``specfun.gauss_2f1``, one float
+    argument at a time in Python float arithmetic."""
+    if z == 0.0:
+        return 1.0
+    if z <= 0.5:
+        return _scalar_hyp_series(a, b, c, z)
+    s = c - a - b
+    if z <= 0.9:
+        return (1.0 - z) ** s * _scalar_hyp_series(c - a, c - b, c, z)
+    w = 1.0 - z
+    coeff1 = math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
+    coeff2 = math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
+    return (coeff1 * _scalar_hyp_series(a, b, a + b - c + 1.0, w)
+            + coeff2 * w ** s * _scalar_hyp_series(c - a, c - b, s + 1.0, w))
+
+
+def scalar_laplace_exponent_profile(theta: float, alpha: float) -> float:
+    """``moments.laplace_exponent_profile`` at one float theta."""
+    if theta == 0.0:
+        return 0.0
+    f21 = scalar_gauss_2f1(1.0, 2.0, 2.0 - 2.0 / alpha, theta / (1.0 + theta))
+    return theta * (f21 / ((1.0 - 2.0 / alpha) * (1.0 + theta) ** 2) - 1.0 / (1.0 + theta))

@@ -108,6 +108,19 @@ class TestValidateCommand:
         assert run_cli(args + ["validate"]) == 2
         assert f"config error at {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,command", [
+        ("numerics.moment_order=4.5", ["moments"]),
+        ("financial.horizon_intervals=2.5", ["ruin", "--no-mc"]),
+        ("numerics.moment_order=4.0", ["validate"]),
+        ("numerics.mc_paths=2e3", ["validate"]),
+    ], ids=["moment_order-4.5", "horizon-2.5", "moment_order-4.0", "mc_paths-2e3"])
+    def test_non_integer_value_of_an_integer_field_exits_two(self, tmp_path, capsys,
+                                                             override, command):
+        out = str(tmp_path / "o")
+        assert run_cli(["--set", override, "--out", out, *command]) == 2
+        path = override.split("=")[0]
+        assert f"config error at {path}: value must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [
         pytest.param(field, value, id=f"{field.split('.')[-1]}-{value}")
         for field, value in [
@@ -348,6 +361,20 @@ class TestSweepCommand:
         assert len(point_dirs) == len(values)
         sample = os.path.join(out, point_dirs[0])
         assert set(os.listdir(sample)) == {"moments.csv", "manifest.json"}
+
+
+    def test_sweep_of_an_integer_field(self, tmp_path, fast_config_path):
+        # whole grid values reach the config as ints; each order's row holds
+        # its own moments, the lower orders' rows padded with nan
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out, "sweep",
+                        "--param", "numerics.moment_order=4:6:1"]) == 0
+        rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        assert rows[0] == "value," + ",".join(f"moment_{s}" for s in range(1, 7))
+        cells = [row.split(",") for row in rows[1:]]
+        assert [c[0] for c in cells] == ["4", "5", "6"]
+        assert [c.count("nan") for c in cells] == [2, 1, 0]
+        assert len({c[1] for c in cells}) == 1    # E[V] does not depend on the order
 
 
 class TestReproduceTables:

@@ -7,7 +7,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from microruin import income_pdf, moments
+from scipy import optimize
+
+from microruin import compound, income_pdf, moments
 from microruin.compound import (
     LatticePMF,
     compound_geometric_pmf,
@@ -16,8 +18,8 @@ from microruin.compound import (
 )
 from microruin.errors import AccuracyError, DomainError, ResourceLimitError
 from microruin.model import FinancialParams
-from tests.conftest import make_config
-from tests.oracles import build_recurrence_matrix, hurlimann_ls_solve
+from tests.conftest import make_config, sweep_config
+from tests.oracles import build_recurrence_matrix, golden_chernoff_edge, hurlimann_ls_solve
 from tests.test_income_pdf import uniform_moments
 
 
@@ -234,6 +236,65 @@ class TestCompoundGeometric:
     def test_domain(self):
         with pytest.raises(DomainError):
             compound_geometric_pmf(self.Z3, 0.0)
+
+
+def sweep_step_pmf(name: str):
+    """A sweep scenario's net-profit step PMF of interval 1 and its config."""
+    cfg = sweep_config(name)
+    fin = cfg.financial
+    v_lo, v_hi = cfg.income_support(1)
+    delta = cfg.numerics.lattice_step or (v_hi + max(fin.operator_fees.values())) / 2048.0
+    density = income_pdf.sanitize(income_pdf.expand_density(
+        moments.revenue_moments(cfg), v_lo, v_hi))
+    return net_profit_step_pmf(discretize_income(density, delta), fin), cfg
+
+
+CHERNOFF_SCENARIOS = ["reference", "two-operators", "multi-slot", "clamps-0.1-100"]
+
+
+class TestChernoffSearch:
+    @pytest.mark.parametrize("name", CHERNOFF_SCENARIOS)
+    def test_edges_equal_golden_section_oracle(self, name):
+        z, cfg = sweep_step_pmf(name)
+        alive = z.mass > 0
+        idx, log_p = z.indices()[alive], np.log(z.mass[alive])
+        w, log_eps = cfg.financial.w_n_geometric, math.log(cfg.numerics.tail_eps)
+        for side in (idx, -idx):
+            edge, _ = compound._chernoff_edge(side, log_p, w, log_eps)
+            assert edge == golden_chernoff_edge(side, log_p, w, log_eps)
+
+    @pytest.mark.parametrize("log_eps", [-5.0, -27.6])
+    def test_minimizes_poisson_and_geometric_bounds(self, log_eps):
+        # K of Poisson(2) (no pole) and of a geometric count (pole at -log 0.7):
+        # the minimizing theta is the root of theta K' - K + log eps
+        cgfs = [(lambda t: (2.0 * math.expm1(t), 2.0 * math.exp(t), 2.0 * math.exp(t)),
+                 50.0),
+                (lambda t: ((math.log(0.3) - math.log1p(-0.7 * math.exp(t)),
+                             0.7 * math.exp(t) / (1 - 0.7 * math.exp(t)),
+                             0.7 * math.exp(t) / (1 - 0.7 * math.exp(t)) ** 2)
+                            if 0.7 * math.exp(t) < 1 else (math.inf,) * 3),
+                 -math.log(0.7))]
+        for cgf, theta_hi in cgfs:
+            def h(t):
+                k, k1, _ = cgf(t)
+                return t * k1 - k + log_eps
+            want = optimize.brentq(h, 1e-9, theta_hi * (1 - 1e-12), xtol=1e-15)
+            theta, k = compound._chernoff_min(cgf, log_eps, theta_hi)
+            assert theta == pytest.approx(want, rel=1e-10)
+            assert k == cgf(theta)[0]
+
+    def test_returns_the_upper_end_when_the_bound_keeps_falling(self):
+        # Poisson(2) with eps = 1e-12 has its best theta above 2, so the
+        # bound falls on all of (0, 1]
+        def cgf(t):
+            return 2.0 * math.expm1(t), 2.0 * math.exp(t), 2.0 * math.exp(t)
+        theta, k = compound._chernoff_min(cgf, math.log(1e-12), 1.0)
+        assert (theta, k) == (1.0, cgf(1.0)[0])
+
+    def test_search_past_its_cap_names_it(self, monkeypatch):
+        monkeypatch.setattr(compound, "CHERNOFF_STEPS", 1)
+        with pytest.raises(AccuracyError, match="within its 1-step cap"):
+            compound_geometric_pmf(TestCompoundGeometric.Z3, 0.3)
 
 
 class TestRecurrenceRoute:

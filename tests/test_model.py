@@ -82,6 +82,23 @@ class TestValidate:
         assert cfg.products.rate_gaps[0] == pytest.approx(100.0, rel=1e-12)
 
 
+    def test_integer_fields_refuse_other_numbers(self):
+        # whole-number floats too: the pipeline sizes arrays and loops with them
+        base = model.default_config()
+        cfg = replace(base, numerics=replace(base.numerics, moment_order=4.0, mc_batch=7.5),
+                      financial=replace(base.financial, horizon_intervals=np.float64(5)))
+        with pytest.raises(ConfigError) as info:
+            model.validate(cfg)
+        assert sorted(path for path, _ in info.value.errors) == [
+            "financial.horizon_intervals", "numerics.mc_batch", "numerics.moment_order"]
+        model.validate(replace(base, numerics=replace(base.numerics, seed=np.int64(3))))
+
+    def test_integer_fields_named(self):
+        assert model.INTEGER_FIELDS == {
+            "financial.horizon_intervals", "numerics.moment_order", "numerics.mc_samples",
+            "numerics.mc_paths", "numerics.mc_batch", "numerics.seed"}
+
+
 class TestDurationModel:
     def test_deterministic(self):
         m = model.DurationModel(kind="deterministic", tau=3)
@@ -92,6 +109,26 @@ class TestDurationModel:
         m = model.DurationModel(kind="truncated-geometric", mean=2.2, tau_max=6)
         values, probs = m.pmf()
         assert float(np.dot(values, probs)) == pytest.approx(2.2, abs=1e-9)
+
+    def test_truncated_geometric_solved_once_as_by_200_halvings(self):
+        def halvings(mean, tau_max):
+            t = np.arange(1, tau_max + 1)
+            lo, hi = 1e-12, 1.0 - 1e-12
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                w = (1.0 - mid) ** (t - 1.0)
+                if float(np.dot(t, w) / w.sum()) > mean:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        for mean, tau_max in ((2.0, 5), (1.3, 3), (2.2, 6), (4.9, 10)):
+            m = model.DurationModel(kind="truncated-geometric", mean=mean, tau_max=tau_max)
+            assert m._geometric_p == halvings(mean, tau_max)
+            first, again = m.pmf(), m.pmf()
+            assert np.array_equal(first[1], again[1])
+            assert "_geometric_p" in vars(m)       # solved once, kept on the model
 
     def test_degenerate_mean_one_is_single_slot(self):
         m = model.DurationModel(kind="truncated-geometric", mean=1.0, tau_max=5)

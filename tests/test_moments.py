@@ -12,7 +12,7 @@ from microruin import moments, montecarlo
 from microruin.errors import AccuracyError, DomainError
 from microruin.model import DurationModel, NetworkParams, ProductParams, validate
 from tests import oracles
-from tests.conftest import make_config, point_mass_config
+from tests.conftest import SWEEP_SCENARIOS, make_config, point_mass_config, sweep_config
 
 
 NET = NetworkParams(beta_cells_per_area=0.1, alpha_pathloss=4.0)
@@ -266,3 +266,21 @@ def test_revenue_moments_match_nested_quadrature(name):
     np.testing.assert_allclose(got.raw, want.raw, rtol=tol, atol=0.0)
     assert got.atom_lo == pytest.approx(want.atom_lo, rel=tol)
     assert got.atom_hi == pytest.approx(want.atom_hi, rel=tol)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+def test_profile_on_the_rule_nodes_equals_the_scalar_route_bit_for_bit(name):
+    # one array call against one float call per node, at every panel count
+    # the tensor rule may use
+    cfg = sweep_config(name)
+    net = cfg.network
+    kappa_pow = net.p_i_interferer_power / net.p0_serving_power
+    for gap in cfg.products.rate_gaps:
+        grid = moments._LogUGrid(gap * kappa_pow, net.alpha_pathloss, cfg.financial,
+                                 cfg.numerics.moment_order)
+        for level in range(moments._MAX_LEVEL + 1):
+            u, profile, _ = grid.nodes(moments._START_U_PANELS << level)
+            want = [oracles.scalar_laplace_exponent_profile(gap * kappa_pow * ui,
+                                                            net.alpha_pathloss)
+                    for ui in u.tolist()]
+            assert profile.tolist() == want

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
-from microruin import ruin
+from microruin import ruin, specfun
 from microruin.compound import LatticePMF
 from microruin.errors import AccuracyError, DomainError
-from tests.conftest import make_config
+from tests.conftest import make_config, sweep_config
+from tests.oracles import golden_loss_top
 
 
 def survival_base(u: float, r: float, g1: LatticePMF) -> float:
@@ -456,3 +457,56 @@ def test_correlation_step_bit_identical_to_scipy_fft(table3_config, monkeypatch)
     n_fft_scipy, want = step()
     assert n_fft == n_fft_scipy
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["reference", "two-operators", "multi-slot",
+                                  "clamps-0.1-100"])
+def test_loss_top_not_above_golden_section_oracle(name):
+    cfg = sweep_config(name)
+    pmfs, _ = ruin.interval_net_pmfs(cfg)
+    growth, eps = 1.0 + cfg.financial.interest_rate_per_interval, cfg.numerics.tail_eps
+    _, top = ruin._loss_top(pmfs, growth, len(pmfs), eps)
+    assert top <= golden_loss_top(pmfs, growth, len(pmfs), eps, ruin.LOSS_CELLS)
+
+
+def convolve_step(grid, pmf, stride, phi_prev):
+    """One correlation-route step from its definition, the lattice correlation
+    taken in full by np.convolve.
+
+    c(x) = sum_y m(y) P(x + y) on the cells x the stretch reads, with P the
+    previous survival on the grid (0 at negative capitals and below the
+    grid, 1 above it); atoms that land above the grid from every read cell
+    add their mass.  Then phi(u) = c(u (1+r) / step), linear between cells.
+    """
+    p = np.where(grid.points >= -1e-9 * grid.step, phi_prev, 0.0)
+    stretched = grid.points * grid.growth / grid.step
+    x_lo, x_hi = math.floor(stretched[0]), math.ceil(stretched[-1])
+    y, m = pmf.indices() * stride, pmf.mass
+    far = y > grid.k_hi - x_lo
+    y_near, m_near = y[~far], m[~far]
+    cells = np.arange(x_lo + y_near.min(), x_hi + y_near.max() + 1)
+    inside = np.clip(cells - grid.k_lo, 0, len(p) - 1)
+    big_p = np.where(cells < grid.k_lo, 0.0, np.where(cells > grid.k_hi, 1.0, p[inside]))
+    atoms = np.zeros(y_near.max() - y_near.min() + 1)
+    atoms[y_near - y_near.min()] = m_near
+    corr = np.convolve(big_p, atoms[::-1], mode="valid") + m[far].sum()
+    out = np.interp(stretched, np.arange(x_lo, x_hi + 1.0), np.clip(corr, 0.0, 1.0))
+    return np.maximum.accumulate(out)
+
+
+@pytest.mark.parametrize("name", ["reference", "fee-300", "horizon-10", "clamps-0.1-100"])
+def test_correlation_window_matches_full_linear_correlation(name):
+    # the circular length covers only the outputs the stretch reads; the
+    # step runs from the survival curve after one step, ruin below it
+    cfg = sweep_config(name)
+    pmfs, _ = ruin.interval_net_pmfs(cfg)
+    r = cfg.financial.interest_rate_per_interval
+    stride = max(1, math.ceil((1.0 + r) ** len(pmfs)))
+    grid = ruin._RecursionGrid(np.array([100.0, 300.0]), r, pmfs, pmfs[0].step / stride,
+                               len(pmfs), cfg.numerics.tail_eps)
+    corr = ruin._Correlation(grid, pmfs[0], stride)
+    n_out = len(grid.points) + (len(pmfs[0].mass) - 1) * stride
+    assert corr.n_fft <= specfun.next_fast_len(n_out)
+    phi = corr(np.ones_like(grid.points))
+    want = convolve_step(grid, pmfs[0], stride, phi)
+    assert np.abs(corr(phi) - want).max() <= 1e-14
