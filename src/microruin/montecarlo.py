@@ -23,8 +23,11 @@ The batches run on one thread per CPU in the process's affinity mask; the
 results do not depend on the thread count.  Within a batch the interferer
 points are streamed through chunks of whole slots; the fading marks come
 from the batch's own "marks" stream, so they do not depend on how the
-positions are chunked.  The interferer configuration is redrawn every slot,
-matching the per-slot independence the analytic transform assumes.
+positions are chunked.  The positions are drawn in units of their slot's
+annulus width, so a point costs one add, and with alpha/2 an integer its
+power is multiplies and one divide (``_kernels.interference_powsum``).  The
+interferer configuration is redrawn every slot, matching the per-slot
+independence the analytic transform assumes.
 """
 
 from __future__ import annotations
@@ -152,15 +155,22 @@ def far_field_summary(config: ScenarioConfig, plan: SimulationPlan) -> dict:
 def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarray:
     """Per-slot sums of marks * x_sq**exponent over fresh interferer fields:
     slot j has m_slot[j] points, each at squared distance r2 + span * U with
-    U uniform from rng, and exponential marks from marks_rng.
+    U uniform from rng, and exponential marks from marks_rng.  A slot with
+    span 0 must have no points; every slot without points reads 0.
 
-    The slots are walked in chunks of whole slots, up to CHUNK_POINTS points
-    each.  Both streams are drawn in point order, and each slot's sum is one
-    ``np.add.reduceat`` segment, so the result does not depend on the chunk
-    size.
+    The positions are drawn in span units: x_sq = span (a + U) with
+    a = r2 / span, so each point costs one add and each slot's sum is scaled
+    by span**exponent once.  r2 and span are overwritten with a and that
+    scale.  The slots are walked in chunks of whole slots, up to CHUNK_POINTS
+    points each.  Both streams are drawn in point order, and each slot's sum
+    is one ``np.add.reduceat`` segment, so the result does not depend on the
+    chunk size.
     """
     offsets = np.zeros(len(m_slot) + 1, dtype=np.int64)
     np.cumsum(m_slot, out=offsets[1:])
+    room = span > 0.0
+    a = np.divide(r2, span, out=r2, where=room)
+    scale = np.power(span, exponent, out=span, where=room)  # span-0 slots keep 0
     size = min(int(offsets[-1]), max(CHUNK_POINTS, int(m_slot.max(initial=0))))
     x_buf, mark_buf = np.empty(size), np.empty(size)
     sums = np.empty(len(m_slot))
@@ -168,13 +178,13 @@ def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarra
     while s0 < len(m_slot):
         s1 = max(int(np.searchsorted(offsets, offsets[s0] + CHUNK_POINTS, side="right")) - 1,
                  s0 + 1)
-        a, b = offsets[s0], offsets[s1]
-        x = rng.random(out=x_buf[: b - a])
-        x *= np.repeat(span[s0:s1], m_slot[s0:s1])
-        x += np.repeat(r2[s0:s1], m_slot[s0:s1])
-        marks = marks_rng.standard_exponential(out=mark_buf[: b - a])
-        sums[s0:s1] = _kernels.interference_powsum(x, exponent, marks, offsets[s0:s1] - a)
+        lo, hi = offsets[s0], offsets[s1]
+        x = rng.random(out=x_buf[: hi - lo])
+        x += np.repeat(a[s0:s1], m_slot[s0:s1])
+        marks = marks_rng.standard_exponential(out=mark_buf[: hi - lo])
+        sums[s0:s1] = _kernels.interference_powsum(x, exponent, marks, offsets[s0:s1] - lo)
         s0 = s1
+    sums *= scale
     return sums
 
 
@@ -212,6 +222,7 @@ def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, path, n: int,
     del r_u, gaps, user_of_slot, lam_user
     interference = _far_field(net, radius, r_slot, rng)
     r2_slot = r_slot * r_slot
+    # the field sums overwrite r2_slot and span with their per-slot factors
     i_in = _uniform_field_sums(rng, _stream(plan.seed, *path, "marks"), m_slot, r2_slot,
                                np.maximum(radius * radius - r2_slot, 0.0), -alpha / 2.0)
     del m_slot, r2_slot

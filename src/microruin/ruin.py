@@ -19,11 +19,12 @@ exhaustive path enumeration.)
 Net profits live on a lattice, so each step is a finite sum over atoms;
 survival values between capital-grid points are filled by monotone linear
 interpolation (exact when r = 0 and the grid is lattice-aligned).  The
-capital grid covers only where phi can change: it starts just below
-min(u, 0), since the survival indicator zeroes every negative capital, and
-it stops at the smaller of the worst-case discounted loss (past it survival
-is certain) and a Chernoff bound on the discounted losses (past it ruin has
-probability at most ``tail_eps`` over every horizon).  Reads below the grid
+capital grid covers only where phi can change and is read: it starts just
+below min(u, 0), since the survival indicator zeroes every negative capital,
+and it stops at the smallest of the worst-case discounted loss (past it
+survival is certain), a Chernoff bound on the discounted losses (past it
+ruin has probability at most ``tail_eps`` over every horizon) and the
+highest capital read on the way to the requested ones.  Reads below the grid
 are ruin and reads above it survival, so the top moves psi by at most
 horizon * ``tail_eps``.
 """
@@ -153,28 +154,45 @@ def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float
     return reach, min(reach, top)
 
 
+def _read_top(pmfs, growth: float, horizon: int, u_max: float, grid_step: float) -> float:
+    """Highest capital the recursion reads on its way to the capitals <= u_max.
+
+    phi_l at u reads phi_{l-1} only up to u (1+r) + y_max, y_max the largest
+    net-profit atom with mass, and one grid step more between grid points.
+    Over the horizon the reads therefore stay below
+    (1+r)^(L-1) u_max + (y_max^+ + 2 step) sum_{k<L} (1+r)^k.
+    """
+    y_max = max(int(p.indices()[p.mass > 0].max()) * p.step for p in pmfs)
+    powers = growth ** np.arange(horizon)
+    return float(powers[-1] * u_max + (max(y_max, 0.0) + 2 * grid_step) * powers.sum())
+
+
 class _RecursionGrid:
-    """Shared capital grid over the capitals where phi can change.
+    """Shared capital grid over the capitals where phi can change and is read.
 
     It starts two steps below min(u, 0): the survival indicator zeroes phi
     at every negative capital, so reads below the grid are ruin.  It ends
-    two steps above max(u, top), top from ``_loss_top``; reads above it are
-    survival, which moves phi by at most ``tail_bound`` = horizon *
-    tail_eps when the Chernoff top binds and not at all when the worst-case
-    reach does.
+    two steps above max(u, min(top, read top)), top from ``_loss_top`` and
+    read top from ``_read_top``; reads above it are survival.  Below the
+    read top that is exact for the requested capitals, since no read on
+    their way lies past it (the grid cells above phi_l's reach are wrong
+    and never read).  When the Chernoff top binds it moves phi by at most
+    ``tail_bound`` = horizon * tail_eps, and not at all when the worst-case
+    reach or the read top does.
     """
 
     def __init__(self, u_values, r, pmfs, grid_step, horizon, tail_eps):
         growth = 1.0 + r
         reach, top = _loss_top(pmfs, growth, horizon, tail_eps)
+        read_top = _read_top(pmfs, growth, horizon, u_values.max(), grid_step)
         g_lo = min(u_values.min(), 0.0) - 2 * grid_step
-        g_hi = max(u_values.max(), top) + 2 * grid_step
+        g_hi = max(u_values.max(), min(top, read_top)) + 2 * grid_step
         self.k_lo = math.floor(g_lo / grid_step)
         self.k_hi = math.ceil(g_hi / grid_step)
         self.step = grid_step
         self.points = np.arange(self.k_lo, self.k_hi + 1) * grid_step
         self.growth = growth
-        self.tail_bound = horizon * tail_eps if top < reach else 0.0
+        self.tail_bound = horizon * tail_eps if top < min(reach, read_top) else 0.0
 
 
 def _step_atoms(phi_prev, grid, pmf):
@@ -195,9 +213,11 @@ class _Correlation:
     phi_new(u) = c(u (1+r)) needs interpolation.  Reads below the grid are
     ruin (0) and reads above it survival (1, see ``_RecursionGrid``): each
     output cell adds the mass of the atoms that land past the grid top.  The
-    stretch reads cells x >= floor(k_lo (1+r)); an atom past
-    k_hi - floor(k_lo (1+r)) lands above the grid from all of them, so those
-    atoms are not transformed: their mass is one constant added to every cell.
+    stretch reads cells floor(k_lo (1+r)) <= x <= floor(k_hi (1+r)) + 1; an
+    atom past k_hi - floor(k_lo (1+r)) lands above the grid from all of them,
+    so those atoms are not transformed: their mass is one constant added to
+    every cell.  An atom below k_lo - floor(k_hi (1+r)) - 1 lands below the
+    grid from all of them and is dropped.
 
     Of the n_out outputs of the linear correlation the stretch reads only
     t in [t_lo, t_hi].  A circular correlation of length n_fft >=
@@ -207,13 +227,18 @@ class _Correlation:
     """
 
     def __init__(self, grid, pmf, stride):
-        # keep the atoms up to the first lattice atom past the fold edge
-        # (one cell of slack absorbs rounding in the stretched positions)
+        # keep the atoms from the low edge up to the first lattice atom past
+        # the fold edge (a cell of slack on each side absorbs rounding in the
+        # stretched positions)
         fold_edge = grid.k_hi - math.floor(grid.k_lo * grid.growth) + 1
+        low_edge = grid.k_lo - math.floor(grid.k_hi * grid.growth) - 2
         n_kept = min(len(pmf.mass), max(1, -(-fold_edge // stride) - pmf.min_index + 1))
+        n_low = min(n_kept - 1, max(0, -(-low_edge // stride) - pmf.min_index))
         self.far = float(pmf.mass[n_kept:].sum())
-        atoms = np.zeros((n_kept - 1) * stride + 1)
-        atoms[::stride] = pmf.mass[:n_kept]
+        # the survival past the last output: every kept atom lands above the grid
+        self.beyond = 1.0 - float(pmf.mass[:n_low].sum())
+        atoms = np.zeros((n_kept - n_low - 1) * stride + 1)
+        atoms[::stride] = pmf.mass[n_low:n_kept]
         reversed_atoms = atoms[::-1]
         n_grid = len(grid.points)
         n_out = n_grid + len(atoms) - 1
@@ -221,7 +246,7 @@ class _Correlation:
         self.n_negative = int(np.searchsorted(grid.points, -1e-9 * grid.step))
         # output t is the cell x = t + x0, x0 = k_lo - a_last with a_last the
         # largest kept atom cell; the stretch reads the cells around
-        # u (1+r) / step, ruin below output 0 and survival past output n_out - 1
+        # u (1+r) / step, ruin below output 0 and ``beyond`` past output n_out - 1
         a_last = (pmf.min_index + n_kept - 1) * stride
         x0 = float(grid.k_lo - a_last)
         stretched = grid.points * grid.growth / grid.step
@@ -255,7 +280,7 @@ class _Correlation:
         np.clip(corr, 0.0, 1.0, out=corr)
         out = np.empty(self.n_grid)
         out[:self.n_below] = 0.0
-        out[self.n_inside:] = 1.0
+        out[self.n_inside:] = self.beyond
         # the interpolant between two cells in [0, 1] stays in [0, 1]
         lower = corr.take(self.lower)
         inside = out[self.n_below:self.n_inside]
@@ -293,9 +318,11 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
 
     The capital grid ends where the ruin probability over the remaining
     horizon falls below ``tail_eps`` (a Chernoff bound on the discounted
-    losses) or at the worst-case discounted loss, whichever is lower; reads
+    losses), at the worst-case discounted loss or past the highest capital
+    the recursion reads for the requested ones, whichever is lowest; reads
     above it count as survival, so psi moves by at most horizon * tail_eps
-    (``grid_tail_bound``; 0 when the worst case binds, and with tail_eps = 0).
+    (``grid_tail_bound``; 0 when the worst case or the read top binds, and
+    with tail_eps = 0).
     The diagnostics also give the grid's points and edges, and
     ``fft_points``: the longest circular length of a correlation step,
     sized to the outputs its stretch reads (0 on the atoms route).

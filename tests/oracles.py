@@ -6,11 +6,13 @@ Laplace transform with its direct 2-D quadrature, and the fixed-distance
 slot pair: the single-slot moments at one serving distance (the one-row
 case of the production tensor rule) and the scaling factors sampled there,
 both built from private helpers of :mod:`microruin.moments` and
-:mod:`microruin.montecarlo`.  It also holds the nested-quadrature revenue
-moments and clamp atoms (``scipy.integrate.quad`` over the serving distance,
-a doubling rule in the transform variable u) and the compound-geometric
-identity solved as a homogeneous least-squares recurrence, with an
-as-printed statement that does not reproduce the compound distribution.
+:mod:`microruin.montecarlo`, and the interferer field sums in their direct
+form, marks * (r^2 + span U)^(-alpha/2).  It also holds the
+nested-quadrature revenue moments and clamp atoms (``scipy.integrate.quad``
+over the serving distance, a doubling rule in the transform variable u) and
+the compound-geometric identity solved as a homogeneous least-squares
+recurrence, with an as-printed statement that does not reproduce the
+compound distribution.
 """
 
 from __future__ import annotations
@@ -233,6 +235,21 @@ def sample_slot_scaling(config: ScenarioConfig, plan: montecarlo.SimulationPlan,
 
     jobs = list(enumerate(montecarlo._batch_sizes(n, plan.batch_size)))
     return np.concatenate(montecarlo._pool_map(run, jobs))
+
+
+def uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarray:
+    """Per-slot sums of marks * (r2 + span U)**exponent, all points at once:
+    the direct form of ``montecarlo._uniform_field_sums`` on the same draws
+    (positions from rng, marks from marks_rng, both in point order)."""
+    total = int(np.sum(m_slot))
+    x_sq = np.repeat(r2, m_slot) + np.repeat(span, m_slot) * rng.random(total)
+    terms = marks_rng.standard_exponential(total) * x_sq ** exponent
+    sums = np.zeros(len(m_slot))
+    full = np.flatnonzero(m_slot)
+    starts = np.concatenate(([0], np.cumsum(m_slot)[:-1]))
+    if len(full):
+        sums[full] = np.add.reduceat(terms, starts[full])
+    return sums
 
 
 # ----------------------------------------------------------------------

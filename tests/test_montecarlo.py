@@ -211,15 +211,18 @@ class TestStreamPinned:
     """The MC stream is fixed: these sha256 values of the output bytes were
     taken when the keyed streams became SFC64, the interferer marks got their
     own stream and the per-slot, per-user and per-path totals became
-    ``np.add.reduceat`` segment sums.  The chunk size and the thread count leave
-    them unchanged (``TestChunkedStream``).  Any change of generator, draw
-    order, summation order, truncation radius or batch layout moves them."""
+    ``np.add.reduceat`` segment sums; the revenue and slot-scaling values were
+    re-taken when the interferer positions moved to span units with an
+    integer power for alpha = 4 (same draws, reassociated arithmetic).  The
+    chunk size and the thread count leave them unchanged
+    (``TestChunkedStream``).  Any change of generator, draw order, summation
+    order, arithmetic, truncation radius or batch layout moves them."""
 
     PLAN = montecarlo.SimulationPlan(seed=11, batch_size=4096, n_users=3000, n_paths=1500)
     N = 2 * 4096 + 1000  # three batches, the last one partial
     REVENUES = {
-        "reference": "38310fbdb4af8b73aa9057e9f98ea1952a6715a020a8422269c2f180cf1a5030",
-        "multi-slot": "bd83e633fbdf5f4c6cf5352dbe95e62db08b2e49dd6810a45e6a9b9a64eaa8ff",
+        "reference": "56288810401a3caa0d10cc9e93cc49d1bd52c61724be1d2510896f1a45b80297",
+        "multi-slot": "240895d50abc67a7df3d553c6d1aab73d1e7f8fd01e7673197a1d5d175300319",
     }
 
     @pytest.mark.parametrize("case", sorted(REVENUES))
@@ -243,32 +246,52 @@ class TestStreamPinned:
     def test_slot_scaling(self, table2_config):
         v = oracles.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
                                         rate_gap=100.0)
-        assert _sha(v) == "6da1d44e93efc7a6b9b5317112d3640f303b2b580410b16e3cabbe49260cf683"
+        assert _sha(v) == "5751ebf56a13de09c8efbd3975528de1e7829ba2f27184c3e3d5fc39b7ac0c55"
 
 
 class TestChunkedStream:
     def test_interference_sums_across_chunk_edges(self, monkeypatch):
         # with 3-point chunks the 7-point slot is a chunk by itself, the empty
         # slots sit on chunk edges, and the last chunk holds no points
-        monkeypatch.setattr(montecarlo, "CHUNK_POINTS", 3)
         m_slot = np.array([0, 3, 0, 0, 7, 0, 1, 1, 0, 4, 0])
         r2 = np.random.default_rng(0).uniform(1.0, 5.0, size=len(m_slot))
         span = np.random.default_rng(1).uniform(0.0, 50.0, size=len(m_slot))
-        got = montecarlo._uniform_field_sums(montecarlo._stream(9, "edges"),
-                                             montecarlo._stream(9, "edges", "marks"),
-                                             m_slot, r2, span, -2.0)
-        total = int(m_slot.sum())
-        x_sq = montecarlo._stream(9, "edges").random(total)
-        x_sq *= np.repeat(span, m_slot)
-        x_sq += np.repeat(r2, m_slot)
-        marks = montecarlo._stream(9, "edges", "marks").standard_exponential(total)
-        terms = marks * x_sq ** -2.0
-        starts = np.concatenate(([0], np.cumsum(m_slot)[:-1]))
-        want = np.zeros(len(m_slot))
-        full = m_slot > 0
-        want[full] = np.add.reduceat(terms, starts[full])
-        assert got.tobytes() == want.tobytes()
-        assert np.all(got[~full] == 0.0)
+
+        def sums(chunk):
+            monkeypatch.setattr(montecarlo, "CHUNK_POINTS", chunk)
+            return montecarlo._uniform_field_sums(montecarlo._stream(9, "edges"),
+                                                  montecarlo._stream(9, "edges", "marks"),
+                                                  m_slot, r2.copy(), span.copy(), -2.0)
+
+        got = sums(3)
+        assert got.tobytes() == sums(int(m_slot.sum())).tobytes()
+        want = oracles.uniform_field_sums(montecarlo._stream(9, "edges"),
+                                          montecarlo._stream(9, "edges", "marks"),
+                                          m_slot, r2, span, -2.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert np.all(got[m_slot == 0] == 0.0)
+
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_field_sums_match_direct_form(self, monkeypatch, alpha):
+        # alpha 4 takes the integer power, alpha 3 np.power; slots without
+        # points, slots served beyond the radius (span 0) and chunk edges
+        rng = np.random.default_rng(int(alpha))
+        radius2 = 90.0
+        r2 = radius2 * rng.random(400)
+        r2[[5, 77, 399]] = [radius2, 1.5 * radius2, 4.0 * radius2]
+        span = np.maximum(radius2 - r2, 0.0)
+        m_slot = rng.poisson(0.3 * span)
+        m_slot[[0, 1, 200]] = 0
+        assert np.all(m_slot[span == 0.0] == 0) and len(np.flatnonzero(m_slot == 0)) > 5
+        monkeypatch.setattr(montecarlo, "CHUNK_POINTS", 50)
+        got = montecarlo._uniform_field_sums(montecarlo._stream(4, "direct"),
+                                             montecarlo._stream(4, "direct", "marks"),
+                                             m_slot, r2.copy(), span.copy(), -alpha / 2.0)
+        want = oracles.uniform_field_sums(montecarlo._stream(4, "direct"),
+                                          montecarlo._stream(4, "direct", "marks"),
+                                          m_slot, r2, span, -alpha / 2.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert np.all(got[m_slot == 0] == 0.0)
 
     def test_chunk_size_leaves_bytes_unchanged(self, monkeypatch):
         # a small truncation radius leaves many slots without interferers

@@ -11,7 +11,7 @@ from scipy import fft as sp_fft
 from microruin import ruin, specfun
 from microruin.compound import LatticePMF
 from microruin.errors import AccuracyError, DomainError
-from tests.conftest import make_config, sweep_config
+from tests.conftest import SWEEP_SCENARIOS, make_config, sweep_config
 from tests.oracles import golden_loss_top
 
 
@@ -291,12 +291,12 @@ class TestCapitalGrid:
                       mass=np.array([0.002, 0, 0, 0.3, 0, 0, 0, 0, 0.698]))
     GAIN = LatticePMF(step=1.0, min_index=-1, mass=np.array([0.2, 0.0, 0.8]))
 
-    @pytest.mark.parametrize("overrides", [
-        {},
-        {"financial": {"operator_fees": {"1": 300.0}}},
-        {"financial": {"c_min": 0.1, "c_max": 100.0}},
+    @pytest.mark.parametrize("overrides, chernoff_binds", [
+        ({}, True),
+        ({"financial": {"operator_fees": {"1": 300.0}}}, True),
+        ({"financial": {"c_min": 0.1, "c_max": 100.0}}, False),   # the read top binds
     ], ids=["reference", "fee-300", "clamps-0.1-100"])
-    def test_matches_full_reach_oracle(self, overrides):
+    def test_matches_full_reach_oracle(self, overrides, chernoff_binds):
         cfg = _reference_with(overrides)
         pmfs, _ = ruin.interval_net_pmfs(cfg)
         us = np.array([-50.0, 0.0, 100.0, 150.0, 200.0, 250.0, 300.0])
@@ -304,7 +304,7 @@ class TestCapitalGrid:
         res = ruin.survival_recursion(us, r, pmfs, tail_eps=eps)
         ref, oracle_points = full_reach_psi(us, r, pmfs)
         diag = res.diagnostics
-        assert diag["grid_tail_bound"] == len(pmfs) * eps   # the Chernoff top binds
+        assert diag["grid_tail_bound"] == (len(pmfs) * eps if chernoff_binds else 0.0)
         assert np.abs(res.psi - ref).max() <= diag["grid_tail_bound"] + 1e-13
         assert diag["grid_points"] < oracle_points
         assert res.u_grid == (diag["grid_lo"], res.grid_step, diag["grid_points"])
@@ -382,6 +382,22 @@ class TestCapitalGrid:
             np.testing.assert_allclose(res.psi[:, j], enum_psi(u, 0.0, [gains] * 3, 3),
                                        atol=1e-12)
         assert res.psi[2, 1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+    def test_read_top_moves_no_psi(self, name, monkeypatch):
+        # cells past the reads of the requested capitals change nothing: the
+        # capped grid gives the uncapped psi; on clamps [0.1, 100], whose net
+        # profit has no gain, it has 7,485 points against 146,051 uncapped
+        cfg = sweep_config(name)
+        pmfs, _ = ruin.interval_net_pmfs(cfg)
+        us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
+        r, eps = cfg.financial.interest_rate_per_interval, cfg.numerics.tail_eps
+        capped = ruin.survival_recursion(us, r, pmfs, tail_eps=eps)
+        monkeypatch.setattr(ruin, "_read_top", lambda *args: math.inf)
+        uncapped = ruin.survival_recursion(us, r, pmfs, tail_eps=eps)
+        assert np.abs(capped.psi - uncapped.psi).max() <= 1e-13
+        if name == "clamps-0.1-100":
+            assert capped.diagnostics["grid_points"] < 10_000
 
 
 def _reference_with(overrides):
