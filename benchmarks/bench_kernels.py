@@ -1,32 +1,45 @@
 #!/usr/bin/env python3
 """Time the numpy hot kernels and the Monte Carlo interferer stage.
 
-Run:  python benchmarks/bench_kernels.py [--quick]
+Run from the repository root, once per source tree, each run under its own
+label; every run goes into one JSON file:
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py --label change
+    PYTHONPATH=/path/to/other/src python benchmarks/bench_kernels.py --label parent
 
 Inputs are production-shaped: the slots of one batch of the reference
-scenario at the default truncation radius (about 28 interferer points per
-slot; --quick uses a fifth of the batch).  Reported, best of 3:
+scenario at the default truncation radius (about 27 interferer points per
+slot; --quick uses a fifth of the batch and fewer sampler batches).
+Reported, best of 3 unless stated:
 
-* ``interference_powsum`` alone: one whole-batch call against calls on
-  chunks of whole slots of up to ``montecarlo.CHUNK_POINTS`` points, in ns
-  per interferer point and the bytes of the arrays each call touches;
-* the interferer stage (position draws, mark draws, kernel) streamed in
-  chunks against the same stage with the whole batch as one chunk, in ns
-  per point and the peak bytes it allocates (tracemalloc);
+* the interferer stage (``montecarlo._uniform_field_sums``) in ns per
+  interferer point, best of 7 interleaved rounds, split into four parts
+  that add up to it:
+  ``draws`` (the uniform and exponential generator fills, chunk by chunk),
+  ``power`` (``interference_powsum`` with one segment per chunk, less one
+  plain ``reduceat`` sum of the chunk), ``segment_sums`` (the kernel with one
+  segment per slot, less ``power``) and ``offsets`` (the rest of the stage:
+  the per-point positions and the per-slot work); and the peak bytes the
+  stage allocates (tracemalloc) streamed in chunks and as one whole chunk;
 * one whole revenue batch (``montecarlo._revenue_batch``, 65,536 users) of
-  the reference and the multi-slot scenario, in ms per batch and ns per
-  interferer point;
+  the reference and the multi-slot scenario, best of 7, in ms per batch and
+  ns per interferer point;
 * ``ruin_step`` on a large capital grid;
 * ``survival_recursion`` on the reference scenario's interval PMFs: capital
   grid points, FFT length and ms per call;
-* ``sample_revenues`` end to end for two full batches, on one thread and on
-  the thread pool.
+* ``sample_revenues`` for 8 full batches on 1 and on 2 threads, the two
+  alternated 3 times; every run is recorded in samples per second.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
+import platform
+import statistics
+import sys
 import time
 import tracemalloc
 
@@ -34,12 +47,16 @@ import numpy as np
 
 from microruin import _kernels, model, montecarlo, ruin
 
+HERE = os.path.dirname(os.path.abspath(__file__))
 
-def _best(fn, repeats=3):
-    best = float("inf")
+
+def _best(fn, setup=None, repeats=3):
+    """Best wall time of fn(*setup()) over repeats; setup runs untimed."""
+    best, out = float("inf"), None
     for _ in range(repeats):
+        args = setup() if setup else ()
         t0 = time.perf_counter()
-        out = fn()
+        out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, out
 
@@ -55,65 +72,88 @@ def _batch_slots(n_users, rng):
     return m_slot, r2, span, -cfg.network.alpha_pathloss / 2.0
 
 
-def bench_powsum(m_slot, r2, span, exponent, rng):
+def _chunks(offsets, n_slots):
+    """(first slot, end slot, first point, end point) of each chunk of whole
+    slots, as ``montecarlo._uniform_field_sums`` walks them."""
+    chunk = montecarlo.CHUNK_POINTS
+    out, s0 = [], 0
+    while s0 < n_slots:
+        s1 = max(int(np.searchsorted(offsets, offsets[s0] + chunk, side="right")) - 1,
+                 s0 + 1)
+        out.append((s0, s1, int(offsets[s0]), int(offsets[s1])))
+        s0 = s1
+    return out
+
+
+def bench_stage(m_slot, r2, span, exponent, rng):
     offsets = np.concatenate(([0], np.cumsum(m_slot))).astype(np.int64)
     total = int(offsets[-1])
-    x_all = rng.uniform(1.0, float(np.max(r2 + span)), size=total)
+    chunks = _chunks(offsets, len(m_slot))
+    size = max(b - a for _, _, a, b in chunks)
+    x_all = rng.uniform(1.0, 2.0, size=total)
     marks = rng.exponential(1.0, size=total)
-    chunk = montecarlo.CHUNK_POINTS
-    # chunk edges at whole slots, as in montecarlo._uniform_field_sums
-    edges = [0]
-    while edges[-1] < len(m_slot):
-        s0 = edges[-1]
-        edges.append(max(int(np.searchsorted(offsets, offsets[s0] + chunk, side="right")) - 1,
-                         s0 + 1))
+    one_segment = np.zeros(1, dtype=np.int64)
 
-    def whole():
-        return _kernels.interference_powsum(x_all.copy(), exponent, marks, offsets[:-1])
-
-    def chunked():
-        x = x_all.copy()
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            a, b = offsets[s0], offsets[s1]
-            _kernels.interference_powsum(x[a:b], exponent, marks[a:b], offsets[s0:s1] - a)
-
-    t_whole, _ = _best(whole)
-    t_copy, _ = _best(x_all.copy)
-    t_chunk, _ = _best(chunked)
-    per_pt = 1e9 / total
-    seg = len(m_slot) * chunk / total  # slots per chunk
-    print(f"interference_powsum  {total:.2e} pts in {len(m_slot)} slots")
-    print(f"  whole batch  {(t_whole - t_copy) * per_pt:6.2f} ns/pt  "
-          f"{(16 * total + 16 * len(m_slot)) / 2**20:8.1f} MiB per call")
-    print(f"  chunked      {(t_chunk - t_copy) * per_pt:6.2f} ns/pt  "
-          f"{(16 * chunk + 16 * seg) / 2**20:8.1f} MiB per call ({chunk} pts)")
-
-
-def bench_stage(m_slot, r2, span, exponent):
-    total = int(m_slot.sum())
-
-    def stage():
+    def stage(r2_copy, span_copy):
+        # the field sums may overwrite their r2 and span inputs
         return montecarlo._uniform_field_sums(montecarlo._stream(1, "bench", 0),
                                               montecarlo._stream(1, "bench", 0, "marks"),
-                                              m_slot, r2, span, exponent)
+                                              m_slot, r2_copy, span_copy, exponent)
 
-    rows = []
+    def inputs():
+        return r2.copy(), span.copy()
+
+    def draws():
+        x_rng = montecarlo._stream(1, "bench", 0)
+        m_rng = montecarlo._stream(1, "bench", 0, "marks")
+        x_buf, m_buf = np.empty(size), np.empty(size)
+        for _, _, a, b in chunks:
+            x_rng.random(out=x_buf[: b - a])
+            m_rng.standard_exponential(out=m_buf[: b - a])
+
+    def kernel(x, per_slot):
+        for s0, s1, a, b in chunks:
+            _kernels.interference_powsum(x[a:b], exponent, marks[a:b],
+                                         offsets[s0:s1] - a if per_slot else one_segment)
+
+    def plain_sums(x):
+        for _, _, a, b in chunks:
+            np.add.reduceat(x[a:b], one_segment)
+
+    def fresh():
+        return (x_all.copy(),)  # the kernel overwrites its x
+
+    # the parts are differences of timings, so the timings are interleaved
+    # (each round times every one once) and each keeps its best of 7 rounds
+    timed = {"stage": (stage, inputs), "draws": (draws, None),
+             "kernel": (lambda x: kernel(x, True), fresh),
+             "one_segment": (lambda x: kernel(x, False), fresh),
+             "plain_sums": (plain_sums, fresh)}
+    t = dict.fromkeys(timed, float("inf"))
+    for _ in range(7):
+        for name, (fn, setup) in timed.items():
+            t[name] = min(t[name], _best(fn, setup, 1)[0])
+    power = t["one_segment"] - t["plain_sums"]
+    split = {"draws": t["draws"], "offsets": t["stage"] - t["draws"] - t["kernel"],
+             "power": power, "segment_sums": t["kernel"] - power, "stage": t["stage"]}
+    ns = {k: round(v * 1e9 / total, 3) for k, v in split.items()}
+
+    peaks = {}
     saved = montecarlo.CHUNK_POINTS
-    for label, chunk in (("whole batch", total), ("chunked", saved)):
+    for label, chunk in (("whole_batch", total), ("chunked", saved)):
         montecarlo.CHUNK_POINTS = chunk
         try:
-            t, out = _best(stage)
+            args = inputs()
             tracemalloc.start()
-            stage()
-            peak = tracemalloc.get_traced_memory()[1]
+            stage(*args)
+            peaks[label] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
             tracemalloc.stop()
         finally:
             montecarlo.CHUNK_POINTS = saved
-        rows.append((label, t, peak, out))
-    assert rows[0][3].tobytes() == rows[1][3].tobytes(), "chunking moved the sums"
-    print(f"interferer stage (draws + kernel), {total:.2e} pts")
-    for label, t, peak, _ in rows:
-        print(f"  {label:11s}  {t * 1e9 / total:6.2f} ns/pt  {peak / 2**20:8.1f} MiB peak")
+    print(f"interferer stage  {total:.2e} pts in {len(m_slot)} slots, ns/pt")
+    print("  " + "  ".join(f"{k} {v:.2f}" for k, v in ns.items()))
+    print(f"  peak MiB  chunked {peaks['chunked']:.1f}  whole batch {peaks['whole_batch']:.1f}")
+    return {"points": total, "slots": len(m_slot), "ns_per_point": ns, "peak_mib": peaks}
 
 
 def _scenarios():
@@ -128,6 +168,7 @@ def bench_batch(n_users):
     """One revenue batch per scenario, on this thread."""
     saved = _kernels.interference_powsum
     print(f"revenue batch  {n_users} users, one thread")
+    out = {}
     for name, cfg in _scenarios().items():
         plan = montecarlo.plan_from_config(cfg)
         durations = cfg.interval_durations(1)
@@ -143,9 +184,12 @@ def bench_batch(n_users):
         finally:
             _kernels.interference_powsum = saved
         t, _ = _best(lambda: montecarlo._revenue_batch(cfg, plan, ("bench", 0), n_users,
-                                                       durations))
+                                                       durations), None, 7)
+        out[name] = {"ms_per_batch": round(t * 1e3, 3),
+                     "ns_per_point": round(t * 1e9 / sum(points), 3), "points": sum(points)}
         print(f"  {name:10s}  {t * 1e3:7.1f} ms/batch  {t * 1e9 / sum(points):6.2f} ns/pt  "
               f"({sum(points):.2e} pts)")
+    return out
 
 
 def bench_ruin_step(n_grid, n_atoms, rng):
@@ -156,6 +200,7 @@ def bench_ruin_step(n_grid, n_atoms, rng):
     t, _ = _best(lambda: _kernels.ruin_step(phi, grid[0], grid[1] - grid[0], 1.05,
                                             atom_pos, atom_mass, grid))
     print(f"ruin_step  {n_grid}x{n_atoms}  {t * 1e3:8.1f} ms")
+    return {"grid_points": n_grid, "atoms": n_atoms, "ms": round(t * 1e3, 3)}
 
 
 def bench_recursion():
@@ -171,39 +216,68 @@ def bench_recursion():
     diag = res.diagnostics
     print(f"survival_recursion  reference  {diag['grid_points']} grid pts  "
           f"FFT {diag['fft_points']}  {t * 1e3:8.1f} ms")
+    return {"grid_points": diag["grid_points"], "fft_points": diag["fft_points"],
+            "ms": round(t * 1e3, 3)}
 
 
-def bench_sampler():
+def bench_sampler(n_batches, alternations=3):
+    """sample_revenues over n_batches full batches on 1 and 2 threads; the
+    thread counts alternate which runs first."""
     cfg = model.validate(model.default_config())
     plan = montecarlo.plan_from_config(cfg)
-    n_samples = 2 * plan.batch_size
+    n_samples = n_batches * plan.batch_size
     montecarlo.sample_revenues(cfg, plan, 4096)  # warm-up
-    cpus = montecarlo._cpu_count()
-    print(f"sample_revenues  {n_samples} samples (batches of {plan.batch_size})")
+    rates = {1: [], 2: []}
     saved = montecarlo._cpu_count
     try:
-        for workers in sorted({1, cpus}):
-            montecarlo._cpu_count = lambda: workers
-            t, _ = _best(lambda: montecarlo.sample_revenues(cfg, plan, n_samples))
-            print(f"  {workers} thread(s)  {n_samples / t / 1e3:8.1f}k samples/s")
+        for k in range(alternations):
+            for workers in ((1, 2) if k % 2 == 0 else (2, 1)):
+                montecarlo._cpu_count = lambda: workers
+                t0 = time.perf_counter()
+                montecarlo.sample_revenues(cfg, plan, n_samples)
+                rates[workers].append(round(n_samples / (time.perf_counter() - t0)))
     finally:
         montecarlo._cpu_count = saved
+    print(f"sample_revenues  {n_samples} samples ({n_batches} batches of {plan.batch_size}), "
+          f"{alternations} alternations")
+    for workers, runs in rates.items():
+        print(f"  {workers} thread(s)  " + "  ".join(f"{r / 1e3:8.1f}k" for r in runs)
+              + "  samples/s")
+    return {"samples": n_samples, "batches": n_batches,
+            "samples_per_s": {str(w): runs for w, runs in rates.items()},
+            "median_samples_per_s": {str(w): statistics.median(runs)
+                                     for w, runs in rates.items()}}
 
 
-def main():
-    parser = argparse.ArgumentParser()
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", help="name of this run in the JSON file (default: no file)")
     parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args()
+    parser.add_argument("--out", default=os.path.join(os.path.dirname(HERE),
+                                                      "BENCH_kernels.json"))
+    args = parser.parse_args(argv)
     scale = 0.2 if args.quick else 1.0
     rng = np.random.default_rng(0)
     m_slot, r2, span, exponent = _batch_slots(int(65_536 * scale), rng)
-    bench_powsum(m_slot, r2, span, exponent, rng)
-    bench_stage(m_slot, r2, span, exponent)
-    bench_batch(int(65_536 * scale))
-    bench_ruin_step(int(20_000 * scale), int(2_000 * scale), rng)
-    bench_recursion()
-    bench_sampler()
+    run = {"quick": args.quick,
+           "interferer_stage": bench_stage(m_slot, r2, span, exponent, rng),
+           "revenue_batch": bench_batch(int(65_536 * scale)),
+           "ruin_step": bench_ruin_step(int(20_000 * scale), int(2_000 * scale), rng),
+           "survival_recursion": bench_recursion(),
+           "sampler": bench_sampler(2 if args.quick else 8)}
+    if args.label:
+        doc = {}
+        if os.path.exists(args.out):
+            with open(args.out) as fh:
+                doc = json.load(fh)
+        doc["machine"] = {"python": platform.python_version(), "numpy": np.__version__,
+                          "cpus": os.cpu_count(), "platform": platform.platform()}
+        doc.setdefault("runs", {})[args.label] = run
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

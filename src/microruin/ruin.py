@@ -162,7 +162,8 @@ def _read_top(pmfs, growth: float, horizon: int, u_max: float, grid_step: float)
     Over the horizon the reads therefore stay below
     (1+r)^(L-1) u_max + (y_max^+ + 2 step) sum_{k<L} (1+r)^k.
     """
-    y_max = max(int(p.indices()[p.mass > 0].max()) * p.step for p in pmfs)
+    distinct = {id(p): p for p in pmfs}.values()
+    y_max = max((p.min_index + int(np.flatnonzero(p.mass)[-1])) * p.step for p in distinct)
     powers = growth ** np.arange(horizon)
     return float(powers[-1] * u_max + (max(y_max, 0.0) + 2 * grid_step) * powers.sum())
 

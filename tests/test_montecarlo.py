@@ -282,7 +282,7 @@ class TestChunkedStream:
         span = np.maximum(radius2 - r2, 0.0)
         m_slot = rng.poisson(0.3 * span)
         m_slot[[0, 1, 200]] = 0
-        assert np.all(m_slot[span == 0.0] == 0) and len(np.flatnonzero(m_slot == 0)) > 5
+        assert np.all(m_slot[span == 0.0] == 0) and np.count_nonzero(m_slot == 0) > 5
         monkeypatch.setattr(montecarlo, "CHUNK_POINTS", 50)
         got = montecarlo._uniform_field_sums(montecarlo._stream(4, "direct"),
                                              montecarlo._stream(4, "direct", "marks"),
