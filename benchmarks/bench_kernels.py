@@ -8,10 +8,11 @@ label; every run goes into one JSON file:
     PYTHONPATH=/path/to/other/src python benchmarks/bench_kernels.py --label parent
 
 Inputs are production-shaped: the slots of one batch of the reference
-scenario at the default truncation radius (about 27 interferer points per
-slot; --quick uses a fifth of the batch and fewer sampler batches).
-Reported, best of 3 unless stated:
+scenario at the default truncation radius (--quick uses a fifth of the batch
+and fewer sampler batches).  Reported, best of 3 unless stated:
 
+* the truncation the default plan uses (``montecarlo.far_field_summary``):
+  its radius factor and mean interferer points per slot;
 * the interferer stage (``montecarlo._uniform_field_sums``) in ns per
   interferer point, best of 7 interleaved rounds, split into four parts
   that add up to it:
@@ -59,6 +60,16 @@ def _best(fn, setup=None, repeats=3):
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def truncation():
+    """The default plan's truncation on the reference scenario."""
+    far = montecarlo.far_field_summary(model.validate(model.default_config()),
+                                       montecarlo.SimulationPlan())
+    print(f"truncation  factor {far['radius_factor']:g}  "
+          f"{far['points_per_slot']:.2f} interferer points per slot")
+    return {"radius_factor": far["radius_factor"],
+            "points_per_slot": round(far["points_per_slot"], 3)}
 
 
 def _batch_slots(n_users, rng):
@@ -260,6 +271,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(0)
     m_slot, r2, span, exponent = _batch_slots(int(65_536 * scale), rng)
     run = {"quick": args.quick,
+           "truncation": truncation(),
            "interferer_stage": bench_stage(m_slot, r2, span, exponent, rng),
            "revenue_batch": bench_batch(int(65_536 * scale)),
            "ruin_step": bench_ruin_step(int(20_000 * scale), int(2_000 * scale), rng),

@@ -192,8 +192,8 @@ def _chernoff_min(cgf, log_eps: float, theta_hi: float) -> tuple[float, float]:
     quadratic part, and fall back to bisection when a step leaves the
     bracket.  When h is still negative at theta_hi the bound decreases up to
     it, and theta_hi is returned.  Any theta gives a valid bound; the search
-    only makes it tight.  Raises AccuracyError past ``CHERNOFF_STEPS``
-    evaluations.
+    only makes it tight, and it stops once the bracket is two adjacent
+    floats.  Raises AccuracyError past ``CHERNOFF_STEPS`` evaluations.
     """
     lo, hi = 0.0, theta_hi
     open_end = theta_hi  # the upper end, until it is evaluated
@@ -217,7 +217,12 @@ def _chernoff_min(cgf, log_eps: float, theta_hi: float) -> tuple[float, float]:
             return theta, k
         if not lo < nxt < hi:  # past the bracket (or no step): bisect, but
             # first look at an unexamined upper end the step points past
-            nxt = open_end if open_end is not None and nxt >= hi else 0.5 * (lo + hi)
+            if open_end is not None and nxt >= hi:
+                nxt = open_end
+            else:
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:  # nothing left between two adjacent floats
+                    return (theta, k) if math.isfinite(k) else (lo, cgf(lo)[0])
         theta = nxt
     raise AccuracyError(
         f"Chernoff search did not converge within its {CHERNOFF_STEPS}-step cap",

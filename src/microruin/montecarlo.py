@@ -12,8 +12,9 @@ shape and scale match its exact (Campbell) mean
 ``2 pi beta P_I^2 R_e^(2-2 alpha) / (alpha - 1)`` (``E[h^2] = 2`` for the
 Rayleigh marks).  The interference's first two moments are therefore exact at
 any radius, and truncation errs only in the third and higher cumulants
-(verified by the radius-doubling test); the default factor 3 draws about 28
-interferer points per slot.
+(verified by the radius-doubling test); the default factor 2 draws
+4 pi - 1 + e^(-4 pi), about 11.6, interferer points per slot
+(``far_field_summary``).
 
 Randomness comes from SFC64 streams seeded through ``SeedSequence`` with
 keys (seed, stage, interval, batch), so fixed seeds give bit-identical

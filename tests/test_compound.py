@@ -291,6 +291,19 @@ class TestChernoffSearch:
         theta, k = compound._chernoff_min(cgf, math.log(1e-12), 1.0)
         assert (theta, k) == (1.0, cgf(1.0)[0])
 
+    def test_stops_when_the_bracket_is_two_adjacent_floats(self):
+        # h = theta K' - K + log eps is a rounding residue of fixed sign on
+        # each side of 24 and K'' is nearly 0, so every Newton step leaves the
+        # bracket and bisection shrinks it to (24, next float after 24)
+        log_eps = math.log(1e-12)
+
+        def cgf(t):
+            return 3.0 * t + log_eps - (-1e-13 if t <= 24.0 else 1e-13), 3.0, 1e-300
+
+        theta, k = compound._chernoff_min(cgf, log_eps, 50.0)
+        assert theta in (24.0, math.nextafter(24.0, math.inf))
+        assert k == cgf(theta)[0]
+
     def test_search_past_its_cap_names_it(self, monkeypatch):
         monkeypatch.setattr(compound, "CHERNOFF_STEPS", 1)
         with pytest.raises(AccuracyError, match="within its 1-step cap"):

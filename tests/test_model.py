@@ -62,7 +62,7 @@ class TestValidate:
         # the JSON document, and so the hash, keeps every field of every section
         cfg = model.default_config()
         assert cfg.config_hash() == (
-            "b4898bcee333ca0cc4c1985ff802ceb4acb18b348de24addd585c6f19d51a42a")
+            "72bf683f032aadbd4cd61fb6cdbf85516964ae6ae164bcc4f739136fbca35978")
         data = cfg.to_dict()
         for section in ("network", "financial", "numerics"):
             assert set(data[section]) == {f.name for f in fields(getattr(cfg, section))}

@@ -11,7 +11,7 @@ import pytest
 from microruin import model, montecarlo
 from microruin.errors import DomainError
 from tests import oracles
-from tests.conftest import make_config, point_mass_config
+from tests.conftest import make_config, point_mass_config, sweep_config
 
 
 class TestDeterminism:
@@ -187,6 +187,44 @@ class TestFarField:
             model.default_config())
 
 
+def _truncation_config(name):
+    if name == "alpha-2.5":
+        data = model.default_config().to_dict()
+        data["network"]["alpha_pathloss"] = 2.5
+        return model.validate(model.ScenarioConfig.from_dict(data))
+    return sweep_config(name)
+
+
+class TestTruncation:
+    """The default truncation radius against factor 8 (about 200 points per
+    slot), on the same seed: the serving distances, durations and fading are
+    common to both sides, so the per-revenue differences are paired.  For the
+    mean, Pr(V = c_max) and Pr(V < fee), the mean paired difference must lie
+    within BOUND paired standard errors.  N, BOUND and the scenarios were
+    fixed before the test was first run; they are the same for every
+    scenario."""
+
+    N = 100_000
+    BOUND = 4.0
+
+    @pytest.mark.parametrize("name", ["reference", "pathloss-3", "alpha-2.5", "noise-0.01",
+                                      "multi-slot"])
+    def test_default_radius_matches_factor_8(self, name):
+        cfg = _truncation_config(name)
+        plan = montecarlo.SimulationPlan(n_users=self.N)
+        assert plan.ppp_radius_factor < 8.0
+        v = montecarlo.sample_revenues(cfg, plan, self.N)
+        v8 = montecarlo.sample_revenues(cfg, replace(plan, ppp_radius_factor=8.0), self.N)
+        fee = max(cfg.financial.operator_fees.values())
+        c_max = cfg.financial.c_max * cfg.slot_income_per_unit_scaling
+        for label, stat in (("mean", lambda x: x),
+                            ("Pr(V = c_max)", lambda x: (x == c_max).astype(float)),
+                            ("Pr(V < fee)", lambda x: (x < fee).astype(float))):
+            d = stat(v) - stat(v8)
+            se = d.std() / math.sqrt(self.N)
+            assert abs(d.mean()) <= self.BOUND * se, (label, d.mean(), se)
+
+
 class TestMomentEstimation:
     def test_matches_analytic_within_three_se(self, table2_config, fast_plan):
         from microruin import moments
@@ -216,9 +254,12 @@ class TestStreamPinned:
     integer power for alpha = 4 (same draws, reassociated arithmetic).  The
     chunk size and the thread count leave them unchanged
     (``TestChunkedStream``).  Any change of generator, draw order, summation
-    order, arithmetic, truncation radius or batch layout moves them."""
+    order, arithmetic, truncation radius or batch layout moves them.  The
+    plan fixes its truncation factor at 3, the default when the values were
+    taken, so a change of the default radius leaves them standing."""
 
-    PLAN = montecarlo.SimulationPlan(seed=11, batch_size=4096, n_users=3000, n_paths=1500)
+    PLAN = montecarlo.SimulationPlan(seed=11, batch_size=4096, n_users=3000, n_paths=1500,
+                                     ppp_radius_factor=3.0)
     N = 2 * 4096 + 1000  # three batches, the last one partial
     REVENUES = {
         "reference": "56288810401a3caa0d10cc9e93cc49d1bd52c61724be1d2510896f1a45b80297",
