@@ -41,7 +41,7 @@ def interference_powsum(x_sq, exponent, marks, offsets):
     return sums
 
 
-def ruin_step(phi_prev, grid_lo, grid_step, growth, atom_pos, atom_mass, u_grid, out=None):
+def ruin_step(phi_prev, grid_lo, grid_step, growth, atom_pos, atom_mass, u_grid):
     """One exact survival-recursion step on a uniform capital grid.
 
     out[j] = sum_k atom_mass[k] * 1{x >= 0} * phi_prev(x),
@@ -49,25 +49,19 @@ def ruin_step(phi_prev, grid_lo, grid_step, growth, atom_pos, atom_mass, u_grid,
     on the uniform grid (clamped to 0 left / 1 right).  Capital exactly at 0
     survives; the indicator tolerance absorbs float rounding at the boundary.
     """
-    if out is None:
-        out = np.zeros_like(u_grid)
-    else:
-        out[:] = 0.0
+    out = np.zeros_like(u_grid)
     n = len(phi_prev)
     base = u_grid * growth
     tol = 1e-9 * grid_step
     inv_step = 1.0 / grid_step
     for y, m in zip(atom_pos, atom_mass):
         x = base + y
-        alive = x >= -tol
         pos = (x - grid_lo) * inv_step
         idx = np.floor(pos).astype(np.int64)
         frac = pos - idx
-        lo_clip = idx < 0
-        hi_clip = idx >= n - 1
         idx_c = np.clip(idx, 0, n - 2)
         val = phi_prev[idx_c] * (1.0 - frac) + phi_prev[idx_c + 1] * frac
-        val[lo_clip] = 0.0
-        val[hi_clip] = 1.0
-        out += m * np.where(alive, val, 0.0)
+        val[idx < 0] = 0.0
+        val[idx >= n - 1] = 1.0
+        out += m * np.where(x >= -tol, val, 0.0)
     return out

@@ -7,8 +7,8 @@ package version, seed, timestamps, per-stage tolerances achieved, and a
 sha256 for every emitted file.  Identical config and seed give byte-identical
 CSV outputs.
 
-Exit codes: 0 success, 2 configuration errors (reported with field paths),
-3 accuracy/resource errors.
+Exit codes: 0 success, 2 configuration errors (reported with field paths)
+or bad argument values (named by argparse), 3 accuracy/resource errors.
 """
 
 from __future__ import annotations
@@ -115,10 +115,41 @@ def _overridden(cfg: model.ScenarioConfig, overrides) -> model.ScenarioConfig:
     return model.validate(model.ScenarioConfig.from_dict(data))
 
 
-def _u_list(cfg: model.ScenarioConfig, arg: str | None) -> np.ndarray:
-    if arg:
-        return np.array([float(x) for x in arg.split(",")])
-    return np.array([cfg.financial.initial_capital])
+def _arg_type(parse, expected: str):
+    """An argparse type: a ValueError from ``parse`` exits 2 naming the argument."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return convert
+
+
+def _finite(parts) -> list[float]:
+    values = [float(x) for x in parts]
+    if not np.isfinite(values).all():
+        raise ValueError(parts)
+    return values
+
+
+def _grid(text: str) -> np.ndarray:
+    """The values START, START + STEP, ... up to STOP."""
+    start, stop, step = _finite(text.split(":"))
+    if step <= 0:
+        raise ValueError(text)
+    return np.arange(start, stop + 1e-12, step)
+
+
+def _tables(text: str) -> set:
+    which = set(_TABLES) if text == "all" else set(text.split(","))
+    if which - set(_TABLES):
+        raise ValueError(text)
+    return which
+
+
+_TABLES = ("tableII", "tableIII", "fig2", "fig3", "fig4")
+_GRID = "START:STOP:STEP, finite, STEP > 0"
+_NUMBERS = _arg_type(lambda text: _finite(text.split(",")), "comma-separated finite numbers")
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +212,7 @@ def _cmd_compound(args, cfg, manifest):
 
 
 def _cmd_ruin(args, cfg, manifest):
-    us = _u_list(cfg, args.u)
+    us = np.array(args.u or [cfg.financial.initial_capital], dtype=float)
     result, info = ruin.run_pipeline(cfg, us)
     header = ["l", "u", "psi_numerical"]
     mc = None
@@ -212,16 +243,14 @@ def _cmd_ruin(args, cfg, manifest):
 
 
 # the paper's Figure 2 inputs, which are also expected-surplus's defaults
-_FIG2 = {"ev_grid": "0:0.2:0.005", "horizons": "1,2,3,4,5", "r": 0.05, "e_n": 100.0,
-         "e_c": 0.1}
+_FIG2 = {"evs": _grid("0:0.2:0.005"), "horizons": [1, 2, 3, 4, 5], "r": 0.05,
+         "e_n": 100.0, "e_c": 0.1}
 
 
-def _bound_rows(ev_grid: str, horizons: str, r: float, e_n: float, e_c: float):
-    """(n, E[V], u*) rows of the initial-capital bound over an E[V] grid."""
-    start, stop, step = (float(x) for x in ev_grid.split(":"))
-    evs = np.arange(start, stop + 1e-12, step)
+def _bound_rows(evs, horizons, r: float, e_n: float, e_c: float):
+    """(n, E[V], u*) rows of the initial-capital bound over the E[V] values."""
     return [(n, ev, ruin.initial_capital_bound(r, n, e_n, ev, e_c))
-            for n in (int(x) for x in horizons.split(",")) for ev in evs]
+            for n in horizons for ev in evs]
 
 
 def _cmd_expected_surplus(args, cfg, manifest):
@@ -250,7 +279,7 @@ def _cmd_simulate(args, cfg, manifest):
                    zip(grid, ecdf), manifest)
         print(f"empirical CDF from {len(v)} samples written")
     else:  # paths
-        us = _u_list(cfg, args.u)
+        us = np.array(args.u or [cfg.financial.initial_capital], dtype=float)
         est = montecarlo.simulate_surplus_paths(cfg, plan, us)
         rows = []
         for l in range(1, cfg.financial.horizon_intervals + 1):
@@ -263,9 +292,7 @@ def _cmd_simulate(args, cfg, manifest):
 
 
 def _cmd_sweep(args, cfg, manifest):
-    dotted, rng = args.param.split("=", 1)
-    start, stop, step = (float(x) for x in rng.split(":"))
-    values = np.arange(start, stop + 1e-12, step)
+    dotted, values = args.param
     rows = []
     integer = dotted in model.INTEGER_FIELDS
     for value in values:
@@ -291,14 +318,12 @@ def _cmd_sweep(args, cfg, manifest):
 
 
 def _cmd_reproduce_tables(args, cfg, manifest):
-    which = set(args.which.split(",")) if args.which != "all" else {
-        "tableII", "tableIII", "fig2", "fig3", "fig4"}
     n_mc = min(100_000, cfg.numerics.mc_samples) if args.fast else cfg.numerics.mc_samples
     n_paths = min(5_000, cfg.numerics.mc_paths) if args.fast else cfg.numerics.mc_paths
     plan = montecarlo.plan_from_config(cfg)
     narrow_clamps = ["financial.c_min=0.1", "financial.c_max=100.0"]
 
-    if "tableII" in which:
+    if "tableII" in args.which:
         rows = []
         for beta in (0.01, 0.1, 1.0):
             row = [beta]
@@ -314,11 +339,11 @@ def _cmd_reproduce_tables(args, cfg, manifest):
                    ["beta", "ev_num_alpha3", "ev_mc_alpha3", "ev_num_alpha4",
                     "ev_mc_alpha4"], rows, manifest)
 
-    if "fig2" in which:
+    if "fig2" in args.which:
         _write_csv(args.out, "fig2.csv", ["n", "e_v", "u_bound"], _bound_rows(**_FIG2),
                    manifest)
 
-    if "fig3" in which:
+    if "fig3" in args.which:
         rows = []
         for a_d in (10.0, 100.0):
             for alpha in np.arange(2.5, 5.001, 0.25):
@@ -327,12 +352,12 @@ def _cmd_reproduce_tables(args, cfg, manifest):
                 rows.append((a_d, alpha, moments.revenue_moments(c3).raw[0]))
         _write_csv(args.out, "fig3.csv", ["a_d", "alpha", "ev_num"], rows, manifest)
 
-    if "fig4" in which or "tableIII" in which:
+    if "fig4" in args.which or "tableIII" in args.which:
         c4 = _overridden(cfg, ["network.alpha_pathloss=4.0",
                                "network.beta_cells_per_area=0.1",
                                "financial.c_min=0.001", "financial.c_max=1000.0",
                                "financial.interest_rate_per_interval=0.05"])
-        if "fig4" in which:
+        if "fig4" in args.which:
             mv = moments.revenue_moments(c4)
             v_lo, v_hi = c4.income_support()
             raw = income_pdf.expand_density(mv, v_lo, v_hi)
@@ -345,7 +370,7 @@ def _cmd_reproduce_tables(args, cfg, manifest):
                        ["v", "cdf_expansion_raw", "cdf_expansion_sanitized", "cdf_mc"],
                        zip(grid, raw.cdf(grid), sanitized.cdf(grid), ecdf), manifest)
             manifest.tolerances_achieved["fig4_sanitized_mass"] = sanitized.sanitized_mass
-        if "tableIII" in which:
+        if "tableIII" in args.which:
             us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
             result, _ = ruin.run_pipeline(c4, us)
             p3 = dc_replace(plan, n_paths=n_paths)
@@ -390,12 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, default=None)
 
     p = sub.add_parser("ruin", help="full numerical pipeline (optionally with MC)")
-    p.add_argument("--u", help="comma-separated initial capitals")
+    p.add_argument("--u", type=_NUMBERS, help="comma-separated initial capitals")
     p.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo columns")
 
     p = sub.add_parser("expected-surplus", help="initial-capital bound curves")
-    p.add_argument("--ev-grid", default=_FIG2["ev_grid"])
-    p.add_argument("--horizons", default=_FIG2["horizons"])
+    p.add_argument("--ev-grid", type=_arg_type(_grid, _GRID), default=_FIG2["evs"],
+                   metavar="START:STOP:STEP")
+    p.add_argument("--horizons", default=_FIG2["horizons"], type=_arg_type(
+        lambda text: [int(x) for x in text.split(",")], "comma-separated integers"))
     p.add_argument("--r", type=float, default=_FIG2["r"])
     p.add_argument("--e-n", type=float, default=_FIG2["e_n"])
     p.add_argument("--e-c", type=float, default=_FIG2["e_c"])
@@ -406,14 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
                    default="moments")
     p.add_argument("--interval", type=int, default=1)
     p.add_argument("--points", type=int, default=1001)
-    p.add_argument("--u", help="comma-separated initial capitals (paths mode)")
+    p.add_argument("--u", type=_NUMBERS,
+                   help="comma-separated initial capitals (paths mode)")
 
     p = sub.add_parser("sweep", help="revenue moments over a parameter grid")
-    p.add_argument("--param", required=True, metavar="PATH=START:STOP:STEP")
+    p.add_argument("--param", required=True, metavar="PATH=START:STOP:STEP", type=_arg_type(
+        lambda text: (text.partition("=")[0], _grid(text.partition("=")[2])),
+        f"PATH={_GRID}"))
 
     p = sub.add_parser("reproduce-tables", help="emit reference-table data files")
-    p.add_argument("--which", default="all",
-                   help="comma list from tableII,tableIII,fig2,fig3,fig4")
+    which = f"'all' or a comma list from {','.join(_TABLES)}"
+    p.add_argument("--which", type=_arg_type(_tables, which), default="all", help=which)
     p.add_argument("--fast", action="store_true",
                    help="reduced sampling budgets for smoke runs")
     return parser

@@ -364,12 +364,10 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: SimulationPlan,
         if total > 0:
             revenues = np.concatenate([next(batches) for _ in range(n_batches)])
             if len(fin.operator_fees) > 1:
-                rng_fee = _stream(plan.seed, "path-fee", interval)
                 ops = sorted(fin.operator_mix)
-                fee_values = np.array([fin.operator_fees[k] for k in ops])
-                mix = np.array([fin.operator_mix[k] for k in ops])
-                fees = fee_values[np.searchsorted(np.cumsum(mix), rng_fee.random(total),
-                                                  side="right").clip(0, len(ops) - 1)]
+                fees = _inverse_pmf_sample(_stream(plan.seed, "path-fee", interval),
+                                           [fin.operator_fees[k] for k in ops],
+                                           [fin.operator_mix[k] for k in ops], total)
             else:
                 fees = np.full(total, next(iter(fin.operator_fees.values())))
             # paths without users keep a net profit of 0

@@ -83,12 +83,6 @@ class RuinResult:
     diagnostics: dict
 
 
-def _check_monotone_fix(phi: np.ndarray) -> np.ndarray:
-    """Clamp float fuzz so phi stays within [0, 1] and nondecreasing in u."""
-    phi = np.clip(phi, 0.0, 1.0)
-    return np.maximum.accumulate(phi)
-
-
 LOSS_CELLS = 4096  # loss bins of the Chernoff top, each loss rounded up
 TRIM_MASS = 1e-9  # compound tail mass dropped per side before the recursion
 POINTS_BUDGET = 1_000_000  # lattice points of one income law and one compound window
@@ -196,14 +190,6 @@ class _RecursionGrid:
         self.tail_bound = horizon * tail_eps if top < min(reach, read_top) else 0.0
 
 
-def _step_atoms(phi_prev, grid, pmf):
-    """Literal finite Stieltjes sum over atoms with interpolated evaluations."""
-    out = _kernels.ruin_step(phi_prev, grid.points[0], grid.step, grid.growth,
-                             np.ascontiguousarray(pmf.values()),
-                             np.ascontiguousarray(pmf.mass), grid.points)
-    return _check_monotone_fix(out)
-
-
 class _Correlation:
     """One PMF's step on a fixed grid: exact lattice correlation, then one
     stretch interpolation; the atoms' spectrum is computed once.
@@ -219,6 +205,13 @@ class _Correlation:
     so those atoms are not transformed: their mass is one constant added to
     every cell.  An atom below k_lo - floor(k_hi (1+r)) - 1 lands below the
     grid from all of them and is dropped.
+
+    The capital-zero cell: from a stretched position j + w (lower cell j,
+    weight w) an atom at cell -1 - j lands at w - 1 < 0, which is ruin, yet
+    the interpolant's upper node reads it as phi(0).  Each such output gives
+    back w m(-1 - j) phi(0), except for w within 1e-9 of 1, where the
+    per-atom sum's tolerance counts the landing as capital 0.  The step then
+    equals the per-atom Stieltjes sum on the same grid.
 
     Of the n_out outputs of the linear correlation the stretch reads only
     t in [t_lo, t_hi].  A circular correlation of length n_fft >=
@@ -259,8 +252,13 @@ class _Correlation:
         cell = np.minimum(cell, t_hi - 1).astype(np.intp)
         self.weights = stretched[self.n_below:n_inside] - (cell + x0)
         self.lower = cell - t_lo  # window index of the cell at or below
-        self.upper = self.lower + 1
         self.n_inside = n_inside
+        # the capital-zero cell: kept atom s puts output t's lower node at
+        # capital -1 when s = n_negative + len(atoms) - 2 - t
+        s = self.n_negative + len(atoms) - 2 - cell
+        hit = (s >= 0) & (s < len(atoms)) & (self.weights > 0.0) & (self.weights < 1.0 - 1e-9)
+        self.ruined_at = self.n_below + np.flatnonzero(hit)
+        self.ruined = self.weights[hit] * atoms[s[hit]]
         self.n_fft = specfun.next_fast_len(max(t_hi + 1, n_out - t_lo, n_grid, len(atoms)))
         self.atoms_hat = np.fft.rfft(reversed_atoms, self.n_fft)
         self.window = slice(t_lo, t_hi + 1)
@@ -285,30 +283,28 @@ class _Correlation:
         # the interpolant between two cells in [0, 1] stays in [0, 1]
         lower = corr.take(self.lower)
         inside = out[self.n_below:self.n_inside]
-        np.subtract(corr.take(self.upper), lower, out=inside)
+        np.subtract(corr[1:].take(self.lower), lower, out=inside)  # upper - lower node
         inside *= self.weights
         inside += lower
+        held = out[self.ruined_at] - self.ruined * phi_prev[self.n_negative]
+        out[self.ruined_at] = np.maximum(held, 0.0)
         return np.maximum.accumulate(out, out=out)
 
 
 def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
-                       interp_tol: float = 0.5, method: str = "auto",
-                       tail_eps: float = 1e-12) -> RuinResult:
+                       interp_tol: float = 0.5, tail_eps: float = 1e-12) -> RuinResult:
     """Survival/ruin probabilities for horizons 1..L on the given capitals.
 
     pmfs holds one net-profit LatticePMF per interval, in interval order.
     When they differ across intervals each horizon is evaluated by a backward
-    pass (interval order matters); identical inputs collapse to one forward
-    iteration.
+    pass (interval order matters); the same PMF object in every interval
+    collapses to one forward iteration, with the same result.
 
-    method:
-      * ``"atoms"``       -- per-atom Stieltjes sum (the literal recursion);
-      * ``"correlation"`` -- exact lattice correlation with a single
-        compounding-stretch interpolation per step (requires the capital grid
-        step to divide the lattice step; default grid uses an integer
-        refinement, at least as fine as step / (1+r)^L);
-      * ``"auto"``        -- correlation when available and the problem is
-        large, atoms otherwise.
+    The route follows from the grid (``diagnostics["method"]``): when the
+    capital grid step divides the lattice step, as the default step
+    / ceil((1+r)^L) always does, each step is one lattice correlation and
+    one stretch interpolation (``"correlation"``), which equals the per-atom
+    Stieltjes sum; otherwise the per-atom sum runs (``"atoms"``).
 
     The interpolation diagnostic is the accumulated max-norm linear-interp
     bound max|d2 phi| / 8; it is conservative wherever the survival function
@@ -336,22 +332,11 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         raise DomainError("need at least one interval PMF")
     u_values = np.atleast_1d(np.asarray(u_values, dtype=float))
     step = pmfs[0].step
-    growth = 1.0 + r
 
-    stride = None
     if grid_step is None:
-        stride = max(1, math.ceil(growth ** horizon))
-        grid_step = step / stride
-    else:
-        ratio = step / grid_step
-        if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1:
-            stride = int(round(ratio))
-    if method == "auto":
-        work = sum(len(p.mass) for p in pmfs)
-        method = "correlation" if (stride is not None and work > 2000) else "atoms"
-    if method == "correlation" and stride is None:
-        raise DomainError(
-            "correlation method requires the u-grid step to divide the lattice step")
+        grid_step = step / max(1, math.ceil((1.0 + r) ** horizon))
+    stride = round(step / grid_step)
+    divides = stride >= 1 and abs(step / grid_step - stride) < 1e-9
 
     grid = _RecursionGrid(u_values, r, pmfs, grid_step, horizon, tail_eps)
 
@@ -360,63 +345,55 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
                and all(np.allclose(p.values() / step, np.round(p.values() / step),
                                    atol=1e-9) for p in pmfs))
 
-    identical = all(p is pmfs[0] or (p.step == pmfs[0].step
-                                     and p.min_index == pmfs[0].min_index
-                                     and np.array_equal(p.mass, pmfs[0].mass))
-                    for p in pmfs)
+    identical = all(p is pmfs[0] for p in pmfs)
 
     interp_bound = 0.0
     correlations = {}  # id(pmf) -> its step operator on this grid
 
     def one_step(phi_prev, pmf):
         nonlocal interp_bound
-        if method == "correlation":
+        if divides:
             if id(pmf) not in correlations:
                 correlations[id(pmf)] = _Correlation(grid, pmf, stride)
             out = correlations[id(pmf)](phi_prev)
-        else:
-            out = _step_atoms(phi_prev, grid, pmf)
+        else:  # the literal per-atom Stieltjes sum, float fuzz clamped
+            out = np.maximum.accumulate(np.clip(_kernels.ruin_step(
+                phi_prev, grid.points[0], grid.step, grid.growth, pmf.values(), pmf.mass,
+                grid.points), 0.0, 1.0))
         if not aligned and len(out) > 2:
             interp_bound += np.abs(np.diff(out, 2)).max() / 8.0
         return out
 
     phi_rows = np.empty((horizon, len(u_values)))
-    ones = np.ones_like(grid.points)
-    if identical:
-        phi_grid = ones
-        for l in range(1, horizon + 1):
-            phi_grid = one_step(phi_grid, pmfs[0])
-            phi_rows[l - 1] = np.interp(u_values, grid.points, phi_grid,
-                                        left=0.0, right=1.0)
-    else:
-        for l in range(1, horizon + 1):
-            phi_grid = ones
-            for k in range(l, 0, -1):   # condition on the earliest interval last
-                phi_grid = one_step(phi_grid, pmfs[k - 1])
-            phi_rows[l - 1] = np.interp(u_values, grid.points, phi_grid,
-                                        left=0.0, right=1.0)
+    phi_grid = np.ones_like(grid.points)
+    for l in range(1, horizon + 1):
+        # identical PMFs carry phi_{l-1} forward; otherwise each horizon runs
+        # its own backward pass, conditioning on the earliest interval last
+        if not identical:
+            phi_grid = np.ones_like(grid.points)
+        for pmf in pmfs[:1] if identical else pmfs[l - 1::-1]:
+            phi_grid = one_step(phi_grid, pmf)
+        phi_rows[l - 1] = np.interp(u_values, grid.points, phi_grid, left=0.0, right=1.0)
 
     if not aligned and interp_bound > interp_tol:
         raise AccuracyError(
             "interpolation error bound exceeds tolerance; refine the u-grid step",
             {"bound": interp_bound, "tol": interp_tol, "grid_step": grid_step},
         )
-    mass_defects = [abs(float(p.mass.sum()) - 1.0) for p in pmfs]
-    psi = 1.0 - phi_rows
     return RuinResult(
-        u_values=u_values, psi=psi, phi=phi_rows,
+        u_values=u_values, psi=1.0 - phi_rows, phi=phi_rows,
         u_grid=(float(grid.points[0]), float(grid_step), len(grid.points)),
         grid_step=grid_step,
         diagnostics={
             "interp_error_bound": interp_bound,
             "lattice_aligned": aligned,
-            "pmf_mass_defects": mass_defects,
+            "pmf_mass_defects": [abs(float(p.mass.sum()) - 1.0) for p in pmfs],
             "grid_points": len(grid.points),
             "grid_lo": float(grid.points[0]),
             "grid_hi": float(grid.points[-1]),
             "grid_tail_bound": grid.tail_bound,
             "fft_points": max((c.n_fft for c in correlations.values()), default=0),
-            "method": method,
+            "method": "correlation" if divides else "atoms",
         },
     )
 

@@ -145,6 +145,27 @@ class TestValidateCommand:
         assert f"config error at {field}: unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option", [
+    (["ruin", "--u", "100,abc"], "--u"),
+    (["simulate", "--what", "paths", "--u", "100,"], "--u"),
+    (["ruin", "--no-mc", "--u", "100,nan"], "--u"),
+    (["expected-surplus", "--ev-grid", "0:0.2"], "--ev-grid"),
+    (["expected-surplus", "--ev-grid", "0:0.2:0"], "--ev-grid"),
+    (["expected-surplus", "--horizons", "1,x"], "--horizons"),
+    (["sweep", "--param", "network.alpha_pathloss"], "--param"),
+    (["sweep", "--param", "network.alpha_pathloss=3:4"], "--param"),
+    (["reproduce-tables", "--which", "fig9"], "--which"),
+], ids=["u-word", "u-empty", "u-nan", "ev-grid-two", "ev-grid-step-0", "horizons-word",
+        "param-no-grid", "param-two", "which-fig9"])
+def test_bad_argument_value_exits_two_naming_it(tmp_path, capsys, command, option):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--out", str(out), *command])
+    assert exc.value.code == 2
+    assert f"error: argument {option}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_records_the_package_version(tmp_path):
     # run from the checkout, as the tests and benchmarks do, not an install
     out = tmp_path / "o"
@@ -321,10 +342,10 @@ class TestPipelineCommands:
         assert rows[1][1] < 1.0
 
     @pytest.mark.parametrize("overrides,sha", [
-        ([], "67bf4a87fd05e7df1242ab7cdc09182945aa0f49ee9632fe3bd2e8e40272b195"),
+        ([], "558bb52c23b7abb2aaa92af708c8066b5b6836d34be58ef96bf83ddcc2dda8bf"),
         (["--set", "durations.mean=2.0"],
-         "d0904417a26e63b41368fbba2dab475ebf52f88f1cf5465de08c67df7853a19a"),
-    ])
+         "04bd88e322bfe7b4143a171998720b91cb394467ac32a828bc89fa4ed55cbb9e"),
+    ], ids=["reference", "multi-slot"])
     def test_analytic_ruin_csv_bytes_pinned(self, tmp_path, overrides, sha):
         # the reference and multi-slot analytic outputs stay byte-identical
         # unless a change says why they move

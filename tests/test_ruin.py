@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
-from microruin import ruin, specfun
+from microruin import _kernels, ruin, specfun
 from microruin.compound import LatticePMF
 from microruin.errors import AccuracyError, DomainError
 from tests.conftest import SWEEP_SCENARIOS, make_config, sweep_config
@@ -55,13 +55,28 @@ def enum_psi(u, r, pmfs, horizon):
     return psi
 
 
+def stretch_nodes(stretched):
+    """(lower cell j, weight w) of each stretched position s = j + w.
+
+    The ruin indicator applies at s + y for an atom y: a landing within
+    1e-9 cells below capital 0 counts as capital 0, so positions within
+    1e-9 below a cell move up onto it.  Both interpolation nodes then read
+    survival only where the lower one, j + y, is a nonnegative capital.
+    """
+    j = np.floor(stretched + 1e-9)
+    return j.astype(np.int64), np.maximum(stretched - j, 0.0)
+
+
 def full_reach_psi(us, r, pmfs):
     """Oracle: the correlation recursion on the full-reach capital grid.
 
     The grid runs from where one interval ruins for certain, -max(y)/(1+r),
     to where even the worst discounted loss path survives, so both edge
     clamps are exact, and every atom goes through the FFT.  The grid step is
-    the default lattice_step / ceil((1+r)^L).  Returns (psi, grid points).
+    the default lattice_step / ceil((1+r)^L).  Each step correlates the
+    atoms with the lower and the upper interpolation node's survival, both
+    zero where the lower node is a negative capital, and mixes the two at
+    the stretched positions (``stretch_nodes``).  Returns (psi, grid points).
     """
     horizon, growth = len(pmfs), 1.0 + r
     stride = max(1, math.ceil(growth ** horizon))
@@ -74,16 +89,25 @@ def full_reach_psi(us, r, pmfs):
     cells = np.arange(k_lo, k_hi + 1)
     points = cells * h
 
+    j, w = stretch_nodes(cells * growth)
+
     def step(phi, pmf):
         atoms = np.zeros((len(pmf.mass) - 1) * stride + 1)
         atoms[::stride] = pmf.mass[::-1]
         n_out = len(points) + len(atoms) - 1
         n = sp_fft.next_fast_len(n_out, real=True)
-        phi0 = np.where(points >= -1e-9 * h, phi, 0.0)
-        corr = sp_fft.irfft(sp_fft.rfft(phi0, n) * sp_fft.rfft(atoms, n), n)[:n_out]
-        corr[len(points):] += np.cumsum(atoms)[:-1]   # reads above: survival
-        x = np.arange(n_out) + k_lo - pmf.max_index * stride
-        out = np.interp(cells * growth, x, np.clip(corr, 0.0, 1.0), left=0.0, right=1.0)
+        spectrum = sp_fft.rfft(atoms, n)
+        corr = []
+        for node in (phi, np.append(phi[1:], 1.0)):      # lower, upper node
+            c = sp_fft.irfft(sp_fft.rfft(np.where(cells >= 0, node, 0.0), n) * spectrum,
+                             n)[:n_out]
+            c[len(points):] += np.cumsum(atoms)[:-1]     # reads above: survival
+            corr.append(np.append(np.clip(c, 0.0, 1.0), 1.0))
+        # output t holds cell t + k_lo - (largest atom cell); ruin below
+        # output 0 and survival past the last output
+        t = np.clip(j - (k_lo - pmf.max_index * stride), -1, n_out)
+        out = (1.0 - w) * corr[0][t] + w * corr[1][t]
+        out[t < 0] = 0.0
         return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
 
     psi = np.empty((horizon, len(us)))
@@ -97,6 +121,45 @@ def full_reach_psi(us, r, pmfs):
                 phi = step(phi, pmfs[k - 1])
         psi[l - 1] = 1.0 - np.interp(us, points, phi, left=0.0, right=1.0)
     return psi, len(points)
+
+
+def atom_recursion(us, r, pmfs, grid_step=None, tail_eps=1e-12):
+    """Oracle: the literal per-atom Stieltjes sum (``_kernels.ruin_step``) on
+    the capital grid ``survival_recursion`` builds.  The default grid step is
+    lattice_step / ceil((1+r)^L).  Returns psi, one row per horizon."""
+    horizon = len(pmfs)
+    if grid_step is None:
+        grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
+    grid = ruin._RecursionGrid(us, r, pmfs, grid_step, horizon, tail_eps)
+
+    def step(phi, pmf):
+        out = _kernels.ruin_step(phi, grid.points[0], grid.step, grid.growth,
+                                 pmf.values(), pmf.mass, grid.points)
+        return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
+
+    psi = np.empty((horizon, len(us)))
+    phi = np.ones(len(grid.points))
+    for l in range(1, horizon + 1):
+        if all(p is pmfs[0] for p in pmfs):
+            phi = step(phi, pmfs[0])
+        else:
+            phi = np.ones(len(grid.points))
+            for k in range(l, 0, -1):
+                phi = step(phi, pmfs[k - 1])
+        psi[l - 1] = 1.0 - np.interp(us, grid.points, phi, left=0.0, right=1.0)
+    return psi
+
+
+def production_psi(us, r, pmfs, **kw):
+    """psi of ``survival_recursion``, the route the grid picks, ungated like
+    the oracle."""
+    return ruin.survival_recursion(us, r, pmfs, interp_tol=np.inf, **kw).psi
+
+
+# the two routes the enumeration checks: the per-atom oracle and production
+# (the correlation route on these lattice-dividing grids)
+ROUTES = pytest.mark.parametrize("solve", [atom_recursion, production_psi],
+                                 ids=["atoms", "correlation"])
 
 
 def discounted_loss_tail(pmfs, r, x):
@@ -185,24 +248,24 @@ class TestSurvivalBase:
 
 
 class TestSurvivalRecursion:
-    @pytest.mark.parametrize("method", ["atoms", "correlation"])
-    def test_zero_rate_matches_enumeration_exactly(self, method):
+    @ROUTES
+    def test_zero_rate_matches_enumeration_exactly(self, solve):
         us = np.array([-2.0, -1.0, 0.0, 1.0, 3.0, 6.0])
         for pmf, horizon in ((Z3, 4), (Z5, 4)):
-            res = ruin.survival_recursion(us, 0.0, [pmf] * horizon, method=method)
-            assert res.diagnostics["lattice_aligned"]
+            assert ruin.survival_recursion(us, 0.0, [pmf] * horizon).diagnostics[
+                "lattice_aligned"]
+            psi = solve(us, 0.0, [pmf] * horizon)
             for j, u in enumerate(us):
                 ref = enum_psi(u, 0.0, [pmf] * horizon, horizon)
-                np.testing.assert_allclose(res.psi[:, j], ref, atol=1e-12)
+                np.testing.assert_allclose(psi[:, j], ref, atol=1e-12)
 
-    @pytest.mark.parametrize("method", ["atoms", "correlation"])
-    def test_positive_rate_matches_enumeration(self, method):
+    @ROUTES
+    def test_positive_rate_matches_enumeration(self, solve):
         us = np.array([-1.0, 0.0, 1.0, 2.0])
-        res = ruin.survival_recursion(us, 0.05, [Z3] * 3, grid_step=0.05,
-                                      method=method, interp_tol=np.inf)
+        psi = solve(us, 0.05, [Z3] * 3, grid_step=0.05)
         for j, u in enumerate(us):
             ref = enum_psi(u, 0.05, [Z3] * 3, 3)
-            np.testing.assert_allclose(res.psi[:, j], ref, atol=5e-3)
+            np.testing.assert_allclose(psi[:, j], ref, atol=5e-3)
 
     def test_nonnegative_support_never_ruins(self):
         gains = LatticePMF(step=1.0, min_index=0, mass=np.array([0.5, 0.3, 0.2]))
@@ -259,17 +322,48 @@ class TestSurvivalRecursion:
         # right-skewed profits far beyond the capital grid: atoms landing past
         # the grid top are certain survival, not zero-padding
         us = np.array([0.0, 2.0, 5.0, 9.0])
-        corr = ruin.survival_recursion(us, 0.0, [SKEWED] * 2, method="correlation")
-        atoms = ruin.survival_recursion(us, 0.0, [SKEWED] * 2, method="atoms")
-        np.testing.assert_allclose(corr.psi, atoms.psi, atol=1e-12)
+        corr = ruin.survival_recursion(us, 0.0, [SKEWED] * 2)
+        assert corr.diagnostics["method"] == "correlation"
+        np.testing.assert_allclose(corr.psi, atom_recursion(us, 0.0, [SKEWED] * 2),
+                                   atol=1e-12)
         for j, u in enumerate(us):
             np.testing.assert_allclose(corr.psi[:, j],
                                        enum_psi(u, 0.0, [SKEWED] * 2, 2), atol=1e-12)
         fine = ruin.survival_recursion(us, 0.05, [SKEWED] * 2, grid_step=0.05,
-                                       method="correlation", interp_tol=np.inf)
+                                       interp_tol=np.inf)
         for j, u in enumerate(us):
             np.testing.assert_allclose(fine.psi[:, j],
                                        enum_psi(u, 0.05, [SKEWED] * 2, 2), atol=5e-3)
+
+    def test_correlation_route_equals_per_atom_sum(self):
+        # seeded random PMFs on grids that divide the lattice: landings just
+        # below capital 0 are ruin on both routes, whatever the stretch
+        rng = np.random.default_rng(20261019)
+
+        def random_pmf():
+            n = int(rng.integers(2, 12))
+            mass = rng.random(n) * (rng.random(n) < 0.7)
+            mass[0] += 0.1                                  # a loss with mass
+            return LatticePMF(step=1.0, min_index=-int(rng.integers(1, 8)),
+                              mass=mass / mass.sum())
+
+        worst = 0.0
+        for case in range(100):
+            r = (0.0, 0.05, 0.3, 1.5)[case % 4]
+            stride, horizon = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+            if case % 2:
+                pmfs = [random_pmf()] * horizon
+            else:
+                pmfs = [random_pmf() for _ in range(horizon)]
+            # capitals on the lattice in every third case, off it otherwise
+            us = (rng.integers(-5, 41, 6) if case % 3 == 0 else rng.uniform(-5.0, 40.0, 6))
+            us = np.sort(us.astype(float))
+            res = ruin.survival_recursion(us, r, pmfs, grid_step=1.0 / stride,
+                                          interp_tol=np.inf)
+            assert res.diagnostics["method"] == "correlation"
+            want = atom_recursion(us, r, pmfs, grid_step=1.0 / stride)
+            worst = max(worst, float(np.abs(res.psi - want).max()))
+        assert worst <= 1e-12
 
     def test_interp_tolerance_gate(self):
         with pytest.raises(AccuracyError):
@@ -349,39 +443,41 @@ class TestCapitalGrid:
         assert p_n[n_losses * loss > top].sum() <= 1e-3
         assert top == reach
 
-    @pytest.mark.parametrize("method", ["atoms", "correlation"])
-    def test_differing_pmfs_with_a_binding_top_match_enumeration(self, method):
+    @ROUTES
+    def test_differing_pmfs_with_a_binding_top_match_enumeration(self, solve):
         us = np.array([0.0, 1.0, 2.0, 4.0, 6.0])
         eps = 1e-3
         psis = []
         for seq in ([self.LOSS, self.GAIN, self.LOSS], [self.GAIN, self.LOSS, self.LOSS]):
-            res = ruin.survival_recursion(us, 0.0, seq, method=method, tail_eps=eps)
+            res = ruin.survival_recursion(us, 0.0, seq, tail_eps=eps)
             assert res.diagnostics["grid_tail_bound"] == 3 * eps
             assert res.diagnostics["grid_hi"] < 18.0             # the worst-case reach
-            exact = ruin.survival_recursion(us, 0.0, seq, method=method, tail_eps=0.0)
+            exact = ruin.survival_recursion(us, 0.0, seq, tail_eps=0.0)
             assert exact.diagnostics["grid_tail_bound"] == 0.0
             assert exact.diagnostics["grid_hi"] >= 18.0
+            psi, exact_psi = solve(us, 0.0, seq, tail_eps=eps), solve(us, 0.0, seq, tail_eps=0.0)
             for j, u in enumerate(us):
                 ref = enum_psi(u, 0.0, seq, 3)
-                np.testing.assert_allclose(exact.psi[:, j], ref, atol=1e-12)
-                assert np.abs(res.psi[:, j] - ref).max() <= 3 * eps + 1e-12
-            psis.append(res.psi)
+                np.testing.assert_allclose(exact_psi[:, j], ref, atol=1e-12)
+                assert np.abs(psi[:, j] - ref).max() <= 3 * eps + 1e-12
+            psis.append(psi)
         assert not np.allclose(psis[0], psis[1])
 
-    @pytest.mark.parametrize("method", ["atoms", "correlation"])
-    def test_pmf_without_loss_atoms(self, method):
+    @ROUTES
+    def test_pmf_without_loss_atoms(self, solve):
         # no losses: the grid stops two steps above the largest capital, and
         # the far gain lands above it from every capital (one folded constant)
         gains = LatticePMF(step=1.0, min_index=0, mass=np.bincount(
             [0, 40], weights=[0.5, 0.5], minlength=41))
         us = np.array([-3.0, -1.0, 0.0, 2.0])
-        res = ruin.survival_recursion(us, 0.0, [gains] * 3, method=method)
+        res = ruin.survival_recursion(us, 0.0, [gains] * 3)
         assert res.diagnostics["grid_tail_bound"] == 0.0
         assert (res.diagnostics["grid_lo"], res.diagnostics["grid_hi"]) == (-5.0, 4.0)
+        psi = solve(us, 0.0, [gains] * 3)
         for j, u in enumerate(us):
-            np.testing.assert_allclose(res.psi[:, j], enum_psi(u, 0.0, [gains] * 3, 3),
+            np.testing.assert_allclose(psi[:, j], enum_psi(u, 0.0, [gains] * 3, 3),
                                        atol=1e-12)
-        assert res.psi[2, 1] == pytest.approx(0.5)
+        assert psi[2, 1] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
     def test_read_top_moves_no_psi(self, name, monkeypatch):
@@ -490,23 +586,30 @@ def convolve_step(grid, pmf, stride, phi_prev):
     taken in full by np.convolve.
 
     c(x) = sum_y m(y) P(x + y) on the cells x the stretch reads, with P the
-    previous survival on the grid (0 at negative capitals and below the
-    grid, 1 above it); atoms that land above the grid from every read cell
-    add their mass.  Then phi(u) = c(u (1+r) / step), linear between cells.
+    previous survival on the grid (0 below it, 1 above it); atoms that land
+    above the grid from every read cell add their mass.  Then phi(u) mixes
+    the lower node's c and the upper node's, sum_y m(y) P(x + 1 + y), at
+    u (1+r) / step (``stretch_nodes``); both count an atom only where x + y
+    is a nonnegative capital.
     """
-    p = np.where(grid.points >= -1e-9 * grid.step, phi_prev, 0.0)
     stretched = grid.points * grid.growth / grid.step
     x_lo, x_hi = math.floor(stretched[0]), math.ceil(stretched[-1])
     y, m = pmf.indices() * stride, pmf.mass
     far = y > grid.k_hi - x_lo
     y_near, m_near = y[~far], m[~far]
     cells = np.arange(x_lo + y_near.min(), x_hi + y_near.max() + 1)
-    inside = np.clip(cells - grid.k_lo, 0, len(p) - 1)
-    big_p = np.where(cells < grid.k_lo, 0.0, np.where(cells > grid.k_hi, 1.0, p[inside]))
+
+    def big_p(k):
+        inside = phi_prev[np.clip(k - grid.k_lo, 0, len(phi_prev) - 1)]
+        return np.where(k < grid.k_lo, 0.0, np.where(k > grid.k_hi, 1.0, inside))
+
     atoms = np.zeros(y_near.max() - y_near.min() + 1)
     atoms[y_near - y_near.min()] = m_near
-    corr = np.convolve(big_p, atoms[::-1], mode="valid") + m[far].sum()
-    out = np.interp(stretched, np.arange(x_lo, x_hi + 1.0), np.clip(corr, 0.0, 1.0))
+    corr = [np.clip(np.convolve(np.where(cells >= 0, big_p(cells + shift), 0.0),
+                                atoms[::-1], mode="valid") + m[far].sum(), 0.0, 1.0)
+            for shift in (0, 1)]
+    j, w = stretch_nodes(stretched)
+    out = (1.0 - w) * corr[0][j - x_lo] + w * corr[1][j - x_lo]
     return np.maximum.accumulate(out)
 
 
