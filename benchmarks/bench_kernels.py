@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the numpy hot kernels and the Monte Carlo interferer stage.
+"""Time the numpy hot kernel, the Monte Carlo interferer stage and the recursion.
 
 Run from the repository root, once per source tree, each run under its own
 label; every run goes into one JSON file:
@@ -25,7 +25,6 @@ and fewer sampler batches).  Reported, best of 3 unless stated:
 * one whole revenue batch (``montecarlo._revenue_batch``, 65,536 users) of
   the reference and the multi-slot scenario, best of 7, in ms per batch and
   ns per interferer point;
-* ``ruin_step`` on a large capital grid;
 * ``survival_recursion`` on the reference scenario's interval PMFs: capital
   grid points, FFT length and ms per call;
 * ``sample_revenues`` for 8 full batches on 1 and on 2 threads, the two
@@ -203,17 +202,6 @@ def bench_batch(n_users):
     return out
 
 
-def bench_ruin_step(n_grid, n_atoms, rng):
-    grid = np.linspace(-5e3, 8e3, n_grid)
-    phi = np.clip(np.linspace(-0.2, 1.2, n_grid), 0.0, 1.0)
-    atom_pos = np.sort(rng.uniform(-2e3, 2e3, size=n_atoms))
-    atom_mass = rng.dirichlet(np.ones(n_atoms))
-    t, _ = _best(lambda: _kernels.ruin_step(phi, grid[0], grid[1] - grid[0], 1.05,
-                                            atom_pos, atom_mass, grid))
-    print(f"ruin_step  {n_grid}x{n_atoms}  {t * 1e3:8.1f} ms")
-    return {"grid_points": n_grid, "atoms": n_atoms, "ms": round(t * 1e3, 3)}
-
-
 def bench_recursion():
     cfg = model.validate(model.default_config())
     pmfs, _ = ruin.interval_net_pmfs(cfg)
@@ -274,7 +262,6 @@ def main(argv=None) -> int:
            "truncation": truncation(),
            "interferer_stage": bench_stage(m_slot, r2, span, exponent, rng),
            "revenue_batch": bench_batch(int(65_536 * scale)),
-           "ruin_step": bench_ruin_step(int(20_000 * scale), int(2_000 * scale), rng),
            "survival_recursion": bench_recursion(),
            "sampler": bench_sampler(2 if args.quick else 8)}
     if args.label:

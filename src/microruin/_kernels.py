@@ -1,9 +1,6 @@
-"""The two hot kernels, in numpy.
-
-* ``interference_powsum`` -- per-slot interference power sums over one chunk
-  of interferer points (an integer power as multiplies and one divide);
-* ``ruin_step``           -- one survival-recursion step on a capital grid.
-"""
+"""The hot kernel, in numpy: ``interference_powsum``, the per-slot
+interference power sums over one chunk of interferer points (an integer power
+as multiplies and one divide)."""
 
 from __future__ import annotations
 
@@ -40,28 +37,3 @@ def interference_powsum(x_sq, exponent, marks, offsets):
         np.copyto(sums[:held - 1], 0.0, where=offsets[1:held] == offsets[:held - 1])
     return sums
 
-
-def ruin_step(phi_prev, grid_lo, grid_step, growth, atom_pos, atom_mass, u_grid):
-    """One exact survival-recursion step on a uniform capital grid.
-
-    out[j] = sum_k atom_mass[k] * 1{x >= 0} * phi_prev(x),
-    x = u_grid[j] * growth + atom_pos[k], with phi_prev linearly interpolated
-    on the uniform grid (clamped to 0 left / 1 right).  Capital exactly at 0
-    survives; the indicator tolerance absorbs float rounding at the boundary.
-    """
-    out = np.zeros_like(u_grid)
-    n = len(phi_prev)
-    base = u_grid * growth
-    tol = 1e-9 * grid_step
-    inv_step = 1.0 / grid_step
-    for y, m in zip(atom_pos, atom_mass):
-        x = base + y
-        pos = (x - grid_lo) * inv_step
-        idx = np.floor(pos).astype(np.int64)
-        frac = pos - idx
-        idx_c = np.clip(idx, 0, n - 2)
-        val = phi_prev[idx_c] * (1.0 - frac) + phi_prev[idx_c + 1] * frac
-        val[idx < 0] = 0.0
-        val[idx >= n - 1] = 1.0
-        out += m * np.where(x >= -tol, val, 0.0)
-    return out

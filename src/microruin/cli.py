@@ -231,7 +231,6 @@ def _cmd_ruin(args, cfg, manifest):
             rows.append(row)
     _write_csv(args.out, "ruin.csv", header, rows, manifest)
     manifest.tolerances_achieved.update({
-        "interp_error_bound": result.diagnostics["interp_error_bound"],
         "sanitized_mass": max(v["sanitized_mass"] for v in info["intervals"].values()),
         "compound": _compound_diagnostics(info),
         "ruin_grid": {k: result.diagnostics[k] for k in (
@@ -415,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, default=None)
 
     p = sub.add_parser("ruin", help="full numerical pipeline (optionally with MC)")
-    p.add_argument("--u", type=_NUMBERS, help="comma-separated initial capitals")
+    p.add_argument("--u", type=_NUMBERS, help="comma-separated initial capitals; write "
+                   "--u=-50,100 when the first one is negative")
     p.add_argument("--no-mc", action="store_true", help="skip the Monte Carlo columns")
 
     p = sub.add_parser("expected-surplus", help="initial-capital bound curves")
@@ -434,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=int, default=1)
     p.add_argument("--points", type=int, default=1001)
     p.add_argument("--u", type=_NUMBERS,
-                   help="comma-separated initial capitals (paths mode)")
+                   help="comma-separated initial capitals (paths mode); write "
+                   "--u=-50,100 when the first one is negative")
 
     p = sub.add_parser("sweep", help="revenue moments over a parameter grid")
     p.add_argument("--param", required=True, metavar="PATH=START:STOP:STEP", type=_arg_type(

@@ -345,6 +345,9 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: SimulationPlan,
     r = fin.interest_rate_per_interval
     n_paths = plan.n_paths
     u_values = np.asarray(u_values, dtype=float)
+    bad = u_values[~np.isfinite(u_values)]
+    if len(bad):
+        raise DomainError(f"initial capitals must be finite, got {bad[0]}")
 
     # every (interval, batch) revenue job goes to the pool at once, so the
     # small last batch of one interval runs beside the next interval's

@@ -18,7 +18,8 @@ exhaustive path enumeration.)
 
 Net profits live on a lattice, so each step is a finite sum over atoms;
 survival values between capital-grid points are filled by monotone linear
-interpolation (exact when r = 0 and the grid is lattice-aligned).  The
+interpolation (exact when r = 0 and the grid is lattice-aligned), and atoms
+off the capital grid are first split between their two grid nodes.  The
 capital grid covers only where phi can change and is read: it starts just
 below min(u, 0), since the survival indicator zeroes every negative capital,
 and it stops at the smallest of the worst-case discounted loss (past it
@@ -36,14 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, income_pdf, specfun
+from . import income_pdf, specfun
 from .compound import (
+    LatticePMF,
     _chernoff_min,
     compound_geometric_pmf,
     discretize_income,
     net_profit_step_pmf,
 )
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .model import ScenarioConfig
 from .moments import revenue_moments
 
@@ -291,8 +293,28 @@ class _Correlation:
         return np.maximum.accumulate(out, out=out)
 
 
+def _on_grid(pmf, grid_step: float):
+    """(PMF, stride) of ``pmf`` on the capital grid grid_step Z.
+
+    When grid_step divides the lattice step every atom sits on a grid node,
+    stride cells apart.  Otherwise each atom's mass is split linearly between
+    the two grid nodes around it, which keeps total mass and mean, and the
+    re-binned PMF steps one grid cell at a time.
+    """
+    stride = round(pmf.step / grid_step)
+    if stride >= 1 and abs(pmf.step / grid_step - stride) < 1e-9:
+        return pmf, stride
+    pos = pmf.values() / grid_step
+    cell = np.floor(pos)
+    upper = pos - cell
+    index = (cell - cell[0]).astype(np.intp)
+    mass = np.bincount(index, pmf.mass * (1.0 - upper), minlength=index[-1] + 2)
+    mass[1:] += np.bincount(index, pmf.mass * upper)
+    return LatticePMF(step=grid_step, min_index=int(cell[0]), mass=mass), 1
+
+
 def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
-                       interp_tol: float = 0.5, tail_eps: float = 1e-12) -> RuinResult:
+                       tail_eps: float = 1e-12) -> RuinResult:
     """Survival/ruin probabilities for horizons 1..L on the given capitals.
 
     pmfs holds one net-profit LatticePMF per interval, in interval order.
@@ -300,18 +322,16 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     pass (interval order matters); the same PMF object in every interval
     collapses to one forward iteration, with the same result.
 
-    The route follows from the grid (``diagnostics["method"]``): when the
-    capital grid step divides the lattice step, as the default step
-    / ceil((1+r)^L) always does, each step is one lattice correlation and
-    one stretch interpolation (``"correlation"``), which equals the per-atom
-    Stieltjes sum; otherwise the per-atom sum runs (``"atoms"``).
-
-    The interpolation diagnostic is the accumulated max-norm linear-interp
-    bound max|d2 phi| / 8; it is conservative wherever the survival function
-    has genuine jumps (atoms of the compound distribution), so the default
-    tolerance only guards against catastrophic grid misconfiguration --
-    pointwise accuracy at the requested capitals is the business of the grid
-    -refinement (Richardson) check.
+    Each step is one lattice correlation and one stretch interpolation
+    (``_Correlation``).  When the capital grid step divides the lattice step,
+    as the default step / ceil((1+r)^L) always does, the step equals the
+    per-atom Stieltjes sum on the same grid.  On any other grid step each
+    distinct PMF is first re-binned onto the grid once (``_on_grid``), its
+    atoms' mass split linearly between the two grid nodes around them.  That
+    keeps mass and mean, but an off-grid landing is interpolated twice, by
+    the split and by the stretch, and the split reads part of a landing just
+    below capital 0 as alive.  Pointwise accuracy at the requested capitals
+    is the business of the grid-refinement (Richardson) check.
 
     The capital grid ends where the ruin probability over the remaining
     horizon falls below ``tail_eps`` (a Chernoff bound on the discounted
@@ -322,7 +342,7 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     with tail_eps = 0).
     The diagnostics also give the grid's points and edges, and
     ``fft_points``: the longest circular length of a correlation step,
-    sized to the outputs its stretch reads (0 on the atoms route).
+    sized to the outputs its stretch reads.
     """
     if r < 0:
         raise DomainError(f"interest rate must be >= 0, got {r}")
@@ -331,38 +351,17 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     if horizon < 1:
         raise DomainError("need at least one interval PMF")
     u_values = np.atleast_1d(np.asarray(u_values, dtype=float))
-    step = pmfs[0].step
-
+    bad = u_values[~np.isfinite(u_values)]
+    if len(bad):
+        raise DomainError(f"initial capitals must be finite, got {bad[0]}")
     if grid_step is None:
-        grid_step = step / max(1, math.ceil((1.0 + r) ** horizon))
-    stride = round(step / grid_step)
-    divides = stride >= 1 and abs(step / grid_step - stride) < 1e-9
+        grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
 
-    grid = _RecursionGrid(u_values, r, pmfs, grid_step, horizon, tail_eps)
-
-    aligned = (r == 0.0
-               and math.isclose(grid_step, step, rel_tol=1e-12)
-               and all(np.allclose(p.values() / step, np.round(p.values() / step),
-                                   atol=1e-9) for p in pmfs))
-
-    identical = all(p is pmfs[0] for p in pmfs)
-
-    interp_bound = 0.0
-    correlations = {}  # id(pmf) -> its step operator on this grid
-
-    def one_step(phi_prev, pmf):
-        nonlocal interp_bound
-        if divides:
-            if id(pmf) not in correlations:
-                correlations[id(pmf)] = _Correlation(grid, pmf, stride)
-            out = correlations[id(pmf)](phi_prev)
-        else:  # the literal per-atom Stieltjes sum, float fuzz clamped
-            out = np.maximum.accumulate(np.clip(_kernels.ruin_step(
-                phi_prev, grid.points[0], grid.step, grid.growth, pmf.values(), pmf.mass,
-                grid.points), 0.0, 1.0))
-        if not aligned and len(out) > 2:
-            interp_bound += np.abs(np.diff(out, 2)).max() / 8.0
-        return out
+    on_grid = {id(p): _on_grid(p, grid_step) for p in pmfs}
+    grid = _RecursionGrid(u_values, r, [on_grid[id(p)][0] for p in pmfs], grid_step,
+                          horizon, tail_eps)
+    steps = {key: _Correlation(grid, pmf, stride) for key, (pmf, stride) in on_grid.items()}
+    identical = len(steps) == 1
 
     phi_rows = np.empty((horizon, len(u_values)))
     phi_grid = np.ones_like(grid.points)
@@ -372,28 +371,20 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         if not identical:
             phi_grid = np.ones_like(grid.points)
         for pmf in pmfs[:1] if identical else pmfs[l - 1::-1]:
-            phi_grid = one_step(phi_grid, pmf)
+            phi_grid = steps[id(pmf)](phi_grid)
         phi_rows[l - 1] = np.interp(u_values, grid.points, phi_grid, left=0.0, right=1.0)
 
-    if not aligned and interp_bound > interp_tol:
-        raise AccuracyError(
-            "interpolation error bound exceeds tolerance; refine the u-grid step",
-            {"bound": interp_bound, "tol": interp_tol, "grid_step": grid_step},
-        )
     return RuinResult(
         u_values=u_values, psi=1.0 - phi_rows, phi=phi_rows,
         u_grid=(float(grid.points[0]), float(grid_step), len(grid.points)),
         grid_step=grid_step,
         diagnostics={
-            "interp_error_bound": interp_bound,
-            "lattice_aligned": aligned,
             "pmf_mass_defects": [abs(float(p.mass.sum()) - 1.0) for p in pmfs],
             "grid_points": len(grid.points),
             "grid_lo": float(grid.points[0]),
             "grid_hi": float(grid.points[-1]),
             "grid_tail_bound": grid.tail_bound,
-            "fft_points": max((c.n_fft for c in correlations.values()), default=0),
-            "method": "correlation" if divides else "atoms",
+            "fft_points": max(c.n_fft for c in steps.values()),
         },
     )
 

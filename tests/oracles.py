@@ -12,7 +12,10 @@ nested-quadrature revenue moments and clamp atoms (``scipy.integrate.quad``
 over the serving distance, a doubling rule in the transform variable u) and
 the compound-geometric identity solved as a homogeneous least-squares
 recurrence, with an as-printed statement that does not reproduce the
-compound distribution.
+compound distribution.  Last, it holds the survival recursion's per-atom
+Stieltjes sum: ``ruin_step`` interpolates the previous survival at every
+landing u (1+r) + y, and ``atom_recursion`` runs it over the horizons on the
+production capital grid.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from microruin import moments, montecarlo, specfun
+from microruin import moments, montecarlo, ruin, specfun
 from microruin.compound import LatticePMF, _geometric_truncation
 from microruin.errors import AccuracyError, DomainError
 from microruin.model import FinancialParams, NetworkParams, ScenarioConfig
@@ -621,6 +624,63 @@ def golden_loss_top(pmfs, growth: float, horizon: int, tail_eps: float,
 
     _, top = golden_min(top_at, 0.0, -log_eps / width, iters=32)
     return min(reach, top)
+
+
+# ----------------------------------------------------------------------
+# The per-atom survival recursion
+# ----------------------------------------------------------------------
+
+def ruin_step(phi_prev, grid_lo, grid_step, growth, atom_pos, atom_mass, u_grid):
+    """One exact survival-recursion step on a uniform capital grid.
+
+    out[j] = sum_k atom_mass[k] * 1{x >= 0} * phi_prev(x),
+    x = u_grid[j] * growth + atom_pos[k], with phi_prev linearly interpolated
+    on the uniform grid (clamped to 0 left / 1 right).  Capital exactly at 0
+    survives; the indicator tolerance absorbs float rounding at the boundary.
+    """
+    out = np.zeros_like(u_grid)
+    n = len(phi_prev)
+    base = u_grid * growth
+    tol = 1e-9 * grid_step
+    inv_step = 1.0 / grid_step
+    for y, m in zip(atom_pos, atom_mass):
+        x = base + y
+        pos = (x - grid_lo) * inv_step
+        idx = np.floor(pos).astype(np.int64)
+        frac = pos - idx
+        idx_c = np.clip(idx, 0, n - 2)
+        val = phi_prev[idx_c] * (1.0 - frac) + phi_prev[idx_c + 1] * frac
+        val[idx < 0] = 0.0
+        val[idx >= n - 1] = 1.0
+        out += m * np.where(x >= -tol, val, 0.0)
+    return out
+
+
+def atom_recursion(us, r, pmfs, grid_step=None, tail_eps=1e-12):
+    """The literal per-atom Stieltjes sum (``ruin_step``) on the capital grid
+    ``survival_recursion`` builds for ``pmfs``.  The default grid step is
+    lattice_step / ceil((1+r)^L).  Returns psi, one row per horizon."""
+    horizon = len(pmfs)
+    if grid_step is None:
+        grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
+    grid = ruin._RecursionGrid(us, r, pmfs, grid_step, horizon, tail_eps)
+
+    def step(phi, pmf):
+        out = ruin_step(phi, grid.points[0], grid.step, grid.growth,
+                        pmf.values(), pmf.mass, grid.points)
+        return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
+
+    psi = np.empty((horizon, len(us)))
+    phi = np.ones(len(grid.points))
+    for l in range(1, horizon + 1):
+        if all(p is pmfs[0] for p in pmfs):
+            phi = step(phi, pmfs[0])
+        else:
+            phi = np.ones(len(grid.points))
+            for k in range(l, 0, -1):
+                phi = step(phi, pmfs[k - 1])
+        psi[l - 1] = 1.0 - np.interp(us, grid.points, phi, left=0.0, right=1.0)
+    return psi
 
 
 # ----------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_criterion_6_ruin_recursion_oracle_equivalence():
     ug = np.linspace(-2.0, 4.0, 41)
     ref = np.array([enum_psi(u, 0.05, [z5] * 3, 3)[2] for u in ug])
     errs = [float(np.mean(np.abs(ruin.survival_recursion(
-        ug, 0.05, [z5] * 3, grid_step=0.4 / k, interp_tol=np.inf).psi[2] - ref)))
+        ug, 0.05, [z5] * 3, grid_step=0.4 / k).psi[2] - ref)))
         for k in (1, 2, 4)]
     order = math.log2(errs[0] / errs[2]) / 2.0 if errs[2] > 0 else np.inf
     ok &= order >= 1.0

@@ -279,6 +279,15 @@ class TestPipelineCommands:
         assert grid["grid_lo"] < 0.0 < 300.0 < grid["grid_hi"]
         assert 0.0 <= grid["grid_tail_bound"] <= 5e-12   # horizon * tail_eps
 
+    def test_ruin_takes_a_leading_negative_capital_after_equals(self, tmp_path,
+                                                                fast_config_path):
+        # "--u -50,100" reads as an option to argparse; "--u=-50,100" does not
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out, "ruin", "--no-mc",
+                        "--u=-50,100"]) == 0
+        rows = open(os.path.join(out, "ruin.csv")).read().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == [-50.0, 100.0] * 5
+
     def test_ruin_with_mc_columns(self, tmp_path, fast_config_path):
         out = str(tmp_path / "o")
         assert run_cli(["--config", fast_config_path, "--out", out, "ruin",

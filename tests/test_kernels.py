@@ -1,9 +1,10 @@
-"""The numpy hot kernels against brute force."""
+"""The numpy hot kernel and the per-atom recursion oracle against brute force."""
 
 import numpy as np
 import pytest
 
 from microruin import _kernels
+from tests.oracles import ruin_step
 
 
 def _powsum_case(rng, n_seg=500, mean_pts=40):
@@ -58,7 +59,7 @@ def test_ruin_step_matches_bruteforce():
     phi, grid, atom_pos, atom_mass = _ruin_case(rng)
     step = grid[1] - grid[0]
     growth = 1.07
-    got = _kernels.ruin_step(phi, grid[0], step, growth, atom_pos, atom_mass, grid)
+    got = ruin_step(phi, grid[0], step, growth, atom_pos, atom_mass, grid)
     for j in (0, 100, 250, 500):
         x = grid[j] * growth + atom_pos
         alive = x >= -1e-9 * step

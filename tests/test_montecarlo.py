@@ -91,6 +91,12 @@ class TestSurplusPaths:
         sub = montecarlo.simulate_surplus_paths(table3_config, fast_plan, [200.0])
         np.testing.assert_array_equal(full.psi[:, 1], sub.psi[:, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capital_is_a_domain_error(self, table3_config, fast_plan, bad):
+        # a nan capital once read psi 0 (no running minimum is below -nan)
+        with pytest.raises(DomainError, match=f"finite, got {bad}"):
+            montecarlo.simulate_surplus_paths(table3_config, fast_plan, [bad, 100.0])
+
     def test_path_losses_sum_their_users_exactly(self, fast_plan):
         # every user nets exactly 2 - fee, so without interest a path's loss
         # is its user count times that, and a path without users loses 0

@@ -1,6 +1,7 @@
 """Survival recursion against path enumeration and the phi_1 formula;
 capital-bound properties against the expected-surplus formula."""
 
+import hashlib
 import math
 from itertools import permutations, product
 
@@ -8,11 +9,11 @@ import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
-from microruin import _kernels, ruin, specfun
+from microruin import ruin, specfun
 from microruin.compound import LatticePMF
-from microruin.errors import AccuracyError, DomainError
+from microruin.errors import DomainError
 from tests.conftest import SWEEP_SCENARIOS, make_config, sweep_config
-from tests.oracles import golden_loss_top
+from tests.oracles import atom_recursion, golden_loss_top
 
 
 def survival_base(u: float, r: float, g1: LatticePMF) -> float:
@@ -123,41 +124,13 @@ def full_reach_psi(us, r, pmfs):
     return psi, len(points)
 
 
-def atom_recursion(us, r, pmfs, grid_step=None, tail_eps=1e-12):
-    """Oracle: the literal per-atom Stieltjes sum (``_kernels.ruin_step``) on
-    the capital grid ``survival_recursion`` builds.  The default grid step is
-    lattice_step / ceil((1+r)^L).  Returns psi, one row per horizon."""
-    horizon = len(pmfs)
-    if grid_step is None:
-        grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
-    grid = ruin._RecursionGrid(us, r, pmfs, grid_step, horizon, tail_eps)
-
-    def step(phi, pmf):
-        out = _kernels.ruin_step(phi, grid.points[0], grid.step, grid.growth,
-                                 pmf.values(), pmf.mass, grid.points)
-        return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
-
-    psi = np.empty((horizon, len(us)))
-    phi = np.ones(len(grid.points))
-    for l in range(1, horizon + 1):
-        if all(p is pmfs[0] for p in pmfs):
-            phi = step(phi, pmfs[0])
-        else:
-            phi = np.ones(len(grid.points))
-            for k in range(l, 0, -1):
-                phi = step(phi, pmfs[k - 1])
-        psi[l - 1] = 1.0 - np.interp(us, grid.points, phi, left=0.0, right=1.0)
-    return psi
-
-
 def production_psi(us, r, pmfs, **kw):
-    """psi of ``survival_recursion``, the route the grid picks, ungated like
-    the oracle."""
-    return ruin.survival_recursion(us, r, pmfs, interp_tol=np.inf, **kw).psi
+    """psi of ``survival_recursion``."""
+    return ruin.survival_recursion(us, r, pmfs, **kw).psi
 
 
 # the two routes the enumeration checks: the per-atom oracle and production
-# (the correlation route on these lattice-dividing grids)
+# (the correlation step on these lattice-dividing grids)
 ROUTES = pytest.mark.parametrize("solve", [atom_recursion, production_psi],
                                  ids=["atoms", "correlation"])
 
@@ -241,8 +214,7 @@ class TestSurvivalBase:
             assert res.phi[0, j] == pytest.approx(survival_base(u, 0.0, Z3),
                                                   abs=1e-12)
         # off-lattice capitals resolve exactly once the grid contains them
-        fine = ruin.survival_recursion(np.array([0.5]), 0.0, [Z3], grid_step=0.01,
-                                       interp_tol=np.inf)
+        fine = ruin.survival_recursion(np.array([0.5]), 0.0, [Z3], grid_step=0.01)
         assert fine.phi[0, 0] == pytest.approx(survival_base(0.5, 0.0, Z3),
                                                abs=1e-12)
 
@@ -252,8 +224,6 @@ class TestSurvivalRecursion:
     def test_zero_rate_matches_enumeration_exactly(self, solve):
         us = np.array([-2.0, -1.0, 0.0, 1.0, 3.0, 6.0])
         for pmf, horizon in ((Z3, 4), (Z5, 4)):
-            assert ruin.survival_recursion(us, 0.0, [pmf] * horizon).diagnostics[
-                "lattice_aligned"]
             psi = solve(us, 0.0, [pmf] * horizon)
             for j, u in enumerate(us):
                 ref = enum_psi(u, 0.0, [pmf] * horizon, horizon)
@@ -275,8 +245,7 @@ class TestSurvivalRecursion:
 
     def test_monotone_in_horizon_and_capital(self):
         us = np.linspace(-3.0, 6.0, 19)
-        res = ruin.survival_recursion(us, 0.05, [Z5] * 4, grid_step=0.25,
-                                      interp_tol=np.inf)
+        res = ruin.survival_recursion(us, 0.05, [Z5] * 4, grid_step=0.25)
         assert np.all(np.diff(res.psi, axis=0) >= -1e-12)   # nondecreasing in l
         assert np.all(np.diff(res.psi, axis=1) <= 1e-12)    # nonincreasing in u
 
@@ -312,8 +281,7 @@ class TestSurvivalRecursion:
         ref = np.array([enum_psi(u, 0.05, [Z5] * 3, 3)[2] for u in us])
         errs = []
         for k in (1, 2, 4):
-            got = ruin.survival_recursion(us, 0.05, [Z5] * 3, grid_step=0.4 / k,
-                                          interp_tol=np.inf).psi[2]
+            got = ruin.survival_recursion(us, 0.05, [Z5] * 3, grid_step=0.4 / k).psi[2]
             errs.append(float(np.mean(np.abs(got - ref))))
         assert errs[1] < errs[0]
         assert errs[2] <= errs[0] / 4.0  # observed order >= 1 over two halvings
@@ -323,14 +291,12 @@ class TestSurvivalRecursion:
         # the grid top are certain survival, not zero-padding
         us = np.array([0.0, 2.0, 5.0, 9.0])
         corr = ruin.survival_recursion(us, 0.0, [SKEWED] * 2)
-        assert corr.diagnostics["method"] == "correlation"
         np.testing.assert_allclose(corr.psi, atom_recursion(us, 0.0, [SKEWED] * 2),
                                    atol=1e-12)
         for j, u in enumerate(us):
             np.testing.assert_allclose(corr.psi[:, j],
                                        enum_psi(u, 0.0, [SKEWED] * 2, 2), atol=1e-12)
-        fine = ruin.survival_recursion(us, 0.05, [SKEWED] * 2, grid_step=0.05,
-                                       interp_tol=np.inf)
+        fine = ruin.survival_recursion(us, 0.05, [SKEWED] * 2, grid_step=0.05)
         for j, u in enumerate(us):
             np.testing.assert_allclose(fine.psi[:, j],
                                        enum_psi(u, 0.05, [SKEWED] * 2, 2), atol=5e-3)
@@ -358,23 +324,21 @@ class TestSurvivalRecursion:
             # capitals on the lattice in every third case, off it otherwise
             us = (rng.integers(-5, 41, 6) if case % 3 == 0 else rng.uniform(-5.0, 40.0, 6))
             us = np.sort(us.astype(float))
-            res = ruin.survival_recursion(us, r, pmfs, grid_step=1.0 / stride,
-                                          interp_tol=np.inf)
-            assert res.diagnostics["method"] == "correlation"
+            res = ruin.survival_recursion(us, r, pmfs, grid_step=1.0 / stride)
             want = atom_recursion(us, r, pmfs, grid_step=1.0 / stride)
             worst = max(worst, float(np.abs(res.psi - want).max()))
         assert worst <= 1e-12
-
-    def test_interp_tolerance_gate(self):
-        with pytest.raises(AccuracyError):
-            ruin.survival_recursion(np.array([0.5]), 0.05, [Z3] * 3,
-                                    grid_step=0.05, interp_tol=1e-6)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             ruin.survival_recursion(np.array([0.0]), -0.1, [Z3])
         with pytest.raises(DomainError):
             ruin.survival_recursion(np.array([0.0]), 0.05, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capital_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match=f"finite, got {bad}"):
+            ruin.survival_recursion(np.array([bad, 1.0]), 0.05, [Z3] * 2)
 
 
 class TestCapitalGrid:
@@ -496,6 +460,45 @@ class TestCapitalGrid:
             assert capped.diagnostics["grid_points"] < 10_000
 
 
+class TestOnGrid:
+    """Interval PMFs on the capital grid: re-binned off it, kept on it."""
+
+    def test_rebinning_keeps_mass_and_mean(self):
+        rng = np.random.default_rng(20261019)
+        for case in range(50):
+            n = int(rng.integers(2, 40))
+            mass = rng.random(n) * (rng.random(n) < 0.8)
+            mass[0] += 0.1
+            step = float(rng.uniform(0.1, 3.0))
+            pmf = LatticePMF(step=step, min_index=-int(rng.integers(0, 30)),
+                             mass=mass / mass.sum())
+            for ratio in (0.4, 0.3, 0.15, 0.07, 2.5, float(rng.uniform(0.01, 5.0))):
+                on_grid, stride = ruin._on_grid(pmf, step * ratio)
+                assert stride == 1 and on_grid.step == step * ratio
+                assert abs(on_grid.mass.sum() - pmf.mass.sum()) <= 1e-12
+                assert abs(on_grid.mean() - pmf.mean()) <= 1e-12
+
+    # sha256 of psi's float64 bytes from the correlation step before
+    # off-grid PMFs were re-binned: dividing grid steps keep their bytes
+    PINNED = [
+        ([Z5] * 3, 0.05, 0.2, "c1655d0b429e31fa871b80b7a3b67e2dd3ff8153da5ac33b7986c0b768f31a17"),
+        ([Z5] * 3, 0.05, 0.1, "887e15a2eb273af2ad83c29cc34d37da3a35ec15f22f774078210210f6301d3b"),
+        ([TestCapitalGrid.LOSS, TestCapitalGrid.GAIN, Z5], 0.3, 0.25,
+         "b89149c354e71c611dba21620facf76982dd95cec0b824d7b8223652d4b33a47"),
+        ([Z5] * 4, 0.0, 1.0, "39603bef8a2b2e75a60ecb9d4c18e96bfc9857cbae329e65455e1641ad842040"),
+    ]
+
+    @pytest.mark.parametrize("pmfs, r, grid_step, sha", PINNED,
+                             ids=["z5-0.2", "z5-0.1", "differing-0.25", "z5-r0-1"])
+    def test_dividing_step_keeps_the_lattice_and_psi_bytes(self, pmfs, r, grid_step, sha):
+        for pmf in pmfs:
+            on_grid, stride = ruin._on_grid(pmf, grid_step)
+            assert on_grid is pmf and stride == round(pmf.step / grid_step)
+        psi = ruin.survival_recursion(np.linspace(-2.0, 4.0, 41), r, pmfs,
+                                      grid_step=grid_step).psi
+        assert hashlib.sha256(psi.tobytes()).hexdigest() == sha
+
+
 def _reference_with(overrides):
     from microruin import model
     data = model.default_config().to_dict()
@@ -525,6 +528,10 @@ class TestPipeline:
             diag = interval["compound"]
             assert diag["aliasing_bound"] <= 2 * cfg.numerics.tail_eps
             assert diag["mean_residual"] <= diag["mean_tolerance"]
+
+    def test_non_finite_capital_is_a_domain_error(self, table3_config):
+        with pytest.raises(DomainError, match="finite, got nan"):
+            ruin.run_pipeline(table3_config, [math.nan, 100.0])
 
     def test_zero_padding_the_pmf_leaves_psi_unchanged(self, table3_config):
         # trailing zero atoms carry no mass: the grid is sized from the
