@@ -204,7 +204,7 @@ class Numerics:
     mc_samples: int = 1_000_000
     mc_paths: int = 20_000
     mc_batch: int = 65_536
-    ppp_radius_factor: float = 2.0
+    ppp_radius_factor: float = 1.0         # MC interferers out to factor / sqrt(beta)
     truncate_durations_to_interval: bool = False
     seed: int = 20260808
 

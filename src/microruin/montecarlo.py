@@ -6,15 +6,14 @@ directly from the network model: serving distance from the nearest-cell
 density, per-slot unit-mean exponential fading, and an interferer point
 process of the configured density simulated on the annulus between the
 serving distance and a truncation radius ``R = factor / sqrt(beta)``.  The
-far field beyond ``R_e = max(R, r_u)`` is one Gamma draw per slot whose
-shape and scale match its exact (Campbell) mean
-``2 pi beta P_I R_e^(2-alpha) / (alpha - 2)`` and variance
-``2 pi beta P_I^2 R_e^(2-2 alpha) / (alpha - 1)`` (``E[h^2] = 2`` for the
-Rayleigh marks).  The interference's first two moments are therefore exact at
-any radius, and truncation errs only in the third and higher cumulants
-(verified by the radius-doubling test); the default factor 2 draws
-4 pi - 1 + e^(-4 pi), about 11.6, interferer points per slot
-(``far_field_summary``).
+far field beyond ``R_e = max(R, r_u)`` is one shifted Gamma draw per slot
+that matches its exact first three cumulants, which Campbell's theorem
+gives as ``kappa_n = 2 pi beta n! P_I^n R_e^(2 - n alpha) / (n alpha - 2)``
+(``E[h^n] = n!`` for the Rayleigh marks).  The interference's mean,
+variance and third cumulant are therefore exact at any radius, and
+truncation errs only in the fourth and higher cumulants (held to factor 8
+by the truncation test); the default factor 1 draws pi - 1 + e^(-pi),
+about 2.2, interferer points per slot (``far_field_summary``).
 
 Randomness comes from SFC64 streams seeded through ``SeedSequence`` with
 keys (seed, stage, interval, batch), so fixed seeds give bit-identical
@@ -113,44 +112,56 @@ def _inverse_pmf_sample(rng, values, probs, size):
     return np.asarray(values)[idx]
 
 
-def _far_field_moments(net, radius):
+def _far_field_moments(net, radius, orders=2):
     """Mean and variance of the interference from beyond ``radius`` (a float
-    or an array), by Campbell's theorem with E[h] = 1 and E[h^2] = 2."""
+    or an array), and with ``orders=3`` its third cumulant as well, by
+    Campbell's theorem with E[h^n] = n!."""
     alpha, p_i = net.alpha_pathloss, net.p_i_interferer_power
     two_pi_beta = 2.0 * math.pi * net.beta_cells_per_area
-    mean = two_pi_beta * p_i * radius ** (2.0 - alpha) / (alpha - 2.0)
-    var = two_pi_beta * p_i * p_i * radius ** (2.0 - 2.0 * alpha) / (alpha - 1.0)
-    return mean, var
+    return tuple(two_pi_beta * math.factorial(n) * p_i ** n * radius ** (2.0 - n * alpha)
+                 / (n * alpha - 2.0) for n in range(1, orders + 1))
+
+
+def _far_field_law(net, radius):
+    """Shape, scale and shift of the shifted Gamma law with the far field's
+    three cumulants; the shift is positive for every alpha > 2."""
+    k1, k2, k3 = _far_field_moments(net, radius, orders=3)
+    shape, scale = 4.0 * k2 ** 3 / (k3 * k3), k3 / (2.0 * k2)
+    return shape, scale, k1 - shape * scale
 
 
 def _far_field(net, radius: float, r_slot: np.ndarray, rng) -> np.ndarray:
-    """Per-slot interference from beyond max(radius, r_slot): one Gamma draw
-    per slot with the far field's mean and variance.
+    """Per-slot interference from beyond max(radius, r_slot): one shifted
+    Gamma draw per slot with the far field's mean, variance and third
+    cumulant.
 
     Every slot served from inside the radius shares one law.  The rare slots
     served from beyond it (probability e^(-pi factor^2); they draw no
     interferers) are redrawn from the law beyond their own serving distance.
     """
-    mean, var = _far_field_moments(net, radius)
-    far = rng.gamma(mean * mean / var, var / mean, size=len(r_slot))
+    shape, scale, shift = _far_field_law(net, radius)
+    far = rng.gamma(shape, scale, size=len(r_slot))
+    far += shift
     beyond = np.flatnonzero(r_slot > radius)
     if len(beyond):
-        mean, var = _far_field_moments(net, r_slot[beyond])
-        far[beyond] = rng.gamma(mean * mean / var, var / mean)
+        shape, scale, shift = _far_field_law(net, r_slot[beyond])
+        far[beyond] = rng.gamma(shape, scale) + shift
     return far
 
 
 def far_field_summary(config: ScenarioConfig, plan: SimulationPlan) -> dict:
     """The truncation a campaign uses: the radius, the mean number of
-    interferer points drawn per slot and the far field's mean and variance
-    beyond the radius (for a slot served from inside it)."""
+    interferer points drawn per slot, and the far field's mean, variance,
+    third cumulant and shift beyond the radius (for a slot served from
+    inside it)."""
     pi_f2 = math.pi * plan.ppp_radius_factor ** 2
     radius = plan.ppp_radius_factor / math.sqrt(config.network.beta_cells_per_area)
-    mean, var = _far_field_moments(config.network, radius)
+    mean, var, k3 = _far_field_moments(config.network, radius, orders=3)
     # pi beta r_u^2 ~ Exp(1), so E[(pi beta (R^2 - r_u^2))^+] = pi f^2 - 1 + e^(-pi f^2)
     return {"radius_factor": plan.ppp_radius_factor, "radius": radius,
             "points_per_slot": pi_f2 - 1.0 + math.exp(-pi_f2),
-            "mean": mean, "variance": var}
+            "mean": mean, "variance": var, "third_cumulant": k3,
+            "shift": _far_field_law(config.network, radius)[2]}
 
 
 def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarray:

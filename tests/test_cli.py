@@ -309,15 +309,20 @@ class TestPipelineCommands:
         assert run_cli(["--config", fast_config_path, "--out", out] + command) == 0
         with open(os.path.join(out, "manifest.json")) as fh:
             far = json.load(fh)["mc"]["far_field"]
-        # reference: beta = 0.1, alpha = 4, P_I = 1, truncation factor 2
-        radius = 2.0 / math.sqrt(0.1)
-        assert far["radius_factor"] == 2.0
+        # reference: beta = 0.1, alpha = 4, P_I = 1, truncation factor 1
+        radius = 1.0 / math.sqrt(0.1)
+        assert far["radius_factor"] == 1.0
         assert far["radius"] == pytest.approx(radius, rel=1e-12)
         assert far["points_per_slot"] == pytest.approx(
-            4.0 * math.pi - 1.0 + math.exp(-4.0 * math.pi), rel=1e-12)
+            math.pi - 1.0 + math.exp(-math.pi), rel=1e-12)
         assert far["mean"] == pytest.approx(2 * math.pi * 0.1 * radius ** -2 / 2, rel=1e-12)
         assert far["variance"] == pytest.approx(2 * math.pi * 0.1 * radius ** -6 / 3,
                                                 rel=1e-12)
+        assert far["third_cumulant"] == pytest.approx(
+            2 * math.pi * 0.1 * 6 * radius ** -10 / 10, rel=1e-12)
+        # mean - 2 variance^2 / third cumulant = 2 pi beta R^-2 (1/2 - 10/27)
+        assert far["shift"] == pytest.approx(2 * math.pi * 0.1 * radius ** -2 * 7 / 54,
+                                             rel=1e-12)
 
     def test_ruin_without_mc_records_no_far_field(self, tmp_path, fast_config_path):
         out = str(tmp_path / "o")

@@ -62,7 +62,7 @@ class TestValidate:
         # the JSON document, and so the hash, keeps every field of every section
         cfg = model.default_config()
         assert cfg.config_hash() == (
-            "72bf683f032aadbd4cd61fb6cdbf85516964ae6ae164bcc4f739136fbca35978")
+            "ee84cee89f19ad2a7ccb905bc4fa50501f60da757287799b1c7eb59a3c6b7309")
         data = cfg.to_dict()
         for section in ("network", "financial", "numerics"):
             assert set(data[section]) == {f.name for f in fields(getattr(cfg, section))}

@@ -131,6 +131,20 @@ def _assert_moments_within_4se(x, mean, var):
     assert abs(m2 - var) <= 4 * math.sqrt((m4 - m2 * m2) / n), (m2, var)
 
 
+def _campbell_k3(alpha, beta, p_i, radius):
+    """Third cumulant of the same interference (E[h^3] = 6)."""
+    return 2 * math.pi * beta * 6 * p_i ** 3 * radius ** (2 - 3 * alpha) / (3 * alpha - 2)
+
+
+def _assert_k3_within_4se(x, k3):
+    """Sample third central moment of x within 4 standard errors of k3."""
+    n = len(x)
+    centred = x - x.mean()
+    m2, m3, m4, m6 = (np.mean(centred ** k) for k in (2, 3, 4, 6))
+    se = math.sqrt((m6 - m3 * m3 - 6 * m4 * m2 + 9 * m2 ** 3) / n)
+    assert abs(m3 - k3) <= 4 * se, (m3, k3, se)
+
+
 class TestFarField:
     NET = model.NetworkParams(beta_cells_per_area=0.1, alpha_pathloss=4.0,
                               p_i_interferer_power=2.0)
@@ -155,10 +169,26 @@ class TestFarField:
                                        rtol=1e-12)
             _assert_moments_within_4se(far[k * n:(k + 1) * n], *want)
 
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    def test_draws_match_campbell_third_cumulant(self, alpha):
+        # at the default radius, for slots served inside it and beyond it
+        net = replace(self.NET, alpha_pathloss=alpha)
+        radius = montecarlo.SimulationPlan().ppp_radius_factor / math.sqrt(0.1)
+        n = 1_000_000
+        rng = np.random.default_rng(int(10 * alpha))
+        r_slot = np.concatenate([rng.uniform(0.0, radius, n), np.full(n, 1.5 * radius)])
+        far = montecarlo._far_field(net, radius, r_slot, montecarlo._stream(3, "far"))
+        for k, edge in enumerate((radius, 1.5 * radius)):
+            assert montecarlo._far_field_law(net, edge)[2] > 0.0
+            want = _campbell(alpha, 0.1, 2.0, edge)
+            _assert_moments_within_4se(far[k * n:(k + 1) * n], *want)
+            _assert_k3_within_4se(far[k * n:(k + 1) * n], _campbell_k3(alpha, 0.1, 2.0, edge))
+
     @pytest.mark.parametrize("alpha", [2.5, 4.0])
     def test_direct_field_matches_campbell_moments(self, alpha):
         # a PPP drawn directly on [R, 16 R], plus the mean beyond 16 R (the
-        # variance left out there is 16^(2 - 2 alpha) of the total)
+        # variance and third cumulant left out there are 16^(2 - 2 alpha) and
+        # 16^(2 - 3 alpha) of their totals)
         beta, p_i, n, per_batch = 0.1, 2.0, 4_000, 200
         radius = self.RADIUS
         rng = np.random.default_rng(int(10 * alpha))
@@ -172,6 +202,7 @@ class TestFarField:
         outer_mean, _ = _campbell(alpha, beta, p_i, 16 * radius)
         _assert_moments_within_4se(np.concatenate(sums) + outer_mean,
                                    *_campbell(alpha, beta, p_i, radius))
+        _assert_k3_within_4se(np.concatenate(sums), _campbell_k3(alpha, beta, p_i, radius))
 
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
     def test_default_radius_revenues_match_analytic_moments_and_atoms(self, alpha):
@@ -257,19 +288,21 @@ class TestStreamPinned:
     own stream and the per-slot, per-user and per-path totals became
     ``np.add.reduceat`` segment sums; the revenue and slot-scaling values were
     re-taken when the interferer positions moved to span units with an
-    integer power for alpha = 4 (same draws, reassociated arithmetic).  The
-    chunk size and the thread count leave them unchanged
-    (``TestChunkedStream``).  Any change of generator, draw order, summation
-    order, arithmetic, truncation radius or batch layout moves them.  The
-    plan fixes its truncation factor at 3, the default when the values were
-    taken, so a change of the default radius leaves them standing."""
+    integer power for alpha = 4 (same draws, reassociated arithmetic); all
+    five were re-taken when the far field became a shifted Gamma law with
+    three exact cumulants (same draw count, new far-field law).  The chunk
+    size and the thread count leave them unchanged (``TestChunkedStream``).
+    Any change of generator, draw order, summation order, arithmetic,
+    far-field law, truncation radius or batch layout moves them.  The plan
+    fixes its truncation factor at 3, so a change of the default radius
+    leaves them standing."""
 
     PLAN = montecarlo.SimulationPlan(seed=11, batch_size=4096, n_users=3000, n_paths=1500,
                                      ppp_radius_factor=3.0)
     N = 2 * 4096 + 1000  # three batches, the last one partial
     REVENUES = {
-        "reference": "56288810401a3caa0d10cc9e93cc49d1bd52c61724be1d2510896f1a45b80297",
-        "multi-slot": "240895d50abc67a7df3d553c6d1aab73d1e7f8fd01e7673197a1d5d175300319",
+        "reference": "cd8c89b671f0c30edd876ed0ea173f920b6ee95ba0455200e9ebcf4fd3cd1325",
+        "multi-slot": "2099df3566a77901b4acd94512e445cc6a33d1a78496db6097f1e2d9b6772397",
     }
 
     @pytest.mark.parametrize("case", sorted(REVENUES))
@@ -282,18 +315,18 @@ class TestStreamPinned:
         est = montecarlo.simulate_surplus_paths(model.validate(model.default_config()),
                                                 self.PLAN, [50.0, 150.0, 300.0])
         assert _sha(est.psi) == (
-            "7a113ab28a7be6f3989698cccc0ebd167b4075d8ae25af7185a75fed5f97da74")
+            "338271e2dcb497a6766f9ea4c45417c8748ce77f7fba288a9346e53f80590169")
 
     def test_estimate_moments(self):
         mv, se = montecarlo.estimate_moments(model.validate(model.default_config()),
                                              replace(self.PLAN, n_users=self.N))
         assert _sha(np.concatenate([mv.raw, se])) == (
-            "e4bfc31709ff4c25c30e6c372fe667196462dd0eaf33e56677a3043906d203bc")
+            "b98cc16d076b1fdb2705e96537c73953aed87966111c2b776b646f0280d3b648")
 
     def test_slot_scaling(self, table2_config):
         v = oracles.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
                                         rate_gap=100.0)
-        assert _sha(v) == "5751ebf56a13de09c8efbd3975528de1e7829ba2f27184c3e3d5fc39b7ac0c55"
+        assert _sha(v) == "ed35d7f17ab37c4be9dab368749be30686cd5aafa91328cad5a1f663d0b03a86"
 
 
 class TestChunkedStream:
