@@ -76,7 +76,7 @@ def one_pass(cfg) -> tuple[dict, dict]:
         compound._chernoff_edge(side, log_p, fin.w_n_geometric, log_eps)
         for side in (idx, -idx)])
     t["compound"], g = _timed(lambda: compound.compound_geometric_pmf(
-        zstep, fin.w_n_geometric, tail_eps=num.tail_eps, points_budget=1_000_000))
+        zstep, fin.w_n_geometric, tail_eps=num.tail_eps))
     pmfs = [g.trimmed(ruin.TRIM_MASS)] * fin.horizon_intervals
     r = fin.interest_rate_per_interval
     growth, horizon = 1.0 + r, len(pmfs)

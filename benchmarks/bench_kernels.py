@@ -11,7 +11,7 @@ Inputs are production-shaped: the slots of one batch of the reference
 scenario at the default truncation radius (--quick uses a fifth of the batch
 and fewer sampler batches).  Reported, best of 3 unless stated:
 
-* the truncation the default plan uses (``montecarlo.far_field_summary``):
+* the sampler's truncation (``montecarlo.far_field_summary``):
   its radius factor and mean interferer points per slot;
 * the interferer stage (``montecarlo._uniform_field_sums``) in ns per
   interferer point, best of 7 interleaved rounds, split into four parts
@@ -62,9 +62,8 @@ def _best(fn, setup=None, repeats=3):
 
 
 def truncation():
-    """The default plan's truncation on the reference scenario."""
-    far = montecarlo.far_field_summary(model.validate(model.default_config()),
-                                       montecarlo.SimulationPlan())
+    """The sampler's truncation on the reference scenario."""
+    far = montecarlo.far_field_summary(model.validate(model.default_config()))
     print(f"truncation  factor {far['radius_factor']:g}  "
           f"{far['points_per_slot']:.2f} interferer points per slot")
     return {"radius_factor": far["radius_factor"],
@@ -75,7 +74,7 @@ def _batch_slots(n_users, rng):
     """Per-slot point counts and annulus (r^2, width) of one reference batch."""
     cfg = model.validate(model.default_config())
     beta = cfg.network.beta_cells_per_area
-    radius2 = (montecarlo.SimulationPlan().ppp_radius_factor / math.sqrt(beta)) ** 2
+    radius2 = (montecarlo.RADIUS_FACTOR / math.sqrt(beta)) ** 2
     r2 = -np.log1p(-rng.random(n_users)) / (math.pi * beta)
     span = np.maximum(radius2 - r2, 0.0)
     m_slot = rng.poisson(beta * math.pi * span)
@@ -180,7 +179,7 @@ def bench_batch(n_users):
     print(f"revenue batch  {n_users} users, one thread")
     out = {}
     for name, cfg in _scenarios().items():
-        plan = montecarlo.plan_from_config(cfg)
+        plan = cfg.numerics
         durations = cfg.interval_durations(1)
         points = []
 
@@ -223,8 +222,8 @@ def bench_sampler(n_batches, alternations=3):
     """sample_revenues over n_batches full batches on 1 and 2 threads; the
     thread counts alternate which runs first."""
     cfg = model.validate(model.default_config())
-    plan = montecarlo.plan_from_config(cfg)
-    n_samples = n_batches * plan.batch_size
+    plan = cfg.numerics
+    n_samples = n_batches * plan.mc_batch
     montecarlo.sample_revenues(cfg, plan, 4096)  # warm-up
     rates = {1: [], 2: []}
     saved = montecarlo._cpu_count
@@ -237,7 +236,7 @@ def bench_sampler(n_batches, alternations=3):
                 rates[workers].append(round(n_samples / (time.perf_counter() - t0)))
     finally:
         montecarlo._cpu_count = saved
-    print(f"sample_revenues  {n_samples} samples ({n_batches} batches of {plan.batch_size}), "
+    print(f"sample_revenues  {n_samples} samples ({n_batches} batches of {plan.mc_batch}), "
           f"{alternations} alternations")
     for workers, runs in rates.items():
         print(f"  {workers} thread(s)  " + "  ".join(f"{r / 1e3:8.1f}k" for r in runs)

@@ -30,7 +30,7 @@ from .moments import MomentVector, revenue_moments
 from .income_pdf import ExpandedDensity, expand_density, sanitize
 from .compound import LatticePMF, compound_geometric_pmf, discretize_income
 from .ruin import RuinResult, initial_capital_bound, run_pipeline, survival_recursion
-from .montecarlo import SimulationPlan, estimate_moments, sample_revenues, simulate_surplus_paths
+from .montecarlo import estimate_moments, sample_revenues, simulate_surplus_paths
 
 __all__ = [
     "MicroruinError", "ConfigError", "DomainError", "AccuracyError",
@@ -41,6 +41,5 @@ __all__ = [
     "ExpandedDensity", "expand_density", "sanitize",
     "LatticePMF", "discretize_income", "compound_geometric_pmf",
     "RuinResult", "run_pipeline", "survival_recursion", "initial_capital_bound",
-    "SimulationPlan", "sample_revenues", "estimate_moments",
-    "simulate_surplus_paths",
+    "sample_revenues", "estimate_moments", "simulate_surplus_paths",
 ]

@@ -132,6 +132,12 @@ def _finite(parts) -> list[float]:
     return values
 
 
+def _at_least(low, value):
+    if not value >= low:
+        raise ValueError(value)
+    return value
+
+
 def _grid(text: str) -> np.ndarray:
     """The values START, START + STEP, ... up to STOP."""
     start, stop, step = _finite(text.split(":"))
@@ -150,6 +156,9 @@ def _tables(text: str) -> set:
 _TABLES = ("tableII", "tableIII", "fig2", "fig3", "fig4")
 _GRID = "START:STOP:STEP, finite, STEP > 0"
 _NUMBERS = _arg_type(lambda text: _finite(text.split(",")), "comma-separated finite numbers")
+_NUMBER = _arg_type(lambda text: _finite([text])[0], "a finite number")
+_RATE = _arg_type(lambda text: _at_least(0.0, _finite([text])[0]), "a finite number >= 0")
+_COUNT = _arg_type(lambda text: _at_least(1, int(text)), "an integer >= 1")
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +206,9 @@ def _compound_diagnostics(info) -> dict:
 
 
 def _cmd_compound(args, cfg, manifest):
+    horizon = cfg.financial.horizon_intervals
+    if args.interval and args.interval > horizon:
+        raise DomainError(f"--interval {args.interval} is past the horizon of {horizon} intervals")
     pmfs, info = ruin.interval_net_pmfs(cfg)
     rows = []
     for i, pmf in enumerate(pmfs, start=1):
@@ -217,9 +229,8 @@ def _cmd_ruin(args, cfg, manifest):
     header = ["l", "u", "psi_numerical"]
     mc = None
     if not args.no_mc:
-        plan = montecarlo.plan_from_config(cfg)
-        mc = montecarlo.simulate_surplus_paths(cfg, plan, us)
-        manifest.mc["far_field"] = montecarlo.far_field_summary(cfg, plan)
+        mc = montecarlo.simulate_surplus_paths(cfg, cfg.numerics, us)
+        manifest.mc["far_field"] = montecarlo.far_field_summary(cfg)
         header += ["psi_mc", "ci_lo", "ci_hi"]
     rows = []
     horizon = cfg.financial.horizon_intervals
@@ -259,8 +270,8 @@ def _cmd_expected_surplus(args, cfg, manifest):
 
 
 def _cmd_simulate(args, cfg, manifest):
-    plan = montecarlo.plan_from_config(cfg)
-    manifest.mc["far_field"] = montecarlo.far_field_summary(cfg, plan)
+    plan = cfg.numerics
+    manifest.mc["far_field"] = montecarlo.far_field_summary(cfg)
     if args.what == "moments":
         mv, se = montecarlo.estimate_moments(cfg, plan, interval_index=args.interval)
         rows = [(args.interval, s, mv.raw[s - 1], se[s - 1])
@@ -269,7 +280,7 @@ def _cmd_simulate(args, cfg, manifest):
                    rows, manifest)
         print(f"MC E[V] = {mv.raw[0]:.6g} +- {se[0]:.2g}")
     elif args.what == "revenue-cdf":
-        v = montecarlo.sample_revenues(cfg, plan, plan.n_users,
+        v = montecarlo.sample_revenues(cfg, plan, plan.mc_samples,
                                        interval_index=args.interval)
         v_lo, v_hi = cfg.income_support(args.interval)
         grid = np.linspace(v_lo, v_hi, args.points)
@@ -319,7 +330,6 @@ def _cmd_sweep(args, cfg, manifest):
 def _cmd_reproduce_tables(args, cfg, manifest):
     n_mc = min(100_000, cfg.numerics.mc_samples) if args.fast else cfg.numerics.mc_samples
     n_paths = min(5_000, cfg.numerics.mc_paths) if args.fast else cfg.numerics.mc_paths
-    plan = montecarlo.plan_from_config(cfg)
     narrow_clamps = ["financial.c_min=0.1", "financial.c_max=100.0"]
 
     if "tableII" in args.which:
@@ -330,8 +340,7 @@ def _cmd_reproduce_tables(args, cfg, manifest):
                 c2 = _overridden(cfg, [f"network.beta_cells_per_area={beta}",
                                        f"network.alpha_pathloss={alpha}", *narrow_clamps])
                 ev = moments.revenue_moments(c2).raw[0]
-                p2 = dc_replace(plan, n_users=n_mc)
-                mc = float(np.mean(montecarlo.sample_revenues(c2, p2, n_mc)))
+                mc = float(np.mean(montecarlo.sample_revenues(c2, c2.numerics, n_mc)))
                 row += [ev, mc]
             rows.append(row)
         _write_csv(args.out, "tableII.csv",
@@ -360,8 +369,7 @@ def _cmd_reproduce_tables(args, cfg, manifest):
             mv = moments.revenue_moments(c4)
             v_lo, v_hi = c4.income_support()
             raw = income_pdf.expand_density(mv, v_lo, v_hi)
-            p4 = dc_replace(plan, n_users=n_mc)
-            v = montecarlo.sample_revenues(c4, p4, n_mc)
+            v = montecarlo.sample_revenues(c4, c4.numerics, n_mc)
             grid = np.linspace(v_lo, min(v_hi, 1000.0), 501)
             ecdf = np.searchsorted(np.sort(v), grid, side="right") / len(v)
             sanitized = income_pdf.sanitize(raw, reject_mass=1.0)
@@ -372,8 +380,8 @@ def _cmd_reproduce_tables(args, cfg, manifest):
         if "tableIII" in args.which:
             us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
             result, _ = ruin.run_pipeline(c4, us)
-            p3 = dc_replace(plan, n_paths=n_paths)
-            est = montecarlo.simulate_surplus_paths(c4, p3, us)
+            plan = dc_replace(c4.numerics, mc_paths=n_paths)
+            est = montecarlo.simulate_surplus_paths(c4, plan, us)
             lastrow = c4.financial.horizon_intervals - 1
             rows = [(u, result.psi[lastrow, j], est.psi[lastrow, j],
                      est.ci_lo[lastrow, j], est.ci_hi[lastrow, j])
@@ -404,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate", help="check the config and exit")
 
     p = sub.add_parser("moments", help="analytic revenue moments")
-    p.add_argument("--interval", type=int, default=1)
+    p.add_argument("--interval", type=_COUNT, default=1)
 
     p = sub.add_parser("income-pdf", help="moment-based income density as CSV")
-    p.add_argument("--interval", type=int, default=1)
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--interval", type=_COUNT, default=1)
+    p.add_argument("--points", type=_COUNT, default=1001)
 
     p = sub.add_parser("compound", help="per-interval net-profit PMFs as CSV")
-    p.add_argument("--interval", type=int, default=None)
+    p.add_argument("--interval", type=_COUNT, default=None)
 
     p = sub.add_parser("ruin", help="full numerical pipeline (optionally with MC)")
     p.add_argument("--u", type=_NUMBERS, help="comma-separated initial capitals; write "
@@ -423,16 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="START:STOP:STEP")
     p.add_argument("--horizons", default=_FIG2["horizons"], type=_arg_type(
         lambda text: [int(x) for x in text.split(",")], "comma-separated integers"))
-    p.add_argument("--r", type=float, default=_FIG2["r"])
-    p.add_argument("--e-n", type=float, default=_FIG2["e_n"])
-    p.add_argument("--e-c", type=float, default=_FIG2["e_c"])
+    p.add_argument("--r", type=_RATE, default=_FIG2["r"])
+    p.add_argument("--e-n", type=_NUMBER, default=_FIG2["e_n"])
+    p.add_argument("--e-c", type=_NUMBER, default=_FIG2["e_c"])
 
     p = sub.add_parser("simulate", help="Monte Carlo outputs mirroring the "
                        "analytic subcommands")
     p.add_argument("--what", choices=["moments", "revenue-cdf", "paths"],
                    default="moments")
-    p.add_argument("--interval", type=int, default=1)
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--interval", type=_COUNT, default=1)
+    p.add_argument("--points", type=_COUNT, default=1001)
     p.add_argument("--u", type=_NUMBERS,
                    help="comma-separated initial capitals (paths mode); write "
                    "--u=-50,100 when the first one is negative")

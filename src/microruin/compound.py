@@ -45,6 +45,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+POINTS_BUDGET = 1_000_000  # lattice points of one income law and one compound window
+
 
 @dataclass(frozen=True)
 class LatticePMF:
@@ -124,7 +126,7 @@ class LatticePMF:
 
 
 def discretize_income(density: ExpandedDensity, delta: float,
-                      points_budget: int = 1_000_000) -> LatticePMF:
+                      points_budget: int = POINTS_BUDGET) -> LatticePMF:
     """Mass-preserving midpoint rounding of a continuous density onto delta*Z.
 
     Lattice point k receives CDF(k delta + delta/2) - CDF(k delta - delta/2),
@@ -285,7 +287,7 @@ class CompoundPMF(LatticePMF):
 
 
 def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
-                           points_budget: int = 4_000_000) -> CompoundPMF:
+                           points_budget: int = POINTS_BUDGET) -> CompoundPMF:
     """PMF of S = sum_{j=1}^N Z_j with N geometric (Pr(N=0) = w_n).
 
     The PGF closed form is inverted with a real FFT on the window

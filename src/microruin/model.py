@@ -195,7 +195,8 @@ def _solve_truncated_geometric(mean: float, tau_max: int) -> float:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Tolerances, discretization steps and sampling budgets."""
+    """Tolerances, discretization steps and sampling budgets; the Monte Carlo
+    entry points take this block as their plan."""
 
     quad_rel_tol: float = 1e-8
     moment_order: int = 4
@@ -204,7 +205,6 @@ class Numerics:
     mc_samples: int = 1_000_000
     mc_paths: int = 20_000
     mc_batch: int = 65_536
-    ppp_radius_factor: float = 1.0         # MC interferers out to factor / sqrt(beta)
     truncate_durations_to_interval: bool = False
     seed: int = 20260808
 
@@ -526,8 +526,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append(("numerics.mc_samples", "sample counts must be positive"))
     if num.mc_batch < 1:
         errors.append(("numerics.mc_batch", "batch size must be positive"))
-    if not num.ppp_radius_factor > 0:
-        errors.append(("numerics.ppp_radius_factor", "radius factor must be positive"))
 
     if errors:
         raise ConfigError(errors)

@@ -5,15 +5,19 @@ per-interval net profit, surplus paths, ruin frequencies) is sampled here
 directly from the network model: serving distance from the nearest-cell
 density, per-slot unit-mean exponential fading, and an interferer point
 process of the configured density simulated on the annulus between the
-serving distance and a truncation radius ``R = factor / sqrt(beta)``.  The
-far field beyond ``R_e = max(R, r_u)`` is one shifted Gamma draw per slot
-that matches its exact first three cumulants, which Campbell's theorem
+serving distance and a truncation radius ``R = RADIUS_FACTOR / sqrt(beta)``.
+The far field beyond ``R_e = max(R, r_u)`` is one shifted Gamma draw per
+slot that matches its exact first three cumulants, which Campbell's theorem
 gives as ``kappa_n = 2 pi beta n! P_I^n R_e^(2 - n alpha) / (n alpha - 2)``
 (``E[h^n] = n!`` for the Rayleigh marks).  The interference's mean,
 variance and third cumulant are therefore exact at any radius, and
 truncation errs only in the fourth and higher cumulants (held to factor 8
-by the truncation test); the default factor 1 draws pi - 1 + e^(-pi),
-about 2.2, interferer points per slot (``far_field_summary``).
+by the truncation test); factor 1 draws pi - 1 + e^(-pi), about 2.2,
+interferer points per slot (``far_field_summary``).
+
+A campaign's plan is the config's ``Numerics`` block: the sampler reads its
+``seed``, ``mc_samples``, ``mc_paths`` and ``mc_batch``, and everything else
+from the config.
 
 Randomness comes from SFC64 streams seeded through ``SeedSequence`` with
 keys (seed, stage, interval, batch), so fixed seeds give bit-identical
@@ -45,8 +49,6 @@ from .model import Numerics, ScenarioConfig
 from .moments import MomentVector
 
 __all__ = [
-    "SimulationPlan",
-    "plan_from_config",
     "sample_revenues",
     "estimate_moments",
     "simulate_surplus_paths",
@@ -61,31 +63,14 @@ _MASK = (1 << 64) - 1
 # chunk holds whole slots; a slot with more points is a chunk by itself.
 CHUNK_POINTS = 1 << 16
 
-
-_DEFAULTS = Numerics()
-
-
-@dataclass(frozen=True)
-class SimulationPlan:
-    """Sampling budgets and stream seeding for one simulation campaign; the
-    defaults are those of ``model.Numerics``."""
-
-    seed: int = _DEFAULTS.seed
-    n_users: int = _DEFAULTS.mc_samples
-    n_paths: int = _DEFAULTS.mc_paths
-    ppp_radius_factor: float = _DEFAULTS.ppp_radius_factor
-    batch_size: int = _DEFAULTS.mc_batch
+# Interferer points are drawn out to RADIUS_FACTOR / sqrt(beta); the far field
+# beyond is exact in its first three cumulants (see the module docstring).
+RADIUS_FACTOR = 1.0
 
 
-def plan_from_config(config: ScenarioConfig) -> SimulationPlan:
-    num = config.numerics
-    return SimulationPlan(
-        seed=num.seed,
-        n_users=num.mc_samples,
-        n_paths=num.mc_paths,
-        ppp_radius_factor=num.ppp_radius_factor,
-        batch_size=num.mc_batch,
-    )
+def plan_from_config(config: ScenarioConfig) -> Numerics:
+    """The sampling plan of a config: its numerics block."""
+    return config.numerics
 
 
 def _stream(seed: int, *path) -> np.random.Generator:
@@ -149,16 +134,16 @@ def _far_field(net, radius: float, r_slot: np.ndarray, rng) -> np.ndarray:
     return far
 
 
-def far_field_summary(config: ScenarioConfig, plan: SimulationPlan) -> dict:
-    """The truncation a campaign uses: the radius, the mean number of
+def far_field_summary(config: ScenarioConfig) -> dict:
+    """The truncation every campaign uses: the radius, the mean number of
     interferer points drawn per slot, and the far field's mean, variance,
     third cumulant and shift beyond the radius (for a slot served from
     inside it)."""
-    pi_f2 = math.pi * plan.ppp_radius_factor ** 2
-    radius = plan.ppp_radius_factor / math.sqrt(config.network.beta_cells_per_area)
+    pi_f2 = math.pi * RADIUS_FACTOR ** 2
+    radius = RADIUS_FACTOR / math.sqrt(config.network.beta_cells_per_area)
     mean, var, k3 = _far_field_moments(config.network, radius, orders=3)
     # pi beta r_u^2 ~ Exp(1), so E[(pi beta (R^2 - r_u^2))^+] = pi f^2 - 1 + e^(-pi f^2)
-    return {"radius_factor": plan.ppp_radius_factor, "radius": radius,
+    return {"radius_factor": RADIUS_FACTOR, "radius": radius,
             "points_per_slot": pi_f2 - 1.0 + math.exp(-pi_f2),
             "mean": mean, "variance": var, "third_cumulant": k3,
             "shift": _far_field_law(config.network, radius)[2]}
@@ -200,7 +185,7 @@ def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarra
     return sums
 
 
-def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, path, n: int,
+def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
                    duration_model) -> np.ndarray:
     """One batch of i.i.d. connection revenues from the streams keyed by
     (seed, *path).  Draw order is fixed: distances, durations, products, then
@@ -210,7 +195,7 @@ def _revenue_batch(config: ScenarioConfig, plan: SimulationPlan, path, n: int,
     alpha = net.alpha_pathloss
     beta = net.beta_cells_per_area
     unit = config.slot_income_per_unit_scaling
-    radius = plan.ppp_radius_factor / math.sqrt(beta)
+    radius = RADIUS_FACTOR / math.sqrt(beta)
     rng = _stream(plan.seed, *path)
 
     r_u = np.sqrt(-np.log1p(-rng.random(n)) / (math.pi * beta))
@@ -278,7 +263,16 @@ def _pool_map(fn, jobs) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _revenue_batches(config: ScenarioConfig, plan: SimulationPlan, jobs) -> list:
+def _interval_jobs(config: ScenarioConfig, plan: Numerics, tag: str, n: int,
+                   interval_index: int) -> list:
+    """Revenue jobs of (stream path, size, duration model) for n revenues of
+    one interval, in batches of ``plan.mc_batch`` keyed (tag, interval, batch)."""
+    duration_model = config.interval_durations(interval_index)
+    return [((tag, interval_index, b), size, duration_model)
+            for b, size in enumerate(_batch_sizes(n, plan.mc_batch))]
+
+
+def _revenue_batches(config: ScenarioConfig, plan: Numerics, jobs) -> list:
     """Revenue batches for jobs of (stream path, size, duration model), in job order."""
     def run(job):
         path, size, duration_model = job
@@ -286,29 +280,26 @@ def _revenue_batches(config: ScenarioConfig, plan: SimulationPlan, jobs) -> list
     return _pool_map(run, jobs)
 
 
-def sample_revenues(config: ScenarioConfig, plan: SimulationPlan, n: int,
-                    stream_tag: str = "revenue", interval_index: int = 1) -> np.ndarray:
+def sample_revenues(config: ScenarioConfig, plan: Numerics, n: int,
+                    interval_index: int = 1) -> np.ndarray:
     """n i.i.d. connection revenues V (vectorized, batched, deterministic)."""
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
-    duration_model = config.interval_durations(interval_index)
-    jobs = [((stream_tag, interval_index, b), size, duration_model)
-            for b, size in enumerate(_batch_sizes(n, plan.batch_size))]
+    jobs = _interval_jobs(config, plan, "revenue", n, interval_index)
     return np.concatenate(_revenue_batches(config, plan, jobs))
 
 
-def estimate_moments(config: ScenarioConfig, plan: SimulationPlan,
+def estimate_moments(config: ScenarioConfig, plan: Numerics,
                      interval_index: int = 1):
-    """Sample raw moments with delete-1 jackknife standard errors.
+    """Sample raw moments of ``plan.mc_samples`` revenues with delete-1
+    jackknife standard errors.
 
     Returns (MomentVector, standard_errors).
     """
     d = config.numerics.moment_order
-    n = plan.n_users
+    n = plan.mc_samples
     power_sums = np.zeros(2 * d)
-    duration_model = config.interval_durations(interval_index)
-    jobs = [(("moments", interval_index, b), size, duration_model)
-            for b, size in enumerate(_batch_sizes(n, plan.batch_size))]
+    jobs = _interval_jobs(config, plan, "moments", n, interval_index)
     for v in _revenue_batches(config, plan, jobs):  # summed in batch order
         for s in range(1, 2 * d + 1):
             power_sums[s - 1] += float(np.sum(v ** s))
@@ -341,7 +332,7 @@ def _wilson(p_hat: np.ndarray, n: int, z: float = 1.959963984540054):
     return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
 
 
-def simulate_surplus_paths(config: ScenarioConfig, plan: SimulationPlan,
+def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
                            u_values) -> MCRuinEstimate:
     """Empirical ruin probabilities over the configured horizon.
 
@@ -354,7 +345,7 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: SimulationPlan,
     horizon = fin.horizon_intervals
     w = fin.w_n_geometric
     r = fin.interest_rate_per_interval
-    n_paths = plan.n_paths
+    n_paths = plan.mc_paths
     u_values = np.asarray(u_values, dtype=float)
     bad = u_values[~np.isfinite(u_values)]
     if len(bad):
@@ -365,11 +356,9 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: SimulationPlan,
     users, jobs = [], []
     for interval in range(1, horizon + 1):
         n_users = _stream(plan.seed, "path-count", interval).geometric(w, size=n_paths) - 1
-        duration_model = config.interval_durations(interval)
-        sizes = _batch_sizes(int(n_users.sum()), plan.batch_size)
-        users.append((n_users, len(sizes)))
-        jobs += [(("path-rev", interval, b), size, duration_model)
-                 for b, size in enumerate(sizes)]
+        interval_jobs = _interval_jobs(config, plan, "path-rev", int(n_users.sum()), interval)
+        users.append((n_users, len(interval_jobs)))
+        jobs += interval_jobs
     batches = iter(_revenue_batches(config, plan, jobs))
 
     discounted = np.zeros((horizon, n_paths))

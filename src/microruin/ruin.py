@@ -87,7 +87,6 @@ class RuinResult:
 
 LOSS_CELLS = 4096  # loss bins of the Chernoff top, each loss rounded up
 TRIM_MASS = 1e-9  # compound tail mass dropped per side before the recursion
-POINTS_BUDGET = 1_000_000  # lattice points of one income law and one compound window
 
 
 def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float, float]:
@@ -421,11 +420,9 @@ def interval_net_pmfs(config: ScenarioConfig):
         mv = revenue_moments(config, interval_index=i)
         v_lo, v_hi = config.income_support(i)
         density = income_pdf.sanitize(income_pdf.expand_density(mv, v_lo, v_hi))
-        income = discretize_income(density, delta, POINTS_BUDGET)
+        income = discretize_income(density, delta)
         zstep = net_profit_step_pmf(income, fin)
-        compound = compound_geometric_pmf(zstep, fin.w_n_geometric,
-                                          tail_eps=num.tail_eps,
-                                          points_budget=POINTS_BUDGET)
+        compound = compound_geometric_pmf(zstep, fin.w_n_geometric, tail_eps=num.tail_eps)
         # drop negligible compound tails before the recursion: each dropped
         # side carries at most TRIM_MASS, so survival probabilities move by
         # at most horizon * TRIM_MASS

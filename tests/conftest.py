@@ -14,6 +14,7 @@ from microruin.model import (
     DurationModel,
     FinancialParams,
     NetworkParams,
+    Numerics,
     ScenarioConfig,
     validate,
 )
@@ -21,7 +22,7 @@ from microruin.model import (
 
 def make_config(alpha=4.0, beta=0.1, c_min=0.1, c_max=100.0, rate_gap=100.0,
                 r=0.05, **numerics_over):
-    from microruin.model import Numerics, ProductParams
+    from microruin.model import ProductParams
     cfg = ScenarioConfig(
         network=NetworkParams(beta_cells_per_area=beta, alpha_pathloss=alpha),
         financial=FinancialParams(c_min=c_min, c_max=c_max,
@@ -84,8 +85,7 @@ def table3_config():
 
 @pytest.fixture
 def fast_plan():
-    from microruin import montecarlo
-    return montecarlo.SimulationPlan(seed=7, n_users=20_000, n_paths=2_000)
+    return Numerics(seed=7, mc_samples=20_000, mc_paths=2_000)
 
 
 def pytest_terminal_summary(terminalreporter):

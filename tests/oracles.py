@@ -29,7 +29,7 @@ from scipy import integrate
 from microruin import moments, montecarlo, ruin, specfun
 from microruin.compound import LatticePMF, _geometric_truncation
 from microruin.errors import AccuracyError, DomainError
-from microruin.model import FinancialParams, NetworkParams, ScenarioConfig
+from microruin.model import FinancialParams, NetworkParams, Numerics, ScenarioConfig
 from microruin.moments import DISTANCE_TAIL_MASS, MomentVector, laplace_exponent_profile
 
 logger = logging.getLogger(__name__)
@@ -211,14 +211,14 @@ def single_slot_moments(s_max: int, a_coef: float, r_u: float, fin: FinancialPar
         1e-8, f"{u_panels << moments._MAX_LEVEL} u panels")
 
 
-def sample_slot_scaling(config: ScenarioConfig, plan: montecarlo.SimulationPlan, r_u: float,
-                        n: int, rate_gap: float) -> np.ndarray:
+def sample_slot_scaling(config: ScenarioConfig, plan: Numerics, r_u: float, n: int,
+                        rate_gap: float) -> np.ndarray:
     """Per-slot scaling factors at a fixed serving distance, on the simulator's
     keyed streams, interferer fields and batch pool."""
     net, fin = config.network, config.financial
     alpha = net.alpha_pathloss
     beta = net.beta_cells_per_area
-    radius = plan.ppp_radius_factor / math.sqrt(beta)
+    radius = montecarlo.RADIUS_FACTOR / math.sqrt(beta)
     span = max(radius * radius - r_u * r_u, 0.0)
 
     def run(job):
@@ -236,7 +236,7 @@ def sample_slot_scaling(config: ScenarioConfig, plan: montecarlo.SimulationPlan,
                 net.sigma2_noise_power + interference)
             return np.clip(rate_gap / gamma, fin.c_min, fin.c_max)
 
-    jobs = list(enumerate(montecarlo._batch_sizes(n, plan.batch_size)))
+    jobs = list(enumerate(montecarlo._batch_sizes(n, plan.mc_batch)))
     return np.concatenate(montecarlo._pool_map(run, jobs))
 
 

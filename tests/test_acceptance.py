@@ -51,8 +51,7 @@ def test_criterion_1_density_invariance_and_mc_agreement():
         for beta in (0.01, 0.1, 1.0):
             cfg = make_config(alpha=alpha, beta=beta, c_min=0.1, c_max=100.0)
             num = moments.revenue_moments(cfg).raw[0]
-            plan = replace(montecarlo.plan_from_config(cfg), n_users=FULL_MC)
-            mc = float(np.mean(montecarlo.sample_revenues(cfg, plan, FULL_MC)))
+            mc = float(np.mean(montecarlo.sample_revenues(cfg, cfg.numerics, FULL_MC)))
             nums.append(num)
             mcs.append(mc)
             rows.append((alpha, beta, num, mc))
@@ -88,8 +87,7 @@ def test_criterion_2_pathloss_monotonicity():
                        (100.0, 3.0), (100.0, 4.0), (100.0, 5.0)):
         cfg = make_config(alpha=alpha, c_min=0.1, c_max=100.0, rate_gap=a_d)
         num = moments.revenue_moments(cfg).raw[0]
-        plan = replace(montecarlo.plan_from_config(cfg), n_users=n_spot)
-        v = montecarlo.sample_revenues(cfg, plan, n_spot)
+        v = montecarlo.sample_revenues(cfg, cfg.numerics, n_spot)
         se = v.std() / math.sqrt(n_spot)
         within = abs(v.mean() - num) <= 3.0 * se
         ok &= within
@@ -104,8 +102,7 @@ def test_criterion_2_pathloss_monotonicity():
 
 def test_criterion_3_density_reconstruction():
     cfg = make_config(alpha=4.0, c_min=0.001, c_max=1000.0)
-    plan = replace(montecarlo.plan_from_config(cfg), n_users=FULL_MC)
-    v = np.sort(montecarlo.sample_revenues(cfg, plan, FULL_MC))
+    v = np.sort(montecarlo.sample_revenues(cfg, cfg.numerics, FULL_MC))
     grid = np.linspace(0.0, 200.0, 401)
     ecdf = np.searchsorted(v, grid, side="right") / len(v)
     sups, masses = {}, {}
@@ -136,7 +133,7 @@ def test_criterion_4_ruin_table():
     cfg = make_config(alpha=4.0, c_min=0.001, c_max=1000.0, r=0.05)
     us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
     result, info = ruin.run_pipeline(cfg, us)
-    plan = replace(montecarlo.plan_from_config(cfg), n_paths=PATHS)
+    plan = replace(cfg.numerics, mc_paths=PATHS)
     est = montecarlo.simulate_surplus_paths(cfg, plan, us)
     num5, mc5 = result.psi[4], est.psi[4]
     # calibration anchor (the frozen duration model reproduces 76.5)

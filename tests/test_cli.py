@@ -129,7 +129,7 @@ class TestValidateCommand:
             ("numerics.distance_tail_mass", 1e-12), ("numerics.ruin_tail_eps", 1e-9),
             ("numerics.ruin_interp_tol", 0.5), ("numerics.sanitize_warn", 0.02),
             ("numerics.sanitize_reject", 0.1), ("numerics.lattice_points_budget", 1_000_000),
-            ("financial.slots_per_interval", 1)]])
+            ("numerics.ppp_radius_factor", 1.0), ("financial.slots_per_interval", 1)]])
     def test_config_with_removed_numerics_field_exits_two(self, tmp_path, capsys, field,
                                                           value):
         # configs written before these knobs were removed still carry them,
@@ -155,14 +155,32 @@ class TestValidateCommand:
     (["sweep", "--param", "network.alpha_pathloss"], "--param"),
     (["sweep", "--param", "network.alpha_pathloss=3:4"], "--param"),
     (["reproduce-tables", "--which", "fig9"], "--which"),
+    (["income-pdf", "--points", "-5"], "--points"),
+    (["simulate", "--what", "revenue-cdf", "--points", "-3"], "--points"),
+    (["moments", "--interval", "-3"], "--interval"),
+    (["simulate", "--interval", "0"], "--interval"),
+    (["expected-surplus", "--r", "-1"], "--r"),
+    (["expected-surplus", "--r", "nan"], "--r"),
+    (["expected-surplus", "--e-n", "inf"], "--e-n"),
+    (["expected-surplus", "--e-c", "nan"], "--e-c"),
 ], ids=["u-word", "u-empty", "u-nan", "ev-grid-two", "ev-grid-step-0", "horizons-word",
-        "param-no-grid", "param-two", "which-fig9"])
+        "param-no-grid", "param-two", "which-fig9", "points-negative", "simulate-points",
+        "interval-negative", "simulate-interval-0", "r-negative", "r-nan", "e-n-inf",
+        "e-c-nan"])
 def test_bad_argument_value_exits_two_naming_it(tmp_path, capsys, command, option):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         run_cli(["--out", str(out), *command])
     assert exc.value.code == 2
     assert f"error: argument {option}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compound_interval_past_the_horizon_exits_two(tmp_path, capsys):
+    # it once wrote a compound.csv with only its header
+    out = tmp_path / "o"
+    assert run_cli(["--out", str(out), "compound", "--interval", "9"]) == 2
+    assert "past the horizon of 5 intervals" in capsys.readouterr().err
     assert not out.exists()
 
 

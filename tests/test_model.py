@@ -62,7 +62,7 @@ class TestValidate:
         # the JSON document, and so the hash, keeps every field of every section
         cfg = model.default_config()
         assert cfg.config_hash() == (
-            "ee84cee89f19ad2a7ccb905bc4fa50501f60da757287799b1c7eb59a3c6b7309")
+            "d64089c1ea10b79ec148735128fc096aaa9b351bd46780c94b7d080cfb31510b")
         data = cfg.to_dict()
         for section in ("network", "financial", "numerics"):
             assert set(data[section]) == {f.name for f in fields(getattr(cfg, section))}

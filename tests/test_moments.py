@@ -74,8 +74,7 @@ class TestDerivativesAtZero:
         cfg = make_config(alpha=4.0, c_min=0.1, c_max=100.0)
         m1 = oracles.single_slot_moments(1, 100.0, 1.0, cfg.financial, cfg.network)[0]
         n = 200_000
-        plan = replace(fast_plan, n_users=n)
-        samples = oracles.sample_slot_scaling(cfg, plan, r_u=1.0, n=n, rate_gap=100.0)
+        samples = oracles.sample_slot_scaling(cfg, fast_plan, r_u=1.0, n=n, rate_gap=100.0)
         se = samples.std() / math.sqrt(n)
         assert abs(samples.mean() - m1) <= 3.0 * se
 
@@ -149,7 +148,7 @@ class TestRevenueMoments:
     def test_matches_monte_carlo(self, fast_plan, table2_config):
         mv = moments.revenue_moments(table2_config)
         est, se = montecarlo.estimate_moments(table2_config, replace(fast_plan,
-                                                                     n_users=100_000))
+                                                                     mc_samples=100_000))
         for s in range(1, 3):
             assert abs(mv.raw[s - 1] - est.raw[s - 1]) <= 3.0 * se[s - 1]
 
@@ -228,7 +227,7 @@ class TestClampAtoms:
         mv = moments.revenue_moments(cfg)
         v_lo, v_hi = cfg.income_support()
         n = 100_000
-        v = montecarlo.sample_revenues(cfg, replace(fast_plan, n_users=n), n)
+        v = montecarlo.sample_revenues(cfg, fast_plan, n)
         # a multi-slot revenue sums its clamped slots, which may miss the
         # clamped total by a few ulps
         tol = 1e-6
@@ -244,7 +243,7 @@ class TestClampAtoms:
         mv = moments.revenue_moments(cfg)
         v_lo, v_hi = cfg.income_support()
         n = 100_000
-        v = montecarlo.sample_revenues(cfg, replace(fast_plan, n_users=n), n)
+        v = montecarlo.sample_revenues(cfg, fast_plan, n)
         for atom, edge in ((mv.atom_lo, v_lo), (mv.atom_hi, v_hi)):
             freq = float(np.mean(v == edge))
             se = math.sqrt(max(atom * (1.0 - atom), 1.0 / n) / n)

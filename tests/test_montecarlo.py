@@ -37,7 +37,7 @@ class TestRevenueSampling:
         cfg = point_mass_config(2.0, tau=3)
         v = montecarlo.sample_revenues(cfg, fast_plan, 500)
         np.testing.assert_allclose(v, 6.0)
-        mv, se = montecarlo.estimate_moments(cfg, replace(fast_plan, n_users=500))
+        mv, se = montecarlo.estimate_moments(cfg, replace(fast_plan, mc_samples=500))
         assert se[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(mv.raw, 6.0 ** np.arange(1, 5), rtol=1e-12)
 
@@ -52,11 +52,11 @@ class TestRevenueSampling:
         # summing a connection's clamped slots may miss the clamp by a few ulps
         assert v.min() >= lo * (1.0 - 1e-8) and v.max() <= hi * (1.0 + 1e-8)
 
-    def test_radius_doubling_within_one_se(self, table2_config, fast_plan):
+    def test_radius_doubling_within_one_se(self, table2_config, fast_plan, monkeypatch):
         n = 120_000
-        base = montecarlo.sample_revenues(table2_config, replace(fast_plan, n_users=n), n)
-        double = montecarlo.sample_revenues(
-            table2_config, replace(fast_plan, n_users=n, ppp_radius_factor=16.0), n)
+        base = montecarlo.sample_revenues(table2_config, fast_plan, n)
+        monkeypatch.setattr(montecarlo, "RADIUS_FACTOR", 16.0)
+        double = montecarlo.sample_revenues(table2_config, fast_plan, n)
         se = base.std() / np.sqrt(n)
         assert abs(base.mean() - double.mean()) <= se
 
@@ -104,11 +104,11 @@ class TestSurplusPaths:
         fin = replace(cfg.financial, interest_rate_per_interval=0.0)
         cfg = replace(cfg, financial=fin)
         loss = next(iter(fin.operator_fees.values())) - 2.0
-        plan = replace(fast_plan, n_paths=500)
+        plan = replace(fast_plan, mc_paths=500)
         us = [0.0, 3 * loss - 0.5]
         est = montecarlo.simulate_surplus_paths(cfg, plan, us)
         users = np.cumsum([montecarlo._stream(plan.seed, "path-count", l)
-                           .geometric(fin.w_n_geometric, size=plan.n_paths) - 1
+                           .geometric(fin.w_n_geometric, size=plan.mc_paths) - 1
                            for l in range(1, fin.horizon_intervals + 1)], axis=0)
         want = np.stack([np.mean(users * loss > u, axis=1) for u in us], axis=1)
         assert np.array_equal(est.psi, want)
@@ -173,7 +173,7 @@ class TestFarField:
     def test_draws_match_campbell_third_cumulant(self, alpha):
         # at the default radius, for slots served inside it and beyond it
         net = replace(self.NET, alpha_pathloss=alpha)
-        radius = montecarlo.SimulationPlan().ppp_radius_factor / math.sqrt(0.1)
+        radius = montecarlo.RADIUS_FACTOR / math.sqrt(0.1)
         n = 1_000_000
         rng = np.random.default_rng(int(10 * alpha))
         r_slot = np.concatenate([rng.uniform(0.0, radius, n), np.full(n, 1.5 * radius)])
@@ -209,7 +209,7 @@ class TestFarField:
         from microruin import moments
         cfg = make_config(alpha=alpha, c_min=0.001, c_max=1000.0)
         n = 200_000
-        v = montecarlo.sample_revenues(cfg, montecarlo.SimulationPlan(seed=13), n)
+        v = montecarlo.sample_revenues(cfg, model.Numerics(seed=13), n)
         mv = moments.revenue_moments(cfg)
         for s in (1, 2):
             se = np.std(v ** s) / math.sqrt(n)
@@ -218,10 +218,6 @@ class TestFarField:
         for atom, edge in ((mv.atom_lo, v_lo), (mv.atom_hi, v_hi)):
             freq = float(np.mean(np.abs(v - edge) <= 1e-6))
             assert abs(freq - atom) <= 4 * math.sqrt(atom * (1 - atom) / n), (edge, freq)
-
-    def test_plan_defaults_are_the_config_defaults(self):
-        assert montecarlo.SimulationPlan() == montecarlo.plan_from_config(
-            model.default_config())
 
 
 def _truncation_config(name):
@@ -246,12 +242,13 @@ class TestTruncation:
 
     @pytest.mark.parametrize("name", ["reference", "pathloss-3", "alpha-2.5", "noise-0.01",
                                       "multi-slot"])
-    def test_default_radius_matches_factor_8(self, name):
+    def test_default_radius_matches_factor_8(self, name, monkeypatch):
         cfg = _truncation_config(name)
-        plan = montecarlo.SimulationPlan(n_users=self.N)
-        assert plan.ppp_radius_factor < 8.0
+        plan = model.Numerics()
+        assert montecarlo.RADIUS_FACTOR < 8.0
         v = montecarlo.sample_revenues(cfg, plan, self.N)
-        v8 = montecarlo.sample_revenues(cfg, replace(plan, ppp_radius_factor=8.0), self.N)
+        monkeypatch.setattr(montecarlo, "RADIUS_FACTOR", 8.0)
+        v8 = montecarlo.sample_revenues(cfg, plan, self.N)
         fee = max(cfg.financial.operator_fees.values())
         c_max = cfg.financial.c_max * cfg.slot_income_per_unit_scaling
         for label, stat in (("mean", lambda x: x),
@@ -267,7 +264,7 @@ class TestMomentEstimation:
         from microruin import moments
         mv = moments.revenue_moments(table2_config)
         est, se = montecarlo.estimate_moments(
-            table2_config, replace(fast_plan, n_users=150_000))
+            table2_config, replace(fast_plan, mc_samples=150_000))
         for s in (1, 2):
             assert abs(est.raw[s - 1] - mv.raw[s - 1]) <= 3.0 * se[s - 1]
 
@@ -293,13 +290,17 @@ class TestStreamPinned:
     three exact cumulants (same draw count, new far-field law).  The chunk
     size and the thread count leave them unchanged (``TestChunkedStream``).
     Any change of generator, draw order, summation order, arithmetic,
-    far-field law, truncation radius or batch layout moves them.  The plan
-    fixes its truncation factor at 3, so a change of the default radius
+    far-field law, truncation radius or batch layout moves them.  These
+    tests fix the truncation factor at 3, so a change of the default radius
     leaves them standing."""
 
-    PLAN = montecarlo.SimulationPlan(seed=11, batch_size=4096, n_users=3000, n_paths=1500,
-                                     ppp_radius_factor=3.0)
+    PLAN = model.Numerics(seed=11, mc_batch=4096, mc_samples=3000, mc_paths=1500)
     N = 2 * 4096 + 1000  # three batches, the last one partial
+
+    @pytest.fixture(autouse=True)
+    def _factor_3(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "RADIUS_FACTOR", 3.0)
+
     REVENUES = {
         "reference": "cd8c89b671f0c30edd876ed0ea173f920b6ee95ba0455200e9ebcf4fd3cd1325",
         "multi-slot": "2099df3566a77901b4acd94512e445cc6a33d1a78496db6097f1e2d9b6772397",
@@ -319,7 +320,7 @@ class TestStreamPinned:
 
     def test_estimate_moments(self):
         mv, se = montecarlo.estimate_moments(model.validate(model.default_config()),
-                                             replace(self.PLAN, n_users=self.N))
+                                             replace(self.PLAN, mc_samples=self.N))
         assert _sha(np.concatenate([mv.raw, se])) == (
             "b98cc16d076b1fdb2705e96537c73953aed87966111c2b776b646f0280d3b648")
 
@@ -376,7 +377,8 @@ class TestChunkedStream:
     def test_chunk_size_leaves_bytes_unchanged(self, monkeypatch):
         # a small truncation radius leaves many slots without interferers
         cfg = _multi_slot_config()
-        plan = montecarlo.SimulationPlan(seed=5, batch_size=64, ppp_radius_factor=0.6)
+        monkeypatch.setattr(montecarlo, "RADIUS_FACTOR", 0.6)
+        plan = model.Numerics(seed=5, mc_batch=64)
         whole = montecarlo.sample_revenues(cfg, plan, 150)
         for chunk in (1, 2, 3, 7, 1000):
             monkeypatch.setattr(montecarlo, "CHUNK_POINTS", chunk)
@@ -385,7 +387,7 @@ class TestChunkedStream:
     def test_worker_count_leaves_bytes_unchanged(self, monkeypatch, table3_config):
         # more workers than cores and a short switch interval interleave the
         # batches as much as the interpreter allows
-        plan = montecarlo.SimulationPlan(seed=3, batch_size=2048, n_paths=600)
+        plan = model.Numerics(seed=3, mc_batch=2048, mc_paths=600)
         out = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
