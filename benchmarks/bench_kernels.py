@@ -17,11 +17,13 @@ and fewer sampler batches).  Reported, best of 3 unless stated:
   interferer point, best of 7 interleaved rounds, split into four parts
   that add up to it:
   ``draws`` (the uniform and exponential generator fills, chunk by chunk),
-  ``power`` (``interference_powsum`` with one segment per chunk, less one
-  plain ``reduceat`` sum of the chunk), ``segment_sums`` (the kernel with one
-  segment per slot, less ``power``) and ``offsets`` (the rest of the stage:
-  the per-point positions and the per-slot work); and the peak bytes the
-  stage allocates (tracemalloc) streamed in chunks and as one whole chunk;
+  ``power`` (``interference_powsum`` with one segment per chunk: the terms
+  and one sum over the chunk), ``segment_sums`` (the kernel with one segment
+  per slot, less ``power``: what the per-slot segments add; it may read
+  below 0, since one bin takes every add of a chunk in one dependency
+  chain) and ``offsets`` (the rest of the stage: the per-point positions
+  and the per-slot work); and the peak bytes the stage allocates
+  (tracemalloc) streamed in chunks and as one whole chunk;
 * one whole revenue batch (``montecarlo._revenue_batch``, 65,536 users) of
   the reference and the multi-slot scenario, best of 7, in ms per batch and
   ns per interferer point;
@@ -71,14 +73,13 @@ def truncation():
 
 
 def _batch_slots(n_users, rng):
-    """Per-slot point counts and annulus (r^2, width) of one reference batch."""
+    """Per-slot point counts and annulus (t, width) of one reference batch,
+    in the sampler's unit t = pi beta r^2 (Exp(1) for the serving distance)."""
     cfg = model.validate(model.default_config())
-    beta = cfg.network.beta_cells_per_area
-    radius2 = (montecarlo.RADIUS_FACTOR / math.sqrt(beta)) ** 2
-    r2 = -np.log1p(-rng.random(n_users)) / (math.pi * beta)
-    span = np.maximum(radius2 - r2, 0.0)
-    m_slot = rng.poisson(beta * math.pi * span)
-    return m_slot, r2, span, -cfg.network.alpha_pathloss / 2.0
+    t = rng.standard_exponential(n_users)
+    span = np.maximum(math.pi * montecarlo.RADIUS_FACTOR ** 2 - t, 0.0)
+    m_slot = rng.poisson(span)
+    return m_slot, t, span, -cfg.network.alpha_pathloss / 2.0
 
 
 def _chunks(offsets, n_slots):
@@ -125,10 +126,6 @@ def bench_stage(m_slot, r2, span, exponent, rng):
             _kernels.interference_powsum(x[a:b], exponent, marks[a:b],
                                          offsets[s0:s1] - a if per_slot else one_segment)
 
-    def plain_sums(x):
-        for _, _, a, b in chunks:
-            np.add.reduceat(x[a:b], one_segment)
-
     def fresh():
         return (x_all.copy(),)  # the kernel overwrites its x
 
@@ -136,15 +133,14 @@ def bench_stage(m_slot, r2, span, exponent, rng):
     # (each round times every one once) and each keeps its best of 7 rounds
     timed = {"stage": (stage, inputs), "draws": (draws, None),
              "kernel": (lambda x: kernel(x, True), fresh),
-             "one_segment": (lambda x: kernel(x, False), fresh),
-             "plain_sums": (plain_sums, fresh)}
+             "one_segment": (lambda x: kernel(x, False), fresh)}
     t = dict.fromkeys(timed, float("inf"))
     for _ in range(7):
         for name, (fn, setup) in timed.items():
             t[name] = min(t[name], _best(fn, setup, 1)[0])
-    power = t["one_segment"] - t["plain_sums"]
     split = {"draws": t["draws"], "offsets": t["stage"] - t["draws"] - t["kernel"],
-             "power": power, "segment_sums": t["kernel"] - power, "stage": t["stage"]}
+             "power": t["one_segment"], "segment_sums": t["kernel"] - t["one_segment"],
+             "stage": t["stage"]}
     ns = {k: round(v * 1e9 / total, 3) for k, v in split.items()}
 
     peaks = {}

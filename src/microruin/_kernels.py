@@ -1,6 +1,6 @@
 """The hot kernel, in numpy: ``interference_powsum``, the per-slot
 interference power sums over one chunk of interferer points (an integer power
-as multiplies and one divide)."""
+as multiplies and one divide, the segment sums as one ``np.bincount``)."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ def interference_powsum(x_sq, exponent, marks, offsets):
     nondecreasing in 0..len(x_sq), each segment running to the next start
     (the last to the end).  When -exponent is an integer k the terms are
     marks / x_sq**k, with k - 1 multiplies and one divide; otherwise they are
-    ``np.power`` times the marks.  Each sum is ``np.add.reduceat`` over its
-    own segment, so it does not depend on which other segments share the
-    chunk; empty segments read 0.
+    ``np.power`` times the marks.  Each sum is one ``np.bincount`` bin, added
+    in point order from 0, so it does not depend on which other segments
+    share the chunk; empty segments read 0.
     """
     k = -float(exponent)
     if k.is_integer() and k >= 1:
@@ -28,12 +28,7 @@ def interference_powsum(x_sq, exponent, marks, offsets):
     else:
         terms = np.power(x_sq, exponent, out=x_sq)
         terms *= marks
-    # segments that start at the end are empty; for any other empty segment
-    # reduceat returns the element at its start, zeroed after it
-    held = int(np.searchsorted(offsets, len(terms)))
-    sums = np.zeros(len(offsets))
-    if held:
-        np.add.reduceat(terms, offsets[:held], out=sums[:held])
-        np.copyto(sums[:held - 1], 0.0, where=offsets[1:held] == offsets[:held - 1])
-    return sums
-
+    # a point's bin is the number of starts at or below it: segment j is bin
+    # j + 1, and points before the first start fall into bin 0, which is dropped
+    bins = np.cumsum(np.bincount(offsets, minlength=len(terms) + 1)[: len(terms)])
+    return np.bincount(bins, weights=terms, minlength=len(offsets) + 1)[1:]

@@ -116,11 +116,23 @@ class DurationModel:
     per_interval_override: dict = field(default_factory=dict)
 
     def pmf(self):
-        """Return (values, probabilities) as numpy arrays."""
+        """Return (values, probabilities) as numpy arrays, values of
+        probability zero left out: a law does not depend on how it is written."""
+        values, probs = self._declared_pmf()
+        keep = probs > 0.0
+        return values[keep], probs[keep]
+
+    def _declared_pmf(self):
+        """(values, probabilities) over the whole declared support."""
         if self.kind == "deterministic":
             return np.array([int(self.tau)]), np.array([1.0])
         if self.kind == "explicit-pmf":
-            return np.asarray(self.support, dtype=int), np.asarray(self.probs, dtype=float)
+            values = np.asarray(self.support, dtype=int)
+            probs = np.asarray(self.probs, dtype=float)
+            if values.shape != probs.shape:
+                raise DomainError(f"support has {values.size} values but probs has "
+                                  f"{probs.size}")
+            return values, probs
         if self.kind == "truncated-geometric":
             values = np.arange(1, int(self.tau_max) + 1)
             p = self._geometric_p
@@ -132,8 +144,7 @@ class DurationModel:
             else:
                 probs = (1.0 - p) ** (values - 1.0)
                 probs /= probs.sum()
-            keep = probs > 0.0
-            return values[keep], probs[keep]
+            return values, probs
         raise DomainError(f"unknown duration model kind {self.kind!r}")
 
     @cached_property
@@ -422,7 +433,7 @@ def _check_durations(errors, path, dur):
         errors.append((f"{path}.{name}", "slot counts must be integers"))
         return
     try:
-        values, probs = dur.pmf()
+        values, probs = dur._declared_pmf()
     except (TypeError, ValueError) as exc:  # DomainError, or a value that is not a number
         errors.append((path, str(exc)))
         return

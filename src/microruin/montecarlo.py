@@ -32,6 +32,14 @@ annulus width, so a point costs one add, and with alpha/2 an integer its
 power is multiplies and one divide (``_kernels.interference_powsum``).  The
 interferer configuration is redrawn every slot, matching the per-slot
 independence the analytic transform assumes.
+
+A serving distance is drawn as t = pi beta r_u^2, which is Exp(1), and each
+slot works in squared distances in that unit: no logarithm or square root
+per user, the interferer count's Poisson mean is (pi f^2 - t)^+ itself, and
+with alpha/2 an integer the serving power t^(alpha/2) is multiplies.  A
+duration law with one value takes no duration draw, and a one-slot
+connection is its own slot, with no user-to-slot gather and no per-user sum;
+longer connections sum their slots with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -151,17 +159,17 @@ def far_field_summary(config: ScenarioConfig) -> dict:
 
 def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarray:
     """Per-slot sums of marks * x_sq**exponent over fresh interferer fields:
-    slot j has m_slot[j] points, each at squared distance r2 + span * U with
-    U uniform from rng, and exponential marks from marks_rng.  A slot with
-    span 0 must have no points; every slot without points reads 0.
+    slot j has m_slot[j] points, each at squared distance r2 + span * U (in
+    any unit) with U uniform from rng, and exponential marks from marks_rng.
+    A slot with span 0 must have no points; every slot without points reads 0.
 
     The positions are drawn in span units: x_sq = span (a + U) with
     a = r2 / span, so each point costs one add and each slot's sum is scaled
     by span**exponent once.  r2 and span are overwritten with a and that
     scale.  The slots are walked in chunks of whole slots, up to CHUNK_POINTS
     points each.  Both streams are drawn in point order, and each slot's sum
-    is one ``np.add.reduceat`` segment, so the result does not depend on the
-    chunk size.
+    is one ``np.bincount`` bin added in point order, so the result does not
+    depend on the chunk size.
     """
     offsets = np.zeros(len(m_slot) + 1, dtype=np.int64)
     np.cumsum(m_slot, out=offsets[1:])
@@ -185,55 +193,79 @@ def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarra
     return sums
 
 
+def _serving_ratio(t_slot, h, half_alpha) -> np.ndarray:
+    """t_slot**half_alpha / h, written into h; an integer power is multiplies."""
+    with np.errstate(divide="ignore"):
+        if float(half_alpha).is_integer():
+            np.divide(t_slot, h, out=h)
+            for _ in range(int(half_alpha) - 1):
+                h *= t_slot
+        else:
+            np.divide(np.power(t_slot, half_alpha), h, out=h)
+    return h
+
+
 def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
                    duration_model) -> np.ndarray:
     """One batch of i.i.d. connection revenues from the streams keyed by
-    (seed, *path).  Draw order is fixed: distances, durations, products, then
-    per-slot fading, interferer counts, far fields and interferer positions;
-    the interferer marks come from the (seed, *path, "marks") stream."""
-    net, fin = config.network, config.financial
+    (seed, *path).  Draw order is fixed: distances, durations (a law with
+    more than one value only), products (more than one only), then per-slot
+    fading, interferer counts, far fields and interferer positions; the
+    interferer marks come from the (seed, *path, "marks") stream.
+
+    A distance is drawn as t = pi beta r^2, which is Exp(1), and the slot
+    works in that unit: its interferer count is Poisson((pi f^2 - t)^+), its
+    interferer positions are uniform in t on the annulus, and its factor is
+    c = gap (sigma^2 + I) r^alpha / (h P0) with r^alpha = t^(alpha/2)
+    (pi beta)^(-alpha/2), clipped to [c_min, c_max].
+    """
+    net, fin, products = config.network, config.financial, config.products
     alpha = net.alpha_pathloss
-    beta = net.beta_cells_per_area
-    unit = config.slot_income_per_unit_scaling
-    radius = RADIUS_FACTOR / math.sqrt(beta)
+    pi_beta = math.pi * net.beta_cells_per_area
+    edge = math.pi * RADIUS_FACTOR ** 2  # pi beta R^2
     rng = _stream(plan.seed, *path)
 
-    r_u = np.sqrt(-np.log1p(-rng.random(n)) / (math.pi * beta))
+    t_user = rng.standard_exponential(n)
     values, probs = duration_model.pmf()
-    taus = _inverse_pmf_sample(rng, values, probs, n)
-    if config.products.q_count > 1:
-        gaps = _inverse_pmf_sample(rng, config.products.rate_gaps,
-                                   config.products.product_mix, n)
+    taus = _inverse_pmf_sample(rng, values, probs, n) if len(values) > 1 else int(values[0])
+    gap_scale = pi_beta ** (-alpha / 2.0) / net.p0_serving_power
+    if products.q_count > 1:
+        gaps = gap_scale * _inverse_pmf_sample(rng, products.rate_gaps, products.product_mix, n)
     else:
-        gaps = np.full(n, config.products.rate_gaps[0])
+        gaps = products.rate_gaps[0] * gap_scale
 
-    total_slots = int(taus.sum())
-    user_of_slot = np.repeat(np.arange(n), taus)
-    r_slot = r_u[user_of_slot]
-    gap_slot = gaps[user_of_slot]
-    h = rng.exponential(1.0, size=total_slots)
-
-    lam_user = beta * math.pi * np.maximum(radius * radius - r_u * r_u, 0.0)
-    m_slot = rng.poisson(lam_user[user_of_slot])
+    # one-slot connections are their own slots; otherwise slots follow their user
+    one_slot = len(values) == 1 and values[0] == 1
+    user_of_slot = None if one_slot else np.repeat(np.arange(n), taus)
+    t_slot = t_user if user_of_slot is None else t_user[user_of_slot]
+    if user_of_slot is not None and products.q_count > 1:
+        gaps = gaps[user_of_slot]
     # the batches run side by side: drop what is spent before the next stage
-    del r_u, gaps, user_of_slot, lam_user
-    interference = _far_field(net, radius, r_slot, rng)
-    r2_slot = r_slot * r_slot
-    # the field sums overwrite r2_slot and span with their per-slot factors
-    i_in = _uniform_field_sums(rng, _stream(plan.seed, *path, "marks"), m_slot, r2_slot,
-                               np.maximum(radius * radius - r2_slot, 0.0), -alpha / 2.0)
-    del m_slot, r2_slot
-    i_in *= net.p_i_interferer_power
+    del t_user
+    h = rng.standard_exponential(len(t_slot))
+    span = np.maximum(edge - t_slot, 0.0)
+    m_slot = rng.poisson(span)
+    interference = _far_field(net, RADIUS_FACTOR / math.sqrt(net.beta_cells_per_area),
+                              np.sqrt(t_slot / pi_beta), rng)
+    # the field sums overwrite t_slot and span, so the serving term comes first
+    ratio = _serving_ratio(t_slot, h, alpha / 2.0)
+    i_in = _uniform_field_sums(rng, _stream(plan.seed, *path, "marks"), m_slot, t_slot, span,
+                               -alpha / 2.0)
+    del m_slot, t_slot, span
+    # the sums are in units of t: x^(-alpha/2) = (pi beta)^(alpha/2) t_x^(-alpha/2)
+    i_in *= net.p_i_interferer_power * pi_beta ** (alpha / 2.0)
     interference += i_in
     del i_in
 
-    with np.errstate(divide="ignore"):
-        gamma = h * r_slot ** (-alpha) * net.p0_serving_power / (
-            net.sigma2_noise_power + interference)
-        c = np.clip(gap_slot / gamma, fin.c_min, fin.c_max)
-    # every user has at least one slot, so no revenue segment is empty
-    first_slot = np.concatenate(([0], np.cumsum(taus[:-1])))
-    return np.add.reduceat(c, first_slot) * unit
+    c = interference
+    c += net.sigma2_noise_power
+    c *= ratio
+    c *= gaps
+    np.clip(c, fin.c_min, fin.c_max, out=c)
+    if user_of_slot is not None:
+        c = np.bincount(user_of_slot, weights=c, minlength=n)
+    c *= config.slot_income_per_unit_scaling
+    return c
 
 
 def _batch_sizes(n: int, batch_size: int) -> list[int]:
@@ -301,8 +333,11 @@ def estimate_moments(config: ScenarioConfig, plan: Numerics,
     power_sums = np.zeros(2 * d)
     jobs = _interval_jobs(config, plan, "moments", n, interval_index)
     for v in _revenue_batches(config, plan, jobs):  # summed in batch order
-        for s in range(1, 2 * d + 1):
-            power_sums[s - 1] += float(np.sum(v ** s))
+        term = v.copy()
+        for s in range(2 * d):
+            if s:
+                term *= v  # v ** (s + 1) as a running product
+            power_sums[s] += float(np.sum(term))
     means = power_sums / n
     raw = means[:d]
     if n > 1:

@@ -101,6 +101,11 @@ class TestValidateCommand:
         (["numerics.mc_batch=0"], "numerics.mc_batch"),
         (["durations.kind=explicit-pmf", 'durations.support=["a"]', "durations.probs=[1]"],
          "durations.support"),
+        # a declared slot count is checked even when its probability is 0
+        (["durations.kind=explicit-pmf", "durations.support=[0,1]", "durations.probs=[0,1]"],
+         "durations"),
+        (["durations.kind=explicit-pmf", "durations.support=[1,2]", "durations.probs=[1]"],
+         "durations"),
     ])
     def test_value_of_the_wrong_shape_exits_two(self, capsys, overrides, path):
         # a field set inside a number, or a number where a list belongs

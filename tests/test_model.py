@@ -171,6 +171,23 @@ class TestDurationModel:
         assert cut.income_support(2) == (0.002, 2000.0)
         assert cut.income_support(3) == (0.001, 3000.0)
 
+    def test_zero_probability_value_leaves_the_law_unchanged(self):
+        # explicit-pmf (1, 2) with probs (0, 1) is deterministic tau = 2
+        from microruin import moments, ruin
+        configs = [model.validate(replace(model.default_config(), durations=dur)) for dur in (
+            model.DurationModel(kind="explicit-pmf", support=(1, 2), probs=(0.0, 1.0),
+                                mean=None, tau_max=None),
+            model.DurationModel(kind="deterministic", tau=2, mean=None, tau_max=None))]
+        explicit, fixed = configs
+        assert explicit.income_support() == fixed.income_support()
+        mv, want = (moments.revenue_moments(c) for c in configs)
+        assert mv.raw.tobytes() == want.raw.tobytes()
+        assert (mv.atom_lo, mv.atom_hi) == (want.atom_lo, want.atom_hi)
+        us = np.array([100.0, 200.0])
+        psi, want_psi = (ruin.run_pipeline(c, us)[0].psi for c in configs)
+        assert psi.tobytes() == want_psi.tobytes()
+        assert explicit.durations.pmf()[0].tolist() == [2]
+
     def test_invalid_mean_rejected(self):
         with pytest.raises(DomainError):
             model.DurationModel(kind="truncated-geometric", mean=4.0, tau_max=5).pmf()

@@ -204,10 +204,20 @@ class TestFarField:
                                    *_campbell(alpha, beta, p_i, radius))
         _assert_k3_within_4se(np.concatenate(sums), _campbell_k3(alpha, beta, p_i, radius))
 
-    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
-    def test_default_radius_revenues_match_analytic_moments_and_atoms(self, alpha):
+    @pytest.mark.parametrize("alpha,durations", [
+        pytest.param(2.5, None, id="2.5"),
+        pytest.param(3.0, None, id="3.0"),
+        pytest.param(4.0, None, id="4.0"),
+        pytest.param(4.0, model.DurationModel(kind="truncated-geometric", mean=2.0, tau_max=5),
+                     id="multi-slot"),
+        pytest.param(4.0, model.DurationModel(kind="deterministic", tau=2, mean=None,
+                                              tau_max=None), id="tau-2"),
+    ])
+    def test_default_radius_revenues_match_analytic_moments_and_atoms(self, alpha, durations):
         from microruin import moments
         cfg = make_config(alpha=alpha, c_min=0.001, c_max=1000.0)
+        if durations is not None:
+            cfg = model.validate(replace(cfg, durations=durations))
         n = 200_000
         v = montecarlo.sample_revenues(cfg, model.Numerics(seed=13), n)
         mv = moments.revenue_moments(cfg)
@@ -268,6 +278,19 @@ class TestMomentEstimation:
         for s in (1, 2):
             assert abs(est.raw[s - 1] - mv.raw[s - 1]) <= 3.0 * se[s - 1]
 
+    def test_running_product_power_sums_match_direct_powers(self, table2_config, fast_plan):
+        # the power sums multiply one running product; v ** s on the same
+        # revenues is the reference, to a few ulps per product
+        plan = replace(fast_plan, mc_samples=5000, mc_batch=2048)
+        est, se = montecarlo.estimate_moments(table2_config, plan)
+        jobs = montecarlo._interval_jobs(table2_config, plan, "moments", plan.mc_samples, 1)
+        v = np.concatenate(montecarlo._revenue_batches(table2_config, plan, jobs))
+        d = table2_config.numerics.moment_order
+        np.testing.assert_allclose(est.raw, [np.mean(v ** s) for s in range(1, d + 1)],
+                                   rtol=1e-13)
+        var = np.array([np.mean(v ** (2 * s)) for s in range(1, d + 1)]) - est.raw ** 2
+        np.testing.assert_allclose(se, np.sqrt(var / (len(v) - 1)), rtol=1e-9)
+
 
 def _sha(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
@@ -287,9 +310,14 @@ class TestStreamPinned:
     re-taken when the interferer positions moved to span units with an
     integer power for alpha = 4 (same draws, reassociated arithmetic); all
     five were re-taken when the far field became a shifted Gamma law with
-    three exact cumulants (same draw count, new far-field law).  The chunk
-    size and the thread count leave them unchanged (``TestChunkedStream``).
-    Any change of generator, draw order, summation order, arithmetic,
+    three exact cumulants (same draw count, new far-field law); all five
+    were re-taken when the serving distance became one standard exponential
+    draw of pi beta r^2 (the slot factor in squared distances), a one-value
+    duration law stopped drawing durations, the per-slot and multi-slot
+    per-user sums became ``np.bincount`` bins and the moment power sums
+    running products (slot scaling moved by the bins alone).  The chunk size
+    and the thread count leave them unchanged (``TestChunkedStream``).  Any
+    change of generator, draw order, summation order, arithmetic,
     far-field law, truncation radius or batch layout moves them.  These
     tests fix the truncation factor at 3, so a change of the default radius
     leaves them standing."""
@@ -302,8 +330,8 @@ class TestStreamPinned:
         monkeypatch.setattr(montecarlo, "RADIUS_FACTOR", 3.0)
 
     REVENUES = {
-        "reference": "cd8c89b671f0c30edd876ed0ea173f920b6ee95ba0455200e9ebcf4fd3cd1325",
-        "multi-slot": "2099df3566a77901b4acd94512e445cc6a33d1a78496db6097f1e2d9b6772397",
+        "reference": "1d621ab3d8afbda403af0173b02857900826377812732673aadc884070720c79",
+        "multi-slot": "f4051b9c3ff5917e9ae3972997c9f37458cf86860a7a9553bf5dff9bc0427394",
     }
 
     @pytest.mark.parametrize("case", sorted(REVENUES))
@@ -316,18 +344,18 @@ class TestStreamPinned:
         est = montecarlo.simulate_surplus_paths(model.validate(model.default_config()),
                                                 self.PLAN, [50.0, 150.0, 300.0])
         assert _sha(est.psi) == (
-            "338271e2dcb497a6766f9ea4c45417c8748ce77f7fba288a9346e53f80590169")
+            "3153ac002e8274dfb637a85d779284a279974900e1d4cbd81b079d6d6c6fcec3")
 
     def test_estimate_moments(self):
         mv, se = montecarlo.estimate_moments(model.validate(model.default_config()),
                                              replace(self.PLAN, mc_samples=self.N))
         assert _sha(np.concatenate([mv.raw, se])) == (
-            "b98cc16d076b1fdb2705e96537c73953aed87966111c2b776b646f0280d3b648")
+            "c06479ae747da4489c845d059c327790f5b9edb3f4f7894f7885cc221a256662")
 
     def test_slot_scaling(self, table2_config):
         v = oracles.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
                                         rate_gap=100.0)
-        assert _sha(v) == "ed35d7f17ab37c4be9dab368749be30686cd5aafa91328cad5a1f663d0b03a86"
+        assert _sha(v) == "adc78ab4d96c7e9866eb24b1eba41ba481b24e0b4ea4236961697ddb7dc9f4b8"
 
 
 class TestChunkedStream:
