@@ -8,29 +8,33 @@ label; the medians of every run go into one JSON file:
     PYTHONPATH=/path/to/other/src python benchmarks/bench_analytic.py --label parent
 
 The scenarios are the 11 of ``perfbench/workload.py`` (the default config
-with section-level overrides; each has one distinct interval law, so the
-stages run on interval 1).  Per scenario, median over --repeats runs, in ms:
+with section-level overrides).  A run is one ``ruin.run_pipeline`` call per
+scenario; each stage is timed inside it by wrapping the functions it calls
+under the names they are looked up by (as ``perfbench/tracing.py`` does),
+summed over their calls.  Per scenario, median over --repeats runs, in ms:
 
 * ``moments``: ``revenue_moments``;
 * ``income``: density expansion, sanitizing, lattice discretization and the
   fee convolution, up to the net-profit step PMF;
-* ``chernoff_edges``: the two Chernoff window edges of the compound stage;
+* ``chernoff_edges``: the Chernoff window edges of the compound stage;
 * ``compound``: ``compound_geometric_pmf`` as a whole (edges included);
 * ``loss_top``: the Chernoff top of the recursion grid;
-* ``correlation_setup``: the recursion's correlation operator (atom spectrum);
-* ``steps``: the horizon's recursion steps on that operator;
+* ``correlation_setup``: the recursion's correlation operators (atom spectra);
+* ``steps``: the recursion steps on those operators;
 * ``pipeline``: ``run_pipeline`` end to end.
 
-The sizes that decide the FFT work (compound window, recursion grid and
-correlation FFT length) are recorded with the times.  Stages a tree refuses
-(AccuracyError, ResourceLimitError) are recorded as refused.
+Every stage but ``chernoff_edges`` runs outside the others, so they add up
+to no more than ``pipeline``.  The sizes that decide the FFT work (compound
+window, recursion grid and correlation FFT length) are recorded with the
+times.  Scenarios a tree refuses (AccuracyError, ResourceLimitError) are
+recorded as refused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import platform
 import statistics
@@ -40,63 +44,53 @@ import time
 import numpy as np
 
 from microruin import AccuracyError, ResourceLimitError, compound, income_pdf, ruin
-from microruin.moments import revenue_moments
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 from workload import SCENARIOS, U_VALUES, build_config  # noqa: E402
 
-STAGES = ("moments", "income", "chernoff_edges", "compound", "loss_top",
-          "correlation_setup", "steps", "pipeline")
+# stage -> the (owner, name) pairs run_pipeline reaches it by
+TARGETS = {
+    "moments": [(ruin, "revenue_moments")],
+    "income": [(income_pdf, "expand_density"), (income_pdf, "sanitize"),
+               (ruin, "discretize_income"), (ruin, "net_profit_step_pmf")],
+    "chernoff_edges": [(compound, "_chernoff_edge")],
+    "compound": [(ruin, "compound_geometric_pmf")],
+    "loss_top": [(ruin, "_loss_top")],
+    "correlation_setup": [(ruin._Correlation, "__init__")],
+    "steps": [(ruin._Correlation, "__call__")],
+    "pipeline": [(ruin, "run_pipeline")],
+}
+STAGES = tuple(TARGETS)
+spent = dict.fromkeys(STAGES, 0.0)
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
+def _timed(stage, fn):
+    @functools.wraps(fn)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[stage] += time.perf_counter() - t0
+    return timed
+
+
+def install():
+    """Wrap every target; a renamed one raises AttributeError here."""
+    for stage, targets in TARGETS.items():
+        for owner, name in targets:
+            setattr(owner, name, _timed(stage, getattr(owner, name)))
 
 
 def one_pass(cfg) -> tuple[dict, dict]:
-    """(seconds per stage, sizes) of one run of every stage on one scenario."""
-    fin, num = cfg.financial, cfg.numerics
-    t = {}
-    t["moments"], mv = _timed(lambda: revenue_moments(cfg, interval_index=1))
-    v_lo, v_hi = cfg.income_support(1)
-    delta = num.lattice_step or (v_hi + max(fin.operator_fees.values())) / 2048.0
-
-    def income():
-        density = income_pdf.sanitize(income_pdf.expand_density(mv, v_lo, v_hi))
-        return compound.net_profit_step_pmf(compound.discretize_income(density, delta), fin)
-
-    t["income"], zstep = _timed(income)
-    alive = zstep.mass > 0
-    idx, log_p = zstep.indices()[alive], np.log(zstep.mass[alive])
-    log_eps = math.log(num.tail_eps)
-    t["chernoff_edges"], _ = _timed(lambda: [
-        compound._chernoff_edge(side, log_p, fin.w_n_geometric, log_eps)
-        for side in (idx, -idx)])
-    t["compound"], g = _timed(lambda: compound.compound_geometric_pmf(
-        zstep, fin.w_n_geometric, tail_eps=num.tail_eps))
-    pmfs = [g.trimmed(ruin.TRIM_MASS)] * fin.horizon_intervals
-    r = fin.interest_rate_per_interval
-    growth, horizon = 1.0 + r, len(pmfs)
-    t["loss_top"], _ = _timed(lambda: ruin._loss_top(pmfs, growth, horizon, num.tail_eps))
-    stride = max(1, math.ceil(growth ** horizon))
-    grid = ruin._RecursionGrid(np.array(U_VALUES), r, pmfs, pmfs[0].step / stride,
-                               horizon, num.tail_eps)
-    t["correlation_setup"], step = _timed(lambda: ruin._Correlation(grid, pmfs[0], stride))
-
-    def steps():
-        phi = np.ones_like(grid.points)
-        for _ in range(horizon):
-            phi = step(phi)
-
-    t["steps"], _ = _timed(steps)
-    t["pipeline"], (result, info) = _timed(lambda: ruin.run_pipeline(cfg, np.array(U_VALUES)))
-    sizes = {"window_points": g.diagnostics["window_points"],
+    """(seconds per stage, sizes) of one pipeline run on one scenario."""
+    spent.update(dict.fromkeys(STAGES, 0.0))
+    result, info = ruin.run_pipeline(cfg, np.array(U_VALUES))
+    sizes = {"window_points": info["intervals"][1]["compound"]["window_points"],
              "grid_points": result.diagnostics["grid_points"],
              "fft_points": result.diagnostics["fft_points"]}
-    return t, sizes
+    return dict(spent), sizes
 
 
 def main(argv=None) -> int:
@@ -107,6 +101,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     configs = [(name, build_config(7, overrides)) for name, overrides in SCENARIOS]
+    install()
     one_pass(configs[0][1])  # warm-up
     times = {name: {s: [] for s in STAGES} for name, _ in configs}
     sizes, refused = {}, {}

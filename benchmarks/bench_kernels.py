@@ -29,8 +29,11 @@ and fewer sampler batches).  Reported, best of 3 unless stated:
   ns per interferer point;
 * ``survival_recursion`` on the reference scenario's interval PMFs: capital
   grid points, FFT length and ms per call;
-* ``sample_revenues`` for 8 full batches on 1 and on 2 threads, the two
-  alternated 3 times; every run is recorded in samples per second.
+* ``sample_revenues`` for 8 full batches of the reference and the
+  multi-slot scenario on 1 and on 2 threads.  Each thread count runs in its
+  own fresh process, the median of 5 campaigns after a warm-up, and the two
+  alternate 3 times; every process's median is recorded in samples per
+  second.  (Alternating thread counts inside one process read them equal.)
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -214,33 +218,49 @@ def bench_recursion():
             "ms": round(t * 1e3, 3)}
 
 
-def bench_sampler(n_batches, alternations=3):
-    """sample_revenues over n_batches full batches on 1 and 2 threads; the
-    thread counts alternate which runs first."""
-    cfg = model.validate(model.default_config())
-    plan = cfg.numerics
-    n_samples = n_batches * plan.mc_batch
-    montecarlo.sample_revenues(cfg, plan, 4096)  # warm-up
-    rates = {1: [], 2: []}
-    saved = montecarlo._cpu_count
-    try:
+# sample_revenues campaigns of one config on a given thread count, after a
+# warm-up: samples per second of each campaign
+_SAMPLER_RUN = """
+import json, sys, time
+from microruin import model, montecarlo
+workers, n, calls = (int(a) for a in sys.argv[1:4])
+montecarlo._cpu_count = lambda: workers
+cfg = model.validate(model.ScenarioConfig.from_dict(json.loads(sys.argv[4])))
+montecarlo.sample_revenues(cfg, cfg.numerics, 4096)
+for _ in range(calls):
+    t0 = time.perf_counter()
+    montecarlo.sample_revenues(cfg, cfg.numerics, n)
+    print(n / (time.perf_counter() - t0))
+"""
+
+
+def bench_sampler(n_batches, alternations=3, calls=5):
+    """sample_revenues over n_batches full batches on 1 and 2 threads, per
+    scenario.  Each thread count runs in its own fresh process (``calls``
+    campaigns after a warm-up, their median recorded), and the thread counts
+    alternate which runs first."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = {}
+    for name, cfg in _scenarios().items():
+        n_samples = n_batches * cfg.numerics.mc_batch
+        args = [str(n_samples), str(calls), json.dumps(cfg.to_dict())]
+        rates = {1: [], 2: []}
         for k in range(alternations):
             for workers in ((1, 2) if k % 2 == 0 else (2, 1)):
-                montecarlo._cpu_count = lambda: workers
-                t0 = time.perf_counter()
-                montecarlo.sample_revenues(cfg, plan, n_samples)
-                rates[workers].append(round(n_samples / (time.perf_counter() - t0)))
-    finally:
-        montecarlo._cpu_count = saved
-    print(f"sample_revenues  {n_samples} samples ({n_batches} batches of {plan.mc_batch}), "
-          f"{alternations} alternations")
-    for workers, runs in rates.items():
-        print(f"  {workers} thread(s)  " + "  ".join(f"{r / 1e3:8.1f}k" for r in runs)
-              + "  samples/s")
-    return {"samples": n_samples, "batches": n_batches,
-            "samples_per_s": {str(w): runs for w, runs in rates.items()},
-            "median_samples_per_s": {str(w): statistics.median(runs)
-                                     for w, runs in rates.items()}}
+                lines = subprocess.run([sys.executable, "-c", _SAMPLER_RUN, str(workers), *args],
+                                       env=env, check=True, capture_output=True,
+                                       text=True).stdout.split()
+                rates[workers].append(round(statistics.median(map(float, lines))))
+        print(f"sample_revenues  {name}  {n_samples} samples ({n_batches} batches), median of "
+              f"{calls} calls per process, {alternations} process(es) per thread count")
+        for workers, runs in rates.items():
+            print(f"  {workers} thread(s)  " + "  ".join(f"{r / 1e3:8.1f}k" for r in runs)
+                  + "  samples/s")
+        out[name] = {"samples": n_samples, "batches": n_batches, "calls": calls,
+                     "samples_per_s": {str(w): runs for w, runs in rates.items()},
+                     "median_samples_per_s": {str(w): statistics.median(runs)
+                                              for w, runs in rates.items()}}
+    return out
 
 
 def main(argv=None) -> int:
@@ -258,7 +278,7 @@ def main(argv=None) -> int:
            "interferer_stage": bench_stage(m_slot, r2, span, exponent, rng),
            "revenue_batch": bench_batch(int(65_536 * scale)),
            "survival_recursion": bench_recursion(),
-           "sampler": bench_sampler(2 if args.quick else 8)}
+           "sampler": bench_sampler(2, 1, 2) if args.quick else bench_sampler(8)}
     if args.label:
         doc = {}
         if os.path.exists(args.out):

@@ -214,9 +214,8 @@ def expand_density(moments: MomentVector, v_lo: float, v_hi: float,
     if not cont > 0.0:
         raise DomainError(f"the endpoint atoms {atoms} leave no continuous part to expand")
     s = np.arange(1.0, moments.order + 1.0)
-    remainder = MomentVector(
-        interval_index=moments.interval_index, order=moments.order,
-        raw=(moments.raw - atoms[0] * v_lo ** s - atoms[1] * v_hi ** s) / cont)
+    remainder = MomentVector(raw=(moments.raw - atoms[0] * v_lo ** s - atoms[1] * v_hi ** s)
+                             / cont)
     unit_moments = affine_to_unit(remainder, v_lo, v_hi)
     coeffs = np.empty(order + 1)
     poly = np.zeros(order + 1)

@@ -442,32 +442,35 @@ def _check_durations(errors, path, dur):
     _check_pmf(errors, path, probs)
 
 
+def _is_number(value) -> bool:
+    """A finite int or float (bools and infinities are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
+
+
 def _check_numeric_fields(errors, config):
-    """Reject non-numeric values before invariant checks (clear field paths)."""
+    """Reject non-numeric and non-finite values before invariant checks (clear
+    field paths)."""
     for section in ("network", "financial", "products", "numerics"):
         block = getattr(config, section)
         for f in fields(block):
             value = getattr(block, f.name)
+            path = f"{section}.{f.name}"
             if isinstance(value, (dict, tuple, list)):
                 if f.name in ("operator_fees", "operator_mix"):
-                    for k, v in value.items():
-                        if not isinstance(v, (int, float, np.integer, np.floating)) \
-                                or isinstance(v, bool):
-                            errors.append((f"{section}.{f.name}.{k}",
-                                           "value must be numeric"))
+                    errors.extend((f"{path}.{k}", "value must be a finite number")
+                                  for k, v in value.items() if not _is_number(v))
                 elif f.name in ("rate_gaps", "product_mix"):
-                    if any(not isinstance(v, (int, float, np.integer, np.floating))
-                           or isinstance(v, bool) for v in value):
-                        errors.append((f"{section}.{f.name}", "values must be numeric"))
+                    if not all(_is_number(v) for v in value):
+                        errors.append((path, "values must be finite numbers"))
                 continue
             if value is None or isinstance(value, bool):
                 continue
-            if not isinstance(value, (int, float, np.integer, np.floating)):
-                errors.append((f"{section}.{f.name}",
-                               f"value must be numeric, got {type(value).__name__}"))
-            elif (f"{section}.{f.name}" in INTEGER_FIELDS
-                  and not isinstance(value, (int, np.integer))):
-                errors.append((f"{section}.{f.name}", f"value must be an integer, got {value}"))
+            if not _is_number(value):
+                errors.append((path, f"value must be a finite number, got {value!r}"))
+            elif path in INTEGER_FIELDS and not isinstance(value, (int, np.integer)):
+                errors.append((path, f"value must be an integer, got {value}"))
     return errors
 
 

@@ -74,26 +74,21 @@ DISTANCE_TAIL_MASS = 1e-12
 class MomentVector:
     """Raw moments E[V^s], s = 1..order, of per-connection revenue in one interval.
 
-    ``raw`` holds the moments of the whole law.  ``atom_lo`` / ``atom_hi`` are
-    the point masses Pr(V = v_lo) / Pr(V = v_hi) at the ends of the income
-    support (the clamps), and ``lower_exponent`` is the power law
-    F(v) ~ v^lower_exponent of the continuous part at the bottom of the
-    support (2/alpha for the revenue model; 1 means no law is known).
-    Vectors that do not know their atoms (fixed scaling c_min == c_max, or
-    sample moments) leave them at 0.
+    ``raw`` holds the moments of the whole law; its length is the order.
+    ``atom_lo`` / ``atom_hi`` are the point masses Pr(V = v_lo) / Pr(V = v_hi)
+    at the ends of the income support (the clamps), and ``lower_exponent`` is
+    the power law F(v) ~ v^lower_exponent of the continuous part at the bottom
+    of the support (2/alpha for the revenue model; 1 means no law is known).
+    Vectors that do not know their atoms (sample moments) leave them at 0.
     """
 
-    interval_index: int
     raw: np.ndarray
-    order: int
     atom_lo: float = 0.0
     atom_hi: float = 0.0
     lower_exponent: float = 1.0
 
     def __post_init__(self):
         raw = np.asarray(self.raw, dtype=float)
-        if len(raw) != self.order:
-            raise DomainError("moment vector length must equal its order")
         if not (self.atom_lo >= 0.0 and self.atom_hi >= 0.0
                 and self.atom_lo + self.atom_hi <= 1.0 + 1e-12):
             raise DomainError(
@@ -101,11 +96,15 @@ class MomentVector:
         if not self.lower_exponent > 0:
             raise DomainError(f"lower exponent must be positive, got {self.lower_exponent}")
         object.__setattr__(self, "raw", raw)
-        if self.order >= 2 and raw[1] < raw[0] ** 2 * (1.0 - 1e-9):
+        if len(raw) >= 2 and raw[1] < raw[0] ** 2 * (1.0 - 1e-9):
             raise AccuracyError(
                 "moment vector violates E[V^2] >= E[V]^2",
                 {"EV": raw[0], "EV2": raw[1]},
             )
+
+    @property
+    def order(self) -> int:
+        return len(self.raw)
 
     def check_envelope(self, v_lo: float, v_hi: float, rtol: float = 1e-6):
         s = np.arange(1, self.order + 1)
@@ -149,47 +148,31 @@ def _gauss_legendre(edges: np.ndarray):
             (half[:, None] * _GL_WEIGHTS).ravel())
 
 
-class _LogUGrid:
-    """Log-u nodes on [1/c_max, 1/c_min] for one product, per panel count.
-
-    Each node set carries the 2F1 profile c(theta_per_u * u) at its nodes and
-    the weights of the slot-moment integrals Int u^-(s+1) f(u) du = Int
-    e^(-s x) f(e^x) dx, s = 1..order.
+def _log_u_nodes(theta_per_u: float, alpha: float, fin: FinancialParams, order: int,
+                 panels: int):
+    """(u, profile, moment weights) of the log-u rule on [1/c_max, 1/c_min] with
+    ``panels`` panels for one product: the 2F1 profile c(theta_per_u * u) at
+    the nodes, and the weights of the slot-moment integrals Int u^-(s+1) f(u) du
+    = Int e^(-s x) f(e^x) dx, s = 1..order.
     """
-
-    def __init__(self, theta_per_u: float, alpha: float, fin: FinancialParams, order: int):
-        self.theta_per_u = theta_per_u
-        self.alpha = alpha
-        self.x_range = (-math.log(fin.c_max), -math.log(fin.c_min))
-        self.order = order
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def profile(self, u):
-        return laplace_exponent_profile(self.theta_per_u * u, self.alpha)
-
-    def nodes(self, panels: int):
-        """(u, profile, moment weights) of the rule with ``panels`` panels."""
-        hit = self._cache.get(panels)
-        if hit is None:
-            x, w = _gauss_legendre(np.linspace(*self.x_range, panels + 1))
-            u = np.exp(x)
-            profile = self.profile(u)
-            weights = w[:, None] * np.exp(-np.outer(x, np.arange(1.0, self.order + 1.0)))
-            hit = self._cache[panels] = (u, profile, weights)
-        return hit
+    x, w = _gauss_legendre(np.linspace(-math.log(fin.c_max), -math.log(fin.c_min), panels + 1))
+    u = np.exp(x)
+    profile = laplace_exponent_profile(theta_per_u * u, alpha)
+    return u, profile, w[:, None] * np.exp(-np.outer(x, np.arange(1.0, order + 1.0)))
 
 
-def _slot_moments(pi_beta_r2: np.ndarray, a_sigma2: np.ndarray, grid: _LogUGrid,
-                  panels: int, fin: FinancialParams, unit: float) -> np.ndarray:
-    """Single-slot raw moments, one row per distance node.
+def _slot_moments(pi_beta_r2: np.ndarray, a_sigma2: np.ndarray, nodes,
+                  fin: FinancialParams, unit: float) -> np.ndarray:
+    """Single-slot raw moments, one row per distance node, on the log-u
+    ``nodes`` of ``_log_u_nodes``.
 
     Row i conditions on pi beta r^2 = pi_beta_r2[i] and A sigma^2 = a_sigma2[i];
     1 - Phi is evaluated for every (row, u node) pair in one array.
     """
-    u, profile, weights = grid.nodes(panels)
+    u, profile, weights = nodes
     one_minus_phi = -np.expm1(-(np.multiply.outer(pi_beta_r2, profile)
                                 + np.multiply.outer(a_sigma2, u)))
-    s = np.arange(1.0, grid.order + 1.0)
+    s = np.arange(1.0, weights.shape[1] + 1.0)
     return unit ** s * (fin.c_min ** s + s * (one_minus_phi @ weights))
 
 
@@ -269,22 +252,17 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     unit = config.slot_income_per_unit_scaling
     taus, tau_probs = config.interval_durations(interval_index).pmf()
     s_vec = np.arange(1.0, d + 1.0)
-
-    if fin.c_min == fin.c_max:
-        slot = (fin.c_min * unit) ** s_vec
-        raw = _duration_mixture_moments(slot, taus, tau_probs)
-        return MomentVector(interval_index=interval_index, raw=raw, order=d)
-
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     alpha = net.alpha_pathloss
     tau_lo, tau_hi = int(taus.min()), int(taus.max())
     products = []
     for gap, mix in zip(config.products.rate_gaps, config.products.product_mix):
-        grid = _LogUGrid(gap * kappa_pow, alpha, fin, d)
+        theta_per_u = gap * kappa_pow
         # A sigma^2 = gap kappa sigma^2 r^alpha, with r^2 = t^2 / (pi beta)
-        noise = gap * kappa_pow * net.sigma2_noise_power
-        products.append((mix, grid, noise, grid.profile(1.0 / fin.c_min),
-                         grid.profile(1.0 / fin.c_max)))
+        noise = theta_per_u * net.sigma2_noise_power
+        products.append((mix, theta_per_u, noise,
+                         laplace_exponent_profile(theta_per_u * (1.0 / fin.c_min), alpha),
+                         laplace_exponent_profile(theta_per_u * (1.0 / fin.c_max), alpha)))
     # t panels halve in width from t_cut down to the narrowest feature, the
     # e^(-t^2 (1 + c)) decay at the largest profile c, which is at u = 1/c_min
     largest_profile = max(profile_lo for _, _, _, profile_lo, _ in products)
@@ -299,9 +277,10 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
         pi_beta_r2 = t * t
         weight = 2.0 * t * np.exp(-pi_beta_r2) * w
         total = np.zeros(d + 2)
-        for mix, grid, noise, profile_lo, profile_hi in products:
+        for mix, theta_per_u, noise, profile_lo, profile_hi in products:
             a_sigma2 = noise * (pi_beta_r2 / (math.pi * net.beta_cells_per_area)) ** (alpha / 2)
-            slot = _slot_moments(pi_beta_r2, a_sigma2, grid, u_panels << level, fin, unit)
+            nodes = _log_u_nodes(theta_per_u, alpha, fin, d, u_panels << level)
+            slot = _slot_moments(pi_beta_r2, a_sigma2, nodes, fin, unit)
             total[:d] += mix * (weight @ _duration_mixture_moments(slot, taus, tau_probs))
             low = np.exp(-(pi_beta_r2 * profile_lo + a_sigma2 / fin.c_min)) ** tau_lo
             high = (-np.expm1(-(pi_beta_r2 * profile_hi + a_sigma2 / fin.c_max))) ** tau_hi
@@ -316,8 +295,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     raw = est[:d] + tail * (tau_probs @ (taus[:, None] * (fin.c_max * unit)) ** s_vec)
     atom_lo = float(tau_probs[taus == tau_lo].sum()) * est[d]
     atom_hi = float(tau_probs[taus == tau_hi].sum()) * (est[d + 1] + tail)
-    vec = MomentVector(interval_index=interval_index, raw=raw, order=d,
-                       atom_lo=atom_lo, atom_hi=atom_hi,
+    vec = MomentVector(raw=raw, atom_lo=atom_lo, atom_hi=atom_hi,
                        lower_exponent=2.0 / net.alpha_pathloss)
     v_lo, v_hi = config.income_support(interval_index)
     vec.check_envelope(v_lo, v_hi)

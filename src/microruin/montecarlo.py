@@ -35,11 +35,12 @@ independence the analytic transform assumes.
 
 A serving distance is drawn as t = pi beta r_u^2, which is Exp(1), and each
 slot works in squared distances in that unit: no logarithm or square root
-per user, the interferer count's Poisson mean is (pi f^2 - t)^+ itself, and
-with alpha/2 an integer the serving power t^(alpha/2) is multiplies.  A
-duration law with one value takes no duration draw, and a one-slot
-connection is its own slot, with no user-to-slot gather and no per-user sum;
-longer connections sum their slots with ``np.bincount``.
+per user, the interferer count's Poisson mean is (pi f^2 - t)^+ itself, the
+far field tests t against pi f^2 (only the slots served beyond the radius
+get a distance), and with alpha/2 an integer the serving power t^(alpha/2)
+is multiplies.  A duration law with one value takes no duration draw, and a
+one-slot connection is its own slot, with no user-to-slot gather and no
+per-user sum; longer connections sum their slots with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -123,21 +124,24 @@ def _far_field_law(net, radius):
     return shape, scale, k1 - shape * scale
 
 
-def _far_field(net, radius: float, r_slot: np.ndarray, rng) -> np.ndarray:
-    """Per-slot interference from beyond max(radius, r_slot): one shifted
+def _far_field(net, edge: float, t_slot: np.ndarray, rng) -> np.ndarray:
+    """Per-slot interference from beyond max(R, r_slot), in the sampler's
+    unit t = pi beta r^2 (``edge`` = pi beta R^2 = pi f^2): one shifted
     Gamma draw per slot with the far field's mean, variance and third
     cumulant.
 
     Every slot served from inside the radius shares one law.  The rare slots
-    served from beyond it (probability e^(-pi factor^2); they draw no
-    interferers) are redrawn from the law beyond their own serving distance.
+    served from beyond it (probability e^(-edge); they draw no interferers)
+    are redrawn from the law beyond their own serving distance, the only
+    slots whose t is turned back into a distance.
     """
-    shape, scale, shift = _far_field_law(net, radius)
-    far = rng.gamma(shape, scale, size=len(r_slot))
+    beta = net.beta_cells_per_area
+    shape, scale, shift = _far_field_law(net, math.sqrt(edge / math.pi) / math.sqrt(beta))
+    far = rng.gamma(shape, scale, size=len(t_slot))
     far += shift
-    beyond = np.flatnonzero(r_slot > radius)
+    beyond = np.flatnonzero(t_slot > edge)
     if len(beyond):
-        shape, scale, shift = _far_field_law(net, r_slot[beyond])
+        shape, scale, shift = _far_field_law(net, np.sqrt(t_slot[beyond] / (math.pi * beta)))
         far[beyond] = rng.gamma(shape, scale) + shift
     return far
 
@@ -245,8 +249,7 @@ def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
     h = rng.standard_exponential(len(t_slot))
     span = np.maximum(edge - t_slot, 0.0)
     m_slot = rng.poisson(span)
-    interference = _far_field(net, RADIUS_FACTOR / math.sqrt(net.beta_cells_per_area),
-                              np.sqrt(t_slot / pi_beta), rng)
+    interference = _far_field(net, edge, t_slot, rng)
     # the field sums overwrite t_slot and span, so the serving term comes first
     ratio = _serving_ratio(t_slot, h, alpha / 2.0)
     i_in = _uniform_field_sums(rng, _stream(plan.seed, *path, "marks"), m_slot, t_slot, span,
@@ -345,8 +348,7 @@ def estimate_moments(config: ScenarioConfig, plan: Numerics,
         se = np.sqrt(variances / (n - 1))
     else:
         se = np.zeros(d)
-    vec = MomentVector(interval_index=interval_index, raw=raw, order=d)
-    return vec, se
+    return MomentVector(raw=raw), se
 
 
 @dataclass(frozen=True)

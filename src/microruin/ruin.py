@@ -27,7 +27,10 @@ survival is certain), a Chernoff bound on the discounted losses (past it
 ruin has probability at most ``tail_eps`` over every horizon) and the
 highest capital read on the way to the requested ones.  Reads below the grid
 are ruin and reads above it survival, so the top moves psi by at most
-horizon * ``tail_eps``.
+horizon * ``tail_eps``.  Capitals below -max(y)^+ / (1+r), where no atom
+survives the first step, and above the loss top are answered without the
+grid, so the grid's size depends on the PMFs and not on how far out the
+requested capitals lie.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ import numpy as np
 
 from . import income_pdf, specfun
 from .compound import (
+    POINTS_BUDGET,
     LatticePMF,
     _chernoff_min,
     compound_geometric_pmf,
     discretize_income,
     net_profit_step_pmf,
 )
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .model import ScenarioConfig
 from .moments import revenue_moments
 
@@ -79,9 +83,7 @@ class RuinResult:
 
     u_values: np.ndarray
     psi: np.ndarray            # (horizon, n_u)
-    phi: np.ndarray
     u_grid: tuple              # (lo, step, n_points)
-    grid_step: float
     diagnostics: dict
 
 
@@ -90,7 +92,8 @@ TRIM_MASS = 1e-9  # compound tail mass dropped per side before the recursion
 
 
 def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float, float]:
-    """(reach, top) of the discounted losses X = sum_{i<=L} g^-i Y_i^-.
+    """(reach, top) of the discounted losses X = sum_{i<=L} g^-i Y_i^-, given
+    each distinct interval PMF once in ``pmfs`` (all on one lattice step).
 
     reach is the worst case of X over positive-mass atoms; past it survival
     is certain.  top <= reach is the smallest capital u with
@@ -100,16 +103,15 @@ def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float
     onto at most LOSS_CELLS cells, each rounded up, which keeps the bound
     valid.  tail_eps = 0 returns top = reach.
     """
-    distinct = list({id(p): p for p in pmfs}.values())
-    k_max = max(max(0, -int(p.indices()[p.mass > 0].min())) for p in distinct)
+    k_max = max(max(0, -int(p.indices()[p.mass > 0].min())) for p in pmfs)
     discount = growth ** -np.arange(1.0, horizon + 1)
-    reach = k_max * distinct[0].step * float(discount.sum())
+    reach = k_max * pmfs[0].step * float(discount.sum())
     if k_max == 0 or tail_eps <= 0.0:
         return reach, reach
     q = -(-k_max // LOSS_CELLS)
-    width = q * distinct[0].step
+    width = q * pmfs[0].step
     tables = []
-    for p in distinct:
+    for p in pmfs:
         alive = p.mass > 0
         cells = -(-np.maximum(-p.indices()[alive], 0) // q)
         binned = np.bincount(cells, weights=p.mass[alive])
@@ -149,7 +151,8 @@ def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float
     return reach, min(reach, top)
 
 
-def _read_top(pmfs, growth: float, horizon: int, u_max: float, grid_step: float) -> float:
+def _read_top(y_max: float, growth: float, horizon: int, u_max: float,
+              grid_step: float) -> float:
     """Highest capital the recursion reads on its way to the capitals <= u_max.
 
     phi_l at u reads phi_{l-1} only up to u (1+r) + y_max, y_max the largest
@@ -157,8 +160,6 @@ def _read_top(pmfs, growth: float, horizon: int, u_max: float, grid_step: float)
     Over the horizon the reads therefore stay below
     (1+r)^(L-1) u_max + (y_max^+ + 2 step) sum_{k<L} (1+r)^k.
     """
-    distinct = {id(p): p for p in pmfs}.values()
-    y_max = max((p.min_index + int(np.flatnonzero(p.mass)[-1])) * p.step for p in distinct)
     powers = growth ** np.arange(horizon)
     return float(powers[-1] * u_max + (max(y_max, 0.0) + 2 * grid_step) * powers.sum())
 
@@ -166,29 +167,42 @@ def _read_top(pmfs, growth: float, horizon: int, u_max: float, grid_step: float)
 class _RecursionGrid:
     """Shared capital grid over the capitals where phi can change and is read.
 
-    It starts two steps below min(u, 0): the survival indicator zeroes phi
-    at every negative capital, so reads below the grid are ruin.  It ends
-    two steps above max(u, min(top, read top)), top from ``_loss_top`` and
-    read top from ``_read_top``; reads above it are survival.  Below the
-    read top that is exact for the requested capitals, since no read on
-    their way lies past it (the grid cells above phi_l's reach are wrong
-    and never read).  When the Chernoff top binds it moves phi by at most
-    ``tail_bound`` = horizon * tail_eps, and not at all when the worst-case
-    reach or the read top does.
+    Only the requested capitals within two steps of [floor, top] are held
+    on it.  Below floor = -y_max^+ / (1+r) no atom survives the first step,
+    so phi is exactly 0 there; above top (from ``_loss_top``) reads count as
+    survival.  The grid starts two steps below min(u, 0) over the held
+    capitals: the survival indicator zeroes phi at every negative capital,
+    so reads below the grid are ruin.  It ends two steps above
+    max(u, min(top, read top)), read top from ``_read_top``; reads above it
+    are survival.  Below the read top that is exact for the requested
+    capitals, since no read on their way lies past it (the grid cells above
+    phi_l's reach are wrong and never read).  When the Chernoff top binds it
+    moves phi by at most ``tail_bound`` = horizon * tail_eps, and not at all
+    when the worst-case reach or the read top does.  A grid of more than
+    ``POINTS_BUDGET`` points raises ResourceLimitError.
     """
 
     def __init__(self, u_values, r, pmfs, grid_step, horizon, tail_eps):
         growth = 1.0 + r
         reach, top = _loss_top(pmfs, growth, horizon, tail_eps)
-        read_top = _read_top(pmfs, growth, horizon, u_values.max(), grid_step)
-        g_lo = min(u_values.min(), 0.0) - 2 * grid_step
-        g_hi = max(u_values.max(), min(top, read_top)) + 2 * grid_step
-        self.k_lo = math.floor(g_lo / grid_step)
-        self.k_hi = math.ceil(g_hi / grid_step)
+        y_max = max((p.min_index + int(np.flatnonzero(p.mass)[-1])) * p.step for p in pmfs)
+        # capitals in the grid's margins keep the answers its interpolants give
+        margin = 2 * grid_step
+        held = u_values[(u_values >= -max(y_max, 0.0) / growth - margin)
+                        & (u_values <= top + margin)]
+        u_lo, u_hi = (held.min(), held.max()) if len(held) else (0.0, 0.0)
+        read_top = _read_top(y_max, growth, horizon, u_hi, grid_step)
+        self.k_lo = math.floor((min(u_lo, 0.0) - margin) / grid_step)
+        self.k_hi = math.ceil((max(u_hi, min(top, read_top)) + margin) / grid_step)
+        if self.k_hi - self.k_lo >= POINTS_BUDGET:
+            raise ResourceLimitError(
+                f"recursion grid needs {self.k_hi - self.k_lo + 1} capital points "
+                f"(step {grid_step:g}), over the budget of {POINTS_BUDGET}")
         self.step = grid_step
         self.points = np.arange(self.k_lo, self.k_hi + 1) * grid_step
         self.growth = growth
-        self.tail_bound = horizon * tail_eps if top < min(reach, read_top) else 0.0
+        above = max(read_top, u_values.max())
+        self.tail_bound = horizon * tail_eps if top < min(reach, above) else 0.0
 
 
 class _Correlation:
@@ -338,7 +352,10 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     the recursion reads for the requested ones, whichever is lowest; reads
     above it count as survival, so psi moves by at most horizon * tail_eps
     (``grid_tail_bound``; 0 when the worst case or the read top binds, and
-    with tail_eps = 0).
+    with tail_eps = 0).  Capitals below -max(y)^+ / (1+r), where the first
+    step is certain ruin, get psi 1 and capitals past the loss top psi 0
+    without widening the grid.  A grid over ``compound.POINTS_BUDGET``
+    points (a fine step from a large (1+r)^L) raises ResourceLimitError.
     The diagnostics also give the grid's points and edges, and
     ``fft_points``: the longest circular length of a correlation step,
     sized to the outputs its stretch reads.
@@ -357,7 +374,7 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
 
     on_grid = {id(p): _on_grid(p, grid_step) for p in pmfs}
-    grid = _RecursionGrid(u_values, r, [on_grid[id(p)][0] for p in pmfs], grid_step,
+    grid = _RecursionGrid(u_values, r, [pmf for pmf, _ in on_grid.values()], grid_step,
                           horizon, tail_eps)
     steps = {key: _Correlation(grid, pmf, stride) for key, (pmf, stride) in on_grid.items()}
     identical = len(steps) == 1
@@ -374,9 +391,8 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         phi_rows[l - 1] = np.interp(u_values, grid.points, phi_grid, left=0.0, right=1.0)
 
     return RuinResult(
-        u_values=u_values, psi=1.0 - phi_rows, phi=phi_rows,
+        u_values=u_values, psi=1.0 - phi_rows,
         u_grid=(float(grid.points[0]), float(grid_step), len(grid.points)),
-        grid_step=grid_step,
         diagnostics={
             "pmf_mass_defects": [abs(float(p.mass.sum()) - 1.0) for p in pmfs],
             "grid_points": len(grid.points),

@@ -198,17 +198,17 @@ def single_slot_moments(s_max: int, a_coef: float, r_u: float, fin: FinancialPar
     The one-row case of the production tensor rule: the distance r_u is fixed.
     """
     unit = net.slot_duration_s * fin.premium_rate_per_slot
-    if fin.c_min == fin.c_max:
-        return (fin.c_min * unit) ** np.arange(1.0, s_max + 1.0)
-    grid = moments._LogUGrid(a_coef * r_u ** (-net.alpha_pathloss), net.alpha_pathloss, fin,
-                             s_max)
+    theta_per_u = a_coef * r_u ** (-net.alpha_pathloss)
     pi_beta_r2 = np.array([math.pi * net.beta_cells_per_area * r_u * r_u])
     a_sigma2 = np.array([a_coef * net.sigma2_noise_power])
     u_panels = moments._START_U_PANELS
-    return moments._until_converged(
-        lambda level: moments._slot_moments(pi_beta_r2, a_sigma2, grid, u_panels << level,
-                                            fin, unit)[0],
-        1e-8, f"{u_panels << moments._MAX_LEVEL} u panels")
+
+    def estimate(level):
+        nodes = moments._log_u_nodes(theta_per_u, net.alpha_pathloss, fin, s_max,
+                                     u_panels << level)
+        return moments._slot_moments(pi_beta_r2, a_sigma2, nodes, fin, unit)[0]
+
+    return moments._until_converged(estimate, 1e-8, f"{u_panels << moments._MAX_LEVEL} u panels")
 
 
 def sample_slot_scaling(config: ScenarioConfig, plan: Numerics, r_u: float, n: int,
@@ -220,13 +220,14 @@ def sample_slot_scaling(config: ScenarioConfig, plan: Numerics, r_u: float, n: i
     beta = net.beta_cells_per_area
     radius = montecarlo.RADIUS_FACTOR / math.sqrt(beta)
     span = max(radius * radius - r_u * r_u, 0.0)
+    edge, t_u = math.pi * montecarlo.RADIUS_FACTOR ** 2, math.pi * beta * r_u * r_u
 
     def run(job):
         batch_idx, size = job
         rng = montecarlo._stream(plan.seed, "slot", batch_idx)
         h = rng.exponential(1.0, size=size)
         m = rng.poisson(beta * math.pi * span, size=size)
-        interference = montecarlo._far_field(net, radius, np.full(size, r_u), rng)
+        interference = montecarlo._far_field(net, edge, np.full(size, t_u), rng)
         i_in = montecarlo._uniform_field_sums(
             rng, montecarlo._stream(plan.seed, "slot", batch_idx, "marks"), m,
             np.full(size, r_u * r_u), np.full(size, span), -alpha / 2.0)
@@ -413,11 +414,6 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     taus, tau_probs = config.interval_durations(interval_index).pmf()
 
-    if fin.c_min == fin.c_max:
-        slot = (fin.c_min * unit) ** np.arange(1.0, d + 1.0)
-        raw = _duration_mixture_moments(slot, taus, tau_probs)
-        return MomentVector(interval_index=interval_index, raw=raw, order=d)
-
     z_cut = math.sqrt(-math.log(DISTANCE_TAIL_MASS) / (math.pi * beta_c))
     integrands = {}
     for q, gap in enumerate(config.products.rate_gaps):
@@ -456,8 +452,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
         clamp_limit = float(np.dot(tau_probs, (taus * fin.c_max * unit) ** s))
         raw[s - 1] = val + clamp_limit * DISTANCE_TAIL_MASS
     atom_lo, atom_hi = _clamp_atoms(config, taus, tau_probs, z_cut)
-    vec = MomentVector(interval_index=interval_index, raw=raw, order=d,
-                       atom_lo=atom_lo, atom_hi=atom_hi,
+    vec = MomentVector(raw=raw, atom_lo=atom_lo, atom_hi=atom_hi,
                        lower_exponent=2.0 / net.alpha_pathloss)
     v_lo, v_hi = config.income_support(interval_index)
     vec.check_envelope(v_lo, v_hi)

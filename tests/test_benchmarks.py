@@ -32,3 +32,14 @@ def test_bench_analytic_writes_its_run(tmp_path):
     _run("bench_analytic.py", "--label", "smoke", "--repeats", "1", "--out", str(path))
     run = json.loads(path.read_text())["runs"]["smoke"]
     assert run["repeats"] == 1 and "reference" in run["scenarios"]
+    # every stage is timed inside one pipeline call: a production function
+    # that is renamed or no longer called reads 0
+    for name, scenario in run["scenarios"].items():
+        if "refused" in scenario:
+            continue
+        ms = scenario["median_ms"]
+        assert all(v > 0 for v in ms.values()), (name, ms)
+        # chernoff_edges runs inside compound; each value is rounded to 1 us
+        outside = sum(v for k, v in ms.items() if k not in ("chernoff_edges", "pipeline"))
+        assert ms["chernoff_edges"] <= ms["compound"], (name, ms)
+        assert outside <= ms["pipeline"] + 0.0005 * len(ms), (name, ms)

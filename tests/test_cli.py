@@ -106,6 +106,14 @@ class TestValidateCommand:
          "durations"),
         (["durations.kind=explicit-pmf", "durations.support=[1,2]", "durations.probs=[1]"],
          "durations"),
+        # numbers that are not finite
+        (["financial.interest_rate_per_interval=Infinity"],
+         "financial.interest_rate_per_interval"),
+        (["financial.operator_fees.1=Infinity"], "financial.operator_fees.1"),
+        (["financial.operator_mix.1=NaN"], "financial.operator_mix.1"),
+        (["network.beta_cells_per_area=Infinity"], "network.beta_cells_per_area"),
+        (["products.rate_gaps=[-Infinity]"], "products.rate_gaps"),
+        (["products.product_mix=[NaN]"], "products.product_mix"),
     ])
     def test_value_of_the_wrong_shape_exits_two(self, capsys, overrides, path):
         # a field set inside a number, or a number where a list belongs

@@ -17,12 +17,12 @@ from tests.conftest import make_config
 def uniform_moments(lo, hi, d=4):
     raw = np.array([(hi ** (s + 1) - lo ** (s + 1)) / ((s + 1) * (hi - lo))
                     for s in range(1, d + 1)])
-    return MomentVector(interval_index=1, raw=raw, order=d)
+    return MomentVector(raw=raw)
 
 
 class TestAffineToUnit:
     def test_point_mass_at_lower_edge(self):
-        mv = MomentVector(1, np.array([2.0, 4.0, 8.0, 16.0]), 4)
+        mv = MomentVector(np.array([2.0, 4.0, 8.0, 16.0]))
         unit = income_pdf.affine_to_unit(mv, 2.0, 6.0)
         np.testing.assert_allclose(unit, [1.0, -1.0, 1.0, -1.0, 1.0], atol=1e-12)
 
@@ -42,7 +42,7 @@ class TestAffineToUnit:
             assert abs(unit[s] - np.mean(w ** s)) <= 4.0 * se
 
     def test_inconsistent_support_rejected(self):
-        mv = MomentVector(1, np.array([5.0, 26.0, 140.0, 800.0]), 4)
+        mv = MomentVector(np.array([5.0, 26.0, 140.0, 800.0]))
         with pytest.raises(SupportError):
             income_pdf.affine_to_unit(mv, 0.0, 1.0)
 
@@ -74,7 +74,7 @@ class TestExpansionCoeffs:
 
     def test_symmetric_moments_zero_odd_coefficients(self):
         # on [-1, 1] the moments are already those of the unit variable
-        mv = MomentVector(1, np.array([0.0, 0.4, 0.0, 0.25]), 4)
+        mv = MomentVector(np.array([0.0, 0.4, 0.0, 0.25]))
         coeffs = income_pdf.expand_density(mv, -1.0, 1.0).coeffs
         assert abs(coeffs[1]) < 1e-12 and abs(coeffs[3]) < 1e-12
 
@@ -208,7 +208,7 @@ class TestClosedFormCdf:
 
     @pytest.mark.parametrize("a", [0.5, 2.0 / 3.0, 1.0, 2.0])
     def test_raw_expansion_every_order(self, a):
-        mv = MomentVector(1, self.BETA_MOMENTS, 8, lower_exponent=a)
+        mv = MomentVector(self.BETA_MOMENTS, lower_exponent=a)
         grid = np.linspace(0.0, 1.0, 23)
         for order in range(9):
             dens = income_pdf.expand_density(mv, 0.0, 1.0, order=order)

@@ -108,12 +108,6 @@ class TestDurationSum:
 
 
 class TestRevenueMoments:
-    def test_deterministic_scaling_and_duration(self):
-        cfg = point_mass_config(2.0, tau=4)
-        mv = moments.revenue_moments(cfg)
-        np.testing.assert_allclose(mv.raw, (4 * 2.0) ** np.arange(1.0, 5.0), rtol=1e-12)
-        assert (mv.atom_lo, mv.atom_hi) == (0.0, 0.0)
-
     def test_reference_mean_alpha3(self, table2_config):
         # 76.5 at pathloss 3 (clamps [0.1, 100], gap 100); the calibration anchor
         assert moments.revenue_moments(table2_config).raw[0] == pytest.approx(
@@ -251,7 +245,7 @@ class TestClampAtoms:
 
     def test_invalid_atoms_rejected(self):
         with pytest.raises(DomainError):
-            moments.MomentVector(1, np.array([1.0, 2.0]), 2, atom_lo=0.7, atom_hi=0.4)
+            moments.MomentVector(np.array([1.0, 2.0]), atom_lo=0.7, atom_hi=0.4)
 
 
 @pytest.mark.parametrize("name", ["reference", "pathloss-3", "pathloss-5", "noise",
@@ -275,10 +269,10 @@ def test_profile_on_the_rule_nodes_equals_the_scalar_route_bit_for_bit(name):
     net = cfg.network
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     for gap in cfg.products.rate_gaps:
-        grid = moments._LogUGrid(gap * kappa_pow, net.alpha_pathloss, cfg.financial,
-                                 cfg.numerics.moment_order)
         for level in range(moments._MAX_LEVEL + 1):
-            u, profile, _ = grid.nodes(moments._START_U_PANELS << level)
+            u, profile, _ = moments._log_u_nodes(gap * kappa_pow, net.alpha_pathloss,
+                                                 cfg.financial, cfg.numerics.moment_order,
+                                                 moments._START_U_PANELS << level)
             want = [oracles.scalar_laplace_exponent_profile(gap * kappa_pow * ui,
                                                             net.alpha_pathloss)
                     for ui in u.tolist()]

@@ -145,15 +145,21 @@ def _assert_k3_within_4se(x, k3):
     assert abs(m3 - k3) <= 4 * se, (m3, k3, se)
 
 
+def _pi_beta_r2(net, r):
+    """Serving distances in the sampler's unit t = pi beta r^2."""
+    return math.pi * net.beta_cells_per_area * r * r
+
+
 class TestFarField:
     NET = model.NetworkParams(beta_cells_per_area=0.1, alpha_pathloss=4.0,
                               p_i_interferer_power=2.0)
     RADIUS = 3.0 / math.sqrt(0.1)
+    EDGE = math.pi * 3.0 ** 2  # pi beta RADIUS^2
 
     def test_gamma_draws_match_campbell_moments(self):
         n = 1_000_000
         r_slot = np.random.default_rng(0).uniform(0.0, self.RADIUS, n)
-        far = montecarlo._far_field(self.NET, self.RADIUS, r_slot,
+        far = montecarlo._far_field(self.NET, self.EDGE, _pi_beta_r2(self.NET, r_slot),
                                     montecarlo._stream(1, "far"))
         _assert_moments_within_4se(far, *_campbell(4.0, 0.1, 2.0, self.RADIUS))
 
@@ -161,7 +167,7 @@ class TestFarField:
         # such slots draw no interferers, so their far field starts at r_u
         n = 200_000
         r_slot = np.repeat([0.5 * self.RADIUS, 1.5 * self.RADIUS, 2.0 * self.RADIUS], n)
-        far = montecarlo._far_field(self.NET, self.RADIUS, r_slot,
+        far = montecarlo._far_field(self.NET, self.EDGE, _pi_beta_r2(self.NET, r_slot),
                                     montecarlo._stream(2, "far"))
         for k, edge in enumerate((self.RADIUS, 1.5 * self.RADIUS, 2.0 * self.RADIUS)):
             want = _campbell(4.0, 0.1, 2.0, edge)
@@ -177,7 +183,8 @@ class TestFarField:
         n = 1_000_000
         rng = np.random.default_rng(int(10 * alpha))
         r_slot = np.concatenate([rng.uniform(0.0, radius, n), np.full(n, 1.5 * radius)])
-        far = montecarlo._far_field(net, radius, r_slot, montecarlo._stream(3, "far"))
+        far = montecarlo._far_field(net, math.pi * montecarlo.RADIUS_FACTOR ** 2,
+                                    _pi_beta_r2(net, r_slot), montecarlo._stream(3, "far"))
         for k, edge in enumerate((radius, 1.5 * radius)):
             assert montecarlo._far_field_law(net, edge)[2] > 0.0
             want = _campbell(alpha, 0.1, 2.0, edge)

@@ -11,7 +11,7 @@ from scipy import fft as sp_fft
 
 from microruin import ruin, specfun
 from microruin.compound import LatticePMF
-from microruin.errors import DomainError
+from microruin.errors import DomainError, ResourceLimitError
 from tests.conftest import SWEEP_SCENARIOS, make_config, sweep_config
 from tests.oracles import atom_recursion, golden_loss_top
 
@@ -211,12 +211,12 @@ class TestSurvivalBase:
         # on-lattice capitals: exact agreement with the base formula
         res = ruin.survival_recursion(np.array([0.0, 1.0, 2.0]), 0.0, [Z3])
         for j, u in enumerate((0.0, 1.0, 2.0)):
-            assert res.phi[0, j] == pytest.approx(survival_base(u, 0.0, Z3),
-                                                  abs=1e-12)
+            assert 1.0 - res.psi[0, j] == pytest.approx(survival_base(u, 0.0, Z3),
+                                                        abs=1e-12)
         # off-lattice capitals resolve exactly once the grid contains them
         fine = ruin.survival_recursion(np.array([0.5]), 0.0, [Z3], grid_step=0.01)
-        assert fine.phi[0, 0] == pytest.approx(survival_base(0.5, 0.0, Z3),
-                                               abs=1e-12)
+        assert 1.0 - fine.psi[0, 0] == pytest.approx(survival_base(0.5, 0.0, Z3),
+                                                     abs=1e-12)
 
 
 class TestSurvivalRecursion:
@@ -365,7 +365,8 @@ class TestCapitalGrid:
         assert diag["grid_tail_bound"] == (len(pmfs) * eps if chernoff_binds else 0.0)
         assert np.abs(res.psi - ref).max() <= diag["grid_tail_bound"] + 1e-13
         assert diag["grid_points"] < oracle_points
-        assert res.u_grid == (diag["grid_lo"], res.grid_step, diag["grid_points"])
+        default_step = pmfs[0].step / math.ceil((1.0 + r) ** len(pmfs))
+        assert res.u_grid == (diag["grid_lo"], default_step, diag["grid_points"])
 
     @pytest.mark.parametrize("r", [0.0, 0.05])
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
@@ -458,6 +459,28 @@ class TestCapitalGrid:
         assert np.abs(capped.psi - uncapped.psi).max() <= 1e-13
         if name == "clamps-0.1-100":
             assert capped.diagnostics["grid_points"] < 10_000
+
+    def test_far_capitals_widen_no_grid(self):
+        # below -max(y)^+ / (1+r) the first step is certain ruin and above the
+        # loss top survival is read, so neither needs grid points
+        cfg = _reference_with({})
+        pmfs, _ = ruin.interval_net_pmfs(cfg)
+        r = cfg.financial.interest_rate_per_interval
+        ref = ruin.survival_recursion(np.array([100.0, 150.0, 200.0, 250.0, 300.0]), r, pmfs)
+        for u, psi in ((-1e300, 1.0), (-1e6, 1.0), (1e6, 0.0), (1e300, 0.0)):
+            res = ruin.survival_recursion(np.array([u]), r, pmfs)
+            assert (res.psi == psi).all(), u
+            assert res.diagnostics["grid_points"] <= ref.diagnostics["grid_points"], u
+        mixed = ruin.survival_recursion(np.array([-1e300, -1e6, 100.0, 1e6, 1e300]), r, pmfs)
+        assert mixed.diagnostics["grid_points"] <= ref.diagnostics["grid_points"]
+        assert mixed.psi[:, 2].tobytes() == ref.psi[:, 0].tobytes()
+        np.testing.assert_array_equal(mixed.psi[:, [0, 1]], 1.0)
+        np.testing.assert_array_equal(mixed.psi[:, [3, 4]], 0.0)
+
+    def test_grid_over_the_points_budget_is_refused(self):
+        # the default step is lattice step / ceil((1+r)^L): 2^-20 at r = 1, L = 20
+        with pytest.raises(ResourceLimitError, match="budget of 1000000"):
+            ruin.survival_recursion(np.array([0.0, 1.0]), 1.0, [Z5] * 20)
 
 
 class TestOnGrid:
