@@ -88,7 +88,7 @@ def one_pass(cfg) -> tuple[dict, dict]:
     spent.update(dict.fromkeys(STAGES, 0.0))
     result, info = ruin.run_pipeline(cfg, np.array(U_VALUES))
     sizes = {"window_points": info["intervals"][1]["compound"]["window_points"],
-             "grid_points": result.diagnostics["grid_points"],
+             "grid_points": result.u_grid[2],
              "fft_points": result.diagnostics["fft_points"]}
     return dict(spent), sizes
 

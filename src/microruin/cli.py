@@ -110,8 +110,12 @@ def _apply_overrides(data: dict, overrides) -> dict:
 
 
 def _overridden(cfg: model.ScenarioConfig, overrides) -> model.ScenarioConfig:
-    """``cfg`` with every dotted ``path=value`` override applied, validated."""
-    data = _apply_overrides(cfg.to_dict(), overrides)
+    """``cfg`` with every dotted ``path=value`` override applied, validated.
+    An override of ``products.rates_bps`` replaces the config's rate gaps."""
+    data = cfg.to_dict()
+    if any(item.startswith("products.rates_bps=") for item in overrides or ()):
+        del data["products"]["rate_gaps"]
+    data = _apply_overrides(data, overrides)
     return model.validate(model.ScenarioConfig.from_dict(data))
 
 
@@ -241,11 +245,12 @@ def _cmd_ruin(args, cfg, manifest):
                 row += [mc.psi[l - 1, j], mc.ci_lo[l - 1, j], mc.ci_hi[l - 1, j]]
             rows.append(row)
     _write_csv(args.out, "ruin.csv", header, rows, manifest)
+    lo, step, points = result.u_grid
     manifest.tolerances_achieved.update({
         "sanitized_mass": max(v["sanitized_mass"] for v in info["intervals"].values()),
         "compound": _compound_diagnostics(info),
-        "ruin_grid": {k: result.diagnostics[k] for k in (
-            "grid_points", "grid_lo", "grid_hi", "grid_tail_bound", "fft_points")},
+        "ruin_grid": {"grid_points": points, "grid_lo": lo,
+                      "grid_hi": (round(lo / step) + points - 1) * step, **result.diagnostics},
     })
     final = ", ".join(f"psi_{horizon}({u:g})={result.psi[horizon - 1, j]:.4f}"
                       for j, u in enumerate(us))
@@ -298,7 +303,7 @@ def _cmd_simulate(args, cfg, manifest):
                              est.ci_hi[l - 1, j]))
         _write_csv(args.out, "mc_ruin.csv", ["l", "u", "psi", "ci_lo", "ci_hi"],
                    rows, manifest)
-        print(f"{est.n_paths} surplus paths simulated")
+        print(f"{plan.mc_paths} surplus paths simulated")
 
 
 def _cmd_sweep(args, cfg, manifest):
@@ -311,7 +316,7 @@ def _cmd_sweep(args, cfg, manifest):
         text = int(value) if integer and float(value).is_integer() else float(value)
         point_cfg = _overridden(cfg, [f"{dotted}={text}"])
         mv = moments.revenue_moments(point_cfg, interval_index=1)
-        sub = os.path.join(args.out, f"sweep_{dotted.replace('.', '_')}_{value:g}")
+        sub = os.path.join(args.out, f"sweep_{dotted.replace('.', '_')}_{_fmt(value)}")
         sub_manifest = RunManifest(config_hash=point_cfg.config_hash(),
                                    seed=point_cfg.numerics.seed,
                                    command="sweep-point", started_utc=_now())

@@ -50,7 +50,7 @@ POINTS_BUDGET = 1_000_000  # lattice points of one income law and one compound w
 
 @dataclass(frozen=True)
 class LatticePMF:
-    """Probability masses on the lattice step * {min_index, ..., max_index}."""
+    """Probability masses on the lattice step * {min_index, min_index + 1, ...}."""
 
     step: float
     min_index: int
@@ -69,10 +69,6 @@ class LatticePMF:
             raise AccuracyError("lattice PMF mass defect beyond 1e-9",
                                 {"total": total})
 
-    @property
-    def max_index(self) -> int:
-        return self.min_index + len(self.mass) - 1
-
     def indices(self) -> np.ndarray:
         return self.min_index + np.arange(len(self.mass))
 
@@ -82,38 +78,13 @@ class LatticePMF:
     def mean(self) -> float:
         return float(np.dot(self.values(), self.mass))
 
-    def mass_at(self, index: int) -> float:
-        j = index - self.min_index
-        if 0 <= j < len(self.mass):
-            return float(self.mass[j])
-        return 0.0
-
-    def cdf_below(self, y: float) -> float:
-        """Pr(S < y): strict, so an atom exactly at y is excluded."""
-        # strict comparison with a relative guard against float fuzz on the lattice
-        tol = 1e-9 * self.step
-        k = int(np.ceil(y / self.step - tol))  # smallest index with value >= y
-        j = k - self.min_index
-        if j <= 0:
-            return 0.0
-        return float(self.mass[: min(j, len(self.mass))].sum())
-
-    def cdf_at(self, y: float) -> float:
-        """Pr(S <= y) with an inclusive lattice boundary."""
-        tol = 1e-9 * self.step
-        k = int(np.floor(y / self.step + tol))  # largest index with value <= y
-        j = k - self.min_index + 1
-        if j <= 0:
-            return 0.0
-        return float(self.mass[: min(j, len(self.mass))].sum())
-
     def convolve(self, other: "LatticePMF") -> "LatticePMF":
         if not math.isclose(self.step, other.step, rel_tol=1e-12):
             raise DomainError("convolution requires a common lattice step")
         return LatticePMF(step=self.step, min_index=self.min_index + other.min_index,
                           mass=np.convolve(self.mass, other.mass))
 
-    def trimmed(self, eps: float = 0.0) -> "LatticePMF":
+    def trimmed(self, eps: float) -> "LatticePMF":
         """Drop negligible tails (at most eps total mass per side), renormalized."""
         mass = self.mass
         csum = np.cumsum(mass)
@@ -125,21 +96,21 @@ class LatticePMF:
         return LatticePMF(step=self.step, min_index=self.min_index + lo, mass=trimmed)
 
 
-def discretize_income(density: ExpandedDensity, delta: float,
-                      points_budget: int = POINTS_BUDGET) -> LatticePMF:
+def discretize_income(density: ExpandedDensity, delta: float) -> LatticePMF:
     """Mass-preserving midpoint rounding of a continuous density onto delta*Z.
 
     Lattice point k receives CDF(k delta + delta/2) - CDF(k delta - delta/2),
-    which preserves total mass exactly and the mean to within delta/2.
+    which preserves total mass exactly and the mean to within delta/2.  More
+    than ``POINTS_BUDGET`` lattice points raise ResourceLimitError.
     """
     if not delta > 0:
         raise DomainError(f"lattice step must be positive, got {delta}")
     k_lo = math.floor(density.v_lo / delta + 0.5)
     k_hi = math.ceil(density.v_hi / delta - 0.5)
     n = k_hi - k_lo + 1
-    if n > points_budget:
+    if n > POINTS_BUDGET:
         raise ResourceLimitError(
-            f"discretization needs {n} lattice points, budget is {points_budget}")
+            f"discretization needs {n} lattice points, budget is {POINTS_BUDGET}")
     edges = (np.arange(k_lo, k_hi + 2) - 0.5) * delta
     cdf = density.cdf(edges)
     mass = np.diff(cdf)
@@ -173,9 +144,7 @@ def net_profit_step_pmf(income: LatticePMF, fin: FinancialParams) -> LatticePMF:
 
 
 def _geometric_truncation(w_n: float, tail_eps: float) -> int:
-    """Smallest U with residual geometric tail (1-w)^(U+1) < tail_eps."""
-    if w_n >= 1.0:
-        return 0
+    """Smallest U with residual geometric tail (1-w)^(U+1) < tail_eps, 0 < w < 1."""
     return max(0, math.ceil(math.log(tail_eps) / math.log1p(-w_n)) - 1)
 
 
@@ -286,23 +255,19 @@ class CompoundPMF(LatticePMF):
     diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
-                           points_budget: int = POINTS_BUDGET) -> CompoundPMF:
-    """PMF of S = sum_{j=1}^N Z_j with N geometric (Pr(N=0) = w_n).
+def compound_geometric_pmf(step: LatticePMF, w_n: float,
+                           tail_eps: float = 1e-12) -> CompoundPMF:
+    """PMF of S = sum_{j=1}^N Z_j with N geometric (Pr(N=0) = w_n, 0 < w_n < 1).
 
     The PGF closed form is inverted with a real FFT on the window
     [lo, hi] that holds all but at most ``tail_eps`` of the mass on each side
     (Chernoff bounds on the exact lattice MGF), so wrap-around moves at most
     2 ``tail_eps``.  Mass at the origin is at least w_n.  The mean identity
-    E[S] = (1-w)/w * E[Z] is checked on every call.
+    E[S] = (1-w)/w * E[Z] is checked on every call.  A window over
+    ``POINTS_BUDGET`` points raises ResourceLimitError.
     """
-    if not (0.0 < w_n <= 1.0):
-        raise DomainError(f"geometric parameter must lie in (0, 1], got {w_n}")
-    if w_n == 1.0:
-        return CompoundPMF(step=step.step, min_index=0, mass=np.array([1.0]),
-                           diagnostics={"window_points": 1, "aliasing_bound": 0.0,
-                                        "clipped_mass": 0.0, "mean_residual": 0.0,
-                                        "mean_tolerance": 0.0})
+    if not (0.0 < w_n < 1.0):
+        raise DomainError(f"geometric parameter must lie in (0, 1), got {w_n}")
     positive = step.mass > 0.0
     idx = step.indices()[positive]
     log_p = np.log(step.mass[positive])
@@ -311,12 +276,12 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12
     neg_lo, bound_lo = _chernoff_edge(-idx, log_p, w_n, log_eps)
     lo = -neg_lo
     n = specfun.next_fast_len(hi - lo + 1)
-    if n > points_budget:
-        shrink = points_budget / n
+    if n > POINTS_BUDGET:
+        shrink = POINTS_BUDGET / n
         achieved = (bound_hi(math.floor(hi * shrink))
                     + bound_lo(math.floor(neg_lo * shrink)))
         raise ResourceLimitError(
-            f"compound support needs {n} points (budget {points_budget}); "
+            f"compound support needs {n} points (budget {POINTS_BUDGET}); "
             f"achievable tail mass {achieved:.3g} > requested {tail_eps:.3g}")
     hi = lo + n - 1  # the fast-length padding widens the upper side
 

@@ -114,7 +114,6 @@ class ExpandedDensity:
     """
 
     support: tuple
-    order: int
     coeffs: np.ndarray
     poly: np.ndarray
     lower_exponent: float
@@ -147,6 +146,10 @@ class ExpandedDensity:
     @property
     def continuous_mass(self) -> float:
         return 1.0 - self.atoms[0] - self.atoms[1]
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     def _to_unit(self, v):
         t = (np.asarray(v, dtype=float) - self.v_lo) / (self.v_hi - self.v_lo)
@@ -185,29 +188,16 @@ class ExpandedDensity:
         vals = np.where(v < self.v_lo, 0.0, np.where(v > self.v_hi, 1.0, vals))
         return float(vals) if vals.ndim == 0 else vals
 
-    def mean(self) -> float:
-        """Mean of V: the atoms plus the exact mean of the (kept) density."""
-        # t q(t) has the coefficients of q shifted up one power
-        a = self.lower_exponent
-        r = _antiderivative(np.concatenate(([0.0], self.tpoly)), a)
-        seg_means = np.diff(_closed_form(self.seg_edges, r, a))
-        unit_mean = float(seg_means[self.seg_keep].sum()) / self.norm
-        cont_mean = self.v_lo + unit_mean * (self.v_hi - self.v_lo)
-        atom_lo, atom_hi = self.atoms
-        return atom_lo * self.v_lo + atom_hi * self.v_hi + self.continuous_mass * cont_mean
 
-
-def expand_density(moments: MomentVector, v_lo: float, v_hi: float,
-                   order: int | None = None) -> ExpandedDensity:
+def expand_density(moments: MomentVector, v_lo: float, v_hi: float) -> ExpandedDensity:
     """Raw (unsanitized) expansion of the income law from its moments.
 
-    The endpoint atoms of ``moments`` are carried exactly and only the
-    continuous remainder is expanded, under the weight exponent
-    a = ``moments.lower_exponent`` (2/alpha for revenue moments).
+    The expansion's order is ``moments.order``: a lower order takes a
+    shorter moment vector.  The endpoint atoms of ``moments`` are carried
+    exactly and only the continuous remainder is expanded, under the weight
+    exponent a = ``moments.lower_exponent`` (2/alpha for revenue moments).
     """
-    order = moments.order if order is None else order
-    if order > moments.order:
-        raise DomainError(f"order {order} needs moments up to s={order}, got {moments.order}")
+    order = moments.order
     a = moments.lower_exponent
     atoms = (moments.atom_lo, moments.atom_hi)
     cont = 1.0 - atoms[0] - atoms[1]
@@ -223,16 +213,18 @@ def expand_density(moments: MomentVector, v_lo: float, v_hi: float,
         zeta = specfun.jacobi_poly_coeffs(n, 0.0, a - 1.0)
         coeffs[n] = (2 * n + a) / a * float(np.dot(zeta, unit_moments[: n + 1]))
         poly[: n + 1] += coeffs[n] * zeta
-    return ExpandedDensity(support=(v_lo, v_hi), order=order, coeffs=coeffs, poly=poly,
+    return ExpandedDensity(support=(v_lo, v_hi), coeffs=coeffs, poly=poly,
                            lower_exponent=a, atoms=atoms)
 
 
-def sanitize(raw: ExpandedDensity, warn_mass: float = 0.02,
-             reject_mass: float = 0.1) -> ExpandedDensity:
+WARN_MASS = 0.02  # clipped mass above which sanitize logs a warning
+
+
+def sanitize(raw: ExpandedDensity, reject_mass: float = 0.1) -> ExpandedDensity:
     """Clip negative excursions of a raw expansion and renormalize.
 
     The clipped L1 mass, in units of the whole distribution, is recorded as
-    ``sanitized_mass`` and logged as a warning above ``warn_mass``; above
+    ``sanitized_mass`` and logged as a warning above ``WARN_MASS``; above
     ``reject_mass`` the density is rejected (the caller should raise the
     moment order).
     """
@@ -256,7 +248,7 @@ def sanitize(raw: ExpandedDensity, warn_mass: float = 0.02,
             "expansion rejected: clipped mass exceeds budget; raise the moment order",
             {"sanitized_mass": negative_mass, "order": raw.order},
         )
-    if negative_mass > warn_mass:
+    if negative_mass > WARN_MASS:
         logger.warning("income density sanitization removed %.4f L1 mass (order %d)",
                        negative_mass, raw.order)
     kept_cum = np.concatenate(([0.0], np.cumsum(np.where(keep, seg_masses, 0.0))))[:-1]

@@ -78,15 +78,11 @@ class FinancialParams:
 
 @dataclass(frozen=True)
 class ProductParams:
-    """QoS products expressed as SNR-like rate gaps A = 2^(R/B) - 1."""
+    """QoS products expressed as SNR-like rate gaps A = 2^(R/B) - 1 (a config
+    document may give the rates R as ``rates_bps`` instead)."""
 
     rate_gaps: tuple = (100.0,)
     product_mix: tuple = (1.0,)
-
-    @classmethod
-    def from_rates(cls, rates_bps, product_mix, bandwidth_hz):
-        gaps = tuple(2.0 ** (r / bandwidth_hz) - 1.0 for r in rates_bps)
-        return cls(rate_gaps=gaps, product_mix=tuple(product_mix))
 
     @property
     def q_count(self) -> int:
@@ -253,13 +249,6 @@ class ScenarioConfig:
         out["durations"] = _duration_to_dict(self.durations)
         return out
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return sha256(canonical.encode()).hexdigest()
@@ -268,8 +257,11 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         """Build a config from its JSON document; fields left out keep their defaults.
 
-        Raises ConfigError naming the field path of every unknown section or
-        field and every operator key that is not an integer.
+        ``products.rates_bps`` gives the rate gaps as rates over
+        ``network.bandwidth_hz``.  Raises ConfigError naming the field path of
+        every unknown section or field, every operator key that is not an
+        integer, a rate or bandwidth that gives no finite positive gap, and
+        ``rates_bps`` given together with ``rate_gaps``.
         """
         cfg = cls()
         errors = [(name, "unknown section") for name in sorted(set(data) - set(_SECTIONS))]
@@ -281,6 +273,11 @@ class ScenarioConfig:
         for name in ("rate_gaps", "product_mix", "rates_bps"):
             if name in prod:
                 prod[name] = _as_tuple(errors, f"products.{name}", prod[name])
+        if "rates_bps" in prod:
+            if "rate_gaps" in prod:
+                errors.append(("products.rates_bps", "give rate_gaps or rates_bps, not both"))
+            prod["rate_gaps"] = _rate_gaps(errors, prod.pop("rates_bps"),
+                                           net.get("bandwidth_hz", cfg.network.bandwidth_hz))
         dur = data.get("durations")
         durations = (_duration_from_dict(errors, "durations", dur) if dur is not None
                      else cfg.durations)
@@ -288,14 +285,7 @@ class ScenarioConfig:
             raise ConfigError(errors)
         network = replace(cfg.network, **net)
         financial = replace(cfg.financial, **fin)
-        product_mix = prod.get("product_mix", cfg.products.product_mix)
-        if "rates_bps" in prod:
-            products = ProductParams.from_rates(prod["rates_bps"], product_mix,
-                                                network.bandwidth_hz)
-        else:
-            products = ProductParams(
-                rate_gaps=prod.get("rate_gaps", cfg.products.rate_gaps),
-                product_mix=product_mix)
+        products = replace(cfg.products, **prod)
         numerics = replace(cfg.numerics, **num)
         return cls(network=network, financial=financial, products=products,
                    durations=durations, numerics=numerics)
@@ -335,6 +325,20 @@ def _as_tuple(errors, path: str, value) -> tuple:
         return tuple(value)
     errors.append((path, "must be a JSON list"))
     return ()
+
+
+def _rate_gaps(errors, rates, bandwidth) -> tuple:
+    """Rate gaps 2^(R/B) - 1 of the rates R in bps over the bandwidth B in Hz;
+    a bandwidth, or a rate whose 2^(R/B) is not a float above 1, is an error
+    at its path."""
+    if not (_is_number(bandwidth) and bandwidth > 0):
+        errors.append(("network.bandwidth_hz", "bandwidth must be a positive finite number"))
+        return ()
+    if not all(_is_number(r) and 0 < r / bandwidth < 1024 for r in rates):
+        errors.append(("products.rates_bps", "rates R must be numbers with 0 < R < 1024 B, "
+                       f"B = {bandwidth:g} Hz"))
+        return ()
+    return tuple(2.0 ** (r / bandwidth) - 1.0 for r in rates)
 
 
 def _as_dict(errors, path: str, value) -> dict:

@@ -106,20 +106,19 @@ def _inverse_pmf_sample(rng, values, probs, size):
     return np.asarray(values)[idx]
 
 
-def _far_field_moments(net, radius, orders=2):
-    """Mean and variance of the interference from beyond ``radius`` (a float
-    or an array), and with ``orders=3`` its third cumulant as well, by
-    Campbell's theorem with E[h^n] = n!."""
+def _far_field_moments(net, radius):
+    """Mean, variance and third cumulant of the interference from beyond
+    ``radius`` (a float or an array), by Campbell's theorem with E[h^n] = n!."""
     alpha, p_i = net.alpha_pathloss, net.p_i_interferer_power
     two_pi_beta = 2.0 * math.pi * net.beta_cells_per_area
     return tuple(two_pi_beta * math.factorial(n) * p_i ** n * radius ** (2.0 - n * alpha)
-                 / (n * alpha - 2.0) for n in range(1, orders + 1))
+                 / (n * alpha - 2.0) for n in (1, 2, 3))
 
 
 def _far_field_law(net, radius):
     """Shape, scale and shift of the shifted Gamma law with the far field's
     three cumulants; the shift is positive for every alpha > 2."""
-    k1, k2, k3 = _far_field_moments(net, radius, orders=3)
+    k1, k2, k3 = _far_field_moments(net, radius)
     shape, scale = 4.0 * k2 ** 3 / (k3 * k3), k3 / (2.0 * k2)
     return shape, scale, k1 - shape * scale
 
@@ -153,7 +152,7 @@ def far_field_summary(config: ScenarioConfig) -> dict:
     inside it)."""
     pi_f2 = math.pi * RADIUS_FACTOR ** 2
     radius = RADIUS_FACTOR / math.sqrt(config.network.beta_cells_per_area)
-    mean, var, k3 = _far_field_moments(config.network, radius, orders=3)
+    mean, var, k3 = _far_field_moments(config.network, radius)
     # pi beta r_u^2 ~ Exp(1), so E[(pi beta (R^2 - r_u^2))^+] = pi f^2 - 1 + e^(-pi f^2)
     return {"radius_factor": RADIUS_FACTOR, "radius": radius,
             "points_per_slot": pi_f2 - 1.0 + math.exp(-pi_f2),
@@ -355,11 +354,9 @@ def estimate_moments(config: ScenarioConfig, plan: Numerics,
 class MCRuinEstimate:
     """Empirical ruin frequencies with Wilson 95% intervals."""
 
-    u_values: np.ndarray
     psi: np.ndarray          # (horizon, n_u)
     ci_lo: np.ndarray
     ci_hi: np.ndarray
-    n_paths: int
 
 
 def _wilson(p_hat: np.ndarray, n: int, z: float = 1.959963984540054):
@@ -422,5 +419,4 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
     for j, u in enumerate(u_values):
         psi[:, j] = np.mean(running_min < -u, axis=1)
     ci_lo, ci_hi = _wilson(psi, n_paths)
-    return MCRuinEstimate(u_values=u_values, psi=psi, ci_lo=ci_lo, ci_hi=ci_hi,
-                          n_paths=n_paths)
+    return MCRuinEstimate(psi=psi, ci_lo=ci_lo, ci_hi=ci_hi)

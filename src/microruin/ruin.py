@@ -40,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import income_pdf, specfun
+from . import compound, income_pdf, specfun
 from .compound import (
-    POINTS_BUDGET,
     LatticePMF,
     _chernoff_min,
     compound_geometric_pmf,
@@ -79,9 +78,9 @@ def initial_capital_bound(r: float, n: int, e_n: float, e_v: float, e_c: float) 
 
 @dataclass(frozen=True)
 class RuinResult:
-    """Ruin/survival probabilities per horizon on the requested capitals."""
+    """Ruin/survival probabilities per horizon on the requested capitals, and
+    the capital grid lo + step * {0, ..., points - 1} the recursion ran on."""
 
-    u_values: np.ndarray
     psi: np.ndarray            # (horizon, n_u)
     u_grid: tuple              # (lo, step, n_points)
     diagnostics: dict
@@ -179,7 +178,7 @@ class _RecursionGrid:
     phi_l's reach are wrong and never read).  When the Chernoff top binds it
     moves phi by at most ``tail_bound`` = horizon * tail_eps, and not at all
     when the worst-case reach or the read top does.  A grid of more than
-    ``POINTS_BUDGET`` points raises ResourceLimitError.
+    ``compound.POINTS_BUDGET`` points raises ResourceLimitError.
     """
 
     def __init__(self, u_values, r, pmfs, grid_step, horizon, tail_eps):
@@ -194,10 +193,10 @@ class _RecursionGrid:
         read_top = _read_top(y_max, growth, horizon, u_hi, grid_step)
         self.k_lo = math.floor((min(u_lo, 0.0) - margin) / grid_step)
         self.k_hi = math.ceil((max(u_hi, min(top, read_top)) + margin) / grid_step)
-        if self.k_hi - self.k_lo >= POINTS_BUDGET:
+        if self.k_hi - self.k_lo >= compound.POINTS_BUDGET:
             raise ResourceLimitError(
                 f"recursion grid needs {self.k_hi - self.k_lo + 1} capital points "
-                f"(step {grid_step:g}), over the budget of {POINTS_BUDGET}")
+                f"(step {grid_step:g}), over the budget of {compound.POINTS_BUDGET}")
         self.step = grid_step
         self.points = np.arange(self.k_lo, self.k_hi + 1) * grid_step
         self.growth = growth
@@ -356,7 +355,7 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     step is certain ruin, get psi 1 and capitals past the loss top psi 0
     without widening the grid.  A grid over ``compound.POINTS_BUDGET``
     points (a fine step from a large (1+r)^L) raises ResourceLimitError.
-    The diagnostics also give the grid's points and edges, and
+    ``u_grid`` records the grid, and the diagnostics also give
     ``fft_points``: the longest circular length of a correlation step,
     sized to the outputs its stretch reads.
     """
@@ -391,16 +390,10 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         phi_rows[l - 1] = np.interp(u_values, grid.points, phi_grid, left=0.0, right=1.0)
 
     return RuinResult(
-        u_values=u_values, psi=1.0 - phi_rows,
+        psi=1.0 - phi_rows,
         u_grid=(float(grid.points[0]), float(grid_step), len(grid.points)),
-        diagnostics={
-            "pmf_mass_defects": [abs(float(p.mass.sum()) - 1.0) for p in pmfs],
-            "grid_points": len(grid.points),
-            "grid_lo": float(grid.points[0]),
-            "grid_hi": float(grid.points[-1]),
-            "grid_tail_bound": grid.tail_bound,
-            "fft_points": max(c.n_fft for c in steps.values()),
-        },
+        diagnostics={"grid_tail_bound": grid.tail_bound,
+                     "fft_points": max(c.n_fft for c in steps.values())},
     )
 
 
@@ -411,9 +404,9 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
 def interval_net_pmfs(config: ScenarioConfig):
     """Per-interval compound net-profit PMFs (the G_l inputs of the recursion).
 
-    Returns (pmfs, info) where info carries the per-stage diagnostics
-    (moments, sanitized mass, lattice step, and per distinct interval the
-    compound stage's FFT window, aliasing bound, clipped negative mass and
+    Returns (pmfs, info) where info carries the lattice step and, per
+    distinct interval, the sanitized mass and the compound stage's
+    diagnostics (FFT window, aliasing bound, clipped negative mass and
     mean-identity residual).
     """
     fin, num = config.financial, config.numerics
@@ -438,18 +431,13 @@ def interval_net_pmfs(config: ScenarioConfig):
         density = income_pdf.sanitize(income_pdf.expand_density(mv, v_lo, v_hi))
         income = discretize_income(density, delta)
         zstep = net_profit_step_pmf(income, fin)
-        compound = compound_geometric_pmf(zstep, fin.w_n_geometric, tail_eps=num.tail_eps)
+        compound_pmf = compound_geometric_pmf(zstep, fin.w_n_geometric, tail_eps=num.tail_eps)
         # drop negligible compound tails before the recursion: each dropped
         # side carries at most TRIM_MASS, so survival probabilities move by
         # at most horizon * TRIM_MASS
-        g = compound.trimmed(TRIM_MASS)
-        built[key] = g
-        info["intervals"][i] = {
-            "mean_revenue": float(mv.raw[0]),
-            "sanitized_mass": density.sanitized_mass,
-            "compound_mean": g.mean(),
-            "compound": compound.diagnostics,
-        }
+        built[key] = compound_pmf.trimmed(TRIM_MASS)
+        info["intervals"][i] = {"sanitized_mass": density.sanitized_mass,
+                                "compound": compound_pmf.diagnostics}
     return [built[key] for key in order], info
 
 
@@ -457,7 +445,7 @@ def run_pipeline(config: ScenarioConfig, u_values=None):
     """Full numerical path: moments, density expansion, discretization,
     compound distribution, then the survival recursion.
 
-    Returns (RuinResult, info dict).
+    Returns (RuinResult, info) with info from ``interval_net_pmfs``.
     """
     fin = config.financial
     if u_values is None:
@@ -465,5 +453,4 @@ def run_pipeline(config: ScenarioConfig, u_values=None):
     pmfs, info = interval_net_pmfs(config)
     result = survival_recursion(u_values, fin.interest_rate_per_interval, pmfs,
                                 tail_eps=config.numerics.tail_eps)
-    info["ruin_diagnostics"] = result.diagnostics
     return result, info

@@ -15,7 +15,9 @@ recurrence, with an as-printed statement that does not reproduce the
 compound distribution.  Last, it holds the survival recursion's per-atom
 Stieltjes sum: ``ruin_step`` interpolates the previous survival at every
 landing u (1+r) + y, and ``atom_recursion`` runs it over the horizons on the
-production capital grid.
+production capital grid.  And it holds the readings of a lattice PMF and
+of an income expansion that only the tests take: the top index, the mass at
+one index, the strict and inclusive CDFs, and the expansion's exact mean.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from scipy import integrate
 
 from microruin import moments, montecarlo, ruin, specfun
 from microruin.compound import LatticePMF, _geometric_truncation
+from microruin.income_pdf import ExpandedDensity, _antiderivative, _closed_form
 from microruin.errors import AccuracyError, DomainError
 from microruin.model import FinancialParams, NetworkParams, Numerics, ScenarioConfig
 from microruin.moments import DISTANCE_TAIL_MASS, MomentVector, laplace_exponent_profile
@@ -460,6 +463,46 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
 
 
 # ----------------------------------------------------------------------
+# Lattice PMF and income-law readings
+# ----------------------------------------------------------------------
+
+def max_index(pmf: LatticePMF) -> int:
+    """The highest lattice index that ``pmf`` holds."""
+    return pmf.min_index + len(pmf.mass) - 1
+
+
+def mass_at(pmf: LatticePMF, index: int) -> float:
+    """The mass at one lattice index, 0 outside the PMF."""
+    j = index - pmf.min_index
+    return float(pmf.mass[j]) if 0 <= j < len(pmf.mass) else 0.0
+
+
+def cdf_below(pmf: LatticePMF, y: float) -> float:
+    """Pr(S < y): strict, so an atom exactly at y is excluded."""
+    # a relative guard against float fuzz on the lattice
+    k = int(np.ceil(y / pmf.step - 1e-9 * pmf.step))  # smallest index with value >= y
+    return float(pmf.mass[: max(0, k - pmf.min_index)].sum())
+
+
+def cdf_at(pmf: LatticePMF, y: float) -> float:
+    """Pr(S <= y) with an inclusive lattice boundary."""
+    k = int(np.floor(y / pmf.step + 1e-9 * pmf.step))  # largest index with value <= y
+    return float(pmf.mass[: max(0, k - pmf.min_index + 1)].sum())
+
+
+def density_mean(density: ExpandedDensity) -> float:
+    """Mean of V: the atoms plus the exact mean of the (kept) density."""
+    # t q(t) has the coefficients of q shifted up one power
+    a = density.lower_exponent
+    r = _antiderivative(np.concatenate(([0.0], density.tpoly)), a)
+    seg_means = np.diff(_closed_form(density.seg_edges, r, a))
+    unit_mean = float(seg_means[density.seg_keep].sum()) / density.norm
+    cont_mean = density.v_lo + unit_mean * (density.v_hi - density.v_lo)
+    atom_lo, atom_hi = density.atoms
+    return atom_lo * density.v_lo + atom_hi * density.v_hi + density.continuous_mass * cont_mean
+
+
+# ----------------------------------------------------------------------
 # The compound-geometric identity as a least-squares recurrence
 # ----------------------------------------------------------------------
 
@@ -476,9 +519,9 @@ def build_recurrence_matrix(step: LatticePMF, w_n: float, n_terms: int,
     if variant not in ("corrected", "as-printed"):
         raise DomainError(f"unknown recurrence variant {variant!r}")
     min_idx = min(step.min_index, 0) * n_terms
-    max_idx = max(step.max_index, 0) * n_terms
+    max_idx = max(max_index(step), 0) * n_terms
     n_cols = max_idx - min_idx + 1
-    h0 = step.mass_at(0)
+    h0 = mass_at(step, 0)
     rows = []
     for m in range(min_idx, max_idx + 1):
         if m == 0:
@@ -495,7 +538,7 @@ def build_recurrence_matrix(step: LatticePMF, w_n: float, n_terms: int,
                 continue
             col = m - j - min_idx
             if 0 <= col < n_cols:
-                row[col] -= coef * step.mass_at(j)
+                row[col] -= coef * mass_at(step, j)
         rows.append(row)
     return np.asarray(rows), min_idx
 

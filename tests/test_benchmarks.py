@@ -1,15 +1,23 @@
-"""The benchmark scripts in ``benchmarks/`` run to the end.
+"""The benchmark scripts in ``benchmarks/`` run to the end, and the
+benchmark's tracer still reaches every layer it measures.
 
-Both reach into private sampler and recursion names (``_revenue_batch``,
-``_uniform_field_sums``, ``ruin._loss_top`` and the like), so a rename there
-would otherwise only show at the next measurement.
+Both scripts reach into private sampler and recursion names
+(``_revenue_batch``, ``_uniform_field_sums``, ``ruin._loss_top`` and the
+like), and ``perfbench/tracing.py`` wraps program functions by their dotted
+names and reads their parameters and results, so a rename there would
+otherwise only show at the next measurement.
 """
 
+import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
+
+from microruin import model, montecarlo, ruin
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -43,3 +51,38 @@ def test_bench_analytic_writes_its_run(tmp_path):
         outside = sum(v for k, v in ms.items() if k not in ("chernoff_edges", "pipeline"))
         assert ms["chernoff_edges"] <= ms["compound"], (name, ms)
         assert outside <= ms["pipeline"] + 0.0005 * len(ms), (name, ms)
+
+
+def _perfbench_tracing():
+    """``perfbench/tracing.py`` as a module of its own, left unregistered."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_reaches_every_layer():
+    tracing = _perfbench_tracing()
+    cfg = model.validate(model.default_config())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        ruin.run_pipeline(cfg, [100.0, 150.0, 200.0, 250.0, 300.0])
+        montecarlo.sample_revenues(cfg, cfg.numerics, 4096)
+        wall = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    assert [s["name"] for s in spans if "count_error" in s] == []
+    # the recursion's per-atom step left src for the tests
+    assert tracer.absent == {"microruin._kernels.ruin_step"}
+    metrics, _ = tracing.summarize([spans], [wall], tracer.absent)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # import.* comes from a separate process and trace.* from paired runs
+    wanted = [m["name"] for m in spec["per_layer"]
+              if not m["name"].startswith(("import.", "trace."))]
+    missing = [name for name in wanted if name not in metrics]
+    assert missing == []
+    assert all(math.isfinite(metrics[name]) for name in wanted), metrics

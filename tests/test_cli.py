@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,12 +115,25 @@ class TestValidateCommand:
         (["network.beta_cells_per_area=Infinity"], "network.beta_cells_per_area"),
         (["products.rate_gaps=[-Infinity]"], "products.rate_gaps"),
         (["products.product_mix=[NaN]"], "products.product_mix"),
+        # rates that give no finite positive rate gap, and rates beside gaps
+        (['products.rates_bps=["a"]'], "products.rates_bps"),
+        (["products.rates_bps=[2000]"], "products.rates_bps"),
+        (["products.rates_bps=[1]", "network.bandwidth_hz=0"], "network.bandwidth_hz"),
+        (["products.rates_bps=[1]", 'network.bandwidth_hz="x"'], "network.bandwidth_hz"),
+        (["products.rates_bps=[6.658211482751795]", "products.rate_gaps=[5.0]"],
+         "products.rates_bps"),
     ])
     def test_value_of_the_wrong_shape_exits_two(self, capsys, overrides, path):
         # a field set inside a number, or a number where a list belongs
         args = [arg for item in overrides for arg in ("--set", item)]
         assert run_cli(args + ["validate"]) == 2
         assert f"config error at {path}: " in capsys.readouterr().err
+
+    def test_rates_override_replaces_the_configured_gaps(self):
+        # the config's gap of 5 gives way to a --set rate: 2^6.658... - 1 = 100
+        cfg = replace(model.default_config(), products=model.ProductParams(rate_gaps=(5.0,)))
+        got = cli._overridden(cfg, ["products.rates_bps=[6.658211482751795]"])
+        assert got.products.rate_gaps == pytest.approx((100.0,), rel=1e-12)
 
     @pytest.mark.parametrize("override,command", [
         ("numerics.moment_order=4.5", ["moments"]),
@@ -429,6 +443,17 @@ class TestSweepCommand:
         sample = os.path.join(out, point_dirs[0])
         assert set(os.listdir(sample)) == {"moments.csv", "manifest.json"}
 
+
+    def test_points_closer_than_the_default_format_keep_their_own_outputs(
+            self, tmp_path, fast_config_path):
+        # each directory is named by its point's value as sweep.csv writes it
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out, "sweep",
+                        "--param", "financial.c_max=100000:100000.3:0.1"]) == 0
+        rows = open(os.path.join(out, "sweep.csv")).read().splitlines()[1:]
+        names = {f"sweep_financial_c_max_{row.split(',')[0]}" for row in rows}
+        assert len(rows) == 4 and sorted(os.listdir(out)) == sorted(
+            names | {"sweep.csv", "manifest.json"})
 
     def test_sweep_of_an_integer_field(self, tmp_path, fast_config_path):
         # whole grid values reach the config as ints; each order's row holds

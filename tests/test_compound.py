@@ -19,7 +19,16 @@ from microruin.compound import (
 from microruin.errors import AccuracyError, DomainError, ResourceLimitError
 from microruin.model import FinancialParams
 from tests.conftest import make_config, sweep_config
-from tests.oracles import build_recurrence_matrix, golden_chernoff_edge, hurlimann_ls_solve
+from tests.oracles import (
+    build_recurrence_matrix,
+    cdf_at,
+    cdf_below,
+    density_mean,
+    golden_chernoff_edge,
+    hurlimann_ls_solve,
+    mass_at,
+    max_index,
+)
 from tests.test_income_pdf import uniform_moments
 
 
@@ -41,7 +50,7 @@ def direct_compound(pmf: LatticePMF, w: float, tail_eps: float) -> LatticePMF:
     truncation at tail_eps, accumulated convolution power by power."""
     n_terms = max(0, math.ceil(math.log(tail_eps) / math.log1p(-w)) - 1)
     lo = min(0, n_terms * pmf.min_index)
-    hi = max(0, n_terms * pmf.max_index)
+    hi = max(0, n_terms * max_index(pmf))
     mass = np.zeros(hi - lo + 1)
     mass[-lo] = w
     power = np.array([1.0])
@@ -57,7 +66,7 @@ def direct_compound(pmf: LatticePMF, w: float, tail_eps: float) -> LatticePMF:
 
 def dense_tv(a: LatticePMF, b: LatticePMF) -> float:
     lo = min(a.min_index, b.min_index)
-    hi = max(a.max_index, b.max_index)
+    hi = max(max_index(a), max_index(b))
 
     def dense(p):
         arr = np.zeros(hi - lo + 1)
@@ -78,10 +87,10 @@ class TestLatticePMF:
 
     def test_strict_and_inclusive_cdf(self):
         pmf = LatticePMF(step=0.5, min_index=-1, mass=np.array([0.2, 0.3, 0.5]))
-        assert pmf.cdf_below(0.0) == pytest.approx(0.2)
-        assert pmf.cdf_at(0.0) == pytest.approx(0.5)
-        assert pmf.cdf_below(10.0) == 1.0
-        assert pmf.cdf_at(-10.0) == 0.0
+        assert cdf_below(pmf, 0.0) == pytest.approx(0.2)
+        assert cdf_at(pmf, 0.0) == pytest.approx(0.5)
+        assert cdf_below(pmf, 10.0) == 1.0
+        assert cdf_at(pmf, -10.0) == 0.0
 
     def test_trim_drops_negligible_tails(self):
         mass = np.array([1e-13, 0.5, 0.5 - 2e-13, 1e-13])
@@ -116,13 +125,14 @@ class TestDiscretize:
         delta = (v_hi - v_lo) / 2048.0
         pmf = discretize_income(dens, delta)
         assert len(pmf.mass) <= 4096
-        assert abs(pmf.mean() - dens.mean()) <= delta / 2.0
+        assert abs(pmf.mean() - density_mean(dens)) <= delta / 2.0
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         dens = income_pdf.sanitize(income_pdf.expand_density(
             uniform_moments(0.0, 4.0), 0.0, 4.0))
+        monkeypatch.setattr(compound, "POINTS_BUDGET", 1000)
         with pytest.raises(ResourceLimitError):
-            discretize_income(dens, 1e-9, points_budget=1000)
+            discretize_income(dens, 1e-9)
 
 
 class TestNetProfitStep:
@@ -166,22 +176,23 @@ class TestNetProfitStep:
 class TestCompoundGeometric:
     Z3 = LatticePMF(step=1.0, min_index=-1, mass=np.array([0.3, 0.5, 0.2]))
 
-    def test_w_one_is_point_mass_at_zero(self):
-        pmf = compound_geometric_pmf(self.Z3, 1.0)
-        assert pmf.min_index == 0 and pmf.mass.tolist() == [1.0]
+    def test_w_one_is_refused(self):
+        # validation keeps w_n inside (0, 1): at w_n = 1 no user ever arrives
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            compound_geometric_pmf(self.Z3, 1.0)
 
     def test_mass_at_zero_at_least_w(self):
         for w in (0.2, 0.5, 0.8):
             pmf = compound_geometric_pmf(self.Z3, w)
-            assert pmf.mass_at(0) >= w
+            assert mass_at(pmf, 0) >= w
 
     def test_matches_enumeration(self):
         # N truncated at 6 in the oracle; routes truncated far deeper
         ref = enum_compound(self.Z3, 0.5, 6)
         got = compound_geometric_pmf(self.Z3, 0.5, tail_eps=1e-13)
         tail = (1.0 - 0.5) ** 7
-        tv = 0.5 * sum(abs(got.mass_at(k) - ref.get(k, 0.0))
-                       for k in range(got.min_index, got.max_index + 1))
+        tv = 0.5 * sum(abs(mass_at(got, k) - ref.get(k, 0.0))
+                       for k in range(got.min_index, max_index(got) + 1))
         assert tv <= tail  # difference is exactly the oracle's own truncation
 
     def test_direct_and_fft_agree(self):
@@ -195,10 +206,10 @@ class TestCompoundGeometric:
         pmf = compound_geometric_pmf(z, 0.3)
         assert pmf.mean() == pytest.approx((0.7 / 0.3) * z.mean(), rel=1e-8)
 
-    def test_budget_error_reports_achievable_tail(self):
+    def test_budget_error_reports_achievable_tail(self, monkeypatch):
+        monkeypatch.setattr(compound, "POINTS_BUDGET", 100)
         with pytest.raises(ResourceLimitError, match="achievable tail mass") as err:
-            compound_geometric_pmf(self.Z3, 0.01, tail_eps=1e-300,
-                                   points_budget=100)
+            compound_geometric_pmf(self.Z3, 0.01, tail_eps=1e-300)
         achieved = float(str(err.value).split("achievable tail mass ")[1].split()[0])
         assert 1e-300 < achieved < 1.0
 
@@ -216,9 +227,9 @@ class TestCompoundGeometric:
         got = compound_geometric_pmf(z, w, tail_eps=1e-12)
         assert dense_tv(ref, got) <= 1e-10
         if z.min_index >= 0:
-            assert got.cdf_below(0.0) <= 1e-12
-        if z.max_index <= 0:
-            assert got.cdf_at(0.0) >= 1.0 - 1e-12
+            assert cdf_below(got, 0.0) <= 1e-12
+        if max_index(z) <= 0:
+            assert cdf_at(got, 0.0) >= 1.0 - 1e-12
         diag = got.diagnostics
         assert diag["window_points"] == len(got.mass)
         assert diag["aliasing_bound"] <= 2e-12
@@ -363,7 +374,7 @@ def test_reference_compound_pmf_bit_identical_to_scipy_fft(table3_config, monkey
     cfg = table3_config
     fin, num = cfg.financial, cfg.numerics
     density = income_pdf.sanitize(income_pdf.expand_density(
-        moments.revenue_moments(cfg), *cfg.income_support(), order=num.moment_order))
+        moments.revenue_moments(cfg), *cfg.income_support()))
     delta = (cfg.income_support()[1] + max(fin.operator_fees.values())) / 2048.0
     step = net_profit_step_pmf(discretize_income(density, delta), fin)
 

@@ -2,10 +2,14 @@
 
 A name in a ``src/microruin`` module's ``__all__`` must be read somewhere in
 ``src/`` outside its own definition, or be exported by the package; code
-only the tests call belongs in the tests.  No production module imports
-from the tests.  Every config field is read by the code it configures, not
-only checked by ``model.validate``: a field nothing reads would be silently
-ignored.
+only the tests call belongs in the tests.  The same holds for every
+module-level function and every method and property of a ``src`` class
+(dunders aside), whether exported or not: each must be read somewhere in
+``src/`` outside its own body.  The checks are by name, so a name read for
+another purpose (``np.mean`` reads ``mean``) counts.  No production module
+imports from the tests.  Every config field is read by the code it
+configures, not only checked by ``model.validate``: a field nothing reads
+would be silently ignored.
 """
 
 import ast
@@ -40,6 +44,40 @@ def test_every_exported_name_is_reached_from_src():
                  for name in getattr(importlib.import_module(f"microruin.{stem}"),
                                      "__all__", [])
                  if name not in read and name not in microruin.__all__]
+    assert unreached == [], f"move to tests/oracles.py or delete: {unreached}"
+
+
+# reached from outside src: the benchmark builds its sampling plan with it
+CALLED_FROM_OUTSIDE = {"montecarlo.plan_from_config"}
+
+
+def _definitions(tree):
+    """(dotted name, node) of every module-level function and of every
+    non-dunder method or property of a module-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{item.name}", item) for item in stmt.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def test_every_function_and_method_is_reached_from_src():
+    reads = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+    unreached = []
+    for stem, tree in TREES.items():
+        for dotted, definition in _definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if (f"{stem}.{dotted}" not in CALLED_FROM_OUTSIDE
+                    and all(id(node) in inside for node in reads.get(definition.name, []))):
+                unreached.append(f"{stem}.{dotted}")
     assert unreached == [], f"move to tests/oracles.py or delete: {unreached}"
 
 

@@ -53,7 +53,7 @@ class TestValidate:
     def test_json_roundtrip_preserves_hash(self, tmp_path):
         cfg = model.default_config()
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        path.write_text(json.dumps(cfg.to_dict()))
         loaded = model.load_config(path)
         assert loaded.config_hash() == cfg.config_hash()
         assert loaded == cfg
@@ -70,7 +70,7 @@ class TestValidate:
     def test_env_var_config_path(self, tmp_path, monkeypatch):
         cfg = model.default_config()
         target = tmp_path / "env.json"
-        cfg.to_json(target)
+        target.write_text(json.dumps(cfg.to_dict()))
         monkeypatch.setenv(model.CONFIG_ENV_VAR, str(target))
         assert model.load_config().config_hash() == cfg.config_hash()
 

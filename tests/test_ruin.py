@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
-from microruin import ruin, specfun
+from microruin import compound, moments, ruin, specfun
 from microruin.compound import LatticePMF
 from microruin.errors import DomainError, ResourceLimitError
 from tests.conftest import SWEEP_SCENARIOS, make_config, sweep_config
-from tests.oracles import atom_recursion, golden_loss_top
+from tests.oracles import atom_recursion, cdf_below, golden_loss_top, max_index
 
 
 def survival_base(u: float, r: float, g1: LatticePMF) -> float:
@@ -22,7 +22,13 @@ def survival_base(u: float, r: float, g1: LatticePMF) -> float:
     The atom exactly at -u(1+r) survives (ruin is a strictly negative
     surplus), so the strict lattice CDF is subtracted.
     """
-    return 1.0 - g1.cdf_below(-u * (1.0 + r))
+    return 1.0 - cdf_below(g1, -u * (1.0 + r))
+
+
+def grid_hi(result) -> float:
+    """The top capital of a recursion's grid, from its (lo, step, points)."""
+    lo, step, points = result.u_grid
+    return lo + (points - 1) * step
 
 
 def expected_surplus(u: float, r: float, l: int, e_n: float, e_v: float, e_c: float) -> float:
@@ -106,7 +112,7 @@ def full_reach_psi(us, r, pmfs):
             corr.append(np.append(np.clip(c, 0.0, 1.0), 1.0))
         # output t holds cell t + k_lo - (largest atom cell); ruin below
         # output 0 and survival past the last output
-        t = np.clip(j - (k_lo - pmf.max_index * stride), -1, n_out)
+        t = np.clip(j - (k_lo - max_index(pmf) * stride), -1, n_out)
         out = (1.0 - w) * corr[0][t] + w * corr[1][t]
         out[t < 0] = 0.0
         return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
@@ -268,7 +274,7 @@ class TestSurvivalRecursion:
         for pmf in (Z3, Z5):
             total = float(pmf.mass.sum())
             assert total == pytest.approx(1.0, abs=1e-12)
-            below = pmf.cdf_below(0.0)
+            below = cdf_below(pmf, 0.0)
             at_or_above = 1.0 - below
             assert below + at_or_above == pytest.approx(1.0, abs=1e-12)
 
@@ -364,9 +370,8 @@ class TestCapitalGrid:
         diag = res.diagnostics
         assert diag["grid_tail_bound"] == (len(pmfs) * eps if chernoff_binds else 0.0)
         assert np.abs(res.psi - ref).max() <= diag["grid_tail_bound"] + 1e-13
-        assert diag["grid_points"] < oracle_points
-        default_step = pmfs[0].step / math.ceil((1.0 + r) ** len(pmfs))
-        assert res.u_grid == (diag["grid_lo"], default_step, diag["grid_points"])
+        assert res.u_grid[2] < oracle_points
+        assert res.u_grid[1] == pmfs[0].step / math.ceil((1.0 + r) ** len(pmfs))
 
     @pytest.mark.parametrize("r", [0.0, 0.05])
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
@@ -416,10 +421,10 @@ class TestCapitalGrid:
         for seq in ([self.LOSS, self.GAIN, self.LOSS], [self.GAIN, self.LOSS, self.LOSS]):
             res = ruin.survival_recursion(us, 0.0, seq, tail_eps=eps)
             assert res.diagnostics["grid_tail_bound"] == 3 * eps
-            assert res.diagnostics["grid_hi"] < 18.0             # the worst-case reach
+            assert grid_hi(res) < 18.0             # the worst-case reach
             exact = ruin.survival_recursion(us, 0.0, seq, tail_eps=0.0)
             assert exact.diagnostics["grid_tail_bound"] == 0.0
-            assert exact.diagnostics["grid_hi"] >= 18.0
+            assert grid_hi(exact) >= 18.0
             psi, exact_psi = solve(us, 0.0, seq, tail_eps=eps), solve(us, 0.0, seq, tail_eps=0.0)
             for j, u in enumerate(us):
                 ref = enum_psi(u, 0.0, seq, 3)
@@ -437,7 +442,7 @@ class TestCapitalGrid:
         us = np.array([-3.0, -1.0, 0.0, 2.0])
         res = ruin.survival_recursion(us, 0.0, [gains] * 3)
         assert res.diagnostics["grid_tail_bound"] == 0.0
-        assert (res.diagnostics["grid_lo"], res.diagnostics["grid_hi"]) == (-5.0, 4.0)
+        assert (res.u_grid[0], grid_hi(res)) == (-5.0, 4.0)
         psi = solve(us, 0.0, [gains] * 3)
         for j, u in enumerate(us):
             np.testing.assert_allclose(psi[:, j], enum_psi(u, 0.0, [gains] * 3, 3),
@@ -458,7 +463,7 @@ class TestCapitalGrid:
         uncapped = ruin.survival_recursion(us, r, pmfs, tail_eps=eps)
         assert np.abs(capped.psi - uncapped.psi).max() <= 1e-13
         if name == "clamps-0.1-100":
-            assert capped.diagnostics["grid_points"] < 10_000
+            assert capped.u_grid[2] < 10_000
 
     def test_far_capitals_widen_no_grid(self):
         # below -max(y)^+ / (1+r) the first step is certain ruin and above the
@@ -470,9 +475,9 @@ class TestCapitalGrid:
         for u, psi in ((-1e300, 1.0), (-1e6, 1.0), (1e6, 0.0), (1e300, 0.0)):
             res = ruin.survival_recursion(np.array([u]), r, pmfs)
             assert (res.psi == psi).all(), u
-            assert res.diagnostics["grid_points"] <= ref.diagnostics["grid_points"], u
+            assert res.u_grid[2] <= ref.u_grid[2], u
         mixed = ruin.survival_recursion(np.array([-1e300, -1e6, 100.0, 1e6, 1e300]), r, pmfs)
-        assert mixed.diagnostics["grid_points"] <= ref.diagnostics["grid_points"]
+        assert mixed.u_grid[2] <= ref.u_grid[2]
         assert mixed.psi[:, 2].tobytes() == ref.psi[:, 0].tobytes()
         np.testing.assert_array_equal(mixed.psi[:, [0, 1]], 1.0)
         np.testing.assert_array_equal(mixed.psi[:, [3, 4]], 0.0)
@@ -481,6 +486,12 @@ class TestCapitalGrid:
         # the default step is lattice step / ceil((1+r)^L): 2^-20 at r = 1, L = 20
         with pytest.raises(ResourceLimitError, match="budget of 1000000"):
             ruin.survival_recursion(np.array([0.0, 1.0]), 1.0, [Z5] * 20)
+
+    def test_one_budget_patch_reaches_the_grid(self, monkeypatch):
+        # the recursion reads the budget when it runs, as the compound stage does
+        monkeypatch.setattr(compound, "POINTS_BUDGET", 8)
+        with pytest.raises(ResourceLimitError, match="budget of 8"):
+            ruin.survival_recursion(np.array([0.0, 10.0]), 0.0, [Z5] * 2)
 
 
 class TestOnGrid:
@@ -577,9 +588,7 @@ class TestPipeline:
         assert np.all((res.psi >= 0.0) & (res.psi <= 1.0))
         assert np.all(np.diff(res.psi, axis=0) >= -1e-12)
         assert res.psi[4, 0] > res.psi[4, 1]
-        assert info["intervals"][1]["mean_revenue"] == pytest.approx(219.58, abs=0.05)
-        defects = res.diagnostics["pmf_mass_defects"]
-        assert max(defects) <= 1e-9
+        assert moments.revenue_moments(table3_config).raw[0] == pytest.approx(219.58, abs=0.05)
 
 
 def test_correlation_step_bit_identical_to_scipy_fft(table3_config, monkeypatch):
