@@ -86,23 +86,13 @@ def _batch_slots(n_users, rng):
     return m_slot, t, span, -cfg.network.alpha_pathloss / 2.0
 
 
-def _chunks(offsets, n_slots):
-    """(first slot, end slot, first point, end point) of each chunk of whole
-    slots, as ``montecarlo._uniform_field_sums`` walks them."""
-    chunk = montecarlo.CHUNK_POINTS
-    out, s0 = [], 0
-    while s0 < n_slots:
-        s1 = max(int(np.searchsorted(offsets, offsets[s0] + chunk, side="right")) - 1,
-                 s0 + 1)
-        out.append((s0, s1, int(offsets[s0]), int(offsets[s1])))
-        s0 = s1
-    return out
-
-
 def bench_stage(m_slot, r2, span, exponent, rng):
     offsets = np.concatenate(([0], np.cumsum(m_slot))).astype(np.int64)
     total = int(offsets[-1])
-    chunks = _chunks(offsets, len(m_slot))
+    # (first slot, end slot, first point, end point) of each chunk the field
+    # sums walk
+    chunks = [(s0, s1, int(offsets[s0]), int(offsets[s1]))
+              for s0, s1 in montecarlo._chunks(offsets)]
     size = max(b - a for _, _, a, b in chunks)
     x_all = rng.uniform(1.0, 2.0, size=total)
     marks = rng.exponential(1.0, size=total)

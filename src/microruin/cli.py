@@ -89,6 +89,28 @@ def _write_csv(out_dir: str, name: str, header, rows, manifest: RunManifest):
     manifest.outputs[name] = hashlib.sha256(data).hexdigest()
 
 
+def _moment_rows(interval: int, *columns):
+    """[interval, s, column[s - 1] of each column] for every moment order s."""
+    return [[interval, s, *(c[s - 1] for c in columns)] for s in range(1, len(columns[0]) + 1)]
+
+
+def _psi_rows(us, *tables):
+    """[l, u, table[l - 1, j] of each table] for every horizon l and capital
+    u = us[j]; each table has one row per horizon."""
+    return [[l, u, *(t[l - 1, j] for t in tables)]
+            for l in range(1, len(tables[0]) + 1) for j, u in enumerate(us)]
+
+
+def _ecdf(samples, grid) -> np.ndarray:
+    """The empirical CDF of ``samples`` at every grid point."""
+    return np.searchsorted(np.sort(samples), grid, side="right") / len(samples)
+
+
+def _capitals(args, cfg) -> np.ndarray:
+    """The --u capitals, or else the config's initial capital."""
+    return np.array(args.u or [cfg.financial.initial_capital], dtype=float)
+
+
 def _apply_overrides(data: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
@@ -175,8 +197,8 @@ def _cmd_validate(args, cfg, manifest):
 
 def _cmd_moments(args, cfg, manifest):
     mv = moments.revenue_moments(cfg, interval_index=args.interval)
-    rows = [(args.interval, s, mv.raw[s - 1]) for s in range(1, mv.order + 1)]
-    _write_csv(args.out, "moments.csv", ["interval", "order", "value"], rows, manifest)
+    _write_csv(args.out, "moments.csv", ["interval", "order", "value"],
+               _moment_rows(args.interval, mv.raw), manifest)
     manifest.tolerances_achieved["quad_rel_tol"] = cfg.numerics.quad_rel_tol
     print(f"E[V] = {mv.raw[0]:.6g} (order-{mv.order} moments written)")
 
@@ -204,9 +226,14 @@ def _cmd_income_pdf(args, cfg, manifest):
           f"{dens.sanitized_mass:.4g}")
 
 
-def _compound_diagnostics(info) -> dict:
-    """Per distinct interval: FFT window, aliasing bound, clipped mass, mean residual."""
-    return {str(i): v["compound"] for i, v in info["intervals"].items()}
+def _pipeline_accuracy(info) -> dict:
+    """The lattice step, the largest sanitized mass and fee rounding over the
+    intervals, and per distinct interval the compound stage's diagnostics."""
+    intervals = info["intervals"].values()
+    return {"lattice_step": info["lattice_step"],
+            "sanitized_mass": max(v["sanitized_mass"] for v in intervals),
+            "fee_rounding": max((v["fee_rounding"] for v in intervals), key=abs),
+            "compound": {str(i): v["compound"] for i, v in info["intervals"].items()}}
 
 
 def _cmd_compound(args, cfg, manifest):
@@ -222,39 +249,28 @@ def _cmd_compound(args, cfg, manifest):
             rows.append((i, idx, val, mass))
     _write_csv(args.out, "compound.csv", ["interval", "index", "value", "mass"],
                rows, manifest)
-    manifest.tolerances_achieved["lattice_step"] = info["lattice_step"]
-    manifest.tolerances_achieved["compound"] = _compound_diagnostics(info)
+    manifest.tolerances_achieved.update(_pipeline_accuracy(info))
     print(f"compound PMFs written (lattice step {info['lattice_step']:.6g})")
 
 
 def _cmd_ruin(args, cfg, manifest):
-    us = np.array(args.u or [cfg.financial.initial_capital], dtype=float)
+    us = _capitals(args, cfg)
     result, info = ruin.run_pipeline(cfg, us)
     header = ["l", "u", "psi_numerical"]
-    mc = None
+    tables = [result.psi]
     if not args.no_mc:
         mc = montecarlo.simulate_surplus_paths(cfg, cfg.numerics, us)
         manifest.mc["far_field"] = montecarlo.far_field_summary(cfg)
         header += ["psi_mc", "ci_lo", "ci_hi"]
-    rows = []
-    horizon = cfg.financial.horizon_intervals
-    for l in range(1, horizon + 1):
-        for j, u in enumerate(us):
-            row = [l, u, result.psi[l - 1, j]]
-            if mc is not None:
-                row += [mc.psi[l - 1, j], mc.ci_lo[l - 1, j], mc.ci_hi[l - 1, j]]
-            rows.append(row)
-    _write_csv(args.out, "ruin.csv", header, rows, manifest)
+        tables += [mc.psi, mc.ci_lo, mc.ci_hi]
+    _write_csv(args.out, "ruin.csv", header, _psi_rows(us, *tables), manifest)
     lo, step, points = result.u_grid
-    manifest.tolerances_achieved.update({
-        "sanitized_mass": max(v["sanitized_mass"] for v in info["intervals"].values()),
-        "compound": _compound_diagnostics(info),
-        "ruin_grid": {"grid_points": points, "grid_lo": lo,
-                      "grid_hi": (round(lo / step) + points - 1) * step, **result.diagnostics},
-    })
-    final = ", ".join(f"psi_{horizon}({u:g})={result.psi[horizon - 1, j]:.4f}"
-                      for j, u in enumerate(us))
-    print(final)
+    manifest.tolerances_achieved.update(_pipeline_accuracy(info))
+    manifest.tolerances_achieved["ruin_grid"] = {
+        "grid_points": points, "grid_lo": lo,
+        "grid_hi": (round(lo / step) + points - 1) * step, **result.diagnostics}
+    print(", ".join(f"psi_{l}({u:g})={psi:.4f}"
+                    for l, u, psi in _psi_rows(us, result.psi)[-len(us):]))
 
 
 # the paper's Figure 2 inputs, which are also expected-surplus's defaults
@@ -279,30 +295,22 @@ def _cmd_simulate(args, cfg, manifest):
     manifest.mc["far_field"] = montecarlo.far_field_summary(cfg)
     if args.what == "moments":
         mv, se = montecarlo.estimate_moments(cfg, plan, interval_index=args.interval)
-        rows = [(args.interval, s, mv.raw[s - 1], se[s - 1])
-                for s in range(1, mv.order + 1)]
         _write_csv(args.out, "mc_moments.csv", ["interval", "order", "value", "se"],
-                   rows, manifest)
+                   _moment_rows(args.interval, mv.raw, se), manifest)
         print(f"MC E[V] = {mv.raw[0]:.6g} +- {se[0]:.2g}")
     elif args.what == "revenue-cdf":
         v = montecarlo.sample_revenues(cfg, plan, plan.mc_samples,
                                        interval_index=args.interval)
         v_lo, v_hi = cfg.income_support(args.interval)
         grid = np.linspace(v_lo, v_hi, args.points)
-        ecdf = np.searchsorted(np.sort(v), grid, side="right") / len(v)
         _write_csv(args.out, "mc_revenue_cdf.csv", ["v", "ecdf"],
-                   zip(grid, ecdf), manifest)
+                   zip(grid, _ecdf(v, grid)), manifest)
         print(f"empirical CDF from {len(v)} samples written")
     else:  # paths
-        us = np.array(args.u or [cfg.financial.initial_capital], dtype=float)
+        us = _capitals(args, cfg)
         est = montecarlo.simulate_surplus_paths(cfg, plan, us)
-        rows = []
-        for l in range(1, cfg.financial.horizon_intervals + 1):
-            for j, u in enumerate(us):
-                rows.append((l, u, est.psi[l - 1, j], est.ci_lo[l - 1, j],
-                             est.ci_hi[l - 1, j]))
         _write_csv(args.out, "mc_ruin.csv", ["l", "u", "psi", "ci_lo", "ci_hi"],
-                   rows, manifest)
+                   _psi_rows(us, est.psi, est.ci_lo, est.ci_hi), manifest)
         print(f"{plan.mc_paths} surplus paths simulated")
 
 
@@ -321,7 +329,7 @@ def _cmd_sweep(args, cfg, manifest):
                                    seed=point_cfg.numerics.seed,
                                    command="sweep-point", started_utc=_now())
         _write_csv(sub, "moments.csv", ["interval", "order", "value"],
-                   [(1, s, mv.raw[s - 1]) for s in range(1, mv.order + 1)], sub_manifest)
+                   _moment_rows(1, mv.raw), sub_manifest)
         sub_manifest.write(sub)
         rows.append([value, *mv.raw])
     # a sweep of the moment order leaves the lower orders' rows short: nan
@@ -332,9 +340,18 @@ def _cmd_sweep(args, cfg, manifest):
     print(f"{len(values)} sweep points done ({dotted})")
 
 
+def _plan(args, num) -> model.Numerics:
+    """The sampling plan of reproduce-tables: the config's, with at most
+    100,000 revenue samples and 5,000 surplus paths under --fast."""
+    if not args.fast:
+        return num
+    return dc_replace(num, mc_samples=min(100_000, num.mc_samples),
+                      mc_paths=min(5_000, num.mc_paths))
+
+
 def _cmd_reproduce_tables(args, cfg, manifest):
-    n_mc = min(100_000, cfg.numerics.mc_samples) if args.fast else cfg.numerics.mc_samples
-    n_paths = min(5_000, cfg.numerics.mc_paths) if args.fast else cfg.numerics.mc_paths
+    # the tables' configs override no numerics, so one plan serves them all
+    plan = _plan(args, cfg.numerics)
     narrow_clamps = ["financial.c_min=0.1", "financial.c_max=100.0"]
 
     if "tableII" in args.which:
@@ -345,7 +362,7 @@ def _cmd_reproduce_tables(args, cfg, manifest):
                 c2 = _overridden(cfg, [f"network.beta_cells_per_area={beta}",
                                        f"network.alpha_pathloss={alpha}", *narrow_clamps])
                 ev = moments.revenue_moments(c2).raw[0]
-                mc = float(np.mean(montecarlo.sample_revenues(c2, c2.numerics, n_mc)))
+                mc = float(np.mean(montecarlo.sample_revenues(c2, plan, plan.mc_samples)))
                 row += [ev, mc]
             rows.append(row)
         _write_csv(args.out, "tableII.csv",
@@ -374,23 +391,20 @@ def _cmd_reproduce_tables(args, cfg, manifest):
             mv = moments.revenue_moments(c4)
             v_lo, v_hi = c4.income_support()
             raw = income_pdf.expand_density(mv, v_lo, v_hi)
-            v = montecarlo.sample_revenues(c4, c4.numerics, n_mc)
+            v = montecarlo.sample_revenues(c4, plan, plan.mc_samples)
             grid = np.linspace(v_lo, min(v_hi, 1000.0), 501)
-            ecdf = np.searchsorted(np.sort(v), grid, side="right") / len(v)
             sanitized = income_pdf.sanitize(raw, reject_mass=1.0)
             _write_csv(args.out, "fig4.csv",
                        ["v", "cdf_expansion_raw", "cdf_expansion_sanitized", "cdf_mc"],
-                       zip(grid, raw.cdf(grid), sanitized.cdf(grid), ecdf), manifest)
+                       zip(grid, raw.cdf(grid), sanitized.cdf(grid), _ecdf(v, grid)), manifest)
             manifest.tolerances_achieved["fig4_sanitized_mass"] = sanitized.sanitized_mass
         if "tableIII" in args.which:
             us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
             result, _ = ruin.run_pipeline(c4, us)
-            plan = dc_replace(c4.numerics, mc_paths=n_paths)
             est = montecarlo.simulate_surplus_paths(c4, plan, us)
-            lastrow = c4.financial.horizon_intervals - 1
-            rows = [(u, result.psi[lastrow, j], est.psi[lastrow, j],
-                     est.ci_lo[lastrow, j], est.ci_hi[lastrow, j])
-                    for j, u in enumerate(us)]
+            # the last horizon's rows, without their horizon column
+            rows = [row[1:] for row in
+                    _psi_rows(us, result.psi, est.psi, est.ci_lo, est.ci_hi)[-len(us):]]
             _write_csv(args.out, "tableIII.csv",
                        ["u", "psi5_numerical", "psi5_mc", "ci_lo", "ci_hi"],
                        rows, manifest)

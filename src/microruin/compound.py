@@ -24,7 +24,6 @@ edges; all live in the tests.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +41,6 @@ __all__ = [
     "CompoundPMF",
     "compound_geometric_pmf",
 ]
-
-logger = logging.getLogger(__name__)
 
 POINTS_BUDGET = 1_000_000  # lattice points of one income law and one compound window
 
@@ -121,21 +118,12 @@ def discretize_income(density: ExpandedDensity, delta: float) -> LatticePMF:
 
 
 def _fee_pmf(fin: FinancialParams, delta: float) -> LatticePMF:
-    """Lattice PMF of the (negated) per-connection fee -C."""
-    ops = sorted(fin.operator_mix)
-    indices = []
-    for k in ops:
-        exact = -fin.operator_fees[k] / delta
-        idx = round(exact)
-        if abs(exact - idx) > 1e-9:
-            logger.info("operator %s fee %.6g rounded to lattice point %d (step %.6g)",
-                        k, fin.operator_fees[k], idx, delta)
-        indices.append(idx)
-    lo, hi = min(indices), max(indices)
-    mass = np.zeros(hi - lo + 1)
-    for k, idx in zip(ops, indices):
-        mass[idx - lo] += fin.operator_mix[k]
-    return LatticePMF(step=delta, min_index=lo, mass=mass)
+    """Lattice PMF of the (negated) per-connection fee -C, each fee rounded
+    to its nearest lattice point."""
+    fees, probs = fin.fee_law()
+    indices = np.round(-fees / delta).astype(np.int64)
+    lo = int(indices.min())
+    return LatticePMF(step=delta, min_index=lo, mass=np.bincount(indices - lo, weights=probs))
 
 
 def net_profit_step_pmf(income: LatticePMF, fin: FinancialParams) -> LatticePMF:

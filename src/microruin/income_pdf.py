@@ -39,7 +39,6 @@ kept, norm 1); its CDF alone is reported unclipped, for diagnostics.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -56,8 +55,6 @@ __all__ = [
     "expand_density",
     "sanitize",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def affine_to_unit(moments: MomentVector, v_lo: float, v_hi: float) -> np.ndarray:
@@ -217,16 +214,12 @@ def expand_density(moments: MomentVector, v_lo: float, v_hi: float) -> ExpandedD
                            lower_exponent=a, atoms=atoms)
 
 
-WARN_MASS = 0.02  # clipped mass above which sanitize logs a warning
-
-
 def sanitize(raw: ExpandedDensity, reject_mass: float = 0.1) -> ExpandedDensity:
     """Clip negative excursions of a raw expansion and renormalize.
 
     The clipped L1 mass, in units of the whole distribution, is recorded as
-    ``sanitized_mass`` and logged as a warning above ``WARN_MASS``; above
-    ``reject_mass`` the density is rejected (the caller should raise the
-    moment order).
+    ``sanitized_mass``; above ``reject_mass`` the density is rejected (the
+    caller should raise the moment order).
     """
     if raw.sanitized:
         return raw
@@ -248,9 +241,6 @@ def sanitize(raw: ExpandedDensity, reject_mass: float = 0.1) -> ExpandedDensity:
             "expansion rejected: clipped mass exceeds budget; raise the moment order",
             {"sanitized_mass": negative_mass, "order": raw.order},
         )
-    if negative_mass > WARN_MASS:
-        logger.warning("income density sanitization removed %.4f L1 mass (order %d)",
-                       negative_mass, raw.order)
     kept_cum = np.concatenate(([0.0], np.cumsum(np.where(keep, seg_masses, 0.0))))[:-1]
     return replace(raw, sanitized=True, sanitized_mass=negative_mass, seg_edges=t,
                    seg_keep=keep, seg_cdf=kept_cum, norm=positive_mass)

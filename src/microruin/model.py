@@ -75,6 +75,13 @@ class FinancialParams:
     w_n_geometric: float = 0.2
     horizon_intervals: int = 5
 
+    def fee_law(self):
+        """(fees, probabilities) of one connection's operator fee, as numpy
+        arrays over the operators of ``operator_mix`` in index order."""
+        ops = sorted(self.operator_mix)
+        return (np.array([self.operator_fees[k] for k in ops], dtype=float),
+                np.array([self.operator_mix[k] for k in ops], dtype=float))
+
 
 @dataclass(frozen=True)
 class ProductParams:
@@ -96,8 +103,8 @@ class DurationModel:
     kind is one of ``deterministic`` (field ``tau``), ``truncated-geometric``
     (fields ``mean``, ``tau_max``) or ``explicit-pmf`` (fields ``support``,
     ``probs``).  ``per_interval_override`` optionally replaces the model for
-    specific compounding intervals; ``for_interval`` can additionally truncate
-    the support to {1..i} (connections cannot outlive the system age).
+    specific compounding intervals (``ScenarioConfig.interval_durations``
+    applies it, and can truncate the support to the system age).
     """
 
     # Default mean 1.0 is calibrated: it reproduces the reference mean revenue
@@ -131,36 +138,15 @@ class DurationModel:
             return values, probs
         if self.kind == "truncated-geometric":
             values = np.arange(1, int(self.tau_max) + 1)
-            p = self._geometric_p
-            if p == 0.0:
-                probs = np.full(len(values), 1.0 / len(values))
-            elif p == 1.0:
-                probs = np.zeros(len(values))
-                probs[0] = 1.0
-            else:
-                probs = (1.0 - p) ** (values - 1.0)
-                probs /= probs.sum()
-            return values, probs
+            # p = 0 is the uniform limit and p = 1 the point mass at 1
+            probs = (1.0 - self._geometric_p) ** (values - 1.0)
+            return values, probs / probs.sum()
         raise DomainError(f"unknown duration model kind {self.kind!r}")
 
     @cached_property
     def _geometric_p(self) -> float:
         """The truncated-geometric success probability, solved once per model."""
         return _solve_truncated_geometric(self.mean, int(self.tau_max))
-
-    def for_interval(self, interval_index: int, truncate_to_interval: bool = False) -> "DurationModel":
-        model = self.per_interval_override.get(interval_index, self)
-        if not truncate_to_interval:
-            return model
-        values, probs = model.pmf()
-        keep = values <= interval_index
-        if not keep.any():
-            raise DomainError(
-                f"duration support is empty after truncation to interval {interval_index}"
-            )
-        probs = probs[keep] / probs[keep].sum()
-        return DurationModel(kind="explicit-pmf", support=tuple(int(v) for v in values[keep]),
-                             probs=tuple(float(p) for p in probs), mean=None, tau_max=None)
 
     def bounds(self):
         values, _ = self.pmf()
@@ -232,8 +218,17 @@ class ScenarioConfig:
     def interval_durations(self, interval_index: int = 1) -> DurationModel:
         """The duration model of one compounding interval: its override, if
         any, truncated to {1..i} under ``numerics.truncate_durations_to_interval``."""
-        return self.durations.for_interval(
-            interval_index, truncate_to_interval=self.numerics.truncate_durations_to_interval)
+        model = self.durations.per_interval_override.get(interval_index, self.durations)
+        if not self.numerics.truncate_durations_to_interval:
+            return model
+        values, probs = model.pmf()
+        keep = values <= interval_index
+        if not keep.any():
+            raise DomainError(
+                f"duration support is empty after truncation to interval {interval_index}")
+        probs = probs[keep] / probs[keep].sum()
+        return DurationModel(kind="explicit-pmf", support=tuple(int(v) for v in values[keep]),
+                             probs=tuple(float(p) for p in probs), mean=None, tau_max=None)
 
     def income_support(self, interval_index: int = 1):
         """(v_lo, v_hi) for one connection in the given interval."""
@@ -334,9 +329,10 @@ def _rate_gaps(errors, rates, bandwidth) -> tuple:
     if not (_is_number(bandwidth) and bandwidth > 0):
         errors.append(("network.bandwidth_hz", "bandwidth must be a positive finite number"))
         return ()
-    if not all(_is_number(r) and 0 < r / bandwidth < 1024 for r in rates):
-        errors.append(("products.rates_bps", "rates R must be numbers with 0 < R < 1024 B, "
-                       f"B = {bandwidth:g} Hz"))
+    if not all(_is_number(r) and r / bandwidth < 1024 and 2.0 ** (r / bandwidth) > 1.0
+               for r in rates):
+        errors.append(("products.rates_bps", "rates R must be numbers with 1 < 2^(R/B) "
+                       f"and R < 1024 B, B = {bandwidth:g} Hz"))
         return ()
     return tuple(2.0 ** (r / bandwidth) - 1.0 for r in rates)
 

@@ -160,6 +160,18 @@ def far_field_summary(config: ScenarioConfig) -> dict:
             "shift": _far_field_law(config.network, radius)[2]}
 
 
+def _chunks(offsets):
+    """(first slot, end slot) of each chunk of whole slots, in slot order,
+    given the slots' point offsets (one more than there are slots): a chunk
+    holds up to CHUNK_POINTS points, and a slot with more is a chunk by itself."""
+    s0 = 0
+    while s0 < len(offsets) - 1:
+        s1 = max(int(np.searchsorted(offsets, offsets[s0] + CHUNK_POINTS, side="right")) - 1,
+                 s0 + 1)
+        yield s0, s1
+        s0 = s1
+
+
 def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarray:
     """Per-slot sums of marks * x_sq**exponent over fresh interferer fields:
     slot j has m_slot[j] points, each at squared distance r2 + span * U (in
@@ -169,10 +181,9 @@ def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarra
     The positions are drawn in span units: x_sq = span (a + U) with
     a = r2 / span, so each point costs one add and each slot's sum is scaled
     by span**exponent once.  r2 and span are overwritten with a and that
-    scale.  The slots are walked in chunks of whole slots, up to CHUNK_POINTS
-    points each.  Both streams are drawn in point order, and each slot's sum
-    is one ``np.bincount`` bin added in point order, so the result does not
-    depend on the chunk size.
+    scale.  The slots are walked in the chunks of ``_chunks``.  Both streams
+    are drawn in point order, and each slot's sum is one ``np.bincount`` bin
+    added in point order, so the result does not depend on the chunk size.
     """
     offsets = np.zeros(len(m_slot) + 1, dtype=np.int64)
     np.cumsum(m_slot, out=offsets[1:])
@@ -182,16 +193,12 @@ def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarra
     size = min(int(offsets[-1]), max(CHUNK_POINTS, int(m_slot.max(initial=0))))
     x_buf, mark_buf = np.empty(size), np.empty(size)
     sums = np.empty(len(m_slot))
-    s0 = 0
-    while s0 < len(m_slot):
-        s1 = max(int(np.searchsorted(offsets, offsets[s0] + CHUNK_POINTS, side="right")) - 1,
-                 s0 + 1)
+    for s0, s1 in _chunks(offsets):
         lo, hi = offsets[s0], offsets[s1]
         x = rng.random(out=x_buf[: hi - lo])
         x += np.repeat(a[s0:s1], m_slot[s0:s1])
         marks = marks_rng.standard_exponential(out=mark_buf[: hi - lo])
         sums[s0:s1] = _kernels.interference_powsum(x, exponent, marks, offsets[s0:s1] - lo)
-        s0 = s1
     sums *= scale
     return sums
 
@@ -385,6 +392,7 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
     if len(bad):
         raise DomainError(f"initial capitals must be finite, got {bad[0]}")
 
+    fees, fee_probs = fin.fee_law()
     # every (interval, batch) revenue job goes to the pool at once, so the
     # small last batch of one interval runs beside the next interval's
     users, jobs = [], []
@@ -400,17 +408,15 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
         total = int(n_users.sum())
         if total > 0:
             revenues = np.concatenate([next(batches) for _ in range(n_batches)])
-            if len(fin.operator_fees) > 1:
-                ops = sorted(fin.operator_mix)
-                fees = _inverse_pmf_sample(_stream(plan.seed, "path-fee", interval),
-                                           [fin.operator_fees[k] for k in ops],
-                                           [fin.operator_mix[k] for k in ops], total)
+            if len(np.unique(fees)) > 1:
+                revenues -= _inverse_pmf_sample(_stream(plan.seed, "path-fee", interval),
+                                                fees, fee_probs, total)
             else:
-                fees = np.full(total, next(iter(fin.operator_fees.values())))
+                revenues -= fees[0]
             # paths without users keep a net profit of 0
             served = np.flatnonzero(n_users)
             first_user = np.concatenate(([0], np.cumsum(n_users)[:-1]))
-            s_net = np.add.reduceat(revenues - fees, first_user[served])
+            s_net = np.add.reduceat(revenues, first_user[served])
             discounted[interval - 1, served] = s_net / (1.0 + r) ** interval
 
     cumulative = np.cumsum(discounted, axis=0)

@@ -405,9 +405,10 @@ def interval_net_pmfs(config: ScenarioConfig):
     """Per-interval compound net-profit PMFs (the G_l inputs of the recursion).
 
     Returns (pmfs, info) where info carries the lattice step and, per
-    distinct interval, the sanitized mass and the compound stage's
-    diagnostics (FFT window, aliasing bound, clipped negative mass and
-    mean-identity residual).
+    distinct interval, the sanitized mass, the fee rounding (the lattice's
+    mean fee minus the exact mean fee) and the compound stage's diagnostics
+    (FFT window, aliasing bound, clipped negative mass and mean-identity
+    residual).
     """
     fin, num = config.financial, config.numerics
     horizon = fin.horizon_intervals
@@ -423,6 +424,7 @@ def interval_net_pmfs(config: ScenarioConfig):
     max_fee = max(fin.operator_fees.values())
     delta = num.lattice_step or (v_hi_all + max_fee) / 2048.0
 
+    mean_fee = float(np.dot(*fin.fee_law()))
     built = {}
     info = {"lattice_step": delta, "intervals": {}}
     for key, i in distinct.items():
@@ -437,6 +439,7 @@ def interval_net_pmfs(config: ScenarioConfig):
         # at most horizon * TRIM_MASS
         built[key] = compound_pmf.trimmed(TRIM_MASS)
         info["intervals"][i] = {"sanitized_mass": density.sanitized_mass,
+                                "fee_rounding": income.mean() - zstep.mean() - mean_fee,
                                 "compound": compound_pmf.diagnostics}
     return [built[key] for key in order], info
 

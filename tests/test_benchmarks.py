@@ -79,10 +79,36 @@ def test_benchmark_tracer_reaches_every_layer():
     # the recursion's per-atom step left src for the tests
     assert tracer.absent == {"microruin._kernels.ruin_step"}
     metrics, _ = tracing.summarize([spans], [wall], tracer.absent)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    # import.* comes from a separate process and trace.* from paired runs
-    wanted = [m["name"] for m in spec["per_layer"]
-              if not m["name"].startswith(("import.", "trace."))]
+    wanted = _traced_metrics()
     missing = [name for name in wanted if name not in metrics]
     assert missing == []
     assert all(math.isfinite(metrics[name]) for name in wanted), metrics
+
+
+def _traced_metrics():
+    """The per-layer metrics a traced operation gives: import.* comes from a
+    separate process and trace.* from paired runs."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [m["name"] for m in spec["per_layer"]
+            if not m["name"].startswith(("import.", "trace."))]
+
+
+def test_traced_cli_reaches_every_layer(tmp_path):
+    # the test above never enters cli.main, so its cli.self_s reads 0; the
+    # ruin-cli workload runs the CLI through perfbench/traced_cli.py
+    data = model.default_config().to_dict()
+    data["numerics"]["mc_paths"] = 2_000
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(spans_path),
+                    "--", "--config", str(config), "--out", str(tmp_path / "o"), "ruin",
+                    "--u", "100"], cwd=ROOT, env=env, check=True, capture_output=True)
+    dump = json.loads(spans_path.read_text())
+    spans = dump["spans"]
+    assert [s["name"] for s in spans if "count_error" in s] == []
+    wall = sum(s["end"] - s["start"] for s in spans if s["layer"] == "cli")
+    metrics, _ = _perfbench_tracing().summarize([spans], [wall], dump["absent"])
+    assert all(math.isfinite(metrics.get(name, math.nan)) for name in _traced_metrics()), metrics
+    assert metrics["cli.self_s"] > 0

@@ -122,6 +122,8 @@ class TestValidateCommand:
         (["products.rates_bps=[1]", 'network.bandwidth_hz="x"'], "network.bandwidth_hz"),
         (["products.rates_bps=[6.658211482751795]", "products.rate_gaps=[5.0]"],
          "products.rates_bps"),
+        # a rate so small that its gap 2^(R/B) - 1 rounds to 0
+        (["products.rates_bps=[1e-300]"], "products.rates_bps"),
     ])
     def test_value_of_the_wrong_shape_exits_two(self, capsys, overrides, path):
         # a field set inside a number, or a number where a list belongs
@@ -314,6 +316,18 @@ class TestPipelineCommands:
         assert diag["clipped_mass"] >= 0.0
         assert diag["mean_residual"] <= diag["mean_tolerance"]
 
+    @pytest.mark.parametrize("command", [["ruin", "--no-mc", "--u", "100"], ["compound"]],
+                             ids=["ruin", "compound"])
+    def test_manifest_records_the_fee_rounding_and_sanitized_mass(self, tmp_path, command):
+        # a lattice step of 1000 rounds the fee 100 to 0: the run goes on,
+        # and its manifest says how far the mean fee moved
+        out = str(tmp_path / "o")
+        assert run_cli(["--set", "numerics.lattice_step=1000", "--out", out] + command) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            accuracy = json.load(fh)["tolerances_achieved"]
+        assert accuracy["fee_rounding"] == pytest.approx(-100.0)
+        assert accuracy["sanitized_mass"] == 0.0
+
     def test_ruin_manifest_records_the_capital_grid(self, tmp_path, fast_config_path):
         out = str(tmp_path / "o")
         assert run_cli(["--config", fast_config_path, "--out", out, "ruin", "--no-mc",
@@ -412,6 +426,32 @@ class TestPipelineCommands:
         assert run_cli(overrides + ["--out", out, "ruin", "--no-mc",
                                     "--u", "100,150,200,250,300"]) == 0
         with open(os.path.join(out, "ruin.csv"), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == sha
+
+    @pytest.mark.parametrize("command,name,sha", [
+        (["moments"], "moments.csv",
+         "2a5e392481ba1ed0c8ee151b4b5f7a50a55e5fa49e3a456a99e464180bbd7403"),
+        (["simulate", "--what", "moments"], "mc_moments.csv",
+         "2e7573c44792a70617bc2ea12a69ec6758b038bbac80919e1cf244b924daa05f"),
+        (["simulate", "--what", "revenue-cdf", "--points", "101"], "mc_revenue_cdf.csv",
+         "bffd2acbc41c22b35eeaea642cdab8e2a5aec31da6295017f10f41138bcc9fb9"),
+        (["simulate", "--what", "paths", "--u", "50,100,200"], "mc_ruin.csv",
+         "dfc1f06d4de8d136635c621e3c78f2b6f1555f28ee60f65a9ab22ad4bf4863bd"),
+        (["sweep", "--param", "network.alpha_pathloss=3:4:0.5"], "sweep.csv",
+         "254954a356acf1a97c9c678af34d018038b4cf8653d995a0ec3b5865b10e9290"),
+        (["reproduce-tables", "--which", "fig4", "--fast"], "fig4.csv",
+         "78100b59fdfd8f8e1a4ee95412c4732ba88398ddc0b5d5b41bbededbe84dc1f4"),
+        (["reproduce-tables", "--which", "tableIII", "--fast"], "tableIII.csv",
+         "31522e714094611ca7cc19845e61471b7cd2824adb525e028eba44c7497741ae"),
+    ], ids=["moments", "mc_moments", "mc_revenue_cdf", "mc_ruin", "sweep", "fig4",
+            "tableIII"])
+    def test_csv_bytes_pinned_on_the_fast_config(self, tmp_path, fast_config_path, command,
+                                                 name, sha):
+        # every table layout the CLI writes stays byte-identical for a fixed
+        # config and seed unless a change says why it moves
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out] + command) == 0
+        with open(os.path.join(out, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == sha
 
     def test_simulate_mirror_outputs(self, tmp_path, fast_config_path):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from scipy import optimize
 
-from microruin import compound, income_pdf, moments
+from microruin import compound, income_pdf, moments, ruin
 from microruin.compound import (
     LatticePMF,
     compound_geometric_pmf,
@@ -164,13 +165,16 @@ class TestNetProfitStep:
         for key, val in ref.items():
             assert got.get(key, 0.0) == pytest.approx(val, abs=1e-12)
 
-    def test_offlattice_fee_rounded_and_logged(self, caplog):
+    def test_offlattice_fee_rounded_and_recorded(self):
         income = LatticePMF(step=1.0, min_index=0, mass=np.array([1.0]))
         fin = FinancialParams(operator_fees={1: 2.4}, operator_mix={1: 1.0})
-        with caplog.at_level(logging.INFO, logger="microruin.compound"):
-            z = net_profit_step_pmf(income, fin)
+        z = net_profit_step_pmf(income, fin)
         assert z.min_index == -2
-        assert any("rounded" in rec.message for rec in caplog.records)
+        # the pipeline records the lattice's mean fee minus the exact one
+        cfg = make_config(lattice_step=1.0)
+        cfg = replace(cfg, financial=replace(cfg.financial, operator_fees={1: 2.4}))
+        _, info = ruin.interval_net_pmfs(cfg)
+        assert info["intervals"][1]["fee_rounding"] == pytest.approx(-0.4, abs=1e-9)
 
 
 class TestCompoundGeometric:

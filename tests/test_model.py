@@ -144,8 +144,10 @@ class TestDurationModel:
     def test_interval_truncation(self):
         m = model.DurationModel(kind="explicit-pmf", support=(1, 2, 3),
                                 probs=(0.2, 0.3, 0.5))
-        t = m.for_interval(2, truncate_to_interval=True)
-        values, probs = t.pmf()
+        cfg = model.default_config()
+        cfg = replace(cfg, durations=m,
+                      numerics=replace(cfg.numerics, truncate_durations_to_interval=True))
+        values, probs = cfg.interval_durations(2).pmf()
         assert values.tolist() == [1, 2]
         np.testing.assert_allclose(probs, [0.4, 0.6])
 
@@ -153,8 +155,9 @@ class TestDurationModel:
         override = model.DurationModel(kind="deterministic", tau=2)
         m = model.DurationModel(kind="deterministic", tau=1,
                                 per_interval_override={3: override})
-        assert m.for_interval(1).tau == 1
-        assert m.for_interval(3).tau == 2
+        cfg = replace(model.default_config(), durations=m)
+        assert cfg.interval_durations(1).tau == 1
+        assert cfg.interval_durations(3).tau == 2
 
     def test_config_interval_durations_and_support(self):
         # the override first, then the truncation flag of the numerics
