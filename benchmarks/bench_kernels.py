@@ -14,16 +14,18 @@ and fewer sampler batches).  Reported, best of 3 unless stated:
 * the sampler's truncation (``montecarlo.far_field_summary``):
   its radius factor and mean interferer points per slot;
 * the interferer stage (``montecarlo._uniform_field_sums``) in ns per
-  interferer point, best of 7 interleaved rounds, split into four parts
-  that add up to it:
+  interferer point, best of 7 interleaved rounds, in a workspace kept from
+  round to round as batches keep it (where the sampler has workspaces),
+  split into four parts that add up to it:
   ``draws`` (the uniform and exponential generator fills, chunk by chunk),
   ``power`` (``interference_powsum`` with one segment per chunk: the terms
   and one sum over the chunk), ``segment_sums`` (the kernel with one segment
-  per slot, less ``power``: what the per-slot segments add; it may read
-  below 0, since one bin takes every add of a chunk in one dependency
-  chain) and ``offsets`` (the rest of the stage: the per-point positions
-  and the per-slot work); and the peak bytes the stage allocates
-  (tracemalloc) streamed in chunks and as one whole chunk;
+  per slot, less ``power``: finding each point's slot and what the per-slot
+  segments add; it may read below 0, since one bin takes every add of a
+  chunk in one dependency chain) and ``offsets`` (the rest of the stage: the
+  per-point positions and the per-slot work); and the peak bytes the stage
+  allocates in a new workspace (tracemalloc), streamed in chunks and as one
+  whole chunk;
 * one whole revenue batch (``montecarlo._revenue_batch``, 65,536 users) of
   the reference and the multi-slot scenario, best of 7, in ms per batch and
   ns per interferer point;
@@ -98,14 +100,18 @@ def bench_stage(m_slot, r2, span, exponent, rng):
     marks = rng.exponential(1.0, size=total)
     one_segment = np.zeros(1, dtype=np.int64)
 
-    def stage(r2_copy, span_copy):
+    # a batch reuses its workspace from the last batch (a sampler without
+    # workspaces allocates its buffers in every call)
+    reused = [montecarlo._Workspace()] if hasattr(montecarlo, "_Workspace") else []
+
+    def stage(r2_copy, span_copy, *ws):
         # the field sums may overwrite their r2 and span inputs
         return montecarlo._uniform_field_sums(montecarlo._stream(1, "bench", 0),
                                               montecarlo._stream(1, "bench", 0, "marks"),
-                                              m_slot, r2_copy, span_copy, exponent)
+                                              m_slot, r2_copy, span_copy, exponent, *ws)
 
     def inputs():
-        return r2.copy(), span.copy()
+        return (r2.copy(), span.copy(), *reused)
 
     def draws():
         x_rng = montecarlo._stream(1, "bench", 0)
@@ -142,7 +148,7 @@ def bench_stage(m_slot, r2, span, exponent, rng):
     for label, chunk in (("whole_batch", total), ("chunked", saved)):
         montecarlo.CHUNK_POINTS = chunk
         try:
-            args = inputs()
+            args = r2.copy(), span.copy()  # a new workspace: its buffers count
             tracemalloc.start()
             stage(*args)
             peaks[label] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
@@ -173,9 +179,9 @@ def bench_batch(n_users):
         durations = cfg.interval_durations(1)
         points = []
 
-        def counting(x_sq, exponent, marks, offsets):
+        def counting(x_sq, *args, **kwargs):
             points.append(len(x_sq))
-            return saved(x_sq, exponent, marks, offsets)
+            return saved(x_sq, *args, **kwargs)
 
         _kernels.interference_powsum = counting
         try:

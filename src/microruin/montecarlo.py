@@ -27,11 +27,27 @@ The batches run on one thread per CPU in the process's affinity mask; the
 results do not depend on the thread count.  Within a batch the interferer
 points are streamed through chunks of whole slots; the fading marks come
 from the batch's own "marks" stream, so they do not depend on how the
-positions are chunked.  The positions are drawn in units of their slot's
-annulus width, so a point costs one add, and with alpha/2 an integer its
-power is multiplies and one divide (``_kernels.interference_powsum``).  The
-interferer configuration is redrawn every slot, matching the per-slot
-independence the analytic transform assumes.
+positions are chunked.  A chunk finds each point's slot once
+(``_kernels.segment_index``) and uses it for the position shift
+(``np.take``) and for the per-slot sums (``np.add.at`` from zeros).  The
+positions are drawn in units of their slot's annulus width, so a point costs
+one add, and with alpha/2 an integer its power is multiplies and one divide
+(``_kernels.interference_powsum``).  The interferer configuration is redrawn
+every slot, matching the per-slot independence the analytic transform
+assumes.
+
+Each batch borrows a workspace from an idle list and returns it afterwards:
+its per-slot arrays (distances, fading, spans, the counts that become point
+offsets, far fields) and its chunk buffers (positions, marks, slot indices)
+keep their pages from one batch to the next, and at most one workspace per
+batch thread outlives a call.  The revenues are written into one new array
+per call, never into a workspace.  The generator fills, ``np.take``,
+``np.cumsum`` and the elementwise arithmetic release the GIL, so the batch
+threads overlap there; ``np.add.at``, a multi-slot batch's slot-to-user
+``np.repeat`` and per-user ``np.bincount``, and the Python between numpy
+calls hold it.  Every numpy call that releases the GIL may hand it to the
+other batch thread, so the chunks are large (``CHUNK_POINTS``) and a
+chunk makes few calls.
 
 A serving distance is drawn as t = pi beta r_u^2, which is Exp(1), and each
 slot works in squared distances in that unit: no logarithm or square root
@@ -45,9 +61,11 @@ per-user sum; longer connections sum their slots with ``np.bincount``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +85,12 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 
-# Interferer points are streamed through buffers of this many points (about
-# 1 MB of positions and marks), never held for a whole batch at once.  A
-# chunk holds whole slots; a slot with more points is a chunk by itself.
-CHUNK_POINTS = 1 << 16
+# Interferer points are streamed through buffers of this many points (256 KiB
+# each of positions, marks and slot indices), never held for a whole batch at
+# once.  A chunk holds whole slots; a slot with more points is a chunk by
+# itself.  The per-slot draws without ``out=`` are taken in pieces of this
+# many slots.
+CHUNK_POINTS = 1 << 15
 
 # Interferer points are drawn out to RADIUS_FACTOR / sqrt(beta); the far field
 # beyond is exact in its first three cumulants (see the module docstring).
@@ -80,6 +100,52 @@ RADIUS_FACTOR = 1.0
 def plan_from_config(config: ScenarioConfig) -> Numerics:
     """The sampling plan of a config: its numerics block."""
     return config.numerics
+
+
+class _Workspace:
+    """The arrays of one revenue batch, kept for the next batch so that their
+    pages stay mapped: ``take(name, size)`` hands out the first ``size``
+    entries of the named array, which is replaced by a larger one when a
+    batch needs more."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def take(self, name, size, dtype=np.float64):
+        buf = self._arrays.get(name)
+        if buf is None or len(buf) < size:
+            # headroom for the next batches' slightly larger slot counts
+            buf = self._arrays[name] = np.empty(size + size // 16, dtype)
+        return buf[:size]
+
+
+_idle_workspaces: list = []
+_idle_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _workspace():
+    """A workspace for one batch on this thread: an idle one when there is
+    one, returned afterwards to the idle list, which keeps at most one per
+    thread the batches may run on."""
+    with _idle_lock:
+        ws = _idle_workspaces.pop() if _idle_workspaces else _Workspace()
+    try:
+        yield ws
+    finally:
+        with _idle_lock:
+            if len(_idle_workspaces) < _cpu_count():
+                _idle_workspaces.append(ws)
+
+
+def _fill(out, draw):
+    """out[lo:hi] = draw(lo, hi) over pieces of CHUNK_POINTS, in order: for a
+    generator draw without ``out=`` (Poisson, Gamma) the same values as one
+    draw of the whole, with no array of the whole allocated."""
+    for lo in range(0, len(out), CHUNK_POINTS):
+        hi = min(lo + CHUNK_POINTS, len(out))
+        out[lo:hi] = draw(lo, hi)
+    return out
 
 
 def _stream(seed: int, *path) -> np.random.Generator:
@@ -99,10 +165,24 @@ def _stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
+# Up to this many CDF edges, an inverse-transform draw counts the edges at or
+# below each uniform in one branch-free pass per edge; beyond, it searches.
+# Both give the same index (searchsorted's side="right").
+COMPARED_EDGES = 32
+
+
 def _inverse_pmf_sample(rng, values, probs, size):
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    idx = np.searchsorted(edges, rng.random(size), side="right")
+    """size draws of values with probabilities probs, one uniform each: a
+    draw's index is the number of CDF edges at or below its uniform (the
+    last edge, 1, is above every uniform and is left out)."""
+    edges = np.cumsum(probs)[:-1]
+    u = rng.random(size)
+    if len(edges) > COMPARED_EDGES:
+        idx = np.searchsorted(edges, u, side="right")
+    else:
+        idx = np.zeros(size, np.intp)
+        for edge in edges:
+            idx += u >= edge
     return np.asarray(values)[idx]
 
 
@@ -123,11 +203,11 @@ def _far_field_law(net, radius):
     return shape, scale, k1 - shape * scale
 
 
-def _far_field(net, edge: float, t_slot: np.ndarray, rng) -> np.ndarray:
+def _far_field(net, edge: float, t_slot: np.ndarray, rng, out=None) -> np.ndarray:
     """Per-slot interference from beyond max(R, r_slot), in the sampler's
     unit t = pi beta r^2 (``edge`` = pi beta R^2 = pi f^2): one shifted
     Gamma draw per slot with the far field's mean, variance and third
-    cumulant.
+    cumulant, written into out (a new array when None).
 
     Every slot served from inside the radius shares one law.  The rare slots
     served from beyond it (probability e^(-edge); they draw no interferers)
@@ -136,7 +216,8 @@ def _far_field(net, edge: float, t_slot: np.ndarray, rng) -> np.ndarray:
     """
     beta = net.beta_cells_per_area
     shape, scale, shift = _far_field_law(net, math.sqrt(edge / math.pi) / math.sqrt(beta))
-    far = rng.gamma(shape, scale, size=len(t_slot))
+    far = _fill(np.empty(len(t_slot)) if out is None else out,
+                lambda lo, hi: rng.gamma(shape, scale, size=hi - lo))
     far += shift
     beyond = np.flatnonzero(t_slot > edge)
     if len(beyond):
@@ -172,7 +253,7 @@ def _chunks(offsets):
         s0 = s1
 
 
-def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarray:
+def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent, ws=None) -> np.ndarray:
     """Per-slot sums of marks * x_sq**exponent over fresh interferer fields:
     slot j has m_slot[j] points, each at squared distance r2 + span * U (in
     any unit) with U uniform from rng, and exponential marks from marks_rng.
@@ -181,24 +262,33 @@ def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarra
     The positions are drawn in span units: x_sq = span (a + U) with
     a = r2 / span, so each point costs one add and each slot's sum is scaled
     by span**exponent once.  r2 and span are overwritten with a and that
-    scale.  The slots are walked in the chunks of ``_chunks``.  Both streams
-    are drawn in point order, and each slot's sum is one ``np.bincount`` bin
-    added in point order, so the result does not depend on the chunk size.
+    scale.  The slots are walked in the chunks of ``_chunks``, and each chunk
+    writes its sums over its own shifts a once its positions have taken
+    them, so the result is r2.  Both streams are drawn in point order, and
+    each slot's sum is added in point order from 0, so the result does not
+    depend on the chunk size.  The slot offsets and the chunk buffers are the
+    workspace ws's (a new one when None); m_slot may be the tail of its
+    "offsets", which then become the offsets in place.
     """
-    offsets = np.zeros(len(m_slot) + 1, dtype=np.int64)
+    ws = _Workspace() if ws is None else ws
+    offsets = ws.take("offsets", len(m_slot) + 1, np.int64)
+    offsets[0] = 0
     np.cumsum(m_slot, out=offsets[1:])
     room = span > 0.0
     a = np.divide(r2, span, out=r2, where=room)
     scale = np.power(span, exponent, out=span, where=room)  # span-0 slots keep 0
-    size = min(int(offsets[-1]), max(CHUNK_POINTS, int(m_slot.max(initial=0))))
-    x_buf, mark_buf = np.empty(size), np.empty(size)
-    sums = np.empty(len(m_slot))
     for s0, s1 in _chunks(offsets):
         lo, hi = offsets[s0], offsets[s1]
-        x = rng.random(out=x_buf[: hi - lo])
-        x += np.repeat(a[s0:s1], m_slot[s0:s1])
-        marks = marks_rng.standard_exponential(out=mark_buf[: hi - lo])
-        sums[s0:s1] = _kernels.interference_powsum(x, exponent, marks, offsets[s0:s1] - lo)
+        starts = np.subtract(offsets[s0:s1], lo, out=ws.take("starts", s1 - s0, np.int64))
+        segment = _kernels.segment_index(starts, hi - lo,
+                                         ws.take("segment", hi - lo + 1, np.int64))
+        # a + U, its shift taken first: the uniforms pass through the marks
+        # buffer (mode="clip" writes into out directly; "raise" buffers it)
+        x = np.take(a[s0:s1], segment, mode="clip", out=ws.take("x", hi - lo))
+        x += rng.random(out=ws.take("marks", hi - lo))
+        marks = marks_rng.standard_exponential(out=ws.take("marks", hi - lo))
+        _kernels.interference_powsum(x, exponent, marks, starts, segment, out=a[s0:s1])
+    sums = a
     sums *= scale
     return sums
 
@@ -216,65 +306,74 @@ def _serving_ratio(t_slot, h, half_alpha) -> np.ndarray:
 
 
 def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
-                   duration_model) -> np.ndarray:
+                   duration_model, out=None) -> np.ndarray:
     """One batch of i.i.d. connection revenues from the streams keyed by
-    (seed, *path).  Draw order is fixed: distances, durations (a law with
-    more than one value only), products (more than one only), then per-slot
-    fading, interferer counts, far fields and interferer positions; the
-    interferer marks come from the (seed, *path, "marks") stream.
+    (seed, *path), written into out (a new array when None).  Draw order is
+    fixed: distances, durations (a law with more than one value only),
+    products (more than one only), then per-slot fading, interferer counts,
+    far fields and interferer positions; the interferer marks come from the
+    (seed, *path, "marks") stream.
 
     A distance is drawn as t = pi beta r^2, which is Exp(1), and the slot
     works in that unit: its interferer count is Poisson((pi f^2 - t)^+), its
     interferer positions are uniform in t on the annulus, and its factor is
     c = gap (sigma^2 + I) r^alpha / (h P0) with r^alpha = t^(alpha/2)
-    (pi beta)^(-alpha/2), clipped to [c_min, c_max].
+    (pi beta)^(-alpha/2), clipped to [c_min, c_max].  The per-slot arrays
+    are a borrowed workspace's; only out leaves the batch.
     """
     net, fin, products = config.network, config.financial, config.products
     alpha = net.alpha_pathloss
     pi_beta = math.pi * net.beta_cells_per_area
     edge = math.pi * RADIUS_FACTOR ** 2  # pi beta R^2
     rng = _stream(plan.seed, *path)
-
-    t_user = rng.standard_exponential(n)
     values, probs = duration_model.pmf()
-    taus = _inverse_pmf_sample(rng, values, probs, n) if len(values) > 1 else int(values[0])
-    gap_scale = pi_beta ** (-alpha / 2.0) / net.p0_serving_power
-    if products.q_count > 1:
-        gaps = gap_scale * _inverse_pmf_sample(rng, products.rate_gaps, products.product_mix, n)
-    else:
-        gaps = products.rate_gaps[0] * gap_scale
-
     # one-slot connections are their own slots; otherwise slots follow their user
     one_slot = len(values) == 1 and values[0] == 1
-    user_of_slot = None if one_slot else np.repeat(np.arange(n), taus)
-    t_slot = t_user if user_of_slot is None else t_user[user_of_slot]
-    if user_of_slot is not None and products.q_count > 1:
-        gaps = gaps[user_of_slot]
-    # the batches run side by side: drop what is spent before the next stage
-    del t_user
-    h = rng.standard_exponential(len(t_slot))
-    span = np.maximum(edge - t_slot, 0.0)
-    m_slot = rng.poisson(span)
-    interference = _far_field(net, edge, t_slot, rng)
-    # the field sums overwrite t_slot and span, so the serving term comes first
-    ratio = _serving_ratio(t_slot, h, alpha / 2.0)
-    i_in = _uniform_field_sums(rng, _stream(plan.seed, *path, "marks"), m_slot, t_slot, span,
-                               -alpha / 2.0)
-    del m_slot, t_slot, span
-    # the sums are in units of t: x^(-alpha/2) = (pi beta)^(alpha/2) t_x^(-alpha/2)
-    i_in *= net.p_i_interferer_power * pi_beta ** (alpha / 2.0)
-    interference += i_in
-    del i_in
 
-    c = interference
-    c += net.sigma2_noise_power
-    c *= ratio
-    c *= gaps
-    np.clip(c, fin.c_min, fin.c_max, out=c)
-    if user_of_slot is not None:
-        c = np.bincount(user_of_slot, weights=c, minlength=n)
-    c *= config.slot_income_per_unit_scaling
-    return c
+    with _workspace() as ws:
+        # a multi-slot batch keeps its users' distances in the far-field
+        # buffer until its slots have taken them
+        t_user = rng.standard_exponential(out=ws.take("t" if one_slot else "far", n))
+        taus = _inverse_pmf_sample(rng, values, probs, n) if len(values) > 1 else int(values[0])
+        gap_scale = pi_beta ** (-alpha / 2.0) / net.p0_serving_power
+        if products.q_count > 1:
+            gaps = gap_scale * _inverse_pmf_sample(rng, products.rate_gaps,
+                                                   products.product_mix, n)
+        else:
+            gaps = products.rate_gaps[0] * gap_scale
+
+        if one_slot:
+            user_of_slot, t_slot = None, t_user
+        else:
+            user_of_slot = np.repeat(np.arange(n), taus)
+            t_slot = np.take(t_user, user_of_slot, mode="clip",
+                             out=ws.take("t", len(user_of_slot)))
+            if products.q_count > 1:
+                gaps = gaps[user_of_slot]
+        n_slots = len(t_slot)
+        h = rng.standard_exponential(out=ws.take("h", n_slots))
+        span = np.subtract(edge, t_slot, out=ws.take("span", n_slots))
+        np.maximum(span, 0.0, out=span)
+        # the counts become the slot offsets in place (_uniform_field_sums)
+        m_slot = _fill(ws.take("offsets", n_slots + 1, np.int64)[1:],
+                       lambda lo, hi: rng.poisson(span[lo:hi]))
+        interference = _far_field(net, edge, t_slot, rng, out=ws.take("far", n_slots))
+        # the field sums overwrite t_slot and span, so the serving term comes first
+        ratio = _serving_ratio(t_slot, h, alpha / 2.0)
+        i_in = _uniform_field_sums(rng, _stream(plan.seed, *path, "marks"), m_slot, t_slot,
+                                   span, -alpha / 2.0, ws)
+        # the sums are in units of t: x^(-alpha/2) = (pi beta)^(alpha/2) t_x^(-alpha/2)
+        i_in *= net.p_i_interferer_power * pi_beta ** (alpha / 2.0)
+        interference += i_in
+
+        c = interference
+        c += net.sigma2_noise_power
+        c *= ratio
+        c *= gaps
+        np.clip(c, fin.c_min, fin.c_max, out=c)
+        if user_of_slot is not None:
+            c = np.bincount(user_of_slot, weights=c, minlength=n)
+        return np.multiply(c, config.slot_income_per_unit_scaling, out=out)
 
 
 def _batch_sizes(n: int, batch_size: int) -> list[int]:
@@ -313,12 +412,18 @@ def _interval_jobs(config: ScenarioConfig, plan: Numerics, tag: str, n: int,
             for b, size in enumerate(_batch_sizes(n, plan.mc_batch))]
 
 
-def _revenue_batches(config: ScenarioConfig, plan: Numerics, jobs) -> list:
-    """Revenue batches for jobs of (stream path, size, duration model), in job order."""
-    def run(job):
-        path, size, duration_model = job
-        return _revenue_batch(config, plan, path, size, duration_model)
-    return _pool_map(run, jobs)
+def _revenue_batches(config: ScenarioConfig, plan: Numerics, jobs) -> np.ndarray:
+    """The revenues of jobs of (stream path, size, duration model), in job
+    order in one array, each batch written into its own slice."""
+    sizes = [size for _, size, _ in jobs]
+    revenues = np.empty(sum(sizes))
+
+    def run(job_end):
+        (path, size, duration_model), end = job_end
+        _revenue_batch(config, plan, path, size, duration_model,
+                       out=revenues[end - size:end])
+    _pool_map(run, list(zip(jobs, np.cumsum(sizes))))
+    return revenues
 
 
 def sample_revenues(config: ScenarioConfig, plan: Numerics, n: int,
@@ -327,7 +432,7 @@ def sample_revenues(config: ScenarioConfig, plan: Numerics, n: int,
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
     jobs = _interval_jobs(config, plan, "revenue", n, interval_index)
-    return np.concatenate(_revenue_batches(config, plan, jobs))
+    return _revenue_batches(config, plan, jobs)
 
 
 def estimate_moments(config: ScenarioConfig, plan: Numerics,
@@ -341,7 +446,9 @@ def estimate_moments(config: ScenarioConfig, plan: Numerics,
     n = plan.mc_samples
     power_sums = np.zeros(2 * d)
     jobs = _interval_jobs(config, plan, "moments", n, interval_index)
-    for v in _revenue_batches(config, plan, jobs):  # summed in batch order
+    revenues = _revenue_batches(config, plan, jobs)
+    for pos in range(0, n, plan.mc_batch):  # summed in batch order
+        v = revenues[pos:pos + plan.mc_batch]
         term = v.copy()
         for s in range(2 * d):
             if s:
@@ -398,17 +505,18 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
     users, jobs = [], []
     for interval in range(1, horizon + 1):
         n_users = _stream(plan.seed, "path-count", interval).geometric(w, size=n_paths) - 1
-        interval_jobs = _interval_jobs(config, plan, "path-rev", int(n_users.sum()), interval)
-        users.append((n_users, len(interval_jobs)))
-        jobs += interval_jobs
-    batches = iter(_revenue_batches(config, plan, jobs))
+        users.append(n_users)
+        jobs += _interval_jobs(config, plan, "path-rev", int(n_users.sum()), interval)
+    all_revenues = _revenue_batches(config, plan, jobs)
 
     discounted = np.zeros((horizon, n_paths))
-    for interval, (n_users, n_batches) in enumerate(users, start=1):
+    pos = 0
+    for interval, n_users in enumerate(users, start=1):
         total = int(n_users.sum())
+        revenues = all_revenues[pos:pos + total]
+        pos += total
         if total > 0:
-            revenues = np.concatenate([next(batches) for _ in range(n_batches)])
-            if len(np.unique(fees)) > 1:
+            if fees.min() < fees.max():
                 revenues -= _inverse_pmf_sample(_stream(plan.seed, "path-fee", interval),
                                                 fees, fee_probs, total)
             else:
@@ -419,8 +527,10 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
             s_net = np.add.reduceat(revenues, first_user[served])
             discounted[interval - 1, served] = s_net / (1.0 + r) ** interval
 
-    cumulative = np.cumsum(discounted, axis=0)
-    running_min = np.minimum.accumulate(cumulative, axis=0)
+    # the running minimum is taken in place, once the revenues are dropped
+    del all_revenues, revenues
+    np.cumsum(discounted, axis=0, out=discounted)
+    running_min = np.minimum.accumulate(discounted, axis=0, out=discounted)
     psi = np.empty((horizon, len(u_values)))
     for j, u in enumerate(u_values):
         psi[:, j] = np.mean(running_min < -u, axis=1)

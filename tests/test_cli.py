@@ -34,9 +34,10 @@ def fast_config_path(tmp_path):
     return str(path)
 
 
-def _loaded_scipy_modules(code):
-    """scipy modules loaded after ``code`` runs in a fresh interpreter."""
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _loaded_modules(code, package="scipy"):
+    """Modules of ``package`` loaded after ``code`` runs in a fresh interpreter."""
+    code += ("\nimport sys; print(sorted(m for m in sys.modules "
+             f"if m == {package!r} or m.startswith({package + '.'!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -46,14 +47,23 @@ def _loaded_scipy_modules(code):
 def test_import_leaves_scipy_signal_unloaded():
     # the production path needs only numpy, so no scipy module at all (and
     # not scipy.signal) loads; scipy is the tests' oracle
-    assert _loaded_scipy_modules("import microruin.cli") == "[]"
+    assert _loaded_modules("import microruin.cli") == "[]"
 
 
 def test_ruin_no_mc_loads_no_scipy(fast_config_path, tmp_path):
     code = ("from microruin import cli\n"
             f"assert cli.main(['--config', {fast_config_path!r}, '--out', "
             f"{str(tmp_path / 'out')!r}, 'ruin', '--no-mc']) == 0")
-    assert _loaded_scipy_modules(code) == "[]"
+    assert _loaded_modules(code) == "[]"
+
+
+def test_ruin_with_mc_leaves_numpy_ma_unloaded(fast_config_path, tmp_path):
+    # numpy.ma costs about 15 ms of a cold run, and the first np.unique
+    # imports it: the path simulator must find its fee law without it
+    code = ("from microruin import cli\n"
+            f"assert cli.main(['--config', {fast_config_path!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}, 'ruin', '--u', '100']) == 0")
+    assert _loaded_modules(code, "numpy.ma") == "[]"
 
 
 class TestValidateCommand:

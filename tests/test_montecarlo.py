@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,19 @@ class TestRevenueSampling:
         double = montecarlo.sample_revenues(table2_config, fast_plan, n)
         se = base.std() / np.sqrt(n)
         assert abs(base.mean() - double.mean()) <= se
+
+    @pytest.mark.parametrize("k", [1, 2, 6, montecarlo.COMPARED_EDGES + 1,
+                                   montecarlo.COMPARED_EDGES + 2, 80])
+    def test_inverse_pmf_draws_match_a_search_of_the_cdf(self, k):
+        # counting the edges below each uniform and searching for it agree
+        # with a search of the whole CDF, its last edge set to 1
+        probs = np.random.default_rng(k).dirichlet(np.ones(k))
+        values = np.arange(10, 10 + k)
+        got = montecarlo._inverse_pmf_sample(montecarlo._stream(1, "pmf"), values, probs, 5000)
+        edges = np.cumsum(probs)
+        edges[-1] = 1.0
+        u = montecarlo._stream(1, "pmf").random(5000)
+        assert np.array_equal(got, values[np.searchsorted(edges, u, side="right")])
 
     def test_bad_sample_count(self, table2_config, fast_plan):
         with pytest.raises(DomainError):
@@ -291,7 +305,7 @@ class TestMomentEstimation:
         plan = replace(fast_plan, mc_samples=5000, mc_batch=2048)
         est, se = montecarlo.estimate_moments(table2_config, plan)
         jobs = montecarlo._interval_jobs(table2_config, plan, "moments", plan.mc_samples, 1)
-        v = np.concatenate(montecarlo._revenue_batches(table2_config, plan, jobs))
+        v = montecarlo._revenue_batches(table2_config, plan, jobs)
         d = table2_config.numerics.moment_order
         np.testing.assert_allclose(est.raw, [np.mean(v ** s) for s in range(1, d + 1)],
                                    rtol=1e-13)
@@ -435,3 +449,58 @@ class TestChunkedStream:
         finally:
             sys.setswitchinterval(interval)
         assert out[1] == out[2] == out[5]
+
+
+class TestWorkspaceReuse:
+    """Batches write into workspaces kept from one batch to the next; no
+    batch may see another's leftovers, and no result may share them."""
+
+    def test_mutating_a_result_leaves_the_next_call_alone(self):
+        cfg = model.validate(model.default_config())
+        plan = model.Numerics(seed=2, mc_batch=4096)
+        first = montecarlo.sample_revenues(cfg, plan, 1000)
+        want = first.copy()
+        first[:] = np.nan
+        again = montecarlo.sample_revenues(cfg, plan, 1000)
+        assert again.tobytes() == want.tobytes()
+        assert np.all(np.isnan(first))
+
+    def test_interleaved_batch_shapes_keep_the_pinned_streams(self, monkeypatch):
+        # one worker, so every batch reuses the one workspace: multi-slot,
+        # reference, a one-sample batch, then multi-slot again
+        monkeypatch.setattr(montecarlo, "RADIUS_FACTOR", 3.0)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+        plan, n, pinned = TestStreamPinned.PLAN, TestStreamPinned.N, TestStreamPinned.REVENUES
+        ref, multi = model.validate(model.default_config()), _multi_slot_config()
+        one = montecarlo.sample_revenues(ref, plan, 1)
+        monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+        assert _sha(montecarlo.sample_revenues(multi, plan, n)) == pinned["multi-slot"]
+        assert _sha(montecarlo.sample_revenues(ref, plan, n)) == pinned["reference"]
+        assert montecarlo.sample_revenues(ref, plan, 1).tobytes() == one.tobytes()
+        assert _sha(montecarlo.sample_revenues(multi, plan, n)) == pinned["multi-slot"]
+
+    def test_concurrent_callers_get_the_serial_bits(self, monkeypatch):
+        # two callers, each with its own batch pool, borrow workspaces from
+        # one idle list while a short switch interval interleaves them
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+        plan = model.Numerics(seed=6, mc_batch=2048)
+        configs = [model.validate(model.default_config()), _multi_slot_config()]
+        n = 3 * 2048 + 5
+        serial = [montecarlo.sample_revenues(cfg, plan, n).tobytes() for cfg in configs]
+        got = [[] for _ in configs]
+
+        def call(k):
+            for _ in range(3):
+                got[k].append(montecarlo.sample_revenues(configs[k], plan, n).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(len(configs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[b] * 3 for b in serial]
