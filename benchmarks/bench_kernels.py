@@ -15,8 +15,7 @@ and fewer sampler batches).  Reported, best of 3 unless stated:
   its radius factor and mean interferer points per slot;
 * the interferer stage (``montecarlo._uniform_field_sums``) in ns per
   interferer point, best of 7 interleaved rounds, in a workspace kept from
-  round to round as batches keep it (where the sampler has workspaces),
-  split into four parts that add up to it:
+  round to round as batches keep it, split into four parts that add up to it:
   ``draws`` (the uniform and exponential generator fills, chunk by chunk),
   ``power`` (``interference_powsum`` with one segment per chunk: the terms
   and one sum over the chunk), ``segment_sums`` (the kernel with one segment
@@ -100,18 +99,17 @@ def bench_stage(m_slot, r2, span, exponent, rng):
     marks = rng.exponential(1.0, size=total)
     one_segment = np.zeros(1, dtype=np.int64)
 
-    # a batch reuses its workspace from the last batch (a sampler without
-    # workspaces allocates its buffers in every call)
-    reused = [montecarlo._Workspace()] if hasattr(montecarlo, "_Workspace") else []
+    # a batch reuses its workspace from the last batch
+    reused = montecarlo._Workspace()
 
-    def stage(r2_copy, span_copy, *ws):
+    def stage(r2_copy, span_copy, ws=None):
         # the field sums may overwrite their r2 and span inputs
         return montecarlo._uniform_field_sums(montecarlo._stream(1, "bench", 0),
                                               montecarlo._stream(1, "bench", 0, "marks"),
-                                              m_slot, r2_copy, span_copy, exponent, *ws)
+                                              m_slot, r2_copy, span_copy, exponent, ws)
 
     def inputs():
-        return (r2.copy(), span.copy(), *reused)
+        return r2.copy(), span.copy(), reused
 
     def draws():
         x_rng = montecarlo._stream(1, "bench", 0)

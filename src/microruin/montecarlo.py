@@ -165,24 +165,10 @@ def _stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
-# Up to this many CDF edges, an inverse-transform draw counts the edges at or
-# below each uniform in one branch-free pass per edge; beyond, it searches.
-# Both give the same index (searchsorted's side="right").
-COMPARED_EDGES = 32
-
-
 def _inverse_pmf_sample(rng, values, probs, size):
-    """size draws of values with probabilities probs, one uniform each: a
-    draw's index is the number of CDF edges at or below its uniform (the
-    last edge, 1, is above every uniform and is left out)."""
-    edges = np.cumsum(probs)[:-1]
-    u = rng.random(size)
-    if len(edges) > COMPARED_EDGES:
-        idx = np.searchsorted(edges, u, side="right")
-    else:
-        idx = np.zeros(size, np.intp)
-        for edge in edges:
-            idx += u >= edge
+    edges = np.cumsum(probs)
+    edges[-1] = 1.0
+    idx = np.searchsorted(edges, rng.random(size), side="right")
     return np.asarray(values)[idx]
 
 

@@ -61,19 +61,6 @@ class TestRevenueSampling:
         se = base.std() / np.sqrt(n)
         assert abs(base.mean() - double.mean()) <= se
 
-    @pytest.mark.parametrize("k", [1, 2, 6, montecarlo.COMPARED_EDGES + 1,
-                                   montecarlo.COMPARED_EDGES + 2, 80])
-    def test_inverse_pmf_draws_match_a_search_of_the_cdf(self, k):
-        # counting the edges below each uniform and searching for it agree
-        # with a search of the whole CDF, its last edge set to 1
-        probs = np.random.default_rng(k).dirichlet(np.ones(k))
-        values = np.arange(10, 10 + k)
-        got = montecarlo._inverse_pmf_sample(montecarlo._stream(1, "pmf"), values, probs, 5000)
-        edges = np.cumsum(probs)
-        edges[-1] = 1.0
-        u = montecarlo._stream(1, "pmf").random(5000)
-        assert np.array_equal(got, values[np.searchsorted(edges, u, side="right")])
-
     def test_bad_sample_count(self, table2_config, fast_plan):
         with pytest.raises(DomainError):
             montecarlo.sample_revenues(table2_config, fast_plan, 0)
