@@ -13,6 +13,10 @@ and fewer sampler batches).  Reported, best of 3 unless stated:
 
 * the sampler's truncation (``montecarlo.far_field_summary``):
   its radius factor and mean interferer points per slot;
+* the per-slot draws of those slots in ns per slot, best of 7 interleaved
+  rounds: the interferer counts (``montecarlo._poisson_counts``, and
+  ``Generator.poisson`` on the same means for comparison) and the far field
+  (``montecarlo._far_field``);
 * the interferer stage (``montecarlo._uniform_field_sums``) in ns per
   interferer point, best of 7 interleaved rounds, in a workspace kept from
   round to round as batches keep it, split into four parts that add up to it:
@@ -159,6 +163,30 @@ def bench_stage(m_slot, r2, span, exponent, rng):
     return {"points": total, "slots": len(m_slot), "ns_per_point": ns, "peak_mib": peaks}
 
 
+def bench_slot_draws(t, span):
+    """The per-slot draws of one batch's slots, in ns per slot: the
+    interferer counts (``_poisson_counts``, and ``Generator.poisson`` on the
+    same means for comparison) and the far field (``_far_field``)."""
+    net = model.validate(model.default_config()).network
+    edge = math.pi * montecarlo.RADIUS_FACTOR ** 2
+    ws = montecarlo._Workspace()
+    counts = np.empty(len(t), np.int64)
+    far = np.empty(len(t))
+    draws = {"counts": lambda rng: montecarlo._poisson_counts(rng, span, counts, ws),
+             "counts_generator_poisson": lambda rng: rng.poisson(span),
+             "far_field": lambda rng: montecarlo._far_field(net, edge, t, rng, out=far)}
+    # interleaved rounds, each draw keeping its best of 7
+    best = dict.fromkeys(draws, float("inf"))
+    for _ in range(7):
+        for name, draw in draws.items():
+            best[name] = min(best[name], _best(draw, lambda: (montecarlo._stream(1, "slots"),),
+                                               1)[0])
+    ns = {k: round(v * 1e9 / len(t), 3) for k, v in best.items()}
+    print(f"per-slot draws  {len(t)} slots, ns/slot")
+    print("  " + "  ".join(f"{k} {v:.2f}" for k, v in ns.items()))
+    return {"slots": len(t), "ns_per_slot": ns}
+
+
 def _scenarios():
     ref = model.validate(model.default_config())
     data = ref.to_dict()
@@ -268,6 +296,7 @@ def main(argv=None) -> int:
     m_slot, r2, span, exponent = _batch_slots(int(65_536 * scale), rng)
     run = {"quick": args.quick,
            "truncation": truncation(),
+           "slot_draws": bench_slot_draws(r2, span),
            "interferer_stage": bench_stage(m_slot, r2, span, exponent, rng),
            "revenue_batch": bench_batch(int(65_536 * scale)),
            "survival_recursion": bench_recursion(),

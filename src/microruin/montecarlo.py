@@ -38,16 +38,25 @@ assumes.
 
 Each batch borrows a workspace from an idle list and returns it afterwards:
 its per-slot arrays (distances, fading, spans, the counts that become point
-offsets, far fields) and its chunk buffers (positions, marks, slot indices)
-keep their pages from one batch to the next, and at most one workspace per
-batch thread outlives a call.  The revenues are written into one new array
-per call, never into a workspace.  The generator fills, ``np.take``,
-``np.cumsum`` and the elementwise arithmetic release the GIL, so the batch
-threads overlap there; ``np.add.at``, a multi-slot batch's slot-to-user
+offsets, far fields, which hold the count uniforms first) and its chunk
+buffers (positions, marks, slot indices, the count search's flags and
+level counters) keep their pages from one batch to the next, and at most
+one workspace per batch thread outlives a call.  The revenues are written
+into one new array per call, never into a workspace.  The generator fills,
+``np.take``, ``np.cumsum`` and the elementwise arithmetic release the GIL,
+so the batch threads overlap there; ``np.add.at``, a multi-slot batch's slot-to-user
 ``np.repeat`` and per-user ``np.bincount``, and the Python between numpy
 calls hold it.  Every numpy call that releases the GIL may hand it to the
 other batch thread, so the chunks are large (``CHUNK_POINTS``) and a
 chunk makes few calls.
+
+Per slot a batch draws, in order, its fading, one uniform for its
+interferer count, its far field and its interferer positions.  The count
+is found by inversion (``_poisson_counts``): six CDF levels as whole-array
+passes over pieces of CHUNK_POINTS slots, then the further levels over the
+4% of the slots still above them, about 35 numpy calls per piece and 6 per
+further level.  Those calls release the GIL; the Python loop between
+them holds it.
 
 A serving distance is drawn as t = pi beta r_u^2, which is Exp(1), and each
 slot works in squared distances in that unit: no logarithm or square root
@@ -88,13 +97,23 @@ _MASK = (1 << 64) - 1
 # Interferer points are streamed through buffers of this many points (256 KiB
 # each of positions, marks and slot indices), never held for a whole batch at
 # once.  A chunk holds whole slots; a slot with more points is a chunk by
-# itself.  The per-slot draws without ``out=`` are taken in pieces of this
-# many slots.
+# itself.  The interferer counts are searched in pieces of this many slots.
 CHUNK_POINTS = 1 << 15
 
 # Interferer points are drawn out to RADIUS_FACTOR / sqrt(beta); the far field
 # beyond is exact in its first three cumulants (see the module docstring).
 RADIUS_FACTOR = 1.0
+
+# The interferer counts are drawn by inversion (``_poisson_counts``).  A mean
+# above COUNT_SPLIT is split into equal parts whose counts are added, so that
+# e^mean stays finite and a search stays short.  No part's count exceeds
+# COUNT_CAP: P(Poisson(COUNT_SPLIT) > COUNT_CAP) < 2^-53, the spacing of the
+# uniforms, so a higher count needs a uniform above 1 - 2^-53.  The first
+# COUNT_LEVELS CDF levels are taken over every slot of a piece, the rest over
+# the slots still above them.
+COUNT_SPLIT = 32.0
+COUNT_CAP = 88
+COUNT_LEVELS = 6
 
 
 def plan_from_config(config: ScenarioConfig) -> Numerics:
@@ -138,16 +157,6 @@ def _workspace():
                 _idle_workspaces.append(ws)
 
 
-def _fill(out, draw):
-    """out[lo:hi] = draw(lo, hi) over pieces of CHUNK_POINTS, in order: for a
-    generator draw without ``out=`` (Poisson, Gamma) the same values as one
-    draw of the whole, with no array of the whole allocated."""
-    for lo in range(0, len(out), CHUNK_POINTS):
-        hi = min(lo + CHUNK_POINTS, len(out))
-        out[lo:hi] = draw(lo, hi)
-    return out
-
-
 def _stream(seed: int, *path) -> np.random.Generator:
     """SFC64 generator keyed by (seed, *path); strings are hashed stably.
 
@@ -170,6 +179,84 @@ def _inverse_pmf_sample(rng, values, probs, size):
     edges[-1] = 1.0
     idx = np.searchsorted(edges, rng.random(size), side="right")
     return np.asarray(values)[idx]
+
+
+def _poisson_counts(rng, mean, out, ws) -> np.ndarray:
+    """Poisson(mean[j]) counts written into out (int64), by inversion
+    (Devroye 1986, X.3): slot j takes one uniform from rng, and its count is
+    the number of its CDF levels below that uniform.
+
+    A mean above COUNT_SPLIT is split into p equal parts, whose counts are
+    added: the slot's uniform draws its first part, and its other p - 1
+    parts draw after every slot's uniform, in slot order.  The uniforms pass
+    through ws's "far" buffer; the other buffers are ws's chunk buffers.
+    """
+    parts = None
+    if len(mean) and mean.max() > COUNT_SPLIT:
+        parts = np.maximum(np.ceil(mean / COUNT_SPLIT), 1.0)
+        mean = mean / parts
+    _invert_poisson(rng.random(out=ws.take("far", len(mean))), mean, out, ws)
+    if parts is not None:
+        split = np.flatnonzero(parts > 1.0)
+        more = (parts[split] - 1.0).astype(np.int64)
+        extra = _poisson_counts(rng, np.repeat(mean[split], more),
+                                np.empty(int(more.sum()), np.int64), _Workspace())
+        out[split] += np.add.reduceat(extra, np.cumsum(more) - more)
+    return out
+
+
+def _invert_poisson(u, mean, out, ws) -> None:
+    """out[j] = min(k : u[j] <= F_k), at most COUNT_CAP, with F_k the
+    Poisson(mean[j]) CDF; every mean at most COUNT_SPLIT.  Overwrites u.
+
+    Over pieces of CHUNK_POINTS slots, level k is passed while the residual
+    u e^mean - sum_{i <= k} mean^i / i! is positive, one whole-piece pass per
+    step for the first COUNT_LEVELS levels.  The slots still above are then
+    compacted, and their residual is carried in units of its last term,
+    w_k = w_(k-1) k / mean - 1, until none is above.
+    """
+    for lo in range(0, len(u), CHUNK_POINTS):
+        hi = min(lo + CHUNK_POINTS, len(u))
+        lam, residual = mean[lo:hi], u[lo:hi]
+        term = ws.take("x", hi - lo)
+        above = ws.take("above", hi - lo, np.bool_)
+        levels = ws.take("levels", hi - lo, np.uint8)
+        np.exp(lam, out=term)
+        residual *= term
+        residual -= 1.0
+        np.greater(residual, 0.0, out=levels)
+        np.copyto(term, lam)
+        for k in range(1, COUNT_LEVELS):
+            if k > 1:
+                term *= lam
+                term *= 1.0 / k
+            residual -= term
+            np.greater(residual, 0.0, out=above)
+            levels += above
+        piece = out[lo:hi]
+        np.copyto(piece, levels)
+        rest = np.flatnonzero(above)
+        if not len(rest):
+            continue
+        m = len(rest)
+        w = np.take(residual, rest, out=ws.take("marks", m))
+        w /= np.take(term, rest, out=residual[:m])
+        inv = np.take(lam, rest, out=residual[:m])
+        np.divide(1.0, inv, out=inv)
+        more, step = levels[:m], above[:m]
+        more.fill(0)
+        # a residual left positive by rounding (a uniform within rounding of
+        # 1) grows without bound until COUNT_CAP stops it
+        with np.errstate(over="ignore"):
+            for k in range(COUNT_LEVELS, COUNT_CAP):
+                w *= inv
+                w *= k
+                w -= 1.0
+                np.greater(w, 0.0, out=step)
+                if not step.any():
+                    break
+                more += step
+        piece[rest] += more
 
 
 def _far_field_moments(net, radius):
@@ -202,8 +289,8 @@ def _far_field(net, edge: float, t_slot: np.ndarray, rng, out=None) -> np.ndarra
     """
     beta = net.beta_cells_per_area
     shape, scale, shift = _far_field_law(net, math.sqrt(edge / math.pi) / math.sqrt(beta))
-    far = _fill(np.empty(len(t_slot)) if out is None else out,
-                lambda lo, hi: rng.gamma(shape, scale, size=hi - lo))
+    far = rng.standard_gamma(shape, out=np.empty(len(t_slot)) if out is None else out)
+    far *= scale  # rng.gamma(shape, scale) bit for bit
     far += shift
     beyond = np.flatnonzero(t_slot > edge)
     if len(beyond):
@@ -296,7 +383,7 @@ def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
     """One batch of i.i.d. connection revenues from the streams keyed by
     (seed, *path), written into out (a new array when None).  Draw order is
     fixed: distances, durations (a law with more than one value only),
-    products (more than one only), then per-slot fading, interferer counts,
+    products (more than one only), then per-slot fading, count uniforms,
     far fields and interferer positions; the interferer marks come from the
     (seed, *path, "marks") stream.
 
@@ -340,9 +427,9 @@ def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
         h = rng.standard_exponential(out=ws.take("h", n_slots))
         span = np.subtract(edge, t_slot, out=ws.take("span", n_slots))
         np.maximum(span, 0.0, out=span)
-        # the counts become the slot offsets in place (_uniform_field_sums)
-        m_slot = _fill(ws.take("offsets", n_slots + 1, np.int64)[1:],
-                       lambda lo, hi: rng.poisson(span[lo:hi]))
+        # the counts become the slot offsets in place (_uniform_field_sums);
+        # their uniforms pass through the far-field buffer before the far fields
+        m_slot = _poisson_counts(rng, span, ws.take("offsets", n_slots + 1, np.int64)[1:], ws)
         interference = _far_field(net, edge, t_slot, rng, out=ws.take("far", n_slots))
         # the field sums overwrite t_slot and span, so the serving term comes first
         ratio = _serving_ratio(t_slot, h, alpha / 2.0)
@@ -379,14 +466,37 @@ def _pool_map(fn, jobs) -> list:
 
     Each job draws from its own keyed stream, so the results do not depend
     on the number of threads or the order the jobs run in; numpy releases
-    the GIL in the generator fills and the array operations.
+    the GIL in the generator fills and the array operations.  The threads
+    take the jobs in order; once a job fails no further job starts, and the
+    first failing job's exception is raised.
     """
     workers = min(_cpu_count(), len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+    results, failures = [None] * len(jobs), {}
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(jobs[i])
+            except BaseException as exc:  # raised in the calling thread
+                with lock:
+                    failures[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _interval_jobs(config: ScenarioConfig, plan: Numerics, tag: str, n: int,

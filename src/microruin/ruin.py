@@ -421,10 +421,12 @@ def interval_net_pmfs(config: ScenarioConfig):
         distinct.setdefault(key, i)
 
     v_hi_all = max(config.income_support(i)[1] for i in distinct.values())
-    max_fee = max(fin.operator_fees.values())
+    fees, fee_probs = fin.fee_law()
+    # an operator nobody subscribes to charges no fee
+    max_fee = float(fees[fee_probs > 0].max())
     delta = num.lattice_step or (v_hi_all + max_fee) / 2048.0
 
-    mean_fee = float(np.dot(*fin.fee_law()))
+    mean_fee = float(np.dot(fees, fee_probs))
     built = {}
     info = {"lattice_step": delta, "intervals": {}}
     for key, i in distinct.items():

@@ -66,6 +66,16 @@ def test_ruin_with_mc_leaves_numpy_ma_unloaded(fast_config_path, tmp_path):
     assert _loaded_modules(code, "numpy.ma") == "[]"
 
 
+def test_ruin_with_mc_leaves_concurrent_futures_unloaded(fast_config_path, tmp_path):
+    # concurrent.futures also loads logging, traceback, queue and more, about
+    # 8 ms of a cold run: the MC batches run on plain threads, two of them here
+    code = ("from microruin import cli, montecarlo\n"
+            "montecarlo._cpu_count = lambda: 2\n"
+            f"assert cli.main(['--config', {fast_config_path!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}, 'ruin', '--u', '100']) == 0")
+    assert _loaded_modules(code, "concurrent") == "[]"
+
+
 class TestValidateCommand:
     def test_defaults_exit_zero(self, capsys):
         assert run_cli(["validate"]) == 0
@@ -442,17 +452,17 @@ class TestPipelineCommands:
         (["moments"], "moments.csv",
          "2a5e392481ba1ed0c8ee151b4b5f7a50a55e5fa49e3a456a99e464180bbd7403"),
         (["simulate", "--what", "moments"], "mc_moments.csv",
-         "2e7573c44792a70617bc2ea12a69ec6758b038bbac80919e1cf244b924daa05f"),
+         "98957848695e424d06dfbc4ad23209dd04e850644cf45043047b2bcac1fd3acc"),
         (["simulate", "--what", "revenue-cdf", "--points", "101"], "mc_revenue_cdf.csv",
-         "bffd2acbc41c22b35eeaea642cdab8e2a5aec31da6295017f10f41138bcc9fb9"),
+         "717a7f0ec7b09a34ff5202e9a7c21ecf524f2b0a16bd305157b47eadd7b652df"),
         (["simulate", "--what", "paths", "--u", "50,100,200"], "mc_ruin.csv",
-         "dfc1f06d4de8d136635c621e3c78f2b6f1555f28ee60f65a9ab22ad4bf4863bd"),
+         "bcfa101a9046b1c92da44fc527bdd14641fe6250cee6faff6dea6934d0c47ae8"),
         (["sweep", "--param", "network.alpha_pathloss=3:4:0.5"], "sweep.csv",
          "254954a356acf1a97c9c678af34d018038b4cf8653d995a0ec3b5865b10e9290"),
         (["reproduce-tables", "--which", "fig4", "--fast"], "fig4.csv",
-         "78100b59fdfd8f8e1a4ee95412c4732ba88398ddc0b5d5b41bbededbe84dc1f4"),
+         "112f6582c57defcda83682de832de182514a7d16cb5839b9d821953f329da2cc"),
         (["reproduce-tables", "--which", "tableIII", "--fast"], "tableIII.csv",
-         "31522e714094611ca7cc19845e61471b7cd2824adb525e028eba44c7497741ae"),
+         "b01882828e9a0c3065fad36e1bd78d10996ad11b33fed2cbaa80905c022ddb17"),
     ], ids=["moments", "mc_moments", "mc_revenue_cdf", "mc_ruin", "sweep", "fig4",
             "tableIII"])
     def test_csv_bytes_pinned_on_the_fast_config(self, tmp_path, fast_config_path, command,

@@ -238,6 +238,66 @@ class TestFarField:
             assert abs(freq - atom) <= 4 * math.sqrt(atom * (1 - atom) / n), (edge, freq)
 
 
+def _counts(mean, ws=None):
+    mean = np.asarray(mean, dtype=float)
+    return montecarlo._poisson_counts(montecarlo._stream(1, "counts"), mean,
+                                      np.empty(len(mean), np.int64),
+                                      montecarlo._Workspace() if ws is None else ws)
+
+
+class TestPoissonCounts:
+    """The interferer counts by inversion against scipy's Poisson law;
+    ``oracles.sample_slot_scaling`` keeps ``Generator.poisson``."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-9, 0.5, math.pi, 9 * math.pi, 804.0],
+                             ids=["0", "1e-9", "0.5", "pi", "9pi", "804-split"])
+    def test_frequencies_match_the_poisson_pmf(self, mean):
+        # every count expected at least 10 times in N, and the pooled tails
+        # below and above those counts, within 4 standard errors
+        from scipy import stats
+        counts = _counts(np.full(self.N, mean))
+        top = int(max(counts.max(), stats.poisson.isf(1e-12, mean)))
+        freq = np.bincount(counts, minlength=top + 1) / self.N
+        pmf = stats.poisson.pmf(np.arange(top + 1), mean)
+        bulk = np.flatnonzero(self.N * pmf >= 10)
+        lo, hi = bulk[0], bulk[-1]
+        cells = [(freq[k], pmf[k], k) for k in bulk]
+        cells += [(freq[:lo].sum(), stats.poisson.cdf(lo - 1, mean), "below"),
+                  (freq[hi + 1:].sum(), stats.poisson.sf(hi, mean), "above")]
+        for got, p, label in cells:
+            assert abs(got - p) <= 4 * math.sqrt(p * (1 - p) / self.N), (label, got, p)
+
+    def test_mean_zero_slots_draw_no_points(self):
+        mean = np.tile([0.0, math.pi, 0.0, 804.0, 1e-9, 0.0, 40.0], 2000)
+        counts = _counts(mean)
+        assert np.all(counts[mean == 0.0] == 0)
+        assert counts[mean == 804.0].min() > 600
+
+    def test_cap_lies_past_every_53_bit_uniform(self):
+        from scipy import stats
+        split, cap = montecarlo.COUNT_SPLIT, montecarlo.COUNT_CAP
+        assert stats.poisson.sf(cap, split) < 2.0 ** -53 <= stats.poisson.sf(cap - 1, split)
+
+    @pytest.mark.parametrize("mean", [5e-324, 1e-9, 0.5, math.pi, 9 * math.pi, 32.0, 804.0])
+    def test_the_largest_uniform_terminates(self, mean):
+        # every uniform 1 - 2^-53: its count lies in the Poisson tail, at most
+        # the cap per part, though rounding decides where
+        from scipy import stats
+
+        class Top:
+            def random(self, out):
+                out.fill(1.0 - 2.0 ** -53)
+                return out
+
+        counts = montecarlo._poisson_counts(Top(), np.full(3, mean), np.empty(3, np.int64),
+                                            montecarlo._Workspace())
+        parts = max(1, math.ceil(mean / montecarlo.COUNT_SPLIT))
+        assert np.all(counts >= parts * stats.poisson.isf(1e-12, mean / parts))
+        assert np.all(counts <= parts * montecarlo.COUNT_CAP)
+
+
 def _truncation_config(name):
     if name == "alpha-2.5":
         data = model.default_config().to_dict()
@@ -323,7 +383,12 @@ class TestStreamPinned:
     draw of pi beta r^2 (the slot factor in squared distances), a one-value
     duration law stopped drawing durations, the per-slot and multi-slot
     per-user sums became ``np.bincount`` bins and the moment power sums
-    running products (slot scaling moved by the bins alone).  The chunk size
+    running products (slot scaling moved by the bins alone); the four
+    campaign values were re-taken when the interferer counts moved from
+    ``Generator.poisson`` to inversion from one uniform per slot (new draws;
+    slot scaling keeps ``Generator.poisson`` and did not move, which also
+    shows the far field's ``standard_gamma`` times its scale draws what
+    ``Generator.gamma`` drew).  The chunk size
     and the thread count leave them unchanged (``TestChunkedStream``).  Any
     change of generator, draw order, summation order, arithmetic,
     far-field law, truncation radius or batch layout moves them.  These
@@ -338,8 +403,8 @@ class TestStreamPinned:
         monkeypatch.setattr(montecarlo, "RADIUS_FACTOR", 3.0)
 
     REVENUES = {
-        "reference": "1d621ab3d8afbda403af0173b02857900826377812732673aadc884070720c79",
-        "multi-slot": "f4051b9c3ff5917e9ae3972997c9f37458cf86860a7a9553bf5dff9bc0427394",
+        "reference": "b2840a6bd892f4f9190e3a75517fab7546e0a75984eec8e76558648b712b169a",
+        "multi-slot": "d0acb27e50b224fefdfde74f0245e1d51717a06a389f61e69206a886d4b53860",
     }
 
     @pytest.mark.parametrize("case", sorted(REVENUES))
@@ -352,13 +417,13 @@ class TestStreamPinned:
         est = montecarlo.simulate_surplus_paths(model.validate(model.default_config()),
                                                 self.PLAN, [50.0, 150.0, 300.0])
         assert _sha(est.psi) == (
-            "3153ac002e8274dfb637a85d779284a279974900e1d4cbd81b079d6d6c6fcec3")
+            "d576619834102f34de6831d15d9dc3c57fb0962ac9cc540a7453e9373e2ed922")
 
     def test_estimate_moments(self):
         mv, se = montecarlo.estimate_moments(model.validate(model.default_config()),
                                              replace(self.PLAN, mc_samples=self.N))
         assert _sha(np.concatenate([mv.raw, se])) == (
-            "c06479ae747da4489c845d059c327790f5b9edb3f4f7894f7885cc221a256662")
+            "664447e8ea892608b156f46f01cf42aa60b7d296d672f02a2ade5cf66614cc0e")
 
     def test_slot_scaling(self, table2_config):
         v = oracles.sample_slot_scaling(table2_config, self.PLAN, r_u=1.0, n=self.N,
@@ -420,6 +485,16 @@ class TestChunkedStream:
             monkeypatch.setattr(montecarlo, "CHUNK_POINTS", chunk)
             assert montecarlo.sample_revenues(cfg, plan, 150).tobytes() == whole.tobytes()
 
+    def test_counts_do_not_depend_on_the_piece_size(self, monkeypatch):
+        # slots without points, means that take the split, and one workspace
+        # whose buffers grow and shrink between calls
+        mean = np.random.default_rng(3).uniform(-20.0, 80.0, 500).clip(0.0)
+        ws = montecarlo._Workspace()
+        whole = _counts(mean, ws)
+        for chunk in (1, 3, 7, 1000):
+            monkeypatch.setattr(montecarlo, "CHUNK_POINTS", chunk)
+            assert _counts(mean, ws).tobytes() == whole.tobytes()
+
     def test_worker_count_leaves_bytes_unchanged(self, monkeypatch, table3_config):
         # more workers than cores and a short switch interval interleave the
         # batches as much as the interpreter allows
@@ -436,6 +511,21 @@ class TestChunkedStream:
         finally:
             sys.setswitchinterval(interval)
         assert out[1] == out[2] == out[5]
+
+
+class TestPoolMap:
+    def test_results_keep_job_order_and_the_first_failure_is_raised(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
+        assert montecarlo._pool_map(lambda j: j * j, list(range(10))) == [
+            j * j for j in range(10)]
+
+        def fail_at_4_and_7(j):
+            if j in (4, 7):
+                raise ValueError(j)
+            return j
+
+        with pytest.raises(ValueError, match="^4$"):
+            montecarlo._pool_map(fail_at_4_and_7, list(range(10)))
 
 
 class TestWorkspaceReuse:

@@ -567,6 +567,18 @@ class TestPipeline:
         with pytest.raises(DomainError, match="finite, got nan"):
             ruin.run_pipeline(table3_config, [math.nan, 100.0])
 
+    @pytest.mark.parametrize("mix", [{"1": 1.0}, {"1": 1.0, "2": 0.0}],
+                             ids=["unlisted", "zero-share"])
+    def test_operator_nobody_subscribes_to_leaves_psi_unchanged(self, mix):
+        # its fee once set the default lattice step
+        us = np.array([100.0, 200.0])
+        want, want_info = ruin.run_pipeline(_reference_with({}), us)
+        cfg = _reference_with({"financial": {"operator_fees": {"1": 100.0, "2": 300.0},
+                                             "operator_mix": mix}})
+        got, info = ruin.run_pipeline(cfg, us)
+        assert info["lattice_step"] == want_info["lattice_step"]
+        assert np.array_equal(got.psi, want.psi)
+
     def test_zero_padding_the_pmf_leaves_psi_unchanged(self, table3_config):
         # trailing zero atoms carry no mass: the grid is sized from the
         # positive-mass atoms, so it does not change either
