@@ -23,18 +23,18 @@ Randomness comes from SFC64 streams seeded through ``SeedSequence`` with
 keys (seed, stage, interval, batch), so fixed seeds give bit-identical
 results, batches may run in any order, and sweeps over the initial capital
 reuse common random numbers (the surplus paths do not depend on u at all).
-The batches run on one thread per CPU in the process's affinity mask; the
-results do not depend on the thread count.  Within a batch the interferer
-points are streamed through chunks of whole slots; the fading marks come
-from the batch's own "marks" stream, so they do not depend on how the
-positions are chunked.  A chunk finds each point's slot once
-(``_kernels.segment_index``) and uses it for the position shift
-(``np.take``) and for the per-slot sums (``np.add.at`` from zeros).  The
-positions are drawn in units of their slot's annulus width, so a point costs
-one add, and with alpha/2 an integer its power is multiplies and one divide
-(``_kernels.interference_powsum``).  The interferer configuration is redrawn
-every slot, matching the per-slot independence the analytic transform
-assumes.
+The batches run on the calling thread plus one thread per further CPU in
+the process's affinity mask; the results do not depend on the thread
+count.  Within a batch the interferer points are streamed through chunks of
+whole slots; the fading marks come from the batch's own "marks" stream, so
+they do not depend on how the positions are chunked.  A chunk finds each
+point's slot once (``_kernels.segment_index``) and uses it for the position
+shift (``np.take``) and for the per-slot sums (``np.add.at`` from zeros).
+The positions are drawn in units of their slot's annulus width, so a point
+costs one add, and with alpha/2 an integer its power is multiplies and one
+divide (``_kernels.interference_powsum``).  The interferer configuration is
+redrawn every slot, matching the per-slot independence the analytic
+transform assumes.
 
 Each batch borrows a workspace from an idle list and returns it afterwards:
 its per-slot arrays (distances, fading, spans, the counts that become point
@@ -462,13 +462,15 @@ def _cpu_count() -> int:
 
 
 def _pool_map(fn, jobs) -> list:
-    """[fn(job) for job in jobs], run on one thread per CPU of the process.
+    """[fn(job) for job in jobs], run on the calling thread plus one thread
+    per further CPU of the process.
 
     Each job draws from its own keyed stream, so the results do not depend
     on the number of threads or the order the jobs run in; numpy releases
     the GIL in the generator fills and the array operations.  The threads
     take the jobs in order; once a job fails no further job starts, and the
-    first failing job's exception is raised.
+    first failing job's exception is raised once every started thread has
+    ended.
     """
     workers = min(_cpu_count(), len(jobs))
     if workers <= 1:
@@ -489,11 +491,14 @@ def _pool_map(fn, jobs) -> list:
                 with lock:
                     failures[i] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
     if failures:
         raise failures[min(failures)]
     return results

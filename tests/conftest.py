@@ -52,13 +52,18 @@ SWEEP_SCENARIOS = {
 }
 
 
-def sweep_config(name: str) -> ScenarioConfig:
-    """The default config with the overrides of one analytic sweep scenario."""
+def reference_with(overrides: dict) -> ScenarioConfig:
+    """The default config with section-level overrides, validated."""
     from microruin.model import default_config
     data = default_config().to_dict()
-    for section, values in SWEEP_SCENARIOS[name].items():
+    for section, values in overrides.items():
         data[section].update(values)
     return validate(ScenarioConfig.from_dict(data))
+
+
+def sweep_config(name: str) -> ScenarioConfig:
+    """The default config with the overrides of one analytic sweep scenario."""
+    return reference_with(SWEEP_SCENARIOS[name])
 
 
 def point_mass_config(scale=2.0, tau=1):

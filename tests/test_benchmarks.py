@@ -53,6 +53,18 @@ def test_bench_analytic_writes_its_run(tmp_path):
         assert outside <= ms["pipeline"] + 0.0005 * len(ms), (name, ms)
 
 
+def test_bench_cli_writes_its_run(tmp_path):
+    path = tmp_path / "bench.json"
+    _run("bench_cli.py", "--src", f"smoke={ROOT / 'src'}", "--repeats", "1", "--out", str(path))
+    run = json.loads(path.read_text())["runs"]["smoke"]
+    assert run["repeats"] == 1
+    assert set(run["commands"]) == {"python -c pass", "import numpy", "validate",
+                                    "ruin --no-mc", "ruin", "reproduce-tables --fast"}
+    for command in run["commands"].values():
+        assert all(0 < command[k]["q1"] <= command[k]["median"] <= command[k]["q3"]
+                   for k in ("wall_s", "cpu_s", "peak_rss_mb")), command
+
+
 def _perfbench_tracing():
     """``perfbench/tracing.py`` as a module of its own, left unregistered."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing",

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, CSV determinism, overrides, sweep grammar."""
 
+import gc
 import hashlib
 import json
 import math
@@ -74,6 +75,27 @@ def test_ruin_with_mc_leaves_concurrent_futures_unloaded(fast_config_path, tmp_p
             f"assert cli.main(['--config', {fast_config_path!r}, '--out', "
             f"{str(tmp_path / 'out')!r}, 'ruin', '--u', '100']) == 0")
     assert _loaded_modules(code, "concurrent") == "[]"
+
+
+class TestProcessEntry:
+    def test_main_in_process_leaves_the_collector_alone(self):
+        frozen = gc.get_freeze_count()
+        assert run_cli(["validate"]) == 0
+        assert run_cli(["--set", "numerics.seed", "validate"]) == 2
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("args,code", [(["validate"], 0),
+                                           (["--set", "numerics.seed", "validate"], 2)])
+    def test_the_entry_freezes_the_heap_and_exits_with_the_cli_code(self, args, code):
+        script = ("import gc, sys\nfrom microruin import cli\n"
+                  f"sys.argv = ['microruin', *{args!r}]\n"
+                  "try:\n    cli.run()\nexcept SystemExit as exc:\n"
+                  "    print(gc.get_freeze_count(), exc.code)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        frozen, exit_code = out.split()[-2:]
+        assert int(frozen) > 0 and int(exit_code) == code
 
 
 class TestValidateCommand:

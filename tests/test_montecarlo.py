@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -526,6 +527,53 @@ class TestPoolMap:
 
         with pytest.raises(ValueError, match="^4$"):
             montecarlo._pool_map(fail_at_4_and_7, list(range(10)))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_jobs_run_on_the_caller_and_one_thread_per_further_cpu(self, monkeypatch, cpus):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        before = set(threading.enumerate())
+        # each round of `cpus` jobs waits until every worker holds one
+        barrier = threading.Barrier(cpus, timeout=10)
+        ran, started = [], set()
+
+        def job(j):
+            barrier.wait()
+            started.update(set(threading.enumerate()) - before)
+            ran.append(threading.get_ident())
+            return j * j
+
+        jobs = list(range(4 * cpus))
+        assert montecarlo._pool_map(job, jobs) == [j * j for j in jobs]
+        assert threading.get_ident() in ran and len(set(ran)) == cpus
+        assert len(started) == cpus - 1
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_failure_in_the_callers_share_is_raised_and_ends_the_pool(self, monkeypatch,
+                                                                        cpus):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        caller, before = threading.get_ident(), set(threading.enumerate())
+        failed = threading.Event()
+        ran, started = [], set()
+
+        def job(j):
+            # the jobs of the started threads wait for the caller's failure,
+            # so every job that starts has been taken before it
+            ran.append(j)
+            started.update(set(threading.enumerate()) - before)
+            if threading.get_ident() == caller:
+                failed.set()
+                raise ValueError(j)
+            assert failed.wait(5)
+            time.sleep(0.02)
+            return j
+
+        with pytest.raises(ValueError) as info:
+            montecarlo._pool_map(job, list(range(10 * cpus)))
+        caller_job = int(str(info.value))
+        assert caller_job in ran and len(ran) <= cpus
+        assert sorted(ran) == list(range(len(ran)))  # taken in job order
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestWorkspaceReuse:

@@ -12,7 +12,7 @@ from scipy import fft as sp_fft
 from microruin import compound, moments, ruin, specfun
 from microruin.compound import LatticePMF
 from microruin.errors import DomainError, ResourceLimitError
-from tests.conftest import SWEEP_SCENARIOS, make_config, sweep_config
+from tests.conftest import SWEEP_SCENARIOS, make_config, reference_with, sweep_config
 from tests.oracles import atom_recursion, cdf_below, golden_loss_top, max_index
 
 
@@ -361,7 +361,7 @@ class TestCapitalGrid:
         ({"financial": {"c_min": 0.1, "c_max": 100.0}}, False),   # the read top binds
     ], ids=["reference", "fee-300", "clamps-0.1-100"])
     def test_matches_full_reach_oracle(self, overrides, chernoff_binds):
-        cfg = _reference_with(overrides)
+        cfg = reference_with(overrides)
         pmfs, _ = ruin.interval_net_pmfs(cfg)
         us = np.array([-50.0, 0.0, 100.0, 150.0, 200.0, 250.0, 300.0])
         r, eps = cfg.financial.interest_rate_per_interval, cfg.numerics.tail_eps
@@ -468,7 +468,7 @@ class TestCapitalGrid:
     def test_far_capitals_widen_no_grid(self):
         # below -max(y)^+ / (1+r) the first step is certain ruin and above the
         # loss top survival is read, so neither needs grid points
-        cfg = _reference_with({})
+        cfg = reference_with({})
         pmfs, _ = ruin.interval_net_pmfs(cfg)
         r = cfg.financial.interest_rate_per_interval
         ref = ruin.survival_recursion(np.array([100.0, 150.0, 200.0, 250.0, 300.0]), r, pmfs)
@@ -533,14 +533,6 @@ class TestOnGrid:
         assert hashlib.sha256(psi.tobytes()).hexdigest() == sha
 
 
-def _reference_with(overrides):
-    from microruin import model
-    data = model.default_config().to_dict()
-    for section, values in overrides.items():
-        data[section].update(values)
-    return model.validate(model.ScenarioConfig.from_dict(data))
-
-
 class TestPipeline:
     @pytest.mark.parametrize("overrides", [
         {"financial": {"w_n_geometric": 0.05}},
@@ -551,7 +543,7 @@ class TestPipeline:
     def test_scenarios_near_reference_solve(self, overrides):
         # refused while the FFT window spanned the full truncated reach
         us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
-        cfg = _reference_with(overrides)
+        cfg = reference_with(overrides)
         res, info = ruin.run_pipeline(cfg, us)
         psi = res.psi
         assert psi.shape == (cfg.financial.horizon_intervals, len(us))
@@ -572,8 +564,8 @@ class TestPipeline:
     def test_operator_nobody_subscribes_to_leaves_psi_unchanged(self, mix):
         # its fee once set the default lattice step
         us = np.array([100.0, 200.0])
-        want, want_info = ruin.run_pipeline(_reference_with({}), us)
-        cfg = _reference_with({"financial": {"operator_fees": {"1": 100.0, "2": 300.0},
+        want, want_info = ruin.run_pipeline(reference_with({}), us)
+        cfg = reference_with({"financial": {"operator_fees": {"1": 100.0, "2": 300.0},
                                              "operator_mix": mix}})
         got, info = ruin.run_pipeline(cfg, us)
         assert info["lattice_step"] == want_info["lattice_step"]
