@@ -39,6 +39,10 @@ and fewer sampler batches).  Reported, best of 3 unless stated:
   own fresh process, the median of 5 campaigns after a warm-up, and the two
   alternate 3 times; every process's median is recorded in samples per
   second.  (Alternating thread counts inside one process read them equal.)
+* ``simulate_surplus_paths`` at u = 100..300 on 1M reference and 200k
+  multi-slot paths (--quick: 100k and 20k), each campaign in its own fresh
+  process, 3 per scenario (--quick: 1): wall time of the call, the
+  process's peak RSS (``ru_maxrss``) and the sha256 of its psi.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def bench_stage(m_slot, r2, span, exponent, rng):
     # a batch reuses its workspace from the last batch
     reused = montecarlo._Workspace()
 
-    def stage(r2_copy, span_copy, ws=None):
+    def stage(r2_copy, span_copy, ws):
         # the field sums may overwrite their r2 and span inputs
         return montecarlo._uniform_field_sums(montecarlo._stream(1, "bench", 0),
                                               montecarlo._stream(1, "bench", 0, "marks"),
@@ -150,7 +154,7 @@ def bench_stage(m_slot, r2, span, exponent, rng):
     for label, chunk in (("whole_batch", total), ("chunked", saved)):
         montecarlo.CHUNK_POINTS = chunk
         try:
-            args = r2.copy(), span.copy()  # a new workspace: its buffers count
+            args = r2.copy(), span.copy(), montecarlo._Workspace()  # its buffers count
             tracemalloc.start()
             stage(*args)
             peaks[label] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
@@ -203,7 +207,7 @@ def bench_batch(n_users):
     for name, cfg in _scenarios().items():
         plan = cfg.numerics
         durations = cfg.interval_durations(1)
-        points = []
+        points, revenues = [], np.empty(n_users)
 
         def counting(x_sq, *args, **kwargs):
             points.append(len(x_sq))
@@ -211,11 +215,11 @@ def bench_batch(n_users):
 
         _kernels.interference_powsum = counting
         try:
-            montecarlo._revenue_batch(cfg, plan, ("bench", 0), n_users, durations)
+            montecarlo._revenue_batch(cfg, plan, ("bench", 0), n_users, durations, revenues)
         finally:
             _kernels.interference_powsum = saved
         t, _ = _best(lambda: montecarlo._revenue_batch(cfg, plan, ("bench", 0), n_users,
-                                                       durations), None, 7)
+                                                       durations, revenues), None, 7)
         out[name] = {"ms_per_batch": round(t * 1e3, 3),
                      "ns_per_point": round(t * 1e9 / sum(points), 3), "points": sum(points)}
         print(f"  {name:10s}  {t * 1e3:7.1f} ms/batch  {t * 1e9 / sum(points):6.2f} ns/pt  "
@@ -284,6 +288,47 @@ def bench_sampler(n_batches, alternations=3, calls=5):
     return out
 
 
+# one surplus-path campaign in this fresh process: wall time, peak RSS and
+# the sha256 of its psi
+_PATHS_RUN = """
+import hashlib, json, resource, sys, time
+from dataclasses import replace
+from microruin import model, montecarlo
+cfg = model.validate(model.ScenarioConfig.from_dict(json.loads(sys.argv[2])))
+plan = replace(montecarlo.plan_from_config(cfg), mc_paths=int(sys.argv[1]))
+t0 = time.perf_counter()
+est = montecarlo.simulate_surplus_paths(cfg, plan, [100.0, 150.0, 200.0, 250.0, 300.0])
+wall = time.perf_counter() - t0
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(wall, rss_mb, hashlib.sha256(est.psi.tobytes()).hexdigest())
+"""
+
+
+def bench_surplus_paths(paths, runs):
+    """``simulate_surplus_paths`` at u = 100..300, ``paths[name]`` paths per
+    scenario, each of ``runs`` campaigns in its own fresh process: its wall
+    time, the process's peak RSS and the sha256 of its psi."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = {}
+    for name, cfg in _scenarios().items():
+        walls, rss, hashes = [], [], set()
+        for _ in range(runs):
+            wall, peak, sha = subprocess.run(
+                [sys.executable, "-c", _PATHS_RUN, str(paths[name]), json.dumps(cfg.to_dict())],
+                env=env, check=True, capture_output=True, text=True).stdout.split()
+            walls.append(round(float(wall), 4))
+            rss.append(round(float(peak), 1))
+            hashes.add(sha)
+        print(f"surplus_paths  {name}  {paths[name]} paths, {runs} fresh process(es)  "
+              f"wall s " + " ".join(f"{w:.3f}" for w in walls)
+              + "  peak RSS MB " + " ".join(f"{m:.1f}" for m in rss))
+        out[name] = {"paths": paths[name], "wall_s": walls, "peak_rss_mb": rss,
+                     "median_wall_s": statistics.median(walls),
+                     "median_peak_rss_mb": statistics.median(rss),
+                     "psi_sha256": sorted(hashes)}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", help="name of this run in the JSON file (default: no file)")
@@ -300,7 +345,11 @@ def main(argv=None) -> int:
            "interferer_stage": bench_stage(m_slot, r2, span, exponent, rng),
            "revenue_batch": bench_batch(int(65_536 * scale)),
            "survival_recursion": bench_recursion(),
-           "sampler": bench_sampler(2, 1, 2) if args.quick else bench_sampler(8)}
+           "sampler": bench_sampler(2, 1, 2) if args.quick else bench_sampler(8),
+           "surplus_paths": (
+               bench_surplus_paths({"reference": 100_000, "multi-slot": 20_000}, 1)
+               if args.quick else
+               bench_surplus_paths({"reference": 1_000_000, "multi-slot": 200_000}, 3))}
     if args.label:
         doc = {}
         if os.path.exists(args.out):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from . import __version__, income_pdf, model, montecarlo, moments, ruin
+from . import __version__, compound, income_pdf, model, montecarlo, moments, ruin
 from .errors import AccuracyError, ConfigError, DomainError, MicroruinError, ResourceLimitError
 
 
@@ -166,9 +166,10 @@ def _at_least(low, value):
 
 
 def _grid(text: str) -> np.ndarray:
-    """The values START, START + STEP, ... up to STOP."""
+    """The values START, START + STEP, ... up to STOP; more than
+    ``compound.POINTS_BUDGET`` of them are refused before any is made."""
     start, stop, step = _finite(text.split(":"))
-    if step <= 0:
+    if not (step > 0 and (stop + 1e-12 - start) / step <= compound.POINTS_BUDGET):
         raise ValueError(text)
     return np.arange(start, stop + 1e-12, step)
 
@@ -181,7 +182,7 @@ def _tables(text: str) -> set:
 
 
 _TABLES = ("tableII", "tableIII", "fig2", "fig3", "fig4")
-_GRID = "START:STOP:STEP, finite, STEP > 0"
+_GRID = f"START:STOP:STEP, finite, STEP > 0, at most {compound.POINTS_BUDGET} points"
 _NUMBERS = _arg_type(lambda text: _finite(text.split(",")), "comma-separated finite numbers")
 _NUMBER = _arg_type(lambda text: _finite([text])[0], "a finite number")
 _RATE = _arg_type(lambda text: _at_least(0.0, _finite([text])[0]), "a finite number >= 0")

@@ -68,6 +68,8 @@ _START_U_PANELS = 2
 _MAX_LEVEL = 4  # panel budget: every panel of level 0 split into 16
 # distance mass beyond the t cutoff, where every slot clamps high
 DISTANCE_TAIL_MASS = 1e-12
+# relative slack of the support envelope in ``MomentVector.check_envelope``
+ENVELOPE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,10 @@ class MomentVector:
     def order(self) -> int:
         return len(self.raw)
 
-    def check_envelope(self, v_lo: float, v_hi: float, rtol: float = 1e-6):
+    def check_envelope(self, v_lo: float, v_hi: float):
         s = np.arange(1, self.order + 1)
-        lo = np.minimum(v_lo ** s, v_hi ** s) * (1.0 - rtol) - 1e-300
-        hi = np.maximum(v_lo ** s, v_hi ** s) * (1.0 + rtol)
+        lo = np.minimum(v_lo ** s, v_hi ** s) * (1.0 - ENVELOPE_RTOL) - 1e-300
+        hi = np.maximum(v_lo ** s, v_hi ** s) * (1.0 + ENVELOPE_RTOL)
         if (self.raw < lo).any() or (self.raw > hi).any():
             raise AccuracyError(
                 "moments escape the support envelope",

@@ -41,10 +41,12 @@ its per-slot arrays (distances, fading, spans, the counts that become point
 offsets, far fields, which hold the count uniforms first) and its chunk
 buffers (positions, marks, slot indices, the count search's flags and
 level counters) keep their pages from one batch to the next, and at most
-one workspace per batch thread outlives a call.  The revenues are written
-into one new array per call, never into a workspace.  The generator fills,
-``np.take``, ``np.cumsum`` and the elementwise arithmetic release the GIL,
-so the batch threads overlap there; ``np.add.at``, a multi-slot batch's slot-to-user
+one workspace per batch thread outlives a call.  The revenues of one
+interval are written into one new array, never into a workspace, and a
+surplus-path campaign draws its intervals one after another, so it holds
+one interval's revenues at a time.  The generator fills, ``np.take``,
+``np.cumsum`` and the elementwise arithmetic release the GIL, so the batch
+threads overlap there; ``np.add.at``, a multi-slot batch's slot-to-user
 ``np.repeat`` and per-user ``np.bincount``, and the Python between numpy
 calls hold it.  Every numpy call that releases the GIL may hand it to the
 other batch thread, so the chunks are large (``CHUNK_POINTS``) and a
@@ -114,6 +116,9 @@ RADIUS_FACTOR = 1.0
 COUNT_SPLIT = 32.0
 COUNT_CAP = 88
 COUNT_LEVELS = 6
+
+# the standard normal quantile of the two-sided 95% ruin intervals (``_wilson``)
+WILSON_Z = 1.959963984540054
 
 
 def plan_from_config(config: ScenarioConfig) -> Numerics:
@@ -276,11 +281,11 @@ def _far_field_law(net, radius):
     return shape, scale, k1 - shape * scale
 
 
-def _far_field(net, edge: float, t_slot: np.ndarray, rng, out=None) -> np.ndarray:
+def _far_field(net, edge: float, t_slot: np.ndarray, rng, out) -> np.ndarray:
     """Per-slot interference from beyond max(R, r_slot), in the sampler's
     unit t = pi beta r^2 (``edge`` = pi beta R^2 = pi f^2): one shifted
     Gamma draw per slot with the far field's mean, variance and third
-    cumulant, written into out (a new array when None).
+    cumulant, written into out.
 
     Every slot served from inside the radius shares one law.  The rare slots
     served from beyond it (probability e^(-edge); they draw no interferers)
@@ -289,7 +294,7 @@ def _far_field(net, edge: float, t_slot: np.ndarray, rng, out=None) -> np.ndarra
     """
     beta = net.beta_cells_per_area
     shape, scale, shift = _far_field_law(net, math.sqrt(edge / math.pi) / math.sqrt(beta))
-    far = rng.standard_gamma(shape, out=np.empty(len(t_slot)) if out is None else out)
+    far = rng.standard_gamma(shape, out=out)
     far *= scale  # rng.gamma(shape, scale) bit for bit
     far += shift
     beyond = np.flatnonzero(t_slot > edge)
@@ -326,7 +331,7 @@ def _chunks(offsets):
         s0 = s1
 
 
-def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent, ws=None) -> np.ndarray:
+def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent, ws) -> np.ndarray:
     """Per-slot sums of marks * x_sq**exponent over fresh interferer fields:
     slot j has m_slot[j] points, each at squared distance r2 + span * U (in
     any unit) with U uniform from rng, and exponential marks from marks_rng.
@@ -340,10 +345,9 @@ def _uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent, ws=None) -> 
     them, so the result is r2.  Both streams are drawn in point order, and
     each slot's sum is added in point order from 0, so the result does not
     depend on the chunk size.  The slot offsets and the chunk buffers are the
-    workspace ws's (a new one when None); m_slot may be the tail of its
-    "offsets", which then become the offsets in place.
+    workspace ws's; m_slot may be the tail of its "offsets", which then
+    become the offsets in place.
     """
-    ws = _Workspace() if ws is None else ws
     offsets = ws.take("offsets", len(m_slot) + 1, np.int64)
     offsets[0] = 0
     np.cumsum(m_slot, out=offsets[1:])
@@ -379,9 +383,9 @@ def _serving_ratio(t_slot, h, half_alpha) -> np.ndarray:
 
 
 def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
-                   duration_model, out=None) -> np.ndarray:
+                   duration_model, out) -> np.ndarray:
     """One batch of i.i.d. connection revenues from the streams keyed by
-    (seed, *path), written into out (a new array when None).  Draw order is
+    (seed, *path), written into out.  Draw order is
     fixed: distances, durations (a law with more than one value only),
     products (more than one only), then per-slot fading, count uniforms,
     far fields and interferer positions; the interferer marks come from the
@@ -461,21 +465,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_map(fn, jobs) -> list:
-    """[fn(job) for job in jobs], run on the calling thread plus one thread
-    per further CPU of the process.
+def _pool_map(fn, jobs) -> None:
+    """fn(job) for every job, for its effect, run on the calling thread plus
+    one thread per further CPU of the process.
 
-    Each job draws from its own keyed stream, so the results do not depend
-    on the number of threads or the order the jobs run in; numpy releases
-    the GIL in the generator fills and the array operations.  The threads
-    take the jobs in order; once a job fails no further job starts, and the
-    first failing job's exception is raised once every started thread has
-    ended.
+    Each job draws from its own keyed stream and writes its own output, so
+    the results do not depend on the number of threads or the order the jobs
+    run in; numpy releases the GIL in the generator fills and the array
+    operations.  The threads take the jobs in order; once a job fails no
+    further job starts, and the first failing job's exception is raised once
+    every started thread has ended.
     """
     workers = min(_cpu_count(), len(jobs))
     if workers <= 1:
-        return [fn(job) for job in jobs]
-    results, failures = [None] * len(jobs), {}
+        for job in jobs:
+            fn(job)
+        return
+    failures = {}
     pending = iter(range(len(jobs)))
     lock = threading.Lock()
 
@@ -486,7 +492,7 @@ def _pool_map(fn, jobs) -> list:
             if i is None:
                 return
             try:
-                results[i] = fn(jobs[i])
+                fn(jobs[i])
             except BaseException as exc:  # raised in the calling thread
                 with lock:
                     failures[i] = exc
@@ -501,29 +507,22 @@ def _pool_map(fn, jobs) -> list:
             thread.join()
     if failures:
         raise failures[min(failures)]
-    return results
 
 
-def _interval_jobs(config: ScenarioConfig, plan: Numerics, tag: str, n: int,
-                   interval_index: int) -> list:
-    """Revenue jobs of (stream path, size, duration model) for n revenues of
-    one interval, in batches of ``plan.mc_batch`` keyed (tag, interval, batch)."""
+def _revenues(config: ScenarioConfig, plan: Numerics, tag: str, n: int,
+              interval_index: int) -> np.ndarray:
+    """n revenues of one interval in one new array: batches of
+    ``plan.mc_batch`` keyed (tag, interval, batch), each written into its own
+    slice."""
     duration_model = config.interval_durations(interval_index)
-    return [((tag, interval_index, b), size, duration_model)
-            for b, size in enumerate(_batch_sizes(n, plan.mc_batch))]
+    revenues = np.empty(n)
 
-
-def _revenue_batches(config: ScenarioConfig, plan: Numerics, jobs) -> np.ndarray:
-    """The revenues of jobs of (stream path, size, duration model), in job
-    order in one array, each batch written into its own slice."""
-    sizes = [size for _, size, _ in jobs]
-    revenues = np.empty(sum(sizes))
-
-    def run(job_end):
-        (path, size, duration_model), end = job_end
-        _revenue_batch(config, plan, path, size, duration_model,
-                       out=revenues[end - size:end])
-    _pool_map(run, list(zip(jobs, np.cumsum(sizes))))
+    def run(job):
+        b, size = job
+        lo = b * plan.mc_batch
+        _revenue_batch(config, plan, (tag, interval_index, b), size, duration_model,
+                       revenues[lo:lo + size])
+    _pool_map(run, list(enumerate(_batch_sizes(n, plan.mc_batch))))
     return revenues
 
 
@@ -532,8 +531,7 @@ def sample_revenues(config: ScenarioConfig, plan: Numerics, n: int,
     """n i.i.d. connection revenues V (vectorized, batched, deterministic)."""
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
-    jobs = _interval_jobs(config, plan, "revenue", n, interval_index)
-    return _revenue_batches(config, plan, jobs)
+    return _revenues(config, plan, "revenue", n, interval_index)
 
 
 def estimate_moments(config: ScenarioConfig, plan: Numerics,
@@ -546,8 +544,7 @@ def estimate_moments(config: ScenarioConfig, plan: Numerics,
     d = config.numerics.moment_order
     n = plan.mc_samples
     power_sums = np.zeros(2 * d)
-    jobs = _interval_jobs(config, plan, "moments", n, interval_index)
-    revenues = _revenue_batches(config, plan, jobs)
+    revenues = _revenues(config, plan, "moments", n, interval_index)
     for pos in range(0, n, plan.mc_batch):  # summed in batch order
         v = revenues[pos:pos + plan.mc_batch]
         term = v.copy()
@@ -574,7 +571,8 @@ class MCRuinEstimate:
     ci_hi: np.ndarray
 
 
-def _wilson(p_hat: np.ndarray, n: int, z: float = 1.959963984540054):
+def _wilson(p_hat: np.ndarray, n: int):
+    z = WILSON_Z
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2 * n)) / denom
     half = z * np.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom
@@ -588,7 +586,10 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
     Simulates per-interval net profits (geometric user counts, full revenue
     sampling per user, operator fees), discounts them onto the initial-capital
     axis, and evaluates the running minimum against every requested u --
-    common random numbers across the whole u sweep by construction.
+    common random numbers across the whole u sweep by construction.  The
+    intervals are drawn one at a time, each from its own keyed streams, and
+    reduced to one row of per-path discounted profits, so a campaign holds
+    one interval's revenues at a time beside the horizon x paths profits.
     """
     fin = config.financial
     horizon = fin.horizon_intervals
@@ -601,35 +602,23 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
         raise DomainError(f"initial capitals must be finite, got {bad[0]}")
 
     fees, fee_probs = fin.fee_law()
-    # every (interval, batch) revenue job goes to the pool at once, so the
-    # small last batch of one interval runs beside the next interval's
-    users, jobs = [], []
+    discounted = np.zeros((horizon, n_paths))
     for interval in range(1, horizon + 1):
         n_users = _stream(plan.seed, "path-count", interval).geometric(w, size=n_paths) - 1
-        users.append(n_users)
-        jobs += _interval_jobs(config, plan, "path-rev", int(n_users.sum()), interval)
-    all_revenues = _revenue_batches(config, plan, jobs)
-
-    discounted = np.zeros((horizon, n_paths))
-    pos = 0
-    for interval, n_users in enumerate(users, start=1):
         total = int(n_users.sum())
-        revenues = all_revenues[pos:pos + total]
-        pos += total
-        if total > 0:
-            if fees.min() < fees.max():
-                revenues -= _inverse_pmf_sample(_stream(plan.seed, "path-fee", interval),
-                                                fees, fee_probs, total)
-            else:
-                revenues -= fees[0]
-            # paths without users keep a net profit of 0
-            served = np.flatnonzero(n_users)
-            first_user = np.concatenate(([0], np.cumsum(n_users)[:-1]))
-            s_net = np.add.reduceat(revenues, first_user[served])
-            discounted[interval - 1, served] = s_net / (1.0 + r) ** interval
+        revenues = _revenues(config, plan, "path-rev", total, interval)
+        if fees.min() < fees.max():
+            revenues -= _inverse_pmf_sample(_stream(plan.seed, "path-fee", interval),
+                                            fees, fee_probs, total)
+        else:
+            revenues -= fees[0]
+        # paths without users keep a net profit of 0
+        served = np.flatnonzero(n_users)
+        first_user = np.concatenate(([0], np.cumsum(n_users)[:-1]))
+        s_net = np.add.reduceat(revenues, first_user[served])
+        discounted[interval - 1, served] = s_net / (1.0 + r) ** interval
+        del revenues  # before the next interval's are drawn
 
-    # the running minimum is taken in place, once the revenues are dropped
-    del all_revenues, revenues
     np.cumsum(discounted, axis=0, out=discounted)
     running_min = np.minimum.accumulate(discounted, axis=0, out=discounted)
     psi = np.empty((horizon, len(u_values)))

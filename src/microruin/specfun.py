@@ -40,6 +40,7 @@ __all__ = [
 
 REL_TOL = 1e-10
 MAX_TERMS = 20000
+INTEGER_TOL = 1e-12  # how near an integer c counts as one (``gauss_2f1``'s pole test)
 _BLOCK = 64  # series terms per vectorised block
 
 
@@ -87,8 +88,8 @@ def _hyp_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     )
 
 
-def _is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
+def _is_nonpositive_integer(x: float) -> bool:
+    return x <= INTEGER_TOL and abs(x - round(x)) < INTEGER_TOL
 
 
 def gauss_2f1(a: float, b: float, c: float, z):

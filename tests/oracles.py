@@ -225,23 +225,28 @@ def sample_slot_scaling(config: ScenarioConfig, plan: Numerics, r_u: float, n: i
     span = max(radius * radius - r_u * r_u, 0.0)
     edge, t_u = math.pi * montecarlo.RADIUS_FACTOR ** 2, math.pi * beta * r_u * r_u
 
+    scaling = np.empty(n)
+
     def run(job):
         batch_idx, size = job
         rng = montecarlo._stream(plan.seed, "slot", batch_idx)
         h = rng.exponential(1.0, size=size)
         m = rng.poisson(beta * math.pi * span, size=size)
-        interference = montecarlo._far_field(net, edge, np.full(size, t_u), rng)
+        interference = montecarlo._far_field(net, edge, np.full(size, t_u), rng,
+                                             np.empty(size))
         i_in = montecarlo._uniform_field_sums(
             rng, montecarlo._stream(plan.seed, "slot", batch_idx, "marks"), m,
-            np.full(size, r_u * r_u), np.full(size, span), -alpha / 2.0)
+            np.full(size, r_u * r_u), np.full(size, span), -alpha / 2.0,
+            montecarlo._Workspace())
         interference += net.p_i_interferer_power * i_in
         with np.errstate(divide="ignore"):
             gamma = h * r_u ** (-alpha) * net.p0_serving_power / (
                 net.sigma2_noise_power + interference)
-            return np.clip(rate_gap / gamma, fin.c_min, fin.c_max)
+            lo = batch_idx * plan.mc_batch
+            np.clip(rate_gap / gamma, fin.c_min, fin.c_max, out=scaling[lo:lo + size])
 
-    jobs = list(enumerate(montecarlo._batch_sizes(n, plan.mc_batch)))
-    return np.concatenate(montecarlo._pool_map(run, jobs))
+    montecarlo._pool_map(run, list(enumerate(montecarlo._batch_sizes(n, plan.mc_batch))))
+    return scaling
 
 
 def uniform_field_sums(rng, marks_rng, m_slot, r2, span, exponent) -> np.ndarray:

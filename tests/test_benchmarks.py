@@ -31,7 +31,7 @@ def _run(script, *args):
 def test_bench_kernels_quick_without_label_writes_nothing():
     committed = (ROOT / "BENCH_kernels.json").read_bytes()
     out = _run("bench_kernels.py", "--quick")
-    assert "interferer stage" in out and "sample_revenues" in out
+    assert "interferer stage" in out and "sample_revenues" in out and "surplus_paths" in out
     assert (ROOT / "BENCH_kernels.json").read_bytes() == committed
 
 

@@ -247,6 +247,25 @@ def test_bad_argument_value_exits_two_naming_it(tmp_path, capsys, command, optio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,option", [
+    (["expected-surplus", "--ev-grid", "0:1e9:1e-3"], "--ev-grid"),
+    (["sweep", "--param", "network.alpha_pathloss=3:1e6:1e-6"], "--param"),
+], ids=["ev-grid", "sweep-param"])
+def test_oversized_grid_exits_two_before_allocating(tmp_path, capsys, monkeypatch, command,
+                                                    option):
+    # 10^12 points: np.arange would raise a memory error the CLI never names
+    def no_arange(*args, **kwargs):
+        raise AssertionError("grid allocated")
+    monkeypatch.setattr(np, "arange", no_arange)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--out", str(out), *command])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: " in err and "at most 1000000 points" in err
+    assert not out.exists()
+
+
 def test_compound_interval_past_the_horizon_exits_two(tmp_path, capsys):
     # it once wrote a compound.csv with only its header
     out = tmp_path / "o"

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,35 @@ class TestSurplusPaths:
                                                 [50.0, 150.0, 400.0])
         assert np.all(np.diff(est.psi, axis=0) >= 0.0)
         assert np.all(np.diff(est.psi, axis=1) <= 0.0)
+
+    def test_intervals_without_users_add_nothing(self):
+        # w = 0.999 leaves every interval of these three paths without users
+        cfg = sweep_config("horizon-10")
+        cfg = replace(cfg, financial=replace(cfg.financial, w_n_geometric=0.999))
+        est = montecarlo.simulate_surplus_paths(cfg, replace(cfg.numerics, mc_paths=3),
+                                                [0.0, -1.0])
+        np.testing.assert_array_equal(est.psi, [[0.0, 1.0]] * 10)
+
+    def test_a_campaign_holds_one_intervals_revenues_at_a_time(self, monkeypatch):
+        # one batch thread, so the measured call reuses the warm-up's one
+        # workspace and allocates only the campaign's own arrays
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+        cfg = sweep_config("horizon-10")
+        plan = cfg.numerics
+        montecarlo.simulate_surplus_paths(cfg, plan, [100.0])
+        tracemalloc.start()
+        try:
+            montecarlo.simulate_surplus_paths(cfg, plan, [100.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        horizon, n_paths = cfg.financial.horizon_intervals, plan.mc_paths
+        users = [int(montecarlo._stream(plan.seed, "path-count", i)
+                     .geometric(cfg.financial.w_n_geometric, size=n_paths).sum()) - n_paths
+                 for i in range(1, horizon + 1)]
+        discounted_bytes, interval_bytes = 8 * horizon * n_paths, 8 * max(users)
+        assert peak < discounted_bytes + 3 * interval_bytes, (peak, interval_bytes)
 
     def test_wilson_interval_brackets_estimate(self, table3_config, fast_plan):
         est = montecarlo.simulate_surplus_paths(table3_config, fast_plan, [100.0])
@@ -162,7 +192,7 @@ class TestFarField:
         n = 1_000_000
         r_slot = np.random.default_rng(0).uniform(0.0, self.RADIUS, n)
         far = montecarlo._far_field(self.NET, self.EDGE, _pi_beta_r2(self.NET, r_slot),
-                                    montecarlo._stream(1, "far"))
+                                    montecarlo._stream(1, "far"), np.empty(n))
         _assert_moments_within_4se(far, *_campbell(4.0, 0.1, 2.0, self.RADIUS))
 
     def test_slots_served_beyond_the_radius_use_their_own_distance(self):
@@ -170,7 +200,7 @@ class TestFarField:
         n = 200_000
         r_slot = np.repeat([0.5 * self.RADIUS, 1.5 * self.RADIUS, 2.0 * self.RADIUS], n)
         far = montecarlo._far_field(self.NET, self.EDGE, _pi_beta_r2(self.NET, r_slot),
-                                    montecarlo._stream(2, "far"))
+                                    montecarlo._stream(2, "far"), np.empty(3 * n))
         for k, edge in enumerate((self.RADIUS, 1.5 * self.RADIUS, 2.0 * self.RADIUS)):
             want = (*_campbell(4.0, 0.1, 2.0, edge), _campbell_k3(4.0, 0.1, 2.0, edge))
             np.testing.assert_allclose(montecarlo._far_field_moments(self.NET, edge), want,
@@ -186,7 +216,8 @@ class TestFarField:
         rng = np.random.default_rng(int(10 * alpha))
         r_slot = np.concatenate([rng.uniform(0.0, radius, n), np.full(n, 1.5 * radius)])
         far = montecarlo._far_field(net, math.pi * montecarlo.RADIUS_FACTOR ** 2,
-                                    _pi_beta_r2(net, r_slot), montecarlo._stream(3, "far"))
+                                    _pi_beta_r2(net, r_slot), montecarlo._stream(3, "far"),
+                                    np.empty(2 * n))
         for k, edge in enumerate((radius, 1.5 * radius)):
             assert montecarlo._far_field_law(net, edge)[2] > 0.0
             want = _campbell(alpha, 0.1, 2.0, edge)
@@ -352,8 +383,7 @@ class TestMomentEstimation:
         # revenues is the reference, to a few ulps per product
         plan = replace(fast_plan, mc_samples=5000, mc_batch=2048)
         est, se = montecarlo.estimate_moments(table2_config, plan)
-        jobs = montecarlo._interval_jobs(table2_config, plan, "moments", plan.mc_samples, 1)
-        v = montecarlo._revenue_batches(table2_config, plan, jobs)
+        v = montecarlo._revenues(table2_config, plan, "moments", plan.mc_samples, 1)
         d = table2_config.numerics.moment_order
         np.testing.assert_allclose(est.raw, [np.mean(v ** s) for s in range(1, d + 1)],
                                    rtol=1e-13)
@@ -444,7 +474,8 @@ class TestChunkedStream:
             monkeypatch.setattr(montecarlo, "CHUNK_POINTS", chunk)
             return montecarlo._uniform_field_sums(montecarlo._stream(9, "edges"),
                                                   montecarlo._stream(9, "edges", "marks"),
-                                                  m_slot, r2.copy(), span.copy(), -2.0)
+                                                  m_slot, r2.copy(), span.copy(), -2.0,
+                                                  montecarlo._Workspace())
 
         got = sums(3)
         assert got.tobytes() == sums(int(m_slot.sum())).tobytes()
@@ -469,7 +500,8 @@ class TestChunkedStream:
         monkeypatch.setattr(montecarlo, "CHUNK_POINTS", 50)
         got = montecarlo._uniform_field_sums(montecarlo._stream(4, "direct"),
                                              montecarlo._stream(4, "direct", "marks"),
-                                             m_slot, r2.copy(), span.copy(), -alpha / 2.0)
+                                             m_slot, r2.copy(), span.copy(), -alpha / 2.0,
+                                             montecarlo._Workspace())
         want = oracles.uniform_field_sums(montecarlo._stream(4, "direct"),
                                           montecarlo._stream(4, "direct", "marks"),
                                           m_slot, r2, span, -alpha / 2.0)
@@ -515,10 +547,14 @@ class TestChunkedStream:
 
 
 class TestPoolMap:
-    def test_results_keep_job_order_and_the_first_failure_is_raised(self, monkeypatch):
+    def test_every_job_writes_its_slot_and_the_first_failure_is_raised(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
-        assert montecarlo._pool_map(lambda j: j * j, list(range(10))) == [
-            j * j for j in range(10)]
+        slots = [None] * 10
+
+        def write(j):
+            slots[j] = j
+        assert montecarlo._pool_map(write, list(range(10))) is None
+        assert slots == list(range(10))
 
         def fail_at_4_and_7(j):
             if j in (4, 7):
@@ -535,15 +571,17 @@ class TestPoolMap:
         # each round of `cpus` jobs waits until every worker holds one
         barrier = threading.Barrier(cpus, timeout=10)
         ran, started = [], set()
+        jobs = list(range(4 * cpus))
+        slots = [None] * len(jobs)
 
         def job(j):
             barrier.wait()
             started.update(set(threading.enumerate()) - before)
             ran.append(threading.get_ident())
-            return j * j
+            slots[j] = j
 
-        jobs = list(range(4 * cpus))
-        assert montecarlo._pool_map(job, jobs) == [j * j for j in jobs]
+        montecarlo._pool_map(job, jobs)
+        assert slots == jobs
         assert threading.get_ident() in ran and len(set(ran)) == cpus
         assert len(started) == cpus - 1
         assert not any(thread.is_alive() for thread in started)
