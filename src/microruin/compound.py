@@ -56,10 +56,12 @@ class LatticePMF:
     def __post_init__(self):
         if not self.step > 0:
             raise DomainError(f"lattice step must be positive, got {self.step}")
-        mass = np.asarray(self.mass, dtype=float)
-        if (mass < -1e-12).any():
-            raise DomainError("lattice masses must be nonnegative")
-        mass = np.maximum(mass, 0.0)
+        mass = np.array(self.mass, dtype=float)  # a copy: never the caller's array
+        lowest = mass.min() if mass.size else 0.0
+        if lowest < 0.0:
+            if lowest < -1e-12:
+                raise DomainError("lattice masses must be nonnegative")
+            np.maximum(mass, 0.0, out=mass)
         object.__setattr__(self, "mass", mass)
         total = mass.sum()
         if abs(total - 1.0) > 1e-9:
@@ -67,10 +69,14 @@ class LatticePMF:
                                 {"total": total})
 
     def indices(self) -> np.ndarray:
-        return self.min_index + np.arange(len(self.mass))
+        return np.arange(self.min_index, self.min_index + len(self.mass))
 
     def values(self) -> np.ndarray:
-        return self.indices() * self.step
+        # exact integers in floating point, so each value is index * step as
+        # an integer array would give it
+        values = np.arange(self.min_index, self.min_index + len(self.mass), dtype=float)
+        values *= self.step
+        return values
 
     def mean(self) -> float:
         return float(np.dot(self.values(), self.mass))
@@ -84,13 +90,36 @@ class LatticePMF:
     def trimmed(self, eps: float) -> "LatticePMF":
         """Drop negligible tails (at most eps total mass per side), renormalized."""
         mass = self.mass
-        csum = np.cumsum(mass)
-        lo = int(np.searchsorted(csum, eps, side="right"))
-        hi = len(mass) - int(np.searchsorted(np.cumsum(mass[::-1]), eps, side="right"))
+        lo = _tail_count(mass, eps)
+        hi = len(mass) - _tail_count(mass[::-1], eps)
         lo = min(lo, hi - 1)
-        trimmed = mass[lo:hi].copy()
-        trimmed /= trimmed.sum()
-        return LatticePMF(step=self.step, min_index=self.min_index + lo, mass=trimmed)
+        kept = mass[lo:hi]
+        return LatticePMF(step=self.step, min_index=self.min_index + lo,
+                          mass=kept / kept.sum())
+
+
+TAIL_BLOCK = 4096  # masses in the first block of a tail's running sum
+
+
+def _tail_count(mass: np.ndarray, eps: float) -> int:
+    """How many leading masses have a running sum of at most eps: the count
+    searchsorted(cumsum(mass), eps, side="right") gives, from the same
+    running sums, taken in doubling blocks only as far as the first one
+    past eps.  Each block's sums start from the sum carried in front of it,
+    so every partial sum takes the float steps of the whole cumsum."""
+    done, carried = 0, None
+    size = TAIL_BLOCK
+    while done < len(mass):
+        block = mass[done:done + size]
+        if carried is None:
+            sums = np.cumsum(block)
+        else:
+            sums = np.cumsum(np.concatenate(([carried], block)))[1:]
+        count = int(np.searchsorted(sums, eps, side="right"))
+        if count < len(sums):
+            return done + count
+        done, carried, size = done + len(block), sums[-1], 2 * size
+    return len(mass)
 
 
 def discretize_income(density: ExpandedDensity, delta: float) -> LatticePMF:
@@ -137,6 +166,7 @@ def _geometric_truncation(w_n: float, tail_eps: float) -> int:
 
 
 CHERNOFF_STEPS = 64  # iteration cap of the Chernoff searches
+GEOMETRIC_RATIO = 4.0  # hi / lo past which a Chernoff bisection is geometric
 
 
 def _chernoff_min(cgf, log_eps: float, theta_hi: float) -> tuple[float, float]:
@@ -149,13 +179,17 @@ def _chernoff_min(cgf, log_eps: float, theta_hi: float) -> tuple[float, float]:
     convex: h rises from log_eps < 0 at theta = 0, so the root is unique.
     Newton steps on h start at sqrt(-2 log_eps / K''(0)), the root of h's
     quadratic part, and fall back to bisection when a step leaves the
-    bracket.  When h is still negative at theta_hi the bound decreases up to
-    it, and theta_hi is returned.  Any theta gives a valid bound; the search
-    only makes it tight, and it stops once the bracket is two adjacent
-    floats.  Raises AccuracyError past ``CHERNOFF_STEPS`` evaluations.
+    bracket [lo, hi], which only shrinks.  The bisection is geometric once
+    lo > 0 and hi / lo exceeds ``GEOMETRIC_RATIO``, so a root far below the
+    pole is reached in a few steps.  A step past hi first looks at theta_hi,
+    but only while no evaluated theta has h >= 0: when h is still negative
+    there the bound decreases up to it, and theta_hi is returned.  Any theta
+    gives a valid bound; the search only makes it tight, and it stops once
+    the bracket is two adjacent floats.  Raises AccuracyError past
+    ``CHERNOFF_STEPS`` evaluations.
     """
     lo, hi = 0.0, theta_hi
-    open_end = theta_hi  # the upper end, until it is evaluated
+    bracketed = False  # some evaluated theta has h >= 0, so hi < theta_hi or is theta_hi
     k2_zero = cgf(0.0)[2]
     theta = math.sqrt(-2.0 * log_eps / k2_zero) if k2_zero > 0.0 else math.inf
     if not theta < theta_hi:
@@ -165,21 +199,19 @@ def _chernoff_min(cgf, log_eps: float, theta_hi: float) -> tuple[float, float]:
         h = theta * k1 - k + log_eps if math.isfinite(k) else math.inf
         if h == 0.0 or (h < 0.0 and theta == theta_hi):
             return theta, k
-        if theta == open_end:
-            open_end = None
         if h < 0.0:
             lo = theta
         else:
-            hi = theta
+            hi, bracketed = theta, True
         nxt = theta - h / (theta * k2) if math.isfinite(h) and k2 > 0.0 else math.nan
         if abs(nxt - theta) <= 1e-13 * theta:
             return theta, k
-        if not lo < nxt < hi:  # past the bracket (or no step): bisect, but
-            # first look at an unexamined upper end the step points past
-            if open_end is not None and nxt >= hi:
-                nxt = open_end
+        if not lo < nxt < hi:  # past the bracket (or no step)
+            if not bracketed and nxt >= hi:
+                nxt = theta_hi
             else:
-                nxt = 0.5 * (lo + hi)
+                wide = lo > 0.0 and hi > GEOMETRIC_RATIO * lo
+                nxt = math.sqrt(lo * hi) if wide else 0.5 * (lo + hi)
                 if not lo < nxt < hi:  # nothing left between two adjacent floats
                     return (theta, k) if math.isfinite(k) else (lo, cgf(lo)[0])
         theta = nxt
@@ -211,9 +243,11 @@ def _chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float, log_eps: floa
         # with q M_Z = e^z and the tilted mean m1 and second moment m2 of Z:
         # K = log w - log(1 - e^z), K' = e^z m1 / (1 - e^z) and
         # K'' = e^z m2 / (1 - e^z) + (K')^2
-        a = theta * idx + log_p
-        top = a.max()
-        e = np.exp(a - top)
+        e = theta * idx_f
+        e += log_p
+        top = e.max()
+        e -= top
+        np.exp(e, out=e)
         s0 = e.sum()
         z = log_q + top + math.log(s0)
         if not z < 0.0:
@@ -257,7 +291,8 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float,
     if not (0.0 < w_n < 1.0):
         raise DomainError(f"geometric parameter must lie in (0, 1), got {w_n}")
     positive = step.mass > 0.0
-    idx = step.indices()[positive]
+    indices = step.indices()
+    idx = indices[positive]
     log_p = np.log(step.mass[positive])
     log_eps = math.log(tail_eps)
     hi, bound_hi = _chernoff_edge(idx, log_p, w_n, log_eps)
@@ -275,11 +310,14 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float,
 
     # the window is one period: Z's atoms wrap onto it, and the inverse
     # transform of the PGF is the compound PMF folded modulo n
-    z_folded = np.bincount(step.indices() % n, weights=step.mass, minlength=n)
-    s_hat = w_n / (1.0 - (1.0 - w_n) * np.fft.rfft(z_folded))
+    z_folded = np.bincount(indices % n, weights=step.mass, minlength=n)
+    s_hat = np.fft.rfft(z_folded)  # then w / (1 - (1-w) z_hat), in place
+    s_hat *= 1.0 - w_n
+    np.subtract(1.0, s_hat, out=s_hat)
+    np.divide(w_n, s_hat, out=s_hat)
     mass = np.roll(np.fft.irfft(s_hat, n), -lo)
     clipped = abs(float(mass[mass < 0.0].sum()))
-    mass = np.maximum(mass, 0.0)
+    np.maximum(mass, 0.0, out=mass)
 
     total = mass.sum()
     if abs(total - 1.0) > max(10 * tail_eps, 1e-9):

@@ -40,7 +40,7 @@ kept, norm 1); its CDF alone is reported unclipped, for diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -124,13 +124,18 @@ class ExpandedDensity:
     # poly in powers of t, and the R of its closed-form CDF t^a R(t)
     tpoly: np.ndarray = field(init=False, repr=False)
     cdf_poly: np.ndarray = field(init=False, repr=False)
+    # (tpoly, cdf_poly) of an instance with the same poly and exponent, handed
+    # over by ``sanitize`` so the expansion runs once per density
+    expansion: InitVar[tuple | None] = None
 
-    def __post_init__(self):
-        tpoly = np.zeros(1)
-        for coef in self.poly[::-1]:  # Horner in x = 2t - 1
-            tpoly = npoly.polyadd(npoly.polymul(tpoly, [-1.0, 2.0]), [coef])
-        object.__setattr__(self, "tpoly", tpoly)
-        object.__setattr__(self, "cdf_poly", _antiderivative(tpoly, self.lower_exponent))
+    def __post_init__(self, expansion):
+        if expansion is None:
+            tpoly = np.zeros(1)
+            for coef in self.poly[::-1]:  # Horner in x = 2t - 1
+                tpoly = npoly.polyadd(npoly.polymul(tpoly, [-1.0, 2.0]), [coef])
+            expansion = (tpoly, _antiderivative(tpoly, self.lower_exponent))
+        object.__setattr__(self, "tpoly", expansion[0])
+        object.__setattr__(self, "cdf_poly", expansion[1])
 
     @property
     def v_lo(self) -> float:
@@ -243,4 +248,5 @@ def sanitize(raw: ExpandedDensity, reject_mass: float = 0.1) -> ExpandedDensity:
         )
     kept_cum = np.concatenate(([0.0], np.cumsum(np.where(keep, seg_masses, 0.0))))[:-1]
     return replace(raw, sanitized=True, sanitized_mass=negative_mass, seg_edges=t,
-                   seg_keep=keep, seg_cdf=kept_cum, norm=positive_mass)
+                   seg_keep=keep, seg_cdf=kept_cum, norm=positive_mass,
+                   expansion=(raw.tpoly, raw.cdf_poly))

@@ -102,7 +102,8 @@ def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float
     onto at most LOSS_CELLS cells, each rounded up, which keeps the bound
     valid.  tail_eps = 0 returns top = reach.
     """
-    k_max = max(max(0, -int(p.indices()[p.mass > 0].min())) for p in pmfs)
+    # the lowest index with mass gives each PMF's largest loss
+    k_max = max(max(0, -(p.min_index + int((p.mass > 0).argmax()))) for p in pmfs)
     discount = growth ** -np.arange(1.0, horizon + 1)
     reach = k_max * pmfs[0].step * float(discount.sum())
     if k_max == 0 or tail_eps <= 0.0:
@@ -111,9 +112,12 @@ def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float
     width = q * pmfs[0].step
     tables = []
     for p in pmfs:
-        alive = p.mass > 0
-        cells = -(-np.maximum(-p.indices()[alive], 0) // q)
-        binned = np.bincount(cells, weights=p.mass[alive])
+        # atoms at index >= 0 lose nothing (cell 0), those below lose -index;
+        # atoms without mass add exact zeros
+        cells = np.zeros(len(p.mass), dtype=np.intp)
+        n_loss = min(max(-p.min_index, 0), len(p.mass))
+        cells[:n_loss] = -(-np.arange(-p.min_index, -p.min_index - n_loss, -1) // q)
+        binned = np.bincount(cells, weights=p.mass)
         held = np.flatnonzero(binned)
         loss = held * width
         tables.append((loss, loss * loss, np.log(binned[held])))
@@ -126,9 +130,11 @@ def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float
         t = theta * discount[:, None]
         best = None
         for loss, loss_sq, log_p in tables:
-            a = t * loss + log_p
-            peak = a.max(axis=1)
-            e = np.exp(a - peak[:, None])
+            e = t * loss
+            e += log_p
+            peak = e.max(axis=1)
+            e -= peak[:, None]
+            np.exp(e, out=e)
             s0 = e.sum(axis=1)
             lse = peak + np.log(s0)
             m1, m2 = (e @ loss) / s0, (e @ loss_sq) / s0
@@ -278,9 +284,10 @@ class _Correlation:
         self.window = slice(t_lo, t_hi + 1)
         # conv(P, reversed A)[t] = sum_s A[s] P[t - (S-1) + s]: output
         # n_grid + i reads past the grid top for the i + 1 largest atom cells
-        above = np.cumsum(reversed_atoms)[:-1]
+        # (running sums over only the atoms the window reaches)
+        reach = min(max(t_hi + 1 - n_grid, 0), len(atoms) - 1)
         self.above_from = max(n_grid - t_lo, 0)
-        self.above = above[max(t_lo - n_grid, 0):max(t_hi + 1 - n_grid, 0)]
+        self.above = np.cumsum(reversed_atoms[:reach])[max(t_lo - n_grid, 0):]
         self.n_grid = n_grid
 
     def __call__(self, phi_prev):

@@ -41,7 +41,8 @@ __all__ = [
 REL_TOL = 1e-10
 MAX_TERMS = 20000
 INTEGER_TOL = 1e-12  # how near an integer c counts as one (``gauss_2f1``'s pole test)
-_BLOCK = 64  # series terms per vectorised block
+_BLOCK = 64  # series terms per block over many arguments
+_BLOCK_CELLS = 16384  # terms times arguments of one block, when more than _BLOCK terms
 
 
 def _require_finite(name, value):
@@ -56,31 +57,50 @@ def scalar_pow(x: np.ndarray, s: float) -> np.ndarray:
                        count=x.size).reshape(x.shape)
 
 
+def _block_cap(live: int) -> int:
+    """Most series terms in one block over ``live`` arguments: ``_BLOCK_CELLS``
+    cells, but never fewer than ``_BLOCK`` terms."""
+    return max(_BLOCK, _BLOCK_CELLS // live)
+
+
 def _hyp_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """Defining 2F1 power series at every z; caller guarantees |z| < 1 and valid c.
 
-    Terms come in blocks of ``_BLOCK``: a cumulative product gives the terms
-    and a cumulative sum the partial sums, both strictly in order, so each
-    element takes the same float steps as a one-argument loop and stops at
-    its own first term within REL_TOL of its sum.
+    Terms come in blocks, one row per term: a cumulative product down the
+    rows gives the terms and a cumulative sum the partial sums, both
+    strictly in order, so each element takes the same float steps as a
+    one-argument loop and stops at its own first term within REL_TOL of its
+    sum.  The first block holds the terms a geometric series in the largest
+    |z| takes to reach REL_TOL, and four more, so most calls need one block;
+    each further block is twice as long.
     """
-    out = np.empty(z.size)
-    live = np.arange(z.size)
     z_live = z.ravel()
-    term = np.ones(z.size)
-    total = np.ones(z.size)
-    for n0 in range(0, MAX_TERMS, _BLOCK):
-        n = np.arange(n0, min(n0 + _BLOCK, MAX_TERMS))
-        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
-        terms = np.cumprod(np.column_stack((term, ratio * z_live[:, None])), axis=1)[:, 1:]
-        totals = np.cumsum(np.column_stack((total, terms)), axis=1)[:, 1:]
-        done = (np.abs(terms) <= REL_TOL * np.abs(totals)) & (n >= 2)
-        hit = done.any(axis=1)
-        out[live[hit]] = totals[hit, done[hit].argmax(axis=1)]
-        live, z_live, term, total = (live[~hit], z_live[~hit],
-                                     terms[~hit, -1], totals[~hit, -1])
-        if not live.size:
+    out = np.empty(z_live.size)
+    live = np.arange(z_live.size)
+    term = total = np.ones(z_live.size)
+    z_max = max(float(np.abs(z_live).max(initial=0.0)), REL_TOL)
+    size = min(4 + math.ceil(math.log(REL_TOL) / math.log(z_max)), _block_cap(z_live.size))
+    n0 = 0
+    while n0 < MAX_TERMS:
+        n = np.arange(n0, min(n0 + size, MAX_TERMS), dtype=float)
+        # row 0 carries the last term (and then the partial sum) of the block before
+        terms = np.empty((len(n) + 1, len(live)))
+        terms[0] = term
+        np.multiply.outer((a + n) * (b + n) / ((c + n) * (n + 1.0)), z_live, out=terms[1:])
+        np.cumprod(terms, axis=0, out=terms)
+        totals = terms.copy()
+        totals[0] = total
+        np.cumsum(totals, axis=0, out=totals)
+        done = np.abs(terms) <= REL_TOL * np.abs(totals)
+        done[:3 if n0 == 0 else 1] = False  # row 0, and terms 1 and 2 of the series
+        first = done.argmax(axis=0)  # 0 where no term in the block is done
+        cols = np.flatnonzero(first)
+        out[live[cols]] = totals[first[cols], cols]
+        if len(cols) == len(live):
             return out.reshape(z.shape)
+        rest = first == 0
+        live, z_live, term, total = live[rest], z_live[rest], terms[-1, rest], totals[-1, rest]
+        n0, size = n0 + len(n), min(2 * size, _block_cap(len(live)))
     raise AccuracyError(
         "hypergeometric series did not converge",
         {"a": a, "b": b, "c": c, "z": float(z_live[0]), "partial_sum": float(total[0]),
