@@ -26,8 +26,11 @@ summed over their calls.  Per scenario, median over --repeats runs, in ms:
 Every stage but ``chernoff_edges`` runs outside the others, so they add up
 to no more than ``pipeline``.  The sizes that decide the FFT work (compound
 window, recursion grid and correlation FFT length) are recorded with the
-times.  Scenarios a tree refuses (AccuracyError, ResourceLimitError) are
-recorded as refused.
+times, and so is the work of the Chernoff searches: the CGF evaluations of
+each search in solve order (the compound window's upper and lower edge,
+then the recursion grid's loss top), counted by wrapping the CGF each
+search is handed.  Scenarios a tree refuses (AccuracyError,
+ResourceLimitError) are recorded as refused.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ TARGETS = {
 }
 STAGES = tuple(TARGETS)
 spent = dict.fromkeys(STAGES, 0.0)
+# the owners that look the Chernoff search up by name
+SEARCH_OWNERS = (compound, ruin)
+cgf_calls: list[int] = []  # CGF evaluations of each search of the current solve
 
 
 def _timed(stage, fn):
@@ -76,20 +82,38 @@ def _timed(stage, fn):
     return timed
 
 
+def _counted(search):
+    @functools.wraps(search)
+    def counted(cgf, *args):
+        cgf_calls.append(0)
+
+        def counted_cgf(theta):
+            cgf_calls[-1] += 1
+            return cgf(theta)
+        return search(counted_cgf, *args)
+    return counted
+
+
 def install():
     """Wrap every target; a renamed one raises AttributeError here."""
     for stage, targets in TARGETS.items():
         for owner, name in targets:
             setattr(owner, name, _timed(stage, getattr(owner, name)))
+    search = _counted(compound._chernoff_min)
+    for owner in SEARCH_OWNERS:
+        owner._chernoff_min = search
 
 
 def one_pass(cfg) -> tuple[dict, dict]:
     """(seconds per stage, sizes) of one pipeline run on one scenario."""
     spent.update(dict.fromkeys(STAGES, 0.0))
+    cgf_calls.clear()
     result, info = ruin.run_pipeline(cfg, np.array(U_VALUES))
     sizes = {"window_points": info["intervals"][1]["compound"]["window_points"],
              "grid_points": result.u_grid[2],
-             "fft_points": result.diagnostics["fft_points"]}
+             "fft_points": result.diagnostics["fft_points"],
+             "cgf_per_search": list(cgf_calls),
+             "cgf_evaluations": sum(cgf_calls)}
     return dict(spent), sizes
 
 
@@ -131,6 +155,11 @@ def main(argv=None) -> int:
                            if "median_ms" in v), 3) for s in STAGES}
     run["total_median_ms"] = totals
     print(f"{'total':18s}" + "".join(f"{totals[s]:18.3f}" for s in STAGES))
+    searches = [n for v in run["scenarios"].values() for n in v.get("cgf_per_search", [])]
+    run["cgf_evaluations"] = sum(searches)
+    run["max_cgf_per_search"] = max(searches, default=0)
+    print(f"CGF evaluations per pass: {sum(searches)} over {len(searches)} searches, "
+          f"at most {run['max_cgf_per_search']} in one")
 
     doc = {}
     if os.path.exists(args.out):

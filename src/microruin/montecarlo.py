@@ -82,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .model import Numerics, ScenarioConfig
 from .moments import MomentVector
 
@@ -116,6 +116,10 @@ RADIUS_FACTOR = 1.0
 COUNT_SPLIT = 32.0
 COUNT_CAP = 88
 COUNT_LEVELS = 6
+
+# The largest array one surplus-path campaign may hold: its horizon x paths
+# discounted profits, or one interval's revenues (8 bytes per path or user).
+CAMPAIGN_BYTES_BUDGET = 1 << 29
 
 # the standard normal quantile of the two-sided 95% ruin intervals (``_wilson``)
 WILSON_Z = 1.959963984540054
@@ -579,6 +583,15 @@ def _wilson(p_hat: np.ndarray, n: int):
     return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
 
 
+def _within_campaign_budget(what: str, n_floats: int) -> None:
+    """Raise ResourceLimitError when an array of n_floats floats would exceed
+    ``CAMPAIGN_BYTES_BUDGET``."""
+    if 8 * n_floats > CAMPAIGN_BYTES_BUDGET:
+        raise ResourceLimitError(
+            f"surplus-path campaign needs {8 * n_floats / 2**20:.0f} MiB for {what}, "
+            f"over montecarlo.CAMPAIGN_BYTES_BUDGET = {CAMPAIGN_BYTES_BUDGET / 2**20:.0f} MiB")
+
+
 def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
                            u_values) -> MCRuinEstimate:
     """Empirical ruin probabilities over the configured horizon.
@@ -590,6 +603,9 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
     intervals are drawn one at a time, each from its own keyed streams, and
     reduced to one row of per-path discounted profits, so a campaign holds
     one interval's revenues at a time beside the horizon x paths profits.
+    Either array over ``CAMPAIGN_BYTES_BUDGET`` raises ResourceLimitError
+    before it is allocated: the profits before any draw, an interval's
+    revenues once its user counts are drawn.
     """
     fin = config.financial
     horizon = fin.horizon_intervals
@@ -602,14 +618,20 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
         raise DomainError(f"initial capitals must be finite, got {bad[0]}")
 
     fees, fee_probs = fin.fee_law()
+    _within_campaign_budget(f"{horizon} x {n_paths} discounted profits", horizon * n_paths)
     discounted = np.zeros((horizon, n_paths))
     for interval in range(1, horizon + 1):
         n_users = _stream(plan.seed, "path-count", interval).geometric(w, size=n_paths) - 1
         total = int(n_users.sum())
+        _within_campaign_budget(f"the {total} revenues of interval {interval}", total)
         revenues = _revenues(config, plan, "path-rev", total, interval)
         if fees.min() < fees.max():
-            revenues -= _inverse_pmf_sample(_stream(plan.seed, "path-fee", interval),
-                                            fees, fee_probs, total)
+            # in pieces, so the fee draw's uniforms, indices and fees stay
+            # small; one generator draws them in order, as in one piece
+            fee_rng = _stream(plan.seed, "path-fee", interval)
+            for lo in range(0, total, CHUNK_POINTS):
+                piece = revenues[lo:lo + CHUNK_POINTS]
+                piece -= _inverse_pmf_sample(fee_rng, fees, fee_probs, len(piece))
         else:
             revenues -= fees[0]
         # paths without users keep a net profit of 0

@@ -51,6 +51,14 @@ def test_bench_analytic_writes_its_run(tmp_path):
         outside = sum(v for k, v in ms.items() if k not in ("chernoff_edges", "pipeline"))
         assert ms["chernoff_edges"] <= ms["compound"], (name, ms)
         assert outside <= ms["pipeline"] + 0.0005 * len(ms), (name, ms)
+        # the Chernoff searches are counted: two window edges (one when the
+        # step PMF has no atom on one side) and the loss top, each at least
+        # one CGF call
+        assert len(scenario["cgf_per_search"]) in (2, 3), (name, scenario)
+        assert min(scenario["cgf_per_search"]) >= 1
+        assert scenario["cgf_evaluations"] == sum(scenario["cgf_per_search"])
+    assert run["cgf_evaluations"] == sum(s.get("cgf_evaluations", 0)
+                                         for s in run["scenarios"].values())
 
 
 def test_bench_cli_writes_its_run(tmp_path):

@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import microruin
-from microruin import cli, model
+from microruin import cli, model, montecarlo
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -591,6 +592,26 @@ class TestReproduceTables:
 
 
 class TestAccuracyExitCode:
+    def test_an_oversized_path_campaign_exits_three_naming_its_budget(
+            self, tmp_path, fast_config_path, capsys, monkeypatch):
+        # one path past the budget for the horizon x paths profits: refused
+        # before the campaign allocates or draws anything
+        def no_draw(*path):
+            raise AssertionError(f"stream {path} drawn")
+        monkeypatch.setattr(montecarlo, "_stream", no_draw)
+        horizon = model.default_config().financial.horizon_intervals
+        n_paths = montecarlo.CAMPAIGN_BYTES_BUDGET // (8 * horizon) + 1
+        tracemalloc.start()
+        try:
+            code = run_cli(["--config", fast_config_path, "--out", str(tmp_path / "o"),
+                            "--set", f"numerics.mc_paths={n_paths}", "ruin", "--u", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "montecarlo.CAMPAIGN_BYTES_BUDGET" in capsys.readouterr().err
+        assert peak < montecarlo.CAMPAIGN_BYTES_BUDGET // 8
+
     @pytest.mark.parametrize("override", [
         "numerics.quad_rel_tol=1e-17",  # AccuracyError: moment tensor rule
         "numerics.lattice_step=1e-4",   # ResourceLimitError: 9,999,991 lattice points

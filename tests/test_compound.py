@@ -100,6 +100,40 @@ class TestLatticePMF:
         assert t.min_index == 1 and len(t.mass) == 2
         assert t.mass.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("crossing", [0, 5, 4095, 4096, 4097, 20_000, 29_999])
+    def test_tail_counts_match_the_whole_running_sum(self, crossing):
+        # the blockwise running sums carry the sum in front of each block, so
+        # the counts and the kept masses equal those of one whole cumsum,
+        # bit for bit, wherever the tail crosses eps
+        rng = np.random.default_rng(crossing)
+        mass = rng.random(30_000) * 1e-15
+        mass[crossing] = 1.0
+        mass /= mass.sum()
+        pmf = LatticePMF(step=0.5, min_index=-7, mass=mass)
+        for eps in (1e-12, 1e-9, 0.5):
+            lo = int(np.searchsorted(np.cumsum(pmf.mass), eps, side="right"))
+            hi = len(mass) - int(np.searchsorted(np.cumsum(pmf.mass[::-1]), eps,
+                                                 side="right"))
+            assert compound._tail_count(pmf.mass, eps) == lo
+            assert compound._tail_count(pmf.mass[::-1], eps) == len(mass) - hi
+            lo = min(lo, hi - 1)
+            kept = pmf.mass[lo:hi].copy()
+            kept /= kept.sum()
+            got = pmf.trimmed(eps)
+            assert got.min_index == pmf.min_index + lo
+            assert got.mass.tobytes() == kept.tobytes()
+
+    def test_a_pmf_never_aliases_its_callers_array(self):
+        mass = np.array([0.25, 0.5, 0.25])
+        pmf = LatticePMF(step=1.0, min_index=0, mass=mass)
+        mass[0] = 7.0
+        assert pmf.mass.tolist() == [0.25, 0.5, 0.25]
+
+    def test_roundoff_below_zero_is_clipped_in_the_copy(self):
+        mass = np.array([-1e-13, 0.5, 0.5 + 1e-13])
+        pmf = LatticePMF(step=1.0, min_index=0, mass=mass)
+        assert pmf.mass[0] == 0.0 and mass[0] == -1e-13
+
 
 class TestDiscretize:
     def test_point_mass_on_lattice(self):
@@ -277,6 +311,35 @@ class TestChernoffSearch:
         for side in (idx, -idx):
             edge, _ = compound._chernoff_edge(side, log_p, w, log_eps)
             assert edge == golden_chernoff_edge(side, log_p, w, log_eps)
+
+    @pytest.mark.parametrize("name", ["reference", "pathloss-3", "fee-300", "w_n-0.05"])
+    def test_bracket_only_shrinks(self, name, monkeypatch):
+        # the three searches of a solve (the two window edges of the compound
+        # PMF, then the recursion grid's loss top): once some theta has
+        # h = theta K' - K + log eps >= 0, no later theta lies above it, and
+        # no search takes more than 15 CGF evaluations
+        searches = []
+        search = compound._chernoff_min
+
+        def recorded(cgf, log_eps, theta_hi):
+            seen = []
+
+            def traced(theta):
+                k, k1, k2 = cgf(theta)
+                seen.append((theta, theta * k1 - k + log_eps if math.isfinite(k) else math.inf))
+                return k, k1, k2
+            searches.append(seen)
+            return search(traced, log_eps, theta_hi)
+
+        monkeypatch.setattr(compound, "_chernoff_min", recorded)
+        monkeypatch.setattr(ruin, "_chernoff_min", recorded)
+        ruin.run_pipeline(sweep_config(name), np.array([100.0, 200.0, 300.0]))
+        assert len(searches) == 3
+        for seen in searches:
+            assert len(seen) <= 15, seen
+            for i, (theta, _) in enumerate(seen):
+                above = [t for t, h in seen[:i] if h >= 0.0 and theta > t]
+                assert above == [], (theta, above)
 
     @pytest.mark.parametrize("log_eps", [-5.0, -27.6])
     def test_minimizes_poisson_and_geometric_bounds(self, log_eps):

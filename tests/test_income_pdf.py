@@ -125,6 +125,15 @@ class TestEvaluatorsAndSanitize:
         assert total == pytest.approx(1.0, abs=2e-3)
         assert clean.cdf(1.0) == pytest.approx(1.0, abs=1e-9)
 
+    def test_sanitize_hands_over_the_expansion(self):
+        # the sanitized density shares the raw one's t-polynomial and CDF
+        # polynomial; a density built with another poly expands its own
+        base = income_pdf.expand_density(uniform_moments(0.0, 1.0), 0.0, 1.0)
+        rigged = replace(base, poly=np.array([2.58, 0.0, -8.34, 0.0, 6.0]))
+        assert rigged.tpoly.tolist() != base.tpoly.tolist()
+        clean = income_pdf.sanitize(rigged, reject_mass=1.0)
+        assert clean.tpoly is rigged.tpoly and clean.cdf_poly is rigged.cdf_poly
+
     def test_rejection_above_budget(self):
         base = income_pdf.expand_density(uniform_moments(0.0, 1.0), 0.0, 1.0)
         poly = np.array([4.16, 0.0, -16.68, 0.0, 12.0])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from microruin import model, montecarlo
-from microruin.errors import DomainError
+from microruin.errors import DomainError, ResourceLimitError
 from tests import oracles
 from tests.conftest import make_config, point_mass_config, sweep_config
 
@@ -107,6 +107,57 @@ class TestSurplusPaths:
                  for i in range(1, horizon + 1)]
         discounted_bytes, interval_bytes = 8 * horizon * n_paths, 8 * max(users)
         assert peak < discounted_bytes + 3 * interval_bytes, (peak, interval_bytes)
+
+    def test_a_fee_mix_is_drawn_in_pieces(self, monkeypatch):
+        # the fees of an interval are drawn CHUNK_POINTS at a time, so beside
+        # the campaign without fees the draw holds at most three pieces
+        # (uniforms, indices, fees); drawn whole they held two arrays as
+        # large as the interval's revenues
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+        peaks = {}
+        for name in ("reference", "two-operators"):
+            monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+            cfg = sweep_config(name)
+            montecarlo.simulate_surplus_paths(cfg, cfg.numerics, [100.0])
+            tracemalloc.start()
+            try:
+                montecarlo.simulate_surplus_paths(cfg, cfg.numerics, [100.0])
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        piece_bytes = 8 * montecarlo.CHUNK_POINTS
+        assert peaks["two-operators"] <= peaks["reference"] + 3 * piece_bytes, peaks
+
+    def test_an_oversized_campaign_is_refused_before_any_draw(self, monkeypatch):
+        # one path past the budget for the horizon x paths profits: refused
+        # before the array exists and before any stream draws
+        def no_draw(*path):
+            raise AssertionError(f"stream {path} drawn")
+        monkeypatch.setattr(montecarlo, "_stream", no_draw)
+        cfg = sweep_config("reference")
+        horizon = cfg.financial.horizon_intervals
+        n_paths = montecarlo.CAMPAIGN_BYTES_BUDGET // (8 * horizon) + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="CAMPAIGN_BYTES_BUDGET"):
+                montecarlo.simulate_surplus_paths(
+                    cfg, replace(cfg.numerics, mc_paths=n_paths), [100.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_an_intervals_revenues_over_budget_are_refused_before_drawn(self, monkeypatch):
+        # at w = 0.05 an interval has about 19 users per path: its revenues
+        # outgrow a budget that holds the 5 x 2000 profits
+        def no_revenues(*args):
+            raise AssertionError("revenues drawn")
+        monkeypatch.setattr(montecarlo, "_revenues", no_revenues)
+        monkeypatch.setattr(montecarlo, "CAMPAIGN_BYTES_BUDGET", 8 * 5 * 2000)
+        cfg = sweep_config("w_n-0.05")
+        with pytest.raises(ResourceLimitError, match="revenues of interval 1"):
+            montecarlo.simulate_surplus_paths(cfg, replace(cfg.numerics, mc_paths=2000),
+                                              [100.0])
 
     def test_wilson_interval_brackets_estimate(self, table3_config, fast_plan):
         est = montecarlo.simulate_surplus_paths(table3_config, fast_plan, [100.0])

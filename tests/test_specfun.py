@@ -106,6 +106,16 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             specfun.gauss_2f1(1.0, 2.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("a, b, c, z", [
+        (1.0, 2.0, 1.5, [1e-12, 0.3, 0.5]),             # one block, sized for 0.5
+        (1.0, 2.0, 1.2, [0.99, 0.2]),                   # past the geometric estimate
+        (0.5, -0.5, 1.5, np.linspace(0.5, 0.9, 700)),   # capped blocks, several of them
+    ], ids=["one-block", "two-blocks", "capped"])
+    def test_series_blocks_keep_each_arguments_float_steps(self, a, b, c, z):
+        z = np.asarray(z, dtype=float)
+        want = [oracles._scalar_hyp_series(a, b, c, v) for v in z.tolist()]
+        assert specfun._hyp_series(a, b, c, z).tolist() == want
+
     def test_series_exhaustion_reports_partial_sum(self, monkeypatch):
         monkeypatch.setattr(specfun, "MAX_TERMS", 16)
         with pytest.raises(AccuracyError) as info:
