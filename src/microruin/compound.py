@@ -189,7 +189,7 @@ def _chernoff_min(cgf, log_eps: float, theta_hi: float) -> tuple[float, float]:
     ``CHERNOFF_STEPS`` evaluations.
     """
     lo, hi = 0.0, theta_hi
-    bracketed = False  # some evaluated theta has h >= 0, so hi < theta_hi or is theta_hi
+    bracketed = False  # some evaluated theta has h >= 0 (the current hi)
     k2_zero = cgf(0.0)[2]
     theta = math.sqrt(-2.0 * log_eps / k2_zero) if k2_zero > 0.0 else math.inf
     if not theta < theta_hi:

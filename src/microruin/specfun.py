@@ -60,7 +60,7 @@ def scalar_pow(x: np.ndarray, s: float) -> np.ndarray:
 def _block_cap(live: int) -> int:
     """Most series terms in one block over ``live`` arguments: ``_BLOCK_CELLS``
     cells, but never fewer than ``_BLOCK`` terms."""
-    return max(_BLOCK, _BLOCK_CELLS // live)
+    return max(_BLOCK, _BLOCK_CELLS // max(live, 1))
 
 
 def _hyp_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
@@ -72,7 +72,8 @@ def _hyp_series(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     one-argument loop and stops at its own first term within REL_TOL of its
     sum.  The first block holds the terms a geometric series in the largest
     |z| takes to reach REL_TOL, and four more, so most calls need one block;
-    each further block is twice as long.
+    each further block is twice as long.  Over many arguments a block holds
+    at most ``_block_cap`` terms.
     """
     z_live = z.ravel()
     out = np.empty(z_live.size)
