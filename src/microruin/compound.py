@@ -107,14 +107,11 @@ def _tail_count(mass: np.ndarray, eps: float) -> int:
     running sums, taken in doubling blocks only as far as the first one
     past eps.  Each block's sums start from the sum carried in front of it,
     so every partial sum takes the float steps of the whole cumsum."""
-    done, carried = 0, None
+    done, carried = 0, 0.0  # 0.0 + m is m exactly
     size = TAIL_BLOCK
     while done < len(mass):
         block = mass[done:done + size]
-        if carried is None:
-            sums = np.cumsum(block)
-        else:
-            sums = np.cumsum(np.concatenate(([carried], block)))[1:]
+        sums = np.cumsum(np.concatenate(([carried], block)))[1:]
         count = int(np.searchsorted(sums, eps, side="right"))
         if count < len(sums):
             return done + count
