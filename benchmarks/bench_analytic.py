@@ -66,8 +66,6 @@ TARGETS = {
 }
 STAGES = tuple(TARGETS)
 spent = dict.fromkeys(STAGES, 0.0)
-# the owners that look the Chernoff search up by name
-SEARCH_OWNERS = (compound, ruin)
 cgf_calls: list[int] = []  # CGF evaluations of each search of the current solve
 
 
@@ -99,9 +97,8 @@ def install():
     for stage, targets in TARGETS.items():
         for owner, name in targets:
             setattr(owner, name, _timed(stage, getattr(owner, name)))
-    search = _counted(compound._chernoff_min)
-    for owner in SEARCH_OWNERS:
-        owner._chernoff_min = search
+    # both callers look the Chernoff search up in compound
+    compound.chernoff_min = _counted(compound.chernoff_min)
 
 
 def one_pass(cfg) -> tuple[dict, dict]:

@@ -127,10 +127,16 @@ def bench_stage(m_slot, r2, span, exponent, rng):
             x_rng.random(out=x_buf[: b - a])
             m_rng.standard_exponential(out=m_buf[: b - a])
 
+    # the kernel's buffers, kept from call to call as a workspace keeps them
+    segment = np.empty(size + 1, dtype=np.int64)
+    sums = np.empty(max(s1 - s0 for s0, s1, _, _ in chunks))
+
     def kernel(x, per_slot):
         for s0, s1, a, b in chunks:
-            _kernels.interference_powsum(x[a:b], exponent, marks[a:b],
-                                         offsets[s0:s1] - a if per_slot else one_segment)
+            starts = offsets[s0:s1] - a if per_slot else one_segment
+            _kernels.interference_powsum(x[a:b], exponent, marks[a:b], starts,
+                                         _kernels.segment_index(starts, b - a, segment),
+                                         sums[:len(starts)])
 
     def fresh():
         return (x_all.copy(),)  # the kernel overwrites its x

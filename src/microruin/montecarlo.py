@@ -471,7 +471,7 @@ def _cpu_count() -> int:
 
 def _pool_map(fn, jobs) -> None:
     """fn(job) for every job, for its effect, run on the calling thread plus
-    one thread per further CPU of the process.
+    one thread per further CPU and further job (one CPU or job starts none).
 
     Each job draws from its own keyed stream and writes its own output, so
     the results do not depend on the number of threads or the order the jobs
@@ -481,10 +481,6 @@ def _pool_map(fn, jobs) -> None:
     every started thread has ended.
     """
     workers = min(_cpu_count(), len(jobs))
-    if workers <= 1:
-        for job in jobs:
-            fn(job)
-        return
     failures = {}
     pending = iter(range(len(jobs)))
     lock = threading.Lock()

@@ -43,7 +43,6 @@ import numpy as np
 from . import compound, income_pdf, specfun
 from .compound import (
     LatticePMF,
-    _chernoff_min,
     compound_geometric_pmf,
     discretize_income,
     net_profit_step_pmf,
@@ -151,7 +150,7 @@ def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float
     # log M(t) <= t * max loss, so at this theta the top is within one cell
     # of the worst case: larger thetas cannot lower it by more.  Any theta
     # gives a valid top; the search stops within 1e-13 of the best theta
-    theta, log_m = _chernoff_min(cgf, log_eps, -log_eps / width)
+    theta, log_m = compound.chernoff_min(cgf, log_eps, -log_eps / width)
     top = (log_m - log_eps) / theta
     return reach, min(reach, top)
 
@@ -453,16 +452,14 @@ def interval_net_pmfs(config: ScenarioConfig):
     return [built[key] for key in order], info
 
 
-def run_pipeline(config: ScenarioConfig, u_values=None):
-    """Full numerical path: moments, density expansion, discretization,
-    compound distribution, then the survival recursion.
+def run_pipeline(config: ScenarioConfig, u_values):
+    """Full numerical path at the capitals u_values: moments, density
+    expansion, discretization, compound distribution, then the survival
+    recursion.
 
     Returns (RuinResult, info) with info from ``interval_net_pmfs``.
     """
-    fin = config.financial
-    if u_values is None:
-        u_values = np.array([fin.initial_capital], dtype=float)
     pmfs, info = interval_net_pmfs(config)
-    result = survival_recursion(u_values, fin.interest_rate_per_interval, pmfs,
-                                tail_eps=config.numerics.tail_eps)
+    result = survival_recursion(u_values, config.financial.interest_rate_per_interval,
+                                pmfs, tail_eps=config.numerics.tail_eps)
     return result, info

@@ -86,6 +86,12 @@ class TestLatticePMF:
         with pytest.raises(DomainError):
             LatticePMF(step=1.0, min_index=0, mass=np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("mass", [[np.nan, 1.0], [1.0, np.nan], [-np.inf, 1.0]])
+    def test_nan_and_infinite_masses_rejected(self, mass):
+        # NaN fails every comparison, so each gate is written to fail on it
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            LatticePMF(step=1.0, min_index=0, mass=np.array(mass))
+
     def test_strict_and_inclusive_cdf(self):
         pmf = LatticePMF(step=0.5, min_index=-1, mass=np.array([0.2, 0.3, 0.5]))
         assert cdf_below(pmf, 0.0) == pytest.approx(0.2)
@@ -319,7 +325,7 @@ class TestChernoffSearch:
         # h = theta K' - K + log eps >= 0, no later theta lies above it, and
         # no search takes more than 15 CGF evaluations
         searches = []
-        search = compound._chernoff_min
+        search = compound.chernoff_min
 
         def recorded(cgf, log_eps, theta_hi):
             seen = []
@@ -331,8 +337,7 @@ class TestChernoffSearch:
             searches.append(seen)
             return search(traced, log_eps, theta_hi)
 
-        monkeypatch.setattr(compound, "_chernoff_min", recorded)
-        monkeypatch.setattr(ruin, "_chernoff_min", recorded)
+        monkeypatch.setattr(compound, "chernoff_min", recorded)
         ruin.run_pipeline(sweep_config(name), np.array([100.0, 200.0, 300.0]))
         assert len(searches) == 3
         for seen in searches:
@@ -357,7 +362,7 @@ class TestChernoffSearch:
                 k, k1, _ = cgf(t)
                 return t * k1 - k + log_eps
             want = optimize.brentq(h, 1e-9, theta_hi * (1 - 1e-12), xtol=1e-15)
-            theta, k = compound._chernoff_min(cgf, log_eps, theta_hi)
+            theta, k = compound.chernoff_min(cgf, log_eps, theta_hi)
             assert theta == pytest.approx(want, rel=1e-10)
             assert k == cgf(theta)[0]
 
@@ -366,7 +371,7 @@ class TestChernoffSearch:
         # bound falls on all of (0, 1]
         def cgf(t):
             return 2.0 * math.expm1(t), 2.0 * math.exp(t), 2.0 * math.exp(t)
-        theta, k = compound._chernoff_min(cgf, math.log(1e-12), 1.0)
+        theta, k = compound.chernoff_min(cgf, math.log(1e-12), 1.0)
         assert (theta, k) == (1.0, cgf(1.0)[0])
 
     def test_stops_when_the_bracket_is_two_adjacent_floats(self):
@@ -378,7 +383,7 @@ class TestChernoffSearch:
         def cgf(t):
             return 3.0 * t + log_eps - (-1e-13 if t <= 24.0 else 1e-13), 3.0, 1e-300
 
-        theta, k = compound._chernoff_min(cgf, log_eps, 50.0)
+        theta, k = compound.chernoff_min(cgf, log_eps, 50.0)
         assert theta in (24.0, math.nextafter(24.0, math.inf))
         assert k == cgf(theta)[0]
 

@@ -17,10 +17,28 @@ def _powsum_case(rng, n_seg=500, mean_pts=40):
     return x_sq, marks, starts, counts
 
 
+def _powsum(x_sq, exponent, marks, starts):
+    """The kernel on freshly made buffers (the sampler passes its workspace's)."""
+    segment = _kernels.segment_index(starts, len(x_sq), np.empty(len(x_sq) + 1, np.int64))
+    return _kernels.interference_powsum(x_sq, exponent, marks, starts, segment,
+                                        np.empty(len(starts)))
+
+
+def test_kernel_writes_into_the_callers_buffers():
+    rng = np.random.default_rng(4)
+    x_sq, marks, starts, counts = _powsum_case(rng, n_seg=20)
+    seg_buf, out = np.full(len(x_sq) + 1, -1, np.int64), np.full(len(starts), np.nan)
+    segment = _kernels.segment_index(starts, len(x_sq), seg_buf)
+    assert np.shares_memory(segment, seg_buf)
+    assert segment.tolist() == np.repeat(np.arange(len(starts)), counts).tolist()
+    got = _kernels.interference_powsum(x_sq, -2.0, marks, starts, segment, out)
+    assert got is out and not np.isnan(out).any()
+
+
 def test_powsum_matches_bruteforce():
     rng = np.random.default_rng(1)
     x_sq, marks, starts, counts = _powsum_case(rng)
-    got = _kernels.interference_powsum(x_sq.copy(), -1.7, marks, starts)
+    got = _powsum(x_sq.copy(), -1.7, marks, starts)
     assert got.shape == counts.shape
     assert np.all(got[counts == 0] == 0.0)
     for j in [0, 1, 13, 200, len(starts) - 2, len(starts) - 1,
@@ -35,13 +53,12 @@ def test_powsum_chunks_cut_at_segment_edges_match_whole():
     # give the whole-stream sums bit for bit
     rng = np.random.default_rng(2)
     x_sq, marks, starts, _ = _powsum_case(rng, n_seg=50)
-    whole = _kernels.interference_powsum(x_sq.copy(), -2.0, marks, starts)
+    whole = _powsum(x_sq.copy(), -2.0, marks, starts)
     edges = np.append(starts, len(x_sq))
     pieces = []
     for s0, s1 in [(0, 1), (1, 9), (9, 30), (30, 30), (30, 50)]:
         a, b = edges[s0], edges[s1]
-        pieces.append(_kernels.interference_powsum(x_sq[a:b].copy(), -2.0, marks[a:b],
-                                                   starts[s0:s1] - a))
+        pieces.append(_powsum(x_sq[a:b].copy(), -2.0, marks[a:b], starts[s0:s1] - a))
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 

@@ -6,10 +6,13 @@ only the tests call belongs in the tests.  The same holds for every
 module-level function and every method and property of a ``src`` class
 (dunders aside), whether exported or not: each must be read somewhere in
 ``src/`` outside its own body.  The checks are by name, so a name read for
-another purpose (``np.mean`` reads ``mean``) counts.  No production module
-imports from the tests.  Every config field is read by the code it
-configures, not only checked by ``model.validate``: a field nothing reads
-would be silently ignored.
+another purpose (``np.mean`` reads ``mean``) counts.  No ``src`` module reads
+a ``_``-prefixed module-level function, class or constant of another one,
+so each private name has one binding; importing the private module
+``_kernels`` itself is allowed.  No production module imports from the
+tests.  Every config field is read by the code it configures, not only
+checked by ``model.validate``: a field nothing reads would be silently
+ignored.
 """
 
 import ast
@@ -79,6 +82,48 @@ def test_every_function_and_method_is_reached_from_src():
                     and all(id(node) in inside for node in reads.get(definition.name, []))):
                 unreached.append(f"{stem}.{dotted}")
     assert unreached == [], f"move to tests/oracles.py or delete: {unreached}"
+
+
+def _private_definitions(tree) -> set[str]:
+    """The _-prefixed (not dunder) module-level functions, classes and
+    constants of one module."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _src_module(node: ast.ImportFrom):
+    """The src module an import names: its stem, None for the package itself,
+    or "" for an import from outside the package."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and (node.module or "").split(".")[0] == "microruin":
+        return node.module.partition(".")[2] or None
+    return ""
+
+
+def test_no_module_reads_another_modules_privates():
+    private = {stem: _private_definitions(tree) for stem, tree in TREES.items()}
+    reached = []
+    for stem, tree in TREES.items():
+        modules = {}  # local name -> the src module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = _src_module(node)
+                for alias in node.names:
+                    if source is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name in private.get(source, ()):
+                        reached.append(f"{stem}: from .{source} import {alias.name}")
+        reached += [f"{stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.attr in private.get(modules.get(node.value.id), ())]
+    assert reached == [], f"make these public in their module, or keep them there: {reached}"
 
 
 def test_src_never_imports_the_tests():

@@ -599,23 +599,23 @@ class TestChunkedStream:
 
 class TestPoolMap:
     def test_every_job_writes_its_slot_and_the_first_failure_is_raised(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 3)
-        slots = [None] * 10
-
-        def write(j):
-            slots[j] = j
-        assert montecarlo._pool_map(write, list(range(10))) is None
-        assert slots == list(range(10))
-
         def fail_at_4_and_7(j):
             if j in (4, 7):
                 raise ValueError(j)
             return j
 
-        with pytest.raises(ValueError, match="^4$"):
-            montecarlo._pool_map(fail_at_4_and_7, list(range(10)))
+        for cpus in (1, 3):
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+            slots = [None] * 10
 
-    @pytest.mark.parametrize("cpus", [2, 3])
+            def write(j):
+                slots[j] = j
+            assert montecarlo._pool_map(write, list(range(10))) is None
+            assert slots == list(range(10))
+            with pytest.raises(ValueError, match="^4$"):
+                montecarlo._pool_map(fail_at_4_and_7, list(range(10)))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_jobs_run_on_the_caller_and_one_thread_per_further_cpu(self, monkeypatch, cpus):
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
         before = set(threading.enumerate())
@@ -637,7 +637,7 @@ class TestPoolMap:
         assert len(started) == cpus - 1
         assert not any(thread.is_alive() for thread in started)
 
-    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_a_failure_in_the_callers_share_is_raised_and_ends_the_pool(self, monkeypatch,
                                                                         cpus):
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
