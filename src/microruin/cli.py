@@ -342,18 +342,9 @@ def _cmd_sweep(args, cfg, manifest):
     print(f"{len(values)} sweep points done ({dotted})")
 
 
-def _plan(args, num) -> model.Numerics:
-    """The sampling plan of reproduce-tables: the config's, with at most
-    100,000 revenue samples and 5,000 surplus paths under --fast."""
-    if not args.fast:
-        return num
-    return dc_replace(num, mc_samples=min(100_000, num.mc_samples),
-                      mc_paths=min(5_000, num.mc_paths))
-
-
 def _cmd_reproduce_tables(args, cfg, manifest):
     # the tables' configs override no numerics, so one plan serves them all
-    plan = _plan(args, cfg.numerics)
+    plan = cfg.numerics
     narrow_clamps = ["financial.c_min=0.1", "financial.c_max=100.0"]
 
     if "tableII" in args.which:
@@ -497,8 +488,14 @@ def main(argv=None) -> int:
     manifest = RunManifest(config_hash="", seed=0, command=args.command,
                            started_utc=_now())
     try:
-        # the effective config: the file (or defaults) with every --set applied
+        # the effective config: the file (or defaults) with every --set
+        # applied, and under reproduce-tables --fast at most 100,000 revenue
+        # samples and 5,000 surplus paths
         cfg = _overridden(model.load_config(args.config), args.set)
+        if args.command == "reproduce-tables" and args.fast:
+            num = cfg.numerics
+            cfg = dc_replace(cfg, numerics=dc_replace(
+                num, mc_samples=min(100_000, num.mc_samples), mc_paths=min(5_000, num.mc_paths)))
         manifest.config_hash = cfg.config_hash()
         manifest.seed = cfg.numerics.seed
         _HANDLERS[args.command](args, cfg, manifest)

@@ -140,9 +140,16 @@ def discretize_income(density: ExpandedDensity, delta: float) -> LatticePMF:
 
 def net_profit_step_pmf(income: LatticePMF, fin: FinancialParams) -> LatticePMF:
     """PMF of Z = income - fee: the income convolved with the operator-mix
-    fee law on the income's lattice, each fee rounded to its nearest point."""
+    fee law on the income's lattice, each fee rounded to its nearest point.
+    A lattice over ``POINTS_BUDGET`` points raises ResourceLimitError before
+    it is built."""
     fees, probs = fin.fee_law()
-    indices = np.round(-fees / income.step).astype(np.int64)
+    cells = np.round(-fees / income.step)
+    n = len(income.mass) + cells.max() - cells.min()
+    if n > POINTS_BUDGET:
+        raise ResourceLimitError(f"net-step lattice needs {n:.0f} points, over "
+                                 f"compound.POINTS_BUDGET = {POINTS_BUDGET}")
+    indices = cells.astype(np.int64)
     lo = int(indices.min())
     fee_mass = np.bincount(indices - lo, weights=probs)
     return LatticePMF(step=income.step, min_index=income.min_index + lo,

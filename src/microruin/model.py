@@ -76,11 +76,11 @@ class FinancialParams:
     horizon_intervals: int = 5
 
     def fee_law(self):
-        """(fees, probabilities) of one connection's operator fee, as numpy
-        arrays over the operators of ``operator_mix`` in index order."""
+        """The law (``_law``) of one connection's operator fee, over the
+        operators of ``operator_mix`` in index order."""
         ops = sorted(self.operator_mix)
-        return (np.array([self.operator_fees[k] for k in ops], dtype=float),
-                np.array([self.operator_mix[k] for k in ops], dtype=float))
+        return _law(np.array([self.operator_fees[k] for k in ops], dtype=float),
+                    [self.operator_mix[k] for k in ops])
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,9 @@ class ProductParams:
     rate_gaps: tuple = (100.0,)
     product_mix: tuple = (1.0,)
 
-    @property
-    def q_count(self) -> int:
-        return len(self.rate_gaps)
+    def gap_law(self):
+        """The law (``_law``) of one connection's rate gap, in product order."""
+        return _law(np.array(self.rate_gaps, dtype=float), self.product_mix)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class DurationModel:
     (fields ``mean``, ``tau_max``) or ``explicit-pmf`` (fields ``support``,
     ``probs``).  ``per_interval_override`` optionally replaces the model for
     specific compounding intervals (``ScenarioConfig.interval_durations``
-    applies it, and can truncate the support to the system age).
+    applies it, and can truncate the law to the system age).
     """
 
     # Default mean 1.0 is calibrated: it reproduces the reference mean revenue
@@ -119,11 +119,8 @@ class DurationModel:
     per_interval_override: dict = field(default_factory=dict)
 
     def pmf(self):
-        """Return (values, probabilities) as numpy arrays, values of
-        probability zero left out: a law does not depend on how it is written."""
-        values, probs = self._declared_pmf()
-        keep = probs > 0.0
-        return values[keep], probs[keep]
+        """The law (``_law``) of the declared durations, in support order."""
+        return _law(*self._declared_pmf())
 
     def _declared_pmf(self):
         """(values, probabilities) over the whole declared support."""
@@ -148,9 +145,19 @@ class DurationModel:
         """The truncated-geometric success probability, solved once per model."""
         return _solve_truncated_geometric(self.mean, int(self.tau_max))
 
-    def bounds(self):
-        values, _ = self.pmf()
-        return int(values.min()), int(values.max())
+
+def _law(values, probs):
+    """(values, probabilities) as numpy arrays of the law a config writes:
+    values of probability zero are dropped, equal values merge into their
+    first occurrence, and the written order is kept.  So a law does not
+    depend on how it is written, and one already written this way keeps its
+    arrays."""
+    values, probs = np.asarray(values).tolist(), np.asarray(probs, dtype=float).tolist()
+    merged = {}  # insertion order: each value's first occurrence
+    for value, p in zip(values, probs):
+        if p > 0.0:
+            merged[value] = merged.get(value, 0.0) + p
+    return np.array(list(merged)), np.array(list(merged.values()))
 
 
 def _solve_truncated_geometric(mean: float, tau_max: int) -> float:
@@ -215,26 +222,26 @@ class ScenarioConfig:
         """T * rho: income per slot per unit scaling factor."""
         return self.network.slot_duration_s * self.financial.premium_rate_per_slot
 
-    def interval_durations(self, interval_index: int = 1) -> DurationModel:
-        """The duration model of one compounding interval: its override, if
-        any, truncated to {1..i} under ``numerics.truncate_durations_to_interval``."""
-        model = self.durations.per_interval_override.get(interval_index, self.durations)
+    def interval_durations(self, interval_index: int = 1):
+        """The duration law (values, probabilities) of one compounding
+        interval: its override's, if any, truncated to {1..i} under
+        ``numerics.truncate_durations_to_interval``."""
+        values, probs = self.durations.per_interval_override.get(
+            interval_index, self.durations).pmf()
         if not self.numerics.truncate_durations_to_interval:
-            return model
-        values, probs = model.pmf()
+            return values, probs
         keep = values <= interval_index
         if not keep.any():
             raise DomainError(
                 f"duration support is empty after truncation to interval {interval_index}")
-        probs = probs[keep] / probs[keep].sum()
-        return DurationModel(kind="explicit-pmf", support=tuple(int(v) for v in values[keep]),
-                             probs=tuple(float(p) for p in probs), mean=None, tau_max=None)
+        return values[keep], probs[keep] / probs[keep].sum()
 
     def income_support(self, interval_index: int = 1):
         """(v_lo, v_hi) for one connection in the given interval."""
-        tau_min, tau_max = self.interval_durations(interval_index).bounds()
+        values, _ = self.interval_durations(interval_index)
         unit = self.slot_income_per_unit_scaling
-        return tau_min * self.financial.c_min * unit, tau_max * self.financial.c_max * unit
+        return (int(values.min()) * self.financial.c_min * unit,
+                int(values.max()) * self.financial.c_max * unit)
 
     def to_dict(self) -> dict:
         """The JSON document of this config: every field of every section."""
@@ -517,11 +524,11 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append(("financial.operator_mix", "mix references operators without fees"))
     _check_pmf(errors, "financial.operator_mix", list(fin.operator_mix.values()))
 
-    if prod.q_count < 1:
+    if len(prod.rate_gaps) < 1:
         errors.append(("products.rate_gaps", "need at least one product"))
     if any(g <= 0 for g in prod.rate_gaps):
         errors.append(("products.rate_gaps", "rate gaps must be positive"))
-    if len(prod.product_mix) != prod.q_count:
+    if len(prod.product_mix) != len(prod.rate_gaps):
         errors.append(("products.product_mix", "mix length must match product count"))
     else:
         _check_pmf(errors, "products.product_mix", prod.product_mix)

@@ -1,13 +1,15 @@
 """Analytic raw moments of the per-connection revenue.
 
 The revenue of one connection is sum_l c_l * T * rho over tau slots, where
-c_l clamps the ratio ``A I_l / H_l`` (interference times rate gap over fading)
-to [c_min, c_max].  Conditional on the serving distance r and the product's
-rate gap, the single-slot raw moments are
+c_l clamps the ratio ``A (I_l + sigma^2 / P_I) / H_l`` (rate gap times
+interference and noise, over fading; A = gap (P_I / P0) r^alpha, so that
+the SINR is P0 H r^-alpha / (sigma^2 + P_I I)) to [c_min, c_max].
+Conditional on the serving distance r and the product's rate gap, the
+single-slot raw moments are
 
     m_s = (T rho)^s (c_min^s + s * Int_{1/c_max}^{1/c_min} u^-(s+1) (1 - Phi(u)) du)
 
-with Phi(u) = exp(-A sigma^2 u) * E_I[exp(-A I u)]: the derivatives at 0 of
+with Phi(u) = exp(-A sigma^2 u / P_I) * E_I[exp(-A I u)]: the derivatives at 0 of
 the slot income's Laplace transform, in a cancellation-free form.
 
 The interference factor follows from the probability generating functional
@@ -24,7 +26,7 @@ once per u node and product and reused at every distance.
 The distance enters through s = pi beta r^2, which is Exp(1) under the
 nearest-cell law, so in t = sqrt(s) the distance weight is 2 t e^(-t^2) dt
 and the cell density drops out (it stays only in the noise term
-A sigma^2 ~ s^(alpha/2) / (pi beta)^(alpha/2)).  The moments are one tensor
+A sigma^2 / P_I ~ s^(alpha/2) / (pi beta)^(alpha/2)).  The moments are one tensor
 rule: composite 16-point Gauss-Legendre panels in t crossed with panels in
 log u, 1 - Phi for every (t, u) node pair in one array, the tau-mixture
 composed row-wise (the exact i.i.d.-sum composition: a binomial convolution
@@ -252,16 +254,17 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     net, fin, num = config.network, config.financial, config.numerics
     d = num.moment_order
     unit = config.slot_income_per_unit_scaling
-    taus, tau_probs = config.interval_durations(interval_index).pmf()
+    taus, tau_probs = config.interval_durations(interval_index)
     s_vec = np.arange(1.0, d + 1.0)
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     alpha = net.alpha_pathloss
     tau_lo, tau_hi = int(taus.min()), int(taus.max())
     products = []
-    for gap, mix in zip(config.products.rate_gaps, config.products.product_mix):
+    for gap, mix in zip(*config.products.gap_law()):
         theta_per_u = gap * kappa_pow
-        # A sigma^2 = gap kappa sigma^2 r^alpha, with r^2 = t^2 / (pi beta)
-        noise = theta_per_u * net.sigma2_noise_power
+        # A sigma^2 = gap sigma^2 r^alpha / P0 (SINR = P0 h r^-alpha / (sigma^2
+        # + P_I I)), with r^2 = t^2 / (pi beta)
+        noise = gap * net.sigma2_noise_power / net.p0_serving_power
         products.append((mix, theta_per_u, noise,
                          laplace_exponent_profile(theta_per_u * (1.0 / fin.c_min), alpha),
                          laplace_exponent_profile(theta_per_u * (1.0 / fin.c_max), alpha)))

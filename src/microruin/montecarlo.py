@@ -38,7 +38,8 @@ transform assumes.
 
 Each batch borrows a workspace from an idle list and returns it afterwards:
 its per-slot arrays (distances, fading, spans, the counts that become point
-offsets, far fields, which hold the count uniforms first) and its chunk
+offsets, far fields, which hold the count uniforms first, and a multi-slot
+batch's rate gaps) and its chunk
 buffers (positions, marks, slot indices, the count search's flags and
 level counters) keep their pages from one batch to the next, and at most
 one workspace per batch thread outlives a call.  The revenues of one
@@ -65,9 +66,17 @@ slot works in squared distances in that unit: no logarithm or square root
 per user, the interferer count's Poisson mean is (pi f^2 - t)^+ itself, the
 far field tests t against pi f^2 (only the slots served beyond the radius
 get a distance), and with alpha/2 an integer the serving power t^(alpha/2)
-is multiplies.  A duration law with one value takes no duration draw, and a
-one-slot connection is its own slot, with no user-to-slot gather and no
-per-user sum; longer connections sum their slots with ``np.bincount``.
+is multiplies.  A one-slot connection is its own slot, with no user-to-slot
+gather and no per-user sum; longer connections sum their slots with
+``np.bincount``.
+
+The durations, products and fees are drawn from their laws as ``model``
+states them: values of probability zero dropped, equal values merged into
+their first occurrence, in the written order (operator index, product tuple,
+duration support).  Every such draw takes one route (``_draw``): one uniform
+per value by inversion, or no draw at all when the law has one value.  So a
+law written with zero shares or repeated values draws the same stream as its
+plain form.
 """
 
 from __future__ import annotations
@@ -183,11 +192,16 @@ def _stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
-def _inverse_pmf_sample(rng, values, probs, size):
+def _draw(rng, law, size):
+    """size values of a law (values, probabilities), each by inversion of
+    one uniform from rng; a law with one value returns that value and draws
+    nothing."""
+    values, probs = law
+    if len(values) == 1:
+        return values[0]
     edges = np.cumsum(probs)
     edges[-1] = 1.0
-    idx = np.searchsorted(edges, rng.random(size), side="right")
-    return np.asarray(values)[idx]
+    return values[np.searchsorted(edges, rng.random(size), side="right")]
 
 
 def _poisson_counts(rng, mean, out, ws) -> np.ndarray:
@@ -387,13 +401,13 @@ def _serving_ratio(t_slot, h, half_alpha) -> np.ndarray:
 
 
 def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
-                   duration_model, out) -> np.ndarray:
+                   durations, out) -> np.ndarray:
     """One batch of i.i.d. connection revenues from the streams keyed by
-    (seed, *path), written into out.  Draw order is
-    fixed: distances, durations (a law with more than one value only),
-    products (more than one only), then per-slot fading, count uniforms,
-    far fields and interferer positions; the interferer marks come from the
-    (seed, *path, "marks") stream.
+    (seed, *path), written into out; ``durations`` is the interval's
+    duration law.  Draw order is fixed: distances, durations, products (each
+    law only when it has more than one value, ``_draw``), then per-slot
+    fading, count uniforms, far fields and interferer positions; the
+    interferer marks come from the (seed, *path, "marks") stream.
 
     A distance is drawn as t = pi beta r^2, which is Exp(1), and the slot
     works in that unit: its interferer count is Poisson((pi f^2 - t)^+), its
@@ -407,21 +421,16 @@ def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
     pi_beta = math.pi * net.beta_cells_per_area
     edge = math.pi * RADIUS_FACTOR ** 2  # pi beta R^2
     rng = _stream(plan.seed, *path)
-    values, probs = duration_model.pmf()
     # one-slot connections are their own slots; otherwise slots follow their user
-    one_slot = len(values) == 1 and values[0] == 1
+    one_slot = durations[0].tolist() == [1]
 
     with _workspace() as ws:
         # a multi-slot batch keeps its users' distances in the far-field
         # buffer until its slots have taken them
         t_user = rng.standard_exponential(out=ws.take("t" if one_slot else "far", n))
-        taus = _inverse_pmf_sample(rng, values, probs, n) if len(values) > 1 else int(values[0])
-        gap_scale = pi_beta ** (-alpha / 2.0) / net.p0_serving_power
-        if products.q_count > 1:
-            gaps = gap_scale * _inverse_pmf_sample(rng, products.rate_gaps,
-                                                   products.product_mix, n)
-        else:
-            gaps = products.rate_gaps[0] * gap_scale
+        taus = _draw(rng, durations, n)
+        gaps = pi_beta ** (-alpha / 2.0) / net.p0_serving_power * _draw(
+            rng, products.gap_law(), n)
 
         if one_slot:
             user_of_slot, t_slot = None, t_user
@@ -429,8 +438,9 @@ def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
             user_of_slot = np.repeat(np.arange(n), taus)
             t_slot = np.take(t_user, user_of_slot, mode="clip",
                              out=ws.take("t", len(user_of_slot)))
-            if products.q_count > 1:
-                gaps = gaps[user_of_slot]
+            # a one-value product law gave every user the same gap
+            gaps = np.take(np.broadcast_to(gaps, n), user_of_slot, mode="clip",
+                           out=ws.take("gaps", len(user_of_slot)))
         n_slots = len(t_slot)
         h = rng.standard_exponential(out=ws.take("h", n_slots))
         span = np.subtract(edge, t_slot, out=ws.take("span", n_slots))
@@ -514,13 +524,13 @@ def _revenues(config: ScenarioConfig, plan: Numerics, tag: str, n: int,
     """n revenues of one interval in one new array: batches of
     ``plan.mc_batch`` keyed (tag, interval, batch), each written into its own
     slice."""
-    duration_model = config.interval_durations(interval_index)
+    durations = config.interval_durations(interval_index)
     revenues = np.empty(n)
 
     def run(job):
         b, size = job
         lo = b * plan.mc_batch
-        _revenue_batch(config, plan, (tag, interval_index, b), size, duration_model,
+        _revenue_batch(config, plan, (tag, interval_index, b), size, durations,
                        revenues[lo:lo + size])
     _pool_map(run, list(enumerate(_batch_sizes(n, plan.mc_batch))))
     return revenues
@@ -588,6 +598,16 @@ def _within_campaign_budget(what: str, n_floats: int) -> None:
             f"over montecarlo.CAMPAIGN_BYTES_BUDGET = {CAMPAIGN_BYTES_BUDGET / 2**20:.0f} MiB")
 
 
+def _subtract_fees(revenues, fee_law, rng) -> None:
+    """Subtract from each revenue one fee drawn from the fee law, in pieces
+    of CHUNK_POINTS, so the draw's uniforms, indices and fees stay small;
+    rng draws them in order, as in one piece.  No view of the revenues
+    outlives the call."""
+    for lo in range(0, len(revenues), CHUNK_POINTS):
+        piece = revenues[lo:lo + CHUNK_POINTS]
+        piece -= _draw(rng, fee_law, len(piece))
+
+
 def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
                            u_values) -> MCRuinEstimate:
     """Empirical ruin probabilities over the configured horizon.
@@ -613,7 +633,7 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
     if len(bad):
         raise DomainError(f"initial capitals must be finite, got {bad[0]}")
 
-    fees, fee_probs = fin.fee_law()
+    fee_law = fin.fee_law()
     _within_campaign_budget(f"{horizon} x {n_paths} discounted profits", horizon * n_paths)
     discounted = np.zeros((horizon, n_paths))
     for interval in range(1, horizon + 1):
@@ -621,15 +641,7 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
         total = int(n_users.sum())
         _within_campaign_budget(f"the {total} revenues of interval {interval}", total)
         revenues = _revenues(config, plan, "path-rev", total, interval)
-        if fees.min() < fees.max():
-            # in pieces, so the fee draw's uniforms, indices and fees stay
-            # small; one generator draws them in order, as in one piece
-            fee_rng = _stream(plan.seed, "path-fee", interval)
-            for lo in range(0, total, CHUNK_POINTS):
-                piece = revenues[lo:lo + CHUNK_POINTS]
-                piece -= _inverse_pmf_sample(fee_rng, fees, fee_probs, len(piece))
-        else:
-            revenues -= fees[0]
+        _subtract_fees(revenues, fee_law, _stream(plan.seed, "path-fee", interval))
         # paths without users keep a net profit of 0
         served = np.flatnonzero(n_users)
         first_user = np.concatenate(([0], np.cumsum(n_users)[:-1]))

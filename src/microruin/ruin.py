@@ -421,16 +421,14 @@ def interval_net_pmfs(config: ScenarioConfig):
     distinct = {}
     order = []
     for i in range(1, horizon + 1):
-        values, probs = config.interval_durations(i).pmf()
+        values, probs = config.interval_durations(i)
         key = (tuple(values), tuple(probs))
         order.append(key)
         distinct.setdefault(key, i)
 
     v_hi_all = max(config.income_support(i)[1] for i in distinct.values())
     fees, fee_probs = fin.fee_law()
-    # an operator nobody subscribes to charges no fee
-    max_fee = float(fees[fee_probs > 0].max())
-    delta = num.lattice_step or (v_hi_all + max_fee) / 2048.0
+    delta = num.lattice_step or (v_hi_all + float(fees.max())) / 2048.0
 
     mean_fee = float(np.dot(fees, fee_probs))
     built = {}

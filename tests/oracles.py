@@ -358,12 +358,21 @@ class _SlotMomentIntegrand:
 def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float) -> tuple[float, float]:
     """Point masses (Pr(V = v_lo), Pr(V = v_hi)) at the ends of the income support.
 
-    Under Rayleigh fading Pr(c <= x | r) = Phi_r(1/x), so a slot clamps high
-    with probability 1 - Phi_r(1/c_max) and low with Phi_r(1/c_min); the
-    profile at both arguments is distance-free.  V reaches v_hi (v_lo) only
-    when all tau_max (tau_min) slots of a connection clamp high (low), so the
-    per-slot probabilities are raised to that power before the distance and
-    product averages.  Beyond the distance cutoff every slot clamps high.
+    The slot factor is c = gap / SINR with SINR = P0 h r^-alpha / (sigma^2 +
+    P_I I), so under Rayleigh fading (h ~ Exp(1))
+
+        Pr(c <= x | r) = Pr(h >= gap r^alpha (sigma^2 + P_I I) / (P0 x))
+                       = exp(-gap r^alpha sigma^2 / (P0 x))
+                         * E_I[exp(-(gap P_I / P0) r^alpha I / x)] = Phi_r(1/x),
+
+    the noise entering as gap r^alpha sigma^2 / P0 per unit of 1/x and the
+    interference through the profile at theta = (gap P_I / P0) / x.  A slot
+    clamps high with probability 1 - Phi_r(1/c_max) and low with
+    Phi_r(1/c_min); the profile at both arguments is distance-free.  V
+    reaches v_hi (v_lo) only when all tau_max (tau_min) slots of a connection
+    clamp high (low), so the per-slot probabilities are raised to that power
+    before the distance and product averages.  Beyond the distance cutoff
+    every slot clamps high.
 
     The low atom's integrand is a spike of width w = 1/sqrt(pi beta (1 + tau_min c))
     near z = 0, c the profile at 1/c_min; with a wide clamp range it is far
@@ -373,7 +382,7 @@ def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float) -> tuple
     alpha, beta_c = net.alpha_pathloss, net.beta_cells_per_area
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     tau_lo, tau_hi = int(taus.min()), int(taus.max())
-    products = [(gap * kappa_pow, mix,
+    products = [(gap, mix,
                  laplace_exponent_profile(gap * kappa_pow / fin.c_min, alpha),
                  laplace_exponent_profile(gap * kappa_pow / fin.c_max, alpha))
                 for gap, mix in zip(config.products.rate_gaps, config.products.product_mix)]
@@ -381,12 +390,12 @@ def _clamp_atoms(config: ScenarioConfig, taus, tau_probs, z_cut: float) -> tuple
     def atom(z: float, high: bool) -> float:
         pi_beta_z2 = math.pi * beta_c * z * z
         total = 0.0
-        for a_per_r, mix, prof_lo, prof_hi in products:
-            a_sigma2 = a_per_r * z ** alpha * net.sigma2_noise_power
+        for gap, mix, prof_lo, prof_hi in products:
+            noise = gap * z ** alpha * net.sigma2_noise_power / net.p0_serving_power
             if high:
-                p = (-math.expm1(-(pi_beta_z2 * prof_hi + a_sigma2 / fin.c_max))) ** tau_hi
+                p = (-math.expm1(-(pi_beta_z2 * prof_hi + noise / fin.c_max))) ** tau_hi
             else:
-                p = math.exp(-(pi_beta_z2 * prof_lo + a_sigma2 / fin.c_min)) ** tau_lo
+                p = math.exp(-(pi_beta_z2 * prof_lo + noise / fin.c_min)) ** tau_lo
             total += mix * p
         return total * nearest_distance_pdf(z, beta_c)
 
@@ -420,7 +429,7 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     unit = config.slot_income_per_unit_scaling
     beta_c = net.beta_cells_per_area
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
-    taus, tau_probs = config.interval_durations(interval_index).pmf()
+    taus, tau_probs = config.interval_durations(interval_index)
 
     z_cut = math.sqrt(-math.log(DISTANCE_TAIL_MASS) / (math.pi * beta_c))
     integrands = {}
@@ -437,8 +446,10 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
         pi_beta_z2 = math.pi * beta_c * z * z
         total = np.zeros(d)
         for q, gap in enumerate(config.products.rate_gaps):
-            a_coef = gap * kappa_pow * z ** net.alpha_pathloss
-            ints = integrands[q].integrals(pi_beta_z2, a_coef * net.sigma2_noise_power, d)
+            # Phi_r(u) = exp(-u gap r^alpha sigma^2 / P0) E_I[...] (``_clamp_atoms``)
+            noise = (z ** net.alpha_pathloss * net.sigma2_noise_power * gap
+                     / net.p0_serving_power)
+            ints = integrands[q].integrals(pi_beta_z2, noise, d)
             slot = unit ** s_vec * (fin.c_min ** s_vec + s_vec * ints)
             total += config.products.product_mix[q] * _duration_mixture_moments(
                 slot, taus, tau_probs)

@@ -581,6 +581,17 @@ class TestReproduceTables:
         fig3 = open(os.path.join(out, "fig3.csv")).read().splitlines()
         assert fig3[0] == "a_d,alpha,ev_num"
 
+    def test_fast_manifest_records_the_budgets_it_ran(self, tmp_path):
+        # --fast caps the sampling budgets of the effective config, whose
+        # hash the manifest records
+        out = str(tmp_path / "o")
+        assert run_cli(["--out", out, "--set", "numerics.mc_paths=3000",
+                        "reproduce-tables", "--which", "fig2", "--fast"]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        cfg = model.default_config()
+        ran = replace(cfg, numerics=replace(cfg.numerics, mc_samples=100_000, mc_paths=3000))
+        assert manifest["config_hash"] == ran.config_hash()
+
     def test_table_three_layout(self, tmp_path, fast_config_path):
         out = str(tmp_path / "o")
         assert run_cli(["--config", fast_config_path, "--out", out,
@@ -612,16 +623,22 @@ class TestAccuracyExitCode:
         assert "montecarlo.CAMPAIGN_BYTES_BUDGET" in capsys.readouterr().err
         assert peak < montecarlo.CAMPAIGN_BYTES_BUDGET // 8
 
-    @pytest.mark.parametrize("override", [
-        "numerics.quad_rel_tol=1e-17",  # AccuracyError: moment tensor rule
-        "numerics.lattice_step=1e-4",   # ResourceLimitError: 9,999,991 lattice points
-    ], ids=["moment-accuracy", "lattice-budget"])
+    @pytest.mark.parametrize("overrides,budget", [
+        # AccuracyError: moment tensor rule
+        (["numerics.quad_rel_tol=1e-17"], "panel budget"),
+        # ResourceLimitError: 9,999,991 lattice points
+        (["numerics.lattice_step=1e-4"], "budget is 1000000"),
+        # ResourceLimitError: fees 2e6 lattice steps apart
+        (["numerics.lattice_step=1", 'financial.operator_fees={"1": 0, "2": 2e6}',
+          'financial.operator_mix={"1": 0.5, "2": 0.5}'], "compound.POINTS_BUDGET"),
+    ], ids=["moment-accuracy", "lattice-budget", "net-step-budget"])
     def test_refused_budget_exits_three(self, tmp_path, fast_config_path, capsys,
-                                        override):
+                                        overrides, budget):
         # a stage that cannot meet its accuracy or resource budget refuses:
-        # the pipeline must exit 3 and name the error, not crash
+        # the pipeline must exit 3 and name the budget, not crash
         out = str(tmp_path / "o")
-        code = run_cli(["--config", fast_config_path, "--out", out, "--set",
-                        override, "ruin", "--no-mc"])
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        code = run_cli(["--config", fast_config_path, "--out", out, *sets, "ruin", "--no-mc"])
         assert code == 3
-        assert "accuracy/resource error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "accuracy/resource error" in err and budget in err

@@ -217,6 +217,15 @@ class TestNetProfitStep:
         assert info["intervals"][1]["fee_rounding"] == pytest.approx(-0.4, abs=1e-9)
 
 
+    def test_a_lattice_over_budget_is_refused_before_it_is_built(self):
+        # fees 2e6 steps apart: 2M lattice points, twice the budget
+        income = LatticePMF(step=1.0, min_index=0, mass=np.full(1001, 1.0 / 1001))
+        fin = FinancialParams(operator_fees={1: 0.0, 2: 2e6}, operator_mix={1: 0.5, 2: 0.5})
+        with pytest.raises(ResourceLimitError, match=r"net-step lattice needs 2001001 "
+                           r"points, over compound\.POINTS_BUDGET = 1000000"):
+            net_profit_step_pmf(income, fin)
+
+
 class TestCompoundGeometric:
     Z3 = LatticePMF(step=1.0, min_index=-1, mass=np.array([0.3, 0.5, 0.2]))
 

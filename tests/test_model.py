@@ -1,5 +1,6 @@
 """Config validation, the duration model, and the serving-distance law."""
 
+import hashlib
 import json
 import math
 from dataclasses import fields, replace
@@ -134,7 +135,6 @@ class TestDurationModel:
         m = model.DurationModel(kind="truncated-geometric", mean=1.0, tau_max=5)
         values, probs = m.pmf()
         assert values.tolist() == [1] and probs.tolist() == [1.0]
-        assert m.bounds() == (1, 1)
 
     def test_uniform_limit(self):
         m = model.DurationModel(kind="truncated-geometric", mean=3.0, tau_max=5)
@@ -147,7 +147,7 @@ class TestDurationModel:
         cfg = model.default_config()
         cfg = replace(cfg, durations=m,
                       numerics=replace(cfg.numerics, truncate_durations_to_interval=True))
-        values, probs = cfg.interval_durations(2).pmf()
+        values, probs = cfg.interval_durations(2)
         assert values.tolist() == [1, 2]
         np.testing.assert_allclose(probs, [0.4, 0.6])
 
@@ -156,8 +156,8 @@ class TestDurationModel:
         m = model.DurationModel(kind="deterministic", tau=1,
                                 per_interval_override={3: override})
         cfg = replace(model.default_config(), durations=m)
-        assert cfg.interval_durations(1).tau == 1
-        assert cfg.interval_durations(3).tau == 2
+        assert cfg.interval_durations(1)[0].tolist() == [1]
+        assert cfg.interval_durations(3)[0].tolist() == [2]
 
     def test_config_interval_durations_and_support(self):
         # the override first, then the truncation flag of the numerics
@@ -165,11 +165,11 @@ class TestDurationModel:
                                   per_interval_override={
                                       2: model.DurationModel(kind="deterministic", tau=2)})
         cfg = replace(model.default_config(), durations=dur)
-        assert cfg.interval_durations(2).pmf()[0].tolist() == [2]
+        assert cfg.interval_durations(2)[0].tolist() == [2]
         assert cfg.income_support() == cfg.income_support(1) == (0.001, 3000.0)
         cut = replace(cfg, numerics=replace(cfg.numerics,
                                             truncate_durations_to_interval=True))
-        assert cut.interval_durations(1).pmf()[0].tolist() == [1]
+        assert cut.interval_durations(1)[0].tolist() == [1]
         assert cut.income_support() == (0.001, 1000.0)
         assert cut.income_support(2) == (0.002, 2000.0)
         assert cut.income_support(3) == (0.001, 3000.0)
@@ -194,6 +194,50 @@ class TestDurationModel:
     def test_invalid_mean_rejected(self):
         with pytest.raises(DomainError):
             model.DurationModel(kind="truncated-geometric", mean=4.0, tau_max=5).pmf()
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestLawRule:
+    """A written law becomes (values, probabilities) by one rule: values of
+    probability zero dropped, equal values merged into their first
+    occurrence, the written order kept."""
+
+    def test_repeats_merge_into_their_first_occurrence_in_written_order(self):
+        dur = model.DurationModel(kind="explicit-pmf", support=(4, 2, 4, 3, 5),
+                                  probs=(0.125, 0.5, 0.125, 0.25, 0.0))
+        values, probs = dur.pmf()
+        assert values.tolist() == [4, 2, 3] and probs.tolist() == [0.25, 0.5, 0.25]
+        fin = model.FinancialParams(operator_fees={3: 60.0, 1: 100.0, 2: 60.0},
+                                    operator_mix={3: 0.25, 1: 0.5, 2: 0.25})
+        assert [a.tolist() for a in fin.fee_law()] == [[100.0, 60.0], [0.5, 0.5]]
+        prod = model.ProductParams(rate_gaps=(7.0, 100.0, 7.0), product_mix=(0.0, 0.5, 0.5))
+        assert [a.tolist() for a in prod.gap_law()] == [[100.0, 7.0], [0.5, 0.5]]
+
+    def test_zero_shares_and_repeats_leave_every_stage_unchanged(self):
+        from microruin import compound, montecarlo, ruin
+        from tests.conftest import reference_with
+        reference = model.validate(model.default_config())
+        twin = reference_with({
+            # a far fee nobody pays, and the one fee split across two operators
+            "financial": {"operator_fees": {"1": 100.0, "2": 100.0, "3": 1e6},
+                          "operator_mix": {"1": 0.5, "2": 0.5, "3": 0.0}},
+            "products": {"rate_gaps": [100.0, 100.0, 7.0], "product_mix": [0.25, 0.75, 0.0]},
+            "durations": {"kind": "explicit-pmf", "support": [1, 1], "probs": [0.5, 0.5]}})
+        income = compound.LatticePMF(step=0.5, min_index=0, mass=np.full(2000, 1.0 / 2000))
+        want, got = (compound.net_profit_step_pmf(income, c.financial)
+                     for c in (reference, twin))
+        assert (got.min_index, _sha(got.mass)) == (want.min_index, _sha(want.mass))
+        us = np.array([0.0, 100.0, 300.0])
+        want, got = (ruin.run_pipeline(c, us)[0] for c in (reference, twin))
+        assert (_sha(got.psi), got.u_grid) == (_sha(want.psi), want.u_grid)
+        plan = model.Numerics(seed=11, mc_batch=4096, mc_paths=1500)
+        want, got = (montecarlo.sample_revenues(c, plan, 9192) for c in (reference, twin))
+        assert _sha(got) == _sha(want)
+        want, got = (montecarlo.simulate_surplus_paths(c, plan, us) for c in (reference, twin))
+        assert _sha(got.psi) == _sha(want.psi)
 
 
 class TestDistanceDistribution:

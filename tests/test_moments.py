@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from microruin import moments, montecarlo
+from microruin import model, moments, montecarlo
 from microruin.errors import AccuracyError, DomainError
-from microruin.model import DurationModel, NetworkParams, ProductParams, validate
+from microruin.model import DurationModel, NetworkParams, Numerics, ProductParams, validate
 from tests import oracles
 from tests.conftest import SWEEP_SCENARIOS, make_config, point_mass_config, sweep_config
 
@@ -173,6 +173,9 @@ def _scenario(name):
                                                    tau_max=5))
     elif name == "noise":
         cfg = replace(cfg, network=replace(cfg.network, sigma2_noise_power=0.01))
+    elif name == "noise-interferer-power-2":
+        cfg = replace(cfg, network=replace(cfg.network, p_i_interferer_power=2.0,
+                                           sigma2_noise_power=0.5))
     elif name == "multi-slot":
         # an explicit PMF listed out of order, shortest duration above one slot
         cfg = replace(cfg, durations=DurationModel(kind="explicit-pmf", support=(4, 2, 3),
@@ -243,13 +246,31 @@ class TestClampAtoms:
             se = math.sqrt(max(atom * (1.0 - atom), 1.0 / n) / n)
             assert abs(freq - atom) <= 4.0 * se, (edge, freq, atom)
 
+    @pytest.mark.parametrize("p_i,sigma2", [(0.1, 1.0), (2.0, 0.5)])
+    def test_noise_against_monte_carlo_at_interferer_power_off_one(self, p_i, sigma2):
+        # both routes take SINR = P0 h r^-alpha / (sigma^2 + P_I I): scaling
+        # the noise by P_I as well read +340 and -79 SE on E[V] here
+        cfg = model.default_config()
+        cfg = validate(replace(cfg, network=replace(cfg.network, p_i_interferer_power=p_i,
+                                                    sigma2_noise_power=sigma2)))
+        mv = moments.revenue_moments(cfg)
+        v_lo, v_hi = cfg.income_support()
+        n = 200_000
+        v = montecarlo.sample_revenues(cfg, Numerics(seed=7), n)
+        assert abs(v.mean() - mv.raw[0]) <= 4.0 * v.std() / math.sqrt(n), (v.mean(), mv.raw[0])
+        for atom, edge in ((mv.atom_lo, v_lo), (mv.atom_hi, v_hi)):
+            freq = float(np.mean(v == edge))
+            se = math.sqrt(max(atom * (1.0 - atom), 1.0 / n) / n)
+            assert abs(freq - atom) <= 4.0 * se, (edge, freq, atom)
+
     def test_invalid_atoms_rejected(self):
         with pytest.raises(DomainError):
             moments.MomentVector(np.array([1.0, 2.0]), atom_lo=0.7, atom_hi=0.4)
 
 
 @pytest.mark.parametrize("name", ["reference", "pathloss-3", "pathloss-5", "noise",
-                                  "truncated-geometric", "two-products", "clamps-0.1-100",
+                                  "noise-interferer-power-2", "truncated-geometric",
+                                  "two-products", "clamps-0.1-100",
                                   "pathloss-2.1-clamps-1e-5-1e5"])
 def test_revenue_moments_match_nested_quadrature(name):
     # the tensor rule against the nested adaptive quadrature it replaced

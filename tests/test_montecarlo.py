@@ -14,7 +14,13 @@ import pytest
 from microruin import model, montecarlo
 from microruin.errors import DomainError, ResourceLimitError
 from tests import oracles
-from tests.conftest import make_config, point_mass_config, sweep_config
+from tests.conftest import (
+    SWEEP_SCENARIOS,
+    make_config,
+    point_mass_config,
+    reference_with,
+    sweep_config,
+)
 
 
 class TestDeterminism:
@@ -87,12 +93,17 @@ class TestSurplusPaths:
                                                 [0.0, -1.0])
         np.testing.assert_array_equal(est.psi, [[0.0, 1.0]] * 10)
 
-    def test_a_campaign_holds_one_intervals_revenues_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize("fees", ["single", "two-operators"], ids=["one", "mix"])
+    def test_a_campaign_holds_one_intervals_revenues_at_a_time(self, monkeypatch, fees):
         # one batch thread, so the measured call reuses the warm-up's one
-        # workspace and allocates only the campaign's own arrays
+        # workspace and allocates only the campaign's own arrays; a fee mix
+        # draws its fees without keeping an interval's revenues alive
         monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
         monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
-        cfg = sweep_config("horizon-10")
+        financial = dict(SWEEP_SCENARIOS["horizon-10"]["financial"])
+        if fees == "two-operators":
+            financial.update(SWEEP_SCENARIOS["two-operators"]["financial"])
+        cfg = reference_with({"financial": financial})
         plan = cfg.numerics
         montecarlo.simulate_surplus_paths(cfg, plan, [100.0])
         tracemalloc.start()
