@@ -16,7 +16,10 @@ summed over their calls.  Per scenario, median over --repeats runs, in ms:
 * ``moments``: ``revenue_moments``;
 * ``income``: density expansion, sanitizing, lattice discretization and the
   fee convolution, up to the net-profit step PMF;
-* ``chernoff_edges``: the Chernoff window edges of the compound stage;
+* ``chernoff_edges``: the Chernoff window edges of the compound stage and
+  the lower edge the loss bound takes its theta from;
+* ``loss_bound``: the closed-form bound on the loss top that sizes the
+  compound windows (``ruin._loss_top_bound``, its lower edge included);
 * ``compound``: ``compound_geometric_pmf`` as a whole (edges included);
 * ``loss_top``: the Chernoff top of the recursion grid;
 * ``correlation_setup``: the recursion's correlation operators (atom spectra);
@@ -26,10 +29,12 @@ summed over their calls.  Per scenario, median over --repeats runs, in ms:
 Every stage but ``chernoff_edges`` runs outside the others, so they add up
 to no more than ``pipeline``.  The sizes that decide the FFT work (compound
 window, recursion grid and correlation FFT length) are recorded with the
-times, and so is the work of the Chernoff searches: the CGF evaluations of
-each search in solve order (the compound window's upper and lower edge,
-then the recursion grid's loss top), counted by wrapping the CGF each
-search is handed.  Scenarios a tree refuses (AccuracyError,
+times, and so are the calls of ``np.fft.rfft`` and ``np.fft.irfft`` in one
+pipeline run, counted by wrapping both here, and the work of the Chernoff
+searches: the CGF evaluations of each search in solve order (on a tree with
+the loss bound, its lower edge first; then the compound window's upper and
+lower edge, then the recursion grid's loss top), counted by wrapping the
+CGF each search is handed.  Scenarios a tree refuses (AccuracyError,
 ResourceLimitError) are recorded as refused.
 """
 
@@ -58,6 +63,7 @@ TARGETS = {
     "income": [(income_pdf, "expand_density"), (income_pdf, "sanitize"),
                (ruin, "discretize_income"), (ruin, "net_profit_step_pmf")],
     "chernoff_edges": [(compound, "_chernoff_edge")],
+    "loss_bound": [(ruin, "_loss_top_bound")],
     "compound": [(ruin, "compound_geometric_pmf")],
     "loss_top": [(ruin, "_loss_top")],
     "correlation_setup": [(ruin._Correlation, "__init__")],
@@ -67,6 +73,7 @@ TARGETS = {
 STAGES = tuple(TARGETS)
 spent = dict.fromkeys(STAGES, 0.0)
 cgf_calls: list[int] = []  # CGF evaluations of each search of the current solve
+fft_calls = {"rfft": 0, "irfft": 0}  # transforms of the current solve
 
 
 def _timed(stage, fn):
@@ -92,23 +99,42 @@ def _counted(search):
     return counted
 
 
-def install():
-    """Wrap every target; a renamed one raises AttributeError here."""
+def _tallied(name, fn):
+    @functools.wraps(fn)
+    def tallied(*args, **kwargs):
+        fft_calls[name] += 1
+        return fn(*args, **kwargs)
+    return tallied
+
+
+def install() -> list[str]:
+    """Wrap every target and both real FFTs.  A target the tree lacks (a
+    renamed function, or an older tree) is skipped, its stage reads 0, and
+    its name is returned so that the run records it."""
+    absent = []
     for stage, targets in TARGETS.items():
         for owner, name in targets:
-            setattr(owner, name, _timed(stage, getattr(owner, name)))
+            if hasattr(owner, name):
+                setattr(owner, name, _timed(stage, getattr(owner, name)))
+            else:
+                absent.append(f"{owner.__name__}.{name}")
+    for name in fft_calls:
+        setattr(np.fft, name, _tallied(name, getattr(np.fft, name)))
     # both callers look the Chernoff search up in compound
     compound.chernoff_min = _counted(compound.chernoff_min)
+    return absent
 
 
 def one_pass(cfg) -> tuple[dict, dict]:
     """(seconds per stage, sizes) of one pipeline run on one scenario."""
     spent.update(dict.fromkeys(STAGES, 0.0))
     cgf_calls.clear()
+    fft_calls.update(dict.fromkeys(fft_calls, 0))
     result, info = ruin.run_pipeline(cfg, np.array(U_VALUES))
     sizes = {"window_points": info["intervals"][1]["compound"]["window_points"],
              "grid_points": result.u_grid[2],
              "fft_points": result.diagnostics["fft_points"],
+             "fft_calls": dict(fft_calls),
              "cgf_per_search": list(cgf_calls),
              "cgf_evaluations": sum(cgf_calls)}
     return dict(spent), sizes
@@ -122,7 +148,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     configs = [(name, build_config(7, overrides)) for name, overrides in SCENARIOS]
-    install()
+    absent = install()
     one_pass(configs[0][1])  # warm-up
     times = {name: {s: [] for s in STAGES} for name, _ in configs}
     sizes, refused = {}, {}
@@ -138,7 +164,9 @@ def main(argv=None) -> int:
             for stage in STAGES:
                 times[name][stage].append(t[stage])
 
-    run = {"repeats": args.repeats, "scenarios": {}}
+    run = {"repeats": args.repeats, "scenarios": {}, "absent_targets": absent}
+    if absent:
+        print(f"targets this tree lacks (their stages read 0): {', '.join(absent)}")
     print(f"{'scenario':18s}" + "".join(f"{s:>18s}" for s in STAGES))
     for name, _ in configs:
         if name in refused:

@@ -16,7 +16,25 @@ M_S(theta) = w / (1 - (1-w) M_Z(theta)), so wrap-around moves at most
 theta: ``chernoff_min`` runs safeguarded Newton steps on the stationarity
 condition theta K' - K + log eps = 0 (K = log M_S, convex), with K' and K''
 from the same exp pass as K; the recursion's capital-grid top uses the same
-search.  The literal sum of geometric-weighted convolution powers and the
+search.
+
+A caller that reads no atom above an index ``top`` (the ruin recursion
+past its fold edge) can ask for the read window instead: the PGF is
+evaluated at e^theta z on a window [lo, top] of n points, theta =
+log(tail_eps) / n < 0, and the inverse transform untilted by e^(-theta k)
+(exponential tilting: Gruebel and Hermesmeier, ASTIN Bulletin 1999;
+Embrechts and Frei, Math. Meth. Oper. Res. 2009).  An atom above top wraps
+down by n and lands with weight e^(theta n) = tail_eps, and one below lo
+wraps up with weight 1/tail_eps, so lo is the lower Chernoff edge at
+tail_eps^2: the wrap-around moves at most about 2 * tail_eps of mass, and
+the bound ``aliasing_bound`` records includes every further wrap.  The
+untilt multiplies the transform's roundoff by up to e^(|theta| top), so n
+is also at least |log tail_eps| top / ``UNTILT_EXPONENT``.  The rest of the
+mass, 1 - sum(window), is one atom at top + 1.  A read window is taken only
+when it is shorter than the whole one, and its inversion is checked against
+the tilted law's mean K_S'(theta), since the whole mean is out of reach.
+
+The literal sum of geometric-weighted convolution powers and the
 least-squares solve of the identity are the independent oracles of the PMF,
 and a golden-section minimization of the same bounds is the oracle of the
 edges; all live in the tests.
@@ -25,6 +43,7 @@ edges; all live in the tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +59,7 @@ __all__ = [
     "net_profit_step_pmf",
     "CompoundPMF",
     "compound_geometric_pmf",
+    "lower_edge",
 ]
 
 POINTS_BUDGET = 1_000_000  # lattice points of one income law and one compound window
@@ -80,7 +100,9 @@ class LatticePMF:
         return values
 
     def mean(self) -> float:
-        return float(np.dot(self.values(), self.mass))
+        # a sum of products, not a BLAS dot: over a compound window that
+        # wakes a BLAS thread that then spins beside the rest of the solve
+        return float((self.values() * self.mass).sum())
 
     def trimmed(self, eps: float) -> "LatticePMF":
         """Drop negligible tails (at most eps total mass per side), renormalized."""
@@ -216,21 +238,14 @@ def chernoff_min(cgf, log_eps: float, theta_hi: float) -> tuple[float, float]:
         {"bracket": (lo, hi), "theta": theta})
 
 
-def _chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float, log_eps: float):
-    """Upper window edge for S = sum_{j<=N} Z_j with Pr(S > edge) <= eps.
+def _step_cgf(idx: np.ndarray, log_p: np.ndarray, w_n: float):
+    """cgf(theta) = (K, K', K'') of S = sum_{j<=N} Z_j, K = log M_S, with Z's
+    atoms at the lattice indices ``idx`` and log masses ``log_p``.
 
-    Z has atoms at the lattice indices ``idx`` with log masses ``log_p``.
-    Returns (edge, bound) where bound(e) is the Chernoff bound on
-    Pr(S > e) = Pr(S >= e + 1) <= exp(-theta (e + 1)) M_S(theta), with
-    M_S(theta) = w / (1 - (1-w) M_Z(theta)) finite while (1-w) M_Z < 1.
-    theta minimizes the edge (K_S(theta) - log eps) / theta, K_S = log M_S;
-    ``chernoff_min`` finds it from K_S and its first two derivatives, taken
-    from the tilted moments of Z in the same exp pass.  Without a positive
-    atom S <= 0.
+    M_S(theta) = w / (1 - (1-w) M_Z(theta)), finite while (1-w) M_Z < 1
+    (K = +inf past the pole); K' and K'' come from the tilted moments of Z
+    in the same exp pass.
     """
-    k_max = int(idx.max())
-    if k_max <= 0:
-        return 0, lambda edge: 0.0
     log_w, log_q = math.log(w_n), math.log1p(-w_n)
     idx_f = idx.astype(float)
     idx_sq = idx_f * idx_f
@@ -254,38 +269,103 @@ def _chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float, log_eps: floa
         k2 = q_mz * float(e @ idx_sq) / s0 / tail + k1 * k1
         return log_w - math.log(tail), k1, k2
 
+    return cgf
+
+
+@dataclass(frozen=True)
+class _Tail:
+    """The Chernoff bound Pr(X > e) = Pr(X >= e + 1) <= exp(log_m - theta (e + 1))
+    at one theta > 0, log_m = log M_X(theta); theta = 0 stands for X <= 0."""
+
+    theta: float
+    log_m: float
+
+    def __call__(self, edge) -> float:
+        return math.exp(self.log_m - self.theta * (edge + 1)) if self.theta else 0.0
+
+    def edge(self, log_eps: float) -> int:
+        """The smallest e >= 0 whose bound is at most e^log_eps."""
+        if not self.theta:
+            return 0
+        return max(0, math.ceil((self.log_m - log_eps) / self.theta) - 1)
+
+
+def _chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float, log_eps: float):
+    """Upper window edge for S = sum_{j<=N} Z_j with Pr(S > edge) <= eps.
+
+    Z has atoms at the lattice indices ``idx`` with log masses ``log_p``.
+    Returns (edge, tail) where tail(e) is the Chernoff bound on
+    Pr(S > e) = Pr(S >= e + 1) <= exp(-theta (e + 1)) M_S(theta) (``_Tail``).
+    theta minimizes the edge (K_S(theta) - log eps) / theta, K_S = log M_S;
+    ``chernoff_min`` finds it from K_S and its first two derivatives
+    (``_step_cgf``).  Without a positive atom S <= 0.
+    """
+    k_max = int(idx.max())
+    if k_max <= 0:
+        return 0, _Tail(0.0, -math.inf)
     # M_Z(theta) >= p(k_max) e^(theta k_max), so the MGF diverges before this
-    pole_above = (-log_q - float(log_p[idx.argmax()])) / k_max
-    theta, log_m = chernoff_min(cgf, log_eps, pole_above)
-    x = (log_m - log_eps) / theta
-    return max(0, math.ceil(x) - 1), lambda edge: math.exp(log_m - theta * (edge + 1))
+    pole_above = (-math.log1p(-w_n) - float(log_p[idx.argmax()])) / k_max
+    tail = _Tail(*chernoff_min(_step_cgf(idx, log_p, w_n), log_eps, pole_above))
+    return tail.edge(log_eps), tail
+
+
+def lower_edge(step: LatticePMF, w_n: float, tail_eps: float) -> tuple[int, float]:
+    """(edge, theta) of the lower window edge of S = sum_{j<=N} Z_j, Z ~ ``step``:
+    Pr(S < -edge) <= tail_eps by the Chernoff bound at theta (per lattice
+    index) on the losses -S, the theta of ``compound_geometric_pmf``'s lower
+    edge.  (0, 0.0) when Z has no atom below 0."""
+    _check_tail_eps(tail_eps)
+    positive = step.mass > 0.0
+    edge, tail = _chernoff_edge(-step.indices()[positive], np.log(step.mass[positive]), w_n,
+                                math.log(tail_eps))
+    return edge, tail.theta
 
 
 @dataclass(frozen=True)
 class CompoundPMF(LatticePMF):
     """A compound PMF with the accuracy its FFT window used.
 
-    ``diagnostics``: window_points, aliasing_bound (Chernoff bound on the
-    mass outside the window), clipped_mass (negative roundoff clipped to
-    zero), mean_residual and mean_tolerance of the mean identity.
+    ``diagnostics``: window_points, tilt (theta of a read window, 0 on the
+    full window), aliasing_bound (rigorous bound on the mass the window's
+    wrap-around moves), clipped_mass (negative roundoff clipped to zero),
+    mean_residual and mean_tolerance of the inversion's mean check.
     """
 
     diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def compound_geometric_pmf(step: LatticePMF, w_n: float,
-                           tail_eps: float = 1e-12) -> CompoundPMF:
+UNTILT_EXPONENT = 10.0  # largest |theta| * top of a read window (roundoff gain e^10)
+
+
+def _check_tail_eps(tail_eps) -> None:
+    if not 0.0 < tail_eps < 1.0:  # written so that NaN fails
+        raise DomainError(f"tail_eps must lie in (0, 1), got {tail_eps}")
+
+
+def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
+                           top: int | None = None) -> CompoundPMF:
     """PMF of S = sum_{j=1}^N Z_j with N geometric (Pr(N=0) = w_n, 0 < w_n < 1).
 
     The PGF closed form is inverted with a real FFT on the window
     [lo, hi] that holds all but at most ``tail_eps`` of the mass on each side
     (Chernoff bounds on the exact lattice MGF), so wrap-around moves at most
     2 ``tail_eps``.  Mass at the origin is at least w_n.  The mean identity
-    E[S] = (1-w)/w * E[Z] is checked on every call.  A window over
+    E[S] = (1-w)/w * E[Z] is checked on every call.
+
+    With ``top`` below hi, a caller that reads no atom above ``top`` gets
+    the read window [lo', top] instead whenever it is shorter: the PGF is
+    inverted at e^theta z, theta = log(tail_eps) / n < 0, and the result
+    untilted by e^(-theta k).  Every atom is exact but for at most
+    ``aliasing_bound`` <= 2 ``tail_eps``, and the rest of the mass,
+    1 - sum(window), sits on one atom at top + 1.  The checked identity is
+    then the tilted law's mean, K_S'(theta).  A window over
     ``POINTS_BUDGET`` points raises ResourceLimitError.
     """
     if not (0.0 < w_n < 1.0):
         raise DomainError(f"geometric parameter must lie in (0, 1), got {w_n}")
+    _check_tail_eps(tail_eps)
+    if top is not None and not (isinstance(top, numbers.Integral) and top >= 0):
+        raise DomainError(f"window top must be a nonnegative lattice index, got {top!r}")
     positive = step.mass > 0.0
     indices = step.indices()
     idx = indices[positive]
@@ -294,24 +374,47 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float,
     hi, bound_hi = _chernoff_edge(idx, log_p, w_n, log_eps)
     neg_lo, bound_lo = _chernoff_edge(-idx, log_p, w_n, log_eps)
     lo = -neg_lo
-    n = specfun.next_fast_len(hi - lo + 1)
+    n = n_full = specfun.next_fast_len(hi - lo + 1)
+    theta = 0.0
+    if top is not None and top < hi:
+        # the read window keeps the lower tail down to tail_eps^2 (the lower
+        # edge's theta bounds it too), and is long enough that the untilt
+        # multiplies roundoff by at most e^UNTILT_EXPONENT
+        n_read = specfun.next_fast_len(max(top + bound_lo.edge(2.0 * log_eps) + 1,
+                                           math.ceil(-log_eps * top / UNTILT_EXPONENT)))
+        if n_read < n:
+            # K_S, K_S' at theta < 0: the losses' CGF at -theta
+            k_tilt, k1_tilt, _ = _step_cgf(-idx, log_p, w_n)(-log_eps / n_read)
+            if math.isfinite(k_tilt):
+                n, theta, lo = n_read, log_eps / n_read, top + 1 - n_read
     if n > POINTS_BUDGET:
-        shrink = POINTS_BUDGET / n
+        shrink = POINTS_BUDGET / n_full
         achieved = (bound_hi(math.floor(hi * shrink))
                     + bound_lo(math.floor(neg_lo * shrink)))
         raise ResourceLimitError(
             f"compound support needs {n} points (budget {POINTS_BUDGET}); "
             f"achievable tail mass {achieved:.3g} > requested {tail_eps:.3g}")
-    hi = lo + n - 1  # the fast-length padding widens the upper side
+    hi = lo + n - 1  # fast-length padding widens the upper side (a read window's lower)
 
     # the window is one period: Z's atoms wrap onto it, and the inverse
-    # transform of the PGF is the compound PMF folded modulo n
-    z_folded = np.bincount(indices % n, weights=step.mass, minlength=n)
+    # transform of the PGF is the compound PMF folded modulo n (tilted by
+    # e^(theta k) with Z's atoms)
+    weights = step.mass * np.exp(theta * indices) if theta else step.mass
+    z_folded = np.bincount(indices % n, weights=weights, minlength=n)
     s_hat = np.fft.rfft(z_folded)  # then w / (1 - (1-w) z_hat), in place
     s_hat *= 1.0 - w_n
     np.subtract(1.0, s_hat, out=s_hat)
     np.divide(w_n, s_hat, out=s_hat)
     mass = np.roll(np.fft.irfft(s_hat, n), -lo)
+    if theta:
+        # the tilted mass the wrap-around moves by n cells, from above top and
+        # from below lo, bounds what it does to the tilted mean
+        moved = (math.exp(theta * (hi + 1) - k_tilt) * min(1.0, bound_hi(hi))
+                 + math.exp(theta * lo + bound_lo.theta - k_tilt) * bound_lo(-lo))
+        tol = max(1e-8 * abs(k1_tilt), 4.0 * tail_eps * n, 2.0 * n * moved)
+        return _untilted(mass, step.step, lo, theta, -k1_tilt, tol, tail_eps,
+                         aliasing=(tail_eps * min(1.0, bound_hi(hi))
+                                   + _wrapped_below(bound_lo, lo, n, log_eps)))
     clipped = abs(float(mass[mass < 0.0].sum()))
     np.maximum(mass, 0.0, out=mass)
 
@@ -332,7 +435,49 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float,
                             {"expected": mean_expected, "got": mean_got, "tol": tol})
     out.diagnostics.update({
         "window_points": n,
+        "tilt": 0.0,
         "aliasing_bound": bound_hi(hi) + bound_lo(neg_lo),
+        "clipped_mass": clipped,
+        "mean_residual": abs(mean_got - mean_expected),
+        "mean_tolerance": tol,
+    })
+    return out
+
+
+def _wrapped_below(bound_lo: _Tail, lo: int, n: int, log_eps: float) -> float:
+    """Mass the read window's wrap-around moves up from below lo: an atom
+    j periods below lands with weight e^(-theta j n) = tail_eps^-j, and
+    Pr(S < lo - (j-1) n) <= bound_lo(-lo) rho^(j-1), rho = e^(-theta_lo n)."""
+    if not bound_lo.theta:  # no atom below 0
+        return 0.0
+    ratio = math.exp(-bound_lo.theta * n - log_eps)
+    return bound_lo(-lo) / math.exp(log_eps) / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+
+def _untilted(tilted: np.ndarray, step: float, lo: int, theta: float, mean_expected: float,
+              tol: float, tail_eps: float, aliasing: float) -> CompoundPMF:
+    """The read window's PMF from its tilted masses on lo..top, with the rest
+    of the mass on one atom at top + 1 (``compound_geometric_pmf``); the
+    tilted masses' mean must lie within tol of K_S'(theta)."""
+    k = np.arange(lo, lo + len(tilted), dtype=float)
+    mean_got = float((k * tilted).sum() / tilted.sum())  # no BLAS dot, as in ``mean``
+    if not abs(mean_got - mean_expected) <= tol:
+        raise AccuracyError("compound tilted mean K'(theta) violated",
+                            {"expected": mean_expected, "got": mean_got, "tol": tol})
+    k *= -theta
+    mass = tilted * np.exp(k, out=k)
+    clipped = abs(float(mass[mass < 0.0].sum()))
+    np.maximum(mass, 0.0, out=mass)
+    rest = 1.0 - mass.sum()
+    if rest < -max(10 * tail_eps, 1e-9):
+        raise AccuracyError("compound PMF mass defect beyond the truncation budget",
+                            {"total": 1.0 - rest, "tail_eps": tail_eps})
+    out = CompoundPMF(step=step, min_index=lo,
+                      mass=np.append(mass, max(rest, 0.0)) / max(1.0 - rest, 1.0))
+    out.diagnostics.update({
+        "window_points": len(tilted),
+        "tilt": theta,
+        "aliasing_bound": aliasing,
         "clipped_mass": clipped,
         "mean_residual": abs(mean_got - mean_expected),
         "mean_tolerance": tol,

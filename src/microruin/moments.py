@@ -152,17 +152,20 @@ def _gauss_legendre(edges: np.ndarray):
             (half[:, None] * _GL_WEIGHTS).ravel())
 
 
+def _log_u_rule(fin: FinancialParams, order: int, panels: int):
+    """(u, moment weights) of the log-u rule on [1/c_max, 1/c_min] with
+    ``panels`` panels: the weights of the slot-moment integrals
+    Int u^-(s+1) f(u) du = Int e^(-s x) f(e^x) dx, s = 1..order."""
+    x, w = _gauss_legendre(np.linspace(-math.log(fin.c_max), -math.log(fin.c_min), panels + 1))
+    return np.exp(x), w[:, None] * np.exp(-np.outer(x, np.arange(1.0, order + 1.0)))
+
+
 def _log_u_nodes(theta_per_u: float, alpha: float, fin: FinancialParams, order: int,
                  panels: int):
-    """(u, profile, moment weights) of the log-u rule on [1/c_max, 1/c_min] with
-    ``panels`` panels for one product: the 2F1 profile c(theta_per_u * u) at
-    the nodes, and the weights of the slot-moment integrals Int u^-(s+1) f(u) du
-    = Int e^(-s x) f(e^x) dx, s = 1..order.
-    """
-    x, w = _gauss_legendre(np.linspace(-math.log(fin.c_max), -math.log(fin.c_min), panels + 1))
-    u = np.exp(x)
-    profile = laplace_exponent_profile(theta_per_u * u, alpha)
-    return u, profile, w[:, None] * np.exp(-np.outer(x, np.arange(1.0, order + 1.0)))
+    """(u, profile, moment weights) of ``_log_u_rule`` for one product, with
+    the 2F1 profile c(theta_per_u * u) at the nodes."""
+    u, weights = _log_u_rule(fin, order, panels)
+    return u, laplace_exponent_profile(theta_per_u * u, alpha), weights
 
 
 def _slot_moments(pi_beta_r2: np.ndarray, a_sigma2: np.ndarray, nodes,
@@ -259,32 +262,40 @@ def revenue_moments(config: ScenarioConfig, interval_index: int = 1) -> MomentVe
     kappa_pow = net.p_i_interferer_power / net.p0_serving_power
     alpha = net.alpha_pathloss
     tau_lo, tau_hi = int(taus.min()), int(taus.max())
+    u_panels = _START_U_PANELS
+    # the rule always evaluates levels 0 and 1, so one 2F1 call takes the
+    # profile at both clamp points and at those levels' u nodes of every
+    # product; deeper levels evaluate their own
+    rules = [_log_u_rule(fin, d, u_panels << level) for level in (0, 1)]
+    u_points = np.concatenate(([1.0 / fin.c_min, 1.0 / fin.c_max], rules[0][0], rules[1][0]))
+    gaps, mixes = config.products.gap_law()
+    profiles = laplace_exponent_profile(np.multiply.outer(gaps * kappa_pow, u_points), alpha)
     products = []
-    for gap, mix in zip(*config.products.gap_law()):
-        theta_per_u = gap * kappa_pow
+    for gap, mix, profile in zip(gaps, mixes, profiles):
         # A sigma^2 = gap sigma^2 r^alpha / P0 (SINR = P0 h r^-alpha / (sigma^2
         # + P_I I)), with r^2 = t^2 / (pi beta)
         noise = gap * net.sigma2_noise_power / net.p0_serving_power
-        products.append((mix, theta_per_u, noise,
-                         laplace_exponent_profile(theta_per_u * (1.0 / fin.c_min), alpha),
-                         laplace_exponent_profile(theta_per_u * (1.0 / fin.c_max), alpha)))
+        at_nodes = np.split(profile[2:], [len(rules[0][0])])
+        levels = [(u, c, weights) for (u, weights), c in zip(rules, at_nodes)]
+        products.append((mix, gap * kappa_pow, noise, profile[0], profile[1], levels))
     # t panels halve in width from t_cut down to the narrowest feature, the
     # e^(-t^2 (1 + c)) decay at the largest profile c, which is at u = 1/c_min
-    largest_profile = max(profile_lo for _, _, _, profile_lo, _ in products)
+    largest_profile = max(product[3] for product in products)
     t_cut = math.sqrt(-math.log(DISTANCE_TAIL_MASS))
     t_min = 1.0 / math.sqrt(1.0 + largest_profile)
     halvings = max(0, math.ceil(math.log2(t_cut / t_min)))
     t_edges = np.concatenate(([0.0], t_cut * 0.5 ** np.arange(halvings, -1, -1)))
-    t_panels, u_panels = len(t_edges) - 1, _START_U_PANELS
+    t_panels = len(t_edges) - 1
 
     def estimate(level: int) -> np.ndarray:
         t, w = _gauss_legendre(_subdivide(t_edges, 1 << level))
         pi_beta_r2 = t * t
         weight = 2.0 * t * np.exp(-pi_beta_r2) * w
         total = np.zeros(d + 2)
-        for mix, theta_per_u, noise, profile_lo, profile_hi in products:
+        for mix, theta_per_u, noise, profile_lo, profile_hi, levels in products:
             a_sigma2 = noise * (pi_beta_r2 / (math.pi * net.beta_cells_per_area)) ** (alpha / 2)
-            nodes = _log_u_nodes(theta_per_u, alpha, fin, d, u_panels << level)
+            nodes = (levels[level] if level < len(levels)
+                     else _log_u_nodes(theta_per_u, alpha, fin, d, u_panels << level))
             slot = _slot_moments(pi_beta_r2, a_sigma2, nodes, fin, unit)
             total[:d] += mix * (weight @ _duration_mixture_moments(slot, taus, tau_probs))
             low = np.exp(-(pi_beta_r2 * profile_lo + a_sigma2 / fin.c_min)) ** tau_lo

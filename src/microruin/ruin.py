@@ -31,6 +31,21 @@ horizon * ``tail_eps``.  Capitals below -max(y)^+ / (1+r), where no atom
 survives the first step, and above the loss top are answered without the
 grid, so the grid's size depends on the PMFs and not on how far out the
 requested capitals lie.
+
+Each step is one lattice correlation on the grid, by FFT, except the first
+step of every pass: on phi_0 = 1 the correlation is a difference of the
+atoms' running sums, so an identical-PMF solve over L intervals runs L - 1
+transform pairs and a backward pass of l steps l - 1.
+
+The correlation keeps only the atoms up to its fold edge; every atom above
+counts as survival.  ``run_pipeline`` therefore sizes each compound window
+before it inverts one: a closed-form Chernoff bound on the grid's loss top,
+from the step laws alone and evaluated once (``_loss_top_bound``), with the
+requested capitals, r, L and the default grid step, bounds the fold edge
+(``_window_top``).  The compound stage inverts only up to that atom and
+lumps the rest of its mass on the next one, which lands past the fold as
+the whole law's upper atoms do, so the grid and every read atom stay those
+of the whole law (to the inversion's accuracy).
 """
 
 from __future__ import annotations
@@ -85,7 +100,7 @@ class RuinResult:
     diagnostics: dict
 
 
-LOSS_CELLS = 4096  # loss bins of the Chernoff top, each loss rounded up
+LOSS_CELLS = 1024  # loss bins of the Chernoff top, each loss rounded up
 TRIM_MASS = 1e-9  # compound tail mass dropped per side before the recursion
 
 
@@ -166,6 +181,62 @@ def _read_top(y_max: float, growth: float, horizon: int, u_max: float,
     """
     powers = growth ** np.arange(horizon)
     return float(powers[-1] * u_max + (max(y_max, 0.0) + 2 * grid_step) * powers.sum())
+
+
+def _loss_top_bound(steps, w_n: float, discount: np.ndarray, tail_eps: float) -> float:
+    """An upper bound, in lattice cells, on the top ``_loss_top`` finds for
+    the compound PMFs of the step laws ``steps``, from the step laws alone.
+
+    A compound sum Y has M_{Y^-}(t) = E[max(1, e^(-tY))] <= 1 - w + M_Y(-t),
+    with M_Y(s) = w / (1 - (1-w) M_Z(s)) over Z's atoms, so
+    K(theta) = sum_i max_j log(1 - w + M_{Y_j}(-theta d_i)), d the discount
+    factors, bounds the CGF of ``_loss_top``'s losses, and any theta gives a
+    valid top.  It is evaluated once, at the lower-edge theta of the compound
+    window (``compound.lower_edge``), which lies near the best one.  The
+    compound PMFs keep no loss past that edge (the mass beyond it is at most
+    tail_eps, far below ``TRIM_MASS``), so ``_loss_top``'s bins are at most
+    ceil(edge / LOSS_CELLS) cells wide, and rounding each loss up to its bin
+    adds at most one bin per interval.  Returns inf past the MGF's pole.
+    """
+    edge, theta = max(compound.lower_edge(z, w_n, tail_eps) for z in steps)
+    if theta == 0.0:
+        return 0.0
+    log_q = math.log1p(-w_n)
+    log_m = np.full(len(discount), -np.inf)
+    for z in steps:
+        alive = z.mass > 0.0
+        e = np.multiply.outer(-theta * discount, z.indices()[alive].astype(float))
+        e += np.log(z.mass[alive])
+        peak = e.max(axis=1)
+        e -= peak[:, None]
+        log_qmz = log_q + peak + np.log(np.exp(e, out=e).sum(axis=1))
+        if not (log_qmz < 0.0).all():
+            return math.inf
+        np.maximum(log_m, np.log(1.0 - w_n - w_n / np.expm1(log_qmz)), out=log_m)
+    cells_per_bin = -(-edge // LOSS_CELLS)
+    return (float(log_m.sum()) - math.log(tail_eps)) / theta + cells_per_bin * float(discount.sum())
+
+
+def _window_top(u_values: np.ndarray, growth: float, horizon: int, step: float,
+                loss_cells: float) -> int:
+    """The highest lattice index whose atom ``_Correlation`` keeps on the
+    default grid of ``survival_recursion`` at the capitals u_values, given
+    an upper bound ``loss_cells`` (lattice cells) on the grid's loss top.
+
+    The fold edge k_hi - floor(k_lo (1+r)) + 1 rises with k_hi and falls
+    with k_lo.  ``_RecursionGrid`` puts k_hi at most two steps above the
+    larger of the loss top and the held capitals (those at most two steps
+    above it), and k_lo at least two steps below min(u, 0), so the same
+    rules on the bound bound the fold edge.
+    """
+    stride = max(1, math.ceil(growth ** horizon))
+    grid_step = step / stride
+    margin = 2 * grid_step
+    top = loss_cells * step
+    held = u_values[u_values <= top + margin]
+    k_hi = math.ceil((max(top, held.max(initial=0.0)) + margin) / grid_step)
+    k_lo = math.floor((min(u_values.min(), 0.0) - margin) / grid_step)
+    return -(-(k_hi - math.floor(k_lo * growth) + 1) // stride)
 
 
 class _RecursionGrid:
@@ -288,12 +359,33 @@ class _Correlation:
         self.above_from = max(n_grid - t_lo, 0)
         self.above = np.cumsum(reversed_atoms[:reach])[max(t_lo - n_grid, 0):]
         self.n_grid = n_grid
+        self.kept, self.stride = pmf.mass[n_low:n_kept], stride  # a view: no copy
 
     def __call__(self, phi_prev):
         phi0 = phi_prev.copy()
         phi0[:self.n_negative] = 0.0
         corr = np.fft.irfft(np.fft.rfft(phi0, self.n_fft) * self.atoms_hat,
                             self.n_fft)[self.window]
+        return self._stretch(corr, phi_prev[self.n_negative])
+
+    def first_step(self):
+        """The step on phi_0 = 1, without a transform: output t of the
+        correlation sums the reversed atoms that read a grid cell at or above
+        capital 0, atoms t - n_grid + 1 .. t - n_negative, which is a
+        difference of two running sums."""
+        # the atoms' running sums: the zeros between atom cells add nothing
+        sums = np.repeat(np.cumsum(self.kept[::-1]), self.stride)
+        sums = sums[:len(sums) - self.stride + 1]
+        t_lo, n = self.window.start, self.window.stop - self.window.start
+        corr = _running(sums, t_lo - self.n_negative + 1, n)
+        corr -= _running(sums, t_lo - self.n_grid + 1, n)
+        return self._stretch(corr, 1.0)
+
+    def _stretch(self, corr, phi_zero):
+        """The step's output from the correlation on the stretch window, phi
+        at capital 0 being phi_zero: reads past the grid top and the far
+        atoms survive, then the stretch, the capital-zero cell and monotone
+        repair."""
         corr[self.above_from:] += self.above
         corr += self.far
         np.clip(corr, 0.0, 1.0, out=corr)
@@ -306,9 +398,21 @@ class _Correlation:
         np.subtract(corr[1:].take(self.lower), lower, out=inside)  # upper - lower node
         inside *= self.weights
         inside += lower
-        held = out[self.ruined_at] - self.ruined * phi_prev[self.n_negative]
+        held = out[self.ruined_at] - self.ruined * phi_zero
         out[self.ruined_at] = np.maximum(held, 0.0)
         return np.maximum.accumulate(out, out=out)
+
+
+def _running(sums: np.ndarray, start: int, n: int) -> np.ndarray:
+    """For i < n, the sum of the first clip(start + i, 0, S) of the S terms
+    whose running sums are ``sums``."""
+    out = np.empty(n)
+    zero = min(max(1 - start, 0), n)
+    full = min(max(len(sums) + 1 - start, zero), n)
+    out[:zero] = 0.0
+    out[zero:full] = sums[start + zero - 1:start + full - 1]
+    out[full:] = sums[-1]
+    return out
 
 
 def _on_grid(pmf, grid_step: float):
@@ -341,7 +445,9 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     collapses to one forward iteration, with the same result.
 
     Each step is one lattice correlation and one stretch interpolation
-    (``_Correlation``).  When the capital grid step divides the lattice step,
+    (``_Correlation``); the first step of every pass, on phi_0 = 1, takes
+    its correlation from running sums instead of a transform pair.  When
+    the capital grid step divides the lattice step,
     as the default step / ceil((1+r)^L) always does, the step equals the
     per-atom Stieltjes sum on the same grid.  On any other grid step each
     distinct PMF is first re-binned onto the grid once (``_on_grid``), its
@@ -363,7 +469,8 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     points (a fine step from a large (1+r)^L) raises ResourceLimitError.
     ``u_grid`` records the grid, and the diagnostics also give
     ``fft_points``: the longest circular length of a correlation step,
-    sized to the outputs its stretch reads.
+    sized to the outputs its stretch reads.  A grid_step that is not
+    positive and finite, or a tail_eps outside [0, 1), raises DomainError.
     """
     if r < 0:
         raise DomainError(f"interest rate must be >= 0, got {r}")
@@ -371,12 +478,13 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     horizon = len(pmfs)
     if horizon < 1:
         raise DomainError("need at least one interval PMF")
-    u_values = np.atleast_1d(np.asarray(u_values, dtype=float))
-    bad = u_values[~np.isfinite(u_values)]
-    if len(bad):
-        raise DomainError(f"initial capitals must be finite, got {bad[0]}")
+    u_values = _capitals(u_values)
     if grid_step is None:
         grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
+    elif not 0.0 < grid_step < math.inf:  # written so that NaN fails
+        raise DomainError(f"grid_step must be positive and finite, got {grid_step}")
+    if not 0.0 <= tail_eps < 1.0:
+        raise DomainError(f"tail_eps must lie in [0, 1), got {tail_eps}")
 
     on_grid = {id(p): _on_grid(p, grid_step) for p in pmfs}
     grid = _RecursionGrid(u_values, r, [pmf for pmf, _ in on_grid.values()], grid_step,
@@ -385,14 +493,16 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     identical = len(steps) == 1
 
     phi_rows = np.empty((horizon, len(u_values)))
-    phi_grid = np.ones_like(grid.points)
     for l in range(1, horizon + 1):
         # identical PMFs carry phi_{l-1} forward; otherwise each horizon runs
-        # its own backward pass, conditioning on the earliest interval last
-        if not identical:
-            phi_grid = np.ones_like(grid.points)
-        for pmf in pmfs[:1] if identical else pmfs[l - 1::-1]:
-            phi_grid = steps[id(pmf)](phi_grid)
+        # its own backward pass, conditioning on the earliest interval last.
+        # A pass starts on phi_0 = 1
+        if identical and l > 1:
+            phi_grid = steps[id(pmfs[0])](phi_grid)
+        else:
+            phi_grid = steps[id(pmfs[l - 1])].first_step()
+            for pmf in reversed(pmfs[:l - 1]):
+                phi_grid = steps[id(pmf)](phi_grid)
         phi_rows[l - 1] = np.interp(u_values, grid.points, phi_grid, left=0.0, right=1.0)
 
     return RuinResult(
@@ -407,6 +517,14 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
 # Orchestration: moments -> expansion -> discretization -> recursion
 # ----------------------------------------------------------------------
 
+def _capitals(u_values) -> np.ndarray:
+    u_values = np.atleast_1d(np.asarray(u_values, dtype=float))
+    bad = u_values[~np.isfinite(u_values)]
+    if len(bad):
+        raise DomainError(f"initial capitals must be finite, got {bad[0]}")
+    return u_values
+
+
 def interval_net_pmfs(config: ScenarioConfig):
     """Per-interval compound net-profit PMFs (the G_l inputs of the recursion).
 
@@ -414,7 +532,22 @@ def interval_net_pmfs(config: ScenarioConfig):
     distinct interval, the sanitized mass, the fee rounding (the lattice's
     mean fee minus the exact mean fee) and the compound stage's diagnostics
     (FFT window, aliasing bound, clipped negative mass and mean-identity
-    residual).
+    residual).  Every compound PMF holds its whole law.
+    """
+    return _net_pmfs(config, None)
+
+
+def _net_pmfs(config: ScenarioConfig, u_values):
+    """``interval_net_pmfs``; with capitals u_values, each compound PMF holds
+    only the atoms the recursion at those capitals reads.
+
+    Before any compound inversion, ``_loss_top_bound`` bounds the recursion
+    grid's loss top from the step laws and ``_window_top`` turns it into the
+    highest atom the correlation keeps; ``compound_geometric_pmf`` then
+    inverts only up to that atom when its read window is the shorter one,
+    lumping the mass above it on the next atom, which lands past the fold
+    and is read as survival, as every atom above the grid is.  The grid is
+    the one the whole PMFs give.
     """
     fin, num = config.financial, config.numerics
     horizon = fin.horizon_intervals
@@ -431,22 +564,32 @@ def interval_net_pmfs(config: ScenarioConfig):
     delta = num.lattice_step or (v_hi_all + float(fees.max())) / 2048.0
 
     mean_fee = float(np.dot(fees, fee_probs))
-    built = {}
+    zsteps = {}
     info = {"lattice_step": delta, "intervals": {}}
     for key, i in distinct.items():
         mv = revenue_moments(config, interval_index=i)
         v_lo, v_hi = config.income_support(i)
         density = income_pdf.sanitize(income_pdf.expand_density(mv, v_lo, v_hi))
         income = discretize_income(density, delta)
-        zstep = net_profit_step_pmf(income, fin)
-        compound_pmf = compound_geometric_pmf(zstep, fin.w_n_geometric, tail_eps=num.tail_eps)
+        zsteps[key] = net_profit_step_pmf(income, fin)
+        info["intervals"][i] = {"sanitized_mass": density.sanitized_mass,
+                                "fee_rounding": income.mean() - zsteps[key].mean() - mean_fee}
+    top = None
+    if u_values is not None:
+        growth = 1.0 + fin.interest_rate_per_interval
+        cells = _loss_top_bound(list(zsteps.values()), fin.w_n_geometric,
+                                growth ** -np.arange(1.0, horizon + 1), num.tail_eps)
+        if math.isfinite(cells):
+            top = _window_top(u_values, growth, horizon, delta, cells)
+    built = {}
+    for key, i in distinct.items():
+        compound_pmf = compound_geometric_pmf(zsteps[key], fin.w_n_geometric,
+                                              tail_eps=num.tail_eps, top=top)
         # drop negligible compound tails before the recursion: each dropped
         # side carries at most TRIM_MASS, so survival probabilities move by
         # at most horizon * TRIM_MASS
         built[key] = compound_pmf.trimmed(TRIM_MASS)
-        info["intervals"][i] = {"sanitized_mass": density.sanitized_mass,
-                                "fee_rounding": income.mean() - zstep.mean() - mean_fee,
-                                "compound": compound_pmf.diagnostics}
+        info["intervals"][i]["compound"] = compound_pmf.diagnostics
     return [built[key] for key in order], info
 
 
@@ -455,9 +598,11 @@ def run_pipeline(config: ScenarioConfig, u_values):
     expansion, discretization, compound distribution, then the survival
     recursion.
 
-    Returns (RuinResult, info) with info from ``interval_net_pmfs``.
+    Returns (RuinResult, info) with info from ``interval_net_pmfs``.  The
+    compound PMFs hold only the atoms the recursion reads (``_net_pmfs``).
     """
-    pmfs, info = interval_net_pmfs(config)
+    u_values = _capitals(u_values)
+    pmfs, info = _net_pmfs(config, u_values)
     result = survival_recursion(u_values, config.financial.interest_rate_per_interval,
                                 pmfs, tail_eps=config.numerics.tail_eps)
     return result, info

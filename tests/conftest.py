@@ -6,10 +6,13 @@ sets (moment comparison with clamps [0.1, 100]; ruin evaluation with clamps
 model throughout.
 """
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from microruin import compound, ruin
 from microruin.model import (
     DurationModel,
     FinancialParams,
@@ -64,6 +67,66 @@ def reference_with(overrides: dict) -> ScenarioConfig:
 def sweep_config(name: str) -> ScenarioConfig:
     """The default config with the overrides of one analytic sweep scenario."""
     return reference_with(SWEEP_SCENARIOS[name])
+
+
+def read_windows(cfg: ScenarioConfig, capitals) -> list[dict]:
+    """``run_pipeline`` at the capitals against the same recursion on whole
+    compound PMFs (``interval_net_pmfs``), one record per compound window.
+
+    Asserts that both give one grid and psi within horizon * 1e-9; the whole
+    laws are computed past ``compound.POINTS_BUDGET`` when only the read
+    windows fit it.  Each record holds the window's diagnostics, its length
+    with top=None, whether a window without a tilt equals the top=None PMF
+    bit for bit, and for a tilted one the L1 difference from the top=None
+    PMF over its atoms below the lumped one and the margin by which the
+    lumped atom lies past the last atom the recursion's correlation keeps
+    (``ruin._Correlation``).
+    """
+    calls = []
+    real = ruin.compound_geometric_pmf
+
+    def recorded(step, w_n, tail_eps=1e-12, top=None):
+        calls.append((step, w_n, tail_eps, top, real(step, w_n, tail_eps, top=top)))
+        return calls[-1][-1]
+
+    ruin.compound_geometric_pmf = recorded
+    try:
+        got, _ = ruin.run_pipeline(cfg, np.asarray(capitals, dtype=float))
+    finally:
+        ruin.compound_geometric_pmf = real
+    # the whole laws are the reference even where only a read window fits
+    # the points budget
+    budget = compound.POINTS_BUDGET
+    compound.POINTS_BUDGET = 4 * budget
+    try:
+        r, eps = cfg.financial.interest_rate_per_interval, cfg.numerics.tail_eps
+        whole = ruin.survival_recursion(capitals, r, ruin.interval_net_pmfs(cfg)[0],
+                                        tail_eps=eps)
+        fulls = [real(step, w_n, tail_eps) for step, w_n, tail_eps, _, _ in calls]
+    finally:
+        compound.POINTS_BUDGET = budget
+    assert got.u_grid == whole.u_grid
+    assert np.abs(got.psi - whole.psi).max() <= len(got.psi) * 1e-9
+    lo, grid_step, points = got.u_grid
+    k_lo = round(lo / grid_step)
+    fold = k_lo + points - 1 - math.floor(k_lo * (1.0 + r)) + 1
+    records = []
+    for (step, _, _, _, read), full in zip(calls, fulls):
+        record = {"diagnostics": read.diagnostics,
+                  "full_points": full.diagnostics["window_points"]}
+        if read.diagnostics["tilt"] == 0.0:
+            record["same"] = (read.min_index == full.min_index
+                              and np.array_equal(read.mass, full.mass))
+        else:
+            top = read.min_index + len(read.mass) - 2
+            start = max(read.min_index, full.min_index)
+            record["l1"] = float(np.abs(
+                read.mass[start - read.min_index:top + 1 - read.min_index]
+                - full.mass[start - full.min_index:top + 1 - full.min_index]).sum())
+            last_kept = -(-fold // round(step.step / grid_step))
+            record["past_fold"] = top + 1 - last_kept
+        records.append(record)
+    return records
 
 
 def point_mass_config(scale=2.0, tau=1):

@@ -41,20 +41,23 @@ def test_bench_analytic_writes_its_run(tmp_path):
     run = json.loads(path.read_text())["runs"]["smoke"]
     assert run["repeats"] == 1 and "reference" in run["scenarios"]
     # every stage is timed inside one pipeline call: a production function
-    # that is renamed or no longer called reads 0
+    # that is renamed is recorded as absent, and one no longer called reads 0
+    assert run["absent_targets"] == []
     for name, scenario in run["scenarios"].items():
         if "refused" in scenario:
             continue
         ms = scenario["median_ms"]
         assert all(v > 0 for v in ms.values()), (name, ms)
-        # chernoff_edges runs inside compound; each value is rounded to 1 us
+        # chernoff_edges runs inside compound and the loss bound; each value
+        # is rounded to 1 us
         outside = sum(v for k, v in ms.items() if k not in ("chernoff_edges", "pipeline"))
-        assert ms["chernoff_edges"] <= ms["compound"], (name, ms)
+        assert ms["chernoff_edges"] <= ms["compound"] + ms["loss_bound"] + 0.001, (name, ms)
         assert outside <= ms["pipeline"] + 0.0005 * len(ms), (name, ms)
-        # the Chernoff searches are counted: two window edges (one when the
-        # step PMF has no atom on one side) and the loss top, each at least
-        # one CGF call
-        assert len(scenario["cgf_per_search"]) in (2, 3), (name, scenario)
+        # the Chernoff searches are counted: the loss bound's lower edge, the
+        # two window edges (no upper one when the step PMF has no atom above
+        # 0) and the loss top, each at least one CGF call
+        assert len(scenario["cgf_per_search"]) in (3, 4), (name, scenario)
+        assert scenario["fft_calls"]["rfft"] > scenario["fft_calls"]["irfft"] > 0
         assert min(scenario["cgf_per_search"]) >= 1
         assert scenario["cgf_evaluations"] == sum(scenario["cgf_per_search"])
     assert run["cgf_evaluations"] == sum(s.get("cgf_evaluations", 0)

@@ -477,9 +477,9 @@ class TestPipelineCommands:
         assert rows[1][1] < 1.0
 
     @pytest.mark.parametrize("overrides,sha", [
-        ([], "558bb52c23b7abb2aaa92af708c8066b5b6836d34be58ef96bf83ddcc2dda8bf"),
+        ([], "2e45073665eb4c400f0833c9ec399fa08aef1ba26eba5e2d69d49cddb9522cf4"),
         (["--set", "durations.mean=2.0"],
-         "04bd88e322bfe7b4143a171998720b91cb394467ac32a828bc89fa4ed55cbb9e"),
+         "3c6776823ec9562a00a887191dcbc4e73c5d41b1b6023af9b13cece40c8a0389"),
     ], ids=["reference", "multi-slot"])
     def test_analytic_ruin_csv_bytes_pinned(self, tmp_path, overrides, sha):
         # the reference and multi-slot analytic outputs stay byte-identical
@@ -504,7 +504,7 @@ class TestPipelineCommands:
         (["reproduce-tables", "--which", "fig4", "--fast"], "fig4.csv",
          "112f6582c57defcda83682de832de182514a7d16cb5839b9d821953f329da2cc"),
         (["reproduce-tables", "--which", "tableIII", "--fast"], "tableIII.csv",
-         "b01882828e9a0c3065fad36e1bd78d10996ad11b33fed2cbaa80905c022ddb17"),
+         "c1fbd99e92ac57c33ac72e909798e3e34933256bea3b7f39a1a6d44511e62135"),
     ], ids=["moments", "mc_moments", "mc_revenue_cdf", "mc_ruin", "sweep", "fig4",
             "tableIII"])
     def test_csv_bytes_pinned_on_the_fast_config(self, tmp_path, fast_config_path, command,

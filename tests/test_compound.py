@@ -301,6 +301,49 @@ class TestCompoundGeometric:
         with pytest.raises(DomainError):
             compound_geometric_pmf(self.Z3, 0.0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 2.0, 1.0, math.nan])
+    def test_tail_eps_out_of_range_is_a_domain_error(self, eps):
+        # it raised a math domain error, ZeroDivisionError or, for NaN, a
+        # Chernoff search that "did not converge"
+        with pytest.raises(DomainError, match=r"tail_eps must lie in \(0, 1\), got"):
+            compound_geometric_pmf(self.Z3, 0.5, tail_eps=eps)
+
+    @pytest.mark.parametrize("top", [-1, 2.5, "3", None])
+    def test_window_top_must_be_a_nonnegative_index(self, top):
+        if top is None:
+            assert compound_geometric_pmf(self.Z3, 0.5).diagnostics["tilt"] == 0.0
+            return
+        with pytest.raises(DomainError, match="window top must be a nonnegative lattice index"):
+            compound_geometric_pmf(self.Z3, 0.5, top=top)
+
+    WIDE = LatticePMF(step=1.0, min_index=-3, mass=np.full(14, 1.0 / 14))  # mean +3.5
+
+    @pytest.mark.parametrize("top", [0, 5, 30, 120])
+    def test_read_window_matches_the_oracle_up_to_its_top(self, top):
+        # every atom up to top is the compound law's, and the rest of the
+        # mass sits on one atom at top + 1
+        ref = direct_compound(self.WIDE, 0.2, tail_eps=1e-13)
+        got = compound_geometric_pmf(self.WIDE, 0.2, tail_eps=1e-12, top=top)
+        whole = compound_geometric_pmf(self.WIDE, 0.2, tail_eps=1e-12)
+        diag = got.diagnostics
+        assert diag["tilt"] < 0.0 and diag["window_points"] < whole.diagnostics["window_points"]
+        assert max_index(got) == top + 1
+        assert sum(abs(mass_at(got, k) - mass_at(ref, k))
+                   for k in range(ref.min_index, top + 1)) <= 1e-11
+        assert mass_at(got, top + 1) == pytest.approx(1.0 - cdf_at(ref, top), abs=1e-11)
+        assert abs(diag["tilt"]) * top <= compound.UNTILT_EXPONENT
+        assert diag["aliasing_bound"] <= 2e-12
+        assert diag["mean_residual"] <= diag["mean_tolerance"]
+
+    def test_read_window_is_taken_only_when_shorter(self):
+        # a top at or past the upper edge, or one whose read window would be
+        # no shorter, keeps the whole window bit for bit
+        whole = compound_geometric_pmf(self.WIDE, 0.2)
+        for top in (whole.min_index + len(whole.mass) - 1, 10 ** 6):
+            got = compound_geometric_pmf(self.WIDE, 0.2, top=top)
+            assert got.min_index == whole.min_index and np.array_equal(got.mass, whole.mass)
+            assert got.diagnostics == whole.diagnostics
+
 
 def sweep_step_pmf(name: str):
     """A sweep scenario's net-profit step PMF of interval 1 and its config."""
@@ -329,8 +372,9 @@ class TestChernoffSearch:
 
     @pytest.mark.parametrize("name", ["reference", "pathloss-3", "fee-300", "w_n-0.05"])
     def test_bracket_only_shrinks(self, name, monkeypatch):
-        # the three searches of a solve (the two window edges of the compound
-        # PMF, then the recursion grid's loss top): once some theta has
+        # the four searches of a solve (the lower edge the loss bound takes
+        # its theta from, the two window edges of the compound PMF, then the
+        # recursion grid's loss top): once some theta has
         # h = theta K' - K + log eps >= 0, no later theta lies above it, and
         # no search takes more than 15 CGF evaluations
         searches = []
@@ -348,7 +392,7 @@ class TestChernoffSearch:
 
         monkeypatch.setattr(compound, "chernoff_min", recorded)
         ruin.run_pipeline(sweep_config(name), np.array([100.0, 200.0, 300.0]))
-        assert len(searches) == 3
+        assert len(searches) == 4
         for seen in searches:
             assert len(seen) <= 15, seen
             for i, (theta, _) in enumerate(seen):

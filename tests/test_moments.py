@@ -298,3 +298,15 @@ def test_profile_on_the_rule_nodes_equals_the_scalar_route_bit_for_bit(name):
                                                             net.alpha_pathloss)
                     for ui in u.tolist()]
             assert profile.tolist() == want
+
+
+@pytest.mark.parametrize("name", ["reference", "two-operators", "multi-slot"])
+def test_one_2f1_call_per_solve(name, monkeypatch):
+    # both clamp points and the level-0 and level-1 nodes of every product
+    # share one call; the rule converges at level 1 on these scenarios
+    calls = []
+    gauss_2f1 = moments.specfun.gauss_2f1
+    monkeypatch.setattr(moments.specfun, "gauss_2f1",
+                        lambda *args: calls.append(1) or gauss_2f1(*args))
+    moments.revenue_moments(sweep_config(name))
+    assert len(calls) == 1

@@ -12,7 +12,13 @@ from scipy import fft as sp_fft
 from microruin import compound, moments, ruin, specfun
 from microruin.compound import LatticePMF
 from microruin.errors import DomainError, ResourceLimitError
-from tests.conftest import SWEEP_SCENARIOS, make_config, reference_with, sweep_config
+from tests.conftest import (
+    SWEEP_SCENARIOS,
+    make_config,
+    read_windows,
+    reference_with,
+    sweep_config,
+)
 from tests.oracles import atom_recursion, cdf_below, golden_loss_top, max_index
 
 
@@ -341,6 +347,34 @@ class TestSurvivalRecursion:
         with pytest.raises(DomainError):
             ruin.survival_recursion(np.array([0.0]), 0.05, [])
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"grid_step": 0.0}, "grid_step must be positive and finite, got 0.0"),
+        ({"grid_step": -1.0}, "grid_step must be positive and finite, got -1.0"),
+        ({"grid_step": math.nan}, "grid_step must be positive and finite, got nan"),
+        ({"grid_step": math.inf}, "grid_step must be positive and finite, got inf"),
+        ({"tail_eps": math.nan}, r"tail_eps must lie in \[0, 1\), got nan"),
+        ({"tail_eps": -1e-12}, r"tail_eps must lie in \[0, 1\), got -1e-12"),
+        ({"tail_eps": 1.0}, r"tail_eps must lie in \[0, 1\), got 1.0"),
+    ], ids=["step-0", "step-neg", "step-nan", "step-inf", "eps-nan", "eps-neg", "eps-1"])
+    def test_accuracy_arguments_out_of_range_are_domain_errors(self, kw, match):
+        # they raised ZeroDivisionError or ValueError from deep inside
+        with pytest.raises(DomainError, match=match):
+            ruin.survival_recursion(np.array([0.0, 1.0]), 0.05, [Z5] * 2, **kw)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 5])
+    def test_each_pass_takes_its_first_step_without_a_transform(self, horizon, monkeypatch):
+        # an identical-PMF solve runs one transform pair per horizon but the
+        # first; a backward pass of l steps runs l - 1
+        calls = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+        us = np.array([0.0, 1.0, 3.0])
+        ruin.survival_recursion(us, 0.05, [Z5] * horizon)
+        assert len(calls) == horizon - 1
+        calls.clear()
+        ruin.survival_recursion(us, 0.05, [SKEWED] + [Z5] * (horizon - 1))
+        assert len(calls) == (horizon - 1) * horizon // 2
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_capital_is_a_domain_error(self, bad):
         with pytest.raises(DomainError, match=f"finite, got {bad}"):
@@ -512,14 +546,14 @@ class TestOnGrid:
                 assert abs(on_grid.mass.sum() - pmf.mass.sum()) <= 1e-12
                 assert abs(on_grid.mean() - pmf.mean()) <= 1e-12
 
-    # sha256 of psi's float64 bytes from the correlation step before
-    # off-grid PMFs were re-binned: dividing grid steps keep their bytes
+    # sha256 of psi's float64 bytes from the correlation step, each pass's
+    # first step taken from running sums: dividing grid steps keep their bytes
     PINNED = [
-        ([Z5] * 3, 0.05, 0.2, "c1655d0b429e31fa871b80b7a3b67e2dd3ff8153da5ac33b7986c0b768f31a17"),
-        ([Z5] * 3, 0.05, 0.1, "887e15a2eb273af2ad83c29cc34d37da3a35ec15f22f774078210210f6301d3b"),
+        ([Z5] * 3, 0.05, 0.2, "520ef41f5ed69cad2d463d081b13c37a10d7e92f6b95d450ff7bd88cb2cc5afd"),
+        ([Z5] * 3, 0.05, 0.1, "2c3ce24a0563ecfa4c5a768aca3929388eb9b448d4ae0b92bf32dd0468771563"),
         ([TestCapitalGrid.LOSS, TestCapitalGrid.GAIN, Z5], 0.3, 0.25,
-         "b89149c354e71c611dba21620facf76982dd95cec0b824d7b8223652d4b33a47"),
-        ([Z5] * 4, 0.0, 1.0, "39603bef8a2b2e75a60ecb9d4c18e96bfc9857cbae329e65455e1641ad842040"),
+         "8f42fc1dc2290b4b11636e1c4f188c82f65311e621736bc23a3f8e6d73ed707a"),
+        ([Z5] * 4, 0.0, 1.0, "d8e582c2711fac52c2b00d191f4e5d849621379442adca2aa67b704f276f86e1"),
     ]
 
     @pytest.mark.parametrize("pmfs, r, grid_step, sha", PINNED,
@@ -672,3 +706,59 @@ def test_correlation_window_matches_full_linear_correlation(name):
     phi = corr(np.ones_like(grid.points))
     want = convolve_step(grid, pmfs[0], stride, phi)
     assert np.abs(corr(phi) - want).max() <= 1e-14
+
+
+def correlations(cfg, us):
+    """The recursion's grid and one ``_Correlation`` per distinct interval PMF
+    of ``run_pipeline(cfg, us)``, built as ``survival_recursion`` builds them."""
+    pmfs, _ = ruin._net_pmfs(cfg, us)
+    r, horizon = cfg.financial.interest_rate_per_interval, len(pmfs)
+    grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
+    on_grid = {id(p): ruin._on_grid(p, grid_step) for p in pmfs}
+    grid = ruin._RecursionGrid(us, r, [p for p, _ in on_grid.values()], grid_step, horizon,
+                               cfg.numerics.tail_eps)
+    return grid, [ruin._Correlation(grid, p, stride) for p, stride in on_grid.values()]
+
+
+TRUNCATED_MULTI_SLOT = {**SWEEP_SCENARIOS["multi-slot"],
+                        "numerics": {"truncate_durations_to_interval": True}}
+
+
+@pytest.mark.parametrize("overrides", list(SWEEP_SCENARIOS.values()) + [TRUNCATED_MULTI_SLOT],
+                         ids=list(SWEEP_SCENARIOS) + ["multi-slot-truncated"])
+def test_first_step_equals_the_transform_step_on_ones(overrides):
+    us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
+    grid, steps = correlations(reference_with(overrides), us)
+    if overrides is TRUNCATED_MULTI_SLOT:
+        assert len(steps) > 1  # the solve runs backward passes
+    for step in steps:
+        want = step(np.ones(len(grid.points)))
+        assert np.abs(step.first_step() - want).max() <= 1e-14
+
+
+TILTED = [name for name in SWEEP_SCENARIOS if name not in ("fee-300", "clamps-0.1-100")]
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SCENARIOS))
+def test_read_window_matches_the_whole_compound_law(name):
+    # the compound window ends where the recursion reads: the grid and psi
+    # stay (``read_windows``), the atoms it keeps match the whole law's,
+    # its lumped atom lies past the fold, and the window is shorter on the
+    # nine scenarios whose read range is a small part of the law
+    cfg = sweep_config(name)
+    for record in read_windows(cfg, np.array([100.0, 150.0, 200.0, 250.0, 300.0])):
+        diag = record["diagnostics"]
+        assert diag["aliasing_bound"] <= 2 * cfg.numerics.tail_eps
+        assert diag["mean_residual"] <= diag["mean_tolerance"]
+        if name in TILTED:
+            assert diag["tilt"] < 0.0 and diag["window_points"] < record["full_points"]
+            assert record["l1"] <= 1e-10 and record["past_fold"] >= 1
+        else:
+            assert diag["tilt"] == 0.0 and record["same"]
+
+
+def test_a_window_top_past_the_upper_edge_keeps_the_whole_window():
+    # the fold edge bound widens with the lowest capital: far below zero it
+    # passes the upper Chernoff edge, and the window is the whole law's
+    for record in read_windows(sweep_config("reference"), np.array([-1e5, 100.0])):
+        assert record["diagnostics"]["tilt"] == 0.0 and record["same"]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from microruin import MicroruinError, cli, model, ruin
+from tests.conftest import read_windows
 
 SEED = 1
 DRAWS = 40
@@ -90,3 +91,22 @@ def test_a_draw_through_the_command_line_exits_zero_two_or_three(draw, tmp_path)
     code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "ruin",
                      "--no-mc", "--u", ",".join(f"{u:g}" for u in CAPITALS)])
     assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("draw", range(DRAWS))
+def test_a_read_window_keeps_the_grid_and_the_atoms_it_reads(draw):
+    # every solved draw, draws 24 and 32 included, which only the read
+    # windows fit in the points budget: one grid and psi within horizon *
+    # 1e-9 of the whole compound laws (``read_windows``); a tilted window's
+    # atoms match the whole law's, and its lumped atom lies past the fold
+    cfg = model.validate(model.ScenarioConfig.from_dict(DOCUMENTS[draw]))
+    try:
+        records = read_windows(cfg, np.array(CAPITALS))
+    except MicroruinError:
+        return
+    for record in records:
+        assert record["diagnostics"]["aliasing_bound"] <= 2 * cfg.numerics.tail_eps
+        if record["diagnostics"]["tilt"] == 0.0:
+            assert record["same"]
+        else:
+            assert record["l1"] <= 1e-10 and record["past_fold"] >= 1
