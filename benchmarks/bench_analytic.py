@@ -16,26 +16,29 @@ summed over their calls.  Per scenario, median over --repeats runs, in ms:
 * ``moments``: ``revenue_moments``;
 * ``income``: density expansion, sanitizing, lattice discretization and the
   fee convolution, up to the net-profit step PMF;
-* ``chernoff_edges``: the Chernoff window edges of the compound stage and
-  the lower edge the loss bound takes its theta from;
+* ``chernoff_edges``: the Chernoff searches for the window edges of each
+  step law (``compound._chernoff_edge``), found once per solve: the loss
+  bound reads the lower edge's theta and the compound stage inverts on both;
 * ``loss_bound``: the closed-form bound on the loss top that sizes the
-  compound windows (``ruin._loss_top_bound``, its lower edge included);
-* ``compound``: ``compound_geometric_pmf`` as a whole (edges included);
+  compound windows (``ruin._loss_top_bound``);
+* ``compound``: ``compound_geometric_pmf`` on those edges;
 * ``loss_top``: the Chernoff top of the recursion grid;
 * ``correlation_setup``: the recursion's correlation operators (atom spectra);
 * ``steps``: the recursion steps on those operators;
 * ``pipeline``: ``run_pipeline`` end to end.
 
-Every stage but ``chernoff_edges`` runs outside the others, so they add up
-to no more than ``pipeline``.  The sizes that decide the FFT work (compound
-window, recursion grid and correlation FFT length) are recorded with the
-times, and so are the calls of ``np.fft.rfft`` and ``np.fft.irfft`` in one
-pipeline run, counted by wrapping both here, and the work of the Chernoff
-searches: the CGF evaluations of each search in solve order (on a tree with
-the loss bound, its lower edge first; then the compound window's upper and
-lower edge, then the recursion grid's loss top), counted by wrapping the
-CGF each search is handed.  Scenarios a tree refuses (AccuracyError,
-ResourceLimitError) are recorded as refused.
+Every stage runs outside the others, so they add up to no more than
+``pipeline``.  (On older trees the compound stage and the loss bound
+searched their own edges, and ``chernoff_edges`` ran inside them.)  The
+sizes that decide the FFT work (compound window, recursion grid and
+correlation FFT length) are recorded with the times, and so are the calls of
+``np.fft.rfft`` and ``np.fft.irfft`` in one pipeline run, counted by
+wrapping both here, and the work of the Chernoff searches: the CGF
+evaluations of each search in solve order (the upper and lower window edge
+of each distinct step law, then the recursion grid's loss top; an older
+tree searched the loss bound's lower edge first, apart), counted by
+wrapping the CGF each search is handed.  Scenarios a tree refuses
+(AccuracyError, ResourceLimitError) are recorded as refused.
 """
 
 from __future__ import annotations

@@ -230,12 +230,13 @@ def _cmd_income_pdf(args, cfg, manifest):
 
 def _pipeline_accuracy(info) -> dict:
     """The lattice step, the largest sanitized mass and fee rounding over the
-    intervals, and per distinct interval the compound stage's diagnostics."""
+    intervals, and per distinct interval the compound diagnostics and trim."""
     intervals = info["intervals"].values()
     return {"lattice_step": info["lattice_step"],
             "sanitized_mass": max(v["sanitized_mass"] for v in intervals),
             "fee_rounding": max((v["fee_rounding"] for v in intervals), key=abs),
-            "compound": {str(i): v["compound"] for i, v in info["intervals"].items()}}
+            "compound": {str(i): v["compound"] for i, v in info["intervals"].items()},
+            "trimmed_mass": {str(i): v["trimmed_mass"] for i, v in info["intervals"].items()}}
 
 
 def _cmd_compound(args, cfg, manifest):
@@ -270,7 +271,8 @@ def _cmd_ruin(args, cfg, manifest):
     manifest.tolerances_achieved.update(_pipeline_accuracy(info))
     manifest.tolerances_achieved["ruin_grid"] = {
         "grid_points": points, "grid_lo": lo,
-        "grid_hi": (round(lo / step) + points - 1) * step, **result.diagnostics}
+        "grid_hi": (round(lo / step) + points - 1) * step, **result.diagnostics,
+        "trim_bound": info["trim_bound"]}
     print(", ".join(f"psi_{l}({u:g})={psi:.4f}"
                     for l, u, psi in _psi_rows(us, result.psi)[-len(us):]))
 

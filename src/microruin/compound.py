@@ -31,8 +31,9 @@ the bound ``aliasing_bound`` records includes every further wrap.  The
 untilt multiplies the transform's roundoff by up to e^(|theta| top), so n
 is also at least |log tail_eps| top / ``UNTILT_EXPONENT``.  The rest of the
 mass, 1 - sum(window), is one atom at top + 1.  A read window is taken only
-when it is shorter than the whole one, and its inversion is checked against
-the tilted law's mean K_S'(theta), since the whole mean is out of reach.
+when it is shorter than the whole one.  Either window's inversion is
+checked against the tilted law's mean K_S'(theta), at theta = 0 the mean
+identity, and its total mass against 1.
 
 The literal sum of geometric-weighted convolution powers and the
 least-squares solve of the identity are the independent oracles of the PMF,
@@ -59,7 +60,8 @@ __all__ = [
     "net_profit_step_pmf",
     "CompoundPMF",
     "compound_geometric_pmf",
-    "lower_edge",
+    "WindowEdges",
+    "window_edges",
 ]
 
 POINTS_BUDGET = 1_000_000  # lattice points of one income law and one compound window
@@ -176,11 +178,6 @@ def net_profit_step_pmf(income: LatticePMF, fin: FinancialParams) -> LatticePMF:
     fee_mass = np.bincount(indices - lo, weights=probs)
     return LatticePMF(step=income.step, min_index=income.min_index + lo,
                       mass=np.convolve(income.mass, fee_mass))
-
-
-def _geometric_truncation(w_n: float, tail_eps: float) -> int:
-    """Smallest U with residual geometric tail (1-w)^(U+1) < tail_eps, 0 < w < 1."""
-    return max(0, math.ceil(math.log(tail_eps) / math.log1p(-w_n)) - 1)
 
 
 CHERNOFF_STEPS = 64  # iteration cap of the Chernoff searches
@@ -309,18 +306,6 @@ def _chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float, log_eps: floa
     return tail.edge(log_eps), tail
 
 
-def lower_edge(step: LatticePMF, w_n: float, tail_eps: float) -> tuple[int, float]:
-    """(edge, theta) of the lower window edge of S = sum_{j<=N} Z_j, Z ~ ``step``:
-    Pr(S < -edge) <= tail_eps by the Chernoff bound at theta (per lattice
-    index) on the losses -S, the theta of ``compound_geometric_pmf``'s lower
-    edge.  (0, 0.0) when Z has no atom below 0."""
-    _check_tail_eps(tail_eps)
-    positive = step.mass > 0.0
-    edge, tail = _chernoff_edge(-step.indices()[positive], np.log(step.mass[positive]), w_n,
-                                math.log(tail_eps))
-    return edge, tail.theta
-
-
 @dataclass(frozen=True)
 class CompoundPMF(LatticePMF):
     """A compound PMF with the accuracy its FFT window used.
@@ -337,68 +322,96 @@ class CompoundPMF(LatticePMF):
 UNTILT_EXPONENT = 10.0  # largest |theta| * top of a read window (roundoff gain e^10)
 
 
-def _check_tail_eps(tail_eps) -> None:
+@dataclass(frozen=True)
+class WindowEdges:
+    """The Chernoff window [lo, hi] of S = sum_{j<=N} Z_j for one step law Z:
+    Pr(S > hi) <= upper(hi) and Pr(S < lo) <= lower(-lo), each at most
+    tail_eps.  ``idx`` and ``log_p`` are Z's atoms with mass: their lattice
+    indices and log masses."""
+
+    idx: np.ndarray
+    log_p: np.ndarray
+    hi: int
+    upper: _Tail
+    lo: int
+    lower: _Tail
+
+
+def window_edges(step: LatticePMF, w_n: float, tail_eps: float) -> WindowEdges:
+    """The window edges of the compound sum of ``step``, one Chernoff search
+    on S and one on the losses -S (``_chernoff_edge``).  A solve finds them
+    once: ``compound_geometric_pmf`` inverts on them, and the ruin recursion
+    reads the lower edge's theta to size its windows first."""
+    if not 0.0 < w_n < 1.0:
+        raise DomainError(f"geometric parameter must lie in (0, 1), got {w_n}")
     if not 0.0 < tail_eps < 1.0:  # written so that NaN fails
         raise DomainError(f"tail_eps must lie in (0, 1), got {tail_eps}")
+    positive = step.mass > 0.0
+    idx = step.indices()[positive]
+    log_p = np.log(step.mass[positive])
+    log_eps = math.log(tail_eps)
+    hi, upper = _chernoff_edge(idx, log_p, w_n, log_eps)
+    loss_edge, lower = _chernoff_edge(-idx, log_p, w_n, log_eps)
+    return WindowEdges(idx, log_p, hi, upper, -loss_edge, lower)
 
 
 def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
-                           top: int | None = None) -> CompoundPMF:
+                           top: int | None = None,
+                           edges: WindowEdges | None = None) -> CompoundPMF:
     """PMF of S = sum_{j=1}^N Z_j with N geometric (Pr(N=0) = w_n, 0 < w_n < 1).
 
     The PGF closed form is inverted with a real FFT on the window
     [lo, hi] that holds all but at most ``tail_eps`` of the mass on each side
-    (Chernoff bounds on the exact lattice MGF), so wrap-around moves at most
-    2 ``tail_eps``.  Mass at the origin is at least w_n.  The mean identity
-    E[S] = (1-w)/w * E[Z] is checked on every call.
+    (``window_edges``, which validates w_n and tail_eps; ``edges`` when the
+    caller has found them for this law already), so wrap-around moves at
+    most 2 ``tail_eps``.  Mass at the origin is at least w_n.
 
     With ``top`` below hi, a caller that reads no atom above ``top`` gets
-    the read window [lo', top] instead whenever it is shorter: the PGF is
-    inverted at e^theta z, theta = log(tail_eps) / n < 0, and the result
-    untilted by e^(-theta k).  Every atom is exact but for at most
-    ``aliasing_bound`` <= 2 ``tail_eps``, and the rest of the mass,
-    1 - sum(window), sits on one atom at top + 1.  The checked identity is
-    then the tilted law's mean, K_S'(theta).  A window over
-    ``POINTS_BUDGET`` points raises ResourceLimitError.
+    the tilted read window [lo', top] (module docstring) instead whenever it
+    is shorter: every atom is exact but for at most ``aliasing_bound`` <= 2
+    ``tail_eps``, and the rest of the mass sits on one atom at top + 1.
+
+    Both windows are checked the same way: the inverted masses' mean
+    against the tilted law's mean K_S'(theta), which at theta = 0 is the
+    mean identity E[S] = (1-w)/w E[Z], and their total against 1 (a read
+    window's may fall short by the lumped mass).  A whole window is then
+    renormalized.  A window over ``POINTS_BUDGET`` points raises
+    ResourceLimitError.
     """
-    if not (0.0 < w_n < 1.0):
-        raise DomainError(f"geometric parameter must lie in (0, 1), got {w_n}")
-    _check_tail_eps(tail_eps)
     if top is not None and not (isinstance(top, numbers.Integral) and top >= 0):
         raise DomainError(f"window top must be a nonnegative lattice index, got {top!r}")
-    positive = step.mass > 0.0
-    indices = step.indices()
-    idx = indices[positive]
-    log_p = np.log(step.mass[positive])
+    if edges is None:
+        edges = window_edges(step, w_n, tail_eps)
+    upper, lower = edges.upper, edges.lower
     log_eps = math.log(tail_eps)
-    hi, bound_hi = _chernoff_edge(idx, log_p, w_n, log_eps)
-    neg_lo, bound_lo = _chernoff_edge(-idx, log_p, w_n, log_eps)
-    lo = -neg_lo
-    n = n_full = specfun.next_fast_len(hi - lo + 1)
-    theta = 0.0
-    if top is not None and top < hi:
+    lo = edges.lo
+    n = n_full = specfun.next_fast_len(edges.hi - lo + 1)
+    # K_S and K_S' at theta <= 0: the losses' CGF at -theta
+    losses = _step_cgf(-edges.idx, edges.log_p, w_n)
+    theta, at_read = 0.0, None
+    if top is not None and top < edges.hi:
         # the read window keeps the lower tail down to tail_eps^2 (the lower
         # edge's theta bounds it too), and is long enough that the untilt
         # multiplies roundoff by at most e^UNTILT_EXPONENT
-        n_read = specfun.next_fast_len(max(top + bound_lo.edge(2.0 * log_eps) + 1,
+        n_read = specfun.next_fast_len(max(top + lower.edge(2.0 * log_eps) + 1,
                                            math.ceil(-log_eps * top / UNTILT_EXPONENT)))
         if n_read < n:
-            # K_S, K_S' at theta < 0: the losses' CGF at -theta
-            k_tilt, k1_tilt, _ = _step_cgf(-idx, log_p, w_n)(-log_eps / n_read)
-            if math.isfinite(k_tilt):
+            at_read = losses(-log_eps / n_read)
+            if math.isfinite(at_read[0]):
                 n, theta, lo = n_read, log_eps / n_read, top + 1 - n_read
     if n > POINTS_BUDGET:
         shrink = POINTS_BUDGET / n_full
-        achieved = (bound_hi(math.floor(hi * shrink))
-                    + bound_lo(math.floor(neg_lo * shrink)))
+        achieved = upper(math.floor(edges.hi * shrink)) + lower(math.floor(-edges.lo * shrink))
         raise ResourceLimitError(
             f"compound support needs {n} points (budget {POINTS_BUDGET}); "
             f"achievable tail mass {achieved:.3g} > requested {tail_eps:.3g}")
     hi = lo + n - 1  # fast-length padding widens the upper side (a read window's lower)
+    k_s, k1_losses, _ = at_read if theta else losses(0.0)
 
     # the window is one period: Z's atoms wrap onto it, and the inverse
     # transform of the PGF is the compound PMF folded modulo n (tilted by
     # e^(theta k) with Z's atoms)
+    indices = step.indices()
     weights = step.mass * np.exp(theta * indices) if theta else step.mass
     z_folded = np.bincount(indices % n, weights=weights, minlength=n)
     s_hat = np.fft.rfft(z_folded)  # then w / (1 - (1-w) z_hat), in place
@@ -406,80 +419,54 @@ def compound_geometric_pmf(step: LatticePMF, w_n: float, tail_eps: float = 1e-12
     np.subtract(1.0, s_hat, out=s_hat)
     np.divide(w_n, s_hat, out=s_hat)
     mass = np.roll(np.fft.irfft(s_hat, n), -lo)
+
+    # the tilted mass the wrap-around moves by n cells, from above hi and
+    # from below lo, bounds what it does to the tilted mean
+    k = np.arange(lo, hi + 1, dtype=float)
+    mean_got = float((k * mass).sum() / mass.sum())  # no BLAS dot, as in ``mean``
+    moved = (math.exp(theta * (hi + 1) - k_s) * min(1.0, upper(hi))
+             + math.exp(theta * lo + lower.theta - k_s) * lower(-lo))
+    tol = max(1e-8 * abs(k1_losses), 4.0 * tail_eps * n, 2.0 * n * moved)
+    if not abs(mean_got + k1_losses) <= tol:
+        raise AccuracyError("compound mean K_S'(theta) violated",
+                            {"expected": -k1_losses, "got": mean_got, "tol": tol})
     if theta:
-        # the tilted mass the wrap-around moves by n cells, from above top and
-        # from below lo, bounds what it does to the tilted mean
-        moved = (math.exp(theta * (hi + 1) - k_tilt) * min(1.0, bound_hi(hi))
-                 + math.exp(theta * lo + bound_lo.theta - k_tilt) * bound_lo(-lo))
-        tol = max(1e-8 * abs(k1_tilt), 4.0 * tail_eps * n, 2.0 * n * moved)
-        return _untilted(mass, step.step, lo, theta, -k1_tilt, tol, tail_eps,
-                         aliasing=(tail_eps * min(1.0, bound_hi(hi))
-                                   + _wrapped_below(bound_lo, lo, n, log_eps)))
+        k *= -theta
+        mass *= np.exp(k, out=k)
     clipped = abs(float(mass[mass < 0.0].sum()))
     np.maximum(mass, 0.0, out=mass)
-
     total = mass.sum()
-    if abs(total - 1.0) > max(10 * tail_eps, 1e-9):
+    # a read window lumps the mass above it on one atom: only an excess is a defect
+    defect = total - 1.0 if theta else abs(total - 1.0)
+    if not defect <= max(10 * tail_eps, 1e-9):
         raise AccuracyError("compound PMF mass defect beyond the truncation budget",
                             {"total": total, "tail_eps": tail_eps})
-    mass /= total
-    out = CompoundPMF(step=step.step, min_index=lo, mass=mass)
-    # mean identity E[S] = E[N] (E[income] - E[fee])
-    mean_expected = (1.0 - w_n) / w_n * step.mean()
-    mean_got = out.mean()
-    n_terms = _geometric_truncation(w_n, tail_eps)
-    span = (abs(step.values()).max() + 1.0) * max(n_terms, 1)
-    tol = max(1e-8 * abs(mean_expected), 4.0 * tail_eps * span, 1e-12)
-    if abs(mean_got - mean_expected) > tol:
-        raise AccuracyError("compound mean identity violated",
-                            {"expected": mean_expected, "got": mean_got, "tol": tol})
-    out.diagnostics.update({
+    if theta:
+        rest = 1.0 - total
+        mass = np.append(mass, max(rest, 0.0)) / max(1.0 - rest, 1.0)
+    else:
+        mass /= total
+    gain = math.exp(-theta * n)  # the weight of one period below lo, e^(-theta n)
+    return CompoundPMF(step=step.step, min_index=lo, mass=mass, diagnostics={
         "window_points": n,
-        "tilt": 0.0,
-        "aliasing_bound": bound_hi(hi) + bound_lo(neg_lo),
-        "clipped_mass": clipped,
-        "mean_residual": abs(mean_got - mean_expected),
-        "mean_tolerance": tol,
-    })
-    return out
-
-
-def _wrapped_below(bound_lo: _Tail, lo: int, n: int, log_eps: float) -> float:
-    """Mass the read window's wrap-around moves up from below lo: an atom
-    j periods below lands with weight e^(-theta j n) = tail_eps^-j, and
-    Pr(S < lo - (j-1) n) <= bound_lo(-lo) rho^(j-1), rho = e^(-theta_lo n)."""
-    if not bound_lo.theta:  # no atom below 0
-        return 0.0
-    ratio = math.exp(-bound_lo.theta * n - log_eps)
-    return bound_lo(-lo) / math.exp(log_eps) / (1.0 - ratio) if ratio < 1.0 else math.inf
-
-
-def _untilted(tilted: np.ndarray, step: float, lo: int, theta: float, mean_expected: float,
-              tol: float, tail_eps: float, aliasing: float) -> CompoundPMF:
-    """The read window's PMF from its tilted masses on lo..top, with the rest
-    of the mass on one atom at top + 1 (``compound_geometric_pmf``); the
-    tilted masses' mean must lie within tol of K_S'(theta)."""
-    k = np.arange(lo, lo + len(tilted), dtype=float)
-    mean_got = float((k * tilted).sum() / tilted.sum())  # no BLAS dot, as in ``mean``
-    if not abs(mean_got - mean_expected) <= tol:
-        raise AccuracyError("compound tilted mean K'(theta) violated",
-                            {"expected": mean_expected, "got": mean_got, "tol": tol})
-    k *= -theta
-    mass = tilted * np.exp(k, out=k)
-    clipped = abs(float(mass[mass < 0.0].sum()))
-    np.maximum(mass, 0.0, out=mass)
-    rest = 1.0 - mass.sum()
-    if rest < -max(10 * tail_eps, 1e-9):
-        raise AccuracyError("compound PMF mass defect beyond the truncation budget",
-                            {"total": 1.0 - rest, "tail_eps": tail_eps})
-    out = CompoundPMF(step=step, min_index=lo,
-                      mass=np.append(mass, max(rest, 0.0)) / max(1.0 - rest, 1.0))
-    out.diagnostics.update({
-        "window_points": len(tilted),
         "tilt": theta,
-        "aliasing_bound": aliasing,
+        "aliasing_bound": min(1.0, upper(hi)) / gain + _wrapped_below(lower, lo, n, gain),
         "clipped_mass": clipped,
-        "mean_residual": abs(mean_got - mean_expected),
+        "mean_residual": abs(mean_got + k1_losses),
         "mean_tolerance": tol,
     })
-    return out
+
+
+def _wrapped_below(lower: _Tail, lo: int, n: int, gain: float) -> float:
+    """Mass the wrap-around moves up from below lo, an atom j periods below
+    landing with weight gain^j, gain = e^(-theta n) (1 on a whole window).
+    With T_j = Pr(S < lo - (j-1) n) <= lower(-lo) rho^(j-1), rho =
+    e^(-theta_lo n), the sum of gain^j (T_j - T_(j+1)) is at most
+    gain lower(-lo) (1 + (gain - 1) rho / (1 - gain rho)).  (From above hi
+    the weights fall as gain^-j: at most Pr(S > hi) / gain moves down.)"""
+    if not lower.theta:  # no atom below 0
+        return 0.0
+    rho = math.exp(-lower.theta * n)
+    if not gain * rho < 1.0:
+        return math.inf
+    return gain * lower(-lo) * (1.0 + (gain - 1.0) * rho / (1.0 - gain * rho))

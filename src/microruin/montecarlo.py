@@ -38,8 +38,8 @@ transform assumes.
 
 Each batch borrows a workspace from an idle list and returns it afterwards:
 its per-slot arrays (distances, fading, spans, the counts that become point
-offsets, far fields, which hold the count uniforms first, and a multi-slot
-batch's rate gaps) and its chunk
+offsets, far fields, which hold the count uniforms first, and the rate
+gaps of a multi-slot batch under a multi-value product law) and its chunk
 buffers (positions, marks, slot indices, the count search's flags and
 level counters) keep their pages from one batch to the next, and at most
 one workspace per batch thread outlives a call.  The revenues of one
@@ -438,9 +438,9 @@ def _revenue_batch(config: ScenarioConfig, plan: Numerics, path, n: int,
             user_of_slot = np.repeat(np.arange(n), taus)
             t_slot = np.take(t_user, user_of_slot, mode="clip",
                              out=ws.take("t", len(user_of_slot)))
-            # a one-value product law gave every user the same gap
-            gaps = np.take(np.broadcast_to(gaps, n), user_of_slot, mode="clip",
-                           out=ws.take("gaps", len(user_of_slot)))
+            if np.ndim(gaps):  # a one-value product law gave every slot one gap
+                gaps = np.take(gaps, user_of_slot, mode="clip",
+                               out=ws.take("gaps", len(user_of_slot)))
         n_slots = len(t_slot)
         h = rng.standard_exponential(out=ws.take("h", n_slots))
         span = np.subtract(edge, t_slot, out=ws.take("span", n_slots))

@@ -20,17 +20,13 @@ Net profits live on a lattice, so each step is a finite sum over atoms;
 survival values between capital-grid points are filled by monotone linear
 interpolation (exact when r = 0 and the grid is lattice-aligned), and atoms
 off the capital grid are first split between their two grid nodes.  The
-capital grid covers only where phi can change and is read: it starts just
-below min(u, 0), since the survival indicator zeroes every negative capital,
-and it stops at the smallest of the worst-case discounted loss (past it
-survival is certain), a Chernoff bound on the discounted losses (past it
-ruin has probability at most ``tail_eps`` over every horizon) and the
-highest capital read on the way to the requested ones.  Reads below the grid
-are ruin and reads above it survival, so the top moves psi by at most
-horizon * ``tail_eps``.  Capitals below -max(y)^+ / (1+r), where no atom
-survives the first step, and above the loss top are answered without the
-grid, so the grid's size depends on the PMFs and not on how far out the
-requested capitals lie.
+capital grid (``_RecursionGrid``, whose code holds every rule of its
+geometry) covers only where phi can change and is read: from just below
+min(u, 0) to the lowest of the worst-case discounted loss, a Chernoff bound
+on the discounted losses and the highest capital read on the way to the
+requested ones.  Reads below it are ruin and reads above it survival, so
+its top moves psi by at most horizon * ``tail_eps``, and its size depends
+on the PMFs and not on how far out the requested capitals lie.
 
 Each step is one lattice correlation on the grid, by FFT, except the first
 step of every pass: on phi_0 = 1 the correlation is a difference of the
@@ -38,14 +34,15 @@ atoms' running sums, so an identical-PMF solve over L intervals runs L - 1
 transform pairs and a backward pass of l steps l - 1.
 
 The correlation keeps only the atoms up to its fold edge; every atom above
-counts as survival.  ``run_pipeline`` therefore sizes each compound window
-before it inverts one: a closed-form Chernoff bound on the grid's loss top,
-from the step laws alone and evaluated once (``_loss_top_bound``), with the
-requested capitals, r, L and the default grid step, bounds the fold edge
-(``_window_top``).  The compound stage inverts only up to that atom and
-lumps the rest of its mass on the next one, which lands past the fold as
-the whole law's upper atoms do, so the grid and every read atom stay those
-of the whole law (to the inversion's accuracy).
+counts as survival.  ``interval_net_pmfs`` at the requested capitals
+therefore sizes each compound window before it inverts one: a closed-form
+Chernoff bound on the grid's loss top from the step laws' window edges
+(``_loss_top_bound``), which it finds once per law for the compound stage
+too, bounds the fold edge by the grid's own rules (``_window_top``).  The
+compound stage inverts only up to that atom and lumps the rest of its mass
+on the next one, which lands past the fold as the whole law's upper atoms
+do, so the grid and every read atom stay those of the whole law (to the
+inversion's accuracy).
 """
 
 from __future__ import annotations
@@ -183,33 +180,33 @@ def _read_top(y_max: float, growth: float, horizon: int, u_max: float,
     return float(powers[-1] * u_max + (max(y_max, 0.0) + 2 * grid_step) * powers.sum())
 
 
-def _loss_top_bound(steps, w_n: float, discount: np.ndarray, tail_eps: float) -> float:
+def _loss_top_bound(edges, w_n: float, discount: np.ndarray, tail_eps: float) -> float:
     """An upper bound, in lattice cells, on the top ``_loss_top`` finds for
-    the compound PMFs of the step laws ``steps``, from the step laws alone.
+    the compound PMFs of the step laws whose window edges are ``edges``
+    (``compound.window_edges``), from the step laws alone.
 
     A compound sum Y has M_{Y^-}(t) = E[max(1, e^(-tY))] <= 1 - w + M_Y(-t),
     with M_Y(s) = w / (1 - (1-w) M_Z(s)) over Z's atoms, so
     K(theta) = sum_i max_j log(1 - w + M_{Y_j}(-theta d_i)), d the discount
     factors, bounds the CGF of ``_loss_top``'s losses, and any theta gives a
-    valid top.  It is evaluated once, at the lower-edge theta of the compound
-    window (``compound.lower_edge``), which lies near the best one.  The
-    compound PMFs keep no loss past that edge (the mass beyond it is at most
+    valid top.  It is evaluated once, at the theta of the lowest lower edge
+    of the compound windows, which lies near the best one.  The compound
+    PMFs keep no loss past that edge (the mass beyond it is at most
     tail_eps, far below ``TRIM_MASS``), so ``_loss_top``'s bins are at most
     ceil(edge / LOSS_CELLS) cells wide, and rounding each loss up to its bin
     adds at most one bin per interval.  Returns inf past the MGF's pole.
     """
-    edge, theta = max(compound.lower_edge(z, w_n, tail_eps) for z in steps)
+    edge, theta = max((-e.lo, e.lower.theta) for e in edges)
     if theta == 0.0:
         return 0.0
     log_q = math.log1p(-w_n)
     log_m = np.full(len(discount), -np.inf)
-    for z in steps:
-        alive = z.mass > 0.0
-        e = np.multiply.outer(-theta * discount, z.indices()[alive].astype(float))
-        e += np.log(z.mass[alive])
-        peak = e.max(axis=1)
-        e -= peak[:, None]
-        log_qmz = log_q + peak + np.log(np.exp(e, out=e).sum(axis=1))
+    for e in edges:
+        ex = np.multiply.outer(-theta * discount, e.idx.astype(float))
+        ex += e.log_p
+        peak = ex.max(axis=1)
+        ex -= peak[:, None]
+        log_qmz = log_q + peak + np.log(np.exp(ex, out=ex).sum(axis=1))
         if not (log_qmz < 0.0).all():
             return math.inf
         np.maximum(log_m, np.log(1.0 - w_n - w_n / np.expm1(log_qmz)), out=log_m)
@@ -220,23 +217,14 @@ def _loss_top_bound(steps, w_n: float, discount: np.ndarray, tail_eps: float) ->
 def _window_top(u_values: np.ndarray, growth: float, horizon: int, step: float,
                 loss_cells: float) -> int:
     """The highest lattice index whose atom ``_Correlation`` keeps on the
-    default grid of ``survival_recursion`` at the capitals u_values, given
-    an upper bound ``loss_cells`` (lattice cells) on the grid's loss top.
-
-    The fold edge k_hi - floor(k_lo (1+r)) + 1 rises with k_hi and falls
-    with k_lo.  ``_RecursionGrid`` puts k_hi at most two steps above the
-    larger of the loss top and the held capitals (those at most two steps
-    above it), and k_lo at least two steps below min(u, 0), so the same
-    rules on the bound bound the fold edge.
-    """
-    stride = max(1, math.ceil(growth ** horizon))
-    grid_step = step / stride
-    margin = 2 * grid_step
-    top = loss_cells * step
-    held = u_values[u_values <= top + margin]
-    k_hi = math.ceil((max(top, held.max(initial=0.0)) + margin) / grid_step)
-    k_lo = math.floor((min(u_values.min(), 0.0) - margin) / grid_step)
-    return -(-(k_hi - math.floor(k_lo * growth) + 1) // stride)
+    default grid at the capitals u_values, given an upper bound
+    ``loss_cells`` (lattice cells) on the grid's loss top: the fold edge
+    rises with k_hi and falls with k_lo, and ``_RecursionGrid.span`` at the
+    bound, with no largest atom known, bounds both."""
+    grid_step = _RecursionGrid.default_step(step, growth, horizon)
+    k_lo, k_hi, _ = _RecursionGrid.span(u_values, growth, horizon, grid_step, math.inf,
+                                        loss_cells * step)
+    return -(-_RecursionGrid.edges(k_lo, k_hi, growth)[0] // round(step / grid_step))
 
 
 class _RecursionGrid:
@@ -261,14 +249,8 @@ class _RecursionGrid:
         growth = 1.0 + r
         reach, top = _loss_top(pmfs, growth, horizon, tail_eps)
         y_max = max((p.min_index + int(np.flatnonzero(p.mass)[-1])) * p.step for p in pmfs)
-        # capitals in the grid's margins keep the answers its interpolants give
-        margin = 2 * grid_step
-        held = u_values[(u_values >= -max(y_max, 0.0) / growth - margin)
-                        & (u_values <= top + margin)]
-        u_lo, u_hi = (held.min(), held.max()) if len(held) else (0.0, 0.0)
-        read_top = _read_top(y_max, growth, horizon, u_hi, grid_step)
-        self.k_lo = math.floor((min(u_lo, 0.0) - margin) / grid_step)
-        self.k_hi = math.ceil((max(u_hi, min(top, read_top)) + margin) / grid_step)
+        self.k_lo, self.k_hi, read_top = self.span(u_values, growth, horizon, grid_step,
+                                                   y_max, top)
         if self.k_hi - self.k_lo >= compound.POINTS_BUDGET:
             raise ResourceLimitError(
                 f"recursion grid needs {self.k_hi - self.k_lo + 1} capital points "
@@ -276,8 +258,37 @@ class _RecursionGrid:
         self.step = grid_step
         self.points = np.arange(self.k_lo, self.k_hi + 1) * grid_step
         self.growth = growth
+        self.fold_edge, self.low_edge = self.edges(self.k_lo, self.k_hi, growth)
         above = max(read_top, u_values.max())
         self.tail_bound = horizon * tail_eps if top < min(reach, above) else 0.0
+
+    @staticmethod
+    def default_step(lattice_step: float, growth: float, horizon: int) -> float:
+        """lattice_step / ceil((1+r)^L): it divides the lattice step, so every
+        atom sits on a grid node."""
+        return lattice_step / max(1, math.ceil(growth ** horizon))
+
+    @staticmethod
+    def span(u_values, growth: float, horizon: int, grid_step: float, y_max: float,
+             top: float) -> tuple[int, int, float]:
+        """(k_lo, k_hi, read top) of the grid at the capitals u_values by the
+        rules above, given the largest net-profit atom y_max and the loss
+        top.  At y_max = inf and a bound on the top, every capital up to two
+        steps above the bound is held and the read top is inf, so k_lo and
+        k_hi bound the grid's (``_window_top``)."""
+        margin = 2 * grid_step  # capitals in the margins keep their interpolated answers
+        held = u_values[(u_values >= -max(y_max, 0.0) / growth - margin)
+                        & (u_values <= top + margin)]
+        u_lo, u_hi = (held.min(), held.max()) if len(held) else (0.0, 0.0)
+        read_top = _read_top(y_max, growth, horizon, u_hi, grid_step)
+        return (math.floor((min(u_lo, 0.0) - margin) / grid_step),
+                math.ceil((max(u_hi, min(top, read_top)) + margin) / grid_step), read_top)
+
+    @staticmethod
+    def edges(k_lo: int, k_hi: int, growth: float) -> tuple[int, int]:
+        """(fold edge, low edge), in grid cells, of a correlation on the grid
+        k_lo..k_hi (``_Correlation``), with a cell of slack on each side."""
+        return k_hi - math.floor(k_lo * growth) + 1, k_lo - math.floor(k_hi * growth) - 2
 
 
 class _Correlation:
@@ -291,10 +302,11 @@ class _Correlation:
     ruin (0) and reads above it survival (1, see ``_RecursionGrid``): each
     output cell adds the mass of the atoms that land past the grid top.  The
     stretch reads cells floor(k_lo (1+r)) <= x <= floor(k_hi (1+r)) + 1; an
-    atom past k_hi - floor(k_lo (1+r)) lands above the grid from all of them,
-    so those atoms are not transformed: their mass is one constant added to
-    every cell.  An atom below k_lo - floor(k_hi (1+r)) - 1 lands below the
-    grid from all of them and is dropped.
+    atom past the grid's fold edge k_hi - floor(k_lo (1+r)) lands above the
+    grid from all of them, so those atoms are not transformed: their mass is
+    one constant added to every cell.  An atom below its low edge
+    k_lo - floor(k_hi (1+r)) - 1 lands below the grid from all of them and
+    is dropped.
 
     The capital-zero cell: from a stretched position j + w (lower cell j,
     weight w) an atom at cell -1 - j lands at w - 1 < 0, which is ruin, yet
@@ -312,12 +324,9 @@ class _Correlation:
 
     def __init__(self, grid, pmf, stride):
         # keep the atoms from the low edge up to the first lattice atom past
-        # the fold edge (a cell of slack on each side absorbs rounding in the
-        # stretched positions)
-        fold_edge = grid.k_hi - math.floor(grid.k_lo * grid.growth) + 1
-        low_edge = grid.k_lo - math.floor(grid.k_hi * grid.growth) - 2
-        n_kept = min(len(pmf.mass), max(1, -(-fold_edge // stride) - pmf.min_index + 1))
-        n_low = min(n_kept - 1, max(0, -(-low_edge // stride) - pmf.min_index))
+        # the fold edge (``_RecursionGrid.edges``)
+        n_kept = min(len(pmf.mass), max(1, -(-grid.fold_edge // stride) - pmf.min_index + 1))
+        n_low = min(n_kept - 1, max(0, -(-grid.low_edge // stride) - pmf.min_index))
         self.far = float(pmf.mass[n_kept:].sum())
         # the survival past the last output: every kept atom lands above the grid
         self.beyond = 1.0 - float(pmf.mass[:n_low].sum())
@@ -457,16 +466,12 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     below capital 0 as alive.  Pointwise accuracy at the requested capitals
     is the business of the grid-refinement (Richardson) check.
 
-    The capital grid ends where the ruin probability over the remaining
-    horizon falls below ``tail_eps`` (a Chernoff bound on the discounted
-    losses), at the worst-case discounted loss or past the highest capital
-    the recursion reads for the requested ones, whichever is lowest; reads
-    above it count as survival, so psi moves by at most horizon * tail_eps
-    (``grid_tail_bound``; 0 when the worst case or the read top binds, and
-    with tail_eps = 0).  Capitals below -max(y)^+ / (1+r), where the first
-    step is certain ruin, get psi 1 and capitals past the loss top psi 0
-    without widening the grid.  A grid over ``compound.POINTS_BUDGET``
-    points (a fine step from a large (1+r)^L) raises ResourceLimitError.
+    The capital grid covers only the capitals where phi can change and is
+    read (``_RecursionGrid``); capitals outside it get psi 1 below and 0
+    above, and its top moves psi by at most ``grid_tail_bound``
+    (horizon * tail_eps when the Chernoff loss top binds, else 0, as with
+    tail_eps = 0).  A grid over ``compound.POINTS_BUDGET`` points (a fine
+    step from a large (1+r)^L) raises ResourceLimitError.
     ``u_grid`` records the grid, and the diagnostics also give
     ``fft_points``: the longest circular length of a correlation step,
     sized to the outputs its stretch reads.  A grid_step that is not
@@ -480,7 +485,7 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         raise DomainError("need at least one interval PMF")
     u_values = _capitals(u_values)
     if grid_step is None:
-        grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
+        grid_step = _RecursionGrid.default_step(pmfs[0].step, 1.0 + r, horizon)
     elif not 0.0 < grid_step < math.inf:  # written so that NaN fails
         raise DomainError(f"grid_step must be positive and finite, got {grid_step}")
     if not 0.0 <= tail_eps < 1.0:
@@ -525,30 +530,24 @@ def _capitals(u_values) -> np.ndarray:
     return u_values
 
 
-def interval_net_pmfs(config: ScenarioConfig):
+def interval_net_pmfs(config: ScenarioConfig, u_values=None):
     """Per-interval compound net-profit PMFs (the G_l inputs of the recursion).
 
     Returns (pmfs, info) where info carries the lattice step and, per
     distinct interval, the sanitized mass, the fee rounding (the lattice's
-    mean fee minus the exact mean fee) and the compound stage's diagnostics
-    (FFT window, aliasing bound, clipped negative mass and mean-identity
-    residual).  Every compound PMF holds its whole law.
+    mean fee minus the exact mean fee), the compound stage's diagnostics
+    (FFT window, aliasing bound, clipped negative mass and mean-check
+    residual) and the compound mass trimmed below and above before the
+    recursion (``trimmed_mass``).  ``trim_bound``, that mass summed over the
+    horizon's intervals, bounds what the trims move psi by.
+
+    Without capitals every compound PMF holds its whole law; with capitals
+    u_values, only the atoms the recursion at them reads, the rest lumped
+    on one atom past the fold (the module docstring), on the grid the whole
+    PMFs give.
     """
-    return _net_pmfs(config, None)
-
-
-def _net_pmfs(config: ScenarioConfig, u_values):
-    """``interval_net_pmfs``; with capitals u_values, each compound PMF holds
-    only the atoms the recursion at those capitals reads.
-
-    Before any compound inversion, ``_loss_top_bound`` bounds the recursion
-    grid's loss top from the step laws and ``_window_top`` turns it into the
-    highest atom the correlation keeps; ``compound_geometric_pmf`` then
-    inverts only up to that atom when its read window is the shorter one,
-    lumping the mass above it on the next atom, which lands past the fold
-    and is read as survival, as every atom above the grid is.  The grid is
-    the one the whole PMFs give.
-    """
+    if u_values is not None:
+        u_values = _capitals(u_values)
     fin, num = config.financial, config.numerics
     horizon = fin.horizon_intervals
     distinct = {}
@@ -564,7 +563,7 @@ def _net_pmfs(config: ScenarioConfig, u_values):
     delta = num.lattice_step or (v_hi_all + float(fees.max())) / 2048.0
 
     mean_fee = float(np.dot(fees, fee_probs))
-    zsteps = {}
+    zsteps, edges = {}, {}
     info = {"lattice_step": delta, "intervals": {}}
     for key, i in distinct.items():
         mv = revenue_moments(config, interval_index=i)
@@ -572,24 +571,31 @@ def _net_pmfs(config: ScenarioConfig, u_values):
         density = income_pdf.sanitize(income_pdf.expand_density(mv, v_lo, v_hi))
         income = discretize_income(density, delta)
         zsteps[key] = net_profit_step_pmf(income, fin)
+        edges[key] = compound.window_edges(zsteps[key], fin.w_n_geometric, num.tail_eps)
         info["intervals"][i] = {"sanitized_mass": density.sanitized_mass,
                                 "fee_rounding": income.mean() - zsteps[key].mean() - mean_fee}
     top = None
     if u_values is not None:
         growth = 1.0 + fin.interest_rate_per_interval
-        cells = _loss_top_bound(list(zsteps.values()), fin.w_n_geometric,
+        cells = _loss_top_bound(list(edges.values()), fin.w_n_geometric,
                                 growth ** -np.arange(1.0, horizon + 1), num.tail_eps)
         if math.isfinite(cells):
             top = _window_top(u_values, growth, horizon, delta, cells)
     built = {}
     for key, i in distinct.items():
         compound_pmf = compound_geometric_pmf(zsteps[key], fin.w_n_geometric,
-                                              tail_eps=num.tail_eps, top=top)
+                                              tail_eps=num.tail_eps, top=top, edges=edges[key])
         # drop negligible compound tails before the recursion: each dropped
-        # side carries at most TRIM_MASS, so survival probabilities move by
-        # at most horizon * TRIM_MASS
-        built[key] = compound_pmf.trimmed(TRIM_MASS)
+        # side carries at most TRIM_MASS, and a step's survival moves by at
+        # most the mass its PMF lost
+        built[key] = kept = compound_pmf.trimmed(TRIM_MASS)
+        below = kept.min_index - compound_pmf.min_index
         info["intervals"][i]["compound"] = compound_pmf.diagnostics
+        info["intervals"][i]["trimmed_mass"] = {
+            "lower": float(compound_pmf.mass[:below].sum()),
+            "upper": float(compound_pmf.mass[below + len(kept.mass):].sum())}
+    info["trim_bound"] = sum(sum(info["intervals"][distinct[key]]["trimmed_mass"].values())
+                             for key in order)
     return [built[key] for key in order], info
 
 
@@ -598,11 +604,10 @@ def run_pipeline(config: ScenarioConfig, u_values):
     expansion, discretization, compound distribution, then the survival
     recursion.
 
-    Returns (RuinResult, info) with info from ``interval_net_pmfs``.  The
-    compound PMFs hold only the atoms the recursion reads (``_net_pmfs``).
+    Returns (RuinResult, info) with info from ``interval_net_pmfs``, whose
+    compound PMFs hold only the atoms the recursion at u_values reads.
     """
-    u_values = _capitals(u_values)
-    pmfs, info = _net_pmfs(config, u_values)
+    pmfs, info = interval_net_pmfs(config, u_values)
     result = survival_recursion(u_values, config.financial.interest_rate_per_interval,
                                 pmfs, tail_eps=config.numerics.tail_eps)
     return result, info

@@ -6,7 +6,6 @@ sets (moment comparison with clamps [0.1, 100]; ruin evaluation with clamps
 model throughout.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -85,8 +84,8 @@ def read_windows(cfg: ScenarioConfig, capitals) -> list[dict]:
     calls = []
     real = ruin.compound_geometric_pmf
 
-    def recorded(step, w_n, tail_eps=1e-12, top=None):
-        calls.append((step, w_n, tail_eps, top, real(step, w_n, tail_eps, top=top)))
+    def recorded(step, w_n, tail_eps=1e-12, top=None, edges=None):
+        calls.append((step, w_n, tail_eps, top, real(step, w_n, tail_eps, top=top, edges=edges)))
         return calls[-1][-1]
 
     ruin.compound_geometric_pmf = recorded
@@ -109,7 +108,7 @@ def read_windows(cfg: ScenarioConfig, capitals) -> list[dict]:
     assert np.abs(got.psi - whole.psi).max() <= len(got.psi) * 1e-9
     lo, grid_step, points = got.u_grid
     k_lo = round(lo / grid_step)
-    fold = k_lo + points - 1 - math.floor(k_lo * (1.0 + r)) + 1
+    fold, _ = ruin._RecursionGrid.edges(k_lo, k_lo + points - 1, 1.0 + r)
     records = []
     for (step, _, _, _, read), full in zip(calls, fulls):
         record = {"diagnostics": read.diagnostics,

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from microruin import moments, montecarlo, ruin, specfun
-from microruin.compound import LatticePMF, _geometric_truncation
+from microruin.compound import LatticePMF
 from microruin.income_pdf import ExpandedDensity, _antiderivative, _closed_form
 from microruin.errors import AccuracyError, DomainError
 from microruin.model import FinancialParams, NetworkParams, Numerics, ScenarioConfig
@@ -576,7 +576,8 @@ def hurlimann_ls_solve(step: LatticePMF, w_n: float, tail_eps: float = 1e-12,
         raise DomainError(f"geometric parameter must lie in (0, 1], got {w_n}")
     if w_n == 1.0:
         return LatticePMF(step=step.step, min_index=0, mass=np.array([1.0]))
-    n_terms = _geometric_truncation(w_n, tail_eps)
+    # the smallest N with residual geometric tail (1-w)^(N+1) < tail_eps
+    n_terms = max(0, math.ceil(math.log(tail_eps) / math.log1p(-w_n)) - 1)
     a_matrix, min_idx = build_recurrence_matrix(step, w_n, n_terms, variant)
     _, svals, vt = np.linalg.svd(a_matrix, full_matrices=True)
     f = vt[-1]

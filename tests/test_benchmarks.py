@@ -48,15 +48,13 @@ def test_bench_analytic_writes_its_run(tmp_path):
             continue
         ms = scenario["median_ms"]
         assert all(v > 0 for v in ms.values()), (name, ms)
-        # chernoff_edges runs inside compound and the loss bound; each value
-        # is rounded to 1 us
-        outside = sum(v for k, v in ms.items() if k not in ("chernoff_edges", "pipeline"))
-        assert ms["chernoff_edges"] <= ms["compound"] + ms["loss_bound"] + 0.001, (name, ms)
+        # every stage runs outside the others; each value is rounded to 1 us
+        outside = sum(v for k, v in ms.items() if k != "pipeline")
         assert outside <= ms["pipeline"] + 0.0005 * len(ms), (name, ms)
-        # the Chernoff searches are counted: the loss bound's lower edge, the
-        # two window edges (no upper one when the step PMF has no atom above
-        # 0) and the loss top, each at least one CGF call
-        assert len(scenario["cgf_per_search"]) in (3, 4), (name, scenario)
+        # the Chernoff searches are counted: the two window edges (no upper
+        # one when the step PMF has no atom above 0) and the loss top, each
+        # at least one CGF call
+        assert len(scenario["cgf_per_search"]) in (2, 3), (name, scenario)
         assert scenario["fft_calls"]["rfft"] > scenario["fft_calls"]["irfft"] > 0
         assert min(scenario["cgf_per_search"]) >= 1
         assert scenario["cgf_evaluations"] == sum(scenario["cgf_per_search"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import microruin
-from microruin import cli, model, montecarlo
+from microruin import cli, model, montecarlo, ruin
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -399,6 +399,21 @@ class TestPipelineCommands:
         assert grid["grid_points"] > 0 and grid["fft_points"] >= grid["grid_points"]
         assert grid["grid_lo"] < 0.0 < 300.0 < grid["grid_hi"]
         assert 0.0 <= grid["grid_tail_bound"] <= 5e-12   # horizon * tail_eps
+
+    def test_ruin_manifest_records_the_compound_trim(self, tmp_path, fast_config_path):
+        # the tails trimmed off each compound PMF before the recursion, and
+        # their bound on psi beside the grid's
+        out = str(tmp_path / "o")
+        assert run_cli(["--config", fast_config_path, "--out", out, "ruin", "--no-mc",
+                        "--u", "100,300"]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            accuracy = json.load(fh)["tolerances_achieved"]
+        trimmed = accuracy["trimmed_mass"]["1"]
+        assert 0.0 < trimmed["lower"] <= ruin.TRIM_MASS
+        assert 0.0 <= trimmed["upper"] <= ruin.TRIM_MASS
+        # five identical intervals, each trimmed alike
+        assert accuracy["ruin_grid"]["trim_bound"] == pytest.approx(
+            5 * (trimmed["lower"] + trimmed["upper"]))
 
     def test_ruin_takes_a_leading_negative_capital_after_equals(self, tmp_path,
                                                                 fast_config_path):

@@ -372,8 +372,8 @@ class TestChernoffSearch:
 
     @pytest.mark.parametrize("name", ["reference", "pathloss-3", "fee-300", "w_n-0.05"])
     def test_bracket_only_shrinks(self, name, monkeypatch):
-        # the four searches of a solve (the lower edge the loss bound takes
-        # its theta from, the two window edges of the compound PMF, then the
+        # the three searches of a solve (the two window edges of the
+        # compound PMF, whose lower one the loss bound also reads, then the
         # recursion grid's loss top): once some theta has
         # h = theta K' - K + log eps >= 0, no later theta lies above it, and
         # no search takes more than 15 CGF evaluations
@@ -392,7 +392,7 @@ class TestChernoffSearch:
 
         monkeypatch.setattr(compound, "chernoff_min", recorded)
         ruin.run_pipeline(sweep_config(name), np.array([100.0, 200.0, 300.0]))
-        assert len(searches) == 4
+        assert len(searches) == 3
         for seen in searches:
             assert len(seen) <= 15, seen
             for i, (theta, _) in enumerate(seen):

@@ -711,9 +711,9 @@ def test_correlation_window_matches_full_linear_correlation(name):
 def correlations(cfg, us):
     """The recursion's grid and one ``_Correlation`` per distinct interval PMF
     of ``run_pipeline(cfg, us)``, built as ``survival_recursion`` builds them."""
-    pmfs, _ = ruin._net_pmfs(cfg, us)
+    pmfs, _ = ruin.interval_net_pmfs(cfg, us)
     r, horizon = cfg.financial.interest_rate_per_interval, len(pmfs)
-    grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
+    grid_step = ruin._RecursionGrid.default_step(pmfs[0].step, 1.0 + r, horizon)
     on_grid = {id(p): ruin._on_grid(p, grid_step) for p in pmfs}
     grid = ruin._RecursionGrid(us, r, [p for p, _ in on_grid.values()], grid_step, horizon,
                                cfg.numerics.tail_eps)
@@ -722,6 +722,23 @@ def correlations(cfg, us):
 
 TRUNCATED_MULTI_SLOT = {**SWEEP_SCENARIOS["multi-slot"],
                         "numerics": {"truncate_durations_to_interval": True}}
+
+
+@pytest.mark.parametrize("overrides, searches", [({}, 3), (TRUNCATED_MULTI_SLOT, 11)],
+                         ids=["reference", "multi-slot-truncated"])
+def test_each_edge_is_searched_once_per_solve(overrides, searches, monkeypatch):
+    # two window edges per distinct step law, the lower one read by both the
+    # loss bound and the compound window, then the grid's one loss top
+    calls = []
+    search = compound.chernoff_min
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(compound, "chernoff_min", counted)
+    _, info = ruin.run_pipeline(reference_with(overrides), np.array([100.0, 200.0, 300.0]))
+    assert len(calls) == 2 * len(info["intervals"]) + 1 == searches
 
 
 @pytest.mark.parametrize("overrides", list(SWEEP_SCENARIOS.values()) + [TRUNCATED_MULTI_SLOT],
