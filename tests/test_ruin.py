@@ -774,6 +774,31 @@ def test_read_window_matches_the_whole_compound_law(name):
             assert diag["tilt"] == 0.0 and record["same"]
 
 
+# sha256 of each sweep scenario's psi at u = 100..300, one line per horizon
+# of its values formatted '.12g': a change of the recursion's roundoff keeps
+# these digits, a change of what it computes does not
+SWEEP_DIGITS = {
+    "reference": "d3981cfe21a0187b2e9ebe07d1653b881a16d9bbc6b3cf1b005070cf6d53252d",
+    "pathloss-3": "4581fdc1b52c768594afbb145ae7eec61b91f142668489754648b346bf2e8462",
+    "interest-0": "4a1ebcea18b6b047835413fc9954a8c9d4f90206102b6e2d8e6c3224ec197cff",
+    "noise-0.01": "d8986702a252b1cc8b79397b92dc03979e91615a9ec393d26d5383807fc45f6c",
+    "horizon-10": "ad2c5c1fca434e243add5c75a6b8721923973a041f0065964ed59539eb7d2708",
+    "two-operators": "825ba8a42b5e8aa181210fd21ec5ae8de80ab5c8f82b087e3b8c5e33c1378865",
+    "multi-slot": "ccc0e826c922feb195a35e2d7373aec09c09e2f455c8cca5deec1738f2705af2",
+    "w_n-0.05": "27e0eda56e9bbccccfc87778548bf47abe520feda2169f34e85e8ea6efb15927",
+    "lattice-1100/4096": "46feda739ff4feda2fcccf729f607dcd08064eaa1d9e18270f4b2cdfbe284878",
+    "fee-300": "40dee43b3293d53abfab866f7ea7b44da40b9f3f3653b5ea7f98bc101c00028f",
+    "clamps-0.1-100": "14f5e32137ce28da4a3bea2af14792ae93735a24eaff194145d7b9e1fb5c52bd",
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SCENARIOS))
+def test_sweep_psi_digits_pinned(name):
+    res, _ = ruin.run_pipeline(sweep_config(name), np.array([100.0, 150.0, 200.0, 250.0, 300.0]))
+    text = "\n".join(" ".join(f"{p:.12g}" for p in row) for row in res.psi)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGITS[name]
+
+
 def test_a_window_top_past_the_upper_edge_keeps_the_whole_window():
     # the fold edge bound widens with the lowest capital: far below zero it
     # passes the upper Chernoff edge, and the window is the whole law's
