@@ -23,15 +23,19 @@ summed over their calls.  Per scenario, median over --repeats runs, in ms:
   compound windows (``ruin._loss_top_bound``);
 * ``compound``: ``compound_geometric_pmf`` on those edges;
 * ``loss_top``: the Chernoff top of the recursion grid;
-* ``correlation_setup``: the recursion's correlation operators (atom spectra);
-* ``steps``: the recursion steps on those operators;
+* ``correlation_setup``: the recursion's correlation operators and each
+  step's window with its atom spectrum (``ruin._windows``; an older tree
+  made one spectrum per operator, in its constructor);
+* ``steps``: the recursion's transform steps on those operators;
 * ``pipeline``: ``run_pipeline`` end to end.
 
 Every stage runs outside the others, so they add up to no more than
 ``pipeline``.  (On older trees the compound stage and the loss bound
 searched their own edges, and ``chernoff_edges`` ran inside them.)  The
-sizes that decide the FFT work (compound window, recursion grid and
-correlation FFT length) are recorded with the times, and so are the calls of
+sizes that decide the FFT work (compound window, recursion grid,
+correlation FFT length and, where the tree reports them, the transform
+points of each recursion step in the order run, 0 for a step without
+one) are recorded with the times, and so are the calls of
 ``np.fft.rfft`` and ``np.fft.irfft`` in one pipeline run, counted by
 wrapping both here, and the work of the Chernoff searches: the CGF
 evaluations of each search in solve order (the upper and lower window edge
@@ -69,7 +73,7 @@ TARGETS = {
     "loss_bound": [(ruin, "_loss_top_bound")],
     "compound": [(ruin, "compound_geometric_pmf")],
     "loss_top": [(ruin, "_loss_top")],
-    "correlation_setup": [(ruin._Correlation, "__init__")],
+    "correlation_setup": [(ruin._Correlation, "__init__"), (ruin, "_windows")],
     "steps": [(ruin._Correlation, "__call__")],
     "pipeline": [(ruin, "run_pipeline")],
 }
@@ -137,6 +141,7 @@ def one_pass(cfg) -> tuple[dict, dict]:
     sizes = {"window_points": info["intervals"][1]["compound"]["window_points"],
              "grid_points": result.u_grid[2],
              "fft_points": result.diagnostics["fft_points"],
+             "step_points": result.diagnostics.get("step_points"),
              "fft_calls": dict(fft_calls),
              "cgf_per_search": list(cgf_calls),
              "cgf_evaluations": sum(cgf_calls)}

@@ -30,8 +30,13 @@ on the PMFs and not on how far out the requested capitals lie.
 
 Each step is one lattice correlation on the grid, by FFT, except the first
 step of every pass: on phi_0 = 1 the correlation is a difference of the
-atoms' running sums, so an identical-PMF solve over L intervals runs L - 1
-transform pairs and a backward pass of l steps l - 1.
+atoms' running sums, so an identical-PMF solve over L intervals transforms
+in L - 1 steps and a backward pass of l steps in l - 1.  Atoms sit every
+stride = lattice step / grid step cells, so a step runs as stride phase
+correlations of the atoms without the zeros between them.  A step computes
+its outputs only up to the highest capital the later steps read (the last
+step of a pass: the requested capitals), and transforms only the previous
+survival and the atoms those outputs read.
 
 The correlation keeps only the atoms up to its fold edge; every atom above
 counts as survival.  ``interval_net_pmfs`` at the requested capitals
@@ -291,9 +296,23 @@ class _RecursionGrid:
         return k_hi - math.floor(k_lo * growth) + 1, k_lo - math.floor(k_hi * growth) - 2
 
 
+class _Window:
+    """A step's plan for its outputs at grid indices 0..top (``_Correlation.window``).
+
+    The stretch reads correlation outputs t_lo..t_hi, and those read the
+    previous survival only at grid indices below n_in and only the first
+    n_atoms reversed atoms.  The transform runs on ``stride`` phases of m
+    grid cells each at the circular length n_phase, and keeps the phase
+    outputs from q_lo on, the window's first output ``skip`` cells in.
+    """
+
+    __slots__ = ("top", "n_stretched", "t_hi", "n_ruined", "above_from", "above", "n_in",
+                 "m", "n_atoms", "n_phase", "q_lo", "skip", "spectrum")
+
+
 class _Correlation:
     """One PMF's step on a fixed grid: exact lattice correlation, then one
-    stretch interpolation; the atoms' spectrum is computed once.
+    stretch interpolation.
 
     The survival indicator zeroes phi at negative capitals; the correlation
     c(x) = sum_y m(y) phi^0(x + y) is then exact on the lattice (atoms sit
@@ -315,11 +334,22 @@ class _Correlation:
     per-atom sum's tolerance counts the landing as capital 0.  The step then
     equals the per-atom Stieltjes sum on the same grid.
 
-    Of the n_out outputs of the linear correlation the stretch reads only
-    t in [t_lo, t_hi].  A circular correlation of length n_fft >=
-    max(t_hi + 1, n_out - t_lo) folds every other output onto indices
-    outside that window, so the window stays exact while the transform
-    skips the outputs nothing reads.
+    Atoms sit every ``stride`` cells, so an output cell reads only the grid
+    cells in its own residue class modulo the stride: the correlation splits
+    into ``stride`` phase correlations of the kept atoms, without the zeros
+    between them, with every stride-th grid cell (the polyphase form of a
+    zero-stuffed filter).  All phases share one atom spectrum, at about
+    1/stride of the zero-stuffed length.
+
+    A step need not produce every grid output (``window``): its outputs up
+    to grid index top read the previous survival only below some index
+    n_in, which is where the previous step's outputs may end, and the atoms
+    that land below the grid from all of them need no transform.  Of the
+    linear correlation's outputs the stretch reads only t in [t_lo, t_hi],
+    phase outputs q in [q_lo, q_hi].  A phase correlation of circular length
+    n_phase >= max(q_hi + 1, n_out - q_lo), n_out its linear length, folds
+    every other output onto indices outside that window, so the window
+    stays exact while the transform skips the outputs nothing reads.
     """
 
     def __init__(self, grid, pmf, stride):
@@ -330,11 +360,11 @@ class _Correlation:
         self.far = float(pmf.mass[n_kept:].sum())
         # the survival past the last output: every kept atom lands above the grid
         self.beyond = 1.0 - float(pmf.mass[:n_low].sum())
-        atoms = np.zeros((n_kept - n_low - 1) * stride + 1)
-        atoms[::stride] = pmf.mass[n_low:n_kept]
-        reversed_atoms = atoms[::-1]
+        kept = pmf.mass[n_low:n_kept]  # a view: no copy
+        # the kept atoms span n_cells grid cells, an atom every stride cells
+        n_cells = (len(kept) - 1) * stride + 1
         n_grid = len(grid.points)
-        n_out = n_grid + len(atoms) - 1
+        n_out = n_grid + n_cells - 1
         # capitals below -1e-9 step (a prefix of the grid) are ruin
         self.n_negative = int(np.searchsorted(grid.points, -1e-9 * grid.step))
         # output t is the cell x = t + x0, x0 = k_lo - a_last with a_last the
@@ -344,84 +374,139 @@ class _Correlation:
         x0 = float(grid.k_lo - a_last)
         stretched = grid.points * grid.growth / grid.step
         self.n_below = int(np.searchsorted(stretched, x0))
-        n_inside = int(np.searchsorted(stretched, x0 + (n_out - 1), side="right"))
-        cell = np.floor(stretched[self.n_below:n_inside]) - x0
-        t_lo = int(cell[0]) if len(cell) else 0
+        self.n_inside = int(np.searchsorted(stretched, x0 + (n_out - 1), side="right"))
+        cell = np.floor(stretched[self.n_below:self.n_inside]) - x0
         t_hi = min(int(cell[-1]) + 1, n_out - 1) if len(cell) else 0
+        # a position on the last output reads it as the upper node, at weight 1
         cell = np.minimum(cell, t_hi - 1).astype(np.intp)
-        self.weights = stretched[self.n_below:n_inside] - (cell + x0)
-        self.lower = cell - t_lo  # window index of the cell at or below
-        self.n_inside = n_inside
-        # the capital-zero cell: kept atom s puts output t's lower node at
-        # capital -1 when s = n_negative + len(atoms) - 2 - t
-        s = self.n_negative + len(atoms) - 2 - cell
-        hit = (s >= 0) & (s < len(atoms)) & (self.weights > 0.0) & (self.weights < 1.0 - 1e-9)
+        self.t_lo = int(cell[0]) if len(cell) else 0
+        self.weights = stretched[self.n_below:self.n_inside] - (cell + x0)
+        self.lower = cell - self.t_lo  # window index of the cell at or below
+        # the capital-zero cell: the kept atom at cell s of the atoms (s a
+        # multiple of the stride) puts output t's lower node at capital -1
+        # when s = n_negative + n_cells - 2 - t
+        s = self.n_negative + n_cells - 2 - cell
+        hit = ((s >= 0) & (s < n_cells) & (s % stride == 0)
+               & (self.weights > 0.0) & (self.weights < 1.0 - 1e-9))
         self.ruined_at = self.n_below + np.flatnonzero(hit)
-        self.ruined = self.weights[hit] * atoms[s[hit]]
-        self.n_fft = specfun.next_fast_len(max(t_hi + 1, n_out - t_lo, n_grid, len(atoms)))
-        self.atoms_hat = np.fft.rfft(reversed_atoms, self.n_fft)
-        self.window = slice(t_lo, t_hi + 1)
-        # conv(P, reversed A)[t] = sum_s A[s] P[t - (S-1) + s]: output
-        # n_grid + i reads past the grid top for the i + 1 largest atom cells
-        # (running sums over only the atoms the window reaches)
-        reach = min(max(t_hi + 1 - n_grid, 0), len(atoms) - 1)
-        self.above_from = max(n_grid - t_lo, 0)
-        self.above = np.cumsum(reversed_atoms[:reach])[max(t_lo - n_grid, 0):]
-        self.n_grid = n_grid
-        self.kept, self.stride = pmf.mass[n_low:n_kept], stride  # a view: no copy
+        self.ruined = self.weights[hit] * kept[s[hit] // stride]
+        self.reversed = kept[::-1]
+        # running sums of the reversed kept atoms, from the empty sum
+        self.sums = np.concatenate(([0.0], np.cumsum(self.reversed)))
+        self.n_grid, self.n_cells, self.stride = n_grid, n_cells, stride
+        self._windows, self._spectra = {}, {}
+        # the transform points of a step that produces the whole grid
+        self.n_fft = stride * self.window(n_grid - 1, transform=False).n_phase
 
-    def __call__(self, phi_prev):
-        phi0 = phi_prev.copy()
-        phi0[:self.n_negative] = 0.0
-        corr = np.fft.irfft(np.fft.rfft(phi0, self.n_fft) * self.atoms_hat,
-                            self.n_fft)[self.window]
-        return self._stretch(corr, phi_prev[self.n_negative])
+    def window(self, top, transform=True):
+        """The step's ``_Window`` for the outputs at grid indices 0..top;
+        with ``transform``, its atom spectrum too.  Both are made once."""
+        w = self._windows.get(top)
+        if w is None:
+            self._windows[top] = w = self._plan(top)
+        if transform and w.spectrum is None:
+            key = (w.n_atoms, w.n_phase)
+            w.spectrum = self._spectra.get(key)
+            if w.spectrum is None:
+                w.spectrum = np.fft.rfft(self.reversed[:w.n_atoms], w.n_phase)
+                self._spectra[key] = w.spectrum
+        return w
 
-    def first_step(self):
+    def _plan(self, top):
+        w = _Window()
+        w.top, w.spectrum = top, None
+        # the n_stretched grid indices from n_below on are stretched, the
+        # last one reading outputs lower[n_stretched - 1] + t_lo and one more
+        n = w.n_stretched = max(min(self.n_inside, top + 1) - self.n_below, 0)
+        w.t_hi = self.t_lo + (int(self.lower[n - 1]) + 1 if n else 0)
+        w.n_ruined = int(np.searchsorted(self.ruined_at, top + 1))
+        # output n_grid + i reads past the grid top for the i + 1 largest atom
+        # cells: its share of the reversed atoms' running sums
+        w.above_from = max(self.n_grid - self.t_lo, 0)
+        reach = min(max(w.t_hi + 1 - self.n_grid, 0), self.n_cells - 1)
+        w.above = self.sums[1 + np.arange(max(self.t_lo - self.n_grid, 0), reach) // self.stride]
+        # phase p of output t = stride q + p is the linear convolution of
+        # P[p::stride] with the reversed kept atoms at q: it reads P up to
+        # index t, and reversed atom j at P index t - stride j, below the
+        # grid (ruin) for j > q
+        s = self.stride
+        w.n_in = min(self.n_grid, w.t_hi + 1)
+        w.m = -(-w.n_in // s)
+        w.q_lo, q_hi = self.t_lo // s, w.t_hi // s
+        w.skip = self.t_lo - s * w.q_lo
+        w.n_atoms = min(len(self.reversed), q_hi + 1)
+        n_out = w.m + w.n_atoms - 1
+        w.n_phase = specfun.next_fast_len(max(q_hi + 1, n_out - w.q_lo, w.m, w.n_atoms))
+        return w
+
+    def __call__(self, phi_prev, window=None):
+        """The step on the previous survival phi_prev (at least the window's
+        n_in values), at the grid indices 0..window.top (the whole grid
+        without a window)."""
+        w = self.window(self.n_grid - 1) if window is None else window
+        # row q holds grid cells stride q .. stride q + stride - 1: column p
+        # is phase p
+        phases = np.zeros((w.m, self.stride))
+        phases.reshape(-1)[self.n_negative:w.n_in] = phi_prev[self.n_negative:w.n_in]
+        spectra = np.fft.rfft(phases, w.n_phase, axis=0)
+        spectra *= w.spectrum[:, None]
+        corr = np.fft.irfft(spectra, w.n_phase, axis=0)[w.q_lo:w.t_hi // self.stride + 1]
+        corr = corr.reshape(-1)[w.skip:w.skip + w.t_hi + 1 - self.t_lo]
+        phi_zero = phi_prev[self.n_negative] if self.n_negative < len(phi_prev) else 0.0
+        return self._stretch(corr, phi_zero, w)
+
+    def first_step(self, window=None):
         """The step on phi_0 = 1, without a transform: output t of the
         correlation sums the reversed atoms that read a grid cell at or above
         capital 0, atoms t - n_grid + 1 .. t - n_negative, which is a
         difference of two running sums."""
-        # the atoms' running sums: the zeros between atom cells add nothing
-        sums = np.repeat(np.cumsum(self.kept[::-1]), self.stride)
-        sums = sums[:len(sums) - self.stride + 1]
-        t_lo, n = self.window.start, self.window.stop - self.window.start
-        corr = _running(sums, t_lo - self.n_negative + 1, n)
-        corr -= _running(sums, t_lo - self.n_grid + 1, n)
-        return self._stretch(corr, 1.0)
+        w = self.window(self.n_grid - 1, transform=False) if window is None else window
+        n = w.t_hi + 1 - self.t_lo
+        corr = self._running(self.t_lo - self.n_negative + 1, n)
+        corr -= self._running(self.t_lo - self.n_grid + 1, n)
+        return self._stretch(corr, 1.0, w)
 
-    def _stretch(self, corr, phi_zero):
-        """The step's output from the correlation on the stretch window, phi
-        at capital 0 being phi_zero: reads past the grid top and the far
-        atoms survive, then the stretch, the capital-zero cell and monotone
-        repair."""
-        corr[self.above_from:] += self.above
+    def _running(self, start, n):
+        """For i < n, the sum of the first clip(start + i, 0, n_cells) cells
+        of the reversed atoms, zeros between atoms included."""
+        cells = np.arange(start, start + n)
+        np.clip(cells, 0, self.n_cells, out=cells)
+        cells += self.stride - 1
+        cells //= self.stride
+        return self.sums[cells]
+
+    def _stretch(self, corr, phi_zero, w):
+        """The step's output at grid indices 0..w.top from the correlation on
+        the stretch window, phi at capital 0 being phi_zero: reads past the
+        grid top and the far atoms survive, then the stretch, the
+        capital-zero cell and monotone repair."""
+        corr[w.above_from:] += w.above
         corr += self.far
         np.clip(corr, 0.0, 1.0, out=corr)
-        out = np.empty(self.n_grid)
+        n, end = w.n_stretched, self.n_below + w.n_stretched
+        out = np.empty(w.top + 1)
         out[:self.n_below] = 0.0
-        out[self.n_inside:] = self.beyond
+        out[end:] = self.beyond
         # the interpolant between two cells in [0, 1] stays in [0, 1]
-        lower = corr.take(self.lower)
-        inside = out[self.n_below:self.n_inside]
-        np.subtract(corr[1:].take(self.lower), lower, out=inside)  # upper - lower node
-        inside *= self.weights
+        cells = self.lower[:n]
+        lower = corr.take(cells)
+        inside = out[self.n_below:end]
+        np.subtract(corr[1:].take(cells), lower, out=inside)  # upper - lower node
+        inside *= self.weights[:n]
         inside += lower
-        held = out[self.ruined_at] - self.ruined * phi_zero
-        out[self.ruined_at] = np.maximum(held, 0.0)
-        return np.maximum.accumulate(out, out=out)
+        at = self.ruined_at[:w.n_ruined]
+        out[at] = np.maximum(out[at] - self.ruined[:w.n_ruined] * phi_zero, 0.0)
+        return _nondecreasing(out)
 
 
-def _running(sums: np.ndarray, start: int, n: int) -> np.ndarray:
-    """For i < n, the sum of the first clip(start + i, 0, S) of the S terms
-    whose running sums are ``sums``."""
-    out = np.empty(n)
-    zero = min(max(1 - start, 0), n)
-    full = min(max(len(sums) + 1 - start, zero), n)
-    out[:zero] = 0.0
-    out[zero:full] = sums[start + zero - 1:start + full - 1]
-    out[full:] = sums[-1]
-    return out
+def _nondecreasing(phi: np.ndarray) -> np.ndarray:
+    """phi repaired in place to its running maximum, which it already is up
+    to its first drop: the running maximum starts there."""
+    if len(phi) > 1:
+        drop = int(np.argmax(phi[1:] < phi[:-1]))
+        if phi[drop + 1] < phi[drop]:
+            np.maximum.accumulate(phi[drop:], out=phi[drop:])
+    return phi
 
 
 def _on_grid(pmf, grid_step: float):
@@ -455,8 +540,13 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
 
     Each step is one lattice correlation and one stretch interpolation
     (``_Correlation``); the first step of every pass, on phi_0 = 1, takes
-    its correlation from running sums instead of a transform pair.  When
-    the capital grid step divides the lattice step,
+    its correlation from running sums instead of transforms.  A step's
+    outputs end at the grid point just past the largest requested capital
+    in the last step of a pass, and in every earlier step where the next
+    step's reads end (at least there for identical PMFs, whose every step
+    is read at the capitals); the grid points above are never read, and
+    the step transforms only what its outputs read (``_Correlation.window``).
+    When the capital grid step divides the lattice step,
     as the default step / ceil((1+r)^L) always does, the step equals the
     per-atom Stieltjes sum on the same grid.  On any other grid step each
     distinct PMF is first re-binned onto the grid once (``_on_grid``), its
@@ -473,8 +563,9 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     tail_eps = 0).  A grid over ``compound.POINTS_BUDGET`` points (a fine
     step from a large (1+r)^L) raises ResourceLimitError.
     ``u_grid`` records the grid, and the diagnostics also give
-    ``fft_points``: the longest circular length of a correlation step,
-    sized to the outputs its stretch reads.  A grid_step that is not
+    ``fft_points``, the most transform points (phases x phase length) of a
+    step over the whole grid, and ``step_points``, those of each step in
+    the order run, 0 for the first step of a pass.  A grid_step that is not
     positive and finite, or a tail_eps outside [0, 1), raises DomainError.
     """
     if r < 0:
@@ -496,26 +587,51 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
                           horizon, tail_eps)
     steps = {key: _Correlation(grid, pmf, stride) for key, (pmf, stride) in on_grid.items()}
     identical = len(steps) == 1
+    if identical:
+        # identical PMFs carry phi_{l-1} forward: one pass, every step read
+        # at the capitals
+        passes = [[steps[id(pmfs[0])]] * horizon]
+    else:
+        # each horizon runs its own backward pass, conditioning on the
+        # earliest interval last
+        passes = [[steps[id(pmf)] for pmf in reversed(pmfs[:l])] for l in range(1, horizon + 1)]
+    # the capitals' interpolation reads the grid up to the first point past them
+    top = min(int(np.searchsorted(grid.points, u_values.max(), side="right")),
+              len(grid.points) - 1)
+    plans = [_windows(run, top, top if identical else 0) for run in passes]
 
     phi_rows = np.empty((horizon, len(u_values)))
-    for l in range(1, horizon + 1):
-        # identical PMFs carry phi_{l-1} forward; otherwise each horizon runs
-        # its own backward pass, conditioning on the earliest interval last.
-        # A pass starts on phi_0 = 1
-        if identical and l > 1:
-            phi_grid = steps[id(pmfs[0])](phi_grid)
-        else:
-            phi_grid = steps[id(pmfs[l - 1])].first_step()
-            for pmf in reversed(pmfs[:l - 1]):
-                phi_grid = steps[id(pmf)](phi_grid)
-        phi_rows[l - 1] = np.interp(u_values, grid.points, phi_grid, left=0.0, right=1.0)
+    step_points, l = [], 0
+    for run, windows in zip(passes, plans):
+        for k, (step, window) in enumerate(zip(run, windows)):
+            # a pass starts on phi_0 = 1
+            phi = step(phi, window) if k else step.first_step(window)
+            step_points.append(step.stride * window.n_phase if k else 0)
+            if identical or k == len(run) - 1:
+                phi_rows[l] = np.interp(u_values, grid.points[:len(phi)], phi,
+                                        left=0.0, right=1.0)
+                l += 1
 
     return RuinResult(
         psi=1.0 - phi_rows,
         u_grid=(float(grid.points[0]), float(grid_step), len(grid.points)),
         diagnostics={"grid_tail_bound": grid.tail_bound,
-                     "fft_points": max(c.n_fft for c in steps.values())},
+                     "fft_points": max(c.n_fft for c in steps.values()),
+                     "step_points": step_points},
     )
+
+
+def _windows(run, top, floor):
+    """The ``_Window`` of each step of a pass ``run`` (its correlations in
+    the order they run): the last step's outputs end at grid index top, and
+    each earlier step's where the next one's reads end, or at floor when
+    that is higher."""
+    tops = [top]
+    for step in reversed(run[1:]):
+        tops.append(max(floor, step.window(tops[-1]).n_in - 1))
+    tops.reverse()
+    return ([run[0].window(tops[0], transform=False)]
+            + [step.window(t) for step, t in zip(run[1:], tops[1:])])
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,9 @@ def test_bench_analytic_writes_its_run(tmp_path):
         # at least one CGF call
         assert len(scenario["cgf_per_search"]) in (2, 3), (name, scenario)
         assert scenario["fft_calls"]["rfft"] > scenario["fft_calls"]["irfft"] > 0
+        # each recursion step's transform points, none in a pass's first step
+        points = scenario["step_points"]
+        assert points[0] == 0 and 0 < max(points) <= scenario["fft_points"], (name, points)
         assert min(scenario["cgf_per_search"]) >= 1
         assert scenario["cgf_evaluations"] == sum(scenario["cgf_per_search"])
     assert run["cgf_evaluations"] == sum(s.get("cgf_evaluations", 0)

@@ -363,17 +363,27 @@ class TestSurvivalRecursion:
 
     @pytest.mark.parametrize("horizon", [1, 2, 5])
     def test_each_pass_takes_its_first_step_without_a_transform(self, horizon, monkeypatch):
-        # an identical-PMF solve runs one transform pair per horizon but the
-        # first; a backward pass of l steps runs l - 1
+        # an identical-PMF solve transforms in every step but the first; a
+        # backward pass of l steps transforms in l - 1.  Each inverse
+        # transform call runs one pass per phase, and the diagnostics record
+        # each step's transform points (phases x length), 0 without one
         calls = []
         irfft = np.fft.irfft
-        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+
+        def counted(spectra, n, **kw):
+            calls.append(spectra.shape[1] * n)
+            return irfft(spectra, n, **kw)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
         us = np.array([0.0, 1.0, 3.0])
-        ruin.survival_recursion(us, 0.05, [Z5] * horizon)
-        assert len(calls) == horizon - 1
-        calls.clear()
-        ruin.survival_recursion(us, 0.05, [SKEWED] + [Z5] * (horizon - 1))
-        assert len(calls) == (horizon - 1) * horizon // 2
+        for pmfs, first in (([Z5] * horizon, [0]),
+                            ([SKEWED] + [Z5] * (horizon - 1), range(horizon))):
+            calls.clear()
+            points = ruin.survival_recursion(us, 0.05, pmfs).diagnostics["step_points"]
+            passes = [(p == 0) for p in points]
+            assert [k for k, starts in enumerate(passes) if starts] == \
+                [l * (l + 1) // 2 for l in first]
+            assert calls == [p for p in points if p]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_capital_is_a_domain_error(self, bad):
@@ -467,6 +477,17 @@ class TestCapitalGrid:
             psis.append(psi)
         assert not np.allclose(psis[0], psis[1])
 
+    def test_a_first_read_on_the_last_output_is_interpolated(self):
+        # gains only, r = 0, stride 4: the lowest stretched position falls on
+        # the correlation's last output, whose lower node lies one output
+        # below (it raised IndexError)
+        gains = LatticePMF(step=1.0, min_index=1, mass=np.full(28, 1 / 28))
+        us = np.array([5.5, 10.0, 15.0])
+        psi = ruin.survival_recursion(us, 0.0, [gains] * 3, grid_step=0.25).psi
+        np.testing.assert_array_equal(psi, atom_recursion(us, 0.0, [gains] * 3,
+                                                          grid_step=0.25))
+        np.testing.assert_array_equal(psi, 0.0)
+
     @ROUTES
     def test_pmf_without_loss_atoms(self, solve):
         # no losses: the grid stops two steps above the largest capital, and
@@ -547,13 +568,14 @@ class TestOnGrid:
                 assert abs(on_grid.mean() - pmf.mean()) <= 1e-12
 
     # sha256 of psi's float64 bytes from the correlation step, each pass's
-    # first step taken from running sums: dividing grid steps keep their bytes
+    # first step taken from running sums and each step's outputs ending where
+    # the next step's reads end: dividing grid steps keep their bytes
     PINNED = [
-        ([Z5] * 3, 0.05, 0.2, "520ef41f5ed69cad2d463d081b13c37a10d7e92f6b95d450ff7bd88cb2cc5afd"),
-        ([Z5] * 3, 0.05, 0.1, "2c3ce24a0563ecfa4c5a768aca3929388eb9b448d4ae0b92bf32dd0468771563"),
+        ([Z5] * 3, 0.05, 0.2, "c577b687b9c58a14e6bbaaed1aad342841cfbdce49db1d59e40691cae7464353"),
+        ([Z5] * 3, 0.05, 0.1, "701c07d41411165e4835c24b3d2218b8ef757480733aa8f51e5cc8e9137c1e81"),
         ([TestCapitalGrid.LOSS, TestCapitalGrid.GAIN, Z5], 0.3, 0.25,
-         "8f42fc1dc2290b4b11636e1c4f188c82f65311e621736bc23a3f8e6d73ed707a"),
-        ([Z5] * 4, 0.0, 1.0, "d8e582c2711fac52c2b00d191f4e5d849621379442adca2aa67b704f276f86e1"),
+         "426ffd89b6f6f0eb3908dc726e9e771c848aeb027416f5a9723c6aff67aaa511"),
+        ([Z5] * 4, 0.0, 1.0, "ce169ee26570fe5151369a729da65b3eaeea95822f5b7e4ea18e314e0e14cf5a"),
     ]
 
     @pytest.mark.parametrize("pmfs, r, grid_step, sha", PINNED,
@@ -690,22 +712,49 @@ def convolve_step(grid, pmf, stride, phi_prev):
     return np.maximum.accumulate(out)
 
 
-@pytest.mark.parametrize("name", ["reference", "fee-300", "horizon-10", "clamps-0.1-100"])
-def test_correlation_window_matches_full_linear_correlation(name):
-    # the circular length covers only the outputs the stretch reads; the
-    # step runs from the survival curve after one step, ruin below it
+@pytest.mark.parametrize("name, stride", [
+    ("interest-0", 1), ("reference", 2), ("fee-300", 2), ("horizon-10", 2),
+    ("clamps-0.1-100", 2), ("multi-slot", 3), ("multi-slot", 4),
+], ids=["interest-0", "reference", "fee-300", "horizon-10", "clamps-0.1-100",
+        "multi-slot-3", "multi-slot-4"])
+def test_correlation_window_matches_full_linear_correlation(name, stride):
+    # the phase length covers only the outputs the stretch reads; the step
+    # runs from the survival curve after one step, ruin below it.  The grid
+    # step lattice step / stride divides the lattice step
     cfg = sweep_config(name)
     pmfs, _ = ruin.interval_net_pmfs(cfg)
     r = cfg.financial.interest_rate_per_interval
-    stride = max(1, math.ceil((1.0 + r) ** len(pmfs)))
-    grid = ruin._RecursionGrid(np.array([100.0, 300.0]), r, pmfs, pmfs[0].step / stride,
-                               len(pmfs), cfg.numerics.tail_eps)
+    us = np.array([100.0, 300.0])
+    grid = ruin._RecursionGrid(us, r, pmfs, pmfs[0].step / stride, len(pmfs),
+                               cfg.numerics.tail_eps)
     corr = ruin._Correlation(grid, pmfs[0], stride)
-    n_out = len(grid.points) + (len(pmfs[0].mass) - 1) * stride
-    assert corr.n_fft <= specfun.next_fast_len(n_out)
-    phi = corr(np.ones_like(grid.points))
+    n_grid = len(grid.points)
+    n_out = -(-n_grid // stride) + len(corr.reversed) - 1   # of each phase
+    assert corr.n_fft <= stride * specfun.next_fast_len(n_out)
+    phi = corr(np.ones(n_grid))
     want = convolve_step(grid, pmfs[0], stride, phi)
     assert np.abs(corr(phi) - want).max() <= 1e-14
+    # the windows of a pass's last three steps: the last step's outputs end
+    # at the first grid point past the capitals, each earlier step's where
+    # the next one's reads end.  Each step is handed only the survival it
+    # reads, and its outputs are the whole step's up to its top
+    top = int(np.searchsorted(grid.points, us.max(), side="right"))
+    for _ in range(3):
+        window = corr.window(top)
+        got = corr(phi[:window.n_in], window)
+        assert len(got) == top + 1
+        assert np.abs(got - want[:top + 1]).max() <= 1e-14
+        top = window.n_in - 1
+    if stride > 1 and name != "clamps-0.1-100":
+        # the window's first output is not a phase-0 cell: the phases below
+        # its offset start one row early (clamps [0.1, 100], with no gain,
+        # reads from output 0)
+        assert window.skip > 0
+    if name in ("fee-300", "clamps-0.1-100"):
+        # the last step reads fewer grid cells than the whole step, and fewer
+        # atoms
+        first = corr.window(int(np.searchsorted(grid.points, us.max(), side="right")))
+        assert first.n_in < n_grid and first.n_atoms < len(corr.reversed)
 
 
 def correlations(cfg, us):
