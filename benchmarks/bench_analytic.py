@@ -24,18 +24,19 @@ summed over their calls.  Per scenario, median over --repeats runs, in ms:
 * ``compound``: ``compound_geometric_pmf`` on those edges;
 * ``loss_top``: the Chernoff top of the recursion grid;
 * ``correlation_setup``: the recursion's correlation operators and each
-  step's window with its atom spectrum (``ruin._windows``; an older tree
-  made one spectrum per operator, in its constructor);
-* ``steps``: the recursion's transform steps on those operators;
+  step's window (``ruin._windows``; an older tree made one atom spectrum
+  per operator here, in its constructor);
+* ``steps``: the recursion's transform steps on those operators (on trees
+  with windows, each window's atom spectrum is made in its first step);
 * ``pipeline``: ``run_pipeline`` end to end.
 
 Every stage runs outside the others, so they add up to no more than
 ``pipeline``.  (On older trees the compound stage and the loss bound
 searched their own edges, and ``chernoff_edges`` ran inside them.)  The
 sizes that decide the FFT work (compound window, recursion grid,
-correlation FFT length and, where the tree reports them, the transform
-points of each recursion step in the order run, 0 for a step without
-one) are recorded with the times, and so are the calls of
+correlation FFT length and the transform points of each recursion step in
+the order run: phases x length of its ``np.fft.irfft`` call, 0 for a step
+without one) are recorded with the times, and so are the calls of
 ``np.fft.rfft`` and ``np.fft.irfft`` in one pipeline run, counted by
 wrapping both here, and the work of the Chernoff searches: the CGF
 evaluations of each search in solve order (the upper and lower window edge
@@ -81,6 +82,7 @@ STAGES = tuple(TARGETS)
 spent = dict.fromkeys(STAGES, 0.0)
 cgf_calls: list[int] = []  # CGF evaluations of each search of the current solve
 fft_calls = {"rfft": 0, "irfft": 0}  # transforms of the current solve
+step_points: list[int] = []  # transform points of each recursion step of the current solve
 
 
 def _timed(stage, fn):
@@ -114,6 +116,26 @@ def _tallied(name, fn):
     return tallied
 
 
+def _stepped(fn):
+    """A recursion step that records its transform points: those of the
+    ``np.fft.irfft`` calls it makes, phases (columns) x length."""
+    irfft = np.fft.irfft
+
+    @functools.wraps(fn)
+    def stepped(*args, **kwargs):
+        step_points.append(0)
+
+        def counted(a, n, **kw):
+            step_points[-1] += (a.shape[1] if a.ndim > 1 else 1) * n
+            return irfft(a, n, **kw)
+        np.fft.irfft = counted
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            np.fft.irfft = irfft
+    return stepped
+
+
 def install() -> list[str]:
     """Wrap every target and both real FFTs.  A target the tree lacks (a
     renamed function, or an older tree) is skipped, its stage reads 0, and
@@ -127,6 +149,9 @@ def install() -> list[str]:
                 absent.append(f"{owner.__name__}.{name}")
     for name in fft_calls:
         setattr(np.fft, name, _tallied(name, getattr(np.fft, name)))
+    for name in ("__call__", "first_step"):
+        if hasattr(ruin._Correlation, name):
+            setattr(ruin._Correlation, name, _stepped(getattr(ruin._Correlation, name)))
     # both callers look the Chernoff search up in compound
     compound.chernoff_min = _counted(compound.chernoff_min)
     return absent
@@ -137,11 +162,12 @@ def one_pass(cfg) -> tuple[dict, dict]:
     spent.update(dict.fromkeys(STAGES, 0.0))
     cgf_calls.clear()
     fft_calls.update(dict.fromkeys(fft_calls, 0))
+    step_points.clear()
     result, info = ruin.run_pipeline(cfg, np.array(U_VALUES))
     sizes = {"window_points": info["intervals"][1]["compound"]["window_points"],
              "grid_points": result.u_grid[2],
              "fft_points": result.diagnostics["fft_points"],
-             "step_points": result.diagnostics.get("step_points"),
+             "step_points": list(step_points),
              "fft_calls": dict(fft_calls),
              "cgf_per_search": list(cgf_calls),
              "cgf_evaluations": sum(cgf_calls)}

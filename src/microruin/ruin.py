@@ -396,20 +396,14 @@ class _Correlation:
         self.n_grid, self.n_cells, self.stride = n_grid, n_cells, stride
         self._windows, self._spectra = {}, {}
         # the transform points of a step that produces the whole grid
-        self.n_fft = stride * self.window(n_grid - 1, transform=False).n_phase
+        self.n_fft = stride * self.window(n_grid - 1).n_phase
 
-    def window(self, top, transform=True):
-        """The step's ``_Window`` for the outputs at grid indices 0..top;
-        with ``transform``, its atom spectrum too.  Both are made once."""
+    def window(self, top):
+        """The step's ``_Window`` for the outputs at grid indices 0..top,
+        made once; its atom spectrum is made on its first transform step."""
         w = self._windows.get(top)
         if w is None:
             self._windows[top] = w = self._plan(top)
-        if transform and w.spectrum is None:
-            key = (w.n_atoms, w.n_phase)
-            w.spectrum = self._spectra.get(key)
-            if w.spectrum is None:
-                w.spectrum = np.fft.rfft(self.reversed[:w.n_atoms], w.n_phase)
-                self._spectra[key] = w.spectrum
         return w
 
     def _plan(self, top):
@@ -444,6 +438,13 @@ class _Correlation:
         n_in values), at the grid indices 0..window.top (the whole grid
         without a window)."""
         w = self.window(self.n_grid - 1) if window is None else window
+        if w.spectrum is None:
+            # windows reading the same atoms at the same length share one
+            key = (w.n_atoms, w.n_phase)
+            w.spectrum = self._spectra.get(key)
+            if w.spectrum is None:
+                w.spectrum = self._spectra[key] = np.fft.rfft(self.reversed[:w.n_atoms],
+                                                              w.n_phase)
         # row q holds grid cells stride q .. stride q + stride - 1: column p
         # is phase p
         phases = np.zeros((w.m, self.stride))
@@ -460,7 +461,7 @@ class _Correlation:
         correlation sums the reversed atoms that read a grid cell at or above
         capital 0, atoms t - n_grid + 1 .. t - n_negative, which is a
         difference of two running sums."""
-        w = self.window(self.n_grid - 1, transform=False) if window is None else window
+        w = self.window(self.n_grid - 1) if window is None else window
         n = w.t_hi + 1 - self.t_lo
         corr = self._running(self.t_lo - self.n_negative + 1, n)
         corr -= self._running(self.t_lo - self.n_grid + 1, n)
@@ -496,17 +497,7 @@ class _Correlation:
         inside += lower
         at = self.ruined_at[:w.n_ruined]
         out[at] = np.maximum(out[at] - self.ruined[:w.n_ruined] * phi_zero, 0.0)
-        return _nondecreasing(out)
-
-
-def _nondecreasing(phi: np.ndarray) -> np.ndarray:
-    """phi repaired in place to its running maximum, which it already is up
-    to its first drop: the running maximum starts there."""
-    if len(phi) > 1:
-        drop = int(np.argmax(phi[1:] < phi[:-1]))
-        if phi[drop + 1] < phi[drop]:
-            np.maximum.accumulate(phi[drop:], out=phi[drop:])
-    return phi
+        return np.maximum.accumulate(out, out=out)
 
 
 def _on_grid(pmf, grid_step: float):
@@ -564,9 +555,8 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     step from a large (1+r)^L) raises ResourceLimitError.
     ``u_grid`` records the grid, and the diagnostics also give
     ``fft_points``, the most transform points (phases x phase length) of a
-    step over the whole grid, and ``step_points``, those of each step in
-    the order run, 0 for the first step of a pass.  A grid_step that is not
-    positive and finite, or a tail_eps outside [0, 1), raises DomainError.
+    step over the whole grid.  A grid_step that is not positive and finite,
+    or a tail_eps outside [0, 1), raises DomainError.
     """
     if r < 0:
         raise DomainError(f"interest rate must be >= 0, got {r}")
@@ -601,12 +591,11 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     plans = [_windows(run, top, top if identical else 0) for run in passes]
 
     phi_rows = np.empty((horizon, len(u_values)))
-    step_points, l = [], 0
+    l = 0
     for run, windows in zip(passes, plans):
         for k, (step, window) in enumerate(zip(run, windows)):
             # a pass starts on phi_0 = 1
             phi = step(phi, window) if k else step.first_step(window)
-            step_points.append(step.stride * window.n_phase if k else 0)
             if identical or k == len(run) - 1:
                 phi_rows[l] = np.interp(u_values, grid.points[:len(phi)], phi,
                                         left=0.0, right=1.0)
@@ -616,8 +605,7 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         psi=1.0 - phi_rows,
         u_grid=(float(grid.points[0]), float(grid_step), len(grid.points)),
         diagnostics={"grid_tail_bound": grid.tail_bound,
-                     "fft_points": max(c.n_fft for c in steps.values()),
-                     "step_points": step_points},
+                     "fft_points": max(c.n_fft for c in steps.values())},
     )
 
 
@@ -630,8 +618,7 @@ def _windows(run, top, floor):
     for step in reversed(run[1:]):
         tops.append(max(floor, step.window(tops[-1]).n_in - 1))
     tops.reverse()
-    return ([run[0].window(tops[0], transform=False)]
-            + [step.window(t) for step, t in zip(run[1:], tops[1:])])
+    return [step.window(t) for step, t in zip(run, tops)]
 
 
 # ----------------------------------------------------------------------

@@ -396,10 +396,7 @@ class TestPipelineCommands:
                         "--u", "100,300"]) == 0
         with open(os.path.join(out, "manifest.json")) as fh:
             grid = json.load(fh)["tolerances_achieved"]["ruin_grid"]
-        # fft_points: the transform points of a step over the whole grid;
-        # each step's own are no more, and a pass's first step takes none
-        assert grid["grid_points"] > 0 and grid["step_points"][0] == 0
-        assert 0 < max(grid["step_points"]) <= grid["fft_points"]
+        assert grid["grid_points"] > 0 and grid["fft_points"] >= grid["grid_points"]
         assert grid["grid_lo"] < 0.0 < 300.0 < grid["grid_hi"]
         assert 0.0 <= grid["grid_tail_bound"] <= 5e-12   # horizon * tail_eps
 

@@ -364,26 +364,36 @@ class TestSurvivalRecursion:
     @pytest.mark.parametrize("horizon", [1, 2, 5])
     def test_each_pass_takes_its_first_step_without_a_transform(self, horizon, monkeypatch):
         # an identical-PMF solve transforms in every step but the first; a
-        # backward pass of l steps transforms in l - 1.  Each inverse
-        # transform call runs one pass per phase, and the diagnostics record
-        # each step's transform points (phases x length), 0 without one
-        calls = []
+        # backward pass of l steps transforms in l - 1.  Each step records
+        # the transform passes it runs, one per phase of each irfft call
+        steps, calls = [], []
         irfft = np.fft.irfft
 
         def counted(spectra, n, **kw):
-            calls.append(spectra.shape[1] * n)
+            calls.append(spectra.shape[1])
+            steps[-1] += spectra.shape[1]
             return irfft(spectra, n, **kw)
 
+        def recorded(method):
+            def step(*args, **kw):
+                steps.append(0)
+                return method(*args, **kw)
+            return step
+
         monkeypatch.setattr(np.fft, "irfft", counted)
+        for name in ("__call__", "first_step"):
+            monkeypatch.setattr(ruin._Correlation, name, recorded(getattr(ruin._Correlation, name)))
         us = np.array([0.0, 1.0, 3.0])
-        for pmfs, first in (([Z5] * horizon, [0]),
-                            ([SKEWED] + [Z5] * (horizon - 1), range(horizon))):
-            calls.clear()
-            points = ruin.survival_recursion(us, 0.05, pmfs).diagnostics["step_points"]
-            passes = [(p == 0) for p in points]
-            assert [k for k, starts in enumerate(passes) if starts] == \
-                [l * (l + 1) // 2 for l in first]
-            assert calls == [p for p in points if p]
+        stride = math.ceil(1.05 ** horizon)
+        ruin.survival_recursion(us, 0.05, [Z5] * horizon)
+        assert len(steps) == horizon and len(calls) == horizon - 1
+        assert steps == [0] + [stride] * (horizon - 1)
+        steps.clear()
+        calls.clear()
+        ruin.survival_recursion(us, 0.05, [SKEWED] + [Z5] * (horizon - 1))
+        assert len(steps) == horizon * (horizon + 1) // 2
+        assert len(calls) == (horizon - 1) * horizon // 2
+        assert steps == [n for l in range(1, horizon + 1) for n in [0] + [stride] * (l - 1)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_capital_is_a_domain_error(self, bad):
