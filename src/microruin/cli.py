@@ -107,11 +107,6 @@ def _ecdf(samples, grid) -> np.ndarray:
     return np.searchsorted(np.sort(samples), grid, side="right") / len(samples)
 
 
-def _capitals(args, cfg) -> np.ndarray:
-    """The --u capitals, or else the config's initial capital."""
-    return np.array(args.u or [cfg.financial.initial_capital], dtype=float)
-
-
 def _apply_overrides(data: dict, overrides) -> dict:
     for item in overrides or []:
         if "=" not in item:
@@ -257,7 +252,7 @@ def _cmd_compound(args, cfg, manifest):
 
 
 def _cmd_ruin(args, cfg, manifest):
-    us = _capitals(args, cfg)
+    us = model.initial_capitals(args.u or cfg.financial.initial_capital)
     result, info = ruin.run_pipeline(cfg, us)
     header = ["l", "u", "psi_numerical"]
     tables = [result.psi]
@@ -311,7 +306,7 @@ def _cmd_simulate(args, cfg, manifest):
                    zip(grid, _ecdf(v, grid)), manifest)
         print(f"empirical CDF from {len(v)} samples written")
     else:  # paths
-        us = _capitals(args, cfg)
+        us = model.initial_capitals(args.u or cfg.financial.initial_capital)
         est = montecarlo.simulate_surplus_paths(cfg, plan, us)
         _write_csv(args.out, "mc_ruin.csv", ["l", "u", "psi", "ci_lo", "ci_hi"],
                    _psi_rows(us, est.psi, est.ci_lo, est.ci_hi), manifest)

@@ -226,8 +226,6 @@ def sanitize(raw: ExpandedDensity, reject_mass: float = 0.1) -> ExpandedDensity:
     ``sanitized_mass``; above ``reject_mass`` the density is rejected (the
     caller should raise the moment order).
     """
-    if raw.sanitized:
-        return raw
     poly = raw.poly
     roots = npoly.polyroots(poly)
     interior = np.sort(np.real(roots[(np.abs(np.imag(roots)) < 1e-10)

@@ -30,6 +30,7 @@ __all__ = [
     "DurationModel",
     "Numerics",
     "ScenarioConfig",
+    "initial_capitals",
     "validate",
     "default_config",
     "load_config",
@@ -81,6 +82,22 @@ class FinancialParams:
         ops = sorted(self.operator_mix)
         return _law(np.array([self.operator_fees[k] for k in ops], dtype=float),
                     [self.operator_mix[k] for k in ops])
+
+
+def initial_capitals(values) -> np.ndarray:
+    """The initial capitals of an analytic or Monte Carlo ruin solve as a
+    1-D float array: a number is one capital, a flat list of finite numbers
+    one per entry.  Anything else raises DomainError."""
+    try:
+        u = np.atleast_1d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError):
+        raise DomainError(f"initial capitals must be numbers, got {values!r}") from None
+    if u.ndim > 1:
+        raise DomainError(f"initial capitals must be a number or a flat list, got shape {u.shape}")
+    bad = u[~np.isfinite(u)]
+    if len(bad):
+        raise DomainError(f"initial capitals must be finite, got {bad[0]}")
+    return u
 
 
 @dataclass(frozen=True)

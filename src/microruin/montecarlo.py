@@ -92,7 +92,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, ResourceLimitError
-from .model import Numerics, ScenarioConfig
+from .model import Numerics, ScenarioConfig, initial_capitals
 from .moments import MomentVector
 
 __all__ = [
@@ -628,10 +628,7 @@ def simulate_surplus_paths(config: ScenarioConfig, plan: Numerics,
     w = fin.w_n_geometric
     r = fin.interest_rate_per_interval
     n_paths = plan.mc_paths
-    u_values = np.asarray(u_values, dtype=float)
-    bad = u_values[~np.isfinite(u_values)]
-    if len(bad):
-        raise DomainError(f"initial capitals must be finite, got {bad[0]}")
+    u_values = initial_capitals(u_values)
 
     fee_law = fin.fee_law()
     _within_campaign_budget(f"{horizon} x {n_paths} discounted profits", horizon * n_paths)

@@ -65,7 +65,7 @@ from .compound import (
     net_profit_step_pmf,
 )
 from .errors import DomainError, ResourceLimitError
-from .model import ScenarioConfig
+from .model import ScenarioConfig, initial_capitals
 from .moments import revenue_moments
 
 __all__ = [
@@ -264,7 +264,7 @@ class _RecursionGrid:
         self.points = np.arange(self.k_lo, self.k_hi + 1) * grid_step
         self.growth = growth
         self.fold_edge, self.low_edge = self.edges(self.k_lo, self.k_hi, growth)
-        above = max(read_top, u_values.max())
+        above = max(read_top, u_values.max(initial=-math.inf))
         self.tail_bound = horizon * tail_eps if top < min(reach, above) else 0.0
 
     @staticmethod
@@ -341,15 +341,16 @@ class _Correlation:
     zero-stuffed filter).  All phases share one atom spectrum, at about
     1/stride of the zero-stuffed length.
 
-    A step need not produce every grid output (``window``): its outputs up
-    to grid index top read the previous survival only below some index
-    n_in, which is where the previous step's outputs may end, and the atoms
-    that land below the grid from all of them need no transform.  Of the
-    linear correlation's outputs the stretch reads only t in [t_lo, t_hi],
-    phase outputs q in [q_lo, q_hi].  A phase correlation of circular length
-    n_phase >= max(q_hi + 1, n_out - q_lo), n_out its linear length, folds
-    every other output onto indices outside that window, so the window
-    stays exact while the transform skips the outputs nothing reads.
+    Each step is given the ``_Window`` of the grid indices 0..top it
+    produces (``window``): its outputs up to top read the previous survival
+    only below some index n_in, which is where the previous step's outputs
+    may end, and the atoms that land below the grid from all of them need
+    no transform.  Of the linear correlation's outputs the stretch reads
+    only t in [t_lo, t_hi], phase outputs q in [q_lo, q_hi].  A phase
+    correlation of circular length n_phase >= max(q_hi + 1, n_out - q_lo),
+    n_out its linear length, folds every other output onto indices outside
+    that window, so the window stays exact while the transform skips the
+    outputs nothing reads.
     """
 
     def __init__(self, grid, pmf, stride):
@@ -417,8 +418,9 @@ class _Correlation:
         # output n_grid + i reads past the grid top for the i + 1 largest atom
         # cells: its share of the reversed atoms' running sums
         w.above_from = max(self.n_grid - self.t_lo, 0)
+        start = max(self.t_lo - self.n_grid, 0)
         reach = min(max(w.t_hi + 1 - self.n_grid, 0), self.n_cells - 1)
-        w.above = self.sums[1 + np.arange(max(self.t_lo - self.n_grid, 0), reach) // self.stride]
+        w.above = self._running(start + 1, reach - start)
         # phase p of output t = stride q + p is the linear convolution of
         # P[p::stride] with the reversed kept atoms at q: it reads P up to
         # index t, and reversed atom j at P index t - stride j, below the
@@ -433,11 +435,9 @@ class _Correlation:
         w.n_phase = specfun.next_fast_len(max(q_hi + 1, n_out - w.q_lo, w.m, w.n_atoms))
         return w
 
-    def __call__(self, phi_prev, window=None):
-        """The step on the previous survival phi_prev (at least the window's
-        n_in values), at the grid indices 0..window.top (the whole grid
-        without a window)."""
-        w = self.window(self.n_grid - 1) if window is None else window
+    def __call__(self, phi_prev, w):
+        """The step on the previous survival phi_prev (at least the
+        ``_Window`` w's n_in values), at the grid indices 0..w.top."""
         if w.spectrum is None:
             # windows reading the same atoms at the same length share one
             key = (w.n_atoms, w.n_phase)
@@ -456,12 +456,11 @@ class _Correlation:
         phi_zero = phi_prev[self.n_negative] if self.n_negative < len(phi_prev) else 0.0
         return self._stretch(corr, phi_zero, w)
 
-    def first_step(self, window=None):
-        """The step on phi_0 = 1, without a transform: output t of the
-        correlation sums the reversed atoms that read a grid cell at or above
-        capital 0, atoms t - n_grid + 1 .. t - n_negative, which is a
-        difference of two running sums."""
-        w = self.window(self.n_grid - 1) if window is None else window
+    def first_step(self, w):
+        """The step on phi_0 = 1 at the grid indices 0..w.top, without a
+        transform: output t of the correlation sums the reversed atoms that
+        read a grid cell at or above capital 0, atoms t - n_grid + 1 ..
+        t - n_negative, which is a difference of two running sums."""
         n = w.t_hi + 1 - self.t_lo
         corr = self._running(self.t_lo - self.n_negative + 1, n)
         corr -= self._running(self.t_lo - self.n_grid + 1, n)
@@ -522,7 +521,8 @@ def _on_grid(pmf, grid_step: float):
 
 def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
                        tail_eps: float = 1e-12) -> RuinResult:
-    """Survival/ruin probabilities for horizons 1..L on the given capitals.
+    """Survival/ruin probabilities for horizons 1..L on the capitals u_values
+    (``model.initial_capitals``; an empty list gives psi of no columns).
 
     pmfs holds one net-profit LatticePMF per interval, in interval order.
     When they differ across intervals each horizon is evaluated by a backward
@@ -564,7 +564,7 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     horizon = len(pmfs)
     if horizon < 1:
         raise DomainError("need at least one interval PMF")
-    u_values = _capitals(u_values)
+    u_values = initial_capitals(u_values)
     if grid_step is None:
         grid_step = _RecursionGrid.default_step(pmfs[0].step, 1.0 + r, horizon)
     elif not 0.0 < grid_step < math.inf:  # written so that NaN fails
@@ -586,7 +586,7 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         # earliest interval last
         passes = [[steps[id(pmf)] for pmf in reversed(pmfs[:l])] for l in range(1, horizon + 1)]
     # the capitals' interpolation reads the grid up to the first point past them
-    top = min(int(np.searchsorted(grid.points, u_values.max(), side="right")),
+    top = min(int(np.searchsorted(grid.points, u_values.max(initial=-math.inf), side="right")),
               len(grid.points) - 1)
     plans = [_windows(run, top, top if identical else 0) for run in passes]
 
@@ -625,14 +625,6 @@ def _windows(run, top, floor):
 # Orchestration: moments -> expansion -> discretization -> recursion
 # ----------------------------------------------------------------------
 
-def _capitals(u_values) -> np.ndarray:
-    u_values = np.atleast_1d(np.asarray(u_values, dtype=float))
-    bad = u_values[~np.isfinite(u_values)]
-    if len(bad):
-        raise DomainError(f"initial capitals must be finite, got {bad[0]}")
-    return u_values
-
-
 def interval_net_pmfs(config: ScenarioConfig, u_values=None):
     """Per-interval compound net-profit PMFs (the G_l inputs of the recursion).
 
@@ -650,7 +642,7 @@ def interval_net_pmfs(config: ScenarioConfig, u_values=None):
     PMFs give.
     """
     if u_values is not None:
-        u_values = _capitals(u_values)
+        u_values = initial_capitals(u_values)
     fin, num = config.financial, config.numerics
     horizon = fin.horizon_intervals
     distinct = {}

@@ -5,18 +5,20 @@ A name in a ``src/microruin`` module's ``__all__`` must be read somewhere in
 only the tests call belongs in the tests.  The same holds for every
 module-level function and every method and property of a ``src`` class
 (dunders aside), whether exported or not: each must be read somewhere in
-``src/`` outside its own body.  The checks are by name, so a name read for
-another purpose (``np.mean`` reads ``mean``) counts.  No ``src`` module reads
-a ``_``-prefixed module-level function, class or constant of another one,
-so each private name has one binding; importing the private module
-``_kernels`` itself is allowed.  No production module imports from the
-tests.  Every config field is read by the code it configures, not only
-checked by ``model.validate``: a field nothing reads would be silently
-ignored.
+``src/`` outside its own body, and every default of a private function, or
+of a method of a private class, must be left to by some ``src`` call.  The
+checks are by name, so a name read for another purpose (``np.mean`` reads
+``mean``) counts.  No ``src`` module reads a ``_``-prefixed module-level
+function, class or constant of another one, so each private name has one
+binding; importing the private module ``_kernels`` itself is allowed.  No
+production module imports from the tests.  Every config field is read by
+the code it configures, not only checked by ``model.validate``: a field
+nothing reads would be silently ignored.
 """
 
 import ast
 import importlib
+import math
 import pathlib
 from dataclasses import fields
 
@@ -82,6 +84,39 @@ def test_every_function_and_method_is_reached_from_src():
                     and all(id(node) in inside for node in reads.get(definition.name, []))):
                 unreached.append(f"{stem}.{dotted}")
     assert unreached == [], f"move to tests/oracles.py or delete: {unreached}"
+
+
+def test_every_private_default_is_used_by_a_src_call():
+    # a default of a private function, or of a method of a private class,
+    # that every src call overrides serves only the tests: they can pass
+    # the argument.  A call leaves a parameter to its default when it
+    # passes fewer positional arguments than the parameter's place and no
+    # keyword of its name.  Calls are matched by name, as above, so a call
+    # through a variable, such as ``step(phi, window)``, is not matched
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unused = []
+    for stem, tree in TREES.items():
+        for dotted, definition in _definitions(tree):
+            if not dotted.startswith("_"):
+                continue
+            args = definition.args
+            # a method's call passes self (or cls) implicitly
+            bound = "." in dotted and "staticmethod" not in {
+                getattr(d, "id", None) for d in definition.decorator_list}
+            positional = (args.posonlyargs + args.args)[int(bound):]
+            first = len(positional) - len(args.defaults)
+            defaults = [(place, p.arg) for place, p in enumerate(positional) if place >= first]
+            defaults += [(math.inf, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None]
+            unused += [f"{stem}.{dotted}({name}=)" for place, name in defaults
+                       if not any(len(c.args) <= place and name not in {k.arg for k in c.keywords}
+                                  for c in calls.get(definition.name, []))]
+    assert unused == [], f"make these arguments required: {unused}"
 
 
 def _private_definitions(tree) -> set[str]:

@@ -240,6 +240,39 @@ class TestLawRule:
         assert _sha(got.psi) == _sha(want.psi)
 
 
+def _analytic_psi(cfg, capitals):
+    from microruin import ruin
+    return ruin.run_pipeline(cfg, capitals)[0].psi
+
+
+def _mc_psi(cfg, capitals):
+    from microruin import montecarlo
+    return montecarlo.simulate_surplus_paths(cfg, model.Numerics(seed=7, mc_paths=300),
+                                             capitals).psi
+
+
+@pytest.mark.parametrize("route", [_analytic_psi, _mc_psi], ids=["run_pipeline", "mc_paths"])
+@pytest.mark.parametrize("capitals, width", [(100.0, 1), ([], 0), ([[100.0, 200.0]], None)],
+                         ids=["number", "empty", "nested"])
+def test_both_ruin_routes_read_capitals_alike(route, capitals, width):
+    # one rule (``model.initial_capitals``) for the analytic and the Monte
+    # Carlo route: a number is one capital, an empty list none, and a
+    # nested list is refused by its shape
+    cfg = model.validate(model.default_config())
+    if width is None:
+        with pytest.raises(DomainError, match=r"flat list, got shape \(1, 2\)"):
+            route(cfg, capitals)
+    else:
+        assert route(cfg, capitals).shape == (cfg.financial.horizon_intervals, width)
+
+
+@pytest.mark.parametrize("values", ["a hundred", [[100.0], [200.0, 300.0]]],
+                         ids=["text", "ragged"])
+def test_capitals_that_are_not_numbers_are_a_domain_error(values):
+    with pytest.raises(DomainError, match="initial capitals must be numbers"):
+        model.initial_capitals(values)
+
+
 class TestDistanceDistribution:
     def test_density_zero_at_origin(self):
         assert oracles.nearest_distance_pdf(0.0, 0.1) == 0.0

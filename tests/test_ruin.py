@@ -671,7 +671,7 @@ def test_correlation_step_bit_identical_to_scipy_fft(table3_config, monkeypatch)
     def step():
         grid = ruin._RecursionGrid(us, r, pmfs, pmfs[0].step / stride, len(pmfs), 1e-12)
         corr = ruin._Correlation(grid, pmfs[0], stride)
-        return corr.n_fft, corr(np.ones_like(grid.points))
+        return corr.n_fft, corr(np.ones_like(grid.points), corr.window(corr.n_grid - 1))
 
     n_fft, got = step()
     scipy_fft(monkeypatch)
@@ -741,9 +741,10 @@ def test_correlation_window_matches_full_linear_correlation(name, stride):
     n_grid = len(grid.points)
     n_out = -(-n_grid // stride) + len(corr.reversed) - 1   # of each phase
     assert corr.n_fft <= stride * specfun.next_fast_len(n_out)
-    phi = corr(np.ones(n_grid))
+    whole = corr.window(corr.n_grid - 1)
+    phi = corr(np.ones(n_grid), whole)
     want = convolve_step(grid, pmfs[0], stride, phi)
-    assert np.abs(corr(phi) - want).max() <= 1e-14
+    assert np.abs(corr(phi, whole) - want).max() <= 1e-14
     # the windows of a pass's last three steps: the last step's outputs end
     # at the first grid point past the capitals, each earlier step's where
     # the next one's reads end.  Each step is handed only the survival it
@@ -808,8 +809,9 @@ def test_first_step_equals_the_transform_step_on_ones(overrides):
     if overrides is TRUNCATED_MULTI_SLOT:
         assert len(steps) > 1  # the solve runs backward passes
     for step in steps:
-        want = step(np.ones(len(grid.points)))
-        assert np.abs(step.first_step() - want).max() <= 1e-14
+        whole = step.window(step.n_grid - 1)
+        want = step(np.ones(len(grid.points)), whole)
+        assert np.abs(step.first_step(whole) - want).max() <= 1e-14
 
 
 TILTED = [name for name in SWEEP_SCENARIOS if name not in ("fee-300", "clamps-0.1-100")]
