@@ -18,11 +18,12 @@ summed over their calls.  Per scenario, median over --repeats runs, in ms:
   fee convolution, up to the net-profit step PMF;
 * ``chernoff_edges``: the Chernoff searches for the window edges of each
   step law (``compound._chernoff_edge``), found once per solve: the loss
-  bound reads the lower edge's theta and the compound stage inverts on both;
-* ``loss_bound``: the closed-form bound on the loss top that sizes the
-  compound windows (``ruin._loss_top_bound``);
+  top reads the lower edges' theta and the compound stage inverts on both;
+* ``loss_top``: the closed-form Chernoff top of the discounted losses that
+  sizes both the recursion grid and the compound windows
+  (``ruin._chernoff_top``; an older tree bounded it here for the windows
+  and searched the grid's top on the compound PMFs apart);
 * ``compound``: ``compound_geometric_pmf`` on those edges;
-* ``loss_top``: the Chernoff top of the recursion grid;
 * ``correlation_setup``: the recursion's correlation operators and each
   step's window (``ruin._windows``; an older tree made one atom spectrum
   per operator here, in its constructor);
@@ -40,9 +41,9 @@ without one) are recorded with the times, and so are the calls of
 ``np.fft.rfft`` and ``np.fft.irfft`` in one pipeline run, counted by
 wrapping both here, and the work of the Chernoff searches: the CGF
 evaluations of each search in solve order (the upper and lower window edge
-of each distinct step law, then the recursion grid's loss top; an older
-tree searched the loss bound's lower edge first, apart), counted by
-wrapping the CGF each search is handed.  Scenarios a tree refuses
+of each distinct step law; an older tree then searched the recursion
+grid's loss top, and before that the loss bound's lower edge first, apart),
+counted by wrapping the CGF each search is handed.  Scenarios a tree refuses
 (AccuracyError, ResourceLimitError) are recorded as refused.
 """
 
@@ -71,9 +72,8 @@ TARGETS = {
     "income": [(income_pdf, "expand_density"), (income_pdf, "sanitize"),
                (ruin, "discretize_income"), (ruin, "net_profit_step_pmf")],
     "chernoff_edges": [(compound, "_chernoff_edge")],
-    "loss_bound": [(ruin, "_loss_top_bound")],
+    "loss_top": [(ruin, "_chernoff_top")],
     "compound": [(ruin, "compound_geometric_pmf")],
-    "loss_top": [(ruin, "_loss_top")],
     "correlation_setup": [(ruin._Correlation, "__init__"), (ruin, "_windows")],
     "steps": [(ruin._Correlation, "__call__")],
     "pipeline": [(ruin, "run_pipeline")],

@@ -235,12 +235,12 @@ def bench_batch(n_users):
 
 def bench_recursion():
     cfg = model.validate(model.default_config())
-    pmfs, _ = ruin.interval_net_pmfs(cfg)
+    pmfs, info = ruin.interval_net_pmfs(cfg)
     us = np.array([100.0, 150.0, 200.0, 250.0, 300.0])
 
     def solve():
         return ruin.survival_recursion(us, cfg.financial.interest_rate_per_interval, pmfs,
-                                       tail_eps=cfg.numerics.tail_eps)
+                                       loss_top=info["loss_top"])
 
     t, res = _best(solve)
     grid_points, fft_points = res.u_grid[2], res.diagnostics["fft_points"]

@@ -22,11 +22,12 @@ interpolation (exact when r = 0 and the grid is lattice-aligned), and atoms
 off the capital grid are first split between their two grid nodes.  The
 capital grid (``_RecursionGrid``, whose code holds every rule of its
 geometry) covers only where phi can change and is read: from just below
-min(u, 0) to the lowest of the worst-case discounted loss, a Chernoff bound
-on the discounted losses and the highest capital read on the way to the
-requested ones.  Reads below it are ruin and reads above it survival, so
-its top moves psi by at most horizon * ``tail_eps``, and its size depends
-on the PMFs and not on how far out the requested capitals lie.
+min(u, 0) to the lowest of the worst-case discounted loss, the loss top its
+caller passes (a capital above which ruin has probability at most
+``tail_eps``) and the highest capital read on the way to the requested ones.
+Reads below it are ruin and reads above it survival, so its top moves psi
+by at most horizon * ``tail_eps``, and its size depends on the PMFs and not
+on how far out the requested capitals lie.
 
 Each step is one lattice correlation on the grid, by FFT, except the first
 step of every pass: on phi_0 = 1 the correlation is a difference of the
@@ -39,15 +40,16 @@ step of a pass: the requested capitals), and transforms only the previous
 survival and the atoms those outputs read.
 
 The correlation keeps only the atoms up to its fold edge; every atom above
-counts as survival.  ``interval_net_pmfs`` at the requested capitals
-therefore sizes each compound window before it inverts one: a closed-form
-Chernoff bound on the grid's loss top from the step laws' window edges
-(``_loss_top_bound``), which it finds once per law for the compound stage
-too, bounds the fold edge by the grid's own rules (``_window_top``).  The
-compound stage inverts only up to that atom and lumps the rest of its mass
-on the next one, which lands past the fold as the whole law's upper atoms
-do, so the grid and every read atom stay those of the whole law (to the
-inversion's accuracy).
+counts as survival.  ``interval_net_pmfs`` therefore sizes the grid before
+it inverts any compound law: one closed-form Chernoff bound on the
+discounted losses from the step laws' window edges (``_chernoff_top``),
+which it finds once per law for the compound stage too, is the loss top,
+and at the requested capitals it bounds each window's fold edge by the
+grid's own rules (``_window_top``).  The compound stage inverts only up to
+that atom and lumps the rest of its mass on the next one, which lands past
+the fold as the whole law's upper atoms do.  ``run_pipeline`` hands the
+recursion the same top, so the grid and every read atom are those of the
+whole law (to the inversion's accuracy).
 """
 
 from __future__ import annotations
@@ -102,74 +104,7 @@ class RuinResult:
     diagnostics: dict
 
 
-LOSS_CELLS = 1024  # loss bins of the Chernoff top, each loss rounded up
 TRIM_MASS = 1e-9  # compound tail mass dropped per side before the recursion
-
-
-def _loss_top(pmfs, growth: float, horizon: int, tail_eps: float) -> tuple[float, float]:
-    """(reach, top) of the discounted losses X = sum_{i<=L} g^-i Y_i^-, given
-    each distinct interval PMF once in ``pmfs`` (all on one lattice step).
-
-    reach is the worst case of X over positive-mass atoms; past it survival
-    is certain.  top <= reach is the smallest capital u with
-    e^(-theta u) prod_i max_j M_{Y_j^-}(theta g^-i) <= tail_eps, theta
-    minimizing u: past it the ruin probability over any horizon <= L and any
-    order of the interval PMFs is at most tail_eps.  The losses are binned
-    onto at most LOSS_CELLS cells, each rounded up, which keeps the bound
-    valid.  tail_eps = 0 returns top = reach.
-    """
-    # the lowest index with mass gives each PMF's largest loss
-    k_max = max(max(0, -(p.min_index + int((p.mass > 0).argmax()))) for p in pmfs)
-    discount = growth ** -np.arange(1.0, horizon + 1)
-    reach = k_max * pmfs[0].step * float(discount.sum())
-    if k_max == 0 or tail_eps <= 0.0:
-        return reach, reach
-    q = -(-k_max // LOSS_CELLS)
-    width = q * pmfs[0].step
-    tables = []
-    for p in pmfs:
-        # atoms at index >= 0 lose nothing (cell 0), those below lose -index;
-        # atoms without mass add exact zeros
-        cells = np.zeros(len(p.mass), dtype=np.intp)
-        n_loss = min(max(-p.min_index, 0), len(p.mass))
-        cells[:n_loss] = -(-np.arange(-p.min_index, -p.min_index - n_loss, -1) // q)
-        binned = np.bincount(cells, weights=p.mass)
-        held = np.flatnonzero(binned)
-        loss = held * width
-        tables.append((loss, loss * loss, np.log(binned[held])))
-    log_eps = math.log(tail_eps)
-
-    def cgf(theta):
-        # K(theta) = sum_i max_j log M_j(theta g^-i), convex as a sum of maxima
-        # of cumulant generating functions; K' and K'' follow the maximizing
-        # table of each horizon row through its tilted loss moments
-        t = theta * discount[:, None]
-        best = None
-        for loss, loss_sq, log_p in tables:
-            e = t * loss
-            e += log_p
-            peak = e.max(axis=1)
-            e -= peak[:, None]
-            np.exp(e, out=e)
-            s0 = e.sum(axis=1)
-            lse = peak + np.log(s0)
-            m1, m2 = (e @ loss) / s0, (e @ loss_sq) / s0
-            if best is None:
-                best = [lse, m1, m2]
-            else:
-                wins = lse > best[0]
-                for held, new in zip(best, (lse, m1, m2)):
-                    held[wins] = new[wins]
-        lse, m1, m2 = best
-        return (float(lse.sum()), float(discount @ m1),
-                float((discount * discount) @ (m2 - m1 * m1)))
-
-    # log M(t) <= t * max loss, so at this theta the top is within one cell
-    # of the worst case: larger thetas cannot lower it by more.  Any theta
-    # gives a valid top; the search stops within 1e-13 of the best theta
-    theta, log_m = compound.chernoff_min(cgf, log_eps, -log_eps / width)
-    top = (log_m - log_eps) / theta
-    return reach, min(reach, top)
 
 
 def _read_top(y_max: float, growth: float, horizon: int, u_max: float,
@@ -185,50 +120,53 @@ def _read_top(y_max: float, growth: float, horizon: int, u_max: float,
     return float(powers[-1] * u_max + (max(y_max, 0.0) + 2 * grid_step) * powers.sum())
 
 
-def _loss_top_bound(edges, w_n: float, discount: np.ndarray, tail_eps: float) -> float:
-    """An upper bound, in lattice cells, on the top ``_loss_top`` finds for
-    the compound PMFs of the step laws whose window edges are ``edges``
-    (``compound.window_edges``), from the step laws alone.
+def _chernoff_top(edges, w_n: float, growth: float, horizon: int, tail_eps: float,
+                  step: float) -> float:
+    """The capital above which ruin, over any horizon <= L and any order of
+    the intervals, has probability at most tail_eps, from the step laws
+    whose window edges are ``edges`` (``compound.window_edges``) alone.
 
-    A compound sum Y has M_{Y^-}(t) = E[max(1, e^(-tY))] <= 1 - w + M_Y(-t),
-    with M_Y(s) = w / (1 - (1-w) M_Z(s)) over Z's atoms, so
-    K(theta) = sum_i max_j log(1 - w + M_{Y_j}(-theta d_i)), d the discount
-    factors, bounds the CGF of ``_loss_top``'s losses, and any theta gives a
-    valid top.  It is evaluated once, at the theta of the lowest lower edge
-    of the compound windows, which lies near the best one.  The compound
-    PMFs keep no loss past that edge (the mass beyond it is at most
-    tail_eps, far below ``TRIM_MASS``), so ``_loss_top``'s bins are at most
-    ceil(edge / LOSS_CELLS) cells wide, and rounding each loss up to its bin
-    adds at most one bin per interval.  Returns inf past the MGF's pole.
+    Ruin from u needs u < X = sum_{i<=L} g^-i Y_i^-, the discounted losses
+    of the compound sums Y.  Each has M_{Y^-}(t) = E[max(1, e^(-tY))] <=
+    1 - w + M_Y(-t), since Pr(Y > 0) <= 1 - w, with M_Y(s) = w / (1 - (1-w)
+    M_Z(s)) over Z's atoms, so K(theta) = sum_i max_j log(1 - w +
+    M_{Y_j}(-theta g^-i)) bounds the CGF of X, and Pr(X > u) <=
+    e^(K(theta) - theta u) at any theta.  It is evaluated once, at the
+    smallest theta of the laws' lower window edges, which lies near the best
+    one; each law's MGF is finite at its own edge's theta, so K is finite
+    there.  The compound PMFs the recursion reads keep those laws' losses
+    but for the trims, which drop at most 2 ``TRIM_MASS`` per law and scale
+    the rest up by at most 1 / (1 - 2 TRIM_MASS): that factor per interval
+    is paid for in the top.  (A read window puts the mass it cuts on one
+    atom above 0, a gain.)  Returns 0 when no law has a loss atom.
     """
-    edge, theta = max((-e.lo, e.lower.theta) for e in edges)
-    if theta == 0.0:
+    theta = min((e.lower.theta for e in edges if e.lower.theta), default=0.0)
+    if not theta:
         return 0.0
+    discount = growth ** -np.arange(1.0, horizon + 1)
     log_q = math.log1p(-w_n)
-    log_m = np.full(len(discount), -np.inf)
+    log_m = np.full(horizon, -np.inf)
     for e in edges:
         ex = np.multiply.outer(-theta * discount, e.idx.astype(float))
         ex += e.log_p
         peak = ex.max(axis=1)
         ex -= peak[:, None]
         log_qmz = log_q + peak + np.log(np.exp(ex, out=ex).sum(axis=1))
-        if not (log_qmz < 0.0).all():
-            return math.inf
         np.maximum(log_m, np.log(1.0 - w_n - w_n / np.expm1(log_qmz)), out=log_m)
-    cells_per_bin = -(-edge // LOSS_CELLS)
-    return (float(log_m.sum()) - math.log(tail_eps)) / theta + cells_per_bin * float(discount.sum())
+    log_eps = math.log(tail_eps) + horizon * math.log1p(-2.0 * TRIM_MASS)
+    return float((log_m.sum() - log_eps) / theta * step)
 
 
 def _window_top(u_values: np.ndarray, growth: float, horizon: int, step: float,
-                loss_cells: float) -> int:
+                loss_top: float) -> int:
     """The highest lattice index whose atom ``_Correlation`` keeps on the
-    default grid at the capitals u_values, given an upper bound
-    ``loss_cells`` (lattice cells) on the grid's loss top: the fold edge
-    rises with k_hi and falls with k_lo, and ``_RecursionGrid.span`` at the
-    bound, with no largest atom known, bounds both."""
+    default grid at the capitals u_values, given the grid's loss top
+    ``loss_top`` (``_chernoff_top``): the fold edge rises with k_hi and falls
+    with k_lo, and ``_RecursionGrid.span`` at that top, with no largest atom
+    known, bounds both."""
     grid_step = _RecursionGrid.default_step(step, growth, horizon)
     k_lo, k_hi, _ = _RecursionGrid.span(u_values, growth, horizon, grid_step, math.inf,
-                                        loss_cells * step)
+                                        loss_top)
     return -(-_RecursionGrid.edges(k_lo, k_hi, growth)[0] // round(step / grid_step))
 
 
@@ -237,23 +175,29 @@ class _RecursionGrid:
 
     Only the requested capitals within two steps of [floor, top] are held
     on it.  Below floor = -y_max^+ / (1+r) no atom survives the first step,
-    so phi is exactly 0 there; above top (from ``_loss_top``) reads count as
+    so phi is exactly 0 there; above top, the lower of the worst-case reach
+    of the discounted losses and the caller's ``loss_top``, reads count as
     survival.  The grid starts two steps below min(u, 0) over the held
     capitals: the survival indicator zeroes phi at every negative capital,
     so reads below the grid are ruin.  It ends two steps above
     max(u, min(top, read top)), read top from ``_read_top``; reads above it
     are survival.  Below the read top that is exact for the requested
     capitals, since no read on their way lies past it (the grid cells above
-    phi_l's reach are wrong and never read).  When the Chernoff top binds it
+    phi_l's reach are wrong and never read).  When the loss top binds it
     moves phi by at most ``tail_bound`` = horizon * tail_eps, and not at all
     when the worst-case reach or the read top does.  A grid of more than
     ``compound.POINTS_BUDGET`` points raises ResourceLimitError.
     """
 
-    def __init__(self, u_values, r, pmfs, grid_step, horizon, tail_eps):
+    def __init__(self, u_values, r, pmfs, grid_step, horizon, loss_top):
         growth = 1.0 + r
-        reach, top = _loss_top(pmfs, growth, horizon, tail_eps)
-        y_max = max((p.min_index + int(np.flatnonzero(p.mass)[-1])) * p.step for p in pmfs)
+        held = [(p.min_index + np.flatnonzero(p.mass)[[0, -1]]) * p.step for p in pmfs]
+        # the worst case of the discounted losses: past it survival is certain
+        reach = (max(0.0, -min(lo for lo, _ in held))
+                 * float((growth ** -np.arange(1.0, horizon + 1)).sum()))
+        y_max = float(max(hi for _, hi in held))
+        top, tail_eps = (reach, 0.0) if loss_top is None else loss_top
+        top = min(top, reach)
         self.k_lo, self.k_hi, read_top = self.span(u_values, growth, horizon, grid_step,
                                                    y_max, top)
         if self.k_hi - self.k_lo >= compound.POINTS_BUDGET:
@@ -520,7 +464,7 @@ def _on_grid(pmf, grid_step: float):
 
 
 def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
-                       tail_eps: float = 1e-12) -> RuinResult:
+                       loss_top: tuple[float, float] | None = None) -> RuinResult:
     """Survival/ruin probabilities for horizons 1..L on the capitals u_values
     (``model.initial_capitals``; an empty list gives psi of no columns).
 
@@ -545,18 +489,26 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
     keeps mass and mean, but an off-grid landing is interpolated twice, by
     the split and by the stretch, and the split reads part of a landing just
     below capital 0 as alive.  Pointwise accuracy at the requested capitals
-    is the business of the grid-refinement (Richardson) check.
+    is the business of the grid-refinement (Richardson) check,
+    ``tests/test_ruin.py::TestSurvivalRecursion::test_grid_refinement_converges_with_order_at_least_one``.
 
     The capital grid covers only the capitals where phi can change and is
     read (``_RecursionGrid``); capitals outside it get psi 1 below and 0
-    above, and its top moves psi by at most ``grid_tail_bound``
-    (horizon * tail_eps when the Chernoff loss top binds, else 0, as with
-    tail_eps = 0).  A grid over ``compound.POINTS_BUDGET`` points (a fine
-    step from a large (1+r)^L) raises ResourceLimitError.
-    ``u_grid`` records the grid, and the diagnostics also give
-    ``fft_points``, the most transform points (phases x phase length) of a
-    step over the whole grid.  A grid_step that is not positive and finite,
-    or a tail_eps outside [0, 1), raises DomainError.
+    above.  ``loss_top`` = (capital, tail_eps) is the caller's word that
+    ruin from any capital above that one, over any horizon <= L and any
+    order of the pmfs, has probability at most tail_eps (``run_pipeline``
+    passes the Chernoff top of ``interval_net_pmfs``).  Reads past it count
+    as survival, so the grid top moves psi by at most ``grid_tail_bound``
+    (horizon * tail_eps when the loss top binds, else 0).  On a re-binned
+    grid the top rises by one grid step per discounted interval, the most
+    the split moves a loss.  Without a loss top the grid reaches the
+    worst-case discounted loss, which is exact.  A grid over
+    ``compound.POINTS_BUDGET`` points (a fine step from a large (1+r)^L)
+    raises ResourceLimitError.  ``u_grid`` records the grid, and the
+    diagnostics also give ``fft_points``, the most transform points (phases
+    x phase length) of a step over the whole grid.  A grid_step that is not
+    positive and finite, a loss top below 0 or a tail_eps outside [0, 1)
+    raises DomainError.
     """
     if r < 0:
         raise DomainError(f"interest rate must be >= 0, got {r}")
@@ -569,12 +521,19 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         grid_step = _RecursionGrid.default_step(pmfs[0].step, 1.0 + r, horizon)
     elif not 0.0 < grid_step < math.inf:  # written so that NaN fails
         raise DomainError(f"grid_step must be positive and finite, got {grid_step}")
-    if not 0.0 <= tail_eps < 1.0:
-        raise DomainError(f"tail_eps must lie in [0, 1), got {tail_eps}")
-
     on_grid = {id(p): _on_grid(p, grid_step) for p in pmfs}
+    if loss_top is not None:
+        capital, tail_eps = loss_top
+        if not capital >= 0.0:  # written so that NaN fails
+            raise DomainError(f"loss top must be a capital >= 0, got {capital}")
+        if not 0.0 <= tail_eps < 1.0:
+            raise DomainError(f"tail_eps must lie in [0, 1), got {tail_eps}")
+        if any(p is not on_grid[id(p)][0] for p in pmfs):
+            # re-binning moves each loss atom by less than one grid step
+            capital += grid_step * float(((1.0 + r) ** -np.arange(1.0, horizon + 1)).sum())
+        loss_top = (capital, tail_eps)
     grid = _RecursionGrid(u_values, r, [pmf for pmf, _ in on_grid.values()], grid_step,
-                          horizon, tail_eps)
+                          horizon, loss_top)
     steps = {key: _Correlation(grid, pmf, stride) for key, (pmf, stride) in on_grid.items()}
     identical = len(steps) == 1
     if identical:
@@ -585,9 +544,10 @@ def survival_recursion(u_values, r: float, pmfs, grid_step: float | None = None,
         # each horizon runs its own backward pass, conditioning on the
         # earliest interval last
         passes = [[steps[id(pmf)] for pmf in reversed(pmfs[:l])] for l in range(1, horizon + 1)]
-    # the capitals' interpolation reads the grid up to the first point past them
-    top = min(int(np.searchsorted(grid.points, u_values.max(initial=-math.inf), side="right")),
-              len(grid.points) - 1)
+    # the capitals' interpolation reads the grid up to the first point past
+    # them; capitals past the grid read survival without it
+    on_top = u_values[u_values <= grid.points[-1]].max(initial=-math.inf)
+    top = min(int(np.searchsorted(grid.points, on_top, side="right")), len(grid.points) - 1)
     plans = [_windows(run, top, top if identical else 0) for run in passes]
 
     phi_rows = np.empty((horizon, len(u_values)))
@@ -634,12 +594,14 @@ def interval_net_pmfs(config: ScenarioConfig, u_values=None):
     (FFT window, aliasing bound, clipped negative mass and mean-check
     residual) and the compound mass trimmed below and above before the
     recursion (``trimmed_mass``).  ``trim_bound``, that mass summed over the
-    horizon's intervals, bounds what the trims move psi by.
+    horizon's intervals, bounds what the trims move psi by.  ``loss_top`` is
+    (capital, tail_eps) from ``_chernoff_top``, found before any compound
+    inversion: the loss top that ``survival_recursion`` takes.
 
     Without capitals every compound PMF holds its whole law; with capitals
-    u_values, only the atoms the recursion at them reads, the rest lumped
-    on one atom past the fold (the module docstring), on the grid the whole
-    PMFs give.
+    u_values, only the atoms the recursion at them reads on the grid of
+    that loss top, the rest lumped on one atom past the fold (the module
+    docstring).
     """
     if u_values is not None:
         u_values = initial_capitals(u_values)
@@ -669,13 +631,11 @@ def interval_net_pmfs(config: ScenarioConfig, u_values=None):
         edges[key] = compound.window_edges(zsteps[key], fin.w_n_geometric, num.tail_eps)
         info["intervals"][i] = {"sanitized_mass": density.sanitized_mass,
                                 "fee_rounding": income.mean() - zsteps[key].mean() - mean_fee}
-    top = None
-    if u_values is not None:
-        growth = 1.0 + fin.interest_rate_per_interval
-        cells = _loss_top_bound(list(edges.values()), fin.w_n_geometric,
-                                growth ** -np.arange(1.0, horizon + 1), num.tail_eps)
-        if math.isfinite(cells):
-            top = _window_top(u_values, growth, horizon, delta, cells)
+    growth = 1.0 + fin.interest_rate_per_interval
+    loss_top = _chernoff_top(list(edges.values()), fin.w_n_geometric, growth, horizon,
+                             num.tail_eps, delta)
+    info["loss_top"] = (loss_top, num.tail_eps)
+    top = None if u_values is None else _window_top(u_values, growth, horizon, delta, loss_top)
     built = {}
     for key, i in distinct.items():
         compound_pmf = compound_geometric_pmf(zsteps[key], fin.w_n_geometric,
@@ -704,5 +664,5 @@ def run_pipeline(config: ScenarioConfig, u_values):
     """
     pmfs, info = interval_net_pmfs(config, u_values)
     result = survival_recursion(u_values, config.financial.interest_rate_per_interval,
-                                pmfs, tail_eps=config.numerics.tail_eps)
+                                pmfs, loss_top=info["loss_top"])
     return result, info

@@ -98,9 +98,9 @@ def read_windows(cfg: ScenarioConfig, capitals) -> list[dict]:
     budget = compound.POINTS_BUDGET
     compound.POINTS_BUDGET = 4 * budget
     try:
-        r, eps = cfg.financial.interest_rate_per_interval, cfg.numerics.tail_eps
-        whole = ruin.survival_recursion(capitals, r, ruin.interval_net_pmfs(cfg)[0],
-                                        tail_eps=eps)
+        r = cfg.financial.interest_rate_per_interval
+        pmfs, info = ruin.interval_net_pmfs(cfg)
+        whole = ruin.survival_recursion(capitals, r, pmfs, loss_top=info["loss_top"])
         fulls = [real(step, w_n, tail_eps) for step, w_n, tail_eps, _, _ in calls]
     finally:
         compound.POINTS_BUDGET = budget

@@ -648,39 +648,6 @@ def golden_chernoff_edge(idx: np.ndarray, log_p: np.ndarray, w_n: float,
     return max(0, math.ceil(x) - 1)
 
 
-def golden_loss_top(pmfs, growth: float, horizon: int, tail_eps: float,
-                     loss_cells: int) -> float:
-    """Chernoff top of the discounted losses, as ``ruin._loss_top``, from 32
-    golden-section steps over theta in (0, -log eps / cell width)."""
-    distinct = list({id(p): p for p in pmfs}.values())
-    k_max = max(max(0, -int(p.indices()[p.mass > 0].min())) for p in distinct)
-    discount = growth ** -np.arange(1.0, horizon + 1)
-    reach = k_max * distinct[0].step * float(discount.sum())
-    q = -(-k_max // loss_cells)
-    width = q * distinct[0].step
-    tables = []
-    for p in distinct:
-        alive = p.mass > 0
-        cells = -(-np.maximum(-p.indices()[alive], 0) // q)
-        binned = np.bincount(cells, weights=p.mass[alive])
-        held = np.flatnonzero(binned)
-        tables.append((held * width, np.log(binned[held])))
-    log_eps = math.log(tail_eps)
-
-    def top_at(theta):
-        t = theta * discount[:, None]
-        log_m = np.full(horizon, -np.inf)
-        for loss, log_p in tables:
-            a = t * loss + log_p
-            peak = a.max(axis=1)
-            np.maximum(log_m, peak + np.log(np.exp(a - peak[:, None]).sum(axis=1)),
-                       out=log_m)
-        return (float(log_m.sum()) - log_eps) / theta
-
-    _, top = golden_min(top_at, 0.0, -log_eps / width, iters=32)
-    return min(reach, top)
-
-
 # ----------------------------------------------------------------------
 # The per-atom survival recursion
 # ----------------------------------------------------------------------
@@ -711,14 +678,15 @@ def ruin_step(phi_prev, grid_lo, grid_step, growth, atom_pos, atom_mass, u_grid)
     return out
 
 
-def atom_recursion(us, r, pmfs, grid_step=None, tail_eps=1e-12):
+def atom_recursion(us, r, pmfs, grid_step=None, loss_top=None):
     """The literal per-atom Stieltjes sum (``ruin_step``) on the capital grid
-    ``survival_recursion`` builds for ``pmfs``.  The default grid step is
-    lattice_step / ceil((1+r)^L).  Returns psi, one row per horizon."""
+    ``survival_recursion`` builds for ``pmfs`` and ``loss_top``.  The default
+    grid step is lattice_step / ceil((1+r)^L).  Returns psi, one row per
+    horizon."""
     horizon = len(pmfs)
     if grid_step is None:
         grid_step = pmfs[0].step / max(1, math.ceil((1.0 + r) ** horizon))
-    grid = ruin._RecursionGrid(us, r, pmfs, grid_step, horizon, tail_eps)
+    grid = ruin._RecursionGrid(us, r, pmfs, grid_step, horizon, loss_top)
 
     def step(phi, pmf):
         out = ruin_step(phi, grid.points[0], grid.step, grid.growth,

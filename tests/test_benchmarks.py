@@ -2,7 +2,7 @@
 benchmark's tracer still reaches every layer it measures.
 
 Both scripts reach into private sampler and recursion names
-(``_revenue_batch``, ``_uniform_field_sums``, ``ruin._loss_top`` and the
+(``_revenue_batch``, ``_uniform_field_sums``, ``ruin._chernoff_top`` and the
 like), and ``perfbench/tracing.py`` wraps program functions by their dotted
 names and reads their parameters and results, so a rename there would
 otherwise only show at the next measurement.
@@ -52,9 +52,9 @@ def test_bench_analytic_writes_its_run(tmp_path):
         outside = sum(v for k, v in ms.items() if k != "pipeline")
         assert outside <= ms["pipeline"] + 0.0005 * len(ms), (name, ms)
         # the Chernoff searches are counted: the two window edges (no upper
-        # one when the step PMF has no atom above 0) and the loss top, each
-        # at least one CGF call
-        assert len(scenario["cgf_per_search"]) in (2, 3), (name, scenario)
+        # one when the step PMF has no atom above 0), each at least one CGF
+        # call; the loss top is a closed form that searches nothing
+        assert len(scenario["cgf_per_search"]) in (1, 2), (name, scenario)
         assert scenario["fft_calls"]["rfft"] > scenario["fft_calls"]["irfft"] > 0
         # each recursion step's transform points, none in a pass's first step
         points = scenario["step_points"]

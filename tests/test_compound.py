@@ -372,9 +372,8 @@ class TestChernoffSearch:
 
     @pytest.mark.parametrize("name", ["reference", "pathloss-3", "fee-300", "w_n-0.05"])
     def test_bracket_only_shrinks(self, name, monkeypatch):
-        # the three searches of a solve (the two window edges of the
-        # compound PMF, whose lower one the loss bound also reads, then the
-        # recursion grid's loss top): once some theta has
+        # the two searches of a solve (the window edges of the compound
+        # PMF, whose lower one the loss top also reads): once some theta has
         # h = theta K' - K + log eps >= 0, no later theta lies above it, and
         # no search takes more than 15 CGF evaluations
         searches = []
@@ -392,7 +391,7 @@ class TestChernoffSearch:
 
         monkeypatch.setattr(compound, "chernoff_min", recorded)
         ruin.run_pipeline(sweep_config(name), np.array([100.0, 200.0, 300.0]))
-        assert len(searches) == 3
+        assert len(searches) == 2
         for seen in searches:
             assert len(seen) <= 15, seen
             for i, (theta, _) in enumerate(seen):
